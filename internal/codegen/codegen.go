@@ -51,8 +51,8 @@ type Query struct {
 	ParamSeg  []byte
 	ParamBase uint64
 
-	// Output describes how to decode the result rows of the final
-	// pipeline; Sort/Limit apply to the decoded rows.
+	// Output describes the result records the final pipeline writes (read
+	// by exec.RowSet); SortKeys/Limit are applied to them by the engine.
 	Output   OutDesc
 	SortKeys []plan.SortKey
 	Limit    int

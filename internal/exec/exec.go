@@ -12,13 +12,13 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"aqe/internal/codegen"
 	"aqe/internal/expr"
 	"aqe/internal/plan"
 	"aqe/internal/rt"
-	"aqe/internal/rt/sink"
 	"aqe/internal/sched"
 	"aqe/internal/storage"
 	"aqe/internal/vm"
@@ -229,11 +229,20 @@ type Stats struct {
 	Codegen   time.Duration // plan -> IR
 	Translate time.Duration // IR -> bytecode (all pipelines + queryStart)
 	Compile   time.Duration // up-front compilation (static modes)
-	Exec      time.Duration // queryStart + pipelines + result decode
+	Exec      time.Duration // queryStart + pipelines
 	Finalize  time.Duration // pipeline-breaker wall time (within Exec)
 	PruneTime time.Duration // zone-map mask construction (within Exec)
-	WaitTime  time.Duration // admission-queue wait before any work (within Total)
-	Total     time.Duration
+	Sort      time.Duration // root ORDER BY over the output records (after Exec)
+	// Emit is the time spent handing the result over: boxing Result.Rows,
+	// or inside RunOpts.Emit (encoding and socket writes, for the server).
+	// It follows Exec and Sort, except that a streamed result's share of
+	// it overlaps the final pipeline and so lies within Exec.
+	Emit     time.Duration
+	WaitTime time.Duration // admission-queue wait before any work (within Total)
+	Total    time.Duration
+
+	// Rows is the number of result rows, counted by the RowSet.
+	Rows int64
 
 	// Queued reports that the query waited in the admission queue;
 	// Cancelled that it ended early through its context (the Result then
@@ -297,40 +306,24 @@ type Stats struct {
 	Tenant string
 }
 
-// Result is a materialized query result.
+// Result is a query result: the schema, the stats, and the rows in one
+// of two forms. Callers that did not ask otherwise get Rows, boxed. When
+// the rows were consumed through RunOpts.Emit — or feed a later stage of
+// a multi-stage query — nothing is boxed: Rows is nil and Set holds the
+// segment-backed rows (and with them the query's memory, until the Result
+// is dropped).
 type Result struct {
 	Cols  []string
 	Types []expr.Type
 	Rows  [][]expr.Datum
+	Set   *RowSet
 	Stats Stats
 	Trace *Trace
 }
 
-// Format renders a datum for display.
-func Format(d expr.Datum, t expr.Type) string {
-	switch t.Kind {
-	case expr.KFloat:
-		return fmt.Sprintf("%.4f", d.F)
-	case expr.KDecimal:
-		return storage.DecimalString(d.I, t.Scale)
-	case expr.KDate:
-		return storage.FormatDate(d.I)
-	case expr.KString:
-		return d.S
-	case expr.KChar:
-		return string(byte(d.I))
-	case expr.KBool:
-		if d.I != 0 {
-			return "true"
-		}
-		return "false"
-	default:
-		return fmt.Sprintf("%d", d.I)
-	}
-}
-
 // ToTable materializes the result as a storage table (stage results are
-// scanned by later stages this way).
+// scanned by later stages this way), reading output records straight into
+// columns when the result is segment-backed.
 func (r *Result) ToTable(name string) *storage.Table {
 	cols := make([]*storage.Column, len(r.Cols))
 	for i, cn := range r.Cols {
@@ -351,6 +344,10 @@ func (r *Result) ToTable(name string) *storage.Table {
 		}
 		cols[i] = storage.NewColumn(cn, k)
 		cols[i].Scale = r.Types[i].Scale
+	}
+	if r.Set != nil {
+		r.Set.appendTo(cols)
+		return storage.NewTable(name, cols...)
 	}
 	for _, row := range r.Rows {
 		for i, d := range row {
@@ -383,14 +380,20 @@ func (e *Engine) RunCtx(ctx context.Context, q plan.Query) (*Result, error) {
 }
 
 // RunCtxOpts is RunCtx under per-execution options; every stage admits
-// and schedules under opts.Tenant. Multi-stage plan queries carry no
+// and schedules under opts.Tenant, and opts.Emit consumes the final
+// stage. Earlier stages stay segment-backed and are read straight into
+// the tables later stages scan. Multi-stage plan queries carry no
 // prepared-statement parameters, so opts.Params must be nil.
 func (e *Engine) RunCtxOpts(ctx context.Context, q plan.Query, opts RunOpts) (*Result, error) {
 	prior := make(map[string]*storage.Table)
 	var last *Result
 	for i, st := range q.Stages {
 		node := st.Build(prior)
-		res, err := e.RunPlanOpts(ctx, node, fmt.Sprintf("%s/%s", q.Name, st.Name), opts)
+		stage := opts
+		if i < len(q.Stages)-1 {
+			stage.Emit, stage.unboxed = nil, true
+		}
+		res, err := e.RunPlanOpts(ctx, node, fmt.Sprintf("%s/%s", q.Name, st.Name), stage)
 		if err != nil {
 			return res, fmt.Errorf("%s stage %q: %w", q.Name, st.Name, err)
 		}
@@ -441,6 +444,20 @@ type RunOpts struct {
 	Params []*expr.Const
 	// Replan enables mid-query reoptimization (see RunPlanReplan).
 	Replan Replanner
+	// Emit, when set, consumes the result rows in place of Result.Rows:
+	// the engine calls it on the calling goroutine with consecutive
+	// windows of the result, in result order, and boxes nothing. When the
+	// plan has no ORDER BY the calls start while the final pipeline is
+	// still running — each morsel's rows become available as it retires —
+	// otherwise they follow the sort. Pool workers never wait for Emit,
+	// and the admission ticket is released when execution ends, however
+	// long Emit then takes. An error from Emit cancels the query and is
+	// returned (wrapped) by RunPlanOpts.
+	Emit func(Rows) error
+
+	// unboxed leaves the result segment-backed (Result.Set) without a
+	// consumer: an earlier stage of a multi-stage query.
+	unboxed bool
 }
 
 // RunPlanOpts is the fully-general single-plan entry point: RunPlanCtx
@@ -464,7 +481,11 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		return &Result{Stats: st},
 			fmt.Errorf("exec: query %q cancelled while queued (waited %v): %w", name, wait, err)
 	}
-	defer e.sched.ReleaseTenant(opts.Tenant)
+	// The ticket is returned when execution ends — before the result is
+	// handed over, which can take as long as a client takes to read it —
+	// or, on every other path, when this function returns.
+	release := sync.OnceFunc(func() { e.sched.ReleaseTenant(opts.Tenant) })
+	defer release()
 	var st Stats
 	st.WaitTime, st.Queued, st.Tenant = wait, queued, opts.Tenant
 	if tr != nil && queued {
@@ -499,7 +520,6 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 	var qr *queryRun
 	var cq *codegen.Query
 	var mem *rt.Memory
-	var rows [][]expr.Datum
 	for {
 		if err := ctx.Err(); err != nil {
 			return cancelled(context.Cause(ctx))
@@ -538,6 +558,15 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		}
 		qr.tenant = opts.Tenant
 		qr.reopt = ro
+		// Without an ORDER BY the result order is arrival order, so the
+		// consumer can run beside the final pipeline. This is decided from
+		// the plan alone: a sort needs every row before it can emit one.
+		if len(cq.SortKeys) == 0 {
+			qr.limit = cq.Limit
+			if opts.Emit != nil {
+				qr.emit, qr.release = opts.Emit, release
+			}
+		}
 		// The cancellation watcher flips the query's atomic flag the
 		// moment ctx dies; every claim loop and finalize partition polls
 		// it, and stop() keeps the watcher from outliving the query.
@@ -546,7 +575,7 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 			defer stop()
 		}
 		tExec := time.Now()
-		rows, err = qr.execute()
+		err = qr.execute()
 		st.Exec += time.Since(tExec)
 		// Fold the run's tier-6 counters (atomics: a background compile can
 		// tick them until the moment of this snapshot). Accumulates across
@@ -580,18 +609,45 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		}
 	}
 
-	// Sort / limit on the decoded rows. ORDER BY + LIMIT keeps only the
-	// top k through a bounded heap instead of a full sort.
-	if len(cq.SortKeys) > 0 {
-		if cq.Limit >= 0 {
-			rows = sink.TopK(rows, cq.SortKeys, cq.Limit)
-		} else {
-			sink.SortRows(rows, cq.SortKeys)
+	// Execution has ended; what remains is ordering the output records and
+	// handing them over — without the ticket, because a consumer can take
+	// as long as a client takes to read.
+	rs := qr.result
+	res := &Result{Cols: rs.Cols, Types: rs.Types, Trace: qr.trace}
+	if qr.emit != nil {
+		// Streamed: most rows are out already, collect emits the tail.
+		release()
+		qr.collect()
+		res.Set = rs
+		st.Emit = qr.emitDur
+	} else {
+		qr.collect()
+		if len(cq.SortKeys) > 0 {
+			// ORDER BY + LIMIT keeps only the top k through a bounded
+			// heap instead of a full sort.
+			tSort := time.Now()
+			if err := rs.sort(cq.SortKeys, cq.Limit); err != nil {
+				return nil, err
+			}
+			st.Sort = time.Since(tSort)
 		}
+		release()
+		tEmit := time.Now()
+		switch {
+		case opts.Emit != nil:
+			res.Set = rs
+			qr.emitErr = rs.Each(opts.Emit)
+		case opts.unboxed:
+			res.Set = rs
+		default:
+			res.Rows = rs.Datums()
+		}
+		st.Emit = time.Since(tEmit)
 	}
-	if cq.Limit >= 0 && len(rows) > cq.Limit {
-		rows = rows[:cq.Limit]
+	if qr.emitErr != nil {
+		return cancelled(fmt.Errorf("result consumer: %w", qr.emitErr))
 	}
+	st.Rows = int64(rs.Len())
 	st.Total = time.Since(t0)
 	for i, h := range qr.handles {
 		lvl := h.Level()
@@ -605,10 +661,6 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 	if e.cache != nil {
 		st.Cache = e.cache.stats()
 	}
-	res := &Result{Rows: rows, Stats: st, Trace: qr.trace}
-	for _, c := range cq.Schema {
-		res.Cols = append(res.Cols, c.Name)
-		res.Types = append(res.Types, c.T)
-	}
+	res.Stats = st
 	return res, nil
 }

@@ -96,6 +96,13 @@ func (qr *queryRun) observeBuild(pl *codegen.Pipeline, observed int64) {
 	if !changed {
 		return
 	}
+	// A restart discards the attempt's output, which is only sound while
+	// none of it has left the engine. Replans fire at join-build breakers
+	// and rows come out of the final pipeline, which has an output sink and
+	// no breaker — so this cannot happen, and must not start to.
+	if qr.result.n > 0 {
+		panic("exec: replan requested after result rows were emitted")
+	}
 	ro.remaining--
 	if qr.trace != nil {
 		now := qr.trace.Since(time.Now())

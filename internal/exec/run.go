@@ -11,7 +11,6 @@ import (
 
 	"aqe/internal/asm"
 	"aqe/internal/codegen"
-	"aqe/internal/expr"
 	"aqe/internal/jit"
 	"aqe/internal/rt"
 	"aqe/internal/vector"
@@ -41,6 +40,24 @@ type queryRun struct {
 	// reopt is the replan budget shared across restart attempts, nil
 	// when the query runs without a Replanner (replan.go).
 	reopt *reoptState
+
+	// result is the segment-backed result set collect fills from the
+	// final pipeline's published output records; taken is how many of
+	// each worker's records it already holds, and limit the plan's LIMIT
+	// when it applies to arrival order (no ORDER BY), else -1. All of it
+	// belongs to the coordinator goroutine.
+	result *RowSet
+	taken  []int
+	limit  int
+	// emit is the consumer of a streamed result (set only when the plan
+	// has no ORDER BY): collect hands it every new run of records, while
+	// the final pipeline is still running. release returns the admission
+	// ticket the moment that pipeline ends, even if the coordinator is
+	// then blocked inside emit.
+	emit    func(Rows) error
+	emitErr error
+	emitDur time.Duration
+	release func()
 
 	// cancelled is the preemption flag every morsel claim and finalize
 	// partition checks: one cheap atomic load, so a cancel or deadline
@@ -101,7 +118,8 @@ func (qr *queryRun) cancelCause() error {
 // the code generator's descriptors require. The trace (nil unless tracing)
 // is created by the caller so its origin covers the admission wait.
 func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Memory, st *Stats, tr *Trace) (*queryRun, error) {
-	qr := &queryRun{eng: e, cq: cq, mem: mem, stats: st, trace: tr}
+	qr := &queryRun{eng: e, cq: cq, mem: mem, stats: st, trace: tr,
+		result: newRowSet(mem, cq), taken: make([]int, e.opts.Workers), limit: -1}
 	qr.fp = fingerprintOf(cq, e.opts.VM, e.opts.NoNative, e.opts.NoRegAlloc, e.opts.NoVector)
 	st.Fingerprint = qr.fp.Short()
 
@@ -424,9 +442,10 @@ func maxFnInstrs(cq *codegen.Query) int {
 	return max
 }
 
-// execute interprets queryStart (which triggers the pipelines through the
-// pipeline_run extern) and decodes the result rows.
-func (qr *queryRun) execute() ([][]expr.Datum, error) {
+// execute interprets queryStart, which triggers the pipelines through the
+// pipeline_run extern; the final pipeline leaves the result rows in the
+// output set's arenas.
+func (qr *queryRun) execute() error {
 	args := []uint64{qr.qs.StateAddr, qr.qs.Locals[0], 0, 0}
 	err := rt.CatchTrap(func() {
 		qr.queryStart.Run(qr.coord, args)
@@ -440,10 +459,7 @@ func (qr *queryRun) execute() ([][]expr.Datum, error) {
 		err = qr.failed
 	}
 	qr.failMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return qr.decodeOutput(), nil
+	return err
 }
 
 func (qr *queryRun) fail(err error) {
@@ -454,28 +470,57 @@ func (qr *queryRun) fail(err error) {
 	qr.failMu.Unlock()
 }
 
-// decodeOutput reads the final pipeline's output buffers.
-func (qr *queryRun) decodeOutput() [][]expr.Datum {
-	d := qr.cq.Output
-	out := qr.qs.Outs[0]
-	rows := make([][]expr.Datum, 0, out.Rows())
-	out.Each(func(addr rt.Addr) {
-		row := make([]expr.Datum, len(d.Cols))
-		for i, c := range d.Cols {
-			switch c.T.Kind {
-			case expr.KFloat:
-				row[i] = expr.Datum{F: math.Float64frombits(qr.mem.Load64(addr + rt.Addr(c.Off)))}
-			case expr.KString:
-				sa := qr.mem.Load64(addr + rt.Addr(c.Off))
-				sl := qr.mem.Load64(addr + rt.Addr(c.Off) + 8)
-				row[i] = expr.Datum{S: string(qr.mem.Bytes(sa, int(sl)))}
-			default:
-				row[i] = expr.Datum{I: int64(qr.mem.Load64(addr + rt.Addr(c.Off)))}
+// collect moves every newly published output record into the result set,
+// stopping at the plan's LIMIT when it applies to arrival order, and hands
+// each new run to the consumer of a streamed result. A consumer error
+// cancels the query; later runs are collected but no longer emitted.
+func (qr *queryRun) collect() {
+	rs, out := qr.result, qr.qs.Outs[0]
+	for w := range qr.taken {
+		qr.taken[w] = out.Spans(w, qr.taken[w], func(recs []byte) {
+			if qr.limit >= 0 && rs.n+len(recs)/rs.rowSize > qr.limit {
+				recs = recs[:(qr.limit-rs.n)*rs.rowSize]
 			}
+			if len(recs) == 0 {
+				return
+			}
+			rs.add(recs)
+			if qr.emit == nil || qr.emitErr != nil {
+				return
+			}
+			t0 := time.Now()
+			qr.emitErr = qr.emit(Rows{rs: rs, recs: recs})
+			qr.emitDur += time.Since(t0)
+			if qr.emitErr != nil {
+				qr.cancel(fmt.Errorf("result consumer: %w", qr.emitErr))
+			}
+		})
+	}
+}
+
+// streamPipeline runs the final pipeline of a streamed result: the pool
+// executes the morsels as always, and this coordinator — which would
+// otherwise only block until they drain — emits each morsel's rows as its
+// worker publishes them. Workers never wait for the consumer; rows it has
+// not taken yet simply stay in the arenas, and the rest is emitted after
+// execution (RunPlanOpts).
+func (qr *queryRun) streamPipeline(j *pipelineJob) {
+	done := qr.eng.sched.StartTenant(j, qr.tenant)
+	// Execution ends when this pipeline does. The coordinator may be
+	// inside a socket write at that moment and for long after (a client
+	// that stopped reading), so the ticket is returned from here.
+	go func() {
+		<-done
+		qr.release()
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		case <-j.out.Ready():
+			qr.collect()
 		}
-		rows = append(rows, row)
-	})
-	return rows
+	}
 }
 
 // progress tracks one pipeline run: the work-claiming cursor with
@@ -669,7 +714,11 @@ func (qr *queryRun) runPipeline(id int) {
 		// blocks until the pipeline drains. Under concurrent load the pool
 		// interleaves this pipeline's morsels with every other in-flight
 		// query's at morsel granularity.
-		qr.eng.sched.RunTenant(newPipelineJob(qr, pl, h, pr), qr.tenant)
+		if j := newPipelineJob(qr, pl, h, pr); qr.emit != nil && j.out != nil {
+			qr.streamPipeline(j)
+		} else {
+			qr.eng.sched.RunTenant(j, qr.tenant)
+		}
 	}
 	qr.checkFailed()
 	// Finalize the sink between pipelines. By default the breaker work
@@ -854,10 +903,16 @@ type pipelineJob struct {
 	h    *Handle
 	pr   *progress
 	args [][]uint64 // per slot, reused across morsels
+	// out is the output set the pipeline's sink fills (the final pipeline
+	// only): every retired morsel publishes its slot's watermark.
+	out *rt.OutSet
 }
 
 func newPipelineJob(qr *queryRun, pl *codegen.Pipeline, h *Handle, pr *progress) *pipelineJob {
 	j := &pipelineJob{qr: qr, pl: pl, h: h, pr: pr}
+	if pl.SinkOut >= 0 {
+		j.out = qr.qs.Outs[pl.SinkOut]
+	}
 	for w := 0; w < qr.eng.opts.Workers; w++ {
 		j.args = append(j.args, []uint64{qr.qs.StateAddr, qr.qs.Locals[w], 0, 0})
 	}
@@ -894,6 +949,9 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 		qr.fail(err)
 		j.pr.abort()
 		return false
+	}
+	if j.out != nil {
+		j.out.Publish(slot)
 	}
 	j.pr.report(slot, end-begin, d)
 	if lvl == LevelNative {

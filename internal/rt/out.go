@@ -1,42 +1,102 @@
 package rt
 
+import "sync/atomic"
+
 // OutSet is the per-pipeline set of per-worker output buffers. The final
 // pipeline of a query materializes result rows through out_alloc: each row
-// is a fixed-width record the engine decodes after the pipeline finishes.
-// Row order across workers is unspecified, matching SQL semantics for
-// queries without ORDER BY; sorting happens on the decoded rows.
+// is a fixed-width record in the worker's arena, and those records are the
+// query result — readers (exec.RowSet) consume them in place. Row order
+// across workers is unspecified, matching SQL semantics for queries
+// without ORDER BY.
+//
+// A worker makes its finished records visible by publishing a watermark
+// at a morsel boundary (Publish); a reader on another goroutine sees, per
+// worker, exactly the records below the last watermark (Spans). Records a
+// running morsel is still filling are never exposed, so the reader can run
+// while the pipeline does. Workers never wait for the reader.
 type OutSet struct {
-	mem     *Memory
-	RowSize int
-	bufs    []*Arena
+	mem      *Memory
+	RowSize  int
+	perChunk int // records per arena chunk
+	bufs     []*outBuf
+	ready    chan struct{} // capacity 1: some watermark moved since the last receive
+}
+
+// outBuf is one worker's arena and its published watermark. The arena
+// side (arena, rows) belongs to the worker; pubChunks and pubRows are the
+// reader's view, written only by Publish.
+type outBuf struct {
+	arena *Arena
+	rows  int
+
+	// pubChunks is a prefix of arena.chunks sharing its backing array: the
+	// arena only ever appends, so the published elements are immutable.
+	// It is stored before pubRows and loaded after it, so a reader that
+	// sees n rows also sees every chunk those rows live in.
+	pubChunks atomic.Pointer[[]Addr]
+	pubRows   atomic.Int64
 }
 
 // NewOutSet creates an output set with one buffer per worker.
 func NewOutSet(mem *Memory, workers, rowSize int) *OutSet {
-	s := &OutSet{mem: mem, RowSize: rowSize}
+	s := &OutSet{mem: mem, RowSize: rowSize, perChunk: 1, ready: make(chan struct{}, 1)}
+	if rowSize > 0 && rowSize < arenaChunkSize {
+		s.perChunk = arenaChunkSize / rowSize
+	}
 	for i := 0; i < workers; i++ {
-		s.bufs = append(s.bufs, NewArena(mem))
+		s.bufs = append(s.bufs, &outBuf{arena: NewArena(mem)})
 	}
 	return s
 }
 
 // Alloc returns the address of a fresh row for worker w.
 func (s *OutSet) Alloc(w int) Addr {
-	return s.bufs[w].Alloc(s.RowSize)
+	b := s.bufs[w]
+	b.rows++
+	return b.arena.Alloc(s.RowSize)
 }
 
-// Rows returns the total number of rows written.
-func (s *OutSet) Rows() int {
-	total := 0
-	for _, b := range s.bufs {
-		total += b.Bytes() / s.RowSize
+// Publish makes every row worker w has allocated so far visible to
+// readers. The engine calls it on the worker's goroutine after a morsel
+// retires — never mid-morsel, when the newest row may be half written.
+func (s *OutSet) Publish(w int) {
+	b := s.bufs[w]
+	if int64(b.rows) == b.pubRows.Load() {
+		return
 	}
-	return total
+	if p := b.pubChunks.Load(); p == nil || len(*p) != len(b.arena.chunks) {
+		chunks := b.arena.chunks[:len(b.arena.chunks):len(b.arena.chunks)]
+		b.pubChunks.Store(&chunks)
+	}
+	b.pubRows.Store(int64(b.rows))
+	select {
+	case s.ready <- struct{}{}:
+	default:
+	}
 }
 
-// Each calls fn with every row address, worker by worker.
-func (s *OutSet) Each(fn func(addr Addr)) {
-	for _, b := range s.bufs {
-		b.Each(s.RowSize, fn)
+// Ready signals that a watermark moved since the channel was last
+// received from. One pending signal covers any number of Publish calls.
+func (s *OutSet) Ready() <-chan struct{} { return s.ready }
+
+// Spans calls fn with every run of contiguous published records of worker
+// w from record index from on — each run is n*RowSize bytes inside one
+// arena chunk — and returns the index the next call should start from.
+func (s *OutSet) Spans(w, from int, fn func(recs []byte)) int {
+	b := s.bufs[w]
+	rows := int(b.pubRows.Load())
+	if from >= rows {
+		return from
 	}
+	chunks := *b.pubChunks.Load()
+	for from < rows {
+		ci, off := from/s.perChunk, from%s.perChunk
+		n := s.perChunk - off
+		if n > rows-from {
+			n = rows - from
+		}
+		fn(s.mem.Bytes(chunks[ci]+Addr(off*s.RowSize), n*s.RowSize))
+		from += n
+	}
+	return from
 }

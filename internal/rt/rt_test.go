@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -266,13 +267,72 @@ func TestOutSet(t *testing.T) {
 		m.Store64(addr, uint64(i))
 		m.Store64(addr+8, uint64(i*i))
 	}
-	if s.Rows() != 50 {
-		t.Fatalf("Rows = %d", s.Rows())
+	if next := s.Spans(0, 0, func([]byte) { t.Error("records visible before any Publish") }); next != 0 {
+		t.Fatalf("next = %d before any Publish", next)
 	}
+	s.Publish(0)
+	s.Publish(1)
 	sum := uint64(0)
-	s.Each(func(addr Addr) { sum += m.Load64(addr) })
+	for w := 0; w < 2; w++ {
+		if next := s.Spans(w, 0, func(recs []byte) {
+			for ; len(recs) > 0; recs = recs[16:] {
+				sum += binary.LittleEndian.Uint64(recs)
+			}
+		}); next != 25 {
+			t.Errorf("worker %d: next = %d, want 25", w, next)
+		}
+	}
 	if sum != 49*50/2 {
 		t.Errorf("sum = %d", sum)
+	}
+}
+
+// TestOutSetWatermark: a reader polling Spans while a writer allocates
+// sees only whole published records, every record exactly once, across
+// chunk boundaries — the contract result streaming rests on. Meaningful
+// under -race: the reader touches arena memory the writer is extending.
+func TestOutSetWatermark(t *testing.T) {
+	const rowSize, total, morsel = 24, 40000, 700 // > 3 chunks of 256 KiB
+	m := NewMemory()
+	s := NewOutSet(m, 1, rowSize)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < total; i++ {
+			addr := s.Alloc(0)
+			m.Store64(addr, uint64(i))
+			m.Store64(addr+8, ^uint64(i))
+			m.Store64(addr+16, uint64(i)*3)
+			if (i+1)%morsel == 0 || i == total-1 {
+				s.Publish(0)
+			}
+		}
+	}()
+	next, want := 0, uint64(0)
+	read := func() {
+		next = s.Spans(0, next, func(recs []byte) {
+			if len(recs)%rowSize != 0 {
+				t.Errorf("span of %d bytes is not whole records", len(recs))
+			}
+			for ; len(recs) >= rowSize; recs = recs[rowSize:] {
+				v := binary.LittleEndian.Uint64(recs)
+				if v != want || binary.LittleEndian.Uint64(recs[8:]) != ^v || binary.LittleEndian.Uint64(recs[16:]) != v*3 {
+					t.Errorf("record %d reads as %d: torn or out of order", want, v)
+				}
+				want++
+			}
+		})
+	}
+	for running := true; running; {
+		select {
+		case <-s.Ready():
+		case <-done:
+			running = false
+		}
+		read()
+	}
+	if next != total || want != total {
+		t.Fatalf("read %d records (next %d), want %d", want, next, total)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package sink holds the result-side machinery every engine shares: row
 // ordering, the bounded top-k heap, and datum comparison. The volcano
-// iterator engine, the vectorized engine, and the compiled engine's root
-// ORDER BY all produce decoded [][]expr.Datum rows and must order them
+// iterator engine orders decoded [][]expr.Datum rows (SortRows, TopK);
+// the compiled and vectorized engines' root ORDER BY orders a permutation
+// over raw output records (Keys, SortPerm, TopKPerm). Both must order
 // identically (the differential net compares engines row for row), so the
 // comparator and heap live here exactly once.
 package sink

@@ -6,11 +6,10 @@ import (
 )
 
 // TopK returns the first k rows of the stable sort of rows by keys
-// without sorting the full input: a bounded max-heap retains the k
-// earliest (key, original-position) pairs, so ties keep input order and
-// the result is exactly SortRows followed by truncation. The input slice
-// is reordered only on the degenerate k >= len(rows) path (which falls
-// back to a full sort in place).
+// without sorting the full input (see TopKPerm): ties keep input order
+// and the result is exactly SortRows followed by truncation. The input
+// slice is reordered only on the degenerate k >= len(rows) path (which
+// falls back to a full sort in place).
 func TopK(rows [][]expr.Datum, keys []plan.SortKey, k int) [][]expr.Datum {
 	if k <= 0 {
 		return nil
@@ -19,63 +18,17 @@ func TopK(rows [][]expr.Datum, keys []plan.SortKey, k int) [][]expr.Datum {
 		SortRows(rows, keys)
 		return rows
 	}
-	type elem struct {
-		row []expr.Datum
-		idx int
-	}
-	// before reports whether a precedes b in the stable output order:
-	// keys first, original position as the tiebreak.
-	before := func(a, b elem) bool {
-		if c := CmpRows(a.row, b.row, keys); c != 0 {
-			return c < 0
-		}
-		return a.idx < b.idx
-	}
-	// Max-heap of the k best rows seen so far; the root is the one that
-	// sorts last among them (the first to be evicted).
-	h := make([]elem, 0, k)
-	siftDown := func(i int) {
-		for {
-			last := i
-			if l := 2*i + 1; l < len(h) && before(h[last], h[l]) {
-				last = l
-			}
-			if r := 2*i + 2; r < len(h) && before(h[last], h[r]) {
-				last = r
-			}
-			if last == i {
-				return
-			}
-			h[i], h[last] = h[last], h[i]
-			i = last
-		}
-	}
+	ks := NewKeys(keys, len(rows))
 	for i, row := range rows {
-		e := elem{row, i}
-		if len(h) < k {
-			h = append(h, e)
-			for j := len(h) - 1; j > 0; {
-				p := (j - 1) / 2
-				if !before(h[p], h[j]) {
-					break
-				}
-				h[p], h[j] = h[j], h[p]
-				j = p
-			}
-			continue
-		}
-		if before(e, h[0]) {
-			h[0] = e
-			siftDown(0)
+		kr := ks.Row(i)
+		for j, key := range keys {
+			kr[j] = expr.Eval(key.E, row)
 		}
 	}
-	// Pop in reverse: the root is the last of the survivors.
-	out := make([][]expr.Datum, len(h))
-	for n := len(h) - 1; n >= 0; n-- {
-		out[n] = h[0].row
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		siftDown(0)
+	perm := TopKPerm(ks, len(rows), k)
+	out := make([][]expr.Datum, len(perm))
+	for i, p := range perm {
+		out[i] = rows[p]
 	}
 	return out
 }

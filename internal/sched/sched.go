@@ -314,7 +314,13 @@ func (s *Scheduler) Run(r Runner) { s.RunTenant(r, "") }
 // RunTenant is Run under a tenant identity: pool workers are shared by
 // weighted fair-share, so under contention the tenant's phases receive
 // workers in proportion to its configured weight.
-func (s *Scheduler) RunTenant(r Runner, tenant string) {
+func (s *Scheduler) RunTenant(r Runner, tenant string) { <-s.StartTenant(r, tenant) }
+
+// StartTenant is RunTenant without the wait: it schedules r and returns
+// the channel that closes once r is drained and every executor has
+// returned. The coordinator of a streaming query consumes finished output
+// on its own goroutine while the pool runs the final pipeline.
+func (s *Scheduler) StartTenant(r Runner, tenant string) <-chan struct{} {
 	n := r.Slots()
 	if n < 1 {
 		n = 1
@@ -354,7 +360,7 @@ func (s *Scheduler) RunTenant(r Runner, tenant string) {
 	for i := 0; i < spawn; i++ {
 		go s.worker()
 	}
-	<-j.done
+	return j.done
 }
 
 // worker is the pool loop: pick the runnable job of the least-served

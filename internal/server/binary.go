@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -22,6 +23,7 @@ type binConn struct {
 	bw   *bufio.Writer
 	sess *aqe.Session
 	busy atomic.Bool // a request is executing (drain waits for it)
+	enc  []byte      // the pending Rows frame, reused across results
 }
 
 // ServeBinary attaches a binary-protocol listener and blocks accepting
@@ -100,9 +102,10 @@ func (s *Server) serveFrame(bc *binConn, typ byte, payload []byte) bool {
 		if err := fr.done(); err != nil {
 			return bc.protoErr(err)
 		}
+		st := &binStream{bc: bc, chunk: s.opts.ChunkRows}
 		res, rerr := s.runRequest(context.Background(), bc.sess,
-			&Request{SQL: sql, TimeoutMS: timeoutMS})
-		return bc.stream(res, rerr, s.opts.ChunkRows)
+			&Request{SQL: sql, TimeoutMS: timeoutMS}, st.emit)
+		return st.finish(res, rerr)
 
 	case MsgTPCH:
 		timeoutMS := fr.u32()
@@ -110,9 +113,10 @@ func (s *Server) serveFrame(bc *binConn, typ byte, payload []byte) bool {
 		if err := fr.done(); err != nil {
 			return bc.protoErr(err)
 		}
+		st := &binStream{bc: bc, chunk: s.opts.ChunkRows}
 		res, rerr := s.runRequest(context.Background(), bc.sess,
-			&Request{TPCH: n, TimeoutMS: timeoutMS})
-		return bc.stream(res, rerr, s.opts.ChunkRows)
+			&Request{TPCH: n, TimeoutMS: timeoutMS}, st.emit)
+		return st.finish(res, rerr)
 
 	case MsgPrepare:
 		name := fr.str16()
@@ -151,11 +155,12 @@ func (s *Server) serveFrame(bc *binConn, typ byte, payload []byte) bool {
 		if err := fr.done(); err != nil {
 			return bc.protoErr(err)
 		}
+		st := &binStream{bc: bc, chunk: s.opts.ChunkRows}
 		res, rerr := s.guarded(context.Background(), timeoutMS,
 			func(ctx context.Context) (*aqe.Result, error) {
-				return bc.sess.Execute(ctx, name, args)
+				return bc.sess.ExecuteTo(ctx, name, args, st.emit)
 			})
-		return bc.stream(res, rerr, s.opts.ChunkRows)
+		return st.finish(res, rerr)
 
 	case MsgDeallocate:
 		name := fr.str16()
@@ -190,39 +195,104 @@ func (bc *binConn) stmtErr(err error) bool {
 	return false
 }
 
-// stream writes a completed result as Cols + Rows* + Done, or one Error
-// frame. Draining errors close the connection so clients re-dial
-// elsewhere.
-func (bc *binConn) stream(res *aqe.Result, err error, chunkRows int) bool {
-	if err != nil {
-		writeFrame(bc.bw, MsgError, []byte(err.Error()))
-		return errors.Is(err, errDraining)
-	}
+// binStream writes one result to a binary connection: a Cols frame, Rows
+// frames of ChunkRows rows each, then Done — or, at whatever point the
+// query failed, one Error frame. Rows frames are encoded straight from
+// the output records into the connection's reused buffer: the 8-byte
+// slots as they are, strings length-prefixed from where they lie. The
+// Cols frame goes out with the first rows (a failure before them answers
+// with the Error frame alone), and the engine hands rows over while the
+// final pipeline is still running when nothing has to be sorted first.
+type binStream struct {
+	bc    *binConn
+	chunk int
+	n     int  // rows in the pending Rows frame
+	began bool // the Cols frame is out
+}
+
+// rowsFrameHdr is the space a Rows frame reserves ahead of its rows:
+// [u32 frame length][u8 type][u32 nrows], patched when the frame closes.
+const rowsFrameHdr = 9
+
+// begin writes the Cols frame.
+func (st *binStream) begin(names []string, types []expr.Type) error {
+	st.began = true
 	var cols frameBuf
-	cols.u16(len(res.Cols))
-	for i, name := range res.Cols {
+	cols.u16(len(names))
+	for i, name := range names {
 		cols.str16(name)
-		cols.u8(byte(res.Types[i].Kind))
-		cols.u8(byte(res.Types[i].Scale))
+		cols.u8(byte(types[i].Kind))
+		cols.u8(byte(types[i].Scale))
 	}
-	if writeFrame(bc.bw, MsgCols, cols.b) != nil {
-		return true
-	}
-	for lo := 0; lo < len(res.Rows); lo += chunkRows {
-		hi := lo + chunkRows
-		if hi > len(res.Rows) {
-			hi = len(res.Rows)
+	return writeFrame(st.bc.bw, MsgCols, cols.b)
+}
+
+// emit appends a window of rows to the stream, writing every Rows frame
+// that fills up, and flushes what was written to the client. A write
+// error is returned, which cancels the query.
+func (st *binStream) emit(w aqe.Rows) error {
+	rs := w.Set()
+	if !st.began {
+		if err := st.begin(rs.Cols, rs.Types); err != nil {
+			return err
 		}
-		var f frameBuf
-		f.u32(hi - lo)
-		for _, row := range res.Rows[lo:hi] {
-			for j, d := range row {
-				writeDatum(&f, d, res.Types[j])
+	}
+	buf := st.bc.enc
+	for i, n := 0, w.Len(); i < n; i++ {
+		if st.n == 0 {
+			buf = append(buf[:0], make([]byte, rowsFrameHdr)...)
+		}
+		rec := w.Rec(i)
+		for c, t := range rs.Types {
+			raw, str := rs.Cell(rec, c)
+			if t.Kind == expr.KString {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(str)))
+				buf = append(buf, str...)
+			} else {
+				buf = binary.LittleEndian.AppendUint64(buf, raw)
 			}
 		}
-		if writeFrame(bc.bw, MsgRows, f.b) != nil {
+		if st.n++; st.n == st.chunk {
+			st.bc.enc = buf
+			if err := st.writeRows(); err != nil {
+				return err
+			}
+		}
+	}
+	st.bc.enc = buf
+	return st.bc.bw.Flush()
+}
+
+// writeRows closes and writes the pending Rows frame.
+func (st *binStream) writeRows() error {
+	buf := st.bc.enc
+	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
+	buf[4] = MsgRows
+	binary.LittleEndian.PutUint32(buf[5:], uint32(st.n))
+	st.n = 0
+	_, err := st.bc.bw.Write(buf)
+	return err
+}
+
+// finish ends the result: the last partial Rows frame and Done, or one
+// Error frame, and reports whether the connection must close — after a
+// write error (the buffered writer keeps its first one, so a client that
+// went away mid-stream fails here too), and on a draining error so
+// clients re-dial elsewhere. A statement error, before or after the first
+// rows, keeps it open.
+func (st *binStream) finish(res *aqe.Result, err error) bool {
+	bw := st.bc.bw
+	if err != nil {
+		werr := writeFrame(bw, MsgError, []byte(err.Error()))
+		return werr != nil || errors.Is(err, errDraining)
+	}
+	if !st.began {
+		if st.begin(res.Cols, res.Types) != nil {
 			return true
 		}
+	}
+	if st.n > 0 && st.writeRows() != nil {
+		return true
 	}
 	ws := wireStatsOf(res)
 	var f frameBuf
@@ -240,7 +310,7 @@ func (bc *binConn) stream(res *aqe.Result, err error, chunkRows int) bool {
 		flags |= FlagQueued
 	}
 	f.u8(flags)
-	return writeFrame(bc.bw, MsgDone, f.b) != nil
+	return writeFrame(bw, MsgDone, f.b) != nil
 }
 
 // decodeCols parses a Cols payload (shared with the client).

@@ -35,7 +35,7 @@ const (
 
 	// Server -> client.
 	MsgCols  = 0x81 // [u16 ncols]{[u16 len][name][u8 kind][u8 scale]}*
-	MsgRows  = 0x82 // [u32 nrows] then row-major datums (see writeDatum)
+	MsgRows  = 0x82 // [u32 nrows] then row-major datums (see readDatum)
 	MsgDone  = 0x83 // [u64 rows][6 x i64 ns: translate compile exec wait queue total][u8 flags]
 	MsgError = 0x84 // [utf8 message]
 	MsgOK    = 0x85 // ack for Hello / Prepare / Deallocate
@@ -52,7 +52,8 @@ const DefaultMaxFrame = 16 << 20
 
 // WireStats is the statistics trailer both protocols report: the binary
 // Done frame carries exactly these fields, and the HTTP trailer embeds
-// them as JSON.
+// them as JSON. TotalNS runs until the last row was handed to the socket,
+// so for a large result it includes what the client took to read it.
 type WireStats struct {
 	Rows        int64 `json:"rows"`
 	TranslateNS int64 `json:"translate_ns"`
@@ -194,21 +195,10 @@ func (f *frameReader) done() error {
 	return nil
 }
 
-// writeDatum appends one datum in the binary row encoding: floats as IEEE
+// readDatum decodes one datum of the binary row encoding: floats as IEEE
 // bits, strings length-prefixed, everything else (ints, decimals, dates,
-// chars, bools) as their canonical int64.
-func writeDatum(f *frameBuf, d expr.Datum, t expr.Type) {
-	switch t.Kind {
-	case expr.KFloat:
-		f.u64(int64(math.Float64bits(d.F)))
-	case expr.KString:
-		f.str32(d.S)
-	default:
-		f.u64(d.I)
-	}
-}
-
-// readDatum is writeDatum's inverse.
+// chars, bools) as their canonical int64 — an output record's slots, with
+// each string's bytes inlined where its (address, length) was.
 func readDatum(f *frameReader, t expr.Type) expr.Datum {
 	switch t.Kind {
 	case expr.KFloat:

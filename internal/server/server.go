@@ -11,9 +11,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"aqe"
 	"aqe/internal/exec"
+	"aqe/internal/expr"
 )
 
 // Options configures a Server.
@@ -116,17 +118,18 @@ func (s *Server) guarded(ctx context.Context, timeoutMS int, fn func(ctx context
 	return fn(ctx)
 }
 
-// runRequest executes one decoded request against a session.
-func (s *Server) runRequest(ctx context.Context, sess *aqe.Session, req *Request) (*aqe.Result, error) {
+// runRequest executes one decoded request against a session; the result
+// rows go to emit (a protocol's encoder) as the engine produces them.
+func (s *Server) runRequest(ctx context.Context, sess *aqe.Session, req *Request, emit func(aqe.Rows) error) (*aqe.Result, error) {
 	return s.guarded(ctx, req.TimeoutMS, func(ctx context.Context) (*aqe.Result, error) {
 		switch {
 		case req.TPCH != 0:
 			if req.TPCH < 1 || req.TPCH > 22 {
 				return nil, fmt.Errorf("server: tpch query number %d out of range 1-22", req.TPCH)
 			}
-			return sess.ExecQuery(ctx, s.db.TPCHQuery(req.TPCH))
+			return sess.ExecQueryTo(ctx, s.db.TPCHQuery(req.TPCH), emit)
 		case req.SQL != "":
-			return sess.Exec(ctx, req.SQL)
+			return sess.ExecTo(ctx, req.SQL, emit)
 		default:
 			return nil, errors.New(`server: request needs "sql" or "tpch"`)
 		}
@@ -143,14 +146,12 @@ type Request struct {
 	TimeoutMS int    `json:"timeout_ms,omitempty"`
 }
 
-// header / chunk / trailer are the NDJSON stream lines.
+// header / trailer are the first and last NDJSON stream lines; between
+// them come chunk lines, {"rows":[["cell",...],...]}, which ndjsonStream
+// builds by hand.
 type wireHeader struct {
 	Cols  []string `json:"cols"`
 	Types []string `json:"types"`
-}
-
-type wireChunk struct {
-	Rows [][]string `json:"rows"`
 }
 
 type wireTrailer struct {
@@ -163,7 +164,7 @@ type wireTrailer struct {
 func wireStatsOf(res *aqe.Result) *WireStats {
 	st := res.Stats
 	return &WireStats{
-		Rows:        int64(len(res.Rows)),
+		Rows:        st.Rows,
 		TranslateNS: st.Translate.Nanoseconds(),
 		CompileNS:   st.Compile.Nanoseconds(),
 		ExecNS:      st.Exec.Nanoseconds(),
@@ -191,11 +192,12 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleQuery streams one query result as NDJSON: a header line with
-// column names and types, then chunks of formatted rows (flushed as they
-// are written, so clients see data before the query finishes), then a
-// trailer line with either the stats or the error. Errors before the
-// header are plain HTTP errors; errors after streaming began arrive in
-// the trailer, since the status line is long gone.
+// column names and types, then chunks of formatted rows (written while
+// the query's final pipeline is still running when nothing has to be
+// sorted first, and flushed as they are written), then a trailer line
+// with either the stats or the error. The header goes out with the first
+// chunk, so an error before the first row is a plain HTTP error; one
+// after it arrives in the trailer, since the status line is long gone.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -210,45 +212,189 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Tenant == "" {
 		req.Tenant = r.Header.Get("X-AQE-Tenant")
 	}
-	res, err := s.runRequest(r.Context(), s.session(req.Tenant), &req)
+	st := &ndjsonStream{w: w, chunk: s.opts.ChunkRows}
+	res, err := s.runRequest(r.Context(), s.session(req.Tenant), &req, st.emit)
+	st.finish(res, err)
+}
+
+// ndjsonStream encodes one result as NDJSON lines into one buffer reused
+// from chunk to chunk, a line per ChunkRows rows, straight from the
+// output records: numbers and dates through the append formatters,
+// strings through appendJSONString. Nothing is allocated per row or per
+// cell.
+type ndjsonStream struct {
+	w     http.ResponseWriter
+	chunk int
+	buf   []byte // the pending chunk line
+	n     int    // rows in it
+	began bool   // the header line is out
+}
+
+// begin writes the header line.
+func (st *ndjsonStream) begin(cols []string, colTypes []expr.Type) error {
+	st.began = true
+	types := make([]string, len(colTypes))
+	for i, t := range colTypes {
+		types[i] = t.String()
+	}
+	st.w.Header().Set("Content-Type", "application/x-ndjson")
+	return st.line(wireHeader{Cols: cols, Types: types})
+}
+
+// line writes v as one JSON line (header and trailer; chunk lines are
+// built in buf).
+func (st *ndjsonStream) line(v any) error {
+	b, err := json.Marshal(v)
 	if err != nil {
+		return err
+	}
+	_, err = st.w.Write(append(b, '\n'))
+	return err
+}
+
+// emit appends a window of rows to the stream, writing every chunk line
+// that fills up, and flushes what was written to the client.
+func (st *ndjsonStream) emit(w aqe.Rows) error {
+	rs := w.Set()
+	if !st.began {
+		if err := st.begin(rs.Cols, rs.Types); err != nil {
+			return err
+		}
+	}
+	buf := st.buf
+	for i, n := 0, w.Len(); i < n; i++ {
+		if st.n == 0 {
+			buf = append(buf[:0], `{"rows":[[`...)
+		} else {
+			buf = append(buf, ',', '[')
+		}
+		rec := w.Rec(i)
+		for c, t := range rs.Types {
+			if c > 0 {
+				buf = append(buf, ',')
+			}
+			raw, str := rs.Cell(rec, c)
+			switch t.Kind {
+			case expr.KString:
+				buf = appendJSONString(buf, str)
+			case expr.KChar:
+				var ch [utf8.UTFMax]byte
+				buf = appendJSONString(buf, exec.AppendFormat(ch[:0], raw, t))
+			default:
+				// Digits, signs, points, NaN/Inf, true/false: nothing
+				// JSON would escape.
+				buf = append(buf, '"')
+				buf = exec.AppendFormat(buf, raw, t)
+				buf = append(buf, '"')
+			}
+		}
+		buf = append(buf, ']')
+		if st.n++; st.n == st.chunk {
+			st.buf = buf
+			if err := st.writeChunk(); err != nil {
+				return err
+			}
+		}
+	}
+	st.buf = buf
+	st.flush()
+	return nil
+}
+
+// writeChunk closes and writes the pending chunk line.
+func (st *ndjsonStream) writeChunk() error {
+	st.n = 0
+	st.buf = append(st.buf, ']', '}', '\n')
+	_, err := st.w.Write(st.buf)
+	return err
+}
+
+func (st *ndjsonStream) flush() {
+	if f, ok := st.w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// finish ends the response: the last partial chunk and the stats trailer,
+// or the error — as an HTTP status if nothing was streamed yet, in the
+// trailer otherwise. Write errors are dropped here: the client is gone,
+// and the query already ended.
+func (st *ndjsonStream) finish(res *aqe.Result, err error) {
+	if err != nil && !st.began {
 		code := http.StatusUnprocessableEntity
 		if errors.Is(err, errDraining) {
 			code = http.StatusServiceUnavailable
 		}
-		http.Error(w, err.Error(), code)
+		http.Error(st.w, err.Error(), code)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
+	if err != nil {
+		// The rows of an unfinished chunk are dropped: the result is void.
+		st.line(wireTrailer{Error: err.Error()})
+		st.flush()
+		return
 	}
-	types := make([]string, len(res.Types))
-	for i, t := range res.Types {
-		types[i] = t.String()
+	if !st.began {
+		st.begin(res.Cols, res.Types)
 	}
-	enc.Encode(wireHeader{Cols: res.Cols, Types: types})
-	for lo := 0; lo < len(res.Rows); lo += s.opts.ChunkRows {
-		hi := lo + s.opts.ChunkRows
-		if hi > len(res.Rows) {
-			hi = len(res.Rows)
-		}
-		chunk := wireChunk{Rows: make([][]string, 0, hi-lo)}
-		for _, row := range res.Rows[lo:hi] {
-			cells := make([]string, len(row))
-			for j, d := range row {
-				cells[j] = exec.Format(d, res.Types[j])
+	if st.n > 0 {
+		st.writeChunk()
+	}
+	st.line(wireTrailer{Done: true, Stats: wireStatsOf(res)})
+	st.flush()
+}
+
+// appendJSONString appends s as a JSON string literal, byte for byte what
+// encoding/json's default encoder writes (the wire format this replaced,
+// and what clients checksum): HTML-sensitive characters, control
+// characters and U+2028/U+2029 escaped, invalid UTF-8 replaced by U+FFFD.
+func appendJSONString(dst, s []byte) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
 			}
-			chunk.Rows = append(chunk.Rows, cells)
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
 		}
-		enc.Encode(chunk)
-		flush()
+		r, size := utf8.DecodeRune(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+			start = i + size
+		}
+		i += size
 	}
-	enc.Encode(wireTrailer{Done: true, Stats: wireStatsOf(res)})
-	flush()
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // handleStats reports server-wide admission and plan-cache counters.

@@ -268,29 +268,7 @@ func MustParseDate(s string) int64 {
 	return d
 }
 
-// FormatDate renders days since the epoch as "YYYY-MM-DD".
-func FormatDate(days int64) string {
-	return Epoch.AddDate(0, 0, int(days)).Format("2006-01-02")
-}
-
 // YearOf returns the calendar year of a date value.
 func YearOf(days int64) int64 {
 	return int64(Epoch.AddDate(0, 0, int(days)).Year())
-}
-
-// DecimalString renders a scaled integer with the given scale.
-func DecimalString(v int64, scale int) string {
-	if scale == 0 {
-		return fmt.Sprintf("%d", v)
-	}
-	pow := int64(1)
-	for i := 0; i < scale; i++ {
-		pow *= 10
-	}
-	sign := ""
-	if v < 0 {
-		sign = "-"
-		v = -v
-	}
-	return fmt.Sprintf("%s%d.%0*d", sign, v/pow, scale, v%pow)
 }

@@ -14,10 +14,6 @@ import (
 // side of each join building the hash table, correlated subqueries
 // decorrelated into aggregation stages (Q2, Q11, Q15, Q17, Q20, Q22).
 func Queries(cat *storage.Catalog) []plan.Query {
-	builders := []func(*storage.Catalog) plan.Query{
-		Q1, Q2, Q3, Q4, Q5, Q6, Q7, Q8, Q9, Q10, Q11,
-		Q12, Q13, Q14, Q15, Q16, Q17, Q18, Q19, Q20, Q21, Q22,
-	}
 	out := make([]plan.Query, len(builders))
 	for i, b := range builders {
 		out[i] = b(cat)
@@ -25,13 +21,18 @@ func Queries(cat *storage.Catalog) []plan.Query {
 	return out
 }
 
-// Query returns TPC-H query n (1-based).
+// builders constructs the queries, in number order.
+var builders = [...]func(*storage.Catalog) plan.Query{
+	Q1, Q2, Q3, Q4, Q5, Q6, Q7, Q8, Q9, Q10, Q11,
+	Q12, Q13, Q14, Q15, Q16, Q17, Q18, Q19, Q20, Q21, Q22,
+}
+
+// Query returns TPC-H query n (1-based), building that plan alone.
 func Query(cat *storage.Catalog, n int) plan.Query {
-	qs := Queries(cat)
-	if n < 1 || n > len(qs) {
+	if n < 1 || n > len(builders) {
 		panic(fmt.Sprintf("tpch: no query %d", n))
 	}
-	return qs[n-1]
+	return builders[n-1](cat)
 }
 
 func date(s string) expr.Expr { return expr.Date(storage.MustParseDate(s)) }

@@ -82,8 +82,20 @@ func (s *Session) Prepared() []string {
 	return names
 }
 
+// Rows is a window of result rows in the engine's own output records,
+// as handed to an emit callback (see exec.Rows, exec.RunOpts.Emit).
+type Rows = exec.Rows
+
 // Execute runs a prepared statement under the given binding values.
 func (s *Session) Execute(ctx context.Context, name string, args []*Value) (*Result, error) {
+	return s.ExecuteTo(ctx, name, args, nil)
+}
+
+// ExecuteTo is Execute with the result rows handed to emit instead of
+// boxed into Result.Rows (nil emit: same as Execute). The wire front end
+// encodes from these windows; see exec.RunOpts.Emit for when the calls
+// happen and what an error from emit does.
+func (s *Session) ExecuteTo(ctx context.Context, name string, args []*Value, emit func(Rows) error) (*Result, error) {
 	s.mu.Lock()
 	body, ok := s.prepared[name]
 	s.mu.Unlock()
@@ -98,13 +110,18 @@ func (s *Session) Execute(ctx context.Context, name string, args []*Value) (*Res
 		return nil, err
 	}
 	return s.db.eng.RunPlanOpts(ctx, node, "sql:"+name,
-		exec.RunOpts{Tenant: s.tenant, Params: bound})
+		exec.RunOpts{Tenant: s.tenant, Params: bound, Emit: emit})
 }
 
 // Exec parses and runs one statement: PREPARE / EXECUTE / DEALLOCATE
 // manage the session's prepared statements (returning an empty result),
 // anything else plans and runs as a query under the session's tenant.
 func (s *Session) Exec(ctx context.Context, stmt string) (*Result, error) {
+	return s.ExecTo(ctx, stmt, nil)
+}
+
+// ExecTo is Exec with the result rows handed to emit (see ExecuteTo).
+func (s *Session) ExecTo(ctx context.Context, stmt string, emit func(Rows) error) (*Result, error) {
 	st, err := sql.ParseStmt(stmt)
 	if err != nil {
 		return nil, err
@@ -116,7 +133,7 @@ func (s *Session) Exec(ctx context.Context, stmt string) (*Result, error) {
 		s.mu.Unlock()
 		return &Result{}, nil
 	case sql.StmtExecute:
-		return s.Execute(ctx, st.Name, st.Args)
+		return s.ExecuteTo(ctx, st.Name, st.Args, emit)
 	case sql.StmtDeallocate:
 		if err := s.Deallocate(st.Name); err != nil {
 			return nil, err
@@ -127,11 +144,17 @@ func (s *Session) Exec(ctx context.Context, stmt string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.db.eng.RunPlanOpts(ctx, node, "sql", exec.RunOpts{Tenant: s.tenant})
+	return s.db.eng.RunPlanOpts(ctx, node, "sql", exec.RunOpts{Tenant: s.tenant, Emit: emit})
 }
 
 // ExecQuery runs a (possibly multi-stage) plan query under the
 // session's tenant — the plan-DSL counterpart of Exec.
 func (s *Session) ExecQuery(ctx context.Context, q Query) (*Result, error) {
-	return s.db.eng.RunCtxOpts(ctx, q, exec.RunOpts{Tenant: s.tenant})
+	return s.ExecQueryTo(ctx, q, nil)
+}
+
+// ExecQueryTo is ExecQuery with the final stage's rows handed to emit
+// (see ExecuteTo).
+func (s *Session) ExecQueryTo(ctx context.Context, q Query, emit func(Rows) error) (*Result, error) {
+	return s.db.eng.RunCtxOpts(ctx, q, exec.RunOpts{Tenant: s.tenant, Emit: emit})
 }
