@@ -5,10 +5,11 @@
 // Queries are code-generated into a typed SSA IR (the LLVM IR stand-in),
 // translated in linear time into register-machine bytecode, and executed
 // morsel-wise across workers. The engine monitors per-pipeline progress
-// and — in the default adaptive mode — switches hot pipelines to compiled
-// closures (unoptimized or optimized tiers) mid-flight, exactly following
-// the paper's Fig. 5/7 machinery: low latency for small inputs, full
-// throughput for large ones, without up-front cost decisions.
+// and — in the default adaptive mode — switches hot pipelines mid-flight
+// to native machine code or to the vectorized engine (on amd64; the
+// closure tiers are the fallback there and the whole ladder elsewhere),
+// exactly following the paper's Fig. 5/7 machinery: low latency for small
+// inputs, full throughput for large ones, without up-front cost decisions.
 //
 // Quick start:
 //

@@ -232,47 +232,16 @@ func nativeExp() {
 		}
 	}
 
-	// Register-allocator ablation: the same ModeNative run with the
-	// allocator on (default) vs the slot-per-op baseline (NoRegAlloc).
-	if asm.Supported() {
-		// More reps than the tier table, and the two backends interleaved
-		// rep by rep: the backends are often within tens of percent of each
-		// other, so machine drift between two back-to-back measurement
-		// phases would otherwise dominate the difference.
-		const ablReps = 7
-		fmt.Printf("\nregister-allocator ablation (ModeNative exec, best of %d interleaved)\n", ablReps)
-		fmt.Printf("%-10s %12s %12s %9s\n", "workload", "regalloc[ms]", "slots[ms]", "speedup")
-		for _, wl := range wls {
-			one := func(noRA bool) float64 {
-				e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeNative,
-					Cost: exec.Native(), NoRegAlloc: noRA})
-				res, err := wl.run(e)
-				if err != nil {
-					panic(fmt.Sprintf("%s ablation: %v", wl.name, err))
-				}
-				return ms(res.Stats.Exec)
-			}
-			ra, slots := math.Inf(1), math.Inf(1)
-			for r := 0; r < ablReps; r++ {
-				ra = math.Min(ra, one(false))
-				slots = math.Min(slots, one(true))
-			}
-			fmt.Printf("%-10s %12.2f %12.2f %8.2fx\n", wl.name, ra, slots, slots/ra)
-		}
-	}
-
 	// Real per-backend compile latency, whole module, no latency model:
 	// the copy-and-patch claim is bytecode ≪ native ≪ unoptimized closure
-	// ≪ optimized closure. native is the register-allocating backend,
-	// nat-slot the slot-per-op baseline — their difference is the real
-	// assemble-time cost of the allocator.
+	// ≪ optimized closure.
 	fmt.Printf("\nreal compile latency per workload [ms] (whole module, no cost model)\n")
-	fmt.Printf("%-10s %8s %10s %10s %10s %10s %10s\n",
-		"workload", "instrs", "bc", "native", "nat-slot", "unopt", "opt")
+	fmt.Printf("%-10s %8s %10s %10s %10s %10s\n",
+		"workload", "instrs", "bc", "native", "unopt", "opt")
 	latency := func(name string, node plan.Node) {
 		mem := rt.NewMemory()
 		cq := mustCompile(node, mem, name)
-		var bc, nat, natSlot, unopt, opt time.Duration
+		var bc, nat, unopt, opt time.Duration
 		natOK := asm.Supported()
 		// Best of 5 per backend: single-shot numbers at these scales
 		// (tens of microseconds) are dominated by scheduler noise.
@@ -302,7 +271,7 @@ func nativeExp() {
 			bc += d
 			if natOK {
 				// Compile splits edges in place; clone outside the timer.
-				clones := make([]*ir.Function, 2*reps)
+				clones := make([]*ir.Function, reps)
 				for i := range clones {
 					clones[i] = pl.Fn.Clone()
 				}
@@ -318,15 +287,6 @@ func nativeExp() {
 				} else {
 					natOK = false
 				}
-				if d, ok := bestOf(func() error {
-					fn := clones[r]
-					r++
-					_, err := jit.CompileOpts(fn, jit.Native, prog,
-						jit.Options{NoRegAlloc: true})
-					return err
-				}); ok {
-					natSlot += d
-				}
 			}
 			d, _ = bestOf(func() error {
 				_, err := jit.Compile(pl.Fn, jit.Unoptimized, prog)
@@ -339,12 +299,12 @@ func nativeExp() {
 			})
 			opt += d
 		}
-		natMs, natSlotMs := math.NaN(), math.NaN()
+		natMs := math.NaN()
 		if natOK {
-			natMs, natSlotMs = ms(nat), ms(natSlot)
+			natMs = ms(nat)
 		}
-		fmt.Printf("%-10s %8d %10.3f %10.3f %10.3f %10.3f %10.3f\n",
-			name, cq.Module.NumInstrs(), ms(bc), natMs, natSlotMs, ms(unopt), ms(opt))
+		fmt.Printf("%-10s %8d %10.3f %10.3f %10.3f %10.3f\n",
+			name, cq.Module.NumInstrs(), ms(bc), natMs, ms(unopt), ms(opt))
 	}
 	for _, qn := range []int{1, 3, 5, 10} {
 		latency(fmt.Sprintf("Q%d", qn), tpch.Query(cat, qn).Stages[0].Build(nil))

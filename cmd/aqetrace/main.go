@@ -160,9 +160,16 @@ func main() {
 			ev.Pipeline, ev.Label, ev.Tuples, ev.Start.Seconds()*1e3)
 	}
 
+	scopeOf := func(ev exec.Event) string {
+		if ev.Pipeline < 0 {
+			return "whole module (static mode)"
+		}
+		return fmt.Sprintf("pipeline %d (%s)", ev.Pipeline, ev.Label)
+	}
+
 	// Native (tier-6) installs ('N' on the compile lane above) and
 	// controller demotions out of native ('V': an EvNative whose installed
-	// level is not native records the tier the pipeline fell back to).
+	// level is not native records the level the pipeline went back to).
 	first = true
 	for _, ev := range merged.Events() {
 		if ev.Kind != exec.EvNative {
@@ -172,21 +179,17 @@ func main() {
 			fmt.Println("\nnative-code installs:")
 			first = false
 		}
-		scope := fmt.Sprintf("pipeline %d (%s)", ev.Pipeline, ev.Label)
-		if ev.Pipeline < 0 {
-			scope = "whole module (static mode)"
-		}
 		if ev.Level != exec.LevelNative {
-			fmt.Printf("  %s: demoted out of native to %s code (underperformed prediction)\n",
-				scope, ev.Level)
+			fmt.Printf("  %s: demoted out of native back to %s (underperformed prediction)\n",
+				scopeOf(ev), ev.Level)
 			continue
 		}
 		fmt.Printf("  %s: machine code assembled in %.3f ms\n",
-			scope, (ev.End-ev.Start).Seconds()*1e3)
+			scopeOf(ev), (ev.End-ev.Start).Seconds()*1e3)
 	}
 
 	// Engine switches ('E' on the compile lane above: a promotion into the
-	// vectorized engine; 'e': a demotion back to the recorded compiled tier).
+	// vectorized engine; 'e': a demotion back to the level the pipeline left).
 	first = true
 	for _, ev := range merged.Events() {
 		if ev.Kind != exec.EvEngine {
@@ -197,11 +200,11 @@ func main() {
 			first = false
 		}
 		if ev.Level == exec.LevelVector {
-			fmt.Printf("  pipeline %d (%s): switched to the vectorized engine at %.3f ms\n",
-				ev.Pipeline, ev.Label, ev.Start.Seconds()*1e3)
+			fmt.Printf("  %s: switched to the vectorized engine at %.3f ms\n",
+				scopeOf(ev), ev.Start.Seconds()*1e3)
 		} else {
-			fmt.Printf("  pipeline %d (%s): demoted back to the %s tier at %.3f ms (underperformed prediction)\n",
-				ev.Pipeline, ev.Label, ev.Level, ev.Start.Seconds()*1e3)
+			fmt.Printf("  %s: demoted back to the %s tier at %.3f ms (underperformed prediction)\n",
+				scopeOf(ev), ev.Level, ev.Start.Seconds()*1e3)
 		}
 	}
 

@@ -10,8 +10,7 @@
 // SSA values live in machine registers across the stitched templates
 // within a block, spilling to register-file slots only under pressure
 // and flushing every live register to its canonical slot at each exit
-// point, so all other tiers stay bit-compatible; Options.NoRegAlloc
-// selects the original slot-per-op emission.
+// point, so all other tiers stay bit-compatible.
 //
 // Generated code executes against the same state as every other tier: the
 // per-frame register file (one 8-byte slot per SSA value, pinned in R12),
@@ -40,16 +39,6 @@ import (
 // platform (or, wrapped, a specific function). Callers fall back to the
 // closure tiers.
 var ErrUnsupported = errors.New("native code generation unsupported")
-
-// Options selects backend variants. The zero value is the default
-// (register-allocating) backend.
-type Options struct {
-	// NoRegAlloc forces the slot-per-op template backend: every operand is
-	// loaded from and every result stored to its register-file slot, with
-	// no values cached in machine registers across templates. Used as an
-	// escape hatch and as the ablation baseline for the allocator.
-	NoRegAlloc bool
-}
 
 // forceAllocFail, when set (tests only), makes executable-memory
 // allocation fail so graceful degradation can be exercised on platforms

@@ -21,7 +21,7 @@ type outcome struct {
 	mem      []byte
 }
 
-func runOne(f *ir.Function, args []uint64, seed []byte, funcs func(*rt.Memory) []rt.Func, native bool, opts asm.Options) (o outcome) {
+func runOne(f *ir.Function, args []uint64, seed []byte, funcs func(*rt.Memory) []rt.Func, native bool) (o outcome) {
 	mem := rt.NewMemory()
 	var base uint64
 	if seed != nil {
@@ -49,7 +49,7 @@ func runOne(f *ir.Function, args []uint64, seed []byte, funcs func(*rt.Memory) [
 		}
 	}()
 	if native {
-		code, err := asm.CompileOpts(f.Clone(), opts)
+		code, err := asm.Compile(f.Clone())
 		if err != nil {
 			panic(fmt.Sprintf("asm: compile: %v", err))
 		}
@@ -60,16 +60,6 @@ func runOne(f *ir.Function, args []uint64, seed []byte, funcs func(*rt.Memory) [
 	return o
 }
 
-// backendVariants runs every native differential against both the
-// register-allocating backend (default) and the slot-per-op baseline.
-var backendVariants = []struct {
-	name string
-	opts asm.Options
-}{
-	{"regalloc", asm.Options{}},
-	{"slots", asm.Options{NoRegAlloc: true}},
-}
-
 // segBaseToken in an argument list is replaced by the base address of the
 // seeded segment (fresh per run, but deterministically equal across the
 // native and interpreted runs).
@@ -77,21 +67,19 @@ const segBaseToken = 0xfeedfacecafef00d
 
 func diff(t *testing.T, name string, f *ir.Function, args []uint64, seed []byte, funcs func(*rt.Memory) []rt.Func) {
 	t.Helper()
-	want := runOne(f, args, seed, funcs, false, asm.Options{})
-	for _, bv := range backendVariants {
-		got := runOne(f, args, seed, funcs, true, bv.opts)
-		if want.panicked != got.panicked {
-			t.Fatalf("%s/%s%v: native panicked=%v, interp panicked=%v", name, bv.name, args, got.panicked, want.panicked)
-		}
-		if (want.err == nil) != (got.err == nil) || (want.err != nil && want.err.Error() != got.err.Error()) {
-			t.Fatalf("%s/%s%v: native err=%v, interp err=%v", name, bv.name, args, got.err, want.err)
-		}
-		if !want.panicked && want.err == nil && got.res != want.res {
-			t.Fatalf("%s/%s%v: native=%#x interp=%#x", name, bv.name, args, got.res, want.res)
-		}
-		if string(got.mem) != string(want.mem) {
-			t.Fatalf("%s/%s%v: native and interp memory images differ", name, bv.name, args)
-		}
+	want := runOne(f, args, seed, funcs, false)
+	got := runOne(f, args, seed, funcs, true)
+	if want.panicked != got.panicked {
+		t.Fatalf("%s%v: native panicked=%v, interp panicked=%v", name, args, got.panicked, want.panicked)
+	}
+	if (want.err == nil) != (got.err == nil) || (want.err != nil && want.err.Error() != got.err.Error()) {
+		t.Fatalf("%s%v: native err=%v, interp err=%v", name, args, got.err, want.err)
+	}
+	if !want.panicked && want.err == nil && got.res != want.res {
+		t.Fatalf("%s%v: native=%#x interp=%#x", name, args, got.res, want.res)
+	}
+	if string(got.mem) != string(want.mem) {
+		t.Fatalf("%s%v: native and interp memory images differ", name, args)
 	}
 }
 

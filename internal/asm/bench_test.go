@@ -57,7 +57,7 @@ func benchFunc() *ir.Function {
 	return f
 }
 
-func benchCompile(b *testing.B, opts asm.Options) {
+func BenchmarkCompile(b *testing.B) {
 	if !asm.Supported() {
 		b.Skip("no native backend")
 	}
@@ -66,13 +66,10 @@ func benchCompile(b *testing.B, opts asm.Options) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		b.StopTimer()
-		fn := f.Clone() // CompileOpts splits critical edges in place
+		fn := f.Clone() // Compile splits critical edges in place
 		b.StartTimer()
-		if _, err := asm.CompileOpts(fn, opts); err != nil {
+		if _, err := asm.Compile(fn); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkCompileRegAlloc(b *testing.B) { benchCompile(b, asm.Options{}) }
-func BenchmarkCompileSlots(b *testing.B)   { benchCompile(b, asm.Options{NoRegAlloc: true}) }

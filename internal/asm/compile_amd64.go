@@ -54,10 +54,7 @@ type sideExit struct {
 	stores        []exitStore
 }
 
-// compiler is the per-function state of the single emission pass. ra is
-// nil for the slot-per-op backend (Options.NoRegAlloc): every helper
-// then degenerates to a scratch-register load/store around the template,
-// which is exactly the PR 7 baseline.
+// compiler is the per-function state of the single emission pass.
 type compiler struct {
 	a        *asmBuf
 	f        *ir.Function
@@ -77,27 +74,20 @@ type compiler struct {
 	keyBuf                     []byte // reusable side-exit dedup key scratch
 }
 
-// Compile lowers an IR function to executable amd64 machine code with the
-// default (register-allocating) backend.
-func Compile(f *ir.Function) (*Code, error) { return CompileOpts(f, Options{}) }
-
-// CompileOpts lowers an IR function to executable amd64 machine code.
-// Like the unoptimized closure backend it mutates f in place (critical-
-// edge splitting only); callers that need the original intact pass a
-// clone. Functions using an op the templates do not cover return an
-// error wrapping ErrUnsupported and the engine falls back to the closure
-// tiers.
-func CompileOpts(f *ir.Function, opts Options) (*Code, error) {
+// Compile lowers an IR function to executable amd64 machine code. Like
+// the unoptimized closure backend it mutates f in place (critical-edge
+// splitting only); callers that need the original intact pass a clone.
+// Functions using an op the templates do not cover return an error
+// wrapping ErrUnsupported and the engine falls back to the closure tiers.
+func Compile(f *ir.Function) (*Code, error) {
 	f.SplitCriticalEdges()
 	c := &compiler{f: f, a: newAsmBuf(64 + f.NumInstrs()*48)}
 	if err := c.assignSlots(); err != nil {
 		return nil, err
 	}
-	if !opts.NoRegAlloc {
-		c.ra = newRegAlloc(c)
-		c.preds = f.Preds()
-		c.exitKeys = make(map[string]int)
-	}
+	c.ra = newRegAlloc(c)
+	c.preds = f.Preds()
+	c.exitKeys = make(map[string]int)
 	c.analyze()
 	c.trapOvfL = c.a.label()
 	c.trapDivL = c.a.label()
@@ -154,9 +144,9 @@ func (c *compiler) assignSlots() error {
 // analyze counts operand uses and finds the flag-fusion opportunities:
 // per block, whether the terminator can consume the condition flags of
 // the block's last instruction directly (ICmp feeding CondBr with no
-// other use), and — under the allocator — ICmp results consumed solely
-// by the immediately following Select, which then compiles to CMP+CMOVcc
-// with no SETcc materialization.
+// other use), and ICmp results consumed solely by the immediately
+// following Select, which then compiles to CMP+CMOVcc with no SETcc
+// materialization.
 func (c *compiler) analyze() {
 	c.uses = make([]int32, c.f.NumValues())
 	for _, b := range c.f.Blocks {
@@ -179,9 +169,6 @@ func (c *compiler) analyze() {
 			last := b.Instrs[len(b.Instrs)-1]
 			c.fused[b.ID] = last.Op == ir.OpICmp && t.Args[0] == last && c.uses[last.ID] == 1
 		}
-		if c.ra == nil {
-			continue
-		}
 		for j := 1; j < len(b.Instrs); j++ {
 			in, prev := b.Instrs[j], b.Instrs[j-1]
 			if in.Op == ir.OpSelect && in.Type != ir.Pair &&
@@ -195,10 +182,8 @@ func (c *compiler) analyze() {
 // --- operand helpers -------------------------------------------------
 //
 // The template cases below never touch slots directly; they fetch
-// operands and allocate destinations through these helpers, which under
-// the allocator serve cached registers and only fall back to slot
-// traffic, and without it (NoRegAlloc) reproduce the slot-per-op
-// backend exactly.
+// operands and allocate destinations through these helpers, which serve
+// cached registers and only fall back to slot traffic.
 
 // ld loads value v into GP register r (immediate or slot read). May
 // clobber condition flags (constant zero is XOR), so it must not be used
@@ -209,11 +194,6 @@ func (c *compiler) ld(r int, v *ir.Value) {
 		return
 	}
 	c.a.movRegMem(r, slotMem(int(c.slot[v.ID])))
-}
-
-// st stores GP register r into v's slot.
-func (c *compiler) st(v *ir.Value, r int) {
-	c.a.movMemReg(slotMem(int(c.slot[v.ID])), r)
 }
 
 // fld loads an f64 value into XMM register x.
@@ -229,16 +209,14 @@ func (c *compiler) fld(x int, v *ir.Value) {
 // ldInto emits v into the specific GP register r, reading a cached
 // register when the allocator has one.
 func (c *compiler) ldInto(r int, v *ir.Value) {
-	if c.ra != nil {
-		if p := c.ra.regOf(v); p >= xmmBase {
-			c.a.movqRX(r, p-xmmBase)
-			return
-		} else if p >= 0 {
-			if p != r {
-				c.a.movRegReg(r, p)
-			}
-			return
+	if p := c.ra.regOf(v); p >= xmmBase {
+		c.a.movqRX(r, p-xmmBase)
+		return
+	} else if p >= 0 {
+		if p != r {
+			c.a.movRegReg(r, p)
 		}
+		return
 	}
 	c.ld(r, v)
 }
@@ -256,10 +234,8 @@ func (c *compiler) ldIntoNF(r int, v *ir.Value) {
 // use returns a GP register holding v, loading into scratch when it is
 // not already cached. Never allocates and never consumes a use slot.
 func (c *compiler) use(v *ir.Value, scratch int) int {
-	if c.ra != nil {
-		if p := c.ra.regOf(v); p >= 0 && p < xmmBase {
-			return p
-		}
+	if p := c.ra.regOf(v); p >= 0 && p < xmmBase {
+		return p
 	}
 	c.ldInto(scratch, v)
 	return scratch
@@ -267,10 +243,8 @@ func (c *compiler) use(v *ir.Value, scratch int) int {
 
 // useNF is use with flag-preserving loads.
 func (c *compiler) useNF(v *ir.Value, scratch int) int {
-	if c.ra != nil {
-		if p := c.ra.regOf(v); p >= 0 && p < xmmBase {
-			return p
-		}
+	if p := c.ra.regOf(v); p >= 0 && p < xmmBase {
+		return p
 	}
 	c.ldIntoNF(scratch, v)
 	return scratch
@@ -281,7 +255,7 @@ func (c *compiler) useNF(v *ir.Value, scratch int) int {
 // templates find it cached. excl lists registers the current template
 // has already fetched and must not lose.
 func (c *compiler) useAlloc(v *ir.Value, scratch int, excl ...int) int {
-	if c.ra == nil || v.IsConst() {
+	if v.IsConst() {
 		c.ld(scratch, v)
 		return scratch
 	}
@@ -306,34 +280,32 @@ func (c *compiler) useAlloc(v *ir.Value, scratch int, excl ...int) int {
 // reads it directly. Constants come back as a register (imm32 forms are
 // the caller's business).
 func (c *compiler) rhs(v *ir.Value, scratch int, excl ...int) (reg int, m mem, inMem bool) {
-	if c.ra != nil && !v.IsConst() {
-		if p := c.ra.regOf(v); p >= xmmBase {
-			c.a.movqRX(scratch, p-xmmBase)
-			return scratch, mem{}, false
-		} else if p >= 0 {
-			return p, mem{}, false
-		}
-		if c.ra.nextUse(v.ID) != noUse {
-			p := c.ra.alloc(gprPool, excl...)
-			c.a.movRegMem(p, slotMem(int(c.slot[v.ID])))
-			c.ra.mapTo(v, p, false)
-			return p, mem{}, false
-		}
-		return 0, slotMem(int(c.slot[v.ID])), true
+	if v.IsConst() {
+		c.ld(scratch, v)
+		return scratch, mem{}, false
 	}
-	c.ld(scratch, v)
-	return scratch, mem{}, false
+	if p := c.ra.regOf(v); p >= xmmBase {
+		c.a.movqRX(scratch, p-xmmBase)
+		return scratch, mem{}, false
+	} else if p >= 0 {
+		return p, mem{}, false
+	}
+	if c.ra.nextUse(v.ID) != noUse {
+		p := c.ra.alloc(gprPool, excl...)
+		c.a.movRegMem(p, slotMem(int(c.slot[v.ID])))
+		c.ra.mapTo(v, p, false)
+		return p, mem{}, false
+	}
+	return 0, slotMem(int(c.slot[v.ID])), true
 }
 
 // useX returns an XMM register (index) holding v.
 func (c *compiler) useX(v *ir.Value, scratchX int) int {
-	if c.ra != nil {
-		if p := c.ra.regOf(v); p >= xmmBase {
-			return p - xmmBase
-		} else if p >= 0 {
-			c.a.movqXR(scratchX, p)
-			return scratchX
-		}
+	if p := c.ra.regOf(v); p >= xmmBase {
+		return p - xmmBase
+	} else if p >= 0 {
+		c.a.movqXR(scratchX, p)
+		return scratchX
 	}
 	c.fld(scratchX, v)
 	return scratchX
@@ -341,7 +313,7 @@ func (c *compiler) useX(v *ir.Value, scratchX int) int {
 
 // useAllocX is useAlloc for XMM operands; excl holds XMM indices.
 func (c *compiler) useAllocX(v *ir.Value, scratchX int, excl ...int) int {
-	if c.ra == nil || v.IsConst() {
+	if v.IsConst() {
 		c.fld(scratchX, v)
 		return scratchX
 	}
@@ -365,53 +337,21 @@ func (c *compiler) useAllocX(v *ir.Value, scratchX int, excl ...int) int {
 	return scratchX
 }
 
-// def allocates the destination register for v: a pool GPR under the
-// allocator (marked dirty; pair it with fin), scratch otherwise. The
-// template must not write the returned register before its last trap or
-// fault branch, and must not read any register in excl after writing it.
-func (c *compiler) def(v *ir.Value, scratch int, excl ...int) int {
-	if c.ra != nil {
-		return c.ra.defGPR(v, excl...)
+// defX is regAlloc.defGPR for float destinations; excl holds XMM indices.
+func (c *compiler) defX(v *ir.Value, excl ...int) int {
+	phys := make([]int, len(excl))
+	for i, x := range excl {
+		phys[i] = xmmBase + x
 	}
-	return scratch
-}
-
-// defX is def for float destinations; excl holds XMM indices.
-func (c *compiler) defX(v *ir.Value, scratchX int, excl ...int) int {
-	if c.ra != nil {
-		phys := make([]int, len(excl))
-		for i, x := range excl {
-			phys[i] = xmmBase + x
-		}
-		return c.ra.defXMM(v, phys...)
-	}
-	return scratchX
-}
-
-// fin completes a GP definition: the allocator already tracks the dirty
-// mapping; the slot backend stores the scratch register.
-func (c *compiler) fin(v *ir.Value, r int) {
-	if c.ra == nil {
-		c.st(v, r)
-	}
-}
-
-// finX completes an XMM definition.
-func (c *compiler) finX(v *ir.Value, x int) {
-	if c.ra == nil {
-		c.a.movsdStore(slotMem(int(c.slot[v.ID])), x)
-	}
+	return c.ra.defXMM(v, phys...)
 }
 
 // trapLabel returns the branch target for a trap/fault site. With no
-// dirty registers (or no allocator) the shared stub is jumped to
-// directly; otherwise the site gets an out-of-line side exit that first
-// stores the dirty set to canonical slots — the flush-at-exit invariant
-// at zero cost on the non-trapping path. Identical sites share stubs.
+// dirty registers the shared stub is jumped to directly; otherwise the
+// site gets an out-of-line side exit that first stores the dirty set to
+// canonical slots — the flush-at-exit invariant at zero cost on the
+// non-trapping path. Identical sites share stubs.
 func (c *compiler) trapLabel(shared int) int {
-	if c.ra == nil {
-		return shared
-	}
 	st := c.ra.dirtySet()
 	if len(st) == 0 {
 		return shared
@@ -488,19 +428,17 @@ func predCC(p ir.Pred) byte {
 
 func (c *compiler) emitBlock(i int, b *ir.Block) error {
 	c.a.bind(c.blockL[b.ID])
-	if c.ra != nil {
-		// A block whose only predecessor is the block just emitted is
-		// entered with exactly the emission-end machine state (the
-		// terminator path emits MOVs and jumps only), so cached clean
-		// values carry across — the extended-basic-block case. Everything
-		// else starts from canonical slots.
-		inherit := false
-		if i > 0 {
-			ps := c.preds[b.ID]
-			inherit = len(ps) == 1 && ps[0] == c.f.Blocks[i-1]
-		}
-		c.ra.begin(b, inherit)
+	// A block whose only predecessor is the block just emitted is entered
+	// with exactly the emission-end machine state (the terminator path
+	// emits MOVs and jumps only), so cached clean values carry across — the
+	// extended-basic-block case. Everything else starts from canonical
+	// slots.
+	inherit := false
+	if i > 0 {
+		ps := c.preds[b.ID]
+		inherit = len(ps) == 1 && ps[0] == c.f.Blocks[i-1]
 	}
+	c.ra.begin(b, inherit)
 	for j, in := range b.Instrs {
 		if in.Op == ir.OpPhi {
 			if in.Type == ir.Pair {
@@ -563,28 +501,24 @@ func (c *compiler) segTranslate(width int32, faultL int) {
 }
 
 func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
-	if c.ra != nil {
-		c.ra.consume(in)
-	}
+	c.ra.consume(in)
 	switch in.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor:
 		x := c.useAlloc(in.Args[0], rAX)
 		if v, ok := imm32(in.Args[1]); ok {
 			if in.Op == ir.OpMul {
-				dst := c.def(in, rAX)
+				dst := c.ra.defGPR(in)
 				c.a.imulRegRegImm32(dst, x, v)
-				c.fin(in, dst)
 			} else {
-				dst := c.def(in, rAX)
+				dst := c.ra.defGPR(in)
 				if dst != x {
 					c.a.movRegReg(dst, x)
 				}
 				c.a.aluRegImm32(aluOpFor(in.Op), dst, v)
-				c.fin(in, dst)
 			}
 		} else {
 			yr, ym, ymem := c.rhs(in.Args[1], rCX, x)
-			dst := c.def(in, rAX, yr)
+			dst := c.ra.defGPR(in, yr)
 			if dst != x {
 				c.a.movRegReg(dst, x)
 			}
@@ -598,29 +532,26 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 			default:
 				c.a.aluRegReg(aluOpFor(in.Op), dst, yr)
 			}
-			c.fin(in, dst)
 		}
 
 	case ir.OpShl, ir.OpLShr, ir.OpAShr:
 		ext := map[ir.Op]int{ir.OpShl: 4, ir.OpLShr: 5, ir.OpAShr: 7}[in.Op]
 		x := c.useAlloc(in.Args[0], rAX)
 		if y := in.Args[1]; y.IsConst() {
-			dst := c.def(in, rAX)
+			dst := c.ra.defGPR(in)
 			if dst != x {
 				c.a.movRegReg(dst, x)
 			}
 			if n := byte(y.Const & 63); n != 0 {
 				c.a.shiftImm(ext, dst, n)
 			}
-			c.fin(in, dst)
 		} else {
 			c.ldInto(rCX, y)
-			dst := c.def(in, rAX)
+			dst := c.ra.defGPR(in)
 			if dst != x {
 				c.a.movRegReg(dst, x)
 			}
 			c.a.shiftCL(ext, dst) // hardware masks CL to 6 bits, matching the VM's &63
-			c.fin(in, dst)
 		}
 
 	case ir.OpSDiv:
@@ -639,11 +570,10 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 		c.a.bind(ok)
 		c.a.cqo()
 		c.a.idivReg(rCX)
-		dst := c.def(in, rAX)
+		dst := c.ra.defGPR(in)
 		if dst != rAX {
 			c.a.movRegReg(dst, rAX)
 		}
-		c.fin(in, dst)
 
 	case ir.OpSRem:
 		c.ldInto(rCX, in.Args[1])
@@ -661,11 +591,10 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 		c.a.idivReg(rCX)
 		c.a.movRegReg(rAX, rDX)
 		c.a.bind(done)
-		dst := c.def(in, rAX)
+		dst := c.ra.defGPR(in)
 		if dst != rAX {
 			c.a.movRegReg(dst, rAX)
 		}
-		c.fin(in, dst)
 
 	case ir.OpUDiv, ir.OpURem:
 		c.ldInto(rCX, in.Args[1])
@@ -679,23 +608,21 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 		if in.Op == ir.OpURem {
 			res = rDX
 		}
-		dst := c.def(in, res)
+		dst := c.ra.defGPR(in)
 		if dst != res {
 			c.a.movRegReg(dst, res)
 		}
-		c.fin(in, dst)
 
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
 		op := map[ir.Op]sseOp{ir.OpFAdd: sseAdd, ir.OpFSub: sseSub,
 			ir.OpFMul: sseMul, ir.OpFDiv: sseDiv}[in.Op]
 		x := c.useAllocX(in.Args[0], 0)
 		y := c.useAllocX(in.Args[1], 1, x)
-		dst := c.defX(in, 0, y)
+		dst := c.defX(in, y)
 		if dst != x {
 			c.a.movsdRegReg(dst, x)
 		}
 		c.a.sseArith(op, dst, y)
-		c.finX(in, dst)
 
 	case ir.OpICmp:
 		c.emitCmp(in.Args[0], in.Args[1])
@@ -706,9 +633,8 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 			return nil // flags consumed by the following Select's CMOVcc
 		}
 		c.a.setcc(predCC(in.Pred), rAX)
-		dst := c.def(in, rAX)
+		dst := c.ra.defGPR(in)
 		c.a.movzxRegReg8(dst, rAX)
-		c.fin(in, dst)
 
 	case ir.OpFCmp:
 		// Ordered float semantics: any comparison with NaN is false.
@@ -741,9 +667,8 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 		default:
 			return fmt.Errorf("asm: fcmp %v: %w", in.Pred, ErrUnsupported)
 		}
-		dst := c.def(in, rAX)
+		dst := c.ra.defGPR(in)
 		c.a.movzxRegReg8(dst, rAX)
-		c.fin(in, dst)
 
 	case ir.OpSAddOvf, ir.OpSSubOvf, ir.OpSMulOvf:
 		c.ldInto(rAX, in.Args[0])
@@ -763,13 +688,12 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 		c.a.movMemReg(slotMem(s+1), rDX)
 
 	case ir.OpExtractValue:
-		dst := c.def(in, rAX)
+		dst := c.ra.defGPR(in)
 		c.a.movRegMem(dst, slotMem(int(c.slot[in.Args[0].ID])+int(in.Lit)))
-		c.fin(in, dst)
 
 	case ir.OpSExt:
 		x := c.use(in.Args[0], rAX)
-		dst := c.def(in, rAX)
+		dst := c.ra.defGPR(in)
 		switch in.Args[0].Type {
 		case ir.I1, ir.I8:
 			c.a.movsxRegReg8(dst, x)
@@ -782,19 +706,17 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 				c.a.movRegReg(dst, x)
 			}
 		}
-		c.fin(in, dst)
 
 	case ir.OpZExt:
 		x := c.use(in.Args[0], rAX) // slots already hold canonical zero-extended bits
-		dst := c.def(in, rAX)
+		dst := c.ra.defGPR(in)
 		if dst != x {
 			c.a.movRegReg(dst, x)
 		}
-		c.fin(in, dst)
 
 	case ir.OpTrunc:
 		x := c.use(in.Args[0], rAX)
-		dst := c.def(in, rAX)
+		dst := c.ra.defGPR(in)
 		switch in.Type {
 		case ir.I1, ir.I8:
 			c.a.movzxRegReg8(dst, x) // the VM truncates i1 with &0xff too
@@ -807,20 +729,17 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 				c.a.movRegReg(dst, x)
 			}
 		}
-		c.fin(in, dst)
 
 	case ir.OpSIToFP:
 		x := c.use(in.Args[0], rAX)
-		dst := c.defX(in, 0)
+		dst := c.defX(in)
 		c.a.xorps(dst) // CVTSI2SD merges: break the false dep on dst
 		c.a.cvtsi2sd(dst, x)
-		c.finX(in, dst)
 
 	case ir.OpFPToSI:
 		x := c.useX(in.Args[0], 0)
-		dst := c.def(in, rAX)
+		dst := c.ra.defGPR(in)
 		c.a.cvttsd2si(dst, x) // CVTTSD2SI is exactly Go's int64(float64) on amd64
-		c.fin(in, dst)
 
 	case ir.OpLoad:
 		w := int32(in.Type.Width())
@@ -832,20 +751,19 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 		// stored bytes, so the memory access (and its fault check, which
 		// the store already passed) is replaced by a register move. The
 		// store itself still executes, keeping the memory image identical.
-		if c.ra != nil && prev != nil && prev.Op == ir.OpStore &&
+		if prev != nil && prev.Op == ir.OpStore &&
 			prev.Args[0] == in.Args[0] && int32(prev.Args[1].Type.Width()) == w {
 			v := prev.Args[1]
 			if in.Type == ir.F64 {
 				src := c.useX(v, 0)
-				dst := c.defX(in, 0)
+				dst := c.defX(in)
 				if dst != src {
 					c.a.movsdRegReg(dst, src)
 				}
-				c.finX(in, dst)
 				return nil
 			}
 			src := c.use(v, rAX)
-			dst := c.def(in, rAX)
+			dst := c.ra.defGPR(in)
 			switch w {
 			case 1:
 				c.a.movzxRegReg8(dst, src)
@@ -858,23 +776,19 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 					c.a.movRegReg(dst, src)
 				}
 			}
-			c.fin(in, dst)
 			return nil
 		}
 		c.ldInto(rAX, in.Args[0])
-		if c.ra != nil {
-			c.ra.clobber(rSI, rDI, r8)
-		}
+		c.ra.clobber(rSI, rDI, r8)
 		fl := c.trapLabel(c.faultL)
 		c.segTranslate(w, fl)
 		dm := mem{base: rDX, index: rDI, scale: 1}
 		if in.Type == ir.F64 {
-			dst := c.defX(in, 0)
+			dst := c.defX(in)
 			c.a.movsdLoad(dst, dm)
-			c.finX(in, dst)
 			return nil
 		}
-		dst := c.def(in, rAX)
+		dst := c.ra.defGPR(in)
 		switch w {
 		case 1:
 			c.a.movzxRegMem8(dst, dm)
@@ -885,7 +799,6 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 		default:
 			c.a.movRegMem(dst, dm)
 		}
-		c.fin(in, dst)
 
 	case ir.OpStore:
 		w := int32(in.Args[1].Type.Width())
@@ -893,23 +806,14 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 			return fmt.Errorf("asm: store of %v: %w", in.Args[1].Type, ErrUnsupported)
 		}
 		// The stored value must survive segTranslate; R9..R11 do.
-		vr := -1
-		if c.ra != nil {
-			if p := c.ra.regOf(in.Args[1]); p == r9 || p == r10 || p == r11 {
-				vr = p
-			}
-		}
-		if vr < 0 {
-			if c.ra != nil {
-				c.ra.clobber(r9)
-			}
+		vr := c.ra.regOf(in.Args[1])
+		if vr != r9 && vr != r10 && vr != r11 {
+			c.ra.clobber(r9)
 			c.ldInto(r9, in.Args[1])
 			vr = r9
 		}
 		c.ldInto(rAX, in.Args[0])
-		if c.ra != nil {
-			c.ra.clobber(rSI, rDI, r8)
-		}
+		c.ra.clobber(rSI, rDI, r8)
 		fl := c.trapLabel(c.faultL)
 		c.segTranslate(w, fl)
 		dm := mem{base: rDX, index: rDI, scale: 1}
@@ -927,19 +831,17 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 	case ir.OpGEP:
 		x := c.useAlloc(in.Args[0], rAX)
 		if idx := in.Args[1]; idx.IsConst() {
-			dst := c.def(in, rAX)
+			dst := c.ra.defGPR(in)
 			if dst != x {
 				c.a.movRegReg(dst, x)
 			}
 			c.addImm64(dst, idx.Const*in.Lit+in.Lit2)
-			c.fin(in, dst)
 		} else if in.Lit == 0 {
-			dst := c.def(in, rAX)
+			dst := c.ra.defGPR(in)
 			if dst != x {
 				c.a.movRegReg(dst, x)
 			}
 			c.addImm64(dst, in.Lit2)
-			c.fin(in, dst)
 		} else {
 			iv := c.use(idx, rCX)
 			scaled := iv
@@ -955,37 +857,34 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 				}
 				scaled = rCX
 			}
-			dst := c.def(in, rAX, scaled)
+			dst := c.ra.defGPR(in, scaled)
 			if dst != x {
 				c.a.movRegReg(dst, x)
 			}
 			c.a.aluRegReg(aluAdd, dst, scaled)
 			c.addImm64(dst, in.Lit2)
-			c.fin(in, dst)
 		}
 
 	case ir.OpSelect:
 		if in.Type == ir.Pair {
 			return fmt.Errorf("asm: pair-typed select: %w", ErrUnsupported)
 		}
-		if cond := in.Args[0]; c.ra != nil && !cond.IsConst() && c.selFuse[cond.ID] {
+		if cond := in.Args[0]; !cond.IsConst() && c.selFuse[cond.ID] {
 			// The CMP was just emitted by the preceding ICmp; everything
 			// between it and the CMOVcc must preserve flags (spills and
 			// the NF loads are all MOVs).
 			tv := c.useNF(in.Args[1], rAX)
-			dst := c.def(in, rCX, tv)
+			dst := c.ra.defGPR(in, tv)
 			c.ldIntoNF(dst, in.Args[2])
 			c.a.cmovcc(predCC(cond.Pred), dst, tv)
-			c.fin(in, dst)
 			return nil
 		}
 		tv := c.useAlloc(in.Args[1], rAX)
 		cv := c.use(in.Args[0], rDX)
-		dst := c.def(in, rCX, tv, cv)
+		dst := c.ra.defGPR(in, tv, cv)
 		c.ldInto(dst, in.Args[2])
 		c.a.testRegReg(cv, cv)
 		c.a.cmovcc(ccNE, dst, tv) // cond != 0 → then value
-		c.fin(in, dst)
 
 	case ir.OpCall:
 		if len(in.Args) > rt.MaxCallArgs {
@@ -995,13 +894,11 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 			r := c.use(arg, rAX)
 			c.a.movMemReg(memBD(r13, ncArgs+int32(i)*8), r)
 		}
-		if c.ra != nil {
-			// The extern observes and may rewrite any slot from Go, so
-			// the frame must be canonical and every cached location is
-			// stale after the exit.
-			c.ra.flushAll()
-			c.ra.invalidateAll()
-		}
+		// The extern observes and may rewrite any slot from Go, so the
+		// frame must be canonical and every cached location is stale after
+		// the exit.
+		c.ra.flushAll()
+		c.ra.invalidateAll()
 		c.a.movMemImm32(memBD(r13, ncExit), exitCall)
 		c.a.movMemImm32(memBD(r13, ncA), int32(in.Callee))
 		c.a.movMemImm32(memBD(r13, ncB), int32(len(in.Args)))
@@ -1041,14 +938,10 @@ func (c *compiler) emitTerm(b *ir.Block, next *ir.Block) error {
 	if t == nil {
 		return fmt.Errorf("asm: block without terminator: %w", ErrUnsupported)
 	}
-	if c.ra != nil {
-		c.ra.consume(t)
-	}
+	c.ra.consume(t)
 	switch t.Op {
 	case ir.OpBr:
-		if c.ra != nil {
-			c.ra.endBlock()
-		}
+		c.ra.endBlock()
 		c.emitMoves(c.phiMoves(b))
 		if t.Targets[0] != next {
 			c.a.jmp(c.blockL[t.Targets[0].ID])
@@ -1069,9 +962,7 @@ func (c *compiler) emitTerm(b *ir.Block, next *ir.Block) error {
 			// dead condition value, but the register contents survive.
 			cv = c.use(t.Args[0], rDX)
 		}
-		if c.ra != nil {
-			c.ra.endBlock()
-		}
+		c.ra.endBlock()
 		c.emitMoves(c.phiMoves(b))
 		if cv >= 0 {
 			c.a.testRegReg(cv, cv)
@@ -1090,16 +981,12 @@ func (c *compiler) emitTerm(b *ir.Block, next *ir.Block) error {
 	case ir.OpRet:
 		r := c.use(t.Args[0], rAX)
 		c.a.movMemReg(memBD(r13, ncC), r)
-		if c.ra != nil {
-			c.ra.endBlock()
-		}
+		c.ra.endBlock()
 		c.a.movMemImm32(memBD(r13, ncExit), exitRet)
 		c.a.ret()
 
 	case ir.OpRetVoid:
-		if c.ra != nil {
-			c.ra.endBlock()
-		}
+		c.ra.endBlock()
 		c.a.movMemImm32(memBD(r13, ncC), 0)
 		c.a.movMemImm32(memBD(r13, ncExit), exitRet)
 		c.a.ret()

@@ -18,12 +18,11 @@ import (
 // canonical-slot flushing: at every point where control can leave the
 // generated code — extern calls, traps, faults, function return — and at
 // every block boundary, all live dirty registers have been stored to
-// their register-file slots, so the frame looks exactly as if the
-// slot-per-op backend (or the VM) had produced it. Traps and faults get
-// this for free via out-of-line side exits (see compiler.trapLabel): the
-// hot path branches to a per-site stub that stores the then-dirty set
-// and only then enters the shared exit-record stub, so the no-trap path
-// pays nothing for the guarantee.
+// their register-file slots, so the frame looks exactly as if the VM had
+// produced it. Traps and faults get this for free via out-of-line side
+// exits (see compiler.trapLabel): the hot path branches to a per-site
+// stub that stores the then-dirty set and only then enters the shared
+// exit-record stub, so the no-trap path pays nothing for the guarantee.
 //
 // Register classes share one numbering: 0..15 are GPRs, 16+x is XMMx.
 const xmmBase = 16
@@ -334,7 +333,8 @@ func (ra *regAlloc) mapTo(v *ir.Value, p int, dirty bool) {
 
 // defGPR allocates a pool GPR as the destination for v and marks it
 // dirty. The template must not write it before its last trap/fault
-// branch (side-exit snapshots are taken between def and emission).
+// branch (side-exit snapshots are taken between def and emission), and
+// must not read any register in excl after writing it.
 func (ra *regAlloc) defGPR(v *ir.Value, excl ...int) int {
 	p := ra.alloc(gprPool, excl...)
 	ra.mapTo(v, p, true)

@@ -13,8 +13,8 @@ import (
 // These tests pin the allocator's flush-at-exit invariant directly: at
 // every point where control leaves generated code (extern call, trap,
 // memory fault) the register file must hold the canonical slot state —
-// every defined value in its assigned slot — exactly as the slot-per-op
-// backend and the VM would have left it. Slot indices are hand-computed
+// every defined value in its assigned slot — exactly as the VM would have
+// left it. Slot indices are hand-computed
 // from the deterministic assignment (parameters first, then instruction
 // results in program order), so a silent change to the layout fails here
 // rather than hiding a stale-slot bug.

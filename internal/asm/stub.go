@@ -16,9 +16,6 @@ type Code struct{}
 // Compile always fails here; the engine falls back to the closure tiers.
 func Compile(*ir.Function) (*Code, error) { return nil, ErrUnsupported }
 
-// CompileOpts always fails here; the engine falls back to the closure tiers.
-func CompileOpts(*ir.Function, Options) (*Code, error) { return nil, ErrUnsupported }
-
 // SizeBytes satisfies the accounting interface; unreachable in practice.
 func (c *Code) SizeBytes() int { return 0 }
 

@@ -40,21 +40,16 @@ type cachedPlan struct {
 	bytes      int64
 }
 
-// cachedPipe holds the artifacts of one pipeline: the bytecode program,
-// the compiled artifact per JIT tier (indexed by jit.Level — the native
-// slot holds the assembled machine code, so warm runs start in tier 6),
-// and the vectorized kernel. Kernels are address-indirect like compiled
-// closures (column/dictionary/literal bases re-registered per run resolve
-// through the run's segment table), so fingerprint-equal plans share them.
+// cachedPipe holds the artifacts of one pipeline — the variants a warm
+// run's Handle starts with — and the engine memo.
 type cachedPipe struct {
-	prog     *vm.Program
-	compiled [3]*jit.Compiled
-	vec      *vector.Kernel
-	// vecBest records whether the most recent completed execution finished
-	// this pipeline in the vectorized engine; a warm adaptive run then
-	// starts there directly instead of re-discovering the engine choice
-	// from morsel rates (the engine analogue of starting in the best
-	// compiled tier reached earlier).
+	variants
+	// vecBest records whether the most recent execution promoted this
+	// pipeline to the vectorized engine and finished it there; a warm
+	// adaptive run then starts there directly instead of re-discovering the
+	// engine choice from morsel rates (the engine analogue of starting in
+	// the best compiled tier reached earlier). That run cannot verify the
+	// level, so it clears the memo: it is believed once (runPipeline).
 	vecBest bool
 }
 
@@ -101,7 +96,7 @@ func (c *planCache) insert(fp Fingerprint, queryStart *vm.Program, progs []*vm.P
 	ent := &cachedPlan{fp: fp, queryStart: queryStart}
 	ent.bytes = int64(queryStart.SizeBytes())
 	for _, p := range progs {
-		ent.pipes = append(ent.pipes, cachedPipe{prog: p})
+		ent.pipes = append(ent.pipes, cachedPipe{variants: variants{prog: p}})
 		ent.bytes += int64(p.SizeBytes())
 	}
 	c.mu.Lock()
@@ -159,9 +154,9 @@ func (c *planCache) addVector(fp Fingerprint, pipe int, k *vector.Kernel) {
 	c.evict()
 }
 
-// noteEngine records the engine the most recent execution finished
-// pipeline `pipe` in (true = vectorized). Last writer wins: the memo
-// tracks the current preference, not history.
+// noteEngine records whether the most recent execution of pipeline `pipe`
+// earned the vectorized engine (promoted to it and finished in it). Last
+// writer wins: the memo tracks the current preference, not history.
 func (c *planCache) noteEngine(fp Fingerprint, pipe int, vec bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -110,6 +110,65 @@ func repeatPlan(k int64) func() plan.Node {
 	}
 }
 
+// TestEngineMemoBelievedOnce: a warm run that starts a pipeline in the
+// vectorized engine on the memo's word has no baseline to verify the level
+// against, so it must not renew the memo — otherwise one run that ended
+// there by accident keeps every later run there. The cost model ranks the
+// engine below bytecode, so the controller never promotes to it itself and
+// only the memo can put a pipeline there.
+func TestEngineMemoBelievedOnce(t *testing.T) {
+	cost := Native()
+	cost.SpeedupVecHash, cost.SpeedupVecCompute = 0.5, 0.5
+	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, CacheBytes: 8 << 20})
+	run := func() *Result {
+		t.Helper()
+		res, err := e.RunPlan(stressPlan(), "memo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	vectorized := func(res *Result) (n int) {
+		for _, l := range res.Stats.FinalLevels {
+			if l == LevelVector {
+				n++
+			}
+		}
+		return n
+	}
+	cold := run()
+	if n := vectorized(cold); n != 0 || cold.Stats.VectorMorsels != 0 {
+		t.Fatalf("cold run: %d pipelines vectorized, %d vector morsels; the model forbids it", n, cold.Stats.VectorMorsels)
+	}
+	// Plant the memo a run that ended vectorized would have left.
+	var fp Fingerprint
+	for fp = range e.cache.idx {
+	}
+	for i := range cold.Stats.FinalLevels {
+		e.cache.noteEngine(fp, i, true)
+	}
+	warm := run()
+	if !warm.Stats.CacheHit || vectorized(warm) == 0 || warm.Stats.EngineSwitches != 0 {
+		t.Fatalf("memo run: cache hit %v, %d pipelines vectorized, %d engine switches; want the memo's pipelines started and left there",
+			warm.Stats.CacheHit, vectorized(warm), warm.Stats.EngineSwitches)
+	}
+	for i, p := range e.cache.lookup(fp).pipes {
+		if p.vecBest {
+			t.Errorf("pipeline %d: an unverified run renewed the memo", i)
+		}
+	}
+	next := run()
+	if n := vectorized(next); n != 0 || next.Stats.VectorMorsels != 0 {
+		t.Errorf("run after the memo run: %d pipelines vectorized, %d vector morsels; want none", n, next.Stats.VectorMorsels)
+	}
+	want := fmt.Sprint(canon(cold.Rows, cold.Types))
+	for _, res := range []*Result{warm, next} {
+		if got := fmt.Sprint(canon(res.Rows, res.Types)); got != want {
+			t.Fatal("result diverged from the cold run")
+		}
+	}
+}
+
 func TestEngineCacheHitIdenticalResults(t *testing.T) {
 	for _, mode := range []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp} {
 		e := New(Options{Workers: 2, Mode: mode, Cost: Native(),

@@ -46,8 +46,8 @@ type CostModel struct {
 	// hash-dense pipelines (probes, grouped aggregation) batch their
 	// hash-table walks and overlap cache misses, where the engine wins big;
 	// compute-dense pipelines only save interpretation overhead compiled
-	// code already eliminates. The controller picks the estimate by the
-	// pipeline's VecSpec.HashDense flag.
+	// code already eliminates. Speedup picks the estimate by the pipeline's
+	// VecSpec.HashDense flag.
 	SpeedupVecHash    float64
 	SpeedupVecCompute float64
 
@@ -73,9 +73,9 @@ func Paper() *CostModel {
 		// optimized machine code on the throughput axis.
 		NativeBase:     300 * time.Microsecond,
 		NativePerInstr: 1 * time.Microsecond,
-		SpeedupUnopt:  3.6,
-		SpeedupOpt:    5.0,
-		SpeedupNative: 5.5,
+		SpeedupUnopt:   3.6,
+		SpeedupOpt:     5.0,
+		SpeedupNative:  5.5,
 		// In the LLVM-latency regime the vectorized engine's draw is that it
 		// needs no compilation at all: installed instantly, faster than any
 		// closure tier on hash-dense pipelines (VectorWise-style batching),
@@ -124,29 +124,49 @@ func Native() *CostModel {
 	}
 }
 
+// CompileTime predicts the time to compile instrs instructions to level l,
+// the largest single function among them having largestFn (for one
+// function, the same number). Optimized compilation is linear in the
+// total and super-linear in the largest function. Bytecode is always
+// there and a vectorized kernel is staged with its pipeline, so neither
+// has anything to compile.
+func (m *CostModel) CompileTime(l Level, instrs, largestFn int) time.Duration {
+	switch l {
+	case LevelUnoptimized:
+		return m.UnoptBase + time.Duration(instrs)*m.UnoptPerInstr
+	case LevelOptimized:
+		d := m.OptBase + time.Duration(instrs)*m.OptPerInstr
+		if m.OptCubic > 0 {
+			n := float64(largestFn)
+			d += time.Duration(m.OptCubic * n * n * n * float64(time.Second))
+		}
+		return d
+	case LevelNative:
+		return m.NativeBase + time.Duration(instrs)*m.NativePerInstr
+	}
+	return 0
+}
+
 // UnoptTime predicts the unoptimized compile time of a function with the
 // given instruction count.
 func (m *CostModel) UnoptTime(instrs int) time.Duration {
-	return m.UnoptBase + time.Duration(instrs)*m.UnoptPerInstr
+	return m.CompileTime(LevelUnoptimized, instrs, instrs)
 }
 
 // OptTime predicts the optimized compile time.
 func (m *CostModel) OptTime(instrs int) time.Duration {
-	d := m.OptBase + time.Duration(instrs)*m.OptPerInstr
-	if m.OptCubic > 0 {
-		n := float64(instrs)
-		d += time.Duration(m.OptCubic * n * n * n * float64(time.Second))
-	}
-	return d
+	return m.CompileTime(LevelOptimized, instrs, instrs)
 }
 
 // NativeTime predicts the copy-and-patch assemble time.
 func (m *CostModel) NativeTime(instrs int) time.Duration {
-	return m.NativeBase + time.Duration(instrs)*m.NativePerInstr
+	return m.CompileTime(LevelNative, instrs, instrs)
 }
 
-// Speedup returns the modeled throughput of a tier relative to bytecode.
-func (m *CostModel) Speedup(l Level) float64 {
+// Speedup returns the modeled throughput of a level relative to bytecode.
+// hashDense is the pipeline's VecSpec.HashDense flag, which picks the
+// vectorized engine's estimate; the compiled levels ignore it.
+func (m *CostModel) Speedup(l Level, hashDense bool) float64 {
 	switch l {
 	case LevelUnoptimized:
 		return m.SpeedupUnopt
@@ -154,6 +174,38 @@ func (m *CostModel) Speedup(l Level) float64 {
 		return m.SpeedupOpt
 	case LevelNative:
 		return m.SpeedupNative
+	case LevelVector:
+		if hashDense {
+			return m.SpeedupVecHash
+		}
+		return m.SpeedupVecCompute
 	}
 	return 1
+}
+
+// choose is the Fig. 7 decision: extrapolate the remaining duration of the
+// pipeline under the current level and under every allowed level above it,
+// and return the level with the shortest one. r0 is the measured tuple
+// rate per worker at level cur, n the tuples left, w the workers the
+// pipeline holds. Staying wins ties, and among candidates the lower level
+// does (strict <, ascending order): a switch must pay for itself.
+func (m *CostModel) choose(cur Level, allowed levelMask, instrs int, hashDense bool, r0, n, w float64) Level {
+	curSpeed := m.Speedup(cur, hashDense)
+	best, bestT := cur, n/r0/w
+	for l := cur + 1; l < numLevels; l++ {
+		if !allowed.has(l) {
+			continue
+		}
+		c := m.CompileTime(l, instrs, instrs).Seconds()
+		r := r0 / curSpeed * m.Speedup(l, hashDense)
+		// While one thread compiles, the remaining w-1 continue at r0.
+		rem := n - (w-1)*r0*c
+		if rem < 0 {
+			rem = 0
+		}
+		if t := c + rem/r/w; t < bestT {
+			best, bestT = l, t
+		}
+	}
+	return best
 }

@@ -23,11 +23,11 @@ func TestCostModelMonotonicity(t *testing.T) {
 			}
 			prev = u
 		}
-		if m.Speedup(LevelOptimized) < m.Speedup(LevelUnoptimized) ||
-			m.Speedup(LevelUnoptimized) < m.Speedup(LevelBytecode) {
+		if m.Speedup(LevelOptimized, false) < m.Speedup(LevelUnoptimized, false) ||
+			m.Speedup(LevelUnoptimized, false) < m.Speedup(LevelBytecode, false) {
 			t.Error("speedups not ordered")
 		}
-		if m.Speedup(LevelBytecode) != 1 {
+		if m.Speedup(LevelBytecode, false) != 1 {
 			t.Error("bytecode speedup must be 1")
 		}
 	}
@@ -51,36 +51,16 @@ func TestPaperModelCalibration(t *testing.T) {
 	}
 }
 
-// TestExtrapolationChoosesStay verifies the Fig. 7 decision at the
-// boundary: with almost no work left, compiling never pays off.
+// closures is what the controller may propose where the native level and
+// the vectorized engine are disabled: the paper's own ladder.
+var closures = maskOf(LevelUnoptimized, LevelOptimized)
+
+// TestExtrapolationChoosesStay verifies the controller's Fig. 7 decision
+// at the boundary: with almost no work left, compiling never pays off.
 func TestExtrapolationChoosesStay(t *testing.T) {
-	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: Paper()})
-	// Replicate the controller arithmetic directly.
-	m := e.opts.Cost
-	r0 := 1e6 // tuples/sec in bytecode
-	w := 4.0
+	m := Paper()
 	decide := func(n float64, instrs int) Level {
-		t0 := n / r0 / w
-		best, bestT := LevelBytecode, t0
-		for _, l := range []Level{LevelUnoptimized, LevelOptimized} {
-			var c float64
-			if l == LevelUnoptimized {
-				c = m.UnoptTime(instrs).Seconds()
-			} else {
-				c = m.OptTime(instrs).Seconds()
-			}
-			r := r0 * m.Speedup(l)
-			rem := n - (w-1)*r0*c
-			if rem < 0 {
-				rem = 0
-			}
-			tt := c + rem/r/w
-			if tt < bestT {
-				bestT = tt
-				best = l
-			}
-		}
-		return best
+		return m.choose(LevelBytecode, closures, instrs, false, 1e6, n, 4)
 	}
 	if got := decide(1000, 500); got != LevelBytecode {
 		t.Errorf("tiny remainder chose %v", got)
@@ -90,14 +70,74 @@ func TestExtrapolationChoosesStay(t *testing.T) {
 	}
 	// Monotonicity: more remaining work never moves the decision toward a
 	// cheaper tier.
-	rank := map[Level]int{LevelBytecode: 0, LevelUnoptimized: 1, LevelOptimized: 2}
-	prev := 0
+	prev := LevelBytecode
 	for _, n := range []float64{1e3, 1e5, 1e6, 1e7, 1e8, 1e9} {
-		r := rank[decide(n, 500)]
-		if r < prev {
+		l := decide(n, 500)
+		if l < prev {
 			t.Errorf("decision regressed at n=%g", n)
 		}
-		prev = r
+		prev = l
+	}
+}
+
+// TestNativeDominatesClosures is the property the ladder rests on: where
+// the native level is allowed the controller never proposes a closure
+// tier, under either cost model, whatever the function size, the work left
+// and the workers granted. With native disabled the paper's unoptimized /
+// optimized crossovers are still there.
+func TestNativeDominatesClosures(t *testing.T) {
+	withNative := closures | maskOf(LevelNative)
+	for name, m := range map[string]*CostModel{"paper": Paper(), "native": Native()} {
+		picked := map[Level]bool{}
+		for _, instrs := range []int{100, 300, 1000, 3000, 10000, 20000} {
+			for n := 1e3; n <= 1e9; n *= 10 {
+				for _, w := range []float64{1, 4} {
+					for _, r0 := range []float64{1e5, 1e6, 1e7} {
+						for _, cur := range []Level{LevelBytecode, LevelUnoptimized, LevelOptimized} {
+							got := m.choose(cur, withNative.above(cur), instrs, false, r0, n, w)
+							if got != cur && got != LevelNative {
+								t.Errorf("%s: instrs=%d n=%g w=%g r0=%g at %v: chose %v with native allowed",
+									name, instrs, n, w, r0, cur, got)
+							}
+						}
+						picked[m.choose(LevelBytecode, closures, instrs, false, r0, n, w)] = true
+					}
+				}
+			}
+		}
+		for _, l := range []Level{LevelBytecode, LevelUnoptimized, LevelOptimized} {
+			if !picked[l] {
+				t.Errorf("%s: with native disabled %v was never chosen over the grid", name, l)
+			}
+		}
+	}
+}
+
+// TestChooseTieBreaking pins the order of the comparison: strict <, so
+// staying wins a tie with every candidate, and candidates in ascending
+// level order with the vectorized engine last, so the lowest level wins a
+// tie among candidates.
+func TestChooseTieBreaking(t *testing.T) {
+	all := allLevels.above(LevelBytecode)
+	flat := &CostModel{SpeedupUnopt: 1, SpeedupOpt: 1, SpeedupNative: 1,
+		SpeedupVecHash: 1, SpeedupVecCompute: 1}
+	if got := flat.choose(LevelBytecode, all, 1000, true, 1e6, 1e8, 4); got != LevelBytecode {
+		t.Errorf("no level is faster, yet chose %v over staying", got)
+	}
+	even := &CostModel{SpeedupUnopt: 2, SpeedupOpt: 2, SpeedupNative: 2,
+		SpeedupVecHash: 2, SpeedupVecCompute: 2}
+	for _, tc := range []struct {
+		allowed levelMask
+		want    Level
+	}{
+		{all, LevelUnoptimized},
+		{all &^ maskOf(LevelUnoptimized), LevelOptimized},
+		{maskOf(LevelNative, LevelVector), LevelNative},
+		{maskOf(LevelVector), LevelVector},
+	} {
+		if got := even.choose(LevelBytecode, tc.allowed, 1000, true, 1e6, 1e8, 4); got != tc.want {
+			t.Errorf("all candidates equally fast, allowed %05b: chose %v, want %v", tc.allowed, got, tc.want)
+		}
 	}
 }
 

@@ -179,7 +179,7 @@ func TestDictFingerprintDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fingerprintOf(cq, vm.Options{}, false, false, false)
+		return fingerprintOf(cq, vm.Options{})
 	}
 	if fp(false) == fp(true) {
 		t.Fatal("dict and raw compilations share a fingerprint")

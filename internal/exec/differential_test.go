@@ -106,14 +106,8 @@ func TestBreakerConfigDifferential22(t *testing.T) {
 			SerialFinalize: true, NoJoinFilter: true}},
 		{"native-disabled", Options{Workers: 4, Mode: ModeNative, Cost: Native(),
 			NoNative: true}},
-		{"native-noregalloc", Options{Workers: 4, Mode: ModeNative, Cost: Native(),
-			NoRegAlloc: true}},
-		{"native-noregalloc-serial", Options{Workers: 4, Mode: ModeNative, Cost: Native(),
-			NoRegAlloc: true, SerialFinalize: true, NoJoinFilter: true}},
 		{"adaptive-no-native", Options{Workers: 4, Mode: ModeAdaptive, Cost: Native(),
 			NoNative: true, MorselSize: 512, CacheBytes: 64 << 20}},
-		{"adaptive-noregalloc", Options{Workers: 4, Mode: ModeAdaptive, Cost: Native(),
-			NoRegAlloc: true, MorselSize: 512, CacheBytes: 64 << 20}},
 	}
 	want := make(map[int]string)
 	for _, cfg := range configs {

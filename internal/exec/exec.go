@@ -1,11 +1,15 @@
 // Package exec is the paper's primary contribution: the adaptive execution
 // framework (§III). Queries always start in the bytecode interpreter on
 // all workers; the engine tracks per-pipeline progress at morsel
-// boundaries, extrapolates the remaining duration of every execution mode
-// (Fig. 7), and switches pipelines to unoptimized or optimized compiled
-// code mid-flight by swapping the function handle's variant (Fig. 5) — no
-// work is lost because all tiers execute identical semantics over the
-// same runtime state (§IV-E).
+// boundaries, extrapolates the remaining duration of every level the
+// pipeline's handle allows (Fig. 7), and switches pipelines mid-flight by
+// storing a new level into the function handle, which holds every variant
+// (Fig. 5) — no work is lost because all levels execute identical
+// semantics over the same runtime state (§IV-E). Where there is a native
+// back end (amd64) the ladder is bytecode → native machine code or the
+// vectorized engine, and a level that fails to compile or to deliver its
+// predicted rate is disabled for the run; the closure tiers are what a
+// pipeline falls back to, and the whole ladder elsewhere.
 package exec
 
 import (
@@ -15,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"aqe/internal/asm"
 	"aqe/internal/codegen"
 	"aqe/internal/expr"
 	"aqe/internal/plan"
@@ -44,6 +49,23 @@ const (
 	ModeNative
 	ModeVector
 )
+
+// level returns the level a static mode puts every pipeline at before
+// execution starts; the adaptive mode, like the interpreters, starts at
+// bytecode.
+func (m Mode) level() Level {
+	switch m {
+	case ModeUnoptimized:
+		return LevelUnoptimized
+	case ModeOptimized:
+		return LevelOptimized
+	case ModeNative:
+		return LevelNative
+	case ModeVector:
+		return LevelVector
+	}
+	return LevelBytecode
+}
 
 func (m Mode) String() string {
 	return [...]string{"bytecode", "unoptimized", "optimized", "adaptive", "ir-interp", "native", "vector"}[m]
@@ -114,21 +136,14 @@ type Options struct {
 	// code-based group hashing, and string zone-map pruning; queries run
 	// against the raw string columns (results are bit-identical).
 	NoDict bool
-	// NoNative removes the native machine-code tier from the adaptive
-	// controller's choices (and makes ModeNative fall back to optimized
-	// closures). Cached plans carry the flag in their fingerprint so a
-	// NoNative run never reuses natively-warmed entries ambiguously.
+	// NoNative disables the native machine-code level on every handle of
+	// this engine: the adaptive controller never proposes it and
+	// ModeNative falls back to optimized closures.
 	NoNative bool
-	// NoVector removes the vectorized engine from the adaptive
-	// controller's choices (and makes ModeVector fall back to optimized
-	// closures). Cached plans carry the flag in their fingerprint so a
-	// NoVector run never reuses vector-warmed entries ambiguously.
+	// NoVector disables the vectorized engine on every handle of this
+	// engine: no kernel is staged, the adaptive controller never proposes
+	// it and ModeVector falls back to optimized closures.
 	NoVector bool
-	// NoRegAlloc forces the native tier's slot-per-op template backend
-	// instead of the register-allocating one (jit.Options.NoRegAlloc) —
-	// the ablation baseline for the allocator. Fingerprints carry the
-	// flag so cached native code is never shared across the two backends.
-	NoRegAlloc bool
 	// FilterStats maintains per-worker filter hit/skip counters in
 	// generated probes and reports them in Stats. Off by default: the
 	// counters cost two extra memory operations per probe.
@@ -153,6 +168,10 @@ type Engine struct {
 	cache *planCache       // nil when CacheBytes == 0
 	pool  *compilePool     // shared background compile service
 	sched *sched.Scheduler // admission gate + shared morsel worker pool
+
+	// disabled seeds the disabled-levels mask of every Handle: what the
+	// platform and the options rule out for the life of the engine.
+	disabled levelMask
 
 	// morselHook, when set (tests only), runs after every dispatched
 	// morsel on the worker goroutine; the mode-switch stress test uses it
@@ -197,6 +216,15 @@ func New(opts Options) *Engine {
 			Weights:      opts.TenantWeights})}
 	if opts.CacheBytes > 0 {
 		e.cache = newPlanCache(opts.CacheBytes)
+	}
+	if !asm.Supported() || opts.NoNative {
+		e.disabled |= maskOf(LevelNative)
+	}
+	if opts.NoVector {
+		e.disabled |= maskOf(LevelVector)
+	}
+	if opts.Mode == ModeIRInterp {
+		e.disabled = allLevels.above(LevelBytecode)
 	}
 	rt.RegisterBuiltins(e.reg)
 	e.reg.Register("pipeline_run", func(ctx *rt.Ctx, args []uint64) uint64 {
@@ -266,8 +294,12 @@ type Stats struct {
 	FilterSkips int64 // probes whose chain walk was skipped (FilterStats)
 
 	// Native-tier counters: assemblies that produced machine code,
-	// morsels dispatched to native code, and per-pipeline fallbacks to a
-	// closure tier (unsupported op/platform or exec-memory failure).
+	// morsels dispatched to native code, and per-pipeline fallbacks out of
+	// the native level: to optimized closures when the level was asked for
+	// and is disabled (platform, NoNative) or failed to assemble
+	// (unsupported op, exec-memory failure); back to the level the
+	// pipeline had left when the controller demoted it for delivering
+	// under half its predicted rate.
 	NativeCompiles  int64
 	NativeMorsels   int64
 	NativeFallbacks int64
@@ -649,14 +681,8 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 	}
 	st.Rows = int64(rs.Len())
 	st.Total = time.Since(t0)
-	for i, h := range qr.handles {
-		lvl := h.Level()
-		st.FinalLevels = append(st.FinalLevels, lvl)
-		// Remember the finishing engine so the next warm adaptive run of
-		// this plan starts each pipeline there directly.
-		if e.cache != nil && e.opts.Mode == ModeAdaptive {
-			e.cache.noteEngine(qr.fp, i, lvl == LevelVector)
-		}
+	for _, h := range qr.handles {
+		st.FinalLevels = append(st.FinalLevels, h.Level())
 	}
 	if e.cache != nil {
 		st.Cache = e.cache.stats()

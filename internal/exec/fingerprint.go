@@ -35,31 +35,23 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:8]) }
 // baked into cached vector-kernel specs (IN-list strings, compiled
 // patterns), so slot-hashing them would alias plans whose cached kernels
 // compute different results.
-const fingerprintVersion = 3
+//
+// v4 dropped the three header bytes that carried engine switches
+// (NoNative, NoVector, the native back-end selector). A cache belongs to
+// one engine, whose options never change, and each Handle's
+// disabled-levels mask decides which cached variants a run may install —
+// so the key has no such runs to keep apart.
+const fingerprintVersion = 4
 
 // fingerprintOf hashes a code-generated query under the engine's
-// translator options. noNative runs get a distinct fingerprint so their
-// cache entries never receive (or hand out) assembled native code;
-// noRegAlloc likewise separates the two native backends so a cached
-// variant always matches the backend the engine would pick, and noVector
-// separates entries carrying vectorized kernels from runs that must never
-// adopt one.
-func fingerprintOf(cq *codegen.Query, vopts vm.Options, noNative, noRegAlloc, noVector bool) Fingerprint {
+// translator options.
+func fingerprintOf(cq *codegen.Query, vopts vm.Options) Fingerprint {
 	h := sha256.New()
 	var hdr [16]byte
 	hdr[0] = fingerprintVersion
 	hdr[1] = byte(vopts.Strategy)
 	if vopts.NoFusion {
 		hdr[2] = 1
-	}
-	if noNative {
-		hdr[3] = 1
-	}
-	if noRegAlloc {
-		hdr[12] = 1
-	}
-	if noVector {
-		hdr[13] = 1
 	}
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(vopts.WindowSize))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(cq.Pipelines)))

@@ -19,7 +19,7 @@ func fpOf(t *testing.T, node plan.Node, vopts vm.Options) Fingerprint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fingerprintOf(cq, vopts, false, false, false)
+	return fingerprintOf(cq, vopts)
 }
 
 // fpPlan builds a representative scan→filter→aggregate plan with a

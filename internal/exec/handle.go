@@ -18,15 +18,15 @@ type Level int32
 // copy-and-patch machine-code tier (tier 6), available only where
 // asm.Supported() holds. LevelVector is not a compilation tier of the
 // closure family but a different engine: the morsel-driven vectorized
-// backend. It sits above LevelNative numerically only so the dispatch
-// check is one comparison; the controller treats engine selection
-// separately from tier selection.
+// backend, whose kernel needs no compilation. To the controller it is one
+// more level of the ladder — the candidate whose compile time is zero.
 const (
 	LevelBytecode Level = iota
 	LevelUnoptimized
 	LevelOptimized
 	LevelNative
 	LevelVector
+	numLevels
 )
 
 func (l Level) String() string {
@@ -44,10 +44,46 @@ func (l Level) String() string {
 	}
 }
 
+// jit returns the compiler tier that produces level l's variant; l must be
+// one of the three compiled levels.
+func (l Level) jit() jit.Level { return jit.Level(l - LevelUnoptimized) }
+
+// levelMask is a set of levels, one bit each.
+type levelMask uint32
+
+const allLevels levelMask = 1<<numLevels - 1
+
+func maskOf(ls ...Level) levelMask {
+	var m levelMask
+	for _, l := range ls {
+		m |= 1 << l
+	}
+	return m
+}
+
+func (m levelMask) has(l Level) bool { return m&(1<<l) != 0 }
+
+// above returns the members of m higher than l.
+func (m levelMask) above(l Level) levelMask { return m &^ (1<<(l+1) - 1) }
+
+// variants is every executable form of one worker function: the bytecode
+// program, the compiled artifact per JIT tier (indexed by jit.Level — the
+// native slot holds assembled machine code) and the vectorized kernel. The
+// plan cache stores one per pipeline and a Handle is created from one, so
+// a warm run starts with everything an earlier run produced. All of it is
+// immutable, address-indirect (bases re-registered per run resolve through
+// the run's segment table) and safe to share between in-flight queries.
+type variants struct {
+	prog     *vm.Program
+	compiled [3]*jit.Compiled
+	vec      *vector.Kernel
+}
+
 // Handle is the paper's function handle (Fig. 5): it stores every variant
-// of a worker function and dispatches each morsel to the fastest one
-// available. Changing the execution mode is a single atomic pointer store;
-// all workers pick up the new variant at their next morsel.
+// of a worker function and dispatches each morsel to the installed one.
+// Changing the execution mode is a single atomic store of the level; all
+// workers pick up the new variant at their next morsel, and a variant that
+// was left stays on the handle, so going back costs the same one store.
 type Handle struct {
 	Fn     *ir.Function
 	Prog   *vm.Program // bytecode, always available
@@ -56,39 +92,32 @@ type Handle struct {
 	// UseIRInterp forces direct SSA interpretation (ModeIRInterp).
 	UseIRInterp bool
 
-	compiled  atomic.Pointer[jit.Compiled]
+	compiled  [3]atomic.Pointer[jit.Compiled] // by jit.Level; nil until staged
+	vec       *vector.Kernel                  // nil when the pipeline has no kernel
 	level     atomic.Int32
 	compiling atomic.Bool
 
-	// nativeFailed latches a failed native compilation (unsupported op,
-	// exec-memory failure) so the controller stops proposing the tier for
-	// this function.
-	nativeFailed atomic.Bool
-
-	// vec is the pre-staged vectorized kernel of this pipeline (nil when
-	// the pipeline has no vector plan or NoVector is set). Installing it is
-	// a level flip; the compiled variant stays on the handle so demotion
-	// out of the vectorized engine is a level flip back.
-	vec       atomic.Pointer[vector.Kernel]
-	vecFailed atomic.Bool
+	// disabled is the set of levels this pipeline may not run at. It is
+	// seeded at creation (no backend on the platform, NoNative / NoVector,
+	// ModeIRInterp, no kernel for the pipeline's shape) and grows at run
+	// time: a failed compilation or a demotion disables the level for the
+	// rest of the run. Nothing is ever re-enabled.
+	disabled atomic.Uint32
 }
 
-// NewHandle translates the function to bytecode and wraps it.
-func NewHandle(fn *ir.Function, opts vm.Options) (*Handle, error) {
-	prog, err := vm.Translate(fn, opts)
-	if err != nil {
-		return nil, err
+// newHandle wraps the variants of one worker function — freshly translated
+// or handed out by the plan cache. The Handle itself carries only the
+// per-run dispatch state: level, in-flight compile flag, disabled levels.
+func newHandle(fn *ir.Function, v variants, disabled levelMask) *Handle {
+	h := &Handle{Fn: fn, Prog: v.prog, Instrs: fn.NumInstrs(), vec: v.vec}
+	for i, c := range v.compiled {
+		h.compiled[i].Store(c)
 	}
-	return HandleFor(fn, prog), nil
-}
-
-// HandleFor wraps an already-translated program — the compilation cache
-// hands out shared Programs this way. Programs and Compiled closures are
-// immutable and safe for concurrent use with distinct contexts, so many
-// in-flight queries can share them; the Handle itself carries the per-run
-// dispatch state (tier, in-flight compile flag).
-func HandleFor(fn *ir.Function, prog *vm.Program) *Handle {
-	return &Handle{Fn: fn, Prog: prog, Instrs: fn.NumInstrs()}
+	if v.vec == nil {
+		disabled |= maskOf(LevelVector)
+	}
+	h.disabled.Store(uint32(disabled))
+	return h
 }
 
 // Level returns the currently installed tier.
@@ -103,73 +132,59 @@ func (h *Handle) BeginCompile() bool {
 	return h.compiling.CompareAndSwap(false, true)
 }
 
-// Install publishes a compiled variant; all remaining morsels of the
-// pipeline immediately switch to it (§III-B: "Once set, all remaining
-// morsels will be processed using the new variant").
-func (h *Handle) Install(c *jit.Compiled, l Level) {
-	h.compiled.Store(c)
-	h.level.Store(int32(l))
-	h.compiling.Store(false)
-}
-
 // AbortCompile clears the in-flight flag after a failed compilation.
 func (h *Handle) AbortCompile() { h.compiling.Store(false) }
 
-// MarkNativeFailed records that native compilation failed for this
-// function; NativeFailed gates further attempts.
-func (h *Handle) MarkNativeFailed() { h.nativeFailed.Store(true) }
+// Disabled returns the levels this pipeline may not run at.
+func (h *Handle) Disabled() levelMask { return levelMask(h.disabled.Load()) }
 
-// NativeFailed reports whether a native compilation has failed.
-func (h *Handle) NativeFailed() bool { return h.nativeFailed.Load() }
-
-// SetVecKernel pre-stages the vectorized kernel without installing it.
-func (h *Handle) SetVecKernel(k *vector.Kernel) { h.vec.Store(k) }
-
-// VecKernel returns the pre-staged vectorized kernel, or nil.
-func (h *Handle) VecKernel() *vector.Kernel { return h.vec.Load() }
-
-// InstallVector switches the pipeline's remaining morsels to the
-// vectorized engine — the same single atomic publication as Install.
-func (h *Handle) InstallVector() {
-	h.level.Store(int32(LevelVector))
-	h.compiling.Store(false)
+// Disable removes the levels in m from the pipeline's choices for the rest
+// of the run.
+func (h *Handle) Disable(m levelMask) {
+	for {
+		old := h.disabled.Load()
+		if h.disabled.CompareAndSwap(old, old|uint32(m)) {
+			return
+		}
+	}
 }
 
-// DemoteVector switches the pipeline back to the closure-family tier it
-// ran before the vectorized engine was installed (the compiled variant is
-// still on the handle) and latches the failure so the controller stops
-// re-proposing the engine for this pipeline.
-func (h *Handle) DemoteVector(l Level) {
-	h.vecFailed.Store(true)
+// Has reports whether level l's variant is on the handle, ready to
+// install.
+func (h *Handle) Has(l Level) bool {
+	switch l {
+	case LevelBytecode:
+		return true
+	case LevelVector:
+		return h.vec != nil
+	}
+	return h.compiled[l.jit()].Load() != nil
+}
+
+// Stage puts a compiled variant on the handle without installing it.
+func (h *Handle) Stage(l Level, c *jit.Compiled) { h.compiled[l.jit()].Store(c) }
+
+// Install switches the pipeline's remaining morsels to level l, whose
+// variant must be on the handle (§III-B: "Once set, all remaining morsels
+// will be processed using the new variant").
+func (h *Handle) Install(l Level) {
 	h.level.Store(int32(l))
 	h.compiling.Store(false)
 }
 
-// MarkVecFailed records that the pipeline cannot (or should not) run on
-// the vectorized engine.
-func (h *Handle) MarkVecFailed() { h.vecFailed.Store(true) }
-
-// VecFailed reports whether the vectorized engine is latched off.
-func (h *Handle) VecFailed() bool { return h.vecFailed.Load() }
-
-// Dispatch runs one morsel with the fastest available variant — the
-// paper's per-morsel dispatch code (Fig. 5), extended with the engine
-// dimension: a pipeline at LevelVector dispatches to the vectorized
-// kernel, everything else to the fastest closure-family variant.
+// Dispatch runs one morsel with the installed variant — the paper's
+// per-morsel dispatch code (Fig. 5).
 func (h *Handle) Dispatch(ctx *rt.Ctx, args []uint64) {
 	if h.UseIRInterp {
 		interp.Run(h.Fn, ctx, args)
 		return
 	}
-	if Level(h.level.Load()) == LevelVector {
-		if k := h.vec.Load(); k != nil {
-			k.Run(ctx, args)
-			return
-		}
+	switch l := h.Level(); l {
+	case LevelBytecode:
+		h.Prog.Run(ctx, args)
+	case LevelVector:
+		h.vec.Run(ctx, args)
+	default:
+		h.compiled[l.jit()].Load().Run(ctx, args)
 	}
-	if c := h.compiled.Load(); c != nil {
-		c.Run(ctx, args)
-		return
-	}
-	h.Prog.Run(ctx, args)
 }

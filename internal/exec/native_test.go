@@ -2,10 +2,13 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"aqe/internal/asm"
+	"aqe/internal/expr"
+	"aqe/internal/plan"
 )
 
 // TestNativeStaticMode runs the stress plan in ModeNative and checks the
@@ -79,8 +82,8 @@ func TestNativeGracefulDegradation(t *testing.T) {
 }
 
 // TestNativeAdaptiveDegradation: the controller proposes tier 6, assembly
-// fails, and the pipeline continues in a closure tier — the failure is
-// latched so the controller stops proposing the tier for that function.
+// fails, and the pipeline continues in a closure tier — the level is
+// disabled on the handle so the controller stops proposing it.
 func TestNativeAdaptiveDegradation(t *testing.T) {
 	if !asm.Supported() {
 		t.Skip("no native backend; the controller never proposes tier 6 here")
@@ -126,62 +129,157 @@ func TestNativeAdaptiveDegradation(t *testing.T) {
 	t.Errorf("controller compiled %d times but never recorded a native fallback", compiled)
 }
 
-// TestNoNativeDistinctFingerprint: disabling the native tier changes the
-// plan fingerprint, so NoNative runs never share cache entries (and thus
-// never receive assembled code) with native-enabled runs.
-func TestNoNativeDistinctFingerprint(t *testing.T) {
-	a, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Options{Workers: 1, Mode: ModeBytecode, NoNative: true}).RunPlan(stressPlan(), "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats.Fingerprint == b.Stats.Fingerprint {
-		t.Errorf("NoNative shares fingerprint %s with the default configuration",
-			a.Stats.Fingerprint)
-	}
-}
-
-// TestNoRegAllocDistinctFingerprint: the slot-per-op escape hatch changes
-// the plan fingerprint, so the two native backends never share cached
-// machine code.
-func TestNoRegAllocDistinctFingerprint(t *testing.T) {
-	a, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Options{Workers: 1, Mode: ModeBytecode, NoRegAlloc: true}).RunPlan(stressPlan(), "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats.Fingerprint == b.Stats.Fingerprint {
-		t.Errorf("NoRegAlloc shares fingerprint %s with the default configuration",
-			a.Stats.Fingerprint)
-	}
-}
-
-// TestNativeNoRegAllocMode runs ModeNative with the slot-per-op backend
-// forced and checks it still assembles and executes machine code with
-// results matching bytecode.
-func TestNativeNoRegAllocMode(t *testing.T) {
+// TestNoNativeNeverDispatchesNative: a NoNative engine never runs a morsel
+// in native code, cold or warm. The plan fingerprint no longer tells such
+// an engine apart — its cache is its own, and the disabled-levels mask of
+// every handle keeps the level out of the controller's choices.
+func TestNoNativeNeverDispatchesNative(t *testing.T) {
 	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprint(canon(ref.Rows, ref.Types))
 
-	e := New(Options{Workers: 2, Mode: ModeNative, Cost: Native(), NoRegAlloc: true})
-	res, err := e.RunPlan(stressPlan(), "native-noregalloc")
-	if err != nil {
-		t.Fatal(err)
+	cost := Native()
+	cost.UnoptBase, cost.UnoptPerInstr, cost.OptBase, cost.OptPerInstr = 0, 0, 0, 0
+	cost.NativeBase, cost.NativePerInstr = 0, 0
+	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost, NoNative: true,
+		MorselSize: 32, CacheBytes: 1 << 20})
+	e.morselHook = func(_ int, h *Handle, _ int) {
+		if h.Level() == LevelNative {
+			t.Error("a handle of a NoNative engine is at the native level")
+		}
 	}
-	if got := fmt.Sprint(canon(res.Rows, res.Types)); got != want {
-		t.Error("slot-per-op native result diverged from bytecode")
+	for run := 0; run < 4; run++ {
+		res, err := e.RunPlan(stressPlan(), "no-native")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(canon(res.Rows, res.Types)); got != want {
+			t.Fatal("result diverged from bytecode")
+		}
+		if res.Stats.CacheHit != (run > 0) {
+			t.Errorf("run %d: cache hit = %v", run, res.Stats.CacheHit)
+		}
+		if st := res.Stats; st.NativeMorsels != 0 || st.NativeCompiles != 0 {
+			t.Errorf("run %d: %d native morsels, %d native compiles", run, st.NativeMorsels, st.NativeCompiles)
+		}
 	}
-	if asm.Supported() && res.Stats.NativeMorsels == 0 {
-		t.Errorf("no morsels executed natively: %+v", res.Stats)
+}
+
+// semiResidualPlan has one pipeline the vectorized engine rejects — a semi
+// join probe with a residual — behind one it accepts (the build).
+func semiResidualPlan() plan.Node {
+	o := plan.NewScan(ordersT, "o_cust", "o_total")
+	c := plan.NewScan(custT, "c_id", "c_bal")
+	j := plan.NewJoin(plan.Semi, o, c,
+		[]expr.Expr{plan.C(o.Schema(), "o_cust")},
+		[]expr.Expr{plan.C(c.Schema(), "c_id")}, nil)
+	comb := j.CombinedSchema()
+	return j.WithResidual(expr.Gt(plan.C(comb, "o_total"), plan.C(comb, "c_bal")))
+}
+
+// TestDisabledLevels drives every source of the disabled-levels mask
+// through a static mode, where what happens is deterministic: the engine's
+// seed (options, platform), the per-pipeline seed (no kernel for the
+// shape) and the run-time bit a failed compilation sets. In every row a
+// pipeline whose target level is disabled must finish in optimized
+// closures, a native level given up must be counted once per pipeline,
+// and the rows must be those of ModeBytecode.
+func TestDisabledLevels(t *testing.T) {
+	native, vec := maskOf(LevelNative), maskOf(LevelVector)
+	platform := levelMask(0)
+	if !asm.Supported() {
+		platform = native
+	}
+	for _, tc := range []struct {
+		name      string
+		opts      Options
+		plan      func() plan.Node
+		allocFail bool
+		skip      bool
+		seed      levelMask // the engine's seed, beyond the platform's
+		every     levelMask // disabled on every handle when the run ends
+		some      levelMask // disabled on some handles but not all
+	}{
+		{name: "NoNative", opts: Options{Mode: ModeNative, NoNative: true}, plan: stressPlan,
+			seed: native, every: native},
+		{name: "NoVector", opts: Options{Mode: ModeVector, NoVector: true}, plan: stressPlan,
+			seed: vec, every: vec},
+		{name: "alloc failure", opts: Options{Mode: ModeNative}, plan: stressPlan, allocFail: true,
+			every: native},
+		{name: "vector-ineligible shape", opts: Options{Mode: ModeVector}, plan: semiResidualPlan,
+			some: vec},
+		{name: "ModeIRInterp", opts: Options{Mode: ModeIRInterp}, plan: stressPlan,
+			seed: allLevels.above(LevelBytecode), every: allLevels.above(LevelBytecode)},
+		{name: "unsupported platform", opts: Options{Mode: ModeNative}, plan: stressPlan,
+			skip: asm.Supported(), every: native},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.skip {
+				t.Skip("this platform has a native backend")
+			}
+			ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(tc.plan(), "ref")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.opts.Workers, tc.opts.Cost = 2, Native()
+			e := New(tc.opts)
+			if e.disabled != tc.seed|platform {
+				t.Errorf("engine seed %05b, want %05b", e.disabled, tc.seed|platform)
+			}
+			var mu sync.Mutex
+			handles := map[int]*Handle{}
+			e.morselHook = func(pipeline int, h *Handle, _ int) {
+				mu.Lock()
+				handles[pipeline] = h
+				mu.Unlock()
+			}
+			asm.SetAllocFailure(tc.allocFail)
+			defer asm.SetAllocFailure(false)
+			res, err := e.RunPlan(tc.plan(), tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(canon(res.Rows, res.Types)) != fmt.Sprint(canon(ref.Rows, ref.Types)) {
+				t.Error("rows differ from ModeBytecode")
+			}
+			st, target := res.Stats, tc.opts.Mode.level()
+			var union levelMask
+			intersection, fallbacks := allLevels, int64(0)
+			for i, h := range handles {
+				m := h.Disabled()
+				union, intersection = union|m, intersection&m
+				want := target
+				if m.has(target) {
+					want = LevelOptimized
+					if target == LevelNative {
+						fallbacks++
+					}
+				}
+				if st.FinalLevels[i] != want {
+					t.Errorf("pipeline %d: disabled %05b, finished at %v, want %v", i, m, st.FinalLevels[i], want)
+				}
+			}
+			if len(handles) != len(st.FinalLevels) {
+				t.Fatalf("saw %d of %d pipelines run", len(handles), len(st.FinalLevels))
+			}
+			if intersection&^platform != tc.every|tc.seed {
+				t.Errorf("disabled on every handle: %05b, want %05b", intersection&^platform, tc.every|tc.seed)
+			}
+			if got := (union &^ intersection); got != tc.some {
+				t.Errorf("disabled on some handles only: %05b, want %05b", got, tc.some)
+			}
+			if st.NativeFallbacks != fallbacks {
+				t.Errorf("NativeFallbacks = %d, want %d", st.NativeFallbacks, fallbacks)
+			}
+			if intersection.has(LevelNative) && st.NativeMorsels != 0 {
+				t.Errorf("%d native morsels with the level disabled everywhere", st.NativeMorsels)
+			}
+			if intersection.has(LevelVector) && st.VectorMorsels != 0 {
+				t.Errorf("%d vector morsels with the engine disabled everywhere", st.VectorMorsels)
+			}
+		})
 	}
 }
 
@@ -189,8 +287,10 @@ func TestNativeNoRegAllocMode(t *testing.T) {
 // code when its measured morsel rate falls far short of what the cost
 // model predicted at promotion time. An absurd SpeedupNative makes any
 // real pipeline underperform its prediction, so promotion is always
-// followed by demotion; the demotion latches the native failure, ticks
-// NativeFallbacks, and leaves the pipeline in the optimized tier.
+// followed by demotion: the pipeline goes back to the level it left, the
+// native level — and what the model ranks below it — is disabled on its
+// handle, NativeFallbacks ticks, and the trace holds exactly one demotion
+// event for it.
 func TestNativeDemotion(t *testing.T) {
 	if !asm.Supported() {
 		t.Skip("no native backend; the controller never proposes tier 6 here")
@@ -205,16 +305,24 @@ func TestNativeDemotion(t *testing.T) {
 	cost.UnoptBase, cost.UnoptPerInstr, cost.OptBase, cost.OptPerInstr = 0, 0, 0, 0
 	cost.NativeBase, cost.NativePerInstr = 0, 0
 	// Native code cannot possibly be 1e9x faster than bytecode: the
-	// measured rate lands below demoteMargin of the prediction as soon as
+	// measured rate lands below verifyMargin of the prediction as soon as
 	// the warmup evaluations pass.
 	cost.SpeedupNative = 1e9
 	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost, MorselSize: 32, Trace: true})
 	// Slow the morsel stream slightly so pipelines are still draining when
 	// the background install + warmup evaluations complete; retry in case
 	// a short pipeline still wins the race.
-	e.morselHook = func(int, *Handle, int) { time.Sleep(200 * time.Microsecond) }
+	var mu sync.Mutex
+	var handles map[int]*Handle
+	e.morselHook = func(pipeline int, h *Handle, _ int) {
+		mu.Lock()
+		handles[pipeline] = h
+		mu.Unlock()
+		time.Sleep(200 * time.Microsecond)
+	}
 	promoted := int64(0)
 	for attempt := 0; attempt < 25; attempt++ {
+		handles = map[int]*Handle{}
 		res, err := e.RunPlan(stressPlan(), "demote")
 		if err != nil {
 			t.Fatalf("adaptive query failed: %v", err)
@@ -223,23 +331,43 @@ func TestNativeDemotion(t *testing.T) {
 			t.Fatal("result diverged across promotion and demotion")
 		}
 		promoted += res.Stats.NativeCompiles
-		if res.Stats.NativeFallbacks > 0 {
-			// The demotion must be recorded in the trace as an EvNative
-			// event whose level is not native.
-			found := false
-			for _, ev := range res.Trace.Events() {
-				if ev.Kind == EvNative && ev.Level != LevelNative {
-					found = true
-					if ev.Level != LevelOptimized {
-						t.Errorf("demotion landed in tier %v, want optimized", ev.Level)
-					}
+		if res.Stats.NativeFallbacks == 0 {
+			continue
+		}
+		// Bytecode is the only level these pipelines can have left: with
+		// every compile free, native's modeled speedup beats the rest from
+		// the first evaluation on. An EvNative event whose level is not
+		// native is a demotion.
+		demotions := map[int]int{}
+		for _, ev := range res.Trace.Events() {
+			if ev.Kind == EvNative && ev.Level != LevelNative {
+				demotions[ev.Pipeline]++
+				if ev.Level != LevelBytecode {
+					t.Errorf("pipeline %d: demotion landed at %v, want the level it left (bytecode)",
+						ev.Pipeline, ev.Level)
 				}
 			}
-			if !found {
-				t.Error("demotion happened but no demotion trace event recorded")
-			}
-			return
 		}
+		total := 0
+		for p, n := range demotions {
+			total += n
+			if n != 1 {
+				t.Errorf("pipeline %d: %d demotion events, want exactly one", p, n)
+			}
+			// Native takes every level the model ranks below it along —
+			// under this model, all of them — so the pipeline stays at the
+			// level whose rate was measured.
+			if m := handles[p].Disabled(); m != allLevels.above(LevelBytecode) {
+				t.Errorf("pipeline %d: demoted, yet its handle has only %05b disabled", p, m)
+			}
+			if l := res.Stats.FinalLevels[p]; l != LevelBytecode {
+				t.Errorf("pipeline %d: finished at %v after its demotion", p, l)
+			}
+		}
+		if int64(total) != res.Stats.NativeFallbacks {
+			t.Errorf("%d demotion events for %d fallbacks", total, res.Stats.NativeFallbacks)
+		}
+		return
 	}
 	if promoted == 0 {
 		t.Skip("controller never promoted to native on this machine; nothing to verify")

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aqe/internal/asm"
 	"aqe/internal/codegen"
 	"aqe/internal/jit"
 	"aqe/internal/rt"
@@ -120,7 +119,7 @@ func (qr *queryRun) cancelCause() error {
 func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Memory, st *Stats, tr *Trace) (*queryRun, error) {
 	qr := &queryRun{eng: e, cq: cq, mem: mem, stats: st, trace: tr,
 		result: newRowSet(mem, cq), taken: make([]int, e.opts.Workers), limit: -1}
-	qr.fp = fingerprintOf(cq, e.opts.VM, e.opts.NoNative, e.opts.NoRegAlloc, e.opts.NoVector)
+	qr.fp = fingerprintOf(cq, e.opts.VM)
 	st.Fingerprint = qr.fp.Short()
 
 	var ent *cachedPlan
@@ -129,25 +128,24 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 			ent = nil // fingerprint collision paranoia: treat as a miss
 		}
 	}
+	var pipes []cachedPipe
 	if ent != nil {
 		// Adopting the cached translation is a few map lookups, not
 		// translation work: Stats.Translate stays zero so warm executions
 		// (every prepared-statement EXECUTE after the first) report none.
 		st.CacheHit = true
 		qr.queryStart = ent.queryStart
-		for i, pl := range cq.Pipelines {
-			qr.handles = append(qr.handles, HandleFor(pl.Fn, ent.pipes[i].prog))
-		}
+		pipes = ent.pipes
 	} else {
 		tTr := time.Now()
-		var progs []*vm.Program
-		for _, pl := range cq.Pipelines {
-			h, err := NewHandle(pl.Fn, e.opts.VM)
+		pipes = make([]cachedPipe, len(cq.Pipelines))
+		progs := make([]*vm.Program, len(pipes))
+		for i, pl := range cq.Pipelines {
+			prog, err := vm.Translate(pl.Fn, e.opts.VM)
 			if err != nil {
 				return nil, err
 			}
-			qr.handles = append(qr.handles, h)
-			progs = append(progs, h.Prog)
+			progs[i], pipes[i].prog = prog, prog
 		}
 		qsProg, err := vm.Translate(cq.QueryStart, e.opts.VM)
 		if err != nil {
@@ -159,157 +157,83 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 		}
 		st.Translate += time.Since(tTr)
 	}
-	for _, h := range qr.handles {
+	for i, pl := range cq.Pipelines {
+		v := pipes[i].variants
+		// Stage the pipeline's vectorized kernel with it (adopting the cached
+		// one on a fingerprint hit). Kernel construction is cheap — no code
+		// generation, just shape validation and lookup tables — so it runs
+		// up-front; installing it is a decision of the mode or the adaptive
+		// controller. A shape the engine cannot execute with bit-identical
+		// semantics yields no kernel, which disables the level on the handle.
+		if v.vec == nil && !e.disabled.has(LevelVector) {
+			if k, kerr := vector.Compile(pl.Vec); kerr == nil {
+				v.vec = k
+				if e.cache != nil {
+					e.cache.addVector(qr.fp, i, k)
+				}
+			}
+		}
+		h := newHandle(pl.Fn, v, e.disabled)
 		h.UseIRInterp = e.opts.Mode == ModeIRInterp
 		if h.Prog.RegFileBytes() > st.RegFileBytes {
 			st.RegFileBytes = h.Prog.RegFileBytes()
 		}
 		st.FusedOps += h.Prog.Fused
+		qr.handles = append(qr.handles, h)
 	}
 
-	// Pre-stage the vectorized kernel of every pipeline (adopting the
-	// cached one on a fingerprint hit). Kernel construction is cheap — no
-	// code generation, just shape validation and lookup tables — so it runs
-	// up-front; installing a kernel is a per-pipeline decision of the mode
-	// or the adaptive controller. Shapes the engine cannot execute with
-	// bit-identical semantics latch the handle's vector-failed flag.
-	if !e.opts.NoVector && e.opts.Mode != ModeIRInterp {
-		for i, pl := range cq.Pipelines {
-			var k *vector.Kernel
-			if ent != nil {
-				k = ent.pipes[i].vec
-			}
-			if k == nil {
-				kk, kerr := vector.Compile(pl.Vec)
-				if kerr == nil {
-					k = kk
-					if e.cache != nil {
-						e.cache.addVector(qr.fp, i, kk)
-					}
-				}
-			}
-			if k != nil {
-				qr.handles[i].SetVecKernel(k)
-			} else {
-				qr.handles[i].MarkVecFailed()
-			}
-		}
-	}
-
-	// Static compiled modes compile the whole module up-front,
-	// single-threaded, before execution starts (§II-A) — this is the
-	// latency the adaptive mode exists to avoid. A cache hit skips both
-	// the compilation and its simulated latency: the artifact exists, so
-	// there is nothing to wait for.
-	if e.opts.Mode == ModeUnoptimized || e.opts.Mode == ModeOptimized || e.opts.Mode == ModeNative {
+	// The static modes above bytecode put every pipeline at the mode's
+	// level before execution starts, single-threaded; for the compiled
+	// ones this is the up-front compilation of the whole module (§II-A),
+	// the latency the adaptive mode exists to avoid. A pipeline whose
+	// level is disabled or fails to compile runs in optimized closures
+	// instead (reach). A cache hit skips both the compilation and its
+	// simulated latency: the artifact exists, so there is nothing to wait
+	// for.
+	if target := e.opts.Mode.level(); target > LevelBytecode {
 		tC := time.Now()
-		level := jit.Unoptimized
-		hl := LevelUnoptimized
-		switch e.opts.Mode {
-		case ModeOptimized:
-			level, hl = jit.Optimized, LevelOptimized
-		case ModeNative:
-			level, hl = jit.Native, LevelNative
-		}
 		compiledAny := false
 		for i, h := range qr.handles {
-			lv, l := level, hl
-			if lv == jit.Native && (!asm.Supported() || e.opts.NoNative) {
-				// No backend on this platform (or tier disabled): the static
-				// native mode degrades per-pipeline to the optimized closure
-				// tier, silently — the query must still complete (§IV-E).
-				h.MarkNativeFailed()
-				qr.nativeFallbacks.Add(1)
-				lv, l = jit.Optimized, LevelOptimized
+			got, fresh, err := qr.reach(i, target)
+			if err != nil {
+				return nil, err
 			}
-			c, fresh, cerr := qr.compiledFor(ent, i, h, lv)
-			if cerr != nil {
-				if lv != jit.Native {
-					return nil, cerr
-				}
-				// Unsupported op or exec-memory failure for this one
-				// function: degrade it to the optimized closure tier.
-				h.MarkNativeFailed()
-				qr.nativeFallbacks.Add(1)
-				lv, l = jit.Optimized, LevelOptimized
-				if c, fresh, cerr = qr.compiledFor(ent, i, h, lv); cerr != nil {
-					return nil, cerr
-				}
-			}
-			if fresh {
-				compiledAny = true
-				if lv == jit.Native {
-					qr.nativeCompiles.Add(1)
-				}
-			}
-			h.Install(c, l)
+			compiledAny = compiledAny || fresh
+			h.Install(got)
 		}
-		if e.opts.Cost.Simulate && compiledAny {
-			d := qr.modelCompileTime(hl, st.Instrs, maxFnInstrs(cq))
-			if !sleepCtx(ctx, d) {
-				return nil, context.Cause(ctx)
-			}
-		}
-		// Adopting cached closures costs nothing; only fresh compilation
+		// Adopting cached variants costs nothing; only fresh compilation
 		// counts, so warm runs report zero compile time.
 		if compiledAny {
+			if e.opts.Cost.Simulate {
+				d := e.opts.Cost.CompileTime(target, st.Instrs, maxFnInstrs(cq))
+				if !sleepCtx(ctx, d) {
+					return nil, context.Cause(ctx)
+				}
+			}
 			st.Compile += time.Since(tC)
 		}
 		if qr.trace != nil {
-			kind := EvCompile
-			if e.opts.Mode == ModeNative {
-				kind = EvNative
-			}
-			qr.trace.Add(Event{Kind: kind, Pipeline: -1, Worker: -1,
-				Level: hl, Start: 0, End: qr.trace.Since(time.Now())})
+			qr.noteSwitch(nil, LevelBytecode, target, qr.trace.Origin(), time.Now())
 		}
 	}
 
-	// ModeVector statically pins every pipeline with a vector kernel to
-	// the vectorized engine; pipelines without one (unsupported shape, or
-	// NoVector) fall back to the optimized closure tier so the query still
-	// completes (§IV-E's degrade-don't-fail discipline, engine edition).
-	if e.opts.Mode == ModeVector {
-		tC := time.Now()
-		freshAny := false
-		for i, h := range qr.handles {
-			if h.VecKernel() != nil && !h.VecFailed() {
-				h.InstallVector()
-				continue
-			}
-			c, fresh, cerr := qr.compiledFor(ent, i, h, jit.Optimized)
-			if cerr != nil {
-				return nil, cerr
-			}
-			if fresh {
-				freshAny = true
-			}
-			h.Install(c, LevelOptimized)
-		}
-		if freshAny {
-			st.Compile += time.Since(tC)
-		}
-	}
-
-	// An adaptive query that hits the cache starts every pipeline in the
-	// best tier any earlier execution reached — no re-climbing through
-	// bytecode (the controller can still upgrade unoptimized pipelines).
-	// Cached native code starts the pipeline in tier 6 immediately: the
-	// assembled bytes are keyed by the plan fingerprint, so a warm run
-	// pays no assemble latency at all.
+	// An adaptive query that hits the cache starts every pipeline at the
+	// best level an earlier execution left a variant for — no re-climbing
+	// through bytecode, no assemble latency — or in the vectorized engine
+	// when the previous execution promoted the pipeline there. A level
+	// entered this way has no baseline rate, so the controller does not
+	// verify it: a pipeline warm-started at a level that is wrong for it
+	// stays there for this run. For the engine that is one run, because an
+	// unverified run does not renew the memo (runPipeline); cached native
+	// code is started in every time (ROADMAP direction 1 replaces both with
+	// measured per-level rates).
 	if e.opts.Mode == ModeAdaptive && ent != nil {
 		for i, h := range qr.handles {
-			if ent.pipes[i].vecBest && h.VecKernel() != nil && !h.VecFailed() {
-				// The previous execution finished this pipeline in the
-				// vectorized engine: start there. The controller still
-				// monitors morsel rates and can demote mid-query.
-				h.InstallVector()
-			} else if c := ent.pipes[i].compiled[jit.Native]; c != nil && qr.nativeOK(h) {
-				h.Install(c, LevelNative)
-			} else if c := ent.pipes[i].compiled[jit.Optimized]; c != nil {
-				h.Install(c, LevelOptimized)
-			} else if c := ent.pipes[i].compiled[jit.Unoptimized]; c != nil {
-				h.Install(c, LevelUnoptimized)
+			for l := LevelVector; l > LevelBytecode; l-- {
+				if h.Has(l) && !h.Disabled().has(l) && (l != LevelVector || ent.pipes[i].vecBest) {
+					h.Install(l)
+					break
+				}
 			}
 		}
 	}
@@ -346,53 +270,53 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	return qr, nil
 }
 
-// compiledFor returns the compiled variant of pipeline i at the given
-// tier, reusing the cached artifact when present; fresh reports whether a
-// compilation actually ran (and was published to the cache).
-func (qr *queryRun) compiledFor(ent *cachedPlan, i int, h *Handle, level jit.Level) (c *jit.Compiled, fresh bool, err error) {
-	if ent != nil {
-		if c := ent.pipes[i].compiled[level]; c != nil {
-			return c, false, nil
+// reach puts on pipeline i's handle the variant of level want or, where
+// that level is disabled or will not compile, of optimized closures, and
+// returns the level reached — the one walk down the ladder the static
+// modes and the controller's background compilations share. Only levels
+// above the closure tiers fall back: they can be disabled, and their
+// compilation can fail for a reason of the function's or the host's (an
+// op outside the native templates, no executable memory), which disables
+// them for the run; a closure compilation fails only on a bug, and fails
+// the query. fresh reports whether a compilation ran; what it produced is
+// also published to the cache.
+func (qr *queryRun) reach(i int, want Level) (got Level, fresh bool, err error) {
+	h := qr.handles[i]
+	if want > LevelOptimized {
+		if !h.Disabled().has(want) {
+			if fresh, err = qr.compile(i, want); err == nil {
+				return want, fresh, nil
+			}
+			h.Disable(maskOf(want))
 		}
+		if want == LevelNative {
+			qr.nativeFallbacks.Add(1)
+		}
+		want = LevelOptimized
 	}
-	if c, err = jit.CompileOpts(h.Fn, level, h.Prog, qr.jitOpts()); err != nil {
-		return nil, false, err
+	fresh, err = qr.compile(i, want)
+	return want, fresh, err
+}
+
+// compile puts level l's variant on pipeline i's handle unless it is there
+// already (cached, or compiled earlier in this run).
+func (qr *queryRun) compile(i int, l Level) (fresh bool, err error) {
+	h := qr.handles[i]
+	if h.Has(l) {
+		return false, nil
+	}
+	c, err := jit.Compile(h.Fn, l.jit(), h.Prog)
+	if err != nil {
+		return false, err
+	}
+	h.Stage(l, c)
+	if l == LevelNative {
+		qr.nativeCompiles.Add(1)
 	}
 	if qr.eng.cache != nil {
-		qr.eng.cache.addCompiled(qr.fp, i, level, c)
+		qr.eng.cache.addCompiled(qr.fp, i, l.jit(), c)
 	}
-	return c, true, nil
-}
-
-// nativeOK reports whether the native tier may be proposed for h: the
-// platform has a backend, the tier is not disabled, and no earlier native
-// compilation of this function has failed.
-func (qr *queryRun) nativeOK(h *Handle) bool {
-	return asm.Supported() && !qr.eng.opts.NoNative && !h.NativeFailed()
-}
-
-// jitOpts returns the backend options every compilation of this query
-// uses (the fingerprint carries them, so cached artifacts match).
-func (qr *queryRun) jitOpts() jit.Options {
-	return jit.Options{NoRegAlloc: qr.eng.opts.NoRegAlloc}
-}
-
-// modelCompileTime returns the simulated whole-module compile latency.
-func (qr *queryRun) modelCompileTime(l Level, moduleInstrs, maxFn int) time.Duration {
-	m := qr.eng.opts.Cost
-	if l == LevelNative {
-		return m.NativeBase + time.Duration(moduleInstrs)*m.NativePerInstr
-	}
-	if l == LevelOptimized {
-		// Linear in the module, super-linear in the largest function.
-		d := m.OptBase + time.Duration(moduleInstrs)*m.OptPerInstr
-		if m.OptCubic > 0 {
-			n := float64(maxFn)
-			d += time.Duration(m.OptCubic * n * n * n * float64(time.Second))
-		}
-		return d
-	}
-	return m.UnoptBase + time.Duration(moduleInstrs)*m.UnoptPerInstr
+	return true, nil
 }
 
 // sleepCtx sleeps d unless ctx is cancelled first; it reports whether the
@@ -545,25 +469,14 @@ type progress struct {
 	rates    []atomic.Uint64 // per worker slot: float64 bits, tuples/sec
 	evalGate atomic.Bool
 
-	// Demotion bookkeeping: the measured rate (float64 bits) and tier just
-	// before native code was installed, and how many controller
-	// evaluations have run since. After a short warmup, the controller
-	// compares the native rate against the rate the cost model predicted
-	// from the pre-native measurement and demotes the pipeline out of
-	// native when it badly underperforms (run-time misprediction, §III-C).
-	preNativeRate atomic.Uint64
-	preNativeLvl  atomic.Int32
-	nativeEvals   atomic.Int32
-
-	// Engine-demotion bookkeeping, mirroring the native fields: the rate
-	// and tier just before the vectorized engine was installed, and the
-	// evaluations since. The same promote-then-verify discipline applies
-	// to engine selection: observed morsel rates arbitrate, and a
-	// vectorized pipeline badly underperforming its prediction is demoted
-	// back to the compiled tier it left.
-	preVecRate atomic.Uint64
-	preVecLvl  atomic.Int32
-	vecEvals   atomic.Int32
+	// Verification baseline, set when the controller promotes the pipeline
+	// above the closure tiers: the measured rate (float64 bits; 0 = no
+	// baseline) and the level just before the switch, and how many
+	// controller evaluations have run since. One of each is enough: a
+	// pipeline is at one level at a time (verify).
+	preRate atomic.Uint64
+	preLvl  atomic.Int32
+	evals   atomic.Int32
 
 	// executing counts pool workers currently inside a morsel of this
 	// pipeline — the query's *granted* parallelism. Under concurrent load
@@ -571,6 +484,10 @@ type progress struct {
 	// extrapolation must use this, not the configured worker count.
 	executing atomic.Int32
 }
+
+// promoted reports whether the controller moved the pipeline to its level
+// during this run and holds it to a baseline measured in this run (verify).
+func (pr *progress) promoted() bool { return pr.preRate.Load() != 0 }
 
 func newProgress(total int64, workers int, o Options) *progress {
 	return &progress{
@@ -705,8 +622,9 @@ func (qr *queryRun) runPipeline(id int) {
 			Worker: -1, Start: now, End: now, Tuples: int64(pl.DictRewrites)})
 	}
 	total := qr.sourceTotal(pl)
+	var pr *progress
 	if total > 0 && !qr.cancelled.Load() {
-		pr := newProgress(total, qr.eng.opts.Workers, qr.eng.opts)
+		pr = newProgress(total, qr.eng.opts.Workers, qr.eng.opts)
 		if len(pl.Prune) > 0 && !qr.eng.opts.NoZoneMaps {
 			qr.applyZoneMaps(pl, pr, total)
 		}
@@ -721,6 +639,16 @@ func (qr *queryRun) runPipeline(id int) {
 		}
 	}
 	qr.checkFailed()
+	// The engine memo for the next warm run: the pipeline ended vectorized
+	// and was promoted there in this run, against a rate measured in this
+	// run. A run that started there on the memo's word has no baseline and
+	// was not verified, so it does not renew the memo: the next run starts
+	// below and promotes again, or does not. A run that ends vectorized on
+	// one stalled baseline sample therefore costs the run after it, not
+	// every run from then on.
+	if pr != nil && qr.eng.cache != nil && qr.eng.opts.Mode == ModeAdaptive {
+		qr.eng.cache.noteEngine(qr.fp, id, h.Level() == LevelVector && pr.promoted())
+	}
 	// Finalize the sink between pipelines. By default the breaker work
 	// (join chain linking, aggregation merge) is hash-range partitioned
 	// across the worker pool; Options.SerialFinalize retains the
@@ -975,37 +903,25 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 }
 
 // evaluate implements Fig. 7: extrapolate the remaining pipeline duration
-// under each execution mode and launch a background compilation when a
-// faster mode wins. Only one worker evaluates at a time, the first
-// evaluation is delayed by 1 ms, and an in-flight compilation suppresses
-// further evaluation.
+// under each level the handle allows and move the pipeline when a faster
+// one wins — at once if its variant is on the handle (the vectorized
+// kernel always is), else through a background compilation. Only one
+// worker evaluates at a time, the first evaluation is delayed by 1 ms, and
+// an in-flight compilation suppresses further evaluation.
 func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if !pr.evalGate.CompareAndSwap(false, true) {
 		return
 	}
 	defer pr.evalGate.Store(false)
-	ceiling := LevelOptimized
-	if qr.nativeOK(h) {
-		ceiling = LevelNative
-	}
 	if h.Compiling() {
 		return
 	}
-	if h.Level() == LevelVector {
-		qr.maybeDemoteVector(pl, h, pr)
+	cur := h.Level()
+	if qr.verify(pl, h, pr, cur) {
 		return
 	}
-	if h.Level() == LevelNative {
-		qr.maybeDemote(pl, h, pr)
-		if h.Compiling() {
-			return
-		}
-		// Tier 6 is the closure family's ceiling, but the engine dimension
-		// stays open: the vectorized candidate below may still beat native
-		// on hash-dense pipelines.
-	}
-	canVec := qr.vectorOK(h)
-	if h.Level() >= ceiling && !canVec {
+	allowed := (allLevels &^ h.Disabled()).above(cur)
+	if allowed == 0 {
 		return
 	}
 	if time.Since(pr.started) < time.Millisecond {
@@ -1015,7 +931,6 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if r0 <= 0 {
 		return
 	}
-	m := qr.eng.opts.Cost
 	// Remaining work excludes zone-map-pruned tuples: they are never
 	// dispatched, so extrapolating over them would overstate the payoff
 	// of compiling (§III-C). The parallelism term is the *granted* worker
@@ -1028,281 +943,145 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if w < 1 {
 		w = 1
 	}
-	cur := h.Level()
-	curSpeed := m.Speedup(cur)
-
-	// t0: stay in the current mode.
-	t0 := n / r0 / w
-	best := cur
-	bestT := t0
-
-	consider := func(l Level, compile time.Duration) {
-		if l <= cur {
-			return
-		}
-		c := compile.Seconds()
-		r := r0 / curSpeed * m.Speedup(l)
-		// While one thread compiles, the remaining w-1 continue at r0.
-		rem := n - (w-1)*r0*c
-		if rem < 0 {
-			rem = 0
-		}
-		t := c + rem/r/w
-		if t < bestT {
-			bestT = t
-			best = l
-		}
-	}
-	consider(LevelUnoptimized, m.UnoptTime(h.Instrs))
-	consider(LevelOptimized, m.OptTime(h.Instrs))
-	if qr.nativeOK(h) {
-		consider(LevelNative, m.NativeTime(h.Instrs))
-	}
-
-	if canVec {
-		vecSpeed := m.SpeedupVecCompute
-		if pl.Vec != nil && pl.Vec.HashDense {
-			vecSpeed = m.SpeedupVecHash
-		}
-		// The kernel is pre-staged: installing it costs no compile time, so
-		// the engine candidate is a pure throughput comparison.
-		r := r0 / curSpeed * vecSpeed
-		if t := n / r / w; t < bestT {
-			bestT = t
-			best = LevelVector
-		}
-	}
-
-	if best == cur {
-		return
-	}
-	if !h.BeginCompile() {
-		return
-	}
-	if best == LevelVector {
-		// Engine switch: publish the kernel right here — there is nothing
-		// to compile. Record the demotion baseline first, same discipline
-		// as native promotion.
-		pr.preVecRate.Store(math.Float64bits(r0))
-		pr.preVecLvl.Store(int32(cur))
-		pr.vecEvals.Store(0)
-		h.InstallVector()
-		qr.engineSwitches.Add(1)
-		pr.resetRates()
-		if qr.trace != nil {
-			now := qr.trace.Since(time.Now())
-			qr.trace.Add(Event{Kind: EvEngine, Pipeline: pl.ID, Label: pl.Label,
-				Worker: -1, Level: LevelVector, Start: now, End: now})
-		}
-		return
-	}
-	qr.stats.Compilations++
-	qr.eng.pool.submit(func() { qr.compileTask(pl, h, pr, best) })
-}
-
-// vectorOK reports whether the vectorized engine may be proposed for h:
-// the tier is enabled, the pipeline compiled to a kernel, and no earlier
-// demotion latched the engine off.
-func (qr *queryRun) vectorOK(h *Handle) bool {
-	return !qr.eng.opts.NoVector && !h.VecFailed() && h.VecKernel() != nil
-}
-
-// vecDemoteWarmup is the number of post-install controller evaluations
-// before the engine-demotion check engages (mirrors demoteWarmup).
-const vecDemoteWarmup = 3
-
-// maybeDemoteVector checks a vectorized pipeline against the rate the
-// cost model promised when the controller switched engines. The rate
-// measured just before the switch, scaled by the modeled speedup ratio,
-// is the prediction; the engine delivering under demoteMargin of it is a
-// misprediction (e.g. a selective filter chain where batching evaluates
-// lanes compiled code would have skipped). The controller then flips the
-// pipeline back to the compiled tier it left — the variant is still on
-// the handle, so demotion costs nothing — and latches the engine off for
-// this pipeline. Runs under the evaluation gate.
-func (qr *queryRun) maybeDemoteVector(pl *codegen.Pipeline, h *Handle, pr *progress) {
-	bits := pr.preVecRate.Load()
-	if bits == 0 {
-		return // static ModeVector: no baseline, no demotion
-	}
-	if pr.vecEvals.Add(1) < vecDemoteWarmup {
-		return
-	}
-	r0 := pr.avgRate()
-	if r0 <= 0 {
-		return
-	}
-	m := qr.eng.opts.Cost
-	prev := Level(pr.preVecLvl.Load())
-	vecSpeed := m.SpeedupVecCompute
-	if pl.Vec != nil && pl.Vec.HashDense {
-		vecSpeed = m.SpeedupVecHash
-	}
-	predicted := math.Float64frombits(bits) / m.Speedup(prev) * vecSpeed
-	if r0 >= predicted*demoteMargin {
-		return
-	}
-	if !h.BeginCompile() {
-		return
-	}
-	pr.preVecRate.Store(0)
-	h.DemoteVector(prev)
-	qr.engineSwitches.Add(1)
-	pr.resetRates()
-	if qr.trace != nil {
-		now := qr.trace.Since(time.Now())
-		qr.trace.Add(Event{Kind: EvEngine, Pipeline: pl.ID, Label: pl.Label,
-			Worker: -1, Level: prev, Start: now, End: now})
+	best := qr.eng.opts.Cost.choose(cur, allowed, h.Instrs, hashDense(pl), r0, n, w)
+	switch {
+	case best == cur:
+	case h.Has(best):
+		qr.switchLevel(pl, h, pr, best, r0, time.Now())
+	case h.BeginCompile():
+		qr.stats.Compilations++
+		qr.eng.pool.submit(func() { qr.compileTask(pl, h, pr, best) })
 	}
 }
 
-// demoteMargin is the fraction of the predicted native rate the measured
-// native rate must reach; below it the controller demotes out of native.
-const demoteMargin = 0.5
+func hashDense(pl *codegen.Pipeline) bool { return pl.Vec != nil && pl.Vec.HashDense }
 
-// demoteWarmup is the number of post-install controller evaluations (one
-// per finished morsel) before the demotion check engages, so the
+// verifyMargin is the fraction of its predicted rate a level must
+// deliver; verifyWarmup is the number of controller evaluations (one per
+// finished morsel) after a switch before the check engages, so the
 // comparison sees settled rate samples, not the first morsel's cold code.
-const demoteWarmup = 3
+const (
+	verifyMargin = 0.5
+	verifyWarmup = 3
+)
 
-// maybeDemote checks a native pipeline against the rate the cost model
-// promised when the controller chose tier 6. The rate measured just
-// before native code was installed, scaled by the modeled speedup ratio,
-// is the prediction; native code delivering under demoteMargin of it is a
-// misprediction (e.g. an exit-heavy pipeline bouncing between machine
-// code and Go on every tuple). The controller then demotes the pipeline
-// to optimized closures, latches the native failure so tier 6 is not
-// re-proposed for this function, and counts the demotion in
-// Stats.NativeFallbacks. Runs under the evaluation gate.
-func (qr *queryRun) maybeDemote(pl *codegen.Pipeline, h *Handle, pr *progress) {
-	bits := pr.preNativeRate.Load()
+// verify is promote-then-verify (§III-C's run-time misprediction), and
+// the only place a demotion is decided: it checks the level cur against
+// the rate the cost model promised when the controller switched to it.
+// The rate measured just before the switch, scaled by the modeled speedup
+// ratio, is the prediction; a level delivering under verifyMargin of it is
+// a misprediction — native code bouncing into Go on every tuple, batching
+// that evaluates lanes compiled code would have skipped. The level is
+// then disabled for this pipeline (native takes the levels the model ranks
+// below it along) and the handle goes back to the level it left, whose
+// rate was measured, not modeled. Going back costs
+// nothing: the variant is still on the handle, in-flight morsels finish
+// where they are against the same runtime state (§IV-E). Reports whether
+// it demoted. Runs under the evaluation gate.
+func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress, cur Level) bool {
+	bits := pr.preRate.Load()
 	if bits == 0 {
-		return // native came from the cache or a static mode: no baseline
+		return false // static mode, warm start or closure tier: no baseline
 	}
-	if pr.nativeEvals.Add(1) < demoteWarmup {
-		return
+	if pr.evals.Add(1) < verifyWarmup {
+		return false
 	}
 	r0 := pr.avgRate()
 	if r0 <= 0 {
-		return
+		return false
 	}
-	m := qr.eng.opts.Cost
-	prev := Level(pr.preNativeLvl.Load())
-	predicted := math.Float64frombits(bits) / m.Speedup(prev) * m.SpeedupNative
-	if r0 >= predicted*demoteMargin {
-		return
+	m, prev, hd := qr.eng.opts.Cost, Level(pr.preLvl.Load()), hashDense(pl)
+	predicted := math.Float64frombits(bits) / m.Speedup(prev, hd) * m.Speedup(cur, hd)
+	if r0 >= predicted*verifyMargin {
+		return false
 	}
-	if !h.BeginCompile() {
-		return
+	off := maskOf(cur)
+	if cur == LevelNative {
+		// Native is the model's best claim for compiled code, and it did
+		// not hold for this pipeline; whatever the model ranks below it —
+		// the closure tiers always (TestNativeDominatesClosures), the
+		// vectorized engine unless the pipeline is hash-dense — is
+		// predicted to do worse still, and goes with it. Without this the
+		// controller would climb straight back from the measured level
+		// into one of them.
+		for l := LevelUnoptimized; l < numLevels; l++ {
+			if m.Speedup(l, hd) < m.Speedup(cur, hd) {
+				off |= maskOf(l)
+			}
+		}
+		qr.nativeFallbacks.Add(1)
 	}
-	pr.preNativeRate.Store(0)
-	qr.eng.pool.submit(func() { qr.demoteTask(pl, h, pr) })
+	h.Disable(off)
+	qr.switchLevel(pl, h, pr, prev, 0, time.Now())
+	return true
 }
 
-// demoteTask installs the optimized closure variant in place of
-// underperforming native code. Mid-morsel safety is the same
-// variant-swap argument as promotion: in-flight morsels finish in native
-// code against the same runtime state, later claims dispatch the closure
-// (§IV-E).
-func (qr *queryRun) demoteTask(pl *codegen.Pipeline, h *Handle, pr *progress) {
-	if qr.cancelled.Load() {
-		h.AbortCompile()
-		return
+// switchLevel moves a running pipeline to level to, whose variant is on
+// the handle, on behalf of the controller. rate is the rate measured at
+// the level being left. A promotion above the closure tiers keeps it as
+// the baseline verify holds the new level to; the closure tiers are not
+// verified, because the Paper() model's speedups for them are LLVM's, not
+// this substrate's, and a demotion (rate 0) leaves no baseline.
+func (qr *queryRun) switchLevel(pl *codegen.Pipeline, h *Handle, pr *progress, to Level, rate float64, start time.Time) {
+	from := h.Level()
+	if to <= LevelOptimized {
+		rate = 0
 	}
-	t0 := time.Now()
-	c, err := jit.CompileOpts(h.Fn, jit.Optimized, h.Prog, qr.jitOpts())
-	if err != nil {
-		h.AbortCompile()
-		qr.fail(fmt.Errorf("exec: demotion compile of %s: %w", h.Fn.Name, err))
-		pr.abort()
-		return
+	pr.preRate.Store(math.Float64bits(rate))
+	pr.preLvl.Store(int32(from))
+	pr.evals.Store(0)
+	h.Install(to)
+	if from == LevelVector || to == LevelVector {
+		qr.engineSwitches.Add(1)
 	}
-	h.MarkNativeFailed()
-	qr.nativeFallbacks.Add(1)
-	h.Install(c, LevelOptimized)
-	if qr.eng.cache != nil {
-		qr.eng.cache.addCompiled(qr.fp, pl.ID, jit.Optimized, c)
-	}
+	// The samples measured the level just left (§III-C).
 	pr.resetRates()
 	if qr.trace != nil {
-		now := time.Now()
-		// An EvNative event whose Level is not LevelNative is a demotion
-		// (aqetrace renders it as such).
-		qr.trace.Add(Event{Kind: EvNative, Pipeline: pl.ID, Label: pl.Label,
-			Worker: -1, Level: LevelOptimized, Start: qr.trace.Since(t0),
-			End: qr.trace.Since(now)})
+		qr.noteSwitch(pl, from, to, start, time.Now())
 	}
+}
+
+// noteSwitch records a level switch in the trace; pl is nil for a static
+// mode's whole module. The kind says which family the switch touched — the
+// vectorized engine, native code, or closures only — and Level where the
+// pipeline landed: an EvNative or EvEngine event whose Level is a
+// different one is a demotion (aqetrace renders it as such).
+func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, from, to Level, start, end time.Time) {
+	ev := Event{Kind: EvCompile, Pipeline: -1, Worker: -1, Level: to,
+		Start: qr.trace.Since(start), End: qr.trace.Since(end)}
+	switch {
+	case from == LevelVector || to == LevelVector:
+		ev.Kind = EvEngine
+	case from == LevelNative || to == LevelNative:
+		ev.Kind = EvNative
+	}
+	if pl != nil {
+		ev.Pipeline, ev.Label = pl.ID, pl.Label
+	}
+	qr.trace.Add(ev)
 }
 
 // compileTask runs on a shared compile-pool worker: it (optionally) sleeps
-// the modeled LLVM-scale latency, really compiles the function, installs
-// the variant, publishes it to the cache, and resets the rate samples.
+// the modeled LLVM-scale latency, really compiles the function — landing
+// in optimized closures if level l will not compile (reach) — and switches
+// the pipeline over.
 func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress, l Level) {
 	if qr.cancelled.Load() {
 		h.AbortCompile()
 		return
 	}
 	t0 := time.Now()
-	m := qr.eng.opts.Cost
-	if m.Simulate {
-		var d time.Duration
-		switch l {
-		case LevelNative:
-			d = m.NativeTime(h.Instrs)
-		case LevelOptimized:
-			d = m.OptTime(h.Instrs)
-		default:
-			d = m.UnoptTime(h.Instrs)
-		}
-		if !qr.sleepUnlessCancelled(d) {
-			h.AbortCompile()
-			return
-		}
+	if m := qr.eng.opts.Cost; m.Simulate && !qr.sleepUnlessCancelled(m.CompileTime(l, h.Instrs, h.Instrs)) {
+		h.AbortCompile()
+		return
 	}
-	level := jit.Unoptimized
-	switch l {
-	case LevelOptimized:
-		level = jit.Optimized
-	case LevelNative:
-		level = jit.Native
-	}
-	c, err := jit.CompileOpts(h.Fn, level, h.Prog, qr.jitOpts())
-	if err != nil && l == LevelNative {
-		// Native assembly failed (unsupported op, exec-memory exhaustion):
-		// degrade this function to the optimized closure tier and latch the
-		// failure so the controller stops proposing tier 6 for it. The
-		// query keeps running either way (§IV-E).
-		h.MarkNativeFailed()
-		qr.nativeFallbacks.Add(1)
-		l, level = LevelOptimized, jit.Optimized
-		c, err = jit.CompileOpts(h.Fn, level, h.Prog, qr.jitOpts())
-	}
+	got, _, err := qr.reach(pl.ID, l)
 	if err != nil {
 		h.AbortCompile()
 		qr.fail(fmt.Errorf("exec: background compile of %s: %w", h.Fn.Name, err))
 		pr.abort()
 		return
 	}
-	if l == LevelNative {
-		qr.nativeCompiles.Add(1)
-		// Record the demotion baseline: the rate samples still measure the
-		// tier native is about to replace.
-		pr.preNativeRate.Store(math.Float64bits(pr.avgRate()))
-		pr.preNativeLvl.Store(int32(h.Level()))
-		pr.nativeEvals.Store(0)
-	}
-	h.Install(c, l)
-	if qr.eng.cache != nil {
-		qr.eng.cache.addCompiled(qr.fp, pl.ID, level, c)
-	}
-	pr.resetRates()
-	if qr.trace != nil {
-		now := time.Now()
-		kind := EvCompile
-		if l == LevelNative {
-			kind = EvNative
-		}
-		qr.trace.Add(Event{Kind: kind, Pipeline: pl.ID, Label: pl.Label,
-			Worker: -1, Level: l, Start: qr.trace.Since(t0), End: qr.trace.Since(now)})
-	}
+	// The rate samples still measure the level got is about to replace.
+	qr.switchLevel(pl, h, pr, got, pr.avgRate(), t0)
 }

@@ -49,64 +49,35 @@ func TestModeSwitchStress(t *testing.T) {
 	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost,
 		MorselSize: 32, CacheBytes: 1 << 20, CompileWorkers: 2})
 
-	// Memoized per-handle variants (mutex-guarded: the hook runs on every
-	// worker concurrently). On platforms without a native backend the
-	// tier-6 slots reuse the optimized closure, so the flip cadence is the
-	// same everywhere. Index 3 is the register-allocating native backend,
-	// index 4 the slot-per-op one — flipping between them mid-pipeline is
-	// exactly the bit-compatibility claim the allocator's flush-at-exit
-	// invariant makes.
-	var variantMu sync.Mutex
-	variants := map[*Handle]*[5]*jit.Compiled{}
-	variantFor := func(h *Handle, idx int, level jit.Level, opts jit.Options) *jit.Compiled {
-		variantMu.Lock()
-		defer variantMu.Unlock()
-		set := variants[h]
-		if set == nil {
-			set = &[5]*jit.Compiled{}
-			variants[h] = set
+	// The hook walks every handle through its own variant table, one level
+	// per morsel: it stages what is missing and installs it, whatever the
+	// controller and the compile pool are doing to the same handle at that
+	// moment. Where there is no native backend, or no kernel for the
+	// pipeline's shape, the optimized closure stands in, so the flip
+	// cadence is the same everywhere. Flipping a pipeline between compiled
+	// code and batch kernels mid-query is the engine-equivalence claim.
+	// Every so often it also disables one of the two top levels, so the
+	// controller's choices shrink under it while it evaluates.
+	var flips, vecFlips atomic.Int64
+	e.morselHook = func(pipeline int, h *Handle, worker int) {
+		n := flips.Add(1)
+		l := Level(n % int64(numLevels))
+		if l == LevelNative && !asm.Supported() || l == LevelVector && !h.Has(l) {
+			l = LevelOptimized
 		}
-		if set[idx] == nil {
-			c, err := jit.CompileOpts(h.Fn, level, h.Prog, opts)
+		if !h.Has(l) {
+			c, err := jit.Compile(h.Fn, l.jit(), h.Prog)
 			if err != nil {
 				panic(err)
 			}
-			set[idx] = c
+			h.Stage(l, c)
 		}
-		return set[idx]
-	}
-	var flips, vecFlips atomic.Int64
-	e.morselHook = func(pipeline int, h *Handle, worker int) {
-		switch flips.Add(1) % 6 {
-		case 0:
-			h.Install(nil, LevelBytecode)
-		case 1:
-			h.Install(variantFor(h, 1, jit.Unoptimized, jit.Options{}), LevelUnoptimized)
-		case 2:
-			h.Install(variantFor(h, 2, jit.Optimized, jit.Options{}), LevelOptimized)
-		case 3:
-			if asm.Supported() {
-				h.Install(variantFor(h, 3, jit.Native, jit.Options{}), LevelNative)
-			} else {
-				h.Install(variantFor(h, 2, jit.Optimized, jit.Options{}), LevelOptimized)
-			}
-		case 4:
-			if asm.Supported() {
-				h.Install(variantFor(h, 4, jit.Native, jit.Options{NoRegAlloc: true}), LevelNative)
-			} else {
-				h.Install(variantFor(h, 2, jit.Optimized, jit.Options{}), LevelOptimized)
-			}
-		case 5:
-			// The vectorized engine: flipping a pipeline between compiled
-			// closures and batch kernels mid-query is the engine-equivalence
-			// claim. Pipelines whose shape the kernel compiler rejected stay
-			// on the optimized closure.
-			if h.VecKernel() != nil {
-				vecFlips.Add(1)
-				h.InstallVector()
-			} else {
-				h.Install(variantFor(h, 2, jit.Optimized, jit.Options{}), LevelOptimized)
-			}
+		if l == LevelVector {
+			vecFlips.Add(1)
+		}
+		h.Install(l)
+		if n%101 == 0 {
+			h.Disable(maskOf(LevelNative + Level(n/101%2)))
 		}
 	}
 

@@ -22,8 +22,8 @@ const (
 	EvAdmit       // admission-queue wait (Start..End = queued interval)
 	EvCancel      // cancellation observed (instantaneous)
 	EvReplan      // mid-query reoptimization at a breaker (Tuples = observed build card)
-	EvNative      // native (tier-6) install — or, when Level != LevelNative, a demotion out of native
-	EvEngine      // engine switch: vectorized install (Level == LevelVector) or demotion back to a compiled tier
+	EvNative      // native (tier-6) install — or, when Level != LevelNative, a demotion back to the level left
+	EvEngine      // engine switch: vectorized install (Level == LevelVector) or demotion back to the level left
 )
 
 // Event is one entry of an execution trace (the data behind Fig. 14).
@@ -169,7 +169,7 @@ func (tr *Trace) Gantt(width int) string {
 			lane = maxWorker + 1
 			ch = 'E'
 			if ev.Level != LevelVector {
-				ch = 'e' // demotion back to a compiled tier
+				ch = 'e' // demotion back to the level left
 			}
 		case EvPhase:
 			ch = '='

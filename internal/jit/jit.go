@@ -122,33 +122,19 @@ func (c *Compiled) Run(ctx *rt.Ctx, args []uint64) uint64 {
 	return fr.ret
 }
 
-// Options selects backend variants below the tier level. The zero value
-// is the default configuration.
-type Options struct {
-	// NoRegAlloc forces the native tier's slot-per-op template backend
-	// (asm.Options.NoRegAlloc); the closure tiers ignore it.
-	NoRegAlloc bool
-}
-
-// Compile compiles f at the given tier with default options. The prog
-// parameter is accepted for callers that already hold the bytecode
-// translation; the closure backend compiles from the IR directly, so it
-// may be nil.
+// Compile compiles f at the given tier. The prog parameter is accepted
+// for callers that already hold the bytecode translation; the closure
+// backend compiles from the IR directly, so it may be nil.
 //
 // The Native tier assembles machine code via internal/asm; it fails with
 // an error wrapping asm.ErrUnsupported on platforms without a backend or
 // for functions using ops outside the template set, and callers fall back
 // to a closure tier.
 func Compile(f *ir.Function, level Level, prog *vm.Program) (*Compiled, error) {
-	return CompileOpts(f, level, prog, Options{})
-}
-
-// CompileOpts is Compile with explicit backend options.
-func CompileOpts(f *ir.Function, level Level, prog *vm.Program, opts Options) (*Compiled, error) {
 	_ = prog
 	start := time.Now()
 	if level == Native {
-		code, err := asm.CompileOpts(f, asm.Options{NoRegAlloc: opts.NoRegAlloc})
+		code, err := asm.Compile(f)
 		if err != nil {
 			return nil, err
 		}

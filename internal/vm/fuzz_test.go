@@ -191,28 +191,22 @@ func FuzzTranslate(f *testing.F) {
 			}
 		}
 		if asm.Supported() {
-			// Both native backends: the register-allocating default and the
-			// slot-per-op baseline must agree with the oracle bit for bit.
-			for _, nv := range []struct {
-				name string
-				opts asm.Options
-			}{{"regalloc", asm.Options{}}, {"slots", asm.Options{NoRegAlloc: true}}} {
-				// Clone: asm.CompileOpts splits critical edges in place.
-				code, err := asm.CompileOpts(fn.Clone(), nv.opts)
-				if err != nil {
-					t.Fatalf("native compile (%s): %v", nv.name, err)
-				}
-				mem := rt.NewMemory()
-				scratch := make([]byte, 32*8)
-				base := mem.AddSegment(scratch)
-				ctx := &rt.Ctx{Mem: mem}
-				res := code.Run(ctx, []uint64{args[0], args[1], base})
-				if res != wantRes {
-					t.Errorf("native (%s): result %#x, want %#x", nv.name, res, wantRes)
-				}
-				if !bytes.Equal(scratch, wantMem) {
-					t.Errorf("native (%s): memory image diverges", nv.name)
-				}
+			// The native backend must agree with the oracle bit for bit.
+			// Clone: asm.Compile splits critical edges in place.
+			code, err := asm.Compile(fn.Clone())
+			if err != nil {
+				t.Fatalf("native compile: %v", err)
+			}
+			mem := rt.NewMemory()
+			scratch := make([]byte, 32*8)
+			base := mem.AddSegment(scratch)
+			ctx := &rt.Ctx{Mem: mem}
+			res := code.Run(ctx, []uint64{args[0], args[1], base})
+			if res != wantRes {
+				t.Errorf("native: result %#x, want %#x", res, wantRes)
+			}
+			if !bytes.Equal(scratch, wantMem) {
+				t.Errorf("native: memory image diverges")
 			}
 		}
 	})
