@@ -37,9 +37,12 @@ import (
 // Mode selects the execution mode.
 type Mode = exec.Mode
 
-// Execution modes. ModeAdaptive (the default) starts every pipeline in the
-// bytecode interpreter and compiles it in the background when the
-// extrapolated remaining work justifies it; the other modes fix the tier
+// Execution modes. ModeAdaptive (the default) decides per pipeline: with
+// real compile latencies (NativeCosts) and a native back end, a pipeline
+// longer than one morsel is assembled to machine code as it starts; every
+// other pipeline — and every pipeline under PaperCosts — starts in the
+// bytecode interpreter and is compiled in the background when the
+// extrapolated remaining work justifies it. The other modes fix the tier
 // up front (the paper's static baselines).
 const (
 	ModeBytecode    = exec.ModeBytecode

@@ -17,8 +17,10 @@ import (
 //     closure tier (the strongest portable compiled baseline).
 //   - forced-vector: ModeVector — every kernel-compilable pipeline runs
 //     the vectorized engine; the rest fall back to optimized closures.
-//   - auto: ModeAdaptive — the controller starts in bytecode and promotes
-//     each pipeline to whichever engine its observed morsel rates favour.
+//   - auto: ModeAdaptive — a pipeline longer than one morsel starts in
+//     native code (bytecode where there is no native back end) and the
+//     controller promotes it to the vectorized engine when its observed
+//     morsel rates favour that.
 //
 // The claims under test: on hash-dense pipelines (hashwalk, the trio's
 // probe pipelines) the vectorized engine beats the compiled tiers, on

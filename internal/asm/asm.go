@@ -48,3 +48,20 @@ var forceAllocFail atomic.Bool
 // SetAllocFailure forces (or clears) simulated executable-memory
 // allocation failure; tests use it to drive the engine's fallback path.
 func SetAllocFailure(fail bool) { forceAllocFail.Store(fail) }
+
+// ExecMemStats counts the executable memory currently mapped: every
+// assembled function owns one page-rounded mapping, unmapped by a
+// finalizer once its Code is unreachable.
+type ExecMemStats struct {
+	Mappings int64 `json:"mappings"`
+	Bytes    int64 `json:"bytes"`
+}
+
+// execMappings and execBytes go up in allocExec and down in free; on a
+// platform without a backend nothing is ever mapped and both stay zero.
+var execMappings, execBytes atomic.Int64
+
+// ExecMemory snapshots the live executable mappings of the process.
+func ExecMemory() ExecMemStats {
+	return ExecMemStats{Mappings: execMappings.Load(), Bytes: execBytes.Load()}
+}

@@ -3,7 +3,9 @@ package asm_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"aqe/internal/asm"
 	"aqe/internal/ir"
@@ -433,5 +435,46 @@ func TestUnsupportedAndAllocFailure(t *testing.T) {
 	b2.Ret(b2.ConstI64(1))
 	if _, err := asm.Compile(f2); err == nil {
 		t.Fatal("forced allocation failure should surface as a compile error")
+	}
+}
+
+// TestExecMemoryCounters: an assembled function holds one page-rounded
+// mapping for as long as its Code is reachable, and the finalizer that
+// unmaps it takes it off the counters again.
+func TestExecMemoryCounters(t *testing.T) {
+	m := ir.NewModule("t")
+	f := m.NewFunc("tiny")
+	b := ir.NewBuilder(f)
+	b.Ret(b.ConstI64(1))
+	if !asm.Supported() {
+		if _, err := asm.Compile(f); err == nil || asm.ExecMemory() != (asm.ExecMemStats{}) {
+			t.Fatalf("no backend, yet compile err = %v and %+v mapped", err, asm.ExecMemory())
+		}
+		return
+	}
+	// Every Code an earlier test assembled is unreachable by now; its
+	// finalizer runs on the runtime's goroutine, some time after the
+	// collection that found it so.
+	drained := func() bool {
+		for i := 0; i < 1000 && asm.ExecMemory().Mappings > 0; i++ {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		return asm.ExecMemory() == asm.ExecMemStats{}
+	}
+	if !drained() {
+		t.Fatalf("nothing is reachable, yet %+v is mapped", asm.ExecMemory())
+	}
+	code, err := asm.Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := asm.ExecMemory(), (asm.ExecMemStats{Mappings: 1, Bytes: int64(code.SizeBytes())}); got != want {
+		t.Errorf("one live mapping: %+v, want %+v", got, want)
+	}
+	runtime.KeepAlive(code)
+	code = nil
+	if !drained() {
+		t.Errorf("the Code is unreachable, yet %+v is mapped", asm.ExecMemory())
 	}
 }

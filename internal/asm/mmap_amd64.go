@@ -35,6 +35,8 @@ func allocExec(code []byte) (*execMem, error) {
 		return nil, fmt.Errorf("asm: mprotect rx: %v: %w", err, ErrUnsupported)
 	}
 	em := &execMem{buf: buf, base: uintptr(unsafe.Pointer(&buf[0])), size: size}
+	execMappings.Add(1)
+	execBytes.Add(int64(size))
 	runtime.SetFinalizer(em, (*execMem).free)
 	return em, nil
 }
@@ -43,5 +45,7 @@ func (em *execMem) free() {
 	if em.buf != nil {
 		syscall.Munmap(em.buf)
 		em.buf = nil
+		execMappings.Add(-1)
+		execBytes.Add(-int64(em.size))
 	}
 }

@@ -1,15 +1,21 @@
 // Package exec is the paper's primary contribution: the adaptive execution
-// framework (§III). Queries always start in the bytecode interpreter on
-// all workers; the engine tracks per-pipeline progress at morsel
+// framework (§III). Every pipeline is translated to bytecode, and one rule
+// decides the level its first morsel runs at (queryRun.start): what an
+// earlier execution left in the plan cache, else — where there is a native
+// back end (amd64) and compile latency is real, not simulated — machine
+// code assembled on the spot when the pipeline is longer than one morsel,
+// because assembling costs here what translating did; else bytecode, the
+// paper's start, which is what Paper() and every platform without a native
+// back end get. From there the engine tracks per-pipeline progress at morsel
 // boundaries, extrapolates the remaining duration of every level the
 // pipeline's handle allows (Fig. 7), and switches pipelines mid-flight by
 // storing a new level into the function handle, which holds every variant
 // (Fig. 5) — no work is lost because all levels execute identical
-// semantics over the same runtime state (§IV-E). Where there is a native
-// back end (amd64) the ladder is bytecode → native machine code or the
-// vectorized engine, and a level that fails to compile or to deliver its
-// predicted rate is disabled for the run; the closure tiers are what a
-// pipeline falls back to, and the whole ladder elsewhere.
+// semantics over the same runtime state (§IV-E). With a native back end
+// the ladder is bytecode → native machine code or the vectorized engine,
+// and a level that fails to compile or to deliver its predicted rate is
+// disabled for the run; the closure tiers are what a pipeline falls back
+// to, and the whole ladder elsewhere.
 package exec
 
 import (
@@ -51,8 +57,8 @@ const (
 )
 
 // level returns the level a static mode puts every pipeline at before
-// execution starts; the adaptive mode, like the interpreters, starts at
-// bytecode.
+// execution starts. The interpreters stay at bytecode; the adaptive mode
+// decides per pipeline, when the pipeline starts (queryRun.start).
 func (m Mode) level() Level {
 	switch m {
 	case ModeUnoptimized:
@@ -256,8 +262,12 @@ func (e *Engine) SchedStats() sched.Stats { return e.sched.AdmissionStats() }
 type Stats struct {
 	Codegen   time.Duration // plan -> IR
 	Translate time.Duration // IR -> bytecode (all pipelines + queryStart)
-	Compile   time.Duration // up-front compilation (static modes)
-	Exec      time.Duration // queryStart + pipelines
+	// Compile is the compilation the query waited for: a static mode's
+	// up-front compilation, and in the adaptive mode the coordinator's
+	// assembly of pipelines at their start — never the controller's
+	// background compilations, which run beside the morsels.
+	Compile   time.Duration
+	Exec      time.Duration // queryStart + pipelines, less start-of-pipeline assembly (Compile)
 	Finalize  time.Duration // pipeline-breaker wall time (within Exec)
 	PruneTime time.Duration // zone-map mask construction (within Exec)
 	Sort      time.Duration // root ORDER BY over the output records (after Exec)
@@ -281,7 +291,7 @@ type Stats struct {
 	Instrs       int // IR instructions in the module
 	Pipelines    int
 	FinalLevels  []Level // per pipeline, the tier that finished it
-	Compilations int     // adaptive compilations launched
+	Compilations int     // adaptive compilations launched: at pipeline starts and in the background
 	RegFileBytes int     // largest bytecode register file
 	FusedOps     int     // macro-ops fused across pipelines (§IV-F)
 	Finalizes    int     // pipeline breakers finalized
@@ -606,9 +616,11 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 			stop := context.AfterFunc(ctx, func() { qr.cancel(context.Cause(ctx)) })
 			defer stop()
 		}
-		tExec := time.Now()
+		// What start spent assembling pipelines lies inside execute's wall
+		// time but is compilation, and is booked there only.
+		tExec, compile0 := time.Now(), st.Compile
 		err = qr.execute()
-		st.Exec += time.Since(tExec)
+		st.Exec += time.Since(tExec) - (st.Compile - compile0)
 		// Fold the run's tier-6 counters (atomics: a background compile can
 		// tick them until the moment of this snapshot). Accumulates across
 		// replan attempts like the duration fields above.

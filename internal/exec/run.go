@@ -34,6 +34,10 @@ type queryRun struct {
 	ctxs       []*rt.Ctx // per worker slot
 	coord      *rt.Ctx
 
+	// vecMemo is the cache's engine memo as this run found it, per pipeline
+	// (all false on a miss): start reads it, runPipeline renews it.
+	vecMemo []bool
+
 	trace *Trace
 
 	// reopt is the replan budget shared across restart attempts, nil
@@ -180,6 +184,7 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 		}
 		st.FusedOps += h.Prog.Fused
 		qr.handles = append(qr.handles, h)
+		qr.vecMemo = append(qr.vecMemo, pipes[i].vecBest)
 	}
 
 	// The static modes above bytecode put every pipeline at the mode's
@@ -214,27 +219,6 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 		}
 		if qr.trace != nil {
 			qr.noteSwitch(nil, LevelBytecode, target, qr.trace.Origin(), time.Now())
-		}
-	}
-
-	// An adaptive query that hits the cache starts every pipeline at the
-	// best level an earlier execution left a variant for — no re-climbing
-	// through bytecode, no assemble latency — or in the vectorized engine
-	// when the previous execution promoted the pipeline there. A level
-	// entered this way has no baseline rate, so the controller does not
-	// verify it: a pipeline warm-started at a level that is wrong for it
-	// stays there for this run. For the engine that is one run, because an
-	// unverified run does not renew the memo (runPipeline); cached native
-	// code is started in every time (ROADMAP direction 1 replaces both with
-	// measured per-level rates).
-	if e.opts.Mode == ModeAdaptive && ent != nil {
-		for i, h := range qr.handles {
-			for l := LevelVector; l > LevelBytecode; l-- {
-				if h.Has(l) && !h.Disabled().has(l) && (l != LevelVector || ent.pipes[i].vecBest) {
-					h.Install(l)
-					break
-				}
-			}
 		}
 	}
 
@@ -628,6 +612,7 @@ func (qr *queryRun) runPipeline(id int) {
 		if len(pl.Prune) > 0 && !qr.eng.opts.NoZoneMaps {
 			qr.applyZoneMaps(pl, pr, total)
 		}
+		qr.start(pl, h, pr)
 		// The engine's shared pool executes the morsels; this coordinator
 		// blocks until the pipeline drains. Under concurrent load the pool
 		// interleaves this pipeline's morsels with every other in-flight
@@ -684,6 +669,57 @@ func (qr *queryRun) runPipeline(id int) {
 	// A cancel that landed during finalize left the breaker half-built;
 	// unwind before any later pipeline can read it.
 	qr.checkFailed()
+}
+
+// start decides the level an adaptive pipeline's first morsel runs at. It
+// runs on the coordinator between pruning and the hand-over to the
+// scheduler, when the work left is known and this goroutine has nothing
+// else to do.
+//
+// What an earlier execution left on the handle comes first: the best
+// compiled variant, or the vectorized kernel when the cache's memo says the
+// last run earned it. Otherwise the pipeline is assembled to native code
+// right here — on this substrate that costs what translating it to bytecode
+// cost, which was paid unconditionally — unless it fits in one initial
+// morsel: it would end before the controller's first look, and assembling
+// it costs more than interpreting it. A failed assembly disables the level
+// and leaves the pipeline to the controller at bytecode, as on a platform
+// without a native back end. Under a model that simulates compile latency
+// (Paper()) compilation is the expensive thing the paper says it is and
+// must be earned from a measured rate, so nothing is compiled here.
+//
+// A level entered here has no baseline rate, so the controller does not
+// verify it: a pipeline started at a level that is wrong for it stays there
+// for this run. For the engine that is one run, because an unverified run
+// does not renew the memo (runPipeline); native code is started in every
+// time (ROADMAP direction 1 replaces both with measured per-level rates).
+func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) {
+	if qr.eng.opts.Mode != ModeAdaptive {
+		return
+	}
+	off := h.Disabled()
+	for l := LevelVector; l > LevelBytecode; l-- {
+		if h.Has(l) && !off.has(l) && (l != LevelVector || qr.vecMemo[pl.ID]) {
+			h.Install(l)
+			return
+		}
+	}
+	if off.has(LevelNative) || qr.eng.opts.Cost.Simulate || pr.work <= qr.eng.opts.MorselSize {
+		return
+	}
+	t0 := time.Now()
+	qr.stats.Compilations++
+	_, err := qr.compile(pl.ID, LevelNative)
+	qr.stats.Compile += time.Since(t0)
+	if err != nil {
+		h.Disable(maskOf(LevelNative))
+		qr.nativeFallbacks.Add(1)
+		return
+	}
+	h.Install(LevelNative)
+	if qr.trace != nil {
+		qr.noteSwitch(pl, LevelBytecode, LevelNative, t0, time.Now())
+	}
 }
 
 // checkFailed unwinds the interpreted queryStart if the query failed or
@@ -981,7 +1017,7 @@ const (
 func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress, cur Level) bool {
 	bits := pr.preRate.Load()
 	if bits == 0 {
-		return false // static mode, warm start or closure tier: no baseline
+		return false // static mode, level entered by start, or closure tier: no baseline
 	}
 	if pr.evals.Add(1) < verifyWarmup {
 		return false

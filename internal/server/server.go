@@ -14,6 +14,7 @@ import (
 	"unicode/utf8"
 
 	"aqe"
+	"aqe/internal/asm"
 	"aqe/internal/exec"
 	"aqe/internal/expr"
 )
@@ -176,7 +177,7 @@ func wireStatsOf(res *aqe.Result) *WireStats {
 }
 
 // Handler returns the HTTP handler: POST /query (NDJSON stream), GET
-// /stats (admission + cache counters), GET /healthz.
+// /stats (admission, cache and executable-memory counters), GET /healthz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -397,13 +398,15 @@ func appendJSONString(dst, s []byte) []byte {
 	return append(dst, '"')
 }
 
-// handleStats reports server-wide admission and plan-cache counters.
+// handleStats reports server-wide admission and plan-cache counters and
+// the executable memory the process has mapped for native code.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	eng := s.db.Engine()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"admission": eng.SchedStats(),
 		"cache":     eng.CacheStats(),
+		"exec_mem":  asm.ExecMemory(),
 	})
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"aqe"
+	"aqe/internal/asm"
 )
 
 // testServer is one running server on ephemeral localhost ports.
@@ -264,7 +265,8 @@ func TestBinaryProtocol(t *testing.T) {
 	if _, err := cl.Execute("byflag", []string{"'A'"}, 0); err == nil {
 		t.Fatal("EXECUTE after Deallocate succeeded")
 	}
-	// The Stats endpoint reflects the admitted tenant.
+	// The Stats endpoint reflects the admitted tenant, and the machine
+	// code the queries above left in the plan cache.
 	resp, err := http.Get(ts.url("/stats"))
 	if err != nil {
 		t.Fatal(err)
@@ -273,6 +275,7 @@ func TestBinaryProtocol(t *testing.T) {
 		Admission struct {
 			Tenants map[string]struct{ Admitted int64 }
 		}
+		ExecMem *asm.ExecMemStats `json:"exec_mem"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
@@ -280,6 +283,9 @@ func TestBinaryProtocol(t *testing.T) {
 	resp.Body.Close()
 	if stats.Admission.Tenants["gold"].Admitted == 0 {
 		t.Fatalf("tenant gold not visible in /stats: %+v", stats.Admission.Tenants)
+	}
+	if m := stats.ExecMem; m == nil || (m.Mappings > 0) != asm.Supported() || m.Bytes < 4096*m.Mappings {
+		t.Fatalf("exec_mem in /stats: %+v with native backend = %v", m, asm.Supported())
 	}
 }
 
