@@ -72,7 +72,12 @@ func PaperCosts() *CostModel { return exec.Paper() }
 // no simulated latency.
 func NativeCosts() *CostModel { return exec.Native() }
 
-// Options configures a DB.
+// Options configures a DB: how queries run (mode, cost model, workers,
+// trace), what is cached, and how concurrent queries share the engine.
+// Parallel breaker finalization, Bloom-filtered probes, zone-map pruning
+// and string dictionaries are not settings — they are always on; their
+// off switches exist in internal/exec only, as the reference side of the
+// differential tests.
 type Options struct {
 	// Workers is the number of worker threads (default 4).
 	Workers int
@@ -80,30 +85,14 @@ type Options struct {
 	Mode Mode
 	// Cost is the compile-cost model (default NativeCosts()).
 	Cost *CostModel
-	// Trace records per-morsel execution traces on every result.
+	// Trace records per-morsel execution traces on every result; a
+	// multi-stage query's Result.Trace holds all its stages on one axis.
 	Trace bool
 	// CacheBytes is the byte budget of the plan-fingerprint compilation
 	// cache that lets repeated queries skip translation and start in the
 	// best previously compiled tier. 0 selects the default (64 MiB);
 	// negative disables caching.
 	CacheBytes int64
-	// SerialFinalize retains the single-threaded pipeline-breaker path
-	// (join chain linking, aggregation merge) instead of the default
-	// hash-range partitioned parallel finalization.
-	SerialFinalize bool
-	// NoJoinFilter disables the Bloom filter generated in join probes.
-	NoJoinFilter bool
-	// FilterStats counts Bloom-filter hits and skipped chain walks per
-	// query (Stats.FilterHits/FilterSkips) at a small per-probe cost.
-	FilterStats bool
-	// NoZoneMaps disables zone-map morsel pruning: scans dispatch every
-	// block even when per-block min/max statistics prove the pushed-down
-	// predicate rejects it.
-	NoZoneMaps bool
-	// NoDict disables the order-preserving string dictionaries: string
-	// predicates, group hashing, and zone-map pruning run against the raw
-	// strings (results are bit-identical either way).
-	NoDict bool
 	// MaxConcurrent caps the number of queries executing at once; excess
 	// arrivals wait in a FIFO admission queue (Stats.Queued/WaitTime).
 	// Default 8.
@@ -152,9 +141,7 @@ func Open(opts Options) *DB {
 	}
 	eopts := exec.Options{Workers: opts.Workers, Mode: opts.Mode,
 		Cost: opts.Cost, Trace: opts.Trace, CacheBytes: cacheBytes,
-		SerialFinalize: opts.SerialFinalize, NoJoinFilter: opts.NoJoinFilter,
-		FilterStats: opts.FilterStats, NoZoneMaps: opts.NoZoneMaps,
-		NoDict: opts.NoDict, MaxConcurrent: opts.MaxConcurrent,
+		MaxConcurrent:          opts.MaxConcurrent,
 		MaxConcurrentPerTenant: opts.MaxConcurrentPerTenant,
 		TenantWeights:          opts.TenantWeights,
 		PoolWorkers:            opts.PoolWorkers,

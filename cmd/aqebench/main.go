@@ -1,22 +1,20 @@
-// Command aqebench regenerates every table and figure of the paper's
-// evaluation (§V): per-experiment workload generation, parameter sweeps,
-// baselines, and output in the same rows/series the paper reports.
+// Command aqebench regenerates the tables and figures of the paper's
+// evaluation (§V, plus §IV-C's register-file sizes): per-experiment
+// workload generation, parameter sweeps, baselines, and output in the same
+// rows/series the paper reports. Everything measured after the paper lives
+// in bench/ (bash bench/run.sh --workload <w> --trace 1).
 //
 //	aqebench -exp all            # everything at the default scale
 //	aqebench -exp fig13 -maxsf 1 # the SF sweep up to SF 1
-//
-// Experiments: fig2, fig6, fig13, fig14, fig15, table1, table2, regalloc,
-// cache, breakers, zonemaps, dict, concurrency, joinorder, native, hybrid,
-// service (open-loop wire-protocol load with per-tenant fair-share).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"os"
+	"strings"
 	"time"
 
 	"aqe/internal/codegen"
@@ -42,42 +40,62 @@ func mustCompile(node plan.Node, mem *rt.Memory, name string) *codegen.Query {
 	return cq
 }
 
+// experiments is the one list main, the -exp usage string and the
+// unknown-name error share.
+var experiments = []struct {
+	name string
+	fn   func()
+}{
+	{"fig2", fig2},
+	{"fig6", fig6},
+	{"fig13", fig13},
+	{"fig14", fig14},
+	{"fig15", fig15},
+	{"table1", table1},
+	{"table2", table2},
+	{"regalloc", regalloc},
+}
+
+// expNames lists what -exp accepts, "|"-separated.
+func expNames() string {
+	names := make([]string, 0, len(experiments)+1)
+	for _, ex := range experiments {
+		names = append(names, ex.name)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
 var (
-	expFlag   = flag.String("exp", "all", "experiment: fig2|fig6|fig13|fig14|fig15|table1|table2|regalloc|cache|breakers|zonemaps|dict|concurrency|joinorder|native|hybrid|service|all")
+	expFlag   = flag.String("exp", "all", "experiment: "+expNames())
 	sfFlag    = flag.Float64("sf", 0.1, "TPC-H scale factor for single-scale experiments")
 	maxSfFlag = flag.Float64("maxsf", 0.3, "largest scale factor of the fig13 sweep")
 	workers   = flag.Int("workers", 4, "worker threads")
-	cacheFlag = flag.Int64("cache", 64<<20, "plan-cache byte budget for the cache experiment (0 disables)")
-	durFlag   = flag.Duration("dur", 1500*time.Millisecond, "measurement window per client count in the concurrency experiment")
-	qpsFlag   = flag.Float64("qps", 60, "per-tenant open-loop arrival rate for the service experiment")
 )
 
 func main() {
 	flag.Parse()
-	run := func(name string, fn func()) {
-		if *expFlag == "all" || *expFlag == name {
-			fmt.Printf("==================== %s ====================\n", name)
-			fn()
-			fmt.Println()
+	os.Exit(run(*expFlag, os.Stderr))
+}
+
+// run executes the named experiment ("all": every one, in the paper's
+// order) and returns the process exit code: 2, with the valid names on
+// stderr, for a name that is not in the table.
+func run(name string, stderr io.Writer) int {
+	known := name == "all"
+	for _, ex := range experiments {
+		if name != "all" && name != ex.name {
+			continue
 		}
+		known = true
+		fmt.Printf("==================== %s ====================\n", ex.name)
+		ex.fn()
+		fmt.Println()
 	}
-	run("fig2", fig2)
-	run("fig6", fig6)
-	run("fig13", fig13)
-	run("fig14", fig14)
-	run("fig15", fig15)
-	run("table1", table1)
-	run("table2", table2)
-	run("regalloc", regalloc)
-	run("cache", cacheExp)
-	run("breakers", breakers)
-	run("zonemaps", zonemaps)
-	run("dict", dict)
-	run("concurrency", concurrency)
-	run("joinorder", joinorder)
-	run("native", nativeExp)
-	run("hybrid", hybridExp)
-	run("service", serviceExp)
+	if !known {
+		fmt.Fprintf(stderr, "aqebench: unknown experiment %q (valid: %s)\n", name, expNames())
+		return 2
+	}
+	return 0
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
@@ -228,29 +246,14 @@ func fig14() {
 	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeUnoptimized, exec.ModeAdaptive} {
 		e := exec.New(exec.Options{Workers: 4, Mode: m, Cost: exec.Paper(),
 			Trace: true, MorselSize: 1024})
-		// Run both stages and merge their traces onto one axis.
-		q := tpch.Query(cat, 11)
-		prior := map[string]*storage.Table{}
-		var merged *exec.Trace
 		t0 := time.Now()
-		for i, stg := range q.Stages {
-			node := stg.Build(prior)
-			res, err := e.RunPlan(node, stg.Name)
-			if err != nil {
-				fmt.Println("error:", err)
-				return
-			}
-			if i < len(q.Stages)-1 {
-				prior[stg.Name] = res.ToTable(stg.Name)
-			}
-			if merged == nil {
-				merged = res.Trace
-			} else {
-				merged.Merge(res.Trace)
-			}
+		res, err := e.Run(tpch.Query(cat, 11))
+		if err != nil {
+			fmt.Println("error:", err)
+			return
 		}
 		fmt.Printf("--- %s: total %.2f ms ---\n", m, ms(time.Since(t0)))
-		fmt.Print(merged.Gantt(96))
+		fmt.Print(res.Trace.Gantt(96))
 		fmt.Println()
 	}
 }
@@ -463,460 +466,4 @@ func regalloc() {
 	}
 }
 
-// ---- cache: cold vs warm repeated-query latency through the plan cache ----
-
-// cacheExp models the interactive / dashboard workload the compilation cache
-// targets: the same query text arrives again and again. Each query runs once
-// cold (translate + compile paid) and once warm (served from the
-// fingerprint-keyed cache) on the same engine; the cost model is the
-// paper-calibrated LLVM latency, so the warm column shows exactly the
-// compilation wait the cache removes.
-func cacheExp() {
-	cat := catalog(*sfFlag)
-	fmt.Printf("repeated TPC-H queries at SF %.2f, %d workers, cache budget %d KiB\n",
-		*sfFlag, *workers, *cacheFlag>>10)
-	queries := []int{1, 3, 5, 6, 12, 14, 19}
-	for _, mode := range []exec.Mode{exec.ModeOptimized, exec.ModeAdaptive} {
-		e := exec.New(exec.Options{Workers: *workers, Mode: mode,
-			Cost: exec.Paper(), CacheBytes: *cacheFlag})
-		fmt.Printf("--- %s ---\n", mode)
-		fmt.Printf("%-6s %12s %12s %12s %12s %12s %12s %12s %12s\n",
-			"query", "c.trans[ms]", "c.comp[ms]", "c.exec[ms]", "c.total[ms]",
-			"w.trans[ms]", "w.comp[ms]", "w.exec[ms]", "w.total[ms]")
-		var coldTot, warmTot time.Duration
-		for _, qn := range queries {
-			q := tpch.Query(cat, qn)
-			t0 := time.Now()
-			cold, err := e.Run(q)
-			coldD := time.Since(t0)
-			if err != nil {
-				fmt.Printf("Q%d: %v\n", qn, err)
-				continue
-			}
-			t0 = time.Now()
-			warm, err := e.Run(q)
-			warmD := time.Since(t0)
-			if err != nil {
-				fmt.Printf("Q%d warm: %v\n", qn, err)
-				continue
-			}
-			if !warm.Stats.CacheHit {
-				fmt.Printf("Q%d: warm run missed the cache!\n", qn)
-			}
-			coldTot += coldD
-			warmTot += warmD
-			fmt.Printf("%-6s %12.2f %12.2f %12.2f %12.2f %12.2f %12.2f %12.2f %12.2f\n",
-				fmt.Sprintf("Q%d", qn),
-				ms(cold.Stats.Translate), ms(cold.Stats.Compile), ms(cold.Stats.Exec), ms(coldD),
-				ms(warm.Stats.Translate), ms(warm.Stats.Compile), ms(warm.Stats.Exec), ms(warmD))
-		}
-		st := e.CacheStats()
-		fmt.Printf("total cold %.2f ms, warm %.2f ms (%.1fx); cache: %d entries, %d KiB/%d KiB, %d hits, %d misses, %d evictions\n",
-			ms(coldTot), ms(warmTot), ms(coldTot)/ms(warmTot),
-			st.Entries, st.Bytes>>10, st.Budget>>10, st.Hits, st.Misses, st.Evictions)
-	}
-	fmt.Println("(cold pays translation plus the paper-calibrated LLVM latency; warm starts in the best cached tier)")
-}
-
-// ---- breakers: parallel pipeline-breaker finalization + Bloom filters ----
-
-// breakers measures the two halves of the parallel-breaker work: the wall
-// time spent inside join/aggregation finalization as the worker count grows
-// (serial vs hash-range partitioned), and the end-to-end effect of the
-// Bloom-filtered probes on join-heavy queries. Native costs, optimized
-// mode: no simulated compile latency pollutes the barrier measurement.
-func breakers() {
-	cat := catalog(*sfFlag)
-	native := exec.Native()
-	const reps = 3
-
-	// Finalize wall time over breaker-heavy queries, summed per config;
-	// best of reps runs to damp scheduler noise.
-	breakerQs := []int{3, 9, 13, 18, 21}
-	measure := func(w int, serial bool) time.Duration {
-		best := time.Duration(math.MaxInt64)
-		for r := 0; r < reps; r++ {
-			var tot time.Duration
-			for _, qn := range breakerQs {
-				e := exec.New(exec.Options{Workers: w, Mode: exec.ModeOptimized,
-					Cost: native, SerialFinalize: serial})
-				res, err := e.Run(tpch.Query(cat, qn))
-				if err != nil {
-					panic(fmt.Sprintf("Q%d: %v", qn, err))
-				}
-				tot += res.Stats.Finalize
-			}
-			if tot < best {
-				best = tot
-			}
-		}
-		return best
-	}
-	fmt.Printf("breaker finalize wall time at SF %.2f (sum over Q3,9,13,18,21; optimized mode, native costs, best of %d)\n",
-		*sfFlag, reps)
-	fmt.Printf("%-8s %12s %14s %9s\n", "workers", "serial[ms]", "parallel[ms]", "speedup")
-	for _, w := range []int{1, 2, 4, 8} {
-		s := measure(w, true)
-		p := measure(w, false)
-		fmt.Printf("%-8d %12.2f %14.2f %8.2fx\n", w, ms(s), ms(p), ms(s)/ms(p))
-	}
-
-	// Bloom filter on/off, end-to-end execution time of probe-heavy queries.
-	probeQs := []int{5, 9, 18, 21}
-	fmt.Printf("\nBloom-filtered probes at SF %.2f, %d workers (exec time, best of %d)\n",
-		*sfFlag, *workers, reps)
-	fmt.Printf("%-6s %12s %12s %9s %12s %12s %7s\n",
-		"query", "off[ms]", "on[ms]", "speedup", "hits", "skips", "skip%")
-	for _, qn := range probeQs {
-		exe := func(noFilter bool) time.Duration {
-			best := time.Duration(math.MaxInt64)
-			for r := 0; r < reps; r++ {
-				e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-					Cost: native, NoJoinFilter: noFilter})
-				res, err := e.Run(tpch.Query(cat, qn))
-				if err != nil {
-					panic(fmt.Sprintf("Q%d: %v", qn, err))
-				}
-				if res.Stats.Exec < best {
-					best = res.Stats.Exec
-				}
-			}
-			return best
-		}
-		off := exe(true)
-		on := exe(false)
-		// A separate counting pass: the hit/skip counters cost per-probe
-		// work, so they stay out of the timed runs.
-		e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-			Cost: native, FilterStats: true})
-		res, err := e.Run(tpch.Query(cat, qn))
-		if err != nil {
-			panic(fmt.Sprintf("Q%d: %v", qn, err))
-		}
-		hits, skips := res.Stats.FilterHits, res.Stats.FilterSkips
-		pct := 0.0
-		if hits+skips > 0 {
-			pct = 100 * float64(skips) / float64(hits+skips)
-		}
-		fmt.Printf("%-6s %12.2f %12.2f %8.2fx %12d %12d %6.1f%%\n",
-			fmt.Sprintf("Q%d", qn), ms(off), ms(on), ms(off)/ms(on), hits, skips, pct)
-	}
-	fmt.Println("(skip% = probes whose chain walk the filter eliminated)")
-
-	// Out-of-cache probe: the filter's target regime is a build table whose
-	// bucket array misses the LLC while the 4x-denser filter still fits.
-	// TPC-H at small SF keeps every bucket array cache-resident, where a
-	// skipped bucket load saves nothing; this workload sizes the build side
-	// past the LLC (64M buckets = 512 MB, filter = 128 MB) with ~90% of
-	// probes missing.
-	const nBuild = 20_000_000
-	const nProbe = 40_000_000
-	bk := storage.NewColumn("k", storage.Int64)
-	for i := 0; i < nBuild; i++ {
-		bk.AppendInt64(int64(i))
-	}
-	bt := storage.NewTable("bigbuild", bk)
-	pk := storage.NewColumn("p", storage.Int64)
-	for i := 0; i < nProbe; i++ {
-		pk.AppendInt64(int64(uint64(i) * 0x9E3779B97F4A7C15 % (10 * nBuild)))
-	}
-	pt := storage.NewTable("bigprobe", pk)
-	mkPlan := func() plan.Node {
-		b := plan.NewScan(bt, "k")
-		p := plan.NewScan(pt, "p")
-		j := plan.NewJoin(plan.Inner, b, p,
-			[]expr.Expr{plan.C(b.Schema(), "k")},
-			[]expr.Expr{plan.C(p.Schema(), "p")}, nil)
-		return plan.NewGroupBy(j, nil, nil,
-			[]plan.AggExpr{{Func: plan.CountStar, Name: "n"}})
-	}
-	bigExe := func(noFilter, stats bool) *exec.Result {
-		best := (*exec.Result)(nil)
-		for r := 0; r < 2; r++ {
-			e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-				Cost: native, NoJoinFilter: noFilter, FilterStats: stats})
-			res, err := e.RunPlan(mkPlan(), "bigprobe")
-			if err != nil {
-				panic(err)
-			}
-			if best == nil || res.Stats.Exec < best.Stats.Exec {
-				best = res
-			}
-		}
-		return best
-	}
-	fmt.Printf("\nout-of-cache probe (%dM build keys, %dM probes, ~90%% miss; optimized mode, %d workers, best of 2)\n",
-		nBuild/1000000, nProbe/1000000, *workers)
-	boff := bigExe(true, false)
-	bon := bigExe(false, false)
-	bst := bigExe(false, true)
-	fmt.Printf("  filter off: %8.1f ms   filter on: %8.1f ms   speedup: %.2fx   skip%%: %.1f\n",
-		ms(boff.Stats.Exec), ms(bon.Stats.Exec), ms(boff.Stats.Exec)/ms(bon.Stats.Exec),
-		100*float64(bst.Stats.FilterSkips)/float64(bst.Stats.FilterHits+bst.Stats.FilterSkips))
-}
-
-// ---- zonemaps: zone-map morsel pruning on/off + block-size sweep ----
-
-// zonemaps measures what data skipping buys on top of compilation: all 22
-// queries with pruning on vs off (optimized mode, native costs — scan
-// throughput is the quantity under test) plus the per-query skip rate,
-// then a block-size sweep on Q6, the classic zone-map query (three range
-// predicates on a date-clustered fact table).
-func zonemaps() {
-	cat := catalog(*sfFlag)
-	native := exec.Native()
-	const reps = 3
-	exe := func(qn int, off bool) *exec.Result {
-		var best *exec.Result
-		for r := 0; r < reps; r++ {
-			e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-				Cost: native, NoZoneMaps: off})
-			res, err := e.Run(tpch.Query(cat, qn))
-			if err != nil {
-				panic(fmt.Sprintf("Q%d: %v", qn, err))
-			}
-			if best == nil || res.Stats.Exec < best.Stats.Exec {
-				best = res
-			}
-		}
-		return best
-	}
-	fmt.Printf("zone-map pruning at SF %.2f, %d workers (optimized mode, native costs, exec time, best of %d)\n",
-		*sfFlag, *workers, reps)
-	fmt.Printf("%-6s %10s %10s %9s %12s %12s %7s\n",
-		"query", "off[ms]", "on[ms]", "speedup", "pruned", "prunable", "skip%")
-	for qn := 1; qn <= 22; qn++ {
-		off := exe(qn, true)
-		on := exe(qn, false)
-		st := on.Stats
-		pct := 0.0
-		if st.PrunableTuples > 0 {
-			pct = 100 * float64(st.TuplesPruned) / float64(st.PrunableTuples)
-		}
-		fmt.Printf("%-6s %10.2f %10.2f %8.2fx %12d %12d %6.1f%%\n",
-			fmt.Sprintf("Q%d", qn), ms(off.Stats.Exec), ms(on.Stats.Exec),
-			ms(off.Stats.Exec)/ms(on.Stats.Exec),
-			st.TuplesPruned, st.PrunableTuples, pct)
-	}
-	fmt.Println("(skip% = pruned tuples / source tuples of scans carrying a prune descriptor; multi-stage queries report their final stage)")
-
-	// Block-size sweep on Q6: smaller blocks prune at finer granularity but
-	// cost more statistics; 64k matches the largest morsel.
-	fmt.Printf("\nQ6 block-size sweep (same setup)\n")
-	fmt.Printf("%-10s %10s %12s %12s %7s\n", "blockRows", "on[ms]", "pruned", "prunable", "skip%")
-	for _, br := range []int{4096, 16384, 65536, 262144} {
-		cat.BuildZoneMaps(br)
-		on := exe(6, false)
-		st := on.Stats
-		pct := 0.0
-		if st.PrunableTuples > 0 {
-			pct = 100 * float64(st.TuplesPruned) / float64(st.PrunableTuples)
-		}
-		fmt.Printf("%-10d %10.2f %12d %12d %6.1f%%\n",
-			br, ms(on.Stats.Exec), st.TuplesPruned, st.PrunableTuples, pct)
-	}
-	// The catalog is shared across experiments: restore the default maps.
-	cat.BuildZoneMaps(storage.DefaultZoneBlockRows)
-}
-
-// ---- dict: order-preserving string dictionaries on/off ----
-
-// dict measures what the dictionary rewrites buy: all 22 TPC-H queries
-// with NoDict on vs off (optimized mode, native costs — string predicate
-// and hashing throughput is the quantity under test) with per-query
-// rewrite counts and string zone-map skips, then a synthetic
-// high-cardinality string workload whose clustered key makes code-valued
-// zone maps prune.
-func dict() {
-	cat := catalog(*sfFlag)
-	native := exec.Native()
-	const reps = 3
-	exe := func(qn int, off bool) *exec.Result {
-		var best *exec.Result
-		for r := 0; r < reps; r++ {
-			e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-				Cost: native, NoDict: off})
-			res, err := e.Run(tpch.Query(cat, qn))
-			if err != nil {
-				panic(fmt.Sprintf("Q%d: %v", qn, err))
-			}
-			if best == nil || res.Stats.Exec < best.Stats.Exec {
-				best = res
-			}
-		}
-		return best
-	}
-	fmt.Printf("string dictionaries at SF %.2f, %d workers (optimized mode, native costs, exec time, best of %d)\n",
-		*sfFlag, *workers, reps)
-	fmt.Printf("%-6s %10s %10s %9s %9s %9s %10s %7s\n",
-		"query", "off[ms]", "on[ms]", "speedup", "rewrites", "strblk", "pruned", "skip%")
-	for qn := 1; qn <= 22; qn++ {
-		off := exe(qn, true)
-		on := exe(qn, false)
-		st := on.Stats
-		pct := 0.0
-		if st.PrunableTuples > 0 {
-			pct = 100 * float64(st.TuplesPruned) / float64(st.PrunableTuples)
-		}
-		fmt.Printf("%-6s %10.2f %10.2f %8.2fx %9d %9d %10d %6.1f%%\n",
-			fmt.Sprintf("Q%d", qn), ms(off.Stats.Exec), ms(on.Stats.Exec),
-			ms(off.Stats.Exec)/ms(on.Stats.Exec),
-			st.DictRewrites, st.StringBlocksPruned, st.TuplesPruned, pct)
-	}
-	fmt.Println("(rewrites/strblk/skip% report the final stage of multi-stage queries)")
-
-	// Synthetic high-cardinality string workload: a near-sorted key column
-	// (range predicate → tight code zone maps) plus a low-cardinality
-	// category LIKE and a group-by on the category.
-	rows := int(*sfFlag * 6_000_000)
-	if rows < 50_000 {
-		rows = 50_000
-	}
-	st := synth.StringTable(rows)
-	lo := fmt.Sprintf("sku-%08d", rows*4*45/100)
-	hi := fmt.Sprintf("sku-%08d", rows*4*55/100)
-	synExe := func(off bool) *exec.Result {
-		var best *exec.Result
-		for r := 0; r < reps; r++ {
-			e := exec.New(exec.Options{Workers: *workers, Mode: exec.ModeOptimized,
-				Cost: native, NoDict: off})
-			res, err := e.RunPlan(synth.StringAggPlan(st, lo, hi), "strsynth")
-			if err != nil {
-				panic(err)
-			}
-			if best == nil || res.Stats.Exec < best.Stats.Exec {
-				best = res
-			}
-		}
-		return best
-	}
-	off := synExe(true)
-	on := synExe(false)
-	s := on.Stats
-	pct := 0.0
-	if s.PrunableTuples > 0 {
-		pct = 100 * float64(s.TuplesPruned) / float64(s.PrunableTuples)
-	}
-	fmt.Printf("\nsynthetic string table (%d rows, ~%d distinct keys, 10%% key range + category LIKE, group by category)\n",
-		rows, rows)
-	fmt.Printf("  dict off: %8.2f ms   dict on: %8.2f ms   speedup: %.2fx   rewrites: %d   string blocks pruned: %d   skip%%: %.1f\n",
-		ms(off.Stats.Exec), ms(on.Stats.Exec), ms(off.Stats.Exec)/ms(on.Stats.Exec),
-		s.DictRewrites, s.StringBlocksPruned, pct)
-}
-
 type aqeDatum = expr.Datum
-
-// ---- concurrency: throughput and latency vs concurrent clients ----
-
-// concurrency drives one shared engine with 1..16 closed-loop clients
-// cycling through a TPC-H mix and reports throughput, speedup over a
-// single client, latency percentiles, and admission-queue behaviour.
-//
-// The headline series uses optimized mode with the paper's compile-cost
-// model and no plan cache, so every query carries its modeled LLVM
-// compile latency: that latency is pure waiting, and overlapping it
-// across queries is exactly what a shared scheduler buys even on few
-// cores. The mix is the short analytic queries whose compile time
-// rivals their execution time — the regime §II calls out, where
-// compilation dominates end-to-end latency. The second series
-// (adaptive, native costs, cache on) shows the steady-state CPU-bound
-// regime where throughput is capped by the core count.
-func concurrency() {
-	cat := catalog(*sfFlag)
-	qns := []int{2, 14, 15, 16, 22}
-	clientCounts := []int{1, 2, 4, 8, 16}
-	const admitCap = 8
-
-	series := []struct {
-		name  string
-		mode  exec.Mode
-		cost  *exec.CostModel
-		cache int64
-	}{
-		{"optimized+paper-compile, cache off", exec.ModeOptimized, exec.Paper(), -1},
-		{"adaptive+native, cache on", exec.ModeAdaptive, exec.Native(), 64 << 20},
-	}
-	for _, s := range series {
-		fmt.Printf("%s at SF %.2f, %v per run, pool %d, admission cap %d, queries %v\n",
-			s.name, *sfFlag, *durFlag, *workers, admitCap, qns)
-		fmt.Printf("%-8s %9s %9s %11s %11s %11s %11s %8s\n",
-			"clients", "QPS", "speedup", "mean[ms]", "p50[ms]", "p95[ms]", "wait[ms]", "queued")
-		var base float64
-		for _, nc := range clientCounts {
-			cb := s.cache
-			if cb < 0 {
-				cb = 0
-			}
-			e := exec.New(exec.Options{Workers: 2, PoolWorkers: *workers,
-				MaxConcurrent: admitCap, Mode: s.mode, Cost: s.cost, CacheBytes: cb})
-			var mu sync.Mutex
-			var lats []time.Duration
-			var measuring atomic.Bool
-			var done atomic.Int64
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for c := 0; c < nc; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						qn := qns[(c+i)%len(qns)]
-						t0 := time.Now()
-						if _, err := e.Run(tpch.Query(cat, qn)); err != nil {
-							panic(err)
-						}
-						lat := time.Since(t0)
-						if measuring.Load() {
-							mu.Lock()
-							lats = append(lats, lat)
-							mu.Unlock()
-							done.Add(1)
-						}
-					}
-				}(c)
-			}
-			// Warm up (catalogs, code caches, steady client overlap), then
-			// count only completions inside the measurement window.
-			time.Sleep(*durFlag / 3)
-			measuring.Store(true)
-			time.Sleep(*durFlag)
-			measuring.Store(false)
-			n64 := done.Load()
-			close(stop)
-			wg.Wait()
-
-			n := int(n64)
-			if n == 0 {
-				fmt.Printf("%-8d (no query finished within %v)\n", nc, *durFlag)
-				continue
-			}
-			mu.Lock()
-			lats = lats[:n]
-			mu.Unlock()
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			var sum time.Duration
-			for _, l := range lats {
-				sum += l
-			}
-			qps := float64(n) / durFlag.Seconds()
-			if nc == 1 {
-				base = qps
-			}
-			st := e.SchedStats()
-			avgWait := time.Duration(0)
-			if st.Queued > 0 {
-				avgWait = st.WaitTime / time.Duration(st.Queued)
-			}
-			fmt.Printf("%-8d %9.1f %8.2fx %11.2f %11.2f %11.2f %11.2f %8d\n",
-				nc, qps, qps/base, ms(sum/time.Duration(n)), ms(lats[n/2]),
-				ms(lats[n*95/100]), ms(avgWait), st.Queued)
-		}
-		fmt.Println()
-	}
-	fmt.Println("(closed loop: every client always has one query in flight; speedup is QPS vs 1 client)")
-}

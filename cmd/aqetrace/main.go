@@ -12,7 +12,6 @@ import (
 
 	"aqe/internal/exec"
 	"aqe/internal/opt"
-	"aqe/internal/storage"
 	"aqe/internal/synth"
 	"aqe/internal/tpch"
 )
@@ -65,23 +64,11 @@ func main() {
 		merged = res.Trace
 		fmt.Printf("join order: %v (%d replan(s))\n", prep.OrderNames(), res.Stats.Replans)
 	} else {
-		q := tpch.Query(cat, *qn)
-		prior := map[string]*storage.Table{}
-		for i, stg := range q.Stages {
-			node := stg.Build(prior)
-			res, err := eng.RunPlan(node, stg.Name)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if i < len(q.Stages)-1 {
-				prior[stg.Name] = res.ToTable(stg.Name)
-			}
-			if merged == nil {
-				merged = res.Trace
-			} else {
-				merged.Merge(res.Trace)
-			}
+		res, err := eng.Run(tpch.Query(cat, *qn))
+		if err != nil {
+			log.Fatal(err)
 		}
+		merged = res.Trace
 	}
 	if *useOpt && *qn == 0 {
 		fmt.Printf("synthetic misestimated star query, SF %g, %s mode, %d workers\n\n", *sf, *mode, *wrk)

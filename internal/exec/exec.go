@@ -425,10 +425,13 @@ func (e *Engine) RunCtx(ctx context.Context, q plan.Query) (*Result, error) {
 // and schedules under opts.Tenant, and opts.Emit consumes the final
 // stage. Earlier stages stay segment-backed and are read straight into
 // the tables later stages scan. Multi-stage plan queries carry no
-// prepared-statement parameters, so opts.Params must be nil.
+// prepared-statement parameters, so opts.Params must be nil. Under
+// Options.Trace the returned Trace holds every stage's events on the first
+// stage's time axis (Fig. 14's Q11); Stats are the final stage's.
 func (e *Engine) RunCtxOpts(ctx context.Context, q plan.Query, opts RunOpts) (*Result, error) {
 	prior := make(map[string]*storage.Table)
 	var last *Result
+	var trace *Trace
 	for i, st := range q.Stages {
 		node := st.Build(prior)
 		stage := opts
@@ -438,6 +441,12 @@ func (e *Engine) RunCtxOpts(ctx context.Context, q plan.Query, opts RunOpts) (*R
 		res, err := e.RunPlanOpts(ctx, node, fmt.Sprintf("%s/%s", q.Name, st.Name), stage)
 		if err != nil {
 			return res, fmt.Errorf("%s stage %q: %w", q.Name, st.Name, err)
+		}
+		if trace == nil {
+			trace = res.Trace // nil unless Options.Trace
+		} else {
+			trace.Merge(res.Trace)
+			res.Trace = trace
 		}
 		if i < len(q.Stages)-1 {
 			prior[st.Name] = res.ToTable(st.Name)

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"aqe/internal/expr"
 	"aqe/internal/plan"
@@ -371,13 +372,35 @@ func TestMultiStageQuery(t *testing.T) {
 			return s
 		}},
 	}}
-	e := New(Options{Workers: 2, Mode: ModeBytecode})
+	e := New(Options{Workers: 2, Mode: ModeBytecode, Trace: true})
 	res, err := e.Run(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) == 0 {
 		t.Fatal("no rows")
+	}
+	// The trace is the whole query's, on one axis: both stages' scans of
+	// orders, and stage 2's after stage 1's aggregate was read out (the
+	// "hash table scan" pipeline only stage 1 has).
+	var scanned int64
+	var aggRead, lastScan time.Duration
+	for _, ev := range res.Trace.Events() {
+		if ev.Kind != EvMorsel {
+			continue
+		}
+		if ev.Label == "hash table scan" {
+			aggRead = ev.End
+		} else {
+			scanned += ev.Tuples
+			lastScan = ev.Start
+		}
+	}
+	if want := 2 * int64(ordersT.Rows()); scanned != want {
+		t.Errorf("trace holds scan morsels over %d tuples, want %d (both stages)", scanned, want)
+	}
+	if aggRead == 0 || lastScan < aggRead {
+		t.Errorf("stage 2 not after stage 1 on the trace axis: stage 1 ends %v, last scan morsel starts %v", aggRead, lastScan)
 	}
 	// Every returned total equals the max.
 	var mx int64

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"sync/atomic"
+	"time"
 
 	"aqe"
 	"aqe/internal/exec"
@@ -75,6 +76,8 @@ func (s *Server) serveConn(bc *binConn) {
 		bc.busy.Store(true)
 		fatal := s.serveFrame(bc, typ, payload)
 		err = bc.bw.Flush()
+		// The request's write deadline, if it had one, ends with it.
+		bc.c.SetWriteDeadline(time.Time{})
 		bc.busy.Store(false)
 		if fatal || err != nil || s.draining.Load() {
 			return
@@ -104,7 +107,7 @@ func (s *Server) serveFrame(bc *binConn, typ byte, payload []byte) bool {
 		}
 		st := &binStream{bc: bc, chunk: s.opts.ChunkRows}
 		res, rerr := s.runRequest(context.Background(), bc.sess,
-			&Request{SQL: sql, TimeoutMS: timeoutMS}, st.emit)
+			&Request{SQL: sql, TimeoutMS: timeoutMS}, bc.c, st.emit)
 		return st.finish(res, rerr)
 
 	case MsgTPCH:
@@ -115,7 +118,7 @@ func (s *Server) serveFrame(bc *binConn, typ byte, payload []byte) bool {
 		}
 		st := &binStream{bc: bc, chunk: s.opts.ChunkRows}
 		res, rerr := s.runRequest(context.Background(), bc.sess,
-			&Request{TPCH: n, TimeoutMS: timeoutMS}, st.emit)
+			&Request{TPCH: n, TimeoutMS: timeoutMS}, bc.c, st.emit)
 		return st.finish(res, rerr)
 
 	case MsgPrepare:
@@ -156,7 +159,7 @@ func (s *Server) serveFrame(bc *binConn, typ byte, payload []byte) bool {
 			return bc.protoErr(err)
 		}
 		st := &binStream{bc: bc, chunk: s.opts.ChunkRows}
-		res, rerr := s.guarded(context.Background(), timeoutMS,
+		res, rerr := s.guarded(context.Background(), timeoutMS, bc.c,
 			func(ctx context.Context) (*aqe.Result, error) {
 				return bc.sess.ExecuteTo(ctx, name, args, st.emit)
 			})

@@ -101,16 +101,38 @@ func (s *Server) reqCtx(parent context.Context, timeoutMS int) (context.Context,
 // errDraining refuses new work during shutdown.
 var errDraining = errors.New("server: draining")
 
+// writeDeadliner is the response side of a request's connection: a
+// net.Conn, or an http.ResponseController.
+type writeDeadliner interface {
+	SetWriteDeadline(time.Time) error
+}
+
+// errorGrace is how long past the request deadline the connection stays
+// writable: time for the query to notice the cancellation (one morsel)
+// and for the error that reports it to go out.
+const errorGrace = 250 * time.Millisecond
+
 // guarded is the single choke point every wire request goes through:
 // drain check, per-request deadline, panic containment. Nothing past it
 // can leak an admission ticket — the engine releases tickets on unwind,
 // and the recover here stops the unwind from killing the server.
-func (s *Server) guarded(ctx context.Context, timeoutMS int, fn func(ctx context.Context) (*aqe.Result, error)) (res *aqe.Result, err error) {
+//
+// The deadline also bounds the response's writes, once per request: the
+// context can cancel the query but not wake a handler that sits in a
+// socket write to a client that stopped reading, and with it the pinned
+// result. The write then fails, which ends the request like a disconnect.
+// Whoever owns conn clears the deadline after the request's last write.
+func (s *Server) guarded(ctx context.Context, timeoutMS int, conn writeDeadliner, fn func(ctx context.Context) (*aqe.Result, error)) (res *aqe.Result, err error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
 	ctx, cancel := s.reqCtx(ctx, timeoutMS)
 	defer cancel()
+	if d, ok := ctx.Deadline(); ok {
+		// Unsupported only by a writer that is not a socket (a test's
+		// recorder), which cannot stall either.
+		_ = conn.SetWriteDeadline(d.Add(errorGrace))
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("server: internal error: %v\n%s", r, debug.Stack())
@@ -121,8 +143,8 @@ func (s *Server) guarded(ctx context.Context, timeoutMS int, fn func(ctx context
 
 // runRequest executes one decoded request against a session; the result
 // rows go to emit (a protocol's encoder) as the engine produces them.
-func (s *Server) runRequest(ctx context.Context, sess *aqe.Session, req *Request, emit func(aqe.Rows) error) (*aqe.Result, error) {
-	return s.guarded(ctx, req.TimeoutMS, func(ctx context.Context) (*aqe.Result, error) {
+func (s *Server) runRequest(ctx context.Context, sess *aqe.Session, req *Request, conn writeDeadliner, emit func(aqe.Rows) error) (*aqe.Result, error) {
+	return s.guarded(ctx, req.TimeoutMS, conn, func(ctx context.Context) (*aqe.Result, error) {
 		switch {
 		case req.TPCH != 0:
 			if req.TPCH < 1 || req.TPCH > 22 {
@@ -214,7 +236,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		req.Tenant = r.Header.Get("X-AQE-Tenant")
 	}
 	st := &ndjsonStream{w: w, chunk: s.opts.ChunkRows}
-	res, err := s.runRequest(r.Context(), s.session(req.Tenant), &req, st.emit)
+	// net/http clears the write deadline itself once the response is out.
+	res, err := s.runRequest(r.Context(), s.session(req.Tenant), &req,
+		http.NewResponseController(w), st.emit)
 	st.finish(res, err)
 }
 

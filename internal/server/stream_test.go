@@ -651,6 +651,60 @@ func TestStalledClientHoldsNothing(t *testing.T) {
 	waitIdle(t, ts, base)
 }
 
+// TestStalledClientDeadline: a request deadline also ends a request whose
+// client stopped reading. The context cancels the query, but the handler
+// sits in a socket write nothing else would wake: with timeout_ms 200 and
+// a result far larger than the socket buffers left unread — the client
+// keeps its connection open — no goroutine is inside a request handler
+// and the engine is idle within a second, over both protocols. (The
+// connection itself closes only if the write did stall; a host slow enough
+// to hit the deadline before the buffers fill answers with the error and
+// keeps it.)
+func TestStalledClientDeadline(t *testing.T) {
+	ts := startServer(t, aqe.Options{}, 0.02, Options{})
+	handlerGone := func(t *testing.T) {
+		t.Helper()
+		buf := make([]byte, 1<<20)
+		for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+			stacks := string(buf[:runtime.Stack(buf, true)])
+			st := ts.db.Engine().SchedStats()
+			if st.Running == 0 && st.Waiting == 0 &&
+				!strings.Contains(stacks, "(*Server).handleQuery") &&
+				!strings.Contains(stacks, "(*Server).serveFrame") {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("request still in flight a second after its client stalled: admission %+v\n%s", st, stacks)
+			}
+		}
+	}
+	t.Run("binary", func(t *testing.T) {
+		stalled := dialRaw(t, ts.binAddr, "slow")
+		stalled.c.(*net.TCPConn).SetReadBuffer(4 << 10)
+		var f frameBuf
+		f.u32(200)
+		f.b = append(f.b, wideScan...)
+		stalled.send(MsgQuery, f.b)
+		for typ := stalled.read().typ; typ != MsgRows && typ != MsgError; typ = stalled.read().typ {
+		}
+		handlerGone(t)
+	})
+	t.Run("http", func(t *testing.T) {
+		c, err := net.Dial("tcp", ts.httpAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.(*net.TCPConn).SetReadBuffer(4 << 10)
+		body, _ := json.Marshal(Request{SQL: wideScan, TimeoutMS: 200})
+		fmt.Fprintf(c, "POST /query HTTP/1.1\r\nHost: aqe\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+		if status, err := bufio.NewReader(c).ReadString('\n'); err != nil {
+			t.Fatalf("response starts %q, %v", status, err)
+		}
+		handlerGone(t)
+	})
+}
+
 // TestLimitWithoutOrderBy: LIMIT on an unsorted plan is applied on the
 // streaming path — exactly Limit rows on the wire and in the stats.
 func TestLimitWithoutOrderBy(t *testing.T) {

@@ -7,7 +7,6 @@
 package synth
 
 import (
-	"fmt"
 	"math/rand"
 
 	"aqe/internal/expr"
@@ -33,47 +32,6 @@ func Table(rows int) *storage.Table {
 	t := storage.NewTable("synth", a, b, c, d, e)
 	t.BuildZoneMaps(storage.DefaultZoneBlockRows)
 	return t
-}
-
-// StringTable builds the table of the dictionary experiments: a
-// high-cardinality string key generated in near-sorted order (so its
-// dictionary codes are clustered and code-valued zone maps prune range
-// predicates), a low-cardinality category column (bitmap LIKE/IN rewrites
-// and code-hashed grouping), and an integer measure.
-func StringTable(rows int) *storage.Table {
-	rng := rand.New(rand.NewSource(11))
-	k := storage.NewColumn("k", storage.String)
-	cat := storage.NewColumn("cat", storage.String)
-	v := storage.NewColumn("v", storage.Int64)
-	for i := 0; i < rows; i++ {
-		k.AppendString(fmt.Sprintf("sku-%08d", i*4+rng.Intn(8)))
-		cat.AppendString(fmt.Sprintf("cat-%02d", rng.Intn(24)))
-		v.AppendInt64(int64(rng.Intn(1000)))
-	}
-	t := storage.NewTable("strsynth", k, cat, v)
-	t.BuildDicts()
-	t.BuildZoneMaps(storage.DefaultZoneBlockRows)
-	return t
-}
-
-// StringAggPlan scans the string table with a range predicate on the
-// clustered key plus a category LIKE, grouping by category — every string
-// path the dictionary rewrites accelerate (code comparisons, a code
-// bitmap, code hashing, string zone-map pruning) in one plan.
-func StringAggPlan(t *storage.Table, lo, hi string) plan.Node {
-	s := plan.NewScan(t, "k", "cat", "v")
-	sch := s.Schema()
-	s.Filter = expr.And(
-		expr.Ge(plan.C(sch, "k"), expr.Str(lo)),
-		expr.Lt(plan.C(sch, "k"), expr.Str(hi)),
-		expr.Like(plan.C(sch, "cat"), "cat-1%"),
-	)
-	return plan.NewGroupBy(s,
-		[]expr.Expr{plan.C(sch, "cat")}, []string{"cat"},
-		[]plan.AggExpr{
-			{Func: plan.Sum, Arg: plan.C(sch, "v"), Name: "sv"},
-			{Func: plan.CountStar, Name: "n"},
-		})
 }
 
 // WideAggPlan builds a scan of t with nAggs distinct aggregate
