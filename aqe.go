@@ -6,10 +6,12 @@
 // translated in linear time into register-machine bytecode, and executed
 // morsel-wise across workers. The engine monitors per-pipeline progress
 // and — in the default adaptive mode — switches hot pipelines mid-flight
-// to native machine code or to the vectorized engine (on amd64; the
-// closure tiers are the fallback there and the whole ladder elsewhere),
-// exactly following the paper's Fig. 5/7 machinery: low latency for small
-// inputs, full throughput for large ones, without up-front cost decisions.
+// to native machine code (amd64) or to the vectorized engine, exactly
+// following the paper's Fig. 5/7 machinery: low latency for small inputs,
+// full throughput for large ones, without up-front cost decisions. A
+// pipeline whose level cannot run stays where it is; the paper's
+// unoptimized and optimized compiled tiers are its static baselines
+// (ModeUnoptimized, ModeOptimized), never chosen adaptively.
 //
 // Quick start:
 //
@@ -43,19 +45,20 @@ type Mode = exec.Mode
 // other pipeline — and every pipeline under PaperCosts — starts in the
 // bytecode interpreter and is compiled in the background when the
 // extrapolated remaining work justifies it. The other modes fix the tier
-// up front (the paper's static baselines).
+// up front (the paper's static baselines, and the only modes that run
+// the unoptimized and optimized closure tiers).
 const (
 	ModeBytecode    = exec.ModeBytecode
 	ModeUnoptimized = exec.ModeUnoptimized
 	ModeOptimized   = exec.ModeOptimized
 	ModeAdaptive    = exec.ModeAdaptive
 	// ModeNative pre-assembles every pipeline to machine code via the
-	// copy-and-patch template JIT (tier 6), falling back per-pipeline to
-	// the optimized closure tier on platforms without a backend.
+	// copy-and-patch template JIT (tier 6); a pipeline stays in bytecode
+	// on platforms without a backend or where assembly fails.
 	ModeNative = exec.ModeNative
 	// ModeVector pins every kernel-compilable pipeline to the vectorized
-	// batch engine, falling back per-pipeline to the optimized closure
-	// tier for shapes the kernel format cannot express.
+	// batch engine; a pipeline stays in bytecode for shapes the kernel
+	// format cannot express.
 	ModeVector = exec.ModeVector
 )
 
@@ -68,8 +71,9 @@ type CostModel = exec.CostModel
 // (DESIGN.md documents this substitution).
 func PaperCosts() *CostModel { return exec.Paper() }
 
-// NativeCosts returns the model of the in-process closure compilers with
-// no simulated latency.
+// NativeCosts returns the measured model of the in-process native back
+// end and vectorized engine, the levels the adaptive controller chooses
+// among, with no simulated latency.
 func NativeCosts() *CostModel { return exec.Native() }
 
 // Options configures a DB: how queries run (mode, cost model, workers,

@@ -26,8 +26,8 @@
 //
 // The architecture seam is the build tag: amd64 on linux/darwin gets the
 // real backend, every other GOARCH/GOOS compiles the stub whose Compile
-// returns ErrUnsupported, and the engine falls back per-pipeline to the
-// optimized closure tier.
+// returns ErrUnsupported, and the engine leaves each pipeline in bytecode
+// (or, adaptively, climbs to the vectorized engine instead).
 package asm
 
 import (
@@ -36,8 +36,8 @@ import (
 )
 
 // ErrUnsupported reports that the native backend cannot compile on this
-// platform (or, wrapped, a specific function). Callers fall back to the
-// closure tiers.
+// platform (or, wrapped, a specific function). The engine then disables
+// the native level for the pipeline, which stays where it is.
 var ErrUnsupported = errors.New("native code generation unsupported")
 
 // forceAllocFail, when set (tests only), makes executable-memory

@@ -78,7 +78,7 @@ type compiler struct {
 // the unoptimized closure backend it mutates f in place (critical-edge
 // splitting only); callers that need the original intact pass a clone.
 // Functions using an op the templates do not cover return an error
-// wrapping ErrUnsupported and the engine falls back to the closure tiers.
+// wrapping ErrUnsupported and the engine leaves the pipeline where it is.
 func Compile(f *ir.Function) (*Code, error) {
 	f.SplitCriticalEdges()
 	c := &compiler{f: f, a: newAsmBuf(64 + f.NumInstrs()*48)}

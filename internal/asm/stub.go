@@ -13,7 +13,7 @@ func Supported() bool { return false }
 // Code is never constructed on platforms without a backend.
 type Code struct{}
 
-// Compile always fails here; the engine falls back to the closure tiers.
+// Compile always fails here; the engine runs the pipeline in bytecode.
 func Compile(*ir.Function) (*Code, error) { return nil, ErrUnsupported }
 
 // SizeBytes satisfies the accounting interface; unreachable in practice.

@@ -112,9 +112,6 @@ type JoinDesc struct {
 	// Filter marks that the generated probe code expects a Bloom filter
 	// published at StateOff+16 and checks it before walking the chain.
 	Filter bool
-	// StatsLocalOff is the worker-local offset of the [hits u64][skips u64]
-	// filter counters the probe code maintains, or -1 when disabled.
-	StatsLocalOff int
 }
 
 // AggDesc mirrors the aggregation layout.
@@ -158,9 +155,6 @@ const (
 type Options struct {
 	// JoinFilter emits a Bloom-filter check before every join chain walk.
 	JoinFilter bool
-	// FilterStats additionally maintains per-worker filter hit/skip
-	// counters in the local arena (costs two loads/stores per probe).
-	FilterStats bool
 	// NoDict disables every dictionary-code rewrite (predicates, group-key
 	// hashing, string zone-map pruning); string operations go through the
 	// byte-level runtime externs exactly as for undictionarized columns.
@@ -168,7 +162,7 @@ type Options struct {
 }
 
 // Compile translates a plan into IR with the default options (Bloom
-// filters on, counters off).
+// filters and dictionary rewrites on).
 func Compile(root plan.Node, mem *rt.Memory, name string) (*Query, error) {
 	return CompileOpts(root, mem, name, Options{JoinFilter: true})
 }
@@ -551,13 +545,9 @@ func (g *cgen) newJoinDesc(j *plan.Join) *joinMeta {
 	}
 	d := JoinDesc{
 		TupleSize: off, StateOff: g.stateOff, NumKeys: len(j.BuildKeys),
-		Filter: g.opts.JoinFilter, StatsLocalOff: -1,
+		Filter: g.opts.JoinFilter,
 	}
 	g.stateOff += rt.JoinStateBytes
-	if d.Filter && g.opts.FilterStats {
-		d.StatsLocalOff = g.localOff
-		g.localOff += 16
-	}
 	g.q.Joins = append(g.q.Joins, d)
 	m.id = len(g.q.Joins) - 1
 	m.desc = &g.q.Joins[m.id]

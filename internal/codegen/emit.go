@@ -491,11 +491,9 @@ func (op *probeOp) apply(p *pgen, res resolver, down func(resolver)) {
 		missB := f.NewBlock()
 		b.CondBr(pass, hitB, missB)
 		b.SetBlock(hitB)
-		op.bumpStat(p, 0)
 		entryIn = append(entryIn, entryEdge{loadHead(), b.B})
 		b.Br(walk)
 		b.SetBlock(missB)
-		op.bumpStat(p, 8)
 		entryIn = append(entryIn, entryEdge{b.ConstI64(0), b.B})
 		b.Br(walk)
 	} else {
@@ -625,15 +623,3 @@ func (op *probeOp) apply(p *pgen, res resolver, down func(resolver)) {
 }
 
 func (op *probeOp) outerCount() bool { return op.join.Kind == plan.OuterCount }
-
-// bumpStat increments the worker-local filter counter at StatsLocalOff+off
-// (0 = hits, 8 = skips) when counters are enabled.
-func (op *probeOp) bumpStat(p *pgen, off int64) {
-	so := op.desc.desc.StatsLocalOff
-	if so < 0 {
-		return
-	}
-	b := p.b
-	addr := b.GEP(p.local, nil, 0, int64(so)+off)
-	b.Store(addr, b.Add(b.Load(ir.I64, addr), b.ConstI64(1)))
-}

@@ -90,13 +90,12 @@ type VecProject struct{ Exprs []expr.Expr }
 
 // VecProbe is a hash-join probe against the table at StateOff.
 type VecProbe struct {
-	Join          *plan.Join
-	JoinID        int
-	StateOff      int
-	Filter        bool // Bloom filter present at StateOff+16
-	StatsLocalOff int  // worker-local [hits][skips] counters, -1 if disabled
-	NP            int  // probe-side schema width
-	Fields        []VecField
+	Join     *plan.Join
+	JoinID   int
+	StateOff int
+	Filter   bool // Bloom filter present at StateOff+16
+	NP       int  // probe-side schema width
+	Fields   []VecField
 }
 
 // VecField is one stored build-side column of a join tuple.
@@ -197,10 +196,9 @@ func (g *cgen) buildVecSpec(scan *plan.Scan, am *aggMeta, gb *plan.GroupBy,
 			np := len(j.Probe.Schema())
 			vp := &VecProbe{
 				Join: j, JoinID: x.desc.id,
-				StateOff:      x.desc.desc.StateOff,
-				Filter:        x.desc.desc.Filter,
-				StatsLocalOff: x.desc.desc.StatsLocalOff,
-				NP:            np,
+				StateOff: x.desc.desc.StateOff,
+				Filter:   x.desc.desc.Filter,
+				NP:       np,
 			}
 			for _, f := range x.desc.fields {
 				vp.Fields = append(vp.Fields, VecField{SrcIdx: f.srcIdx, Off: f.off, T: f.t})

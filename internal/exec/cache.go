@@ -11,16 +11,16 @@ import (
 
 // planCache is the engine-level compilation cache: it maps plan
 // fingerprints to the translated bytecode of every pipeline (plus
-// queryStart) and to the compiled closure of each JIT tier, so a repeated
-// query skips translation entirely and starts executing in the best tier
-// reached by any earlier execution instead of re-climbing
-// bytecode → unoptimized → optimized.
+// queryStart), its vectorized kernel and its compiled variant of the
+// engine's one compiled level, so a repeated query skips translation
+// entirely and starts executing in the best level reached by any earlier
+// execution instead of re-climbing from bytecode.
 //
 // Entries are evicted in LRU order once the byte budget is exceeded. The
 // budget tracks an estimate of the retained footprint (bytecode
-// instructions, constant pools, closure graphs); a background compilation
-// finishing after its query can still grow an entry, which may in turn
-// evict colder ones.
+// instructions, constant pools, machine code or closure graphs); a
+// background compilation finishing after its query can still grow an
+// entry, which may in turn evict colder ones.
 type planCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -91,7 +91,7 @@ func (c *planCache) lookup(fp Fingerprint) *cachedPlan {
 }
 
 // insert adds a freshly translated plan. A concurrent duplicate insert
-// keeps the existing entry (its compiled tiers may already be populated).
+// keeps the existing entry (its compiled variants may already be attached).
 func (c *planCache) insert(fp Fingerprint, queryStart *vm.Program, progs []*vm.Program) {
 	ent := &cachedPlan{fp: fp, queryStart: queryStart}
 	ent.bytes = int64(queryStart.SizeBytes())
@@ -109,10 +109,10 @@ func (c *planCache) insert(fp Fingerprint, queryStart *vm.Program, progs []*vm.P
 	c.evict()
 }
 
-// addCompiled attaches a compiled closure to a cached pipeline tier. It is
-// a no-op if the entry was evicted or the tier is already populated (the
+// addCompiled attaches a compiled variant to a cached pipeline. It is a
+// no-op if the entry was evicted or the pipeline has one already (the
 // first finished compilation wins; both artifacts are equivalent).
-func (c *planCache) addCompiled(fp Fingerprint, pipe int, level jit.Level, comp *jit.Compiled) {
+func (c *planCache) addCompiled(fp Fingerprint, pipe int, comp *jit.Compiled) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.idx[fp]
@@ -120,10 +120,10 @@ func (c *planCache) addCompiled(fp Fingerprint, pipe int, level jit.Level, comp 
 		return
 	}
 	ent := el.Value.(*cachedPlan)
-	if pipe >= len(ent.pipes) || ent.pipes[pipe].compiled[level] != nil {
+	if pipe >= len(ent.pipes) || ent.pipes[pipe].compiled != nil {
 		return
 	}
-	ent.pipes[pipe].compiled[level] = comp
+	ent.pipes[pipe].compiled = comp
 	n := int64(comp.SizeBytes())
 	ent.bytes += n
 	c.bytes += n

@@ -71,7 +71,7 @@ func TestPlanCacheCompiledGrowthEvicts(t *testing.T) {
 
 	comp := &jit.Compiled{}
 	comp.Stats.Closures = 1000 // ≈ 80 KB, far over budget
-	c.addCompiled(b, 0, jit.Unoptimized, comp)
+	c.addCompiled(b, 0, comp)
 	st := c.stats()
 	if st.Evictions == 0 {
 		t.Fatalf("growth did not evict: %+v", st)
@@ -88,12 +88,12 @@ func TestPlanCacheSnapshotIsolation(t *testing.T) {
 	fp := Fingerprint{7}
 	c.insert(fp, mkProg("qs", 2), []*vm.Program{mkProg("p", 2)})
 	snap := c.lookup(fp)
-	c.addCompiled(fp, 0, jit.Optimized, &jit.Compiled{})
-	if snap.pipes[0].compiled[jit.Optimized] != nil {
+	c.addCompiled(fp, 0, &jit.Compiled{})
+	if snap.pipes[0].compiled != nil {
 		t.Fatal("snapshot aliases the cached entry")
 	}
-	if c.lookup(fp).pipes[0].compiled[jit.Optimized] == nil {
-		t.Fatal("compiled tier not attached")
+	if c.lookup(fp).pipes[0].compiled == nil {
+		t.Fatal("compiled variant not attached")
 	}
 }
 
@@ -208,7 +208,7 @@ func TestEngineCacheSkipsSimulatedCompile(t *testing.T) {
 	// pay it and the warm run must not — the measurable latency drop the
 	// cache exists for.
 	cost := &CostModel{UnoptBase: 30 * time.Millisecond, OptBase: 30 * time.Millisecond,
-		SpeedupUnopt: 3.6, SpeedupOpt: 5.0, Simulate: true}
+		Simulate: true}
 	e := New(Options{Workers: 2, Mode: ModeOptimized, Cost: cost, CacheBytes: 8 << 20})
 	build := repeatPlan(60000)
 	cold, err := e.RunPlan(build(), "sim")

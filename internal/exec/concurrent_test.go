@@ -68,7 +68,7 @@ func TestConcurrentDifferential(t *testing.T) {
 func TestCancelLandsWithinOneMorsel(t *testing.T) {
 	mk := func() *Engine {
 		return New(Options{Workers: 1, PoolWorkers: 1, Mode: ModeBytecode,
-			MorselSize: 256, MorselCap: 256, MorselGrowEvery: 1 << 20})
+			MorselSize: 256, MorselCap: 256})
 	}
 
 	// Control: count the morsels of an uncancelled run.

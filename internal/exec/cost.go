@@ -16,8 +16,12 @@ import "time"
 // would flatten the latency/throughput tradeoff the paper studies; the
 // Paper() model restores LLVM-scale costs as wall-clock latency (the
 // compile still really runs). Native() models the measured costs of the
-// in-process backends for real-latency experiments. DESIGN.md documents
-// the substitution.
+// levels the adaptive controller chooses among for real-latency
+// experiments. DESIGN.md documents the substitution.
+//
+// The closure tiers are the paper's static baselines and never a
+// controller candidate (Mode.levels), so the model carries only their
+// compile latencies, which a static mode imposes under Simulate.
 type CostModel struct {
 	UnoptBase     time.Duration
 	UnoptPerInstr time.Duration
@@ -35,10 +39,8 @@ type CostModel struct {
 	NativeBase     time.Duration
 	NativePerInstr time.Duration
 
-	// SpeedupUnopt/SpeedupOpt/SpeedupNative are throughput ratios
-	// relative to bytecode.
-	SpeedupUnopt  float64
-	SpeedupOpt    float64
+	// SpeedupNative is native code's throughput ratio relative to
+	// bytecode.
 	SpeedupNative float64
 
 	// SpeedupVecHash/SpeedupVecCompute are the vectorized engine's modeled
@@ -73,8 +75,6 @@ func Paper() *CostModel {
 		// optimized machine code on the throughput axis.
 		NativeBase:     300 * time.Microsecond,
 		NativePerInstr: 1 * time.Microsecond,
-		SpeedupUnopt:   3.6,
-		SpeedupOpt:     5.0,
 		SpeedupNative:  5.5,
 		// In the LLVM-latency regime the vectorized engine's draw is that it
 		// needs no compilation at all: installed instantly, faster than any
@@ -86,19 +86,13 @@ func Paper() *CostModel {
 	}
 }
 
-// Native returns a model of the in-process closure backends (rough fits;
-// the controller only needs the order of magnitude). The speedups reflect
-// this substrate's measured behaviour: Go's switch-dispatch VM with
-// macro-op fusion is close to the closure tiers on hash-heavy pipelines
-// and loses on compute-dense ones (EXPERIMENTS.md discusses this deviation
-// from the paper's 3.6x/5.0x).
+// Native returns a model of the in-process native back end and vectorized
+// engine with no simulated latency (rough fits; the controller only needs
+// the order of magnitude). It sets nothing for the closure tiers: with
+// Simulate off a static mode compiles them at their real cost, and the
+// controller never considers them.
 func Native() *CostModel {
 	return &CostModel{
-		UnoptBase:     20 * time.Microsecond,
-		UnoptPerInstr: 250 * time.Nanosecond,
-		OptBase:       50 * time.Microsecond,
-		OptPerInstr:   2500 * time.Nanosecond,
-		OptCubic:      0,
 		// Measured on the register-allocating template JIT (PR 8,
 		// EXPERIMENTS.md compile-latency table): ~0.35 µs per instruction
 		// plus a small fixed cost for the allocator's per-function arrays,
@@ -106,8 +100,6 @@ func Native() *CostModel {
 		// closure backends.
 		NativeBase:     25 * time.Microsecond,
 		NativePerInstr: 350 * time.Nanosecond,
-		SpeedupUnopt:   1.2,
-		SpeedupOpt:     1.4,
 		// Measured native-over-bytecode spans 2.2x (hash-bound Q10,
 		// hashwalk) to 9x (float-dense aggregation); 3.0 is a deliberately
 		// conservative prediction so the demotion controller (which demotes
@@ -163,15 +155,11 @@ func (m *CostModel) NativeTime(instrs int) time.Duration {
 	return m.CompileTime(LevelNative, instrs, instrs)
 }
 
-// Speedup returns the modeled throughput of a level relative to bytecode.
-// hashDense is the pipeline's VecSpec.HashDense flag, which picks the
-// vectorized engine's estimate; the compiled levels ignore it.
+// Speedup returns the modeled throughput of a level of the adaptive ladder
+// relative to bytecode. hashDense is the pipeline's VecSpec.HashDense flag,
+// which picks the vectorized engine's estimate; native code ignores it.
 func (m *CostModel) Speedup(l Level, hashDense bool) float64 {
 	switch l {
-	case LevelUnoptimized:
-		return m.SpeedupUnopt
-	case LevelOptimized:
-		return m.SpeedupOpt
 	case LevelNative:
 		return m.SpeedupNative
 	case LevelVector:

@@ -7,25 +7,35 @@ import (
 )
 
 func TestCostModelMonotonicity(t *testing.T) {
+	// The closure tiers' compile times are the paper's (Paper() only: they
+	// are what a simulated static mode waits for).
+	m := Paper()
+	prev := time.Duration(0)
+	for _, n := range []int{100, 1000, 10000, 100000} {
+		u := m.UnoptTime(n)
+		o := m.OptTime(n)
+		if u <= 0 || o <= 0 {
+			t.Fatalf("non-positive compile time at %d instrs", n)
+		}
+		if o < u {
+			t.Errorf("optimized cheaper than unoptimized at %d instrs", n)
+		}
+		if u < prev {
+			t.Errorf("unopt time not monotone at %d instrs", n)
+		}
+		prev = u
+	}
 	for _, m := range []*CostModel{Paper(), Native()} {
 		prev := time.Duration(0)
 		for _, n := range []int{100, 1000, 10000, 100000} {
-			u := m.UnoptTime(n)
-			o := m.OptTime(n)
-			if u <= 0 || o <= 0 {
-				t.Fatalf("non-positive compile time at %d instrs", n)
+			if d := m.NativeTime(n); d <= prev {
+				t.Errorf("native time %v not increasing at %d instrs", d, n)
+			} else {
+				prev = d
 			}
-			if o < u {
-				t.Errorf("optimized cheaper than unoptimized at %d instrs", n)
-			}
-			if u < prev {
-				t.Errorf("unopt time not monotone at %d instrs", n)
-			}
-			prev = u
 		}
-		if m.Speedup(LevelOptimized, false) < m.Speedup(LevelUnoptimized, false) ||
-			m.Speedup(LevelUnoptimized, false) < m.Speedup(LevelBytecode, false) {
-			t.Error("speedups not ordered")
+		if m.Speedup(LevelNative, false) <= m.Speedup(LevelBytecode, false) {
+			t.Error("native code not modeled faster than bytecode")
 		}
 		if m.Speedup(LevelBytecode, false) != 1 {
 			t.Error("bytecode speedup must be 1")
@@ -51,16 +61,12 @@ func TestPaperModelCalibration(t *testing.T) {
 	}
 }
 
-// closures is what the controller may propose where the native level and
-// the vectorized engine are disabled: the paper's own ladder.
-var closures = maskOf(LevelUnoptimized, LevelOptimized)
-
 // TestExtrapolationChoosesStay verifies the controller's Fig. 7 decision
 // at the boundary: with almost no work left, compiling never pays off.
 func TestExtrapolationChoosesStay(t *testing.T) {
 	m := Paper()
 	decide := func(n float64, instrs int) Level {
-		return m.choose(LevelBytecode, closures, instrs, false, 1e6, n, 4)
+		return m.choose(LevelBytecode, maskOf(LevelNative), instrs, false, 1e6, n, 4)
 	}
 	if got := decide(1000, 500); got != LevelBytecode {
 		t.Errorf("tiny remainder chose %v", got)
@@ -80,59 +86,22 @@ func TestExtrapolationChoosesStay(t *testing.T) {
 	}
 }
 
-// TestNativeDominatesClosures is the property the ladder rests on: where
-// the native level is allowed the controller never proposes a closure
-// tier, under either cost model, whatever the function size, the work left
-// and the workers granted. With native disabled the paper's unoptimized /
-// optimized crossovers are still there.
-func TestNativeDominatesClosures(t *testing.T) {
-	withNative := closures | maskOf(LevelNative)
-	for name, m := range map[string]*CostModel{"paper": Paper(), "native": Native()} {
-		picked := map[Level]bool{}
-		for _, instrs := range []int{100, 300, 1000, 3000, 10000, 20000} {
-			for n := 1e3; n <= 1e9; n *= 10 {
-				for _, w := range []float64{1, 4} {
-					for _, r0 := range []float64{1e5, 1e6, 1e7} {
-						for _, cur := range []Level{LevelBytecode, LevelUnoptimized, LevelOptimized} {
-							got := m.choose(cur, withNative.above(cur), instrs, false, r0, n, w)
-							if got != cur && got != LevelNative {
-								t.Errorf("%s: instrs=%d n=%g w=%g r0=%g at %v: chose %v with native allowed",
-									name, instrs, n, w, r0, cur, got)
-							}
-						}
-						picked[m.choose(LevelBytecode, closures, instrs, false, r0, n, w)] = true
-					}
-				}
-			}
-		}
-		for _, l := range []Level{LevelBytecode, LevelUnoptimized, LevelOptimized} {
-			if !picked[l] {
-				t.Errorf("%s: with native disabled %v was never chosen over the grid", name, l)
-			}
-		}
-	}
-}
-
 // TestChooseTieBreaking pins the order of the comparison: strict <, so
 // staying wins a tie with every candidate, and candidates in ascending
 // level order with the vectorized engine last, so the lowest level wins a
 // tie among candidates.
 func TestChooseTieBreaking(t *testing.T) {
-	all := allLevels.above(LevelBytecode)
-	flat := &CostModel{SpeedupUnopt: 1, SpeedupOpt: 1, SpeedupNative: 1,
-		SpeedupVecHash: 1, SpeedupVecCompute: 1}
+	all := ModeAdaptive.levels().above(LevelBytecode)
+	flat := &CostModel{SpeedupNative: 1, SpeedupVecHash: 1, SpeedupVecCompute: 1}
 	if got := flat.choose(LevelBytecode, all, 1000, true, 1e6, 1e8, 4); got != LevelBytecode {
 		t.Errorf("no level is faster, yet chose %v over staying", got)
 	}
-	even := &CostModel{SpeedupUnopt: 2, SpeedupOpt: 2, SpeedupNative: 2,
-		SpeedupVecHash: 2, SpeedupVecCompute: 2}
+	even := &CostModel{SpeedupNative: 2, SpeedupVecHash: 2, SpeedupVecCompute: 2}
 	for _, tc := range []struct {
 		allowed levelMask
 		want    Level
 	}{
-		{all, LevelUnoptimized},
-		{all &^ maskOf(LevelUnoptimized), LevelOptimized},
-		{maskOf(LevelNative, LevelVector), LevelNative},
+		{all, LevelNative},
 		{maskOf(LevelVector), LevelVector},
 	} {
 		if got := even.choose(LevelBytecode, tc.allowed, 1000, true, 1e6, 1e8, 4); got != tc.want {

@@ -10,7 +10,6 @@ import (
 	"aqe/internal/plan"
 	"aqe/internal/rt"
 	"aqe/internal/storage"
-	"aqe/internal/vm"
 	"aqe/internal/volcano"
 )
 
@@ -179,7 +178,7 @@ func TestDictFingerprintDistinct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fingerprintOf(cq, vm.Options{})
+		return fingerprintOf(cq)
 	}
 	if fp(false) == fp(true) {
 		t.Fatal("dict and raw compilations share a fingerprint")

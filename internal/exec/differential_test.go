@@ -34,7 +34,7 @@ func checksum(res *Result) string {
 // execution — shared bytecode, pre-installed compiled tiers (including
 // tier-6 machine code) — returns byte-identical results. On platforms
 // without a native backend, ModeNative exercises the silent per-pipeline
-// fallback to the optimized closure tier instead.
+// fallback to bytecode instead.
 func TestCrossTierDifferential22(t *testing.T) {
 	cat := diffCat()
 	modes := []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp, ModeNative}
@@ -76,7 +76,7 @@ func TestCrossTierDifferential22(t *testing.T) {
 
 // TestBreakerConfigDifferential22 runs all 22 TPC-H queries under every
 // pipeline-breaker configuration — parallel vs serial finalize, Bloom
-// filters on vs off vs counting — and asserts the result checksums never
+// filters on vs off — and asserts the result checksums never
 // move. The filter changes the emitted probe IR and the parallel finalize
 // changes the merge schedule, so this pins down that neither affects
 // results in any tier.
@@ -93,8 +93,6 @@ func TestBreakerConfigDifferential22(t *testing.T) {
 			NoJoinFilter: true}},
 		{"serial-no-filter", Options{Workers: 4, Mode: ModeOptimized, Cost: Native(),
 			SerialFinalize: true, NoJoinFilter: true}},
-		{"filter-stats", Options{Workers: 4, Mode: ModeOptimized, Cost: Native(),
-			FilterStats: true}},
 		{"bytecode-filter", Options{Workers: 4, Mode: ModeBytecode}},
 		{"no-dict", Options{Workers: 4, Mode: ModeOptimized, Cost: Native(),
 			NoDict: true}},
@@ -136,7 +134,7 @@ func TestWarmAdaptiveStartsCompiled(t *testing.T) {
 	cat := diffCat()
 	// Zero-latency model so the controller compiles even on small data.
 	cost := Native()
-	cost.UnoptBase, cost.UnoptPerInstr, cost.OptBase, cost.OptPerInstr = 0, 0, 0, 0
+	cost.NativeBase, cost.NativePerInstr = 0, 0
 	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost,
 		MorselSize: 128, CacheBytes: 64 << 20})
 	q := tpch.Query(cat, 1)

@@ -11,11 +11,14 @@
 // pipeline's handle allows (Fig. 7), and switches pipelines mid-flight by
 // storing a new level into the function handle, which holds every variant
 // (Fig. 5) — no work is lost because all levels execute identical
-// semantics over the same runtime state (§IV-E). With a native back end
-// the ladder is bytecode → native machine code or the vectorized engine,
-// and a level that fails to compile or to deliver its predicted rate is
-// disabled for the run; the closure tiers are what a pipeline falls back
-// to, and the whole ladder elsewhere.
+// semantics over the same runtime state (§IV-E). The ladder is bytecode →
+// native machine code or the vectorized engine, and a level that fails to
+// compile or to deliver its predicted rate is disabled for the run, which
+// leaves the pipeline where it was; without a native back end (arm64) the
+// ladder is bytecode → vectorized. The paper's unoptimized and optimized
+// closure tiers are its static baselines (ModeUnoptimized, ModeOptimized)
+// and no other mode runs them: an engine compiles to at most one level
+// (Mode.levels).
 package exec
 
 import (
@@ -42,10 +45,10 @@ type Mode int
 // ModeIRInterp directly interprets the SSA graph — the paper's "LLVM IR"
 // interpreter baseline of Fig. 2, far slower than the bytecode VM.
 // ModeNative statically pins every pipeline to the copy-and-patch
-// machine-code tier (falling back per-pipeline to optimized closures when
-// the platform or a function is unsupported). ModeVector statically pins
-// every pipeline to the morsel-driven vectorized engine (falling back
-// per-pipeline to optimized closures when a pipeline has no vector plan).
+// machine-code tier (a pipeline stays in bytecode when the platform or the
+// function is unsupported). ModeVector statically pins every pipeline to
+// the morsel-driven vectorized engine (a pipeline stays in bytecode when
+// it has no vector plan).
 const (
 	ModeBytecode Mode = iota
 	ModeUnoptimized
@@ -71,6 +74,17 @@ func (m Mode) level() Level {
 		return LevelVector
 	}
 	return LevelBytecode
+}
+
+// levels returns the levels an engine in mode m may run a pipeline at:
+// bytecode, and above it native code and the vectorized engine for the
+// adaptive mode, or the static mode's own level. So an engine compiles to
+// at most one level, and the closure tiers are the static baselines only.
+func (m Mode) levels() levelMask {
+	if m == ModeAdaptive {
+		return maskOf(LevelBytecode, LevelNative, LevelVector)
+	}
+	return maskOf(LevelBytecode, m.level())
 }
 
 func (m Mode) String() string {
@@ -113,12 +127,9 @@ type Options struct {
 	VM vm.Options
 	// MorselSize overrides the initial morsel size (default 2048).
 	MorselSize int64
-	// MorselCap bounds the grown morsel size (default 65536 tuples).
+	// MorselCap bounds the grown morsel size (default 65536 tuples); the
+	// size doubles every 8 claims until it reaches the cap.
 	MorselCap int64
-	// MorselGrowEvery is the claim cadence of geometric morsel growth:
-	// the morsel size doubles every MorselGrowEvery claims until it
-	// reaches MorselCap (default 8).
-	MorselGrowEvery int64
 	// NoZoneMaps disables zone-map morsel pruning: every scan dispatches
 	// all blocks even when per-block min/max statistics prove the scan's
 	// sargable predicate rejects them.
@@ -127,10 +138,6 @@ type Options struct {
 	// cache; 0 disables caching (every query translates and compiles from
 	// scratch, the paper's experiment setup).
 	CacheBytes int64
-	// CompileWorkers bounds concurrent background compilations across all
-	// queries on this engine (default 2). The adaptive controller submits
-	// to this shared pool instead of spawning per-query goroutines.
-	CompileWorkers int
 	// SerialFinalize forces the retained single-threaded pipeline-breaker
 	// path (join build linking, aggregation merge) instead of hash-range
 	// partitioned parallel finalization.
@@ -144,16 +151,12 @@ type Options struct {
 	NoDict bool
 	// NoNative disables the native machine-code level on every handle of
 	// this engine: the adaptive controller never proposes it and
-	// ModeNative falls back to optimized closures.
+	// ModeNative runs bytecode.
 	NoNative bool
 	// NoVector disables the vectorized engine on every handle of this
 	// engine: no kernel is staged, the adaptive controller never proposes
-	// it and ModeVector falls back to optimized closures.
+	// it and ModeVector runs bytecode.
 	NoVector bool
-	// FilterStats maintains per-worker filter hit/skip counters in
-	// generated probes and reports them in Stats. Off by default: the
-	// counters cost two extra memory operations per probe.
-	FilterStats bool
 	// ReplanThreshold is the misestimate factor max(est/obs, obs/est) of
 	// an observed build-side cardinality past which a query running with
 	// a Replanner reoptimizes its join order mid-flight (default 8).
@@ -176,7 +179,8 @@ type Engine struct {
 	sched *sched.Scheduler // admission gate + shared morsel worker pool
 
 	// disabled seeds the disabled-levels mask of every Handle: what the
-	// platform and the options rule out for the life of the engine.
+	// mode, the platform and the options rule out for the life of the
+	// engine.
 	disabled levelMask
 
 	// morselHook, when set (tests only), runs after every dispatched
@@ -184,6 +188,10 @@ type Engine struct {
 	// to force tier changes at every morsel boundary.
 	morselHook func(pipeline int, h *Handle, worker int)
 }
+
+// compileWorkers sizes the background compile pool: how many compilations
+// may run at once across all queries of an engine.
+const compileWorkers = 2
 
 // New creates an engine.
 func New(opts Options) *Engine {
@@ -202,12 +210,6 @@ func New(opts Options) *Engine {
 	if opts.MorselCap < opts.MorselSize {
 		opts.MorselCap = opts.MorselSize
 	}
-	if opts.MorselGrowEvery <= 0 {
-		opts.MorselGrowEvery = 8
-	}
-	if opts.CompileWorkers <= 0 {
-		opts.CompileWorkers = 2
-	}
 	if opts.PoolWorkers <= 0 {
 		opts.PoolWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -215,7 +217,7 @@ func New(opts Options) *Engine {
 		opts.MaxConcurrent = 8
 	}
 	e := &Engine{opts: opts, reg: rt.NewRegistry(),
-		pool: newCompilePool(opts.CompileWorkers),
+		pool: newCompilePool(compileWorkers),
 		sched: sched.New(sched.Options{PoolWorkers: opts.PoolWorkers,
 			MaxQueries:   opts.MaxConcurrent,
 			MaxPerTenant: opts.MaxConcurrentPerTenant,
@@ -223,14 +225,12 @@ func New(opts Options) *Engine {
 	if opts.CacheBytes > 0 {
 		e.cache = newPlanCache(opts.CacheBytes)
 	}
+	e.disabled = allLevels &^ opts.Mode.levels()
 	if !asm.Supported() || opts.NoNative {
 		e.disabled |= maskOf(LevelNative)
 	}
 	if opts.NoVector {
 		e.disabled |= maskOf(LevelVector)
-	}
-	if opts.Mode == ModeIRInterp {
-		e.disabled = allLevels.above(LevelBytecode)
 	}
 	rt.RegisterBuiltins(e.reg)
 	e.reg.Register("pipeline_run", func(ctx *rt.Ctx, args []uint64) uint64 {
@@ -298,18 +298,17 @@ type Stats struct {
 	// Replans counts mid-query restarts on a reoptimized join order;
 	// EstCardErr is the worst misestimate factor max(est/obs, obs/est)
 	// observed at any join-build breaker (0 = no estimated joins ran).
-	Replans     int
-	EstCardErr  float64
-	FilterHits  int64 // probes whose Bloom filter passed (FilterStats)
-	FilterSkips int64 // probes whose chain walk was skipped (FilterStats)
+	Replans    int
+	EstCardErr float64
 
 	// Native-tier counters: assemblies that produced machine code,
 	// morsels dispatched to native code, and per-pipeline fallbacks out of
-	// the native level: to optimized closures when the level was asked for
-	// and is disabled (platform, NoNative) or failed to assemble
-	// (unsupported op, exec-memory failure); back to the level the
-	// pipeline had left when the controller demoted it for delivering
-	// under half its predicted rate.
+	// the native level, at most one per pipeline and run: when the level
+	// was asked for and is disabled (platform, NoNative) or failed to
+	// assemble (unsupported op, exec-memory failure), the pipeline stays
+	// at the level it is at — bytecode for ModeNative and at an adaptive
+	// pipeline's start; when the controller demoted it for delivering
+	// under half its predicted rate, it goes back to the level it had left.
 	NativeCompiles  int64
 	NativeMorsels   int64
 	NativeFallbacks int64
@@ -578,9 +577,8 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		tCg := time.Now()
 		mem = rt.NewMemory()
 		cq, err = codegen.CompileOpts(node, mem, name, codegen.Options{
-			JoinFilter:  !e.opts.NoJoinFilter,
-			FilterStats: e.opts.FilterStats && !e.opts.NoJoinFilter,
-			NoDict:      e.opts.NoDict,
+			JoinFilter: !e.opts.NoJoinFilter,
+			NoDict:     e.opts.NoDict,
 		})
 		if err != nil {
 			return nil, err
@@ -650,16 +648,6 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 			return cancelled(err)
 		}
 		return nil, err
-	}
-	for _, jd := range cq.Joins {
-		if jd.StatsLocalOff < 0 {
-			continue
-		}
-		for w := 0; w < e.opts.Workers; w++ {
-			base := qr.qs.Locals[w] + rt.Addr(jd.StatsLocalOff)
-			st.FilterHits += int64(mem.Load64(base))
-			st.FilterSkips += int64(mem.Load64(base + 8))
-		}
 	}
 
 	// Execution has ended; what remains is ordering the output records and

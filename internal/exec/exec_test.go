@@ -420,8 +420,7 @@ func TestAdaptiveCompiles(t *testing.T) {
 	// With a zero-latency cost model and large data, adaptive execution
 	// should decide to compile at least one pipeline.
 	cost := Native()
-	cost.UnoptBase, cost.UnoptPerInstr = 0, 0
-	cost.OptBase, cost.OptPerInstr = 0, 0
+	cost.NativeBase, cost.NativePerInstr = 0, 0
 	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, MorselSize: 256})
 	s := plan.NewScan(ordersT, "o_total")
 	g := plan.NewGroupBy(s, nil, nil, []plan.AggExpr{

@@ -6,17 +6,16 @@ import (
 	"encoding/hex"
 
 	"aqe/internal/codegen"
-	"aqe/internal/vm"
 )
 
 // Fingerprint canonically identifies the executable form of a compiled
-// query: the IR module (instructions, types, constants, extern names), the
-// interned string literals and LIKE patterns, the pipeline structure, and
-// the bytecode translator configuration. Two plans with equal fingerprints
-// code-generate byte-identical modules under identical translator options,
-// so translated bytecode and installed closures can be shared between them
-// — all run-specific bindings (segment contents, extern functions, query
-// state) are re-established per execution and addressed indirectly.
+// query within one engine: the IR module (instructions, types, constants,
+// extern names), the interned string literals and LIKE patterns, and the
+// pipeline structure. Two plans with equal fingerprints code-generate
+// byte-identical modules, so translated bytecode and compiled variants can
+// be shared between them — all run-specific bindings (segment contents,
+// extern functions, query state) are re-established per execution and
+// addressed indirectly.
 type Fingerprint [sha256.Size]byte
 
 // Short returns an abbreviated hex form for logs and stats.
@@ -41,20 +40,19 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:8]) }
 // one engine, whose options never change, and each Handle's
 // disabled-levels mask decides which cached variants a run may install —
 // so the key has no such runs to keep apart.
-const fingerprintVersion = 4
+//
+// v5 dropped the six header bytes that carried the bytecode translator's
+// options (register strategy, fusion, window size), by v4's argument: they
+// are Options.VM of the engine that owns the cache, and never change. The
+// header is now the version and the pipeline count.
+const fingerprintVersion = 5
 
-// fingerprintOf hashes a code-generated query under the engine's
-// translator options.
-func fingerprintOf(cq *codegen.Query, vopts vm.Options) Fingerprint {
+// fingerprintOf hashes a code-generated query.
+func fingerprintOf(cq *codegen.Query) Fingerprint {
 	h := sha256.New()
-	var hdr [16]byte
+	var hdr [5]byte
 	hdr[0] = fingerprintVersion
-	hdr[1] = byte(vopts.Strategy)
-	if vopts.NoFusion {
-		hdr[2] = 1
-	}
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(vopts.WindowSize))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(cq.Pipelines)))
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(cq.Pipelines)))
 	h.Write(hdr[:])
 
 	buf := make([]byte, 0, 1<<14)

@@ -8,18 +8,17 @@ import (
 	"aqe/internal/plan"
 	"aqe/internal/rt"
 	"aqe/internal/storage"
-	"aqe/internal/vm"
 )
 
 // fpOf code-generates the plan into a fresh address space and fingerprints
 // it, exactly as RunPlan does.
-func fpOf(t *testing.T, node plan.Node, vopts vm.Options) Fingerprint {
+func fpOf(t *testing.T, node plan.Node) Fingerprint {
 	t.Helper()
 	cq, err := codegen.Compile(node, rt.NewMemory(), "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fingerprintOf(cq, vopts)
+	return fingerprintOf(cq)
 }
 
 // fpPlan builds a representative scan→filter→aggregate plan with a
@@ -37,8 +36,8 @@ func TestFingerprintStable(t *testing.T) {
 	// The same plan, code-generated twice into distinct address spaces,
 	// must fingerprint identically — this is what makes the cache hit on
 	// repeated queries.
-	a := fpOf(t, fpPlan(50000), vm.Options{})
-	b := fpOf(t, fpPlan(50000), vm.Options{})
+	a := fpOf(t, fpPlan(50000))
+	b := fpOf(t, fpPlan(50000))
 	if a != b {
 		t.Fatalf("same plan fingerprints differ: %s vs %s", a.Short(), b.Short())
 	}
@@ -48,8 +47,8 @@ func TestFingerprintStable(t *testing.T) {
 }
 
 func TestFingerprintChangedConstant(t *testing.T) {
-	a := fpOf(t, fpPlan(50000), vm.Options{})
-	b := fpOf(t, fpPlan(50001), vm.Options{})
+	a := fpOf(t, fpPlan(50000))
+	b := fpOf(t, fpPlan(50001))
 	if a == b {
 		t.Fatal("changed filter constant did not change the fingerprint")
 	}
@@ -72,8 +71,8 @@ func TestFingerprintChangedType(t *testing.T) {
 		return plan.NewGroupBy(s, nil, nil,
 			[]plan.AggExpr{{Func: plan.Sum, Arg: plan.C(s.Schema(), "v"), Name: "s"}})
 	}
-	a := fpOf(t, mk(storage.Int64), vm.Options{})
-	b := fpOf(t, mk(storage.Float64), vm.Options{})
+	a := fpOf(t, mk(storage.Int64))
+	b := fpOf(t, mk(storage.Float64))
 	if a == b {
 		t.Fatal("changed column type did not change the fingerprint")
 	}
@@ -85,8 +84,8 @@ func TestFingerprintChangedExtern(t *testing.T) {
 	plain := base()
 	liked := base()
 	liked.Where(expr.Like(plan.C(liked.Schema(), "o_comment"), "%deposits%"))
-	a := fpOf(t, plain, vm.Options{})
-	b := fpOf(t, liked, vm.Options{})
+	a := fpOf(t, plain)
+	b := fpOf(t, liked)
 	if a == b {
 		t.Fatal("added extern call did not change the fingerprint")
 	}
@@ -100,8 +99,8 @@ func TestFingerprintChangedLiteralAndPattern(t *testing.T) {
 		s.Where(expr.Like(plan.C(s.Schema(), "o_comment"), pat))
 		return s
 	}
-	a := fpOf(t, mk("%deposits%"), vm.Options{})
-	b := fpOf(t, mk("%packages%"), vm.Options{})
+	a := fpOf(t, mk("%deposits%"))
+	b := fpOf(t, mk("%packages%"))
 	if a == b {
 		t.Fatal("changed LIKE pattern did not change the fingerprint")
 	}
@@ -111,8 +110,8 @@ func TestFingerprintChangedLiteralAndPattern(t *testing.T) {
 		s.Where(expr.Eq(plan.C(s.Schema(), "c_seg"), expr.Str(seg)))
 		return s
 	}
-	c := fpOf(t, mkEq("BUILDING"), vm.Options{})
-	d := fpOf(t, mkEq("GUILDING"), vm.Options{})
+	c := fpOf(t, mkEq("BUILDING"))
+	d := fpOf(t, mkEq("GUILDING"))
 	if c == d {
 		t.Fatal("changed string literal did not change the fingerprint")
 	}
@@ -140,33 +139,21 @@ func TestFingerprintParamSlots(t *testing.T) {
 	// live in the run's parameter segment, outside the module), so every
 	// binding shares one cache entry. Changing the slot — its type, its
 	// decimal scale, or the arity — must re-key the plan.
-	a := fpOf(t, fpParamPlan(expr.TDec(2), false), vm.Options{})
-	b := fpOf(t, fpParamPlan(expr.TDec(2), false), vm.Options{})
+	a := fpOf(t, fpParamPlan(expr.TDec(2), false))
+	b := fpOf(t, fpParamPlan(expr.TDec(2), false))
 	if a != b {
 		t.Fatalf("same parameterized plan fingerprints differ: %s vs %s", a.Short(), b.Short())
 	}
-	if c := fpOf(t, fpPlan(50000), vm.Options{}); c == a {
+	if c := fpOf(t, fpPlan(50000)); c == a {
 		t.Fatal("parameterized and constant plans share a fingerprint")
 	}
-	if d := fpOf(t, fpParamPlan(expr.TDec(3), false), vm.Options{}); d == a {
+	if d := fpOf(t, fpParamPlan(expr.TDec(3), false)); d == a {
 		t.Fatal("changed parameter scale did not change the fingerprint")
 	}
-	if e := fpOf(t, fpParamPlan(expr.TInt, false), vm.Options{}); e == a {
+	if e := fpOf(t, fpParamPlan(expr.TInt, false)); e == a {
 		t.Fatal("changed parameter type did not change the fingerprint")
 	}
-	if f := fpOf(t, fpParamPlan(expr.TDec(2), true), vm.Options{}); f == a {
+	if f := fpOf(t, fpParamPlan(expr.TDec(2), true)); f == a {
 		t.Fatal("changed parameter arity did not change the fingerprint")
-	}
-}
-
-func TestFingerprintTranslatorOptions(t *testing.T) {
-	// Programs depend on the translator configuration, so the fingerprint
-	// must separate them: a cache shared across configs would hand a
-	// no-fusion engine a fused program.
-	a := fpOf(t, fpPlan(50000), vm.Options{})
-	b := fpOf(t, fpPlan(50000), vm.Options{NoFusion: true})
-	c := fpOf(t, fpPlan(50000), vm.Options{Strategy: vm.NoReuse})
-	if a == b || a == c || b == c {
-		t.Fatal("translator options not separated by fingerprint")
 	}
 }

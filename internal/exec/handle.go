@@ -14,10 +14,11 @@ import (
 // Level is the execution tier of a worker function.
 type Level int32
 
-// Execution tiers, ordered by throughput (Fig. 3). LevelNative is the
-// copy-and-patch machine-code tier (tier 6), available only where
-// asm.Supported() holds. LevelVector is not a compilation tier of the
-// closure family but a different engine: the morsel-driven vectorized
+// Execution tiers, ordered by throughput (Fig. 3). The two closure tiers
+// are the paper's static baselines (ModeUnoptimized, ModeOptimized) and no
+// other mode runs them. LevelNative is the copy-and-patch machine-code tier
+// (tier 6), available only where asm.Supported() holds. LevelVector is not
+// a compilation tier but a different engine: the morsel-driven vectorized
 // backend, whose kernel needs no compilation. To the controller it is one
 // more level of the ladder — the candidate whose compile time is zero.
 const (
@@ -67,15 +68,16 @@ func (m levelMask) has(l Level) bool { return m&(1<<l) != 0 }
 func (m levelMask) above(l Level) levelMask { return m &^ (1<<(l+1) - 1) }
 
 // variants is every executable form of one worker function: the bytecode
-// program, the compiled artifact per JIT tier (indexed by jit.Level — the
-// native slot holds assembled machine code) and the vectorized kernel. The
-// plan cache stores one per pipeline and a Handle is created from one, so
-// a warm run starts with everything an earlier run produced. All of it is
-// immutable, address-indirect (bases re-registered per run resolve through
-// the run's segment table) and safe to share between in-flight queries.
+// program, the compiled artifact of the engine's one compiled level
+// (machine code, or closures under a static closure mode; Mode.levels) and
+// the vectorized kernel. The plan cache stores one per pipeline and a
+// Handle is created from one, so a warm run starts with everything an
+// earlier run produced. All of it is immutable, address-indirect (bases
+// re-registered per run resolve through the run's segment table) and safe
+// to share between in-flight queries.
 type variants struct {
 	prog     *vm.Program
-	compiled [3]*jit.Compiled
+	compiled *jit.Compiled
 	vec      *vector.Kernel
 }
 
@@ -92,16 +94,17 @@ type Handle struct {
 	// UseIRInterp forces direct SSA interpretation (ModeIRInterp).
 	UseIRInterp bool
 
-	compiled  [3]atomic.Pointer[jit.Compiled] // by jit.Level; nil until staged
-	vec       *vector.Kernel                  // nil when the pipeline has no kernel
+	compiled  atomic.Pointer[jit.Compiled] // the one compiled level; nil until staged
+	vec       *vector.Kernel               // nil when the pipeline has no kernel
 	level     atomic.Int32
 	compiling atomic.Bool
 
 	// disabled is the set of levels this pipeline may not run at. It is
-	// seeded at creation (no backend on the platform, NoNative / NoVector,
-	// ModeIRInterp, no kernel for the pipeline's shape) and grows at run
-	// time: a failed compilation or a demotion disables the level for the
-	// rest of the run. Nothing is ever re-enabled.
+	// seeded at creation (the levels outside the mode's set, no backend on
+	// the platform, NoNative / NoVector, no kernel for the pipeline's
+	// shape) and grows at run time: a failed compilation or a demotion
+	// disables the level for the rest of the run. Nothing is ever
+	// re-enabled.
 	disabled atomic.Uint32
 }
 
@@ -110,9 +113,7 @@ type Handle struct {
 // per-run dispatch state: level, in-flight compile flag, disabled levels.
 func newHandle(fn *ir.Function, v variants, disabled levelMask) *Handle {
 	h := &Handle{Fn: fn, Prog: v.prog, Instrs: fn.NumInstrs(), vec: v.vec}
-	for i, c := range v.compiled {
-		h.compiled[i].Store(c)
-	}
+	h.compiled.Store(v.compiled)
 	if v.vec == nil {
 		disabled |= maskOf(LevelVector)
 	}
@@ -158,11 +159,12 @@ func (h *Handle) Has(l Level) bool {
 	case LevelVector:
 		return h.vec != nil
 	}
-	return h.compiled[l.jit()].Load() != nil
+	c := h.compiled.Load()
+	return c != nil && c.Level == l.jit()
 }
 
 // Stage puts a compiled variant on the handle without installing it.
-func (h *Handle) Stage(l Level, c *jit.Compiled) { h.compiled[l.jit()].Store(c) }
+func (h *Handle) Stage(c *jit.Compiled) { h.compiled.Store(c) }
 
 // Install switches the pipeline's remaining morsels to level l, whose
 // variant must be on the handle (§III-B: "Once set, all remaining morsels
@@ -185,6 +187,6 @@ func (h *Handle) Dispatch(ctx *rt.Ctx, args []uint64) {
 	case LevelVector:
 		h.vec.Run(ctx, args)
 	default:
-		h.compiled[l.jit()].Load().Run(ctx, args)
+		h.compiled.Load().Run(ctx, args)
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 
 // TestNativeStaticMode runs the stress plan in ModeNative and checks the
 // tier-6 counters: on platforms with a backend the pipelines assemble and
-// execute native code; elsewhere every pipeline silently degrades to the
-// optimized closure tier. Results must match bytecode either way.
+// execute native code; elsewhere every pipeline silently stays in
+// bytecode. Results must match bytecode either way.
 func TestNativeStaticMode(t *testing.T) {
 	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
 	if err != nil {
@@ -48,8 +49,8 @@ func TestNativeStaticMode(t *testing.T) {
 
 // TestNativeGracefulDegradation simulates executable-memory allocation
 // failure (and doubles as the no-backend-GOARCH test elsewhere): a
-// ModeNative query must complete silently in the closure tier with the
-// fallback counter raised and no morsel ever executing native code.
+// ModeNative query must complete silently in bytecode with one fallback
+// counted per pipeline and no morsel ever executing native code.
 func TestNativeGracefulDegradation(t *testing.T) {
 	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
 	if err != nil {
@@ -68,15 +69,49 @@ func TestNativeGracefulDegradation(t *testing.T) {
 		t.Error("degraded result diverged from bytecode")
 	}
 	st := res.Stats
-	if st.NativeFallbacks == 0 {
-		t.Errorf("no fallbacks recorded under forced alloc failure: %+v", st)
+	if st.NativeFallbacks != int64(st.Pipelines) {
+		t.Errorf("%d fallbacks recorded under forced alloc failure for %d pipelines", st.NativeFallbacks, st.Pipelines)
 	}
 	if st.NativeMorsels != 0 {
 		t.Errorf("%d morsels ran natively despite alloc failure", st.NativeMorsels)
 	}
 	for i, l := range st.FinalLevels {
-		if l > LevelOptimized {
+		if l != LevelBytecode {
 			t.Errorf("pipeline %d finished in tier %v despite alloc failure", i, l)
+		}
+	}
+}
+
+// TestAdaptiveNeverRunsClosures: the closure tiers are the static
+// baselines only. The adaptive seed holds both closure levels on every
+// handle under either cost model, so neither the start rule nor the
+// controller — here free to climb, with native assembly costing nothing —
+// ever installs one.
+func TestAdaptiveNeverRunsClosures(t *testing.T) {
+	closures := maskOf(LevelUnoptimized, LevelOptimized)
+	for name, cost := range map[string]*CostModel{"paper": Paper(), "native": Native()} {
+		cost.NativeBase, cost.NativePerInstr = 0, 0
+		e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, MorselSize: 32})
+		if e.disabled&closures != closures {
+			t.Errorf("%s: adaptive seed %05b leaves a closure level enabled", name, e.disabled)
+		}
+		var installed atomic.Int32
+		e.morselHook = func(_ int, h *Handle, _ int) {
+			if l := h.Level(); closures.has(l) {
+				installed.Store(int32(l))
+			}
+		}
+		res, err := e.RunPlan(stressPlan(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := Level(installed.Load()); l != LevelBytecode {
+			t.Errorf("%s: a pipeline ran at %v", name, l)
+		}
+		for i, l := range res.Stats.FinalLevels {
+			if closures.has(l) {
+				t.Errorf("%s: pipeline %d finished at %v", name, i, l)
+			}
 		}
 	}
 }
@@ -148,7 +183,6 @@ func TestNoNativeNeverDispatchesNative(t *testing.T) {
 	want := fmt.Sprint(canon(ref.Rows, ref.Types))
 
 	cost := Native()
-	cost.UnoptBase, cost.UnoptPerInstr, cost.OptBase, cost.OptPerInstr = 0, 0, 0, 0
 	cost.NativeBase, cost.NativePerInstr = 0, 0
 	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost, NoNative: true,
 		MorselSize: 32, CacheBytes: 1 << 20})
@@ -188,11 +222,11 @@ func semiResidualPlan() plan.Node {
 
 // TestDisabledLevels drives every source of the disabled-levels mask
 // through a static mode, where what happens is deterministic: the engine's
-// seed (options, platform), the per-pipeline seed (no kernel for the
+// seed (mode, options, platform), the per-pipeline seed (no kernel for the
 // shape) and the run-time bit a failed compilation sets. In every row a
-// pipeline whose target level is disabled must finish in optimized
-// closures, a native level given up must be counted once per pipeline,
-// and the rows must be those of ModeBytecode.
+// pipeline whose target level is disabled must finish in bytecode, a
+// native level given up must be counted once per pipeline, and the rows
+// must be those of ModeBytecode.
 func TestDisabledLevels(t *testing.T) {
 	native, vec := maskOf(LevelNative), maskOf(LevelVector)
 	platform := levelMask(0)
@@ -205,8 +239,8 @@ func TestDisabledLevels(t *testing.T) {
 		plan      func() plan.Node
 		allocFail bool
 		skip      bool
-		seed      levelMask // the engine's seed, beyond the platform's
-		every     levelMask // disabled on every handle when the run ends
+		seed      levelMask // the engine's seed, beyond the mode's and the platform's
+		every     levelMask // disabled on every handle when the run ends, beyond the seed
 		some      levelMask // disabled on some handles but not all
 	}{
 		{name: "NoNative", opts: Options{Mode: ModeNative, NoNative: true}, plan: stressPlan,
@@ -217,8 +251,7 @@ func TestDisabledLevels(t *testing.T) {
 			every: native},
 		{name: "vector-ineligible shape", opts: Options{Mode: ModeVector}, plan: semiResidualPlan,
 			some: vec},
-		{name: "ModeIRInterp", opts: Options{Mode: ModeIRInterp}, plan: stressPlan,
-			seed: allLevels.above(LevelBytecode), every: allLevels.above(LevelBytecode)},
+		{name: "ModeIRInterp", opts: Options{Mode: ModeIRInterp}, plan: stressPlan},
 		{name: "unsupported platform", opts: Options{Mode: ModeNative}, plan: stressPlan,
 			skip: asm.Supported(), every: native},
 	} {
@@ -232,8 +265,9 @@ func TestDisabledLevels(t *testing.T) {
 			}
 			tc.opts.Workers, tc.opts.Cost = 2, Native()
 			e := New(tc.opts)
-			if e.disabled != tc.seed|platform {
-				t.Errorf("engine seed %05b, want %05b", e.disabled, tc.seed|platform)
+			ruled := platform | allLevels&^tc.opts.Mode.levels()
+			if e.disabled != tc.seed|ruled {
+				t.Errorf("engine seed %05b, want %05b", e.disabled, tc.seed|ruled)
 			}
 			var mu sync.Mutex
 			handles := map[int]*Handle{}
@@ -259,7 +293,7 @@ func TestDisabledLevels(t *testing.T) {
 				union, intersection = union|m, intersection&m
 				want := target
 				if m.has(target) {
-					want = LevelOptimized
+					want = LevelBytecode
 					if target == LevelNative {
 						fallbacks++
 					}
@@ -271,8 +305,8 @@ func TestDisabledLevels(t *testing.T) {
 			if len(handles) != len(st.FinalLevels) {
 				t.Fatalf("saw %d of %d pipelines run", len(handles), len(st.FinalLevels))
 			}
-			if intersection&^platform != tc.every|tc.seed {
-				t.Errorf("disabled on every handle: %05b, want %05b", intersection&^platform, tc.every|tc.seed)
+			if want := (tc.every | tc.seed) &^ ruled; intersection&^ruled != want {
+				t.Errorf("disabled on every handle: %05b, want %05b", intersection&^ruled, want)
 			}
 			if got := (union &^ intersection); got != tc.some {
 				t.Errorf("disabled on some handles only: %05b, want %05b", got, tc.some)
@@ -298,9 +332,9 @@ func TestDisabledLevels(t *testing.T) {
 // An absurd SpeedupNative makes any
 // real pipeline underperform its prediction, so promotion is always
 // followed by demotion: the pipeline goes back to the level it left, the
-// native level — and what the model ranks below it — is disabled on its
-// handle, NativeFallbacks ticks, and the trace holds exactly one demotion
-// event for it.
+// native level — and the vectorized engine where the model ranks it below
+// — is disabled on its handle, NativeFallbacks ticks, and the trace holds
+// exactly one demotion event for it.
 func TestNativeDemotion(t *testing.T) {
 	if !asm.Supported() {
 		t.Skip("no native backend; the controller never proposes tier 6 here")
@@ -312,7 +346,6 @@ func TestNativeDemotion(t *testing.T) {
 	want := fmt.Sprint(canon(ref.Rows, ref.Types))
 
 	cost := Native()
-	cost.UnoptBase, cost.UnoptPerInstr, cost.OptBase, cost.OptPerInstr = 0, 0, 0, 0
 	cost.NativeBase, cost.NativePerInstr = 0, 0
 	cost.Simulate = true
 	// Native code cannot possibly be 1e9x faster than bytecode: the
@@ -365,9 +398,10 @@ func TestNativeDemotion(t *testing.T) {
 			if n != 1 {
 				t.Errorf("pipeline %d: %d demotion events, want exactly one", p, n)
 			}
-			// Native takes every level the model ranks below it along —
-			// under this model, all of them — so the pipeline stays at the
-			// level whose rate was measured.
+			// Native takes the vectorized engine along where the model
+			// ranks it below — under this model, always — and the closure
+			// tiers were never the adaptive mode's, so the pipeline stays
+			// at the level whose rate was measured.
 			if m := handles[p].Disabled(); m != allLevels.above(LevelBytecode) {
 				t.Errorf("pipeline %d: demoted, yet its handle has only %05b disabled", p, m)
 			}

@@ -4,10 +4,11 @@ import "sync"
 
 // compilePool is the engine-wide background compilation service. The
 // adaptive controller used to spawn one goroutine per compilation, which
-// meant N concurrent adaptive queries could run N optimized compilations
-// at once — exactly the compile-thrash production engines avoid. The pool
-// bounds concurrent compilations engine-wide; excess requests queue in
-// FIFO order, so a hot query's upgrade is never cancelled, only delayed.
+// meant N concurrent adaptive queries could run N compilations at once —
+// exactly the compile-thrash production engines avoid. The pool bounds
+// concurrent compilations engine-wide (compileWorkers); excess requests
+// queue in FIFO order, so a hot query's upgrade is never cancelled, only
+// delayed.
 //
 // Workers are ephemeral: a submission spawns a worker if fewer than max
 // are running, and a worker exits when the queue drains. The engine
@@ -19,12 +20,7 @@ type compilePool struct {
 	max     int
 }
 
-func newCompilePool(max int) *compilePool {
-	if max < 1 {
-		max = 1
-	}
-	return &compilePool{max: max}
-}
+func newCompilePool(max int) *compilePool { return &compilePool{max: max} }
 
 // submit enqueues a compilation job. It never blocks: the queue is
 // unbounded (jobs are small; the bound that matters is on concurrency).

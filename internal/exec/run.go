@@ -123,7 +123,7 @@ func (qr *queryRun) cancelCause() error {
 func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Memory, st *Stats, tr *Trace) (*queryRun, error) {
 	qr := &queryRun{eng: e, cq: cq, mem: mem, stats: st, trace: tr,
 		result: newRowSet(mem, cq), taken: make([]int, e.opts.Workers), limit: -1}
-	qr.fp = fingerprintOf(cq, e.opts.VM)
+	qr.fp = fingerprintOf(cq)
 	st.Fingerprint = qr.fp.Short()
 
 	var ent *cachedPlan
@@ -191,20 +191,25 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	// level before execution starts, single-threaded; for the compiled
 	// ones this is the up-front compilation of the whole module (§II-A),
 	// the latency the adaptive mode exists to avoid. A pipeline whose
-	// level is disabled or fails to compile runs in optimized closures
-	// instead (reach). A cache hit skips both the compilation and its
-	// simulated latency: the artifact exists, so there is nothing to wait
-	// for.
+	// level is disabled or fails to assemble runs bytecode (giveUp). A
+	// cache hit skips both the compilation and its simulated latency: the
+	// artifact exists, so there is nothing to wait for.
 	if target := e.opts.Mode.level(); target > LevelBytecode {
 		tC := time.Now()
 		compiledAny := false
 		for i, h := range qr.handles {
-			got, fresh, err := qr.reach(i, target)
-			if err != nil {
-				return nil, err
+			if !h.Disabled().has(target) {
+				fresh, err := qr.compile(i, target)
+				if err == nil {
+					compiledAny = compiledAny || fresh
+					h.Install(target)
+					continue
+				}
+				if target != LevelNative {
+					return nil, err
+				}
 			}
-			compiledAny = compiledAny || fresh
-			h.Install(got)
+			qr.giveUp(h, target)
 		}
 		// Adopting cached variants costs nothing; only fresh compilation
 		// counts, so warm runs report zero compile time.
@@ -254,36 +259,25 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	return qr, nil
 }
 
-// reach puts on pipeline i's handle the variant of level want or, where
-// that level is disabled or will not compile, of optimized closures, and
-// returns the level reached — the one walk down the ladder the static
-// modes and the controller's background compilations share. Only levels
-// above the closure tiers fall back: they can be disabled, and their
-// compilation can fail for a reason of the function's or the host's (an
-// op outside the native templates, no executable memory), which disables
-// them for the run; a closure compilation fails only on a bug, and fails
-// the query. fresh reports whether a compilation ran; what it produced is
-// also published to the cache.
-func (qr *queryRun) reach(i int, want Level) (got Level, fresh bool, err error) {
-	h := qr.handles[i]
-	if want > LevelOptimized {
-		if !h.Disabled().has(want) {
-			if fresh, err = qr.compile(i, want); err == nil {
-				return want, fresh, nil
-			}
-			h.Disable(maskOf(want))
-		}
-		if want == LevelNative {
-			qr.nativeFallbacks.Add(1)
-		}
-		want = LevelOptimized
+// giveUp is the one fallback rule: level l will not run for handle h —
+// disabled from the start (mode, platform, options, no kernel for the
+// shape) or its compilation failed — so it is disabled for the rest of the
+// run and the pipeline stays at the level it is at, which for a static
+// mode and at an adaptive pipeline's start is bytecode. Only native
+// assembly fails at run time, for a reason of the function's or the
+// host's (an op outside the templates, no executable memory); a closure
+// compilation fails only on a bug, and fails the query. A native level
+// given up counts once in NativeFallbacks.
+func (qr *queryRun) giveUp(h *Handle, l Level) {
+	h.Disable(maskOf(l))
+	if l == LevelNative {
+		qr.nativeFallbacks.Add(1)
 	}
-	fresh, err = qr.compile(i, want)
-	return want, fresh, err
 }
 
 // compile puts level l's variant on pipeline i's handle unless it is there
-// already (cached, or compiled earlier in this run).
+// already (cached, or compiled earlier in this run), and reports whether a
+// compilation ran; what it produced is also published to the cache.
 func (qr *queryRun) compile(i int, l Level) (fresh bool, err error) {
 	h := qr.handles[i]
 	if h.Has(l) {
@@ -293,12 +287,12 @@ func (qr *queryRun) compile(i int, l Level) (fresh bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	h.Stage(l, c)
+	h.Stage(c)
 	if l == LevelNative {
 		qr.nativeCompiles.Add(1)
 	}
 	if qr.eng.cache != nil {
-		qr.eng.cache.addCompiled(qr.fp, i, l.jit(), c)
+		qr.eng.cache.addCompiled(qr.fp, i, c)
 	}
 	return true, nil
 }
@@ -442,7 +436,6 @@ type progress struct {
 	claims  atomic.Int64
 	base    int64
 	cap     int64
-	grow    int64
 	started time.Time
 
 	// Zone-map pruning (nil when the scan has no prunable blocks): the
@@ -453,11 +446,11 @@ type progress struct {
 	rates    []atomic.Uint64 // per worker slot: float64 bits, tuples/sec
 	evalGate atomic.Bool
 
-	// Verification baseline, set when the controller promotes the pipeline
-	// above the closure tiers: the measured rate (float64 bits; 0 = no
-	// baseline) and the level just before the switch, and how many
-	// controller evaluations have run since. One of each is enough: a
-	// pipeline is at one level at a time (verify).
+	// Verification baseline, set when the controller promotes the
+	// pipeline: the measured rate (float64 bits; 0 = no baseline) and the
+	// level just before the switch, and how many controller evaluations
+	// have run since. One of each is enough: a pipeline is at one level at
+	// a time (verify).
 	preRate atomic.Uint64
 	preLvl  atomic.Int32
 	evals   atomic.Int32
@@ -476,10 +469,13 @@ func (pr *progress) promoted() bool { return pr.preRate.Load() != 0 }
 func newProgress(total int64, workers int, o Options) *progress {
 	return &progress{
 		total: total, work: total, started: time.Now(),
-		base: o.MorselSize, cap: o.MorselCap, grow: o.MorselGrowEvery,
+		base: o.MorselSize, cap: o.MorselCap,
 		rates: make([]atomic.Uint64, workers),
 	}
 }
+
+// morselGrowEvery is the claim cadence of geometric morsel growth.
+const morselGrowEvery = 8
 
 // setPruneMask installs a zone-map mask before workers start; pruned
 // tuples leave the remaining work the controller extrapolates over.
@@ -490,12 +486,12 @@ func (pr *progress) setPruneMask(pm *pruneMask) {
 }
 
 // morselSize returns the next morsel's size. Morsels grow geometrically
-// (×2 every grow-cadence claims, capped): small morsels early give the
+// (×2 every morselGrowEvery claims, capped): small morsels early give the
 // controller dense rate samples; large morsels later amortize dispatch
 // (§III-A).
 func (pr *progress) morselSize() int64 {
 	n := pr.claims.Add(1) - 1
-	size := pr.base << uint(minI64(n/pr.grow, 30))
+	size := pr.base << uint(minI64(n/morselGrowEvery, 30))
 	if size > pr.cap || size <= 0 {
 		size = pr.cap
 	}
@@ -712,8 +708,7 @@ func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	_, err := qr.compile(pl.ID, LevelNative)
 	qr.stats.Compile += time.Since(t0)
 	if err != nil {
-		h.Disable(maskOf(LevelNative))
-		qr.nativeFallbacks.Add(1)
+		qr.giveUp(h, LevelNative)
 		return
 	}
 	h.Install(LevelNative)
@@ -1017,7 +1012,7 @@ const (
 func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress, cur Level) bool {
 	bits := pr.preRate.Load()
 	if bits == 0 {
-		return false // static mode, level entered by start, or closure tier: no baseline
+		return false // static mode, or level entered by start: no baseline
 	}
 	if pr.evals.Add(1) < verifyWarmup {
 		return false
@@ -1034,16 +1029,13 @@ func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress, cur Le
 	off := maskOf(cur)
 	if cur == LevelNative {
 		// Native is the model's best claim for compiled code, and it did
-		// not hold for this pipeline; whatever the model ranks below it —
-		// the closure tiers always (TestNativeDominatesClosures), the
-		// vectorized engine unless the pipeline is hash-dense — is
-		// predicted to do worse still, and goes with it. Without this the
-		// controller would climb straight back from the measured level
-		// into one of them.
-		for l := LevelUnoptimized; l < numLevels; l++ {
-			if m.Speedup(l, hd) < m.Speedup(cur, hd) {
-				off |= maskOf(l)
-			}
+		// not hold for this pipeline; the vectorized engine, where the
+		// model ranks it below native (unless the pipeline is hash-dense),
+		// is predicted to do worse still, and goes with it. Without this
+		// the controller would climb straight back from the measured level
+		// into it.
+		if m.Speedup(LevelVector, hd) < m.Speedup(cur, hd) {
+			off |= maskOf(LevelVector)
 		}
 		qr.nativeFallbacks.Add(1)
 	}
@@ -1054,15 +1046,10 @@ func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress, cur Le
 
 // switchLevel moves a running pipeline to level to, whose variant is on
 // the handle, on behalf of the controller. rate is the rate measured at
-// the level being left. A promotion above the closure tiers keeps it as
-// the baseline verify holds the new level to; the closure tiers are not
-// verified, because the Paper() model's speedups for them are LLVM's, not
-// this substrate's, and a demotion (rate 0) leaves no baseline.
+// the level being left. A promotion keeps it as the baseline verify holds
+// the new level to; a demotion (rate 0) leaves no baseline.
 func (qr *queryRun) switchLevel(pl *codegen.Pipeline, h *Handle, pr *progress, to Level, rate float64, start time.Time) {
 	from := h.Level()
-	if to <= LevelOptimized {
-		rate = 0
-	}
 	pr.preRate.Store(math.Float64bits(rate))
 	pr.preLvl.Store(int32(from))
 	pr.evals.Store(0)
@@ -1098,9 +1085,9 @@ func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, from, to Level, start, end 
 }
 
 // compileTask runs on a shared compile-pool worker: it (optionally) sleeps
-// the modeled LLVM-scale latency, really compiles the function — landing
-// in optimized closures if level l will not compile (reach) — and switches
-// the pipeline over.
+// the modeled compile latency, really compiles the function and switches
+// the pipeline over — or, if level l will not compile, disables it and
+// leaves the pipeline at its current level (giveUp).
 func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress, l Level) {
 	if qr.cancelled.Load() {
 		h.AbortCompile()
@@ -1111,13 +1098,11 @@ func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress, l
 		h.AbortCompile()
 		return
 	}
-	got, _, err := qr.reach(pl.ID, l)
-	if err != nil {
+	if _, err := qr.compile(pl.ID, l); err != nil {
+		qr.giveUp(h, l)
 		h.AbortCompile()
-		qr.fail(fmt.Errorf("exec: background compile of %s: %w", h.Fn.Name, err))
-		pr.abort()
 		return
 	}
-	// The rate samples still measure the level got is about to replace.
-	qr.switchLevel(pl, h, pr, got, pr.avgRate(), t0)
+	// The rate samples still measure the level l is about to replace.
+	qr.switchLevel(pl, h, pr, l, pr.avgRate(), t0)
 }

@@ -74,7 +74,6 @@ func TestStartRule(t *testing.T) {
 	const morsel = 64
 	simulated := Native()
 	simulated.Simulate = true
-	simulated.UnoptBase, simulated.UnoptPerInstr, simulated.OptBase, simulated.OptPerInstr = 0, 0, 0, 0
 	simulated.NativeBase, simulated.NativePerInstr = 0, 0
 	for _, tc := range []struct {
 		name  string

@@ -45,32 +45,33 @@ func TestModeSwitchStress(t *testing.T) {
 	want := fmt.Sprint(canon(ref.Rows, ref.Types))
 
 	cost := Native()
-	cost.UnoptBase, cost.UnoptPerInstr, cost.OptBase, cost.OptPerInstr = 0, 0, 0, 0
+	cost.NativeBase, cost.NativePerInstr = 0, 0
 	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost,
-		MorselSize: 32, CacheBytes: 1 << 20, CompileWorkers: 2})
+		MorselSize: 32, CacheBytes: 1 << 20})
 
-	// The hook walks every handle through its own variant table, one level
+	// The hook walks every handle through the adaptive ladder, one level
 	// per morsel: it stages what is missing and installs it, whatever the
 	// controller and the compile pool are doing to the same handle at that
 	// moment. Where there is no native backend, or no kernel for the
-	// pipeline's shape, the optimized closure stands in, so the flip
-	// cadence is the same everywhere. Flipping a pipeline between compiled
-	// code and batch kernels mid-query is the engine-equivalence claim.
-	// Every so often it also disables one of the two top levels, so the
+	// pipeline's shape, bytecode stands in, so the flip cadence is the
+	// same everywhere. Flipping a pipeline between native code, bytecode
+	// and batch kernels mid-query is the engine-equivalence claim. Every
+	// so often it also disables one of the two top levels, so the
 	// controller's choices shrink under it while it evaluates.
+	ladder := []Level{LevelBytecode, LevelNative, LevelVector}
 	var flips, vecFlips atomic.Int64
 	e.morselHook = func(pipeline int, h *Handle, worker int) {
 		n := flips.Add(1)
-		l := Level(n % int64(numLevels))
+		l := ladder[n%int64(len(ladder))]
 		if l == LevelNative && !asm.Supported() || l == LevelVector && !h.Has(l) {
-			l = LevelOptimized
+			l = LevelBytecode
 		}
 		if !h.Has(l) {
 			c, err := jit.Compile(h.Fn, l.jit(), h.Prog)
 			if err != nil {
 				panic(err)
 			}
-			h.Stage(l, c)
+			h.Stage(c)
 		}
 		if l == LevelVector {
 			vecFlips.Add(1)

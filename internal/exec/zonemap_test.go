@@ -326,7 +326,7 @@ func TestZoneMapEdgeCases(t *testing.T) {
 // not part of the work the controller amortizes a compilation over.
 func TestPruneProgressAccounting(t *testing.T) {
 	const total, blockRows = 10_000, 256
-	opts := Options{MorselSize: 32, MorselCap: 512, MorselGrowEvery: 4}
+	opts := Options{MorselSize: 32, MorselCap: 512}
 	nb := (total + blockRows - 1) / blockRows
 	pruned := make([]bool, nb)
 	var prunedTuples int64
@@ -394,25 +394,25 @@ func TestPruneProgressAccounting(t *testing.T) {
 	}
 }
 
-// TestMorselGrowthOptions pins the configurable growth schedule: size
-// doubles every MorselGrowEvery claims and clamps at MorselCap.
+// TestMorselGrowthOptions pins the growth schedule: size doubles every
+// morselGrowEvery claims and clamps at MorselCap.
 func TestMorselGrowthOptions(t *testing.T) {
-	pr := newProgress(1<<40, 1, Options{MorselSize: 16, MorselCap: 64, MorselGrowEvery: 2})
-	want := []int64{16, 16, 32, 32, 64, 64, 64, 64, 64, 64}
-	for i, w := range want {
+	pr := newProgress(1<<40, 1, Options{MorselSize: 16, MorselCap: 64})
+	for i := 0; i < 4*morselGrowEvery; i++ {
+		want := int64(16) << min(i/morselGrowEvery, 2)
 		begin, end, ok := pr.claim()
 		if !ok {
 			t.Fatalf("claim %d: exhausted", i)
 		}
-		if end-begin != w {
-			t.Errorf("claim %d: size %d, want %d", i, end-begin, w)
+		if end-begin != want {
+			t.Errorf("claim %d: size %d, want %d", i, end-begin, want)
 		}
 	}
 	// Engine defaults preserve the historical schedule (base 2048, ×2
 	// every 8 claims, cap 64k).
 	e := New(Options{})
-	if e.opts.MorselCap != 65536 || e.opts.MorselGrowEvery != 8 {
-		t.Errorf("defaults: cap %d, growEvery %d; want 65536, 8",
-			e.opts.MorselCap, e.opts.MorselGrowEvery)
+	if e.opts.MorselSize != 2048 || e.opts.MorselCap != 65536 || morselGrowEvery != 8 {
+		t.Errorf("defaults: size %d, cap %d, growEvery %d; want 2048, 65536, 8",
+			e.opts.MorselSize, e.opts.MorselCap, morselGrowEvery)
 	}
 }

@@ -128,8 +128,8 @@ func (c *Compiled) Run(ctx *rt.Ctx, args []uint64) uint64 {
 //
 // The Native tier assembles machine code via internal/asm; it fails with
 // an error wrapping asm.ErrUnsupported on platforms without a backend or
-// for functions using ops outside the template set, and callers fall back
-// to a closure tier.
+// for functions using ops outside the template set, and the engine leaves
+// the pipeline at the level it is at.
 func Compile(f *ir.Function, level Level, prog *vm.Program) (*Compiled, error) {
 	_ = prog
 	start := time.Now()

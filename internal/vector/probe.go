@@ -63,7 +63,6 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 	}
 	pb := &rc.pairBufs[pi.idx]
 	pk, pe := pb.k[:0], pb.e[:0]
-	var hits, skips int64
 
 	for _, k := range sel {
 		h := hv[k]
@@ -72,10 +71,8 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 			fw := rc.ld16(fBase + slot*2)
 			tag := uint64(1) << ((h >> 48) & 15)
 			if fw&tag == 0 {
-				skips++
 				continue
 			}
-			hits++
 		}
 		e := rc.ld64(buckets + slot*8)
 		for e != 0 {
@@ -99,12 +96,6 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 		}
 	}
 	pb.k, pb.e = pk, pe
-
-	if p.StatsLocalOff >= 0 {
-		addr := rc.local + uint64(p.StatsLocalOff)
-		rc.st64(addr, rc.ld64(addr)+uint64(hits))
-		rc.st64(addr+8, rc.ld64(addr+8)+uint64(skips))
-	}
 
 	switch j.Kind {
 	case plan.Semi:
