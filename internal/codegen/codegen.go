@@ -33,14 +33,14 @@ type Query struct {
 	Outs     []OutDesc
 	Patterns []string
 
-	// Literals is the string-literal segment; codegen pre-registered it
-	// and embedded its addresses as constants. LitLen is the number of
-	// bytes actually interned (the fingerprint hashes only this prefix).
+	// Literals is the string-literal segment's contents, exactly the bytes
+	// interned; codegen registered the segment before emitting any code,
+	// embedded its addresses as constants, and published these bytes at
+	// the end.
 	Literals []byte
-	LitLen   int
 
 	// Params describes the prepared-statement parameters referenced by
-	// the plan, indexed by parameter number ($1 is index 0). ParamSeg is
+	// the plan, indexed by parameter number ($1 is index 0). ParamBase is
 	// the segment generated code loads them from: one 16-byte slot per
 	// parameter (scalar at +0; strings: address at +0, length at +8,
 	// bytes appended after the slot array), installed per execution by
@@ -48,8 +48,10 @@ type Query struct {
 	// the IR — so executions that differ only in bindings share a module,
 	// a fingerprint, compiled tiers and vectorized kernels.
 	Params    []expr.Type
-	ParamSeg  []byte
 	ParamBase uint64
+
+	// mem is the address space the segments above are mapped in.
+	mem *rt.Memory
 
 	// Output describes the result records the final pipeline writes (read
 	// by exec.RowSet); SortKeys/Limit are applied to them by the engine.
@@ -137,16 +139,11 @@ type OutCol struct {
 	Off  int
 }
 
-// litCap is the capacity of the string literal segment.
-const litCap = 1 << 20
-
-// Parameter segment layout: maxParams 16-byte slots followed by the
-// string heap bound parameter strings copy into.
+// Parameter segment layout: one 16-byte slot per parameter (at most
+// maxParams) followed by the string heap bound parameter strings copy into.
 const (
-	maxParams    = 64
-	paramSlot    = 16
-	paramHeapCap = 1 << 16
-	paramSegCap  = maxParams*paramSlot + paramHeapCap
+	maxParams = 64
+	paramSlot = 16
 )
 
 // Options selects optional code-generation features. The generated IR
@@ -181,17 +178,18 @@ func CompileOpts(root plan.Node, mem *rt.Memory, name string, opts Options) (*Qu
 		litIdx:     make(map[string]int64),
 		patternIdx: make(map[string]int),
 	}
-	g.q = &Query{Module: g.mod, Limit: -1}
-	g.q.Literals = make([]byte, litCap)
-	g.litBase = mem.AddSegment(g.q.Literals)
-	// The parameter segment registers unconditionally (even for plans
-	// without parameters) so segment numbering — and therefore every
-	// embedded base address — is identical across all plans, which cached
-	// closures and kernels rely on.
-	g.q.ParamSeg = make([]byte, paramSegCap)
-	g.paramBase = mem.AddSegment(g.q.ParamSeg)
+	g.q = &Query{Module: g.mod, Limit: -1, mem: mem}
+	// The literal and parameter segments register first and unconditionally
+	// (even for plans without literals or parameters) so segment numbering
+	// — and therefore every embedded base address — is identical across
+	// all plans, which cached closures and kernels rely on. Each is
+	// published at its exact size once its contents are known: literals at
+	// the end of codegen, parameter slots here and again by BindParams.
+	g.litBase = mem.AddSegment(nil)
+	g.paramBase = mem.AddSegment(nil)
 	g.q.ParamBase = g.paramBase
 	g.collectParams(root)
+	mem.SetSegment(g.paramBase, make([]byte, len(g.q.Params)*paramSlot))
 
 	if ob, ok := root.(*plan.OrderBy); ok {
 		g.q.SortKeys = ob.Keys
@@ -215,7 +213,7 @@ func CompileOpts(root plan.Node, mem *rt.Memory, name string, opts Options) (*Qu
 	if err != nil {
 		return nil, err
 	}
-	g.q.LitLen = g.litOff
+	mem.SetSegment(g.litBase, g.q.Literals)
 	for _, f := range g.mod.Funcs {
 		if verr := f.Verify(); verr != nil {
 			return nil, fmt.Errorf("codegen: generated %s is invalid: %w", f.Name, verr)
@@ -235,7 +233,6 @@ type cgen struct {
 	codeBase map[*storage.Dict]uint64
 
 	litBase   uint64
-	litOff    int
 	litIdx    map[string]int64
 	paramBase uint64
 
@@ -265,12 +262,8 @@ func (g *cgen) internLit(s string) (int64, int64) {
 	if off, ok := g.litIdx[s]; ok {
 		return int64(g.litBase) + off, int64(len(s))
 	}
-	if g.litOff+len(s) > litCap {
-		panic("codegen: literal segment full")
-	}
-	off := int64(g.litOff)
-	copy(g.q.Literals[g.litOff:], s)
-	g.litOff += len(s)
+	off := int64(len(g.q.Literals))
+	g.q.Literals = append(g.q.Literals, s...)
 	g.litIdx[s] = off
 	return int64(g.litBase) + off, int64(len(s))
 }
@@ -363,17 +356,19 @@ func (g *cgen) genParam(b *ir.Builder, idx int, t expr.Type) expr.Val {
 	}
 }
 
-// BindParams installs the execution's parameter values into the parameter
-// segment. It runs before every execution of a parameterized query
-// (CompileOpts allocates a fresh segment per run); the value types must
-// match the plan's descriptors — the fingerprint hashes the descriptors,
-// so a mismatch means the caller bound values the plan was not built for.
+// BindParams installs the execution's parameter values: it builds a
+// parameter segment of the slots followed by the bound strings and
+// publishes it in place of the compiled one. It runs before every
+// execution of a parameterized query (CompileOpts maps a fresh address
+// space per run); the value types must match the plan's descriptors — the
+// fingerprint hashes the descriptors, so a mismatch means the caller bound
+// values the plan was not built for.
 func (q *Query) BindParams(vals []*expr.Const) error {
 	if len(vals) != len(q.Params) {
 		return fmt.Errorf("codegen: statement wants %d parameter(s), got %d",
 			len(q.Params), len(vals))
 	}
-	heap := maxParams * paramSlot
+	seg := make([]byte, len(vals)*paramSlot)
 	for i, v := range vals {
 		if v == nil {
 			return fmt.Errorf("codegen: parameter $%d is unbound", i+1)
@@ -385,19 +380,16 @@ func (q *Query) BindParams(vals []*expr.Const) error {
 		off := i * paramSlot
 		switch v.T.Kind {
 		case expr.KFloat:
-			binary.LittleEndian.PutUint64(q.ParamSeg[off:], math.Float64bits(v.F))
+			binary.LittleEndian.PutUint64(seg[off:], math.Float64bits(v.F))
 		case expr.KString:
-			if heap+len(v.S) > len(q.ParamSeg) {
-				return fmt.Errorf("codegen: parameter strings exceed %d bytes", paramHeapCap)
-			}
-			copy(q.ParamSeg[heap:], v.S)
-			binary.LittleEndian.PutUint64(q.ParamSeg[off:], q.ParamBase+uint64(heap))
-			binary.LittleEndian.PutUint64(q.ParamSeg[off+8:], uint64(len(v.S)))
-			heap += len(v.S)
+			binary.LittleEndian.PutUint64(seg[off:], q.ParamBase+uint64(len(seg)))
+			binary.LittleEndian.PutUint64(seg[off+8:], uint64(len(v.S)))
+			seg = append(seg, v.S...)
 		default:
-			binary.LittleEndian.PutUint64(q.ParamSeg[off:], uint64(v.I))
+			binary.LittleEndian.PutUint64(seg[off:], uint64(v.I))
 		}
 	}
+	q.mem.SetSegment(q.ParamBase, seg)
 	return nil
 }
 

@@ -42,7 +42,7 @@ type VecSpec struct {
 	StrLits map[string][2]uint64
 
 	// ParamBase is the base address of the query's parameter segment
-	// (Query.ParamSeg). Kernels evaluate expr.Param by loading the slot
+	// (Query.ParamBase). Kernels evaluate expr.Param by loading the slot
 	// through the run's segment table, so a fingerprint-cached kernel
 	// reads the current execution's bindings exactly like cached closures.
 	ParamBase uint64

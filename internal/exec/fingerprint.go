@@ -68,7 +68,7 @@ func fingerprintOf(cq *codegen.Query) Fingerprint {
 	// Literal and pattern contents do not change the generated code (they
 	// are addressed indirectly), but hashing them keeps the invariant
 	// "different query text → different fingerprint" intuitive.
-	h.Write(cq.Literals[:cq.LitLen])
+	h.Write(cq.Literals)
 	for _, p := range cq.Patterns {
 		var n [4]byte
 		binary.LittleEndian.PutUint32(n[:], uint32(len(p)))

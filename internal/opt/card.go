@@ -63,13 +63,12 @@ func relSel(r *Relation) sel {
 func exprSel(e expr.Expr, r *Relation) sel {
 	switch x := e.(type) {
 	case *expr.Logic:
+		if x.IsAnd {
+			return andSel(x, r)
+		}
 		out := exprSel(x.Args[0], r)
 		for _, a := range x.Args[1:] {
-			if x.IsAnd {
-				out = out.and(exprSel(a, r))
-			} else {
-				out = out.or(exprSel(a, r))
-			}
+			out = out.or(exprSel(a, r))
 		}
 		out.frac = clampSel(out.frac)
 		return out
@@ -94,6 +93,94 @@ func exprSel(e expr.Expr, r *Relation) sel {
 		}
 	}
 	return sel{frac: selDefault}
+}
+
+// andSel estimates a conjunction, nested ANDs flattened, under the
+// independence model — except that literal range bounds on one column are
+// one interval, not independent events. The tightest lower and upper
+// bound combine as s_lo + s_hi − 1 (the overlap of two one-sided ranges),
+// floored at one distinct value: `d >= a AND d < b` over a column uniform
+// on [lo, hi] is (b−a)/(hi−lo), where the product would be
+// (hi−a)(b−lo)/(hi−lo)². Bounds against parameters keep the independent
+// default, so a prepared plan's shape never depends on the values bound.
+func andSel(x *expr.Logic, r *Relation) sel {
+	type interval struct {
+		col    *expr.ColRef
+		lo, hi sel // the tightest bound on each side; frac 1 when unbounded
+	}
+	tighter := func(a, b sel) sel {
+		return sel{frac: math.Min(a.frac, b.frac), impossible: a.impossible || b.impossible}
+	}
+	var ivs []*interval
+	out := sel{frac: 1}
+	var visit func(e expr.Expr)
+	visit = func(e expr.Expr) {
+		if l, ok := e.(*expr.Logic); ok && l.IsAnd {
+			for _, a := range l.Args {
+				visit(a)
+			}
+			return
+		}
+		s := exprSel(e, r)
+		col, upper := boundOf(e)
+		if col == nil {
+			out = out.and(s)
+			return
+		}
+		var iv *interval
+		for _, v := range ivs {
+			if v.col.Idx == col.Idx {
+				iv = v
+			}
+		}
+		if iv == nil {
+			iv = &interval{col: col, lo: sel{frac: 1}, hi: sel{frac: 1}}
+			ivs = append(ivs, iv)
+		}
+		if upper {
+			iv.hi = tighter(iv.hi, s)
+		} else {
+			iv.lo = tighter(iv.lo, s)
+		}
+	}
+	visit(x)
+	for _, iv := range ivs {
+		floor := selEq
+		if _, st, ok := colStats(r, iv.col); ok && st.NDV > 0 {
+			floor = 1 / float64(st.NDV)
+		}
+		out = out.and(sel{
+			frac:       math.Max(iv.lo.frac+iv.hi.frac-1, floor),
+			impossible: iv.lo.impossible || iv.hi.impossible,
+		})
+	}
+	out.frac = clampSel(out.frac)
+	return out
+}
+
+// boundOf returns the column of a range bound `column <op> literal`
+// (either operand order) and whether it bounds from above; nil when e is
+// not one.
+func boundOf(e expr.Expr) (col *expr.ColRef, upper bool) {
+	c, isCmp := e.(*expr.Cmp)
+	if !isCmp {
+		return nil, false
+	}
+	ref, lit, op := c.L, c.R, c.Op
+	if _, isCol := ref.(*expr.ColRef); !isCol {
+		ref, lit, op = c.R, c.L, flip(c.Op)
+	}
+	col, isCol := ref.(*expr.ColRef)
+	if _, isLit := lit.(*expr.Const); !isCol || !isLit {
+		return nil, false
+	}
+	switch op {
+	case expr.CmpLt, expr.CmpLe:
+		return col, true
+	case expr.CmpGt, expr.CmpGe:
+		return col, false
+	}
+	return nil, false
 }
 
 // colStats resolves a ColRef of the scan schema to its column statistics.

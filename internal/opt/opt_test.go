@@ -74,12 +74,12 @@ func TestCardinalityInt(t *testing.T) {
 			return expr.Gt(expr.Int(25), plan.C(s, "u"))
 		}, 20, 30, false},
 		{"conjunction", func(s []plan.ColDef) expr.Expr {
-			// Independent-conjunct model: 0.75 * 0.76 ≈ 0.57, an
-			// overestimate of the true 0.50 overlap.
+			// One interval, not two independent events: 0.75 + 0.76 − 1
+			// ≈ 0.51 against the true 0.50 (the product would say 0.57).
 			return expr.And(
 				expr.Ge(plan.C(s, "u"), expr.Int(25)),
 				expr.Lt(plan.C(s, "u"), expr.Int(75)))
-		}, 45, 70, false},
+		}, 48, 53, false},
 		{"impossible-high", func(s []plan.ColDef) expr.Expr {
 			return expr.Gt(plan.C(s, "u"), expr.Int(1000))
 		}, 0, 0, true},
@@ -103,6 +103,51 @@ func TestCardinalityInt(t *testing.T) {
 				t.Fatalf("Empty = %v, want %v", p.Empty, tc.wantEmpt)
 			}
 			if c := p.EstCard(0); c < tc.lo || c > tc.hi {
+				t.Errorf("EstCard = %.2f, want in [%g, %g]", c, tc.lo, tc.hi)
+			}
+		})
+	}
+}
+
+// TestIntervalEstimate: a lower and an upper literal bound on one column
+// are one interval however the conjunction nests (Scan.Where chains ANDs),
+// the tightest bound per side wins, a disjoint interval keeps one distinct
+// value, bounds on different columns stay independent, and parameter
+// bounds keep the independent default.
+func TestIntervalEstimate(t *testing.T) {
+	tab := intTable("iv", []string{"u", "v"}, [][]int64{seq(1000), seq(1000)})
+	u := func(s []plan.ColDef) expr.Expr { return plan.C(s, "u") }
+	cases := []struct {
+		name   string
+		filter func(s []plan.ColDef) expr.Expr
+		lo, hi float64
+	}{
+		{"nested", func(s []plan.ColDef) expr.Expr {
+			return expr.And(expr.And(expr.Ge(u(s), expr.Int(100)), expr.Ge(plan.C(s, "v"), expr.Int(0))),
+				expr.Lt(u(s), expr.Int(200)))
+		}, 95, 105},
+		{"flipped", func(s []plan.ColDef) expr.Expr {
+			return expr.And(expr.Le(expr.Int(100), u(s)), expr.Gt(expr.Int(200), u(s)))
+		}, 95, 105},
+		{"tightest", func(s []plan.ColDef) expr.Expr {
+			return expr.And(expr.Ge(u(s), expr.Int(100)), expr.Ge(u(s), expr.Int(150)),
+				expr.Lt(u(s), expr.Int(200)))
+		}, 45, 55},
+		{"disjoint", func(s []plan.ColDef) expr.Expr {
+			return expr.And(expr.Ge(u(s), expr.Int(800)), expr.Lt(u(s), expr.Int(200)))
+		}, 1, 1},
+		{"two-columns", func(s []plan.ColDef) expr.Expr {
+			return expr.And(expr.Ge(u(s), expr.Int(500)), expr.Lt(plan.C(s, "v"), expr.Int(500)))
+		}, 240, 260},
+		{"params", func(s []plan.ColDef) expr.Expr {
+			return expr.And(expr.Ge(u(s), expr.ParamRef(0, expr.TInt)),
+				expr.Lt(u(s), expr.ParamRef(1, expr.TInt)))
+		}, 1000.0 / 9, 1000.0 / 9},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := orderOne(t, tab, []string{"u", "v"}, tc.filter)
+			if c := p.EstCard(0); c < tc.lo-1e-9 || c > tc.hi+1e-9 {
 				t.Errorf("EstCard = %.2f, want in [%g, %g]", c, tc.lo, tc.hi)
 			}
 		})
@@ -224,6 +269,47 @@ func TestGreedyOrderGolden(t *testing.T) {
 	for _, j := range joins {
 		if j.Est <= 0 {
 			t.Errorf("join of %s has no Est", j.Build.(*plan.Scan).Table.Name)
+		}
+	}
+}
+
+// TestBuildSmallerInput: a two-relation join builds its smaller estimated
+// input whatever order the relations are listed in — the two orders
+// produce the same intermediate, so only the build weight separates them.
+// A filter decides by the estimate, not the table size.
+func TestBuildSmallerInput(t *testing.T) {
+	k := make([]int64, 1000)
+	for i := range k {
+		k[i] = int64(i % 100)
+	}
+	big := intTable("big", []string{"b_k", "b_v"}, [][]int64{k, seq(1000)})
+	small := intTable("small", []string{"s_k"}, [][]int64{seq(100)})
+	bigFiltered := opt.Relation{Name: "big", Table: big, Cols: []string{"b_k", "b_v"},
+		Filter: expr.Lt(plan.C(plan.NewScan(big, "b_k", "b_v").Schema(), "b_v"), expr.Int(50))}
+	cases := []struct {
+		name  string
+		big   opt.Relation
+		build string
+	}{
+		{"unfiltered", opt.Relation{Name: "big", Table: big, Cols: []string{"b_k", "b_v"}}, "small"},
+		{"filtered", bigFiltered, "big"},
+	}
+	for _, tc := range cases {
+		for _, swap := range []bool{false, true} {
+			rels := []opt.Relation{tc.big, {Name: "small", Table: small, Cols: []string{"s_k"}}}
+			edge := opt.Edge{L: 0, LCol: "b_k", R: 1, RCol: "s_k"}
+			if swap {
+				rels[0], rels[1] = rels[1], rels[0]
+				edge = opt.Edge{L: 0, LCol: "s_k", R: 1, RCol: "b_k"}
+			}
+			p, err := opt.Order(&opt.Logical{Name: "two", Graph: &opt.Graph{Rels: rels, Edges: []opt.Edge{edge}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.OrderNames()[1]; got != tc.build {
+				t.Errorf("%s, FROM order swapped=%v: builds %s, want %s (order %v)",
+					tc.name, swap, got, tc.build, p.OrderNames())
+			}
 		}
 	}
 }

@@ -1,9 +1,26 @@
 package rt
 
-// arenaChunkSize is the default chunk size for runtime arenas. Chunks are
-// registered as memory segments so generated code can read and write
-// tuples in them directly.
-const arenaChunkSize = 1 << 18
+// Arena chunks grow geometrically: chunk i holds firstChunkSize << i bytes
+// up to maxChunkSize, so a query that materializes a handful of tuples
+// allocates (and zeroes) a few KiB per worker, while a large build still
+// reaches the full chunk size after six chunks. A chunk's size depends only
+// on its index, which lets OutSet locate a record without reading the
+// worker's arena state. Chunks are registered as memory segments so
+// generated code can read and write tuples in them directly.
+const (
+	firstChunkSize = 1 << 12
+	maxChunkSize   = 1 << 18
+	growChunks     = 6 // chunks before the first maxChunkSize one
+)
+
+// chunkSize is the nominal size of an arena's chunk i; an allocation
+// larger than it gets a chunk of exactly its own size instead.
+func chunkSize(i int) int {
+	if i >= growChunks {
+		return maxChunkSize
+	}
+	return firstChunkSize << i
+}
 
 // Arena is a per-worker bump allocator over memory segments. It is not
 // safe for concurrent use — every worker owns its own arena, which is what
@@ -24,10 +41,7 @@ func NewArena(mem *Memory) *Arena { return &Arena{mem: mem} }
 // Alloc returns the address of n fresh zeroed bytes.
 func (a *Arena) Alloc(n int) Addr {
 	if a.off+n > a.size {
-		size := arenaChunkSize
-		if n > size {
-			size = n
-		}
+		size := max(chunkSize(len(a.chunks)), n)
 		a.cur = a.mem.Alloc(size)
 		a.size = size
 		a.off = 0
@@ -66,11 +80,4 @@ func (a *Arena) EachChunk(fn func(base Addr, data []byte)) {
 	for i, base := range a.chunks {
 		fn(base, a.mem.Seg(base)[:a.used[i]])
 	}
-}
-
-// Reset drops all chunks (their segments remain mapped but unreferenced).
-func (a *Arena) Reset() {
-	a.cur, a.off, a.size = 0, 0, 0
-	a.chunks = a.chunks[:0]
-	a.used = a.used[:0]
 }

@@ -15,11 +15,10 @@ import "sync/atomic"
 // running morsel is still filling are never exposed, so the reader can run
 // while the pipeline does. Workers never wait for the reader.
 type OutSet struct {
-	mem      *Memory
-	RowSize  int
-	perChunk int // records per arena chunk
-	bufs     []*outBuf
-	ready    chan struct{} // capacity 1: some watermark moved since the last receive
+	mem     *Memory
+	RowSize int
+	bufs    []*outBuf
+	ready   chan struct{} // capacity 1: some watermark moved since the last receive
 }
 
 // outBuf is one worker's arena and its published watermark. The arena
@@ -39,10 +38,7 @@ type outBuf struct {
 
 // NewOutSet creates an output set with one buffer per worker.
 func NewOutSet(mem *Memory, workers, rowSize int) *OutSet {
-	s := &OutSet{mem: mem, RowSize: rowSize, perChunk: 1, ready: make(chan struct{}, 1)}
-	if rowSize > 0 && rowSize < arenaChunkSize {
-		s.perChunk = arenaChunkSize / rowSize
-	}
+	s := &OutSet{mem: mem, RowSize: rowSize, ready: make(chan struct{}, 1)}
 	for i := 0; i < workers; i++ {
 		s.bufs = append(s.bufs, &outBuf{arena: NewArena(mem)})
 	}
@@ -90,13 +86,28 @@ func (s *OutSet) Spans(w, from int, fn func(recs []byte)) int {
 	}
 	chunks := *b.pubChunks.Load()
 	for from < rows {
-		ci, off := from/s.perChunk, from%s.perChunk
-		n := s.perChunk - off
-		if n > rows-from {
-			n = rows - from
-		}
+		ci, off := s.locate(from)
+		n := min(s.perChunk(ci)-off, rows-from)
 		fn(s.mem.Bytes(chunks[ci]+Addr(off*s.RowSize), n*s.RowSize))
 		from += n
 	}
 	return from
+}
+
+// perChunk is the number of records arena chunk i holds: as many as fit
+// its index-determined size, or exactly one when a record is larger.
+func (s *OutSet) perChunk(i int) int { return max(chunkSize(i)/s.RowSize, 1) }
+
+// locate returns the arena chunk holding record rec and rec's index
+// within it, from the row size alone.
+func (s *OutSet) locate(rec int) (ci, off int) {
+	for ci = 0; ci < growChunks; ci++ {
+		n := s.perChunk(ci)
+		if rec < n {
+			return ci, rec
+		}
+		rec -= n
+	}
+	n := s.perChunk(growChunks)
+	return growChunks + rec/n, rec % n
 }

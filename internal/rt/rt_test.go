@@ -2,7 +2,9 @@ package rt
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -292,7 +294,7 @@ func TestOutSet(t *testing.T) {
 // chunk boundaries — the contract result streaming rests on. Meaningful
 // under -race: the reader touches arena memory the writer is extending.
 func TestOutSetWatermark(t *testing.T) {
-	const rowSize, total, morsel = 24, 40000, 700 // > 3 chunks of 256 KiB
+	const rowSize, total, morsel = 24, 40000, 700 // the growing chunks, then 3 of 256 KiB
 	m := NewMemory()
 	s := NewOutSet(m, 1, rowSize)
 	done := make(chan struct{})
@@ -333,6 +335,76 @@ func TestOutSetWatermark(t *testing.T) {
 	}
 	if next != total || want != total {
 		t.Fatalf("read %d records (next %d), want %d", want, next, total)
+	}
+}
+
+// TestOutSetGrowth: while arena chunks grow from 4 KiB to 256 KiB, a
+// reader locates records from their index alone — for a row size that does
+// not divide any chunk (72 B) and one larger than the first chunks (5000 B
+// gets a chunk of its own until chunks reach 8 KiB). Two writers publish
+// at odd morsel boundaries while the reader polls both; every record must
+// be read once, whole and in order, and the chunk count must be the one
+// the index arithmetic predicts. Meaningful under -race.
+func TestOutSetGrowth(t *testing.T) {
+	for _, rowSize := range []int{72, 5000} {
+		t.Run(fmt.Sprint(rowSize), func(t *testing.T) {
+			const workers, morsel = 2, 37
+			total := (1<<20)/rowSize + 7 // past the growing chunks into full ones
+			m := NewMemory()
+			s := NewOutSet(m, workers, rowSize)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < total; i++ {
+						addr := s.Alloc(w)
+						m.Store64(addr, uint64(i))
+						m.Store64(addr+Addr(rowSize)-8, ^uint64(i))
+						if (i+1)%morsel == 0 || i == total-1 {
+							s.Publish(w)
+						}
+					}
+				}(w)
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			next := make([]int, workers)
+			read := func() {
+				for w := range next {
+					want := uint64(next[w])
+					next[w] = s.Spans(w, next[w], func(recs []byte) {
+						if len(recs)%rowSize != 0 {
+							t.Errorf("span of %d bytes is not whole records", len(recs))
+						}
+						for ; len(recs) >= rowSize; recs = recs[rowSize:] {
+							v := binary.LittleEndian.Uint64(recs)
+							if v != want || binary.LittleEndian.Uint64(recs[rowSize-8:]) != ^v {
+								t.Errorf("worker %d record %d reads as %d: torn or misplaced", w, want, v)
+							}
+							want++
+						}
+					})
+				}
+			}
+			for running := true; running; {
+				select {
+				case <-s.Ready():
+				case <-done:
+					running = false
+				}
+				read()
+			}
+			for w := 0; w < workers; w++ {
+				if next[w] != total {
+					t.Errorf("worker %d: read %d records, want %d", w, next[w], total)
+				}
+				last, _ := s.locate(total - 1)
+				if got := len(s.bufs[w].arena.chunks); got != last+1 {
+					t.Errorf("worker %d: %d chunks, index arithmetic puts the last record in chunk %d", w, got, last)
+				}
+			}
+		})
 	}
 }
 
