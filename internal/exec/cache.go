@@ -10,17 +10,18 @@ import (
 )
 
 // planCache is the engine-level compilation cache: it maps plan
-// fingerprints to the translated bytecode of every pipeline (plus
-// queryStart), its vectorized kernel and its compiled variant of the
-// engine's one compiled level, so a repeated query skips translation
-// entirely and starts executing in the best level reached by any earlier
-// execution instead of re-climbing from bytecode.
+// fingerprints to the translated queryStart and to every variant any run
+// made of each pipeline — its bytecode, its vectorized kernel and its
+// compiled variant of the engine's one compiled level — so a repeated query
+// skips translation and starts executing in the best level reached by any
+// earlier execution instead of re-climbing from bytecode.
 //
 // Entries are evicted in LRU order once the byte budget is exceeded. The
 // budget tracks an estimate of the retained footprint (bytecode
-// instructions, constant pools, machine code or closure graphs); a
-// background compilation finishing after its query can still grow an
-// entry, which may in turn evict colder ones.
+// instructions, constant pools, machine code or closure graphs); a variant
+// made after its entry was inserted (a pipeline translated at its start, a
+// background compilation finishing after its query) still grows the entry,
+// which may in turn evict colder ones.
 type planCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -72,8 +73,8 @@ func newPlanCache(budget int64) *planCache {
 }
 
 // lookup returns a snapshot of the entry for fp, or nil, and counts the
-// hit or miss. The snapshot's pipes slice is a copy: concurrent
-// addCompiled calls mutate the cached entry, never the snapshot.
+// hit or miss. The snapshot's pipes slice is a copy: concurrent attach
+// calls mutate the cached entry, never the snapshot.
 func (c *planCache) lookup(fp Fingerprint) *cachedPlan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -90,15 +91,12 @@ func (c *planCache) lookup(fp Fingerprint) *cachedPlan {
 	return snap
 }
 
-// insert adds a freshly translated plan. A concurrent duplicate insert
-// keeps the existing entry (its compiled variants may already be attached).
-func (c *planCache) insert(fp Fingerprint, queryStart *vm.Program, progs []*vm.Program) {
-	ent := &cachedPlan{fp: fp, queryStart: queryStart}
-	ent.bytes = int64(queryStart.SizeBytes())
-	for _, p := range progs {
-		ent.pipes = append(ent.pipes, cachedPipe{variants: variants{prog: p}})
-		ent.bytes += int64(p.SizeBytes())
-	}
+// insert adds the entry of a plan with pipes pipelines, none of which has
+// a variant yet. A concurrent duplicate insert keeps the existing entry
+// (its variants may already be attached).
+func (c *planCache) insert(fp Fingerprint, queryStart *vm.Program, pipes int) {
+	ent := &cachedPlan{fp: fp, queryStart: queryStart, pipes: make([]cachedPipe, pipes),
+		bytes: int64(queryStart.SizeBytes())}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.idx[fp]; ok {
@@ -109,10 +107,10 @@ func (c *planCache) insert(fp Fingerprint, queryStart *vm.Program, progs []*vm.P
 	c.evict()
 }
 
-// addCompiled attaches a compiled variant to a cached pipeline. It is a
-// no-op if the entry was evicted or the pipeline has one already (the
-// first finished compilation wins; both artifacts are equivalent).
-func (c *planCache) addCompiled(fp Fingerprint, pipe int, comp *jit.Compiled) {
+// attach updates pipeline pipe of the entry for fp under the mutex and
+// charges the bytes set reports adding. It is a no-op if the entry was
+// evicted.
+func (c *planCache) attach(fp Fingerprint, pipe int, set func(*cachedPipe) int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.idx[fp]
@@ -120,14 +118,36 @@ func (c *planCache) addCompiled(fp Fingerprint, pipe int, comp *jit.Compiled) {
 		return
 	}
 	ent := el.Value.(*cachedPlan)
-	if pipe >= len(ent.pipes) || ent.pipes[pipe].compiled != nil {
+	if pipe >= len(ent.pipes) {
 		return
 	}
-	ent.pipes[pipe].compiled = comp
-	n := int64(comp.SizeBytes())
+	n := set(&ent.pipes[pipe])
 	ent.bytes += n
 	c.bytes += n
 	c.evict()
+}
+
+// addProgram attaches a pipeline's bytecode program. Like every add, the
+// first variant of a kind wins; later ones are equivalent.
+func (c *planCache) addProgram(fp Fingerprint, pipe int, p *vm.Program) {
+	c.attach(fp, pipe, func(cp *cachedPipe) int64 {
+		if cp.prog != nil {
+			return 0
+		}
+		cp.prog = p
+		return int64(p.SizeBytes())
+	})
+}
+
+// addCompiled attaches a compiled variant to a cached pipeline.
+func (c *planCache) addCompiled(fp Fingerprint, pipe int, comp *jit.Compiled) {
+	c.attach(fp, pipe, func(cp *cachedPipe) int64 {
+		if cp.compiled != nil {
+			return 0
+		}
+		cp.compiled = comp
+		return int64(comp.SizeBytes())
+	})
 }
 
 // vecKernelBytes is the footprint estimate of a cached vectorized kernel:
@@ -135,39 +155,25 @@ func (c *planCache) addCompiled(fp Fingerprint, pipe int, comp *jit.Compiled) {
 // bytecode programs or closure graphs.
 const vecKernelBytes = 2048
 
-// addVector attaches a vectorized kernel to a cached pipeline slot. First
-// finished compilation wins, like addCompiled.
+// addVector attaches a vectorized kernel to a cached pipeline.
 func (c *planCache) addVector(fp Fingerprint, pipe int, k *vector.Kernel) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.idx[fp]
-	if !ok {
-		return
-	}
-	ent := el.Value.(*cachedPlan)
-	if pipe >= len(ent.pipes) || ent.pipes[pipe].vec != nil {
-		return
-	}
-	ent.pipes[pipe].vec = k
-	ent.bytes += vecKernelBytes
-	c.bytes += vecKernelBytes
-	c.evict()
+	c.attach(fp, pipe, func(cp *cachedPipe) int64 {
+		if cp.vec != nil {
+			return 0
+		}
+		cp.vec = k
+		return vecKernelBytes
+	})
 }
 
 // noteEngine records whether the most recent execution of pipeline `pipe`
 // earned the vectorized engine (promoted to it and finished in it). Last
 // writer wins: the memo tracks the current preference, not history.
 func (c *planCache) noteEngine(fp Fingerprint, pipe int, vec bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.idx[fp]
-	if !ok {
-		return
-	}
-	ent := el.Value.(*cachedPlan)
-	if pipe < len(ent.pipes) {
-		ent.pipes[pipe].vecBest = vec
-	}
+	c.attach(fp, pipe, func(cp *cachedPipe) int64 {
+		cp.vecBest = vec
+		return 0
+	})
 }
 
 // evict drops LRU entries until the budget is respected. Called with the

@@ -16,6 +16,12 @@ func mkProg(name string, insts int) *vm.Program {
 	return &vm.Program{Name: name, Code: make([]vm.Inst, insts)}
 }
 
+// put inserts a one-pipeline plan whose pipeline has bytecode prog.
+func put(c *planCache, fp Fingerprint, queryStart, prog *vm.Program) {
+	c.insert(fp, queryStart, 1)
+	c.addProgram(fp, 0, prog)
+}
+
 func TestPlanCacheLRUAndBudget(t *testing.T) {
 	one := mkProg("p", 10) // SizeBytes ≈ 64+1+240
 	entryBytes := int64(one.SizeBytes() * 2)
@@ -24,7 +30,7 @@ func TestPlanCacheLRUAndBudget(t *testing.T) {
 	fp := func(i byte) Fingerprint { return Fingerprint{i} }
 
 	for i := byte(1); i <= 3; i++ {
-		c.insert(fp(i), mkProg("p", 10), []*vm.Program{mkProg("p", 10)})
+		put(c, fp(i), mkProg("p", 10), mkProg("p", 10))
 	}
 	st := c.stats()
 	if st.Entries != 3 || st.Evictions != 0 {
@@ -39,7 +45,7 @@ func TestPlanCacheLRUAndBudget(t *testing.T) {
 	if c.lookup(fp(1)) == nil {
 		t.Fatal("expected hit on entry 1")
 	}
-	c.insert(fp(4), mkProg("p", 10), []*vm.Program{mkProg("p", 10)})
+	put(c, fp(4), mkProg("p", 10), mkProg("p", 10))
 	st = c.stats()
 	if st.Entries != 3 || st.Evictions != 1 {
 		t.Fatalf("after overflow insert: %+v", st)
@@ -66,8 +72,8 @@ func TestPlanCacheCompiledGrowthEvicts(t *testing.T) {
 	per := int64(small.SizeBytes() * 2)
 	c := newPlanCache(2*per + 64)
 	a, b := Fingerprint{1}, Fingerprint{2}
-	c.insert(a, mkProg("p", 4), []*vm.Program{mkProg("p", 4)})
-	c.insert(b, mkProg("p", 4), []*vm.Program{mkProg("p", 4)})
+	put(c, a, mkProg("p", 4), mkProg("p", 4))
+	put(c, b, mkProg("p", 4), mkProg("p", 4))
 
 	comp := &jit.Compiled{}
 	comp.Stats.Closures = 1000 // ≈ 80 KB, far over budget
@@ -86,7 +92,7 @@ func TestPlanCacheSnapshotIsolation(t *testing.T) {
 	// (the engine reads the snapshot outside the cache lock).
 	c := newPlanCache(1 << 20)
 	fp := Fingerprint{7}
-	c.insert(fp, mkProg("qs", 2), []*vm.Program{mkProg("p", 2)})
+	put(c, fp, mkProg("qs", 2), mkProg("p", 2))
 	snap := c.lookup(fp)
 	c.addCompiled(fp, 0, &jit.Compiled{})
 	if snap.pipes[0].compiled != nil {

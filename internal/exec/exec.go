@@ -1,16 +1,18 @@
 // Package exec is the paper's primary contribution: the adaptive execution
-// framework (§III). Every pipeline is translated to bytecode, and one rule
-// decides the level its first morsel runs at (queryRun.start): what an
-// earlier execution left in the plan cache, else — where there is a native
-// back end (amd64) and compile latency is real, not simulated — machine
-// code assembled on the spot when the pipeline is longer than one morsel,
-// because assembling costs here what translating did; else bytecode, the
-// paper's start, which is what Paper() and every platform without a native
-// back end get. From there the engine tracks per-pipeline progress at morsel
-// boundaries, extrapolates the remaining duration of every level the
-// pipeline's handle allows (Fig. 7), and switches pipelines mid-flight by
-// storing a new level into the function handle, which holds every variant
-// (Fig. 5) — no work is lost because all levels execute identical
+// framework (§III). One rule decides the level a pipeline's first morsel
+// runs at (queryRun.start): what an earlier execution left in the plan
+// cache, else — where there is a native back end (amd64) and compile
+// latency is real, not simulated — machine code assembled on the spot when
+// the pipeline is longer than one morsel, because assembling costs here
+// what translating would; else bytecode, the paper's start, which is what
+// Paper() and every platform without a native back end get. A pipeline is
+// translated to bytecode only then, at its start, so one that starts in
+// machine code is never translated (the static modes translate every
+// pipeline up front). From there the engine tracks per-pipeline progress
+// at morsel boundaries, extrapolates the remaining duration of every level
+// the pipeline's handle allows (Fig. 7), and switches pipelines mid-flight
+// by storing a new level into the function handle, which holds every
+// variant (Fig. 5) — no work is lost because all levels execute identical
 // semantics over the same runtime state (§IV-E). The ladder is bytecode →
 // native machine code or the vectorized engine, and a level that fails to
 // compile or to deliver its predicted rate is disabled for the run, which
@@ -260,14 +262,17 @@ func (e *Engine) SchedStats() sched.Stats { return e.sched.AdmissionStats() }
 // Stats describes one executed stage (the last stage's stats are the
 // query's).
 type Stats struct {
-	Codegen   time.Duration // plan -> IR
-	Translate time.Duration // IR -> bytecode (all pipelines + queryStart)
+	Codegen time.Duration // plan -> IR
+	// Translate is IR -> bytecode: queryStart, and the pipelines this run
+	// translated — all of them up front in a static mode; in the adaptive
+	// mode each one that starts in bytecode, at its start.
+	Translate time.Duration
 	// Compile is the compilation the query waited for: a static mode's
 	// up-front compilation, and in the adaptive mode the coordinator's
 	// assembly of pipelines at their start — never the controller's
 	// background compilations, which run beside the morsels.
 	Compile   time.Duration
-	Exec      time.Duration // queryStart + pipelines, less start-of-pipeline assembly (Compile)
+	Exec      time.Duration // queryStart + pipelines, less start-of-pipeline assembly (Compile) and translation (Translate)
 	Finalize  time.Duration // pipeline-breaker wall time (within Exec)
 	PruneTime time.Duration // zone-map mask construction (within Exec)
 	Sort      time.Duration // root ORDER BY over the output records (after Exec)
@@ -292,8 +297,8 @@ type Stats struct {
 	Pipelines    int
 	FinalLevels  []Level // per pipeline, the tier that finished it
 	Compilations int     // adaptive compilations launched: at pipeline starts and in the background
-	RegFileBytes int     // largest bytecode register file
-	FusedOps     int     // macro-ops fused across pipelines (§IV-F)
+	RegFileBytes int     // largest register file of the pipelines' bytecode programs
+	FusedOps     int     // macro-ops fused across the pipelines' bytecode programs (§IV-F)
 	Finalizes    int     // pipeline breakers finalized
 	// Replans counts mid-query restarts on a reoptimized join order;
 	// EstCardErr is the worst misestimate factor max(est/obs, obs/est)
@@ -623,11 +628,12 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 			stop := context.AfterFunc(ctx, func() { qr.cancel(context.Cause(ctx)) })
 			defer stop()
 		}
-		// What start spent assembling pipelines lies inside execute's wall
-		// time but is compilation, and is booked there only.
-		tExec, compile0 := time.Now(), st.Compile
+		// What start spent assembling or translating pipelines lies inside
+		// execute's wall time but is compilation or translation, and is
+		// booked there only.
+		tExec, compile0, translate0 := time.Now(), st.Compile, st.Translate
 		err = qr.execute()
-		st.Exec += time.Since(tExec) - (st.Compile - compile0)
+		st.Exec += time.Since(tExec) - (st.Compile - compile0) - (st.Translate - translate0)
 		// Fold the run's tier-6 counters (atomics: a background compile can
 		// tick them until the moment of this snapshot). Accumulates across
 		// replan attempts like the duration fields above.

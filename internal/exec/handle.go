@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"aqe/internal/ir"
@@ -70,11 +71,11 @@ func (m levelMask) above(l Level) levelMask { return m &^ (1<<(l+1) - 1) }
 // variants is every executable form of one worker function: the bytecode
 // program, the compiled artifact of the engine's one compiled level
 // (machine code, or closures under a static closure mode; Mode.levels) and
-// the vectorized kernel. The plan cache stores one per pipeline and a
-// Handle is created from one, so a warm run starts with everything an
-// earlier run produced. All of it is immutable, address-indirect (bases
-// re-registered per run resolve through the run's segment table) and safe
-// to share between in-flight queries.
+// the vectorized kernel, each nil until some run made it. The plan cache
+// stores one per pipeline and a Handle is created from one, so a warm run
+// starts with everything an earlier run produced. All of it is immutable,
+// address-indirect (bases re-registered per run resolve through the run's
+// segment table) and safe to share between in-flight queries.
 type variants struct {
 	prog     *vm.Program
 	compiled *jit.Compiled
@@ -88,11 +89,19 @@ type variants struct {
 // was left stays on the handle, so going back costs the same one store.
 type Handle struct {
 	Fn     *ir.Function
-	Prog   *vm.Program // bytecode, always available
 	Instrs int
 
 	// UseIRInterp forces direct SSA interpretation (ModeIRInterp).
 	UseIRInterp bool
+
+	// The bytecode program is what the handle was created with, or else
+	// the translation of Fn made the first time it is asked for
+	// (bytecode). Dispatching at LevelBytecode asks, so a handle at that
+	// level always has one.
+	vmOpts   vm.Options
+	progOnce sync.Once
+	prog     *vm.Program
+	progErr  error
 
 	compiled  atomic.Pointer[jit.Compiled] // the one compiled level; nil until staged
 	vec       *vector.Kernel               // nil when the pipeline has no kernel
@@ -108,17 +117,31 @@ type Handle struct {
 	disabled atomic.Uint32
 }
 
-// newHandle wraps the variants of one worker function — freshly translated
-// or handed out by the plan cache. The Handle itself carries only the
-// per-run dispatch state: level, in-flight compile flag, disabled levels.
-func newHandle(fn *ir.Function, v variants, disabled levelMask) *Handle {
-	h := &Handle{Fn: fn, Prog: v.prog, Instrs: fn.NumInstrs(), vec: v.vec}
+// newHandle wraps the variants of one worker function — none yet, or what
+// the plan cache handed out — and translates Fn under opts if bytecode is
+// asked for and v has none. The Handle itself carries only the per-run
+// dispatch state: level, in-flight compile flag, disabled levels.
+func newHandle(fn *ir.Function, v variants, disabled levelMask, opts vm.Options) *Handle {
+	h := &Handle{Fn: fn, Instrs: fn.NumInstrs(), vmOpts: opts, vec: v.vec}
+	if v.prog != nil {
+		h.progOnce.Do(func() { h.prog = v.prog })
+	}
 	h.compiled.Store(v.compiled)
 	if v.vec == nil {
 		disabled |= maskOf(LevelVector)
 	}
 	h.disabled.Store(uint32(disabled))
 	return h
+}
+
+// bytecode returns the bytecode program, translating Fn on the first call;
+// fresh reports whether this call translated it.
+func (h *Handle) bytecode() (p *vm.Program, fresh bool, err error) {
+	h.progOnce.Do(func() {
+		h.prog, h.progErr = vm.Translate(h.Fn, h.vmOpts)
+		fresh = true
+	})
+	return h.prog, fresh, h.progErr
 }
 
 // Level returns the currently installed tier.
@@ -151,7 +174,7 @@ func (h *Handle) Disable(m levelMask) {
 }
 
 // Has reports whether level l's variant is on the handle, ready to
-// install.
+// install. Bytecode always is: it is translated on first use.
 func (h *Handle) Has(l Level) bool {
 	switch l {
 	case LevelBytecode:
@@ -183,7 +206,14 @@ func (h *Handle) Dispatch(ctx *rt.Ctx, args []uint64) {
 	}
 	switch l := h.Level(); l {
 	case LevelBytecode:
-		h.Prog.Run(ctx, args)
+		// The coordinator translates a pipeline before it leaves it in
+		// bytecode and fails the query if that fails (queryRun.bytecode),
+		// so only a switch made outside the controller translates here.
+		p, _, err := h.bytecode()
+		if err != nil {
+			panic(err)
+		}
+		p.Run(ctx, args)
 	case LevelVector:
 		h.vec.Run(ctx, args)
 	default:

@@ -115,11 +115,14 @@ func (qr *queryRun) cancelCause() error {
 	return context.Canceled
 }
 
-// newQueryRun binds externs, translates all worker functions to bytecode
-// (or adopts the cached translation on a fingerprint hit), performs
-// up-front compilation for the static modes, and builds the runtime state
-// the code generator's descriptors require. The trace (nil unless tracing)
-// is created by the caller so its origin covers the admission wait.
+// newQueryRun binds externs, translates queryStart (or adopts the cached
+// translation on a fingerprint hit), creates each pipeline's handle with
+// the variants the cache holds for it, translates the pipelines up front
+// and compiles them for a static mode, and builds the runtime state the
+// code generator's descriptors require. The adaptive mode translates a
+// pipeline only if it is to run in bytecode (start). The trace (nil unless
+// tracing) is created by the caller so its origin covers the admission
+// wait.
 func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Memory, st *Stats, tr *Trace) (*queryRun, error) {
 	qr := &queryRun{eng: e, cq: cq, mem: mem, stats: st, trace: tr,
 		result: newRowSet(mem, cq), taken: make([]int, e.opts.Workers), limit: -1}
@@ -142,22 +145,14 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 		pipes = ent.pipes
 	} else {
 		tTr := time.Now()
-		pipes = make([]cachedPipe, len(cq.Pipelines))
-		progs := make([]*vm.Program, len(pipes))
-		for i, pl := range cq.Pipelines {
-			prog, err := vm.Translate(pl.Fn, e.opts.VM)
-			if err != nil {
-				return nil, err
-			}
-			progs[i], pipes[i].prog = prog, prog
-		}
 		qsProg, err := vm.Translate(cq.QueryStart, e.opts.VM)
 		if err != nil {
 			return nil, err
 		}
 		qr.queryStart = qsProg
+		pipes = make([]cachedPipe, len(cq.Pipelines))
 		if e.cache != nil {
-			e.cache.insert(qr.fp, qsProg, progs)
+			e.cache.insert(qr.fp, qsProg, len(pipes))
 		}
 		st.Translate += time.Since(tTr)
 	}
@@ -177,14 +172,20 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 				}
 			}
 		}
-		h := newHandle(pl.Fn, v, e.disabled)
+		h := newHandle(pl.Fn, v, e.disabled, e.opts.VM)
 		h.UseIRInterp = e.opts.Mode == ModeIRInterp
-		if h.Prog.RegFileBytes() > st.RegFileBytes {
-			st.RegFileBytes = h.Prog.RegFileBytes()
+		if v.prog != nil {
+			qr.noteProgram(v.prog)
 		}
-		st.FusedOps += h.Prog.Fused
 		qr.handles = append(qr.handles, h)
 		qr.vecMemo = append(qr.vecMemo, pipes[i].vecBest)
+	}
+	if e.opts.Mode != ModeAdaptive {
+		for i := range qr.handles {
+			if err := qr.bytecode(i); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	// The static modes above bytecode put every pipeline at the mode's
@@ -259,6 +260,30 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	return qr, nil
 }
 
+// bytecode gives pipeline i its bytecode program unless its handle has one.
+// It runs on the coordinator, so the translation is the query's
+// Stats.Translate; the program is published to the plan cache like any
+// compiled variant, and counts in Stats.RegFileBytes and Stats.FusedOps.
+func (qr *queryRun) bytecode(i int) error {
+	t0 := time.Now()
+	p, fresh, err := qr.handles[i].bytecode()
+	if !fresh || err != nil {
+		return err
+	}
+	qr.stats.Translate += time.Since(t0)
+	qr.noteProgram(p)
+	if qr.eng.cache != nil {
+		qr.eng.cache.addProgram(qr.fp, i, p)
+	}
+	return nil
+}
+
+// noteProgram accounts a pipeline's bytecode program in the run's stats.
+func (qr *queryRun) noteProgram(p *vm.Program) {
+	qr.stats.RegFileBytes = max(qr.stats.RegFileBytes, p.RegFileBytes())
+	qr.stats.FusedOps += p.Fused
+}
+
 // giveUp is the one fallback rule: level l will not run for handle h —
 // disabled from the start (mode, platform, options, no kernel for the
 // shape) or its compilation failed — so it is disabled for the rest of the
@@ -283,7 +308,7 @@ func (qr *queryRun) compile(i int, l Level) (fresh bool, err error) {
 	if h.Has(l) {
 		return false, nil
 	}
-	c, err := jit.Compile(h.Fn, l.jit(), h.Prog)
+	c, err := jit.Compile(h.Fn, l.jit(), nil)
 	if err != nil {
 		return false, err
 	}
@@ -676,13 +701,15 @@ func (qr *queryRun) runPipeline(id int) {
 // compiled variant, or the vectorized kernel when the cache's memo says the
 // last run earned it. Otherwise the pipeline is assembled to native code
 // right here — on this substrate that costs what translating it to bytecode
-// cost, which was paid unconditionally — unless it fits in one initial
-// morsel: it would end before the controller's first look, and assembling
-// it costs more than interpreting it. A failed assembly disables the level
-// and leaves the pipeline to the controller at bytecode, as on a platform
-// without a native back end. Under a model that simulates compile latency
-// (Paper()) compilation is the expensive thing the paper says it is and
-// must be earned from a measured rate, so nothing is compiled here.
+// would, and a pipeline started in native code is never translated —
+// unless it fits in one initial morsel: it would end before the
+// controller's first look, and assembling it costs more than interpreting
+// it. A failed assembly disables the level and leaves the pipeline to the
+// controller at bytecode, as on a platform without a native back end.
+// Under a model that simulates compile latency (Paper()) compilation is the
+// expensive thing the paper says it is and must be earned from a measured
+// rate, so nothing is compiled here. A pipeline left in bytecode is
+// translated here, before its first morsel.
 //
 // A level entered here has no baseline rate, so the controller does not
 // verify it: a pipeline started at a level that is wrong for it stays there
@@ -700,20 +727,23 @@ func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) {
 			return
 		}
 	}
-	if off.has(LevelNative) || qr.eng.opts.Cost.Simulate || pr.work <= qr.eng.opts.MorselSize {
-		return
-	}
-	t0 := time.Now()
-	qr.stats.Compilations++
-	_, err := qr.compile(pl.ID, LevelNative)
-	qr.stats.Compile += time.Since(t0)
-	if err != nil {
+	if !off.has(LevelNative) && !qr.eng.opts.Cost.Simulate && pr.work > qr.eng.opts.MorselSize {
+		t0 := time.Now()
+		qr.stats.Compilations++
+		_, err := qr.compile(pl.ID, LevelNative)
+		qr.stats.Compile += time.Since(t0)
+		if err == nil {
+			h.Install(LevelNative)
+			if qr.trace != nil {
+				qr.noteSwitch(pl, LevelBytecode, LevelNative, t0, time.Now())
+			}
+			return
+		}
 		qr.giveUp(h, LevelNative)
-		return
 	}
-	h.Install(LevelNative)
-	if qr.trace != nil {
-		qr.noteSwitch(pl, LevelBytecode, LevelNative, t0, time.Now())
+	if err := qr.bytecode(pl.ID); err != nil {
+		qr.fail(err)
+		qr.checkFailed()
 	}
 }
 

@@ -67,7 +67,7 @@ func TestModeSwitchStress(t *testing.T) {
 			l = LevelBytecode
 		}
 		if !h.Has(l) {
-			c, err := jit.Compile(h.Fn, l.jit(), h.Prog)
+			c, err := jit.Compile(h.Fn, l.jit(), nil)
 			if err != nil {
 				panic(err)
 			}

@@ -1,136 +1,17 @@
-// Package analysis implements the control-flow analyses behind the paper's
-// linear-time bytecode translation (§IV-C/D): reverse-postorder labeling,
-// dominator trees with O(1) ancestor queries via pre/post-order numbering,
-// back-edge loop detection with natural-loop membership, a loop-contiguous
-// block layout, and the loop-aware liveness algorithm of Fig. 11.
+// Package analysis implements the loop analyses behind the paper's
+// linear-time bytecode translation (§IV-C/D): back-edge loop detection with
+// natural-loop membership, a loop-contiguous block layout, and the
+// loop-aware liveness algorithm of Fig. 11. They read the function's
+// control-flow facts (reverse postorder, predecessors, dominator tree) from
+// the ir.CFG the verifier checked it against.
 package analysis
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"aqe/internal/ir"
 )
-
-// CFG bundles the per-function control-flow facts shared by the analyses.
-type CFG struct {
-	F *ir.Function
-	// RPO is the list of reachable blocks in reverse postorder. RPONum
-	// maps block ID -> position in RPO (-1 for unreachable blocks).
-	RPO    []*ir.Block
-	RPONum []int
-	Preds  [][]*ir.Block
-}
-
-// NewCFG computes the reverse postorder and predecessor lists of f.
-func NewCFG(f *ir.Function) *CFG {
-	c := &CFG{F: f, RPO: f.ReversePostorder(), Preds: f.Preds()}
-	c.RPONum = make([]int, len(f.Blocks))
-	for i := range c.RPONum {
-		c.RPONum[i] = -1 // unreachable
-	}
-	for i, b := range c.RPO {
-		c.RPONum[b.ID] = i
-	}
-	return c
-}
-
-// DomTree is a dominator tree annotated with pre/post-order numbers so that
-// ancestor queries are O(1) interval containment checks (§IV-D, Fig. 12).
-type DomTree struct {
-	cfg  *CFG
-	Idom []*ir.Block // by block ID; nil for entry and unreachable blocks
-	pre  []int       // by block ID
-	post []int
-}
-
-// NewDomTree computes the dominator tree using the Cooper-Harvey-Kennedy
-// iterative algorithm over the reverse postorder. On the reducible CFGs a
-// query compiler emits this converges in two passes, giving effectively
-// linear runtime, which is what the translation budget requires.
-func NewDomTree(cfg *CFG) *DomTree {
-	f := cfg.F
-	n := len(f.Blocks)
-	d := &DomTree{cfg: cfg, Idom: make([]*ir.Block, n), pre: make([]int, n), post: make([]int, n)}
-	entry := f.Entry()
-	d.Idom[entry.ID] = entry
-	intersect := func(a, b *ir.Block) *ir.Block {
-		for a != b {
-			for cfg.RPONum[a.ID] > cfg.RPONum[b.ID] {
-				a = d.Idom[a.ID]
-			}
-			for cfg.RPONum[b.ID] > cfg.RPONum[a.ID] {
-				b = d.Idom[b.ID]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range cfg.RPO {
-			if b == entry {
-				continue
-			}
-			var ni *ir.Block
-			for _, p := range cfg.Preds[b.ID] {
-				if d.Idom[p.ID] == nil {
-					continue
-				}
-				if ni == nil {
-					ni = p
-				} else {
-					ni = intersect(p, ni)
-				}
-			}
-			if ni != nil && d.Idom[b.ID] != ni {
-				d.Idom[b.ID] = ni
-				changed = true
-			}
-		}
-	}
-	d.Idom[entry.ID] = nil
-	d.number()
-	return d
-}
-
-// number assigns pre/post-order numbers by a DFS over the dominator tree.
-func (d *DomTree) number() {
-	f := d.cfg.F
-	children := make([][]*ir.Block, len(f.Blocks))
-	// Iterate in RPO so child lists are deterministic.
-	for _, b := range d.cfg.RPO {
-		if p := d.Idom[b.ID]; p != nil {
-			children[p.ID] = append(children[p.ID], b)
-		}
-	}
-	clock := 0
-	type frame struct {
-		b *ir.Block
-		i int
-	}
-	stack := []frame{{f.Entry(), 0}}
-	clock++
-	d.pre[f.Entry().ID] = clock
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		if fr.i < len(children[fr.b.ID]) {
-			c := children[fr.b.ID][fr.i]
-			fr.i++
-			clock++
-			d.pre[c.ID] = clock
-			stack = append(stack, frame{c, 0})
-			continue
-		}
-		clock++
-		d.post[fr.b.ID] = clock
-		stack = stack[:len(stack)-1]
-	}
-}
-
-// Dominates reports whether a dominates b (reflexively) in O(1) using the
-// pre/post-order interval containment test.
-func (d *DomTree) Dominates(a, b *ir.Block) bool {
-	return d.pre[a.ID] <= d.pre[b.ID] && d.post[b.ID] <= d.post[a.ID]
-}
 
 // Loop describes one natural loop. After layout, the loop's blocks occupy
 // the contiguous position interval [First, Last]. The entry block heads a
@@ -144,6 +25,9 @@ type Loop struct {
 	Depth  int // nesting depth; the pseudo-loop has depth 0
 
 	members []*ir.Block // including blocks of nested loops
+	// chain is the RPO numbers of the heads of the loop and of every loop
+	// enclosing it, outermost first: the layout's sort key.
+	chain []int
 }
 
 // Contains reports whether layout position n falls inside the loop.
@@ -185,38 +69,40 @@ func (li *LoopInfo) InnermostOf(b *ir.Block) *Loop { return li.Innermost[li.Pos[
 // without the unsoundness of raw-RPO intervals, where a loop's exit block
 // can be numbered inside the loop and an escaping value's range would not
 // cover the loop head.
-func FindLoops(cfg *CFG, dom *DomTree) *LoopInfo {
+func FindLoops(cfg *ir.CFG) *LoopInfo {
 	f := cfg.F
 	li := &LoopInfo{}
 	n := len(cfg.RPO)
 
-	// The pseudo-loop: every reachable block belongs to it.
-	root := &Loop{Head: f.Entry(), members: cfg.RPO}
-	li.Root = root
-	li.Loops = []*Loop{root}
-
-	// Collect back edges per head, heads in RPO order (outer heads have
-	// smaller RPO numbers than the heads they enclose, because an outer
-	// head dominates inner ones).
-	latches := make(map[*ir.Block][]*ir.Block)
+	// Loop heads in RPO order: blocks entered by a back edge, from a
+	// predecessor they dominate. Outer heads come before the heads they
+	// enclose, because an outer head dominates inner ones. A retreat edge
+	// into a block that does not dominate its source is irreducible.
 	var heads []*ir.Block
 	for _, b := range cfg.RPO {
 		for _, s := range b.Succs() {
-			if cfg.RPONum[s.ID] <= cfg.RPONum[b.ID] { // retreat edge
-				if dom.Dominates(s, b) {
-					if latches[s] == nil {
-						heads = append(heads, s)
-					}
-					latches[s] = append(latches[s], b)
-				} else {
-					li.Irreducible = true
-				}
+			if cfg.RPONum[s.ID] <= cfg.RPONum[b.ID] && !cfg.Dominates(s, b) {
+				li.Irreducible = true
+			}
+		}
+		for _, p := range cfg.Preds[b.ID] {
+			if cfg.Dominates(b, p) {
+				heads = append(heads, b)
+				break
 			}
 		}
 	}
-	sort.Slice(heads, func(i, j int) bool {
-		return cfg.RPONum[heads[i].ID] < cfg.RPONum[heads[j].ID]
-	})
+
+	// The pseudo-loop, which every reachable block belongs to, and one loop
+	// per head. The loops' member lists and head chains are carved out of
+	// one growing array each.
+	loops := make([]Loop, 1+len(heads))
+	root := &loops[0]
+	root.Head, root.members = f.Entry(), cfg.RPO
+	chains := []int{cfg.RPONum[root.Head.ID]}
+	root.chain = chains[:1:1]
+	li.Root = root
+	li.Loops = append(make([]*Loop, 0, len(loops)), root)
 
 	// Natural loop membership: walk backwards from each latch to the head.
 	// innerOf[b] tracks the innermost loop seen so far; processing heads
@@ -226,22 +112,29 @@ func FindLoops(cfg *CFG, dom *DomTree) *LoopInfo {
 		innerOf[b.ID] = root
 	}
 	inLoop := make([]bool, len(f.Blocks)) // scratch, reset per loop
-	for _, h := range heads {
-		l := &Loop{Head: h}
-		l.Parent = innerOf[h.ID]
-		l.Depth = l.Parent.Depth + 1
-		var stack []*ir.Block
-		add := func(b *ir.Block) {
-			if !inLoop[b.ID] {
-				inLoop[b.ID] = true
-				l.members = append(l.members, b)
-				stack = append(stack, b)
-			}
+	stack := make([]*ir.Block, 0, n)
+	var members []*ir.Block
+	add := func(b *ir.Block) {
+		if !inLoop[b.ID] {
+			inLoop[b.ID] = true
+			members = append(members, b)
+			stack = append(stack, b)
 		}
+	}
+	for i, h := range heads {
+		l := &loops[1+i]
+		l.Head, l.Parent = h, innerOf[h.ID]
+		l.Depth = l.Parent.Depth + 1
+		c := len(chains)
+		chains = append(append(chains, l.Parent.chain...), cfg.RPONum[h.ID])
+		l.chain = chains[c:len(chains):len(chains)]
+		m := len(members)
 		inLoop[h.ID] = true
-		l.members = append(l.members, h)
-		for _, latch := range latches[h] {
-			add(latch)
+		members = append(members, h)
+		for _, p := range cfg.Preds[h.ID] {
+			if cfg.Dominates(h, p) { // a latch
+				add(p)
+			}
 		}
 		for len(stack) > 0 {
 			b := stack[len(stack)-1]
@@ -252,6 +145,7 @@ func FindLoops(cfg *CFG, dom *DomTree) *LoopInfo {
 				}
 			}
 		}
+		l.members = members[m:len(members):len(members)]
 		for _, b := range l.members {
 			inLoop[b.ID] = false
 			innerOf[b.ID] = l
@@ -260,45 +154,22 @@ func FindLoops(cfg *CFG, dom *DomTree) *LoopInfo {
 	}
 
 	// Layout: lexicographic order over (loop-head chain, own RPO number).
-	chains := make(map[*Loop][]int)
-	chains[root] = []int{cfg.RPONum[f.Entry().ID]}
-	var chainOf func(l *Loop) []int
-	chainOf = func(l *Loop) []int {
-		if c, ok := chains[l]; ok {
-			return c
+	li.Order = slices.Clone(cfg.RPO)
+	// key returns element k of block b's sort key, -1 past its end.
+	key := func(b *ir.Block, k int) int {
+		chain := innerOf[b.ID].chain
+		switch {
+		case k < len(chain):
+			return chain[k]
+		case k == len(chain):
+			return cfg.RPONum[b.ID]
 		}
-		c := append(append([]int{}, chainOf(l.Parent)...), cfg.RPONum[l.Head.ID])
-		chains[l] = c
-		return c
+		return -1
 	}
-	li.Order = make([]*ir.Block, n)
-	copy(li.Order, cfg.RPO)
-	// The sort key of block b is (chain of enclosing loop heads' RPO
-	// numbers) ++ (b's own RPO number), compared lexicographically.
-	elem := func(chain []int, own, k int) (int, bool) {
-		if k < len(chain) {
-			return chain[k], true
-		}
-		if k == len(chain) {
-			return own, true
-		}
-		return 0, false
-	}
-	sort.SliceStable(li.Order, func(i, j int) bool {
-		a, b := li.Order[i], li.Order[j]
-		ca, cb := chainOf(innerOf[a.ID]), chainOf(innerOf[b.ID])
-		ra, rb := cfg.RPONum[a.ID], cfg.RPONum[b.ID]
+	slices.SortStableFunc(li.Order, func(a, b *ir.Block) int {
 		for k := 0; ; k++ {
-			ea, oka := elem(ca, ra, k)
-			eb, okb := elem(cb, rb, k)
-			if !oka {
-				return okb
-			}
-			if !okb {
-				return false
-			}
-			if ea != eb {
-				return ea < eb
+			if ea, eb := key(a, k), key(b, k); ea != eb || ea < 0 {
+				return cmp.Compare(ea, eb)
 			}
 		}
 	})
@@ -320,7 +191,7 @@ func FindLoops(cfg *CFG, dom *DomTree) *LoopInfo {
 			}
 		}
 	}
-	sort.Slice(li.Loops, func(i, j int) bool { return li.Loops[i].First < li.Loops[j].First })
+	slices.SortFunc(li.Loops, func(a, b *Loop) int { return cmp.Compare(a.First, b.First) })
 	li.Innermost = make([]*Loop, n)
 	for i, b := range li.Order {
 		li.Innermost[i] = innerOf[b.ID]
@@ -358,8 +229,7 @@ func (iv *Interval) extendLoop(l *Loop) {
 // Liveness holds the computed live range of every instruction value,
 // indexed by value ID, over the loop-contiguous block layout.
 type Liveness struct {
-	CFG    *CFG
-	Dom    *DomTree
+	CFG    *ir.CFG
 	Loops  *LoopInfo
 	Ranges []Interval // by value ID
 }
@@ -378,11 +248,10 @@ func (lv *Liveness) Pos(b *ir.Block) int { return lv.Loops.Pos[b.ID] }
 // outermost loop below C_v containing blocks nested deeper. Runtime is
 // linear in the size of the function up to the loop-forest depth and the
 // O(n log n) layout sort.
-func ComputeLiveness(f *ir.Function) *Liveness {
-	cfg := NewCFG(f)
-	dom := NewDomTree(cfg)
-	loops := FindLoops(cfg, dom)
-	lv := &Liveness{CFG: cfg, Dom: dom, Loops: loops}
+func ComputeLiveness(cfg *ir.CFG) *Liveness {
+	f := cfg.F
+	loops := FindLoops(cfg)
+	lv := &Liveness{CFG: cfg, Loops: loops}
 	lv.Ranges = make([]Interval, f.NumValues())
 	for i := range lv.Ranges {
 		lv.Ranges[i] = Interval{Start: int(^uint(0) >> 1), End: -1}

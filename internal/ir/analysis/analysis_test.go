@@ -57,12 +57,11 @@ func buildFig10(t *testing.T) (*ir.Function, *ir.Value, []*ir.Block) {
 	return f, v, blocks
 }
 
-func rpoOf(cfg *CFG, b *ir.Block) int { return cfg.RPONum[b.ID] }
+func rpoOf(cfg *ir.CFG, b *ir.Block) int { return cfg.RPONum[b.ID] }
 
 func TestDomTreeFig10(t *testing.T) {
 	f, _, blocks := buildFig10(t)
-	cfg := NewCFG(f)
-	dom := NewDomTree(cfg)
+	dom := ir.NewCFG(f)
 	// Block 2 dominates everything below it; 4 and 5 do not dominate 6.
 	if !dom.Dominates(blocks[2], blocks[6]) {
 		t.Error("2 should dominate 6")
@@ -86,9 +85,8 @@ func TestDomTreeFig10(t *testing.T) {
 
 func TestLoopDetectionFig10(t *testing.T) {
 	f, _, blocks := buildFig10(t)
-	cfg := NewCFG(f)
-	dom := NewDomTree(cfg)
-	li := FindLoops(cfg, dom)
+	cfg := ir.NewCFG(f)
+	li := FindLoops(cfg)
 
 	// Two loops: the whole-function pseudo-loop plus the loop headed at
 	// block 3 spanning [3,6] in figure labels.
@@ -126,7 +124,7 @@ func TestLoopDetectionFig10(t *testing.T) {
 
 func TestLivenessFig10(t *testing.T) {
 	f, v, blocks := buildFig10(t)
-	lv := ComputeLiveness(f)
+	lv := ComputeLiveness(ir.NewCFG(f))
 	cfg := lv.CFG
 	// The paper: v defined in 2, used in 5 inside loop [3,6] => range [2,6].
 	r := lv.Range(v)
@@ -143,7 +141,7 @@ func TestLivenessSingleBlockValue(t *testing.T) {
 	v := b.Add(f.Params[0], b.ConstI64(1))
 	w := b.Mul(v, v)
 	b.Ret(w)
-	lv := ComputeLiveness(f)
+	lv := ComputeLiveness(ir.NewCFG(f))
 	if r := lv.Range(v); r.Start != 0 || r.End != 0 {
 		t.Errorf("range(v) = %+v, want [0,0]", r)
 	}
@@ -177,7 +175,7 @@ func TestLivenessLoopCarriedPhi(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lv := ComputeLiveness(f)
+	lv := ComputeLiveness(ir.NewCFG(f))
 	ri := lv.Range(i)
 	// i is live from entry (written at the end of the entry block) through
 	// the loop and is returned in exit.
@@ -224,7 +222,7 @@ func TestLivenessEscapingLoopDef(t *testing.T) {
 	// we only care about liveness, and the verifier would reject it, so we
 	// skip verification deliberately.
 
-	lv := ComputeLiveness(f)
+	lv := ComputeLiveness(ir.NewCFG(f))
 	rv := lv.Range(v)
 	if rv.Start > lv.Pos(head) {
 		t.Errorf("escaping def range %+v must start at the loop head %d",
@@ -244,7 +242,7 @@ func TestMaxOverlap(t *testing.T) {
 	v2 := b.Add(f.Params[0], b.ConstI64(2))
 	v3 := b.Add(v1, v2)
 	b.Ret(v3)
-	lv := ComputeLiveness(f)
+	lv := ComputeLiveness(ir.NewCFG(f))
 	if got := lv.MaxOverlap(); got != 3 {
 		t.Errorf("MaxOverlap = %d, want 3", got)
 	}
@@ -264,7 +262,7 @@ func TestLivenessLargeFunction(t *testing.T) {
 		v = b.Add(v, b.ConstI64(int64(i%7+1)))
 	}
 	b.Ret(v)
-	lv := ComputeLiveness(f)
+	lv := ComputeLiveness(ir.NewCFG(f))
 	// Ranges are block-granular and the function is a single block, so
 	// every chained value spans [0,0] and MaxOverlap counts them all.
 	if got := lv.MaxOverlap(); got != chains {

@@ -455,8 +455,21 @@ func (f *Function) newInstr(op Op, t Type, args ...*Value) *Value {
 }
 
 // Preds computes the predecessor lists of all blocks, indexed by block ID.
+// The lists share one backing array, each capped at its own length.
 func (f *Function) Preds() [][]*Block {
 	preds := make([][]*Block, len(f.Blocks))
+	n := make([]int, len(f.Blocks))
+	edges := 0
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			n[s.ID]++
+			edges++
+		}
+	}
+	all := make([]*Block, edges)
+	for id, k := range n {
+		preds[id], all = all[:0:k], all[k:]
+	}
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
 			preds[s.ID] = append(preds[s.ID], b)

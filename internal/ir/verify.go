@@ -4,14 +4,52 @@ import "fmt"
 
 // Verify checks the structural invariants of the function: every block is
 // terminated, φ-nodes lead their blocks and their incoming lists match the
-// predecessors exactly, every instruction operand dominates its use (checked
-// conservatively via dominance), and operand types are consistent. It
-// returns the first violation found, or nil.
+// predecessors exactly, every instruction operand dominates its use, and
+// operand types are consistent. It returns the first violation found, or
+// nil.
 //
 // Codegen bugs almost always surface here rather than as silent
 // miscompilations in the VM, which makes the verifier the single most
-// valuable debugging tool in the stack.
+// valuable debugging tool in the stack. It is also on the cold compile
+// path: codegen verifies every function it generates and the bytecode
+// translator verifies its input, so it must stay linear (§V-E).
 func (f *Function) Verify() error {
+	_, err := f.VerifyCFG()
+	return err
+}
+
+// VerifyCFG is Verify returning the control-flow facts the checks read, so
+// that a caller analysing the function further (the bytecode translator)
+// does not compute them again. The structural checks run before any fact
+// is computed, so malformed IR is reported, never a panic.
+func (f *Function) VerifyCFG() (*CFG, error) {
+	if err := f.verifyBlocks(); err != nil {
+		return nil, err
+	}
+	cfg := NewCFG(f)
+	if err := f.verifyPhis(cfg); err != nil {
+		return nil, err
+	}
+	for _, b := range f.Blocks {
+		for _, v := range b.Instrs {
+			if err := f.verifyType(v); err != nil {
+				return nil, err
+			}
+		}
+		if err := f.verifyType(b.Term); err != nil {
+			return nil, err
+		}
+	}
+	if err := f.verifyDefsDominateUses(cfg); err != nil {
+		return nil, err
+	}
+	return cfg, nil
+}
+
+// verifyBlocks checks what the control-flow facts are computed from: there
+// is an entry block, every block ends in exactly one terminator, φ-nodes
+// lead their blocks and every instruction links back to its block.
+func (f *Function) verifyBlocks() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: function has no blocks", f.Name)
 	}
@@ -39,16 +77,22 @@ func (f *Function) Verify() error {
 			}
 		}
 	}
-	preds := f.Preds()
+	return nil
+}
+
+// verifyPhis checks every φ-node's incoming list against the block's
+// predecessors and the φ's type.
+func (f *Function) verifyPhis(cfg *CFG) error {
 	for _, b := range f.Blocks {
+		preds := cfg.Preds[b.ID]
 		for _, phi := range b.Phis() {
-			if len(phi.Args) != len(preds[b.ID]) {
+			if len(phi.Args) != len(preds) {
 				return fmt.Errorf("%s: b%d phi %%%d has %d incoming, block has %d preds",
-					f.Name, b.ID, phi.ID, len(phi.Args), len(preds[b.ID]))
+					f.Name, b.ID, phi.ID, len(phi.Args), len(preds))
 			}
 			for i, in := range phi.Incoming {
 				found := false
-				for _, p := range preds[b.ID] {
+				for _, p := range preds {
 					if p == in {
 						found = true
 						break
@@ -65,248 +109,113 @@ func (f *Function) Verify() error {
 			}
 		}
 	}
-	if err := f.verifyTypes(); err != nil {
-		return err
-	}
-	return f.verifyDefsDominateUses(preds)
+	return nil
 }
 
-func (f *Function) verifyTypes() error {
-	check := func(cond bool, v *Value, msg string) error {
+// verifyType checks the operand and result types of one instruction.
+func (f *Function) verifyType(v *Value) error {
+	check := func(cond bool, msg string) error {
 		if !cond {
 			return fmt.Errorf("%s: %%%d (%s): %s", f.Name, v.ID, v.Op, msg)
 		}
 		return nil
 	}
-	for _, b := range f.Blocks {
-		instrs := append([]*Value{}, b.Instrs...)
-		instrs = append(instrs, b.Term)
-		for _, v := range instrs {
-			var err error
-			switch v.Op {
-			case OpAdd, OpSub, OpMul, OpSDiv, OpSRem, OpUDiv, OpURem,
-				OpAnd, OpOr, OpXor, OpShl, OpLShr, OpAShr:
-				err = check(v.Args[0].Type == v.Args[1].Type && v.Args[0].Type == v.Type,
-					v, "integer binop type mismatch")
-			case OpFAdd, OpFSub, OpFMul, OpFDiv:
-				err = check(v.Args[0].Type == F64 && v.Args[1].Type == F64, v, "float binop wants f64")
-			case OpICmp:
-				err = check(v.Args[0].Type == v.Args[1].Type && v.Type == I1, v, "icmp type mismatch")
-			case OpFCmp:
-				err = check(v.Args[0].Type == F64 && v.Args[1].Type == F64 && v.Type == I1,
-					v, "fcmp wants f64")
-			case OpSAddOvf, OpSSubOvf, OpSMulOvf:
-				err = check(v.Args[0].Type == I64 && v.Args[1].Type == I64 && v.Type == Pair,
-					v, "overflow arith wants i64 -> pair")
-			case OpExtractValue:
-				err = check(v.Args[0].Type == Pair && v.Lit <= 1, v, "extractvalue wants pair")
-			case OpLoad:
-				err = check(v.Args[0].Type == I64 && v.Type != Void, v, "load wants i64 addr")
-			case OpStore:
-				err = check(v.Args[0].Type == I64, v, "store wants i64 addr")
-			case OpGEP:
-				err = check(v.Args[0].Type == I64 && v.Args[1].Type == I64 && v.Type == I64,
-					v, "gep wants i64 operands")
-			case OpSelect:
-				err = check(v.Args[0].Type == I1 && v.Args[1].Type == v.Args[2].Type &&
-					v.Type == v.Args[1].Type, v, "select type mismatch")
-			case OpCondBr:
-				err = check(v.Args[0].Type == I1 && len(v.Targets) == 2, v, "condbr wants i1 + 2 targets")
-			case OpBr:
-				err = check(len(v.Targets) == 1, v, "br wants 1 target")
-			case OpCall:
-				sig := f.Module.Externs[v.Callee]
-				if len(sig.Args) != len(v.Args) {
-					err = check(false, v, fmt.Sprintf("call @%s arity %d, want %d",
-						sig.Name, len(v.Args), len(sig.Args)))
-					break
-				}
-				for i, a := range v.Args {
-					if a.Type != sig.Args[i] {
-						err = check(false, v, fmt.Sprintf("call @%s arg %d type %s, want %s",
-							sig.Name, i, a.Type, sig.Args[i]))
-						break
-					}
-				}
-				if err == nil {
-					err = check(v.Type == sig.Ret, v, "call result type mismatch")
-				}
+	switch v.Op {
+	case OpAdd, OpSub, OpMul, OpSDiv, OpSRem, OpUDiv, OpURem,
+		OpAnd, OpOr, OpXor, OpShl, OpLShr, OpAShr:
+		return check(v.Args[0].Type == v.Args[1].Type && v.Args[0].Type == v.Type,
+			"integer binop type mismatch")
+	case OpFAdd, OpFSub, OpFMul, OpFDiv:
+		return check(v.Args[0].Type == F64 && v.Args[1].Type == F64, "float binop wants f64")
+	case OpICmp:
+		return check(v.Args[0].Type == v.Args[1].Type && v.Type == I1, "icmp type mismatch")
+	case OpFCmp:
+		return check(v.Args[0].Type == F64 && v.Args[1].Type == F64 && v.Type == I1, "fcmp wants f64")
+	case OpSAddOvf, OpSSubOvf, OpSMulOvf:
+		return check(v.Args[0].Type == I64 && v.Args[1].Type == I64 && v.Type == Pair,
+			"overflow arith wants i64 -> pair")
+	case OpExtractValue:
+		return check(v.Args[0].Type == Pair && v.Lit <= 1, "extractvalue wants pair")
+	case OpLoad:
+		return check(v.Args[0].Type == I64 && v.Type != Void, "load wants i64 addr")
+	case OpStore:
+		return check(v.Args[0].Type == I64, "store wants i64 addr")
+	case OpGEP:
+		return check(v.Args[0].Type == I64 && v.Args[1].Type == I64 && v.Type == I64,
+			"gep wants i64 operands")
+	case OpSelect:
+		return check(v.Args[0].Type == I1 && v.Args[1].Type == v.Args[2].Type &&
+			v.Type == v.Args[1].Type, "select type mismatch")
+	case OpCondBr:
+		return check(v.Args[0].Type == I1 && len(v.Targets) == 2, "condbr wants i1 + 2 targets")
+	case OpBr:
+		return check(len(v.Targets) == 1, "br wants 1 target")
+	case OpCall:
+		sig := f.Module.Externs[v.Callee]
+		if len(sig.Args) != len(v.Args) {
+			return check(false, fmt.Sprintf("call @%s arity %d, want %d",
+				sig.Name, len(v.Args), len(sig.Args)))
+		}
+		for i, a := range v.Args {
+			if a.Type != sig.Args[i] {
+				return check(false, fmt.Sprintf("call @%s arg %d type %s, want %s",
+					sig.Name, i, a.Type, sig.Args[i]))
 			}
-			if err != nil {
+		}
+		return check(v.Type == sig.Ret, "call result type mismatch")
+	}
+	return nil
+}
+
+// verifyDefsDominateUses checks that every instruction operand is defined
+// before its use: earlier in the same block, or in a block dominating the
+// use's (for a φ-argument, dominating the end of the incoming block).
+func (f *Function) verifyDefsDominateUses(cfg *CFG) error {
+	// pos[v.ID] is v's index in its block; the terminator comes last.
+	pos := make([]int32, f.NumValues())
+	for _, b := range f.Blocks {
+		for i, in := range b.Instrs {
+			pos[in.ID] = int32(i)
+		}
+		pos[b.Term.ID] = int32(len(b.Instrs))
+	}
+	uses := func(v *Value, b *Block) error {
+		for ai, a := range v.Args {
+			if !a.IsInstr() {
+				continue // constants and params dominate everything
+			}
+			db := a.Block
+			if db == nil {
+				return fmt.Errorf("%s: %%%d uses unplaced value %%%d", f.Name, v.ID, a.ID)
+			}
+			if v.Op == OpPhi {
+				// φ-args are "read" at the end of the incoming block.
+				if !cfg.Dominates(db, v.Incoming[ai]) {
+					return fmt.Errorf("%s: phi %%%d arg %%%d does not dominate incoming b%d",
+						f.Name, v.ID, a.ID, v.Incoming[ai].ID)
+				}
+				continue
+			}
+			if db == b {
+				if pos[a.ID] >= pos[v.ID] {
+					return fmt.Errorf("%s: %%%d used before def in b%d by %%%d", f.Name, a.ID, b.ID, v.ID)
+				}
+			} else if !cfg.Dominates(db, b) {
+				return fmt.Errorf("%s: def of %%%d (b%d) does not dominate use %%%d (b%d)",
+					f.Name, a.ID, db.ID, v.ID, b.ID)
+			}
+		}
+		return nil
+	}
+	for _, b := range f.Blocks {
+		for _, v := range b.Instrs {
+			if err := uses(v, b); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// verifyDefsDominateUses walks blocks in reverse postorder keeping a set of
-// defined values per dominating path. To stay linear we use the dominator
-// tree: a use is valid iff the def's block dominates the use's block (or
-// both are in the same block with def preceding use). We compute dominators
-// with a simple iterative algorithm here — verification is a debug tool and
-// not on the hot translation path.
-func (f *Function) verifyDefsDominateUses(preds [][]*Block) error {
-	idom := f.iterativeIdom(preds)
-	// Pre/post-order numbering of the dominator tree gives O(1) ancestor
-	// queries; walking idom chains per use would be quadratic on the long
-	// block chains of machine-generated queries, and the verifier runs on
-	// the bytecode translation path (§V-E).
-	pre := make([]int, len(f.Blocks))
-	post := make([]int, len(f.Blocks))
-	children := make([][]*Block, len(f.Blocks))
-	for _, b := range f.ReversePostorder() {
-		if p := idom[b.ID]; p != nil {
-			children[p.ID] = append(children[p.ID], b)
-		}
-	}
-	clock := 0
-	type frame struct {
-		b *Block
-		i int
-	}
-	stack := []frame{{f.Entry(), 0}}
-	clock++
-	pre[f.Entry().ID] = clock
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		if fr.i < len(children[fr.b.ID]) {
-			c := children[fr.b.ID][fr.i]
-			fr.i++
-			clock++
-			pre[c.ID] = clock
-			stack = append(stack, frame{c, 0})
-			continue
-		}
-		clock++
-		post[fr.b.ID] = clock
-		stack = stack[:len(stack)-1]
-	}
-	dominates := func(a, b *Block) bool {
-		if pre[b.ID] == 0 {
-			return false // b unreachable
-		}
-		return pre[a.ID] <= pre[b.ID] && post[b.ID] <= post[a.ID]
-	}
-	posIn := make(map[*Value]int)
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			posIn[in] = i
-		}
-		posIn[b.Term] = len(b.Instrs)
-	}
-	for _, b := range f.Blocks {
-		all := append([]*Value{}, b.Instrs...)
-		all = append(all, b.Term)
-		for _, v := range all {
-			for ai, a := range v.Args {
-				if !a.IsInstr() {
-					continue // constants and params dominate everything
-				}
-				db := a.Block
-				if db == nil {
-					return fmt.Errorf("%s: %%%d uses unplaced value %%%d", f.Name, v.ID, a.ID)
-				}
-				if v.Op == OpPhi {
-					// φ-args are "read" at the end of the incoming block.
-					if !dominates(db, v.Incoming[ai]) {
-						return fmt.Errorf("%s: phi %%%d arg %%%d does not dominate incoming b%d",
-							f.Name, v.ID, a.ID, v.Incoming[ai].ID)
-					}
-					continue
-				}
-				if db == b {
-					if posIn[a] >= posIn[v] {
-						return fmt.Errorf("%s: %%%d used before def in b%d by %%%d", f.Name, a.ID, b.ID, v.ID)
-					}
-				} else if !dominates(db, b) {
-					return fmt.Errorf("%s: def of %%%d (b%d) does not dominate use %%%d (b%d)",
-						f.Name, a.ID, db.ID, v.ID, b.ID)
-				}
-			}
+		if err := uses(b.Term, b); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// iterativeIdom computes immediate dominators with the Cooper-Harvey-Kennedy
-// iterative algorithm over a reverse postorder.
-func (f *Function) iterativeIdom(preds [][]*Block) []*Block {
-	rpo := f.ReversePostorder()
-	rpoNum := make([]int, len(f.Blocks))
-	for i, b := range rpo {
-		rpoNum[b.ID] = i
-	}
-	idom := make([]*Block, len(f.Blocks))
-	entry := f.Entry()
-	idom[entry.ID] = entry
-	intersect := func(a, b *Block) *Block {
-		for a != b {
-			for rpoNum[a.ID] > rpoNum[b.ID] {
-				a = idom[a.ID]
-			}
-			for rpoNum[b.ID] > rpoNum[a.ID] {
-				b = idom[b.ID]
-			}
-		}
-		return a
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo {
-			if b == entry {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range preds[b.ID] {
-				if idom[p.ID] == nil {
-					continue
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != nil && idom[b.ID] != newIdom {
-				idom[b.ID] = newIdom
-				changed = true
-			}
-		}
-	}
-	idom[entry.ID] = nil
-	return idom
-}
-
-// ReversePostorder returns the blocks reachable from entry in reverse
-// postorder of a depth-first traversal: every block appears after all of
-// its non-back-edge predecessors, which matches control-flow order (§IV-D).
-func (f *Function) ReversePostorder() []*Block {
-	seen := make([]bool, len(f.Blocks))
-	post := make([]*Block, 0, len(f.Blocks))
-	type frame struct {
-		b *Block
-		i int
-	}
-	stack := []frame{{f.Entry(), 0}}
-	seen[f.Entry().ID] = true
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		succs := fr.b.Succs()
-		if fr.i < len(succs) {
-			s := succs[fr.i]
-			fr.i++
-			if !seen[s.ID] {
-				seen[s.ID] = true
-				stack = append(stack, frame{s, 0})
-			}
-			continue
-		}
-		post = append(post, fr.b)
-		stack = stack[:len(stack)-1]
-	}
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
 }

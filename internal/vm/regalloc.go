@@ -41,6 +41,14 @@ type allocation struct {
 	paramBase int
 }
 
+// slotsOf is the number of register slots value v occupies.
+func slotsOf(v *ir.Value) int {
+	if v.Type == ir.Pair {
+		return 2
+	}
+	return 1
+}
+
 func (a *allocation) of(v *ir.Value) int32 {
 	s := a.slot[v.ID]
 	if s < 0 {
@@ -112,16 +120,24 @@ func allocate(f *ir.Function, lv *analysis.Liveness, hasSlot []bool, opts Option
 		}
 	}
 
-	// Per-position start/end lists.
-	startAt := make([][]*ir.Value, nBlocks)
-	endAt := make([][]int32, nBlocks) // freed slots, filled during assignment
+	// The values whose ranges start at each position, and the slots freed
+	// at each position.
+	startAt, endAt := newBuckets[*ir.Value](nBlocks), newBuckets[int32](nBlocks)
 	for _, b := range lv.Order() {
 		for _, in := range b.Instrs {
-			if in.Type == ir.Void || !hasSlot[in.ID] {
-				continue
+			if in.Type != ir.Void && hasSlot[in.ID] {
+				startAt.count(ranges[in.ID].Start, 1)
+				endAt.count(ranges[in.ID].End, slotsOf(in))
 			}
-			r := ranges[in.ID]
-			startAt[r.Start] = append(startAt[r.Start], in)
+		}
+	}
+	startAt.layout()
+	endAt.layout()
+	for _, b := range lv.Order() {
+		for _, in := range b.Instrs {
+			if in.Type != ir.Void && hasSlot[in.ID] {
+				startAt.put(ranges[in.ID].Start, in)
+			}
 		}
 	}
 
@@ -140,7 +156,7 @@ func allocate(f *ir.Function, lv *analysis.Liveness, hasSlot []bool, opts Option
 		return s
 	}
 	for n := 0; n < nBlocks; n++ {
-		for _, v := range startAt[n] {
+		for _, v := range startAt.at(n) {
 			if v.Type == ir.Pair {
 				// Pair values need two consecutive slots (value, flag);
 				// allocate fresh at the top to keep the fast path simple —
@@ -152,16 +168,48 @@ func allocate(f *ir.Function, lv *analysis.Liveness, hasSlot []bool, opts Option
 					a.numSlots = next
 				}
 				a.slot[v.ID] = s
-				endAt[ranges[v.ID].End] = append(endAt[ranges[v.ID].End], s, s+1)
+				endAt.put(ranges[v.ID].End, s)
+				endAt.put(ranges[v.ID].End, s+1)
 				continue
 			}
 			s := alloc1()
 			a.slot[v.ID] = s
-			endAt[ranges[v.ID].End] = append(endAt[ranges[v.ID].End], s)
+			endAt.put(ranges[v.ID].End, s)
 		}
-		free = append(free, endAt[n]...)
+		// Every range ending at n started at or before n, so n's list of
+		// freed slots is complete.
+		free = append(free, endAt.at(n)...)
 	}
 	a.scratch = int32(a.numSlots)
 	a.numSlots++
 	return a
 }
+
+// buckets holds one list per layout position, all in one array. Counting
+// every entry first sizes the lists; put then fills position p's list
+// through a cursor, and once all of p's entries are in, at(p) returns it.
+type buckets[T any] struct {
+	off   []int // list p is items[off[p]:off[p+1]]; off[p+1] is its cursor while it fills
+	items []T
+}
+
+func newBuckets[T any](positions int) buckets[T] {
+	return buckets[T]{off: make([]int, positions+2)}
+}
+
+// count reserves k entries at position p; call layout after the last.
+func (b *buckets[T]) count(p, k int) { b.off[p+2] += k }
+
+func (b *buckets[T]) layout() {
+	for i := 2; i < len(b.off); i++ {
+		b.off[i] += b.off[i-1]
+	}
+	b.items = make([]T, b.off[len(b.off)-1])
+}
+
+func (b *buckets[T]) put(p int, x T) {
+	b.items[b.off[p+1]] = x
+	b.off[p+1]++
+}
+
+func (b *buckets[T]) at(p int) []T { return b.items[b.off[p]:b.off[p+1]] }

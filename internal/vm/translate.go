@@ -14,13 +14,16 @@ import (
 // ends, and release registers when ranges end (handled inside allocate).
 //
 // Translate may split critical edges of f (an idempotent, semantics-
-// preserving transformation shared with the closure compiler).
+// preserving transformation shared with the closure compiler). The
+// control-flow facts of the split function are computed once: the verifier
+// checks f against them and liveness reads them.
 func Translate(f *ir.Function, opts Options) (*Program, error) {
 	f.SplitCriticalEdges()
-	if err := f.Verify(); err != nil {
+	cfg, err := f.VerifyCFG()
+	if err != nil {
 		return nil, fmt.Errorf("vm: translate %s: %w", f.Name, err)
 	}
-	lv := analysis.ComputeLiveness(f)
+	lv := analysis.ComputeLiveness(cfg)
 	fu := planFusion(f, opts)
 	al := allocate(f, lv, fu.hasSlot, opts)
 
@@ -33,6 +36,7 @@ func Translate(f *ir.Function, opts Options) (*Program, error) {
 			NumParams: len(f.Params),
 		},
 		blockPC: make([]int, len(f.Blocks)),
+		patches: make([]patch, 0, 2*len(f.Blocks)),
 	}
 	t.emitAll()
 	t.prog.NumRegs = al.numSlots
@@ -48,12 +52,12 @@ type fusion struct {
 	hasSlot []bool
 	// emit[v] is false for instructions replaced by a macro-op elsewhere.
 	emit []bool
-	// fusedCmpBr[block] is the compare feeding the block's fused
+	// fusedCmpBr[block ID] is the compare feeding the block's fused
 	// compare-and-branch terminator, if any.
-	fusedCmpBr map[*ir.Block]*ir.Value
-	// fusedOvf[block] describes an overflow-check group fused into the
-	// block's terminator.
-	fusedOvf map[*ir.Block]*ovfGroup
+	fusedCmpBr []*ir.Value
+	// fusedOvf[block ID] describes an overflow-check group fused into the
+	// block's terminator (op is nil if there is none).
+	fusedOvf []ovfGroup
 	count    int
 }
 
@@ -76,8 +80,8 @@ func planFusion(f *ir.Function, opts Options) *fusion {
 	fu := &fusion{
 		hasSlot:    make([]bool, f.NumValues()),
 		emit:       make([]bool, f.NumValues()),
-		fusedCmpBr: make(map[*ir.Block]*ir.Value),
-		fusedOvf:   make(map[*ir.Block]*ovfGroup),
+		fusedCmpBr: make([]*ir.Value, len(f.Blocks)),
+		fusedOvf:   make([]ovfGroup, len(f.Blocks)),
 	}
 	for i := range fu.hasSlot {
 		fu.hasSlot[i] = true
@@ -87,15 +91,13 @@ func planFusion(f *ir.Function, opts Options) *fusion {
 		return fu
 	}
 
-	// Use accounting in one linear sweep. pairUses collects the users of
-	// Pair-typed values so the overflow-pattern check below stays O(1) per
-	// candidate — the translation must remain linear even for the 160k-
-	// instruction machine-generated functions of §V-E.
+	// Use accounting in one linear sweep, so each pattern check below is
+	// O(1) per candidate — the translation must remain linear even for the
+	// 160k-instruction machine-generated functions of §V-E.
 	useCount := make([]int, f.NumValues())
 	memAddrOnly := make([]bool, f.NumValues())
 	sameBlockUses := make([]bool, f.NumValues())
 	defBlock := make([]*ir.Block, f.NumValues())
-	pairUses := make(map[*ir.Value][]*ir.Value)
 	for i := range memAddrOnly {
 		memAddrOnly[i] = true
 		sameBlockUses[i] = true
@@ -119,9 +121,6 @@ func planFusion(f *ir.Function, opts Options) *fusion {
 			}
 			if defBlock[a.ID] != b {
 				sameBlockUses[a.ID] = false
-			}
-			if a.Type == ir.Pair {
-				pairUses[a] = append(pairUses[a], u)
 			}
 		}
 	}
@@ -153,7 +152,7 @@ func planFusion(f *ir.Function, opts Options) *fusion {
 		case ir.OpICmp:
 			fu.hasSlot[cond.ID] = false
 			fu.emit[cond.ID] = false
-			fu.fusedCmpBr[b] = cond
+			fu.fusedCmpBr[b.ID] = cond
 			fu.count++
 		case ir.OpExtractValue:
 			if cond.Lit != 1 {
@@ -168,35 +167,24 @@ func planFusion(f *ir.Function, opts Options) *fusion {
 			default:
 				continue
 			}
-			// The pair must be consumed only by its two extracts, and we
-			// need the value extract to exist (it receives the register).
-			var result *ir.Value
-			ok := useCount[pair.ID] <= 2
-			for _, u := range pairUses[pair] {
-				if u == cond {
-					continue
-				}
-				if u.Op == ir.OpExtractValue && u.Lit == 0 && u.Block == b {
-					result = u
-				} else {
-					ok = false
-				}
-			}
-			if !ok || result == nil {
+			// The group must be the block's last three instructions — nothing
+			// may read the result before the fused op produces it — and the
+			// pair consumed only by its two extracts: the flag, and a value
+			// extract that receives the register.
+			n := len(b.Instrs)
+			if n < 3 || useCount[pair.ID] != 2 {
 				continue
 			}
-			// Nothing may sit between the group and the terminator that
-			// reads the result before the fused op produces it; we require
-			// the group members to be the trailing instructions of the
-			// block.
-			tail := map[*ir.Value]bool{pair: true, result: true, cond: true}
-			pos := len(b.Instrs) - 1
-			trailing := 0
-			for pos >= 0 && tail[b.Instrs[pos]] {
-				trailing++
-				pos--
+			var result *ir.Value
+			found := 0
+			for _, in := range b.Instrs[n-3:] {
+				if in == pair || in == cond {
+					found++
+				} else {
+					result = in
+				}
 			}
-			if trailing != 3 {
+			if found != 2 || result.Op != ir.OpExtractValue || result.Lit != 0 || result.Args[0] != pair {
 				continue
 			}
 			fu.hasSlot[pair.ID] = false
@@ -204,7 +192,7 @@ func planFusion(f *ir.Function, opts Options) *fusion {
 			fu.emit[pair.ID] = false
 			fu.emit[result.ID] = false
 			fu.emit[cond.ID] = false
-			fu.fusedOvf[b] = &ovfGroup{op: pair, result: result, flag: cond}
+			fu.fusedOvf[b.ID] = ovfGroup{op: pair, result: result, flag: cond}
 			fu.count += 3
 		}
 	}
@@ -220,7 +208,11 @@ type translator struct {
 
 	blockPC []int // by block ID; -1 until laid out
 	patches []patch
+	moves   []move // emitPhiMoves' scratch
 }
+
+// move is one register copy of a φ's parallel copy.
+type move struct{ dst, src int32 }
 
 // patch records a branch operand to rewrite from block ID to pc.
 type patch struct {
@@ -420,7 +412,7 @@ func (t *translator) emitTerm(b *ir.Block, next *ir.Block) {
 			t.patches = append(t.patches, patch{i, 0, term.Targets[0].ID})
 		}
 	case ir.OpCondBr:
-		if g, ok := t.fu.fusedOvf[b]; ok {
+		if g := t.fu.fusedOvf[b.ID]; g.op != nil {
 			i := t.emit(Inst{Op: ovfBrOp[g.op.Op], A: t.slot(g.result),
 				B: t.slot(g.op.Args[0]), C: t.slot(g.op.Args[1])})
 			t.patches = append(t.patches,
@@ -428,7 +420,7 @@ func (t *translator) emitTerm(b *ir.Block, next *ir.Block) {
 				patch{i, 4, term.Targets[1].ID})
 			return
 		}
-		if cmp, ok := t.fu.fusedCmpBr[b]; ok {
+		if cmp := t.fu.fusedCmpBr[b.ID]; cmp != nil {
 			i := t.emit(Inst{Op: jcmpOp[cmp.Pred],
 				A: t.slot(cmp.Args[0]), B: t.slot(cmp.Args[1])})
 			t.patches = append(t.patches,
@@ -451,8 +443,7 @@ func (t *translator) emitTerm(b *ir.Block, next *ir.Block) {
 // the end of b, sequentializing the parallel copy with the scratch register
 // when the moves form a cycle (the classic swap problem).
 func (t *translator) emitPhiMoves(b *ir.Block) {
-	type move struct{ dst, src int32 }
-	var moves []move
+	moves := t.moves[:0]
 	for _, s := range b.Succs() {
 		for _, phi := range s.Phis() {
 			for i, in := range phi.Incoming {
@@ -465,6 +456,7 @@ func (t *translator) emitPhiMoves(b *ir.Block) {
 			}
 		}
 	}
+	t.moves = moves // keep the grown array for the next block
 	for len(moves) > 0 {
 		progress := false
 		for i := 0; i < len(moves); i++ {
