@@ -111,9 +111,6 @@ type JoinDesc struct {
 	TupleSize int
 	StateOff  int
 	NumKeys   int
-	// Filter marks that the generated probe code expects a Bloom filter
-	// published at StateOff+16 and checks it before walking the chain.
-	Filter bool
 }
 
 // AggDesc mirrors the aggregation layout.
@@ -146,32 +143,32 @@ const (
 	paramSlot = 16
 )
 
-// Options selects optional code-generation features. The generated IR
-// differs per option set, so cached plans keyed by IR fingerprint never
-// collide across option values.
-type Options struct {
-	// JoinFilter emits a Bloom-filter check before every join chain walk.
-	JoinFilter bool
-	// NoDict disables every dictionary-code rewrite (predicates, group-key
-	// hashing, string zone-map pruning); string operations go through the
-	// byte-level runtime externs exactly as for undictionarized columns.
-	NoDict bool
+// Options is kept only so the benchmark module, which still passes
+// Options{JoinFilter: true} to CompileOpts, keeps compiling. Its field
+// selects nothing: the Bloom-filter check and the dictionary rewrites are
+// always emitted.
+//
+// Deprecated: use Compile. The next change to the benchmark module deletes
+// Options and CompileOpts.
+type Options struct{ JoinFilter bool }
+
+// CompileOpts is Compile; opts is ignored.
+//
+// Deprecated: use Compile (see Options).
+func CompileOpts(root plan.Node, mem *rt.Memory, name string, _ Options) (*Query, error) {
+	return Compile(root, mem, name)
 }
 
-// Compile translates a plan into IR with the default options (Bloom
-// filters and dictionary rewrites on).
-func Compile(root plan.Node, mem *rt.Memory, name string) (*Query, error) {
-	return CompileOpts(root, mem, name, Options{JoinFilter: true})
-}
-
-// CompileOpts translates a plan into IR against the given address space
-// (the table columns referenced by the plan are registered as segments and
+// Compile translates a plan into IR against the given address space (the
+// table columns referenced by the plan are registered as segments and
 // their base addresses embedded as constants, as HyPer embeds pointers).
-func CompileOpts(root plan.Node, mem *rt.Memory, name string, opts Options) (*Query, error) {
+// Every join probe checks its Bloom filter, and string predicates,
+// group keys and zone-map conditions over dictionary-encoded columns are
+// rewritten to dictionary codes.
+func Compile(root plan.Node, mem *rt.Memory, name string) (*Query, error) {
 	g := &cgen{
 		mem:        mem,
 		mod:        ir.NewModule(name),
-		opts:       opts,
 		colBase:    make(map[*storage.Column]uint64),
 		heapBase:   make(map[*storage.Column]uint64),
 		codeBase:   make(map[*storage.Dict]uint64),
@@ -223,10 +220,9 @@ func CompileOpts(root plan.Node, mem *rt.Memory, name string, opts Options) (*Qu
 }
 
 type cgen struct {
-	mem  *rt.Memory
-	mod  *ir.Module
-	q    *Query
-	opts Options
+	mem *rt.Memory
+	mod *ir.Module
+	q   *Query
 
 	colBase  map[*storage.Column]uint64
 	heapBase map[*storage.Column]uint64
@@ -359,7 +355,7 @@ func (g *cgen) genParam(b *ir.Builder, idx int, t expr.Type) expr.Val {
 // BindParams installs the execution's parameter values: it builds a
 // parameter segment of the slots followed by the bound strings and
 // publishes it in place of the compiled one. It runs before every
-// execution of a parameterized query (CompileOpts maps a fresh address
+// execution of a parameterized query (Compile maps a fresh address
 // space per run); the value types must match the plan's descriptors — the
 // fingerprint hashes the descriptors, so a mismatch means the caller bound
 // values the plan was not built for.
@@ -535,10 +531,7 @@ func (g *cgen) newJoinDesc(j *plan.Join) *joinMeta {
 		m.byIdx[idx] = fld
 		off += valWidth(bs[idx].T)
 	}
-	d := JoinDesc{
-		TupleSize: off, StateOff: g.stateOff, NumKeys: len(j.BuildKeys),
-		Filter: g.opts.JoinFilter,
-	}
+	d := JoinDesc{TupleSize: off, StateOff: g.stateOff, NumKeys: len(j.BuildKeys)}
 	g.stateOff += rt.JoinStateBytes
 	g.q.Joins = append(g.q.Joins, d)
 	m.id = len(g.q.Joins) - 1

@@ -56,9 +56,8 @@ type pgen struct {
 	local *ir.Value
 	cont  *ir.Block
 	// dres resolves dictionary codes of the current schema; nil when the
-	// pipeline source has no dictionary-encoded columns in scope (or
-	// Options.NoDict is set). Ops that change the schema swap it alongside
-	// the value resolver.
+	// pipeline source has no dictionary-encoded columns in scope. Ops that
+	// change the schema swap it alongside the value resolver.
 	dres *dictResolver
 }
 
@@ -270,13 +269,10 @@ func (g *cgen) scanResolver(p *pgen, s *plan.Scan, i *ir.Value) resolver {
 }
 
 // scanDictResolver builds the dictionary resolver of a table scan: column
-// j resolves to its fresh order-preserving dictionary, and codes load as
+// j resolves to its order-preserving dictionary, and codes load as
 // zero-extended i32 from the dictionary's code vector at the loop
-// induction variable. Returns nil when rewrites are disabled.
+// induction variable.
 func (g *cgen) scanDictResolver(p *pgen, s *plan.Scan, i *ir.Value) *dictResolver {
-	if g.opts.NoDict {
-		return nil
-	}
 	return &dictResolver{
 		dict: func(j int) *storage.Dict {
 			return s.Table.MustCol(s.Cols[j]).Dict()
@@ -459,47 +455,38 @@ func (op *probeOp) apply(p *pgen, res resolver, down func(resolver)) {
 	stOff := int64(op.desc.desc.StateOff)
 	mask := b.Load(ir.I64, b.GEP(p.state, nil, 0, stOff+8))
 	slot := b.And(h, mask)
-	loadHead := func() *ir.Value {
-		buckets := b.Load(ir.I64, b.GEP(p.state, nil, 0, stOff))
-		return b.Load(ir.I64, b.GEP(buckets, slot, 8, 0))
-	}
 
 	walk := f.NewBlock()
 	advance := f.NewBlock()
 	exitW := f.NewBlock()
 	outer := op.outerCount()
 
+	// Bloom pre-check: test the 16-bit tag word for hash bits 48..51
+	// before touching the bucket array. A filtered-out probe skips the
+	// bucket load and the chain walk entirely — the filter is 8x denser
+	// than the bucket array, so the tag load stays cache-hot while the
+	// dependent random bucket access it replaces does not. A filtered-out
+	// probe enters the walk with a null head and exits on its first test.
+	fBase := b.Load(ir.I64, b.GEP(p.state, nil, 0, stOff+16))
+	fw := b.ZExt(b.Load(ir.I16, b.GEP(fBase, slot, 2, 0)), ir.I64)
+	tag := b.Shl(b.ConstI64(1), b.And(b.LShr(h, b.ConstI64(48)), b.ConstI64(15)))
+	pass := b.ICmp(ir.Ne, b.And(fw, tag), b.ConstI64(0))
+	hitB := f.NewBlock()
+	missB := f.NewBlock()
+	b.CondBr(pass, hitB, missB)
+	b.SetBlock(hitB)
+	buckets := b.Load(ir.I64, b.GEP(p.state, nil, 0, stOff))
+	head := b.Load(ir.I64, b.GEP(buckets, slot, 8, 0))
+	b.Br(walk)
+	b.SetBlock(missB)
+	null := b.ConstI64(0)
+	b.Br(walk)
+
 	// Entry edges into the walk block: (head value, predecessor) pairs.
-	type entryEdge struct {
+	entryIn := []struct {
 		v   *ir.Value
 		blk *ir.Block
-	}
-	var entryIn []entryEdge
-	if op.desc.desc.Filter {
-		// Bloom pre-check: test the 16-bit tag word for hash bits 48..51
-		// before touching the bucket array. A filtered-out probe skips the
-		// bucket load and the chain walk entirely — the filter is 8x
-		// denser than the bucket array, so the tag load stays cache-hot
-		// while the dependent random bucket access it replaces does not.
-		// A filtered-out probe enters the walk with a null head and exits
-		// on its first test.
-		fBase := b.Load(ir.I64, b.GEP(p.state, nil, 0, stOff+16))
-		fw := b.ZExt(b.Load(ir.I16, b.GEP(fBase, slot, 2, 0)), ir.I64)
-		tag := b.Shl(b.ConstI64(1), b.And(b.LShr(h, b.ConstI64(48)), b.ConstI64(15)))
-		pass := b.ICmp(ir.Ne, b.And(fw, tag), b.ConstI64(0))
-		hitB := f.NewBlock()
-		missB := f.NewBlock()
-		b.CondBr(pass, hitB, missB)
-		b.SetBlock(hitB)
-		entryIn = append(entryIn, entryEdge{loadHead(), b.B})
-		b.Br(walk)
-		b.SetBlock(missB)
-		entryIn = append(entryIn, entryEdge{b.ConstI64(0), b.B})
-		b.Br(walk)
-	} else {
-		entryIn = append(entryIn, entryEdge{loadHead(), b.B})
-		b.Br(walk)
-	}
+	}{{head, hitB}, {null, missB}}
 
 	b.SetBlock(walk)
 	e := b.Phi(ir.I64)

@@ -77,11 +77,10 @@ func (pc PruneCond) BlockMayMatchF(min, max float64) bool {
 // top-level AND is flattened and every `col <cmp> const` (either operand
 // order) over a fixed-width column becomes a PruneCond. String conjuncts
 // (comparisons, IN, LIKE) over dictionary-encoded columns become
-// conditions on dictionary codes, matching the code-valued zone maps —
-// unless Options.NoDict disables dictionary use. Conjuncts of no usable
-// shape — disjunctions, column-column comparisons, strings without a
-// dictionary — contribute nothing; the residual predicate still runs in
-// full inside the generated kernel.
+// conditions on dictionary codes, matching the code-valued zone maps.
+// Conjuncts of no usable shape — disjunctions, column-column comparisons,
+// strings without a dictionary — contribute nothing; the residual
+// predicate still runs in full inside the generated kernel.
 func (g *cgen) extractPrune(s *plan.Scan) []PruneCond {
 	if s.Filter == nil {
 		return nil
@@ -99,9 +98,7 @@ func (g *cgen) extractPrune(s *plan.Scan) []PruneCond {
 			out = append(out, pc)
 			return
 		}
-		if !g.opts.NoDict {
-			out = append(out, stringPrune(s, e)...)
-		}
+		out = append(out, stringPrune(s, e)...)
 	}
 	walk(s.Filter)
 	return out

@@ -92,9 +92,8 @@ type VecProject struct{ Exprs []expr.Expr }
 type VecProbe struct {
 	Join     *plan.Join
 	JoinID   int
-	StateOff int
-	Filter   bool // Bloom filter present at StateOff+16
-	NP       int  // probe-side schema width
+	StateOff int // join state slot: buckets, mask, Bloom filter
+	NP       int // probe-side schema width
 	Fields   []VecField
 }
 
@@ -149,7 +148,7 @@ func (g *cgen) buildVecSpec(scan *plan.Scan, am *aggMeta, gb *plan.GroupBy,
 	// dicts tracks, per column of the current schema, the dictionary codegen
 	// would see through its dictResolver chain — the aggSink hash rewrite is
 	// the one dictionary decision that changes shared state, so it must be
-	// replayed from identical inputs. nil when NoDict disables rewrites.
+	// replayed from identical inputs. nil for an aggregation source.
 	var dicts []*storage.Dict
 	if scan != nil {
 		vs := &VecScan{Table: scan.Table}
@@ -162,11 +161,9 @@ func (g *cgen) buildVecSpec(scan *plan.Scan, am *aggMeta, gb *plan.GroupBy,
 			vs.Cols = append(vs.Cols, vc)
 		}
 		sp.Scan = vs
-		if !g.opts.NoDict {
-			dicts = make([]*storage.Dict, len(scan.Cols))
-			for j, name := range scan.Cols {
-				dicts[j] = scan.Table.MustCol(name).Dict()
-			}
+		dicts = make([]*storage.Dict, len(scan.Cols))
+		for j, name := range scan.Cols {
+			dicts[j] = scan.Table.MustCol(name).Dict()
 		}
 	} else {
 		desc := &g.q.Aggs[am.id]
@@ -197,7 +194,6 @@ func (g *cgen) buildVecSpec(scan *plan.Scan, am *aggMeta, gb *plan.GroupBy,
 			vp := &VecProbe{
 				Join: j, JoinID: x.desc.id,
 				StateOff: x.desc.desc.StateOff,
-				Filter:   x.desc.desc.Filter,
 				NP:       np,
 			}
 			for _, f := range x.desc.fields {

@@ -3,12 +3,11 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
-	"aqe/internal/codegen"
 	"aqe/internal/expr"
 	"aqe/internal/plan"
-	"aqe/internal/rt"
 	"aqe/internal/storage"
 	"aqe/internal/volcano"
 )
@@ -85,9 +84,9 @@ func randStrPredSimple(rng *rand.Rand, sch []plan.ColDef, col, stem string) expr
 }
 
 // TestDictPredicateProperty is the dictionary oracle: random string
-// predicates over dictionary-encoded and raw columns, executed with
-// dictionaries on and off across tiers, must match the Volcano
-// interpreter row for row.
+// predicates over dictionary-encoded and raw columns, executed across
+// tiers, must match the Volcano interpreter row for row. The raw table
+// drives the undictionarized path.
 func TestDictPredicateProperty(t *testing.T) {
 	const rows = 4000
 	tables := map[string]*storage.Table{
@@ -95,10 +94,9 @@ func TestDictPredicateProperty(t *testing.T) {
 		"raw":  mkStrTable(rows, false),
 	}
 	engines := map[string]*Engine{
-		"dict-opt":   New(Options{Workers: 4, Mode: ModeOptimized, Cost: Native()}),
-		"dict-bc":    New(Options{Workers: 2, Mode: ModeBytecode}),
-		"nodict-opt": New(Options{Workers: 4, Mode: ModeOptimized, Cost: Native(), NoDict: true}),
-		"irinterp":   New(Options{Workers: 2, Mode: ModeIRInterp}),
+		"opt":      New(Options{Workers: 4, Mode: ModeOptimized, Cost: Native()}),
+		"bc":       New(Options{Workers: 2, Mode: ModeBytecode}),
+		"irinterp": New(Options{Workers: 2, Mode: ModeIRInterp}),
 	}
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
@@ -159,38 +157,13 @@ func TestDictPredicateProperty(t *testing.T) {
 	}
 }
 
-// TestDictFingerprintDistinct: the dictionary rewrite changes the emitted
-// IR, so the same plan compiled with and without dictionaries must carry
-// different plan fingerprints — a cached raw artifact can never serve a
-// dictionary execution or vice versa.
-func TestDictFingerprintDistinct(t *testing.T) {
-	tb := mkStrTable(500, true)
-	build := func() plan.Node {
-		sc := plan.NewScan(tb, "s", "v")
-		sch := sc.Schema()
-		sc.Where(expr.Eq(plan.C(sch, "s"), expr.Str("item-010")))
-		return plan.NewGroupBy(sc, []expr.Expr{plan.C(sch, "s")}, []string{"s"},
-			[]plan.AggExpr{{Func: plan.Sum, Arg: plan.C(sch, "v"), Name: "sv"}})
-	}
-	fp := func(noDict bool) Fingerprint {
-		cq, err := codegen.CompileOpts(build(), rt.NewMemory(), "fp",
-			codegen.Options{JoinFilter: true, NoDict: noDict})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fingerprintOf(cq)
-	}
-	if fp(false) == fp(true) {
-		t.Fatal("dict and raw compilations share a fingerprint")
-	}
-}
-
-// TestDictCacheDistinct: engines with dictionaries on and off each warm-hit
-// their own compilation cache on re-execution, return identical results,
-// and report distinct fingerprints.
+// TestDictCacheDistinct: the same plan over a dictionary-encoded table and
+// over its raw twin compiles to different code, so on one engine each
+// misses the cache cold, warm-hits its own entry, and reports its own
+// fingerprint — dictionary and raw artifacts never mix — while both
+// return identical results.
 func TestDictCacheDistinct(t *testing.T) {
-	tb := mkStrTable(2000, true)
-	build := func() plan.Node {
+	build := func(tb *storage.Table) plan.Node {
 		sc := plan.NewScan(tb, "s", "u", "v")
 		sch := sc.Schema()
 		sc.Where(expr.And(
@@ -199,40 +172,42 @@ func TestDictCacheDistinct(t *testing.T) {
 		return plan.NewGroupBy(sc, []expr.Expr{plan.C(sch, "s")}, []string{"s"},
 			[]plan.AggExpr{{Func: plan.CountStar, Name: "n"}})
 	}
+	e := New(Options{Workers: 2, Mode: ModeOptimized, Cost: Native(), CacheBytes: 64 << 20})
 	sums := map[bool]string{}
 	fps := map[bool]string{}
-	for _, noDict := range []bool{false, true} {
-		e := New(Options{Workers: 2, Mode: ModeOptimized, Cost: Native(),
-			CacheBytes: 64 << 20, NoDict: noDict})
-		cold, err := e.RunPlan(build(), "dictcache")
+	for _, withDict := range []bool{true, false} {
+		tb := mkStrTable(2000, withDict)
+		cold, err := e.RunPlan(build(tb), "dictcache")
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := e.RunPlan(build(), "dictcache")
+		warm, err := e.RunPlan(build(tb), "dictcache")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cold.Stats.CacheHit {
+			t.Errorf("withDict=%v: cold run hit the other table's entry", withDict)
 		}
 		if !warm.Stats.CacheHit {
-			t.Errorf("noDict=%v: warm run missed the cache", noDict)
+			t.Errorf("withDict=%v: warm run missed the cache", withDict)
 		}
 		if checksum(cold) != checksum(warm) {
-			t.Errorf("noDict=%v: warm checksum diverged", noDict)
+			t.Errorf("withDict=%v: warm checksum diverged", withDict)
 		}
-		sums[noDict] = checksum(cold)
-		fps[noDict] = cold.Stats.Fingerprint
+		sums[withDict] = checksum(cold)
+		fps[withDict] = cold.Stats.Fingerprint
 	}
 	if sums[false] != sums[true] {
-		t.Error("dict on/off results differ")
+		t.Error("dict and raw results differ")
 	}
 	if fps[false] == fps[true] {
-		t.Error("dict on/off executions share a fingerprint")
+		t.Error("dict and raw executions share a fingerprint")
 	}
 }
 
 // TestDictStatsAndTrace: the counters and the trace event. A range
 // predicate on the clustered column must rewrite to codes, prune string
-// blocks, and emit EvDictRewrite; with NoDict everything stays zero and
-// the result is unchanged.
+// blocks, and emit EvDictRewrite, and the result must equal Volcano's.
 func TestDictStatsAndTrace(t *testing.T) {
 	tb := mkStrTable(8000, true)
 	build := func() plan.Node {
@@ -264,15 +239,12 @@ func TestDictStatsAndTrace(t *testing.T) {
 		t.Error("no EvDictRewrite trace event")
 	}
 
-	nd := New(Options{Workers: 2, Mode: ModeOptimized, Cost: Native(), NoDict: true})
-	raw, err := nd.RunPlan(build(), "dictstats")
+	ref := build()
+	want, err := volcano.Run(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw.Stats.DictRewrites != 0 || raw.Stats.StringBlocksPruned != 0 {
-		t.Errorf("NoDict run reported dictionary work: %+v", raw.Stats)
-	}
-	if checksum(res) != checksum(raw) {
-		t.Error("dict on/off results differ")
+	if got, w := canon(res.Rows, res.Types), canon(want, typesOf(ref.Schema())); !slices.Equal(got, w) {
+		t.Errorf("result differs from volcano\n got %v\nwant %v", got, w)
 	}
 }

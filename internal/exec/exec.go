@@ -132,25 +132,10 @@ type Options struct {
 	// MorselCap bounds the grown morsel size (default 65536 tuples); the
 	// size doubles every 8 claims until it reaches the cap.
 	MorselCap int64
-	// NoZoneMaps disables zone-map morsel pruning: every scan dispatches
-	// all blocks even when per-block min/max statistics prove the scan's
-	// sargable predicate rejects them.
-	NoZoneMaps bool
 	// CacheBytes is the byte budget of the plan-fingerprint compilation
 	// cache; 0 disables caching (every query translates and compiles from
 	// scratch, the paper's experiment setup).
 	CacheBytes int64
-	// SerialFinalize forces the retained single-threaded pipeline-breaker
-	// path (join build linking, aggregation merge) instead of hash-range
-	// partitioned parallel finalization.
-	SerialFinalize bool
-	// NoJoinFilter disables the Bloom-filter check in generated join
-	// probes (the filter is emitted by default).
-	NoJoinFilter bool
-	// NoDict disables dictionary-code rewrites of string predicates,
-	// code-based group hashing, and string zone-map pruning; queries run
-	// against the raw string columns (results are bit-identical).
-	NoDict bool
 	// NoNative disables the native machine-code level on every handle of
 	// this engine: the adaptive controller never proposes it and
 	// ModeNative runs bytecode.
@@ -581,10 +566,7 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		}
 		tCg := time.Now()
 		mem = rt.NewMemory()
-		cq, err = codegen.CompileOpts(node, mem, name, codegen.Options{
-			JoinFilter: !e.opts.NoJoinFilter,
-			NoDict:     e.opts.NoDict,
-		})
+		cq, err = codegen.Compile(node, mem, name)
 		if err != nil {
 			return nil, err
 		}

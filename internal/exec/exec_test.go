@@ -69,12 +69,17 @@ func testEngines() map[string]*Engine {
 // canon renders rows into sorted canonical strings for order-insensitive
 // comparison; floats are rounded to absorb parallel summation order.
 func canon(rows [][]expr.Datum, types []expr.Type) []string {
+	return canonFloat(rows, types, "|%.6g")
+}
+
+// canonFloat is canon with the float format given.
+func canonFloat(rows [][]expr.Datum, types []expr.Type, floatFmt string) []string {
 	out := make([]string, len(rows))
 	for i, row := range rows {
 		var sb strings.Builder
 		for j, d := range row {
 			if types[j].Kind == expr.KFloat {
-				fmt.Fprintf(&sb, "|%.6g", d.F)
+				fmt.Fprintf(&sb, floatFmt, d.F)
 			} else if types[j].Kind == expr.KString {
 				fmt.Fprintf(&sb, "|%s", d.S)
 			} else {

@@ -20,9 +20,8 @@ type pruneMask struct {
 }
 
 // buildPruneMask evaluates the prune conditions against the table's zone
-// maps. Conditions whose column has no fresh zone map (never built, or
-// stale after appends) contribute nothing; all usable maps must share one
-// block size. Returns nil when nothing can be pruned — the dispatcher then
+// maps. Conditions whose column has no zone map contribute nothing; all
+// usable maps must share one block size. Returns nil when nothing can be pruned — the dispatcher then
 // keeps its lock-free fast path.
 func buildPruneMask(t *storage.Table, conds []codegen.PruneCond) *pruneMask {
 	rows := t.Rows()
@@ -37,7 +36,7 @@ func buildPruneMask(t *storage.Table, conds []codegen.PruneCond) *pruneMask {
 	blockRows := 0
 	for _, pc := range conds {
 		zm := pc.Col.Zone()
-		if zm == nil || zm.Rows != rows {
+		if zm == nil {
 			continue
 		}
 		if blockRows == 0 {

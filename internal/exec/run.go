@@ -231,7 +231,7 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	// Runtime state per the code generator's layout.
 	qs := rt.NewQueryState(mem, e.opts.Workers, cq.StateBytes, cq.LocalBytes)
 	for _, jd := range cq.Joins {
-		qs.AddJoin(jd.TupleSize, jd.StateOff, jd.Filter)
+		qs.AddJoin(jd.TupleSize, jd.StateOff)
 	}
 	for _, ad := range cq.Aggs {
 		qs.AddAgg(ad.EntrySize, ad.Keys, ad.Aggs, ad.LocalOff, ad.Scalar)
@@ -630,7 +630,7 @@ func (qr *queryRun) runPipeline(id int) {
 	var pr *progress
 	if total > 0 && !qr.cancelled.Load() {
 		pr = newProgress(total, qr.eng.opts.Workers, qr.eng.opts)
-		if len(pl.Prune) > 0 && !qr.eng.opts.NoZoneMaps {
+		if len(pl.Prune) > 0 {
 			qr.applyZoneMaps(pl, pr, total)
 		}
 		qr.start(pl, h, pr)
@@ -655,19 +655,13 @@ func (qr *queryRun) runPipeline(id int) {
 	if pr != nil && qr.eng.cache != nil && qr.eng.opts.Mode == ModeAdaptive {
 		qr.eng.cache.noteEngine(qr.fp, id, h.Level() == LevelVector && pr.promoted())
 	}
-	// Finalize the sink between pipelines. By default the breaker work
-	// (join chain linking, aggregation merge) is hash-range partitioned
-	// across the worker pool; Options.SerialFinalize retains the
-	// single-threaded barrier for comparison.
+	// Finalize the sink between pipelines. The breaker work (join chain
+	// linking, aggregation merge) is hash-range partitioned across the
+	// worker pool.
 	if pl.SinkJoin >= 0 {
 		ht := qr.qs.Joins[pl.SinkJoin]
 		t0 := time.Now()
-		parts := 1
-		if qr.eng.opts.SerialFinalize {
-			ht.Finalize(qr.qs.StateAddr)
-		} else {
-			parts = ht.FinalizeParallel(qr.qs.StateAddr, qr.breakerParts(), qr.pfor)
-		}
+		parts := ht.Finalize(qr.qs.StateAddr, qr.breakerParts(), qr.pfor)
 		qr.noteFinalize(pl, time.Since(t0), t0, parts, int64(ht.Count))
 		// The breaker is the natural observation point of adaptive join
 		// ordering: the build ran to completion, so its hash-table count
@@ -677,12 +671,7 @@ func (qr *queryRun) runPipeline(id int) {
 	if pl.SinkAgg >= 0 {
 		set := qr.qs.Aggs[pl.SinkAgg]
 		t0 := time.Now()
-		parts := 1
-		if qr.eng.opts.SerialFinalize {
-			set.Finalize()
-		} else {
-			parts = set.FinalizeParallel(qr.breakerParts(), qr.pfor)
-		}
+		parts := set.Finalize(qr.breakerParts(), qr.pfor)
 		d := qr.cq.Aggs[pl.SinkAgg]
 		qr.mem.Store64(qr.qs.StateAddr+rt.Addr(d.IndexStateOff), set.IndexAddr)
 		qr.noteFinalize(pl, time.Since(t0), t0, parts, int64(set.Groups))
@@ -822,7 +811,7 @@ func (qr *queryRun) breakerParts() int {
 // other queries' morsels and observes cancellation between partitions. A
 // Trap thrown by a task (aggregate Combine can overflow) is caught on the
 // pool worker and re-thrown on the caller, so breaker traps surface
-// exactly like serial-finalize traps.
+// exactly like traps of a one-partition finalize on the coordinator.
 func (qr *queryRun) pfor(n int, fn func(p int)) {
 	workers := qr.eng.opts.Workers
 	if workers > n {

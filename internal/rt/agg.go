@@ -240,10 +240,10 @@ func (s *AggSet) keysEqual(a, b Addr) bool {
 	return true
 }
 
-// Finalize merges workers 1..n into worker 0's table and builds the dense
-// group index the follow-up pipeline scans. It runs single-threaded
-// between pipelines.
-func (s *AggSet) Finalize() {
+// mergeSerial is Finalize's one-partition path: it merges workers 1..n
+// into worker 0's live table and builds the dense group index the
+// follow-up pipeline scans.
+func (s *AggSet) mergeSerial() {
 	target := s.hts[0]
 	for _, ht := range s.hts[1:] {
 		ht.arena.Each(s.EntrySize, func(e Addr) {
@@ -287,16 +287,16 @@ func (s *AggSet) Finalize() {
 	s.IndexAddr = s.mem.AddSegment(index)
 }
 
-// FinalizeParallel merges the per-worker tables with up to parts hash-range
+// Finalize merges the per-worker tables with up to parts hash-range
 // partitions scheduled through pfor, then builds the dense group index in
 // parallel. Each partition task owns a contiguous bucket-index range of a
 // fresh table sized for the combined entry count and merges that range from
 // every source table, visiting sources in worker order and entries in arena
-// order — the same encounter order as the serial merge, so representative
-// entries, float Combine order, and therefore checksums are identical to
-// Finalize. Returns the partition count actually used (1 when the tables
-// are too small to benefit).
-func (s *AggSet) FinalizeParallel(parts int, pfor ParallelFor) int {
+// order — the same encounter order as the one-partition merge, so
+// representative entries, float Combine order, and therefore checksums do
+// not depend on the partition count. Returns the partition count actually
+// used (1 when the tables are too small to benefit).
+func (s *AggSet) Finalize(parts int, pfor ParallelFor) int {
 	total := 0
 	for _, ht := range s.hts {
 		total += ht.count
@@ -317,7 +317,7 @@ func (s *AggSet) FinalizeParallel(parts int, pfor ParallelFor) int {
 		// One partition degenerates to the serial merge, which is strictly
 		// cheaper: it merges into worker 0's live table instead of
 		// re-linking every entry into a fresh one.
-		s.Finalize()
+		s.mergeSerial()
 		return 1
 	}
 	// A fresh bucket array sized up front: no mid-merge growth, so the
@@ -376,7 +376,7 @@ func (s *AggSet) FinalizeParallel(parts int, pfor ParallelFor) int {
 
 	// Prefix-sum the per-partition group counts, then fill the dense index
 	// in parallel: partition p writes index slots [counts[p], counts[p+1])
-	// in bucket order, matching the serial index order.
+	// in bucket order, matching the one-partition index order.
 	for p := 0; p < parts; p++ {
 		counts[p+1] += counts[p]
 	}

@@ -46,10 +46,10 @@ func mixHash(key uint64) uint64 {
 
 // buildJoin constructs a JoinHT and inserts nTuples tuples round-robin
 // across 4 worker arenas: key = i % distinct (duplicates force chains).
-func buildJoin(nTuples, distinct int, filter bool) (*Memory, *JoinHT, Addr) {
+func buildJoin(nTuples, distinct int) (*Memory, *JoinHT, Addr) {
 	m := NewMemory()
 	stateAddr := m.Alloc(JoinStateBytes)
-	h := NewJoinHT(m, 4, 24, 0, filter)
+	h := NewJoinHT(m, 4, 24, 0)
 	for i := 0; i < nTuples; i++ {
 		key := uint64(i % distinct)
 		tup := h.Alloc(i % 4)
@@ -60,8 +60,8 @@ func buildJoin(nTuples, distinct int, filter bool) (*Memory, *JoinHT, Addr) {
 }
 
 // joinChains renders every bucket's chain as an ordered "hash:key" list so
-// serial and parallel finalizations can be compared chain-by-chain without
-// depending on tuple addresses.
+// finalizations with different partition counts can be compared
+// chain-by-chain without depending on tuple addresses.
 func joinChains(m *Memory, stateAddr Addr) []string {
 	buckets := m.Load64(stateAddr)
 	mask := m.Load64(stateAddr + 8)
@@ -89,28 +89,42 @@ func joinFilterWords(m *Memory, stateAddr Addr) []uint16 {
 	return out
 }
 
+// TestJoinFinalizeParallelMatchesSerial: every partition count links the
+// same chains and sets the same filter words as one partition (one walk
+// over every arena, linkRange(0, nb)).
 func TestJoinFinalizeParallelMatchesSerial(t *testing.T) {
 	// 6000 tuples over 2000 keys: above minParallelBreaker, chains of 3,
 	// plus whatever bucket collisions the hash produces.
 	const n, distinct = 6000, 2000
-	ms, hs, sts := buildJoin(n, distinct, true)
-	hs.Finalize(sts)
+	ms, hs, sts := buildJoin(n, distinct)
+	if used := hs.Finalize(sts, 1, goroutinePfor(1)); used != 1 {
+		t.Fatalf("reference used %d partitions", used)
+	}
 	wantChains := joinChains(ms, sts)
 	wantFilter := joinFilterWords(ms, sts)
+	set := 0
+	for _, w := range wantFilter {
+		if w != 0 {
+			set++
+		}
+	}
+	if set == 0 {
+		t.Fatal("reference published an empty filter — the comparison is vacuous")
+	}
 
 	for _, cfg := range []struct{ parts, goroutines int }{
-		{1, 1}, {2, 2}, {8, 8}, {16, 2},
+		{2, 2}, {8, 8}, {16, 2},
 	} {
-		mp, hp, stp := buildJoin(n, distinct, true)
-		used := hp.FinalizeParallel(stp, cfg.parts, goroutinePfor(cfg.goroutines))
+		mp, hp, stp := buildJoin(n, distinct)
+		used := hp.Finalize(stp, cfg.parts, goroutinePfor(cfg.goroutines))
 		if used < 1 || used > cfg.parts {
 			t.Fatalf("parts=%d: used %d partitions", cfg.parts, used)
 		}
 		if got := joinChains(mp, stp); !reflect.DeepEqual(got, wantChains) {
-			t.Errorf("parts=%d: chains differ from serial finalize", cfg.parts)
+			t.Errorf("parts=%d: chains differ from one partition", cfg.parts)
 		}
 		if got := joinFilterWords(mp, stp); !reflect.DeepEqual(got, wantFilter) {
-			t.Errorf("parts=%d: filter words differ from serial finalize", cfg.parts)
+			t.Errorf("parts=%d: filter words differ from one partition", cfg.parts)
 		}
 	}
 }
@@ -118,20 +132,22 @@ func TestJoinFinalizeParallelMatchesSerial(t *testing.T) {
 func TestJoinFinalizeParallelSmallCollapses(t *testing.T) {
 	// Below minParallelBreaker the partitioned path must collapse to one
 	// partition and still publish a correct table.
-	m, h, st := buildJoin(100, 40, true)
-	if used := h.FinalizeParallel(st, 8, goroutinePfor(8)); used != 1 {
+	m, h, st := buildJoin(100, 40)
+	if used := h.Finalize(st, 8, goroutinePfor(8)); used != 1 {
 		t.Fatalf("used %d partitions for 100 tuples", used)
 	}
-	ms, hs, sts := buildJoin(100, 40, true)
-	hs.Finalize(sts)
+	ms, hs, sts := buildJoin(100, 40)
+	hs.Finalize(sts, 1, goroutinePfor(1))
 	if !reflect.DeepEqual(joinChains(m, st), joinChains(ms, sts)) {
-		t.Error("collapsed parallel finalize differs from serial")
+		t.Error("collapsed finalize differs from one partition")
 	}
 }
 
 // buildAgg constructs an AggSet with 4 workers and applies the same
 // update stream a generated aggregation would: find-or-insert in the
-// worker-local table, then accumulate [sum, count] for the key.
+// worker-local table, then accumulate [sum, count] for the key. Each pass
+// over the keys runs on the next worker, so a key seen in several passes
+// has an entry in several workers' tables for the merge to combine.
 func buildAgg(updates, distinct int) (*Memory, *AggSet) {
 	m := NewMemory()
 	q := NewQueryState(m, 4, 16, 64)
@@ -141,7 +157,7 @@ func buildAgg(updates, distinct int) (*Memory, *AggSet) {
 	id := q.AddAgg(40, keys, aggs, 0, false)
 	set := q.Aggs[id]
 	for i := 0; i < updates; i++ {
-		w := i % 4
+		w := i / distinct % 4
 		key := uint64(i % distinct)
 		hash := mixHash(key)
 		bAddr := m.Load64(q.Locals[w])
@@ -181,17 +197,26 @@ func TestAggFinalizeParallelMatchesSerial(t *testing.T) {
 	// combined entry count (24000) is far above minParallelBreaker.
 	const updates, distinct = 40000, 6000
 	ms, ss := buildAgg(updates, distinct)
-	ss.Finalize()
+	entries := 0
+	for _, ht := range ss.hts {
+		entries += ht.count
+	}
+	if entries < 4*distinct {
+		t.Fatalf("%d worker entries over %d keys — the merge combines nothing", entries, distinct)
+	}
+	if used := ss.Finalize(1, goroutinePfor(1)); used != 1 {
+		t.Fatalf("reference used %d partitions", used)
+	}
 	want := aggGroups(ms, ss)
 	if ss.Groups != distinct {
-		t.Fatalf("serial Groups = %d, want %d", ss.Groups, distinct)
+		t.Fatalf("one-partition Groups = %d, want %d", ss.Groups, distinct)
 	}
 
 	for _, cfg := range []struct{ parts, goroutines int }{
-		{1, 1}, {2, 2}, {8, 8}, {16, 2},
+		{2, 2}, {8, 8}, {16, 2},
 	} {
 		mp, sp := buildAgg(updates, distinct)
-		used := sp.FinalizeParallel(cfg.parts, goroutinePfor(cfg.goroutines))
+		used := sp.Finalize(cfg.parts, goroutinePfor(cfg.goroutines))
 		if used < 1 || used > cfg.parts {
 			t.Fatalf("parts=%d: used %d partitions", cfg.parts, used)
 		}
@@ -199,14 +224,14 @@ func TestAggFinalizeParallelMatchesSerial(t *testing.T) {
 			t.Errorf("parts=%d: Groups = %d, want %d", cfg.parts, sp.Groups, distinct)
 		}
 		if got := aggGroups(mp, sp); !reflect.DeepEqual(got, want) {
-			t.Errorf("parts=%d: merged groups differ from serial finalize", cfg.parts)
+			t.Errorf("parts=%d: merged groups differ from one partition", cfg.parts)
 		}
 	}
 }
 
 func TestAggFinalizeParallelEmpty(t *testing.T) {
 	m, set := buildAgg(0, 1)
-	if used := set.FinalizeParallel(8, goroutinePfor(8)); used != 1 {
+	if used := set.Finalize(8, goroutinePfor(8)); used != 1 {
 		t.Fatalf("used %d partitions for empty set", used)
 	}
 	if set.Groups != 0 {

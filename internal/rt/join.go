@@ -3,19 +3,19 @@ package rt
 // JoinHT is the chaining hash table used by hash joins, built in the two
 // phases of morsel-driven joins: the build pipeline materializes tuples
 // into per-worker arenas through generated code (layout: [hash u64]
-// [next u64] [payload...]), then Finalize sizes the bucket array and links
-// the chains between pipelines. Probing happens entirely in generated
-// code: it reads the bucket head and walks the chain with plain loads,
-// exactly like HyPer's generated probe code.
+// [next u64] [payload...]), then Finalize sizes the bucket array, links
+// the chains and sets the Bloom filter between pipelines. Probing happens
+// entirely in generated code: it tests the filter word, reads the bucket
+// head and walks the chain with plain loads, exactly like HyPer's
+// generated probe code.
 //
-// Finalization comes in two flavours. Finalize is the retained serial
-// path: one thread walks every arena once and prepends each tuple to its
-// chain. FinalizeParallel partitions the bucket array by hash range and
-// runs one task per partition: each task scans all arenas but links only
-// tuples whose bucket index falls inside its range, so all writes (bucket
-// heads, chain links, filter words) are disjoint across partitions — no
-// atomics, and the final chains are byte-identical to the serial result
-// because every bucket sees its tuples in the same arena order.
+// Finalize partitions the bucket array by hash range and runs one task per
+// partition: each task scans all arenas but links only tuples whose bucket
+// index falls inside its range, so all writes (bucket heads, chain links,
+// filter words) are disjoint across partitions — no atomics, and the final
+// chains are byte-identical for every partition count because every
+// bucket sees its tuples in the same arena order. One partition is one
+// walk over every arena.
 type JoinHT struct {
 	mem       *Memory
 	TupleSize int
@@ -23,15 +23,13 @@ type JoinHT struct {
 	// publishes [bucketsAddr u64][mask u64][filterAddr u64] for the probe
 	// code to load (JoinStateBytes).
 	StateOff int
-	// Filter enables the per-join Bloom filter: one 16-bit tag word per
-	// bucket, tag bit selected by hash bits 48..51. Probe code tests the
-	// word before touching the bucket array, skipping the chain walk (and
-	// its cache misses) for keys that cannot be present.
-	Filter bool
 
 	arenas []*Arena
 
-	// Results of finalization.
+	// Results of finalization. FilterAddr is the per-join Bloom filter:
+	// one 16-bit tag word per bucket, tag bit selected by hash bits 48..51.
+	// Probe code tests the word before touching the bucket array, skipping
+	// the chain walk (and its cache misses) for keys that cannot be present.
 	BucketsAddr Addr
 	FilterAddr  Addr
 	Mask        uint64
@@ -56,8 +54,8 @@ const minParallelBreaker = 4096
 type ParallelFor func(n int, fn func(p int))
 
 // NewJoinHT creates a join hash table with one arena per worker.
-func NewJoinHT(mem *Memory, workers, tupleSize, stateOff int, filter bool) *JoinHT {
-	h := &JoinHT{mem: mem, TupleSize: tupleSize, StateOff: stateOff, Filter: filter}
+func NewJoinHT(mem *Memory, workers, tupleSize, stateOff int) *JoinHT {
+	h := &JoinHT{mem: mem, TupleSize: tupleSize, StateOff: stateOff}
 	for i := 0; i < workers; i++ {
 		h.arenas = append(h.arenas, NewArena(mem))
 	}
@@ -92,10 +90,8 @@ func (h *JoinHT) prepare() int {
 	h.buckets = make([]byte, nb*8)
 	h.BucketsAddr = h.mem.AddSegment(h.buckets)
 	h.Mask = uint64(nb - 1)
-	if h.Filter {
-		h.filter = make([]byte, nb*2)
-		h.FilterAddr = h.mem.AddSegment(h.filter)
-	}
+	h.filter = make([]byte, nb*2)
+	h.FilterAddr = h.mem.AddSegment(h.filter)
 	return nb
 }
 
@@ -116,11 +112,9 @@ func (h *JoinHT) linkRange(lo, hi uint64) {
 				bi := idx * 8
 				putU64(data[off+8:], leU64(h.buckets[bi:]))
 				putU64(h.buckets[bi:], base+Addr(off))
-				if h.filter != nil {
-					fi := idx * 2
-					tag := uint16(1) << ((hash >> 48) & 15)
-					putU16(h.filter[fi:], leU16(h.filter[fi:])|tag)
-				}
+				fi := idx * 2
+				tag := uint16(1) << ((hash >> 48) & 15)
+				putU16(h.filter[fi:], leU16(h.filter[fi:])|tag)
 			}
 		})
 	}
@@ -131,24 +125,13 @@ func (h *JoinHT) linkRange(lo, hi uint64) {
 func (h *JoinHT) publishState(stateAddr Addr) {
 	h.mem.Store64(stateAddr+Addr(h.StateOff), h.BucketsAddr)
 	h.mem.Store64(stateAddr+Addr(h.StateOff)+8, h.Mask)
-	if h.Filter {
-		h.mem.Store64(stateAddr+Addr(h.StateOff)+16, h.FilterAddr)
-	}
+	h.mem.Store64(stateAddr+Addr(h.StateOff)+16, h.FilterAddr)
 }
 
-// Finalize is the retained serial path: size, link all chains in one
-// arena pass, publish.
-func (h *JoinHT) Finalize(stateAddr Addr) {
-	if nb := h.prepare(); nb > 0 {
-		h.linkRange(0, uint64(nb))
-	}
-	h.publishState(stateAddr)
-}
-
-// FinalizeParallel builds the table with up to parts hash-range
-// partitions scheduled through pfor, and returns the partition count it
-// actually used (1 when the table is too small to benefit).
-func (h *JoinHT) FinalizeParallel(stateAddr Addr, parts int, pfor ParallelFor) int {
+// Finalize builds the table with up to parts hash-range partitions
+// scheduled through pfor, publishes it, and returns the partition count
+// it actually used (1 when the table is too small to benefit).
+func (h *JoinHT) Finalize(stateAddr Addr, parts int, pfor ParallelFor) int {
 	nb := h.prepare()
 	if nb == 0 {
 		h.publishState(stateAddr)

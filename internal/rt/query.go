@@ -47,8 +47,8 @@ func NewQueryState(mem *Memory, workers, stateBytes, localBytes int) *QueryState
 }
 
 // AddJoin registers a join hash table and returns its id.
-func (q *QueryState) AddJoin(tupleSize, stateOff int, filter bool) int {
-	q.Joins = append(q.Joins, NewJoinHT(q.Mem, q.Workers, tupleSize, stateOff, filter))
+func (q *QueryState) AddJoin(tupleSize, stateOff int) int {
+	q.Joins = append(q.Joins, NewJoinHT(q.Mem, q.Workers, tupleSize, stateOff))
 	return len(q.Joins) - 1
 }
 

@@ -105,8 +105,8 @@ func TestArenaLargeAlloc(t *testing.T) {
 func TestJoinHT(t *testing.T) {
 	m := NewMemory()
 	const tupleSize = 24 // hash, next, key
-	stateAddr := m.Alloc(16)
-	h := NewJoinHT(m, 2, tupleSize, 0, false)
+	stateAddr := m.Alloc(JoinStateBytes)
+	h := NewJoinHT(m, 2, tupleSize, 0)
 	// Insert 100 tuples from two workers; key = i, hash = weak on purpose
 	// to force chains.
 	for i := 0; i < 100; i++ {
@@ -115,7 +115,7 @@ func TestJoinHT(t *testing.T) {
 		m.Store64(tup, uint64(i%8)) // hash with many collisions
 		m.Store64(tup+16, uint64(i))
 	}
-	h.Finalize(stateAddr)
+	h.Finalize(stateAddr, 1, nil)
 	if h.Count != 100 {
 		t.Fatalf("Count = %d", h.Count)
 	}
@@ -142,9 +142,9 @@ func TestJoinHT(t *testing.T) {
 
 func TestJoinHTEmpty(t *testing.T) {
 	m := NewMemory()
-	stateAddr := m.Alloc(16)
-	h := NewJoinHT(m, 1, 24, 0, false)
-	h.Finalize(stateAddr)
+	stateAddr := m.Alloc(JoinStateBytes)
+	h := NewJoinHT(m, 1, 24, 0)
+	h.Finalize(stateAddr, 1, nil)
 	buckets := m.Load64(stateAddr)
 	mask := m.Load64(stateAddr + 8)
 	if got := m.Load64(buckets + (12345&mask)*8); got != 0 {
@@ -186,11 +186,12 @@ func TestAggSetGroupBy(t *testing.T) {
 		m.Store64(e+32, m.Load64(e+32)+1)
 		_ = ht
 	}
-	// 1000 updates across 10 keys and 2 workers.
+	// 1000 updates across 10 keys and 2 workers; every key reaches both
+	// workers, so Finalize must combine.
 	for i := 0; i < 1000; i++ {
-		update(i%2, uint64(i%10), uint64(i))
+		update(i/10%2, uint64(i%10), uint64(i))
 	}
-	set.Finalize()
+	set.Finalize(1, nil)
 	if set.Groups != 10 {
 		t.Fatalf("Groups = %d, want 10", set.Groups)
 	}
@@ -233,7 +234,7 @@ func TestAggSetScalar(t *testing.T) {
 			}
 		}
 	}
-	set.Finalize()
+	set.Finalize(1, nil)
 	if set.Groups != 1 {
 		t.Fatalf("Groups = %d", set.Groups)
 	}
@@ -688,7 +689,7 @@ func TestAggSetMergeWithGrowth(t *testing.T) {
 			m.Store64(e+24, 1)
 		}
 	}
-	set.Finalize()
+	set.Finalize(1, nil)
 	if set.Groups != workers*perWorker {
 		t.Fatalf("Groups = %d, want %d", set.Groups, workers*perWorker)
 	}

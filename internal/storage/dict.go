@@ -19,10 +19,6 @@ type Dict struct {
 	// Values are the distinct strings in ascending order; the code of a
 	// value is its index.
 	Values []string
-	// Rows is the number of rows covered at build time. Like zone maps, a
-	// dictionary is only valid while the column still has exactly Rows
-	// rows (Column.Dict returns nil for stale dictionaries).
-	Rows int
 
 	codes []byte // 4-byte little-endian code per row
 }
@@ -59,11 +55,12 @@ func (d *Dict) LowerBound(s string) int64 {
 }
 
 // BuildDict builds (or rebuilds) the order-preserving dictionary of a
-// String column. Non-string columns record nothing: Char columns are
-// already single-byte integers with full zone-map support. Building is
-// part of load, after the bulk appends.
+// String column and seals the column: later appends panic. Non-string
+// columns record nothing: Char columns are already single-byte integers
+// with full zone-map support. Building is part of load, after the bulk
+// appends.
 func (c *Column) BuildDict() {
-	c.dict = nil
+	c.sealed = true
 	if c.Kind != String {
 		return
 	}
@@ -80,22 +77,16 @@ func (c *Column) BuildDict() {
 	for i, s := range values {
 		code[s] = uint32(i)
 	}
-	d := &Dict{Values: values, Rows: c.rows, codes: make([]byte, 4*c.rows)}
+	d := &Dict{Values: values, codes: make([]byte, 4*c.rows)}
 	for i := 0; i < c.rows; i++ {
 		binary.LittleEndian.PutUint32(d.codes[i*4:], code[c.StringAt(i)])
 	}
 	c.dict = d
 }
 
-// Dict returns the column's dictionary, or nil when none was built, the
-// column is not a String column, or rows were appended since the build
-// (a stale dictionary is never handed out, mirroring Zone).
-func (c *Column) Dict() *Dict {
-	if c.dict == nil || c.dict.Rows != c.rows {
-		return nil
-	}
-	return c.dict
-}
+// Dict returns the column's dictionary, or nil when none was built or the
+// column is not a String column.
+func (c *Column) Dict() *Dict { return c.dict }
 
 // BuildDicts builds dictionaries for every String column of the table.
 func (t *Table) BuildDicts() {

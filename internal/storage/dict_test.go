@@ -56,23 +56,6 @@ func TestDictOrderPreserving(t *testing.T) {
 	}
 }
 
-func TestDictStaleAfterAppend(t *testing.T) {
-	c := NewColumn("s", String)
-	c.AppendString("a")
-	c.BuildDict()
-	if c.Dict() == nil {
-		t.Fatal("dictionary missing")
-	}
-	c.AppendString("b")
-	if c.Dict() != nil {
-		t.Error("stale dictionary handed out after append")
-	}
-	c.BuildDict()
-	if d := c.Dict(); d == nil || d.Card() != 2 {
-		t.Error("rebuild did not refresh the dictionary")
-	}
-}
-
 func TestDictNonString(t *testing.T) {
 	c := NewColumn("n", Int64)
 	c.AppendInt64(7)

@@ -27,9 +27,9 @@ type ColStats struct {
 }
 
 // Stats derives optimizer statistics from the column's zone map and
-// dictionary. A column without a fresh zone map (never built, or stale
-// after appends) yields Rows only: selectivity estimation falls back to
-// defaults, mirroring how pruning degrades without the map.
+// dictionary. A column without a zone map yields Rows only: selectivity
+// estimation falls back to defaults, mirroring how pruning degrades
+// without the map.
 func (c *Column) Stats() ColStats {
 	st := ColStats{Rows: c.rows}
 	if d := c.Dict(); d != nil {

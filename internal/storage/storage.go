@@ -73,6 +73,9 @@ type Column struct {
 	rows int
 	zone *ZoneMap // per-block min/max statistics (zonemap.go)
 	dict *Dict    // order-preserving string dictionary (dict.go)
+	// sealed is set by the first statistics build: the zone map and
+	// dictionary describe every row, so the column takes no more appends.
+	sealed bool
 }
 
 // NewColumn creates an empty column.
@@ -112,8 +115,17 @@ func (c *Column) Reserve(rows, heapBytes int) {
 	}
 }
 
+// mustBeOpen panics when the column is sealed: appending would leave the
+// zone map and dictionary describing fewer rows than the column holds.
+func (c *Column) mustBeOpen() {
+	if c.sealed {
+		panic(fmt.Sprintf("storage: append to column %s after its statistics were built", c.Name))
+	}
+}
+
 // AppendInt64 appends an integer (Int64, Decimal or Date columns).
 func (c *Column) AppendInt64(v int64) {
+	c.mustBeOpen()
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(v))
 	c.data = append(c.data, buf[:]...)
@@ -122,6 +134,7 @@ func (c *Column) AppendInt64(v int64) {
 
 // AppendFloat64 appends a float.
 func (c *Column) AppendFloat64(v float64) {
+	c.mustBeOpen()
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 	c.data = append(c.data, buf[:]...)
@@ -130,6 +143,7 @@ func (c *Column) AppendFloat64(v float64) {
 
 // AppendChar appends a one-byte character.
 func (c *Column) AppendChar(ch byte) {
+	c.mustBeOpen()
 	c.data = append(c.data, ch)
 	c.rows++
 }
@@ -137,6 +151,7 @@ func (c *Column) AppendChar(ch byte) {
 // AppendString appends a string to the heap and its reference to the
 // vector.
 func (c *Column) AppendString(s string) {
+	c.mustBeOpen()
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[:8], uint64(len(c.heap)))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(len(s)))

@@ -124,3 +124,71 @@ func TestDecimalString(t *testing.T) {
 		}
 	}
 }
+
+// TestSealedAfterStats: building a zone map or a dictionary seals the
+// column, so every Append* panics and leaves the column as it was, while
+// rebuilding the statistics without an append still works. A column
+// without statistics — what Result.ToTable materializes for a later stage
+// — stays appendable.
+func TestSealedAfterStats(t *testing.T) {
+	appends := []struct {
+		name string
+		kind Kind
+		add  func(c *Column)
+	}{
+		{"AppendInt64", Int64, func(c *Column) { c.AppendInt64(7) }},
+		{"AppendFloat64", Float64, func(c *Column) { c.AppendFloat64(7.5) }},
+		{"AppendChar", Char, func(c *Column) { c.AppendChar('x') }},
+		{"AppendString", String, func(c *Column) { c.AppendString("x") }},
+	}
+	builds := []struct {
+		name  string
+		build func(c *Column, blockRows int)
+		// has reports whether the build recorded statistics for c.
+		has func(c *Column) bool
+	}{
+		{"BuildZoneMap", func(c *Column, n int) { c.BuildZoneMap(n) },
+			func(c *Column) bool { return c.Zone() != nil && c.Zone().Rows == c.Rows() }},
+		{"BuildDict", func(c *Column, _ int) { c.BuildDict() },
+			func(c *Column) bool { return c.Dict() != nil && c.Dict().Card() == 1 }},
+	}
+	const rows = 10
+	for _, a := range appends {
+		t.Run(a.name+"-without-stats", func(t *testing.T) {
+			c := NewColumn("c", a.kind)
+			for i := 0; i < rows; i++ {
+				a.add(c)
+			}
+			if c.Rows() != rows {
+				t.Fatalf("%d rows, want %d", c.Rows(), rows)
+			}
+		})
+		for _, b := range builds {
+			if b.name == "BuildDict" && a.kind != String {
+				continue // only String columns carry a dictionary
+			}
+			t.Run(a.name+"-after-"+b.name, func(t *testing.T) {
+				c := NewColumn("c", a.kind)
+				for i := 0; i < rows; i++ {
+					a.add(c)
+				}
+				b.build(c, 4)
+				b.build(c, 2) // a rebuild without an append is fine
+				// A String column without a dictionary has no zone map
+				// but is sealed all the same.
+				if want := a.kind != String || b.name == "BuildDict"; b.has(c) != want {
+					t.Fatalf("statistics after rebuild: %v, want %v", b.has(c), want)
+				}
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s after %s did not panic", a.name, b.name)
+					}
+					if c.Rows() != rows {
+						t.Errorf("rejected append changed the row count to %d", c.Rows())
+					}
+				}()
+				a.add(c)
+			})
+		}
+	}
+}

@@ -13,7 +13,7 @@ const DefaultZoneBlockRows = 65536
 // dictionary codes of a dictionary-encoded String column. The engine
 // consults it to skip morsels whose block statistics prove that a scan's
 // sargable predicate rejects every contained row; String columns without
-// a fresh dictionary carry no zone map.
+// a dictionary carry no zone map.
 //
 // Integer-representable kinds (Int64, Decimal, Date, Char) populate
 // MinI/MaxI with the raw stored values (Decimal: scaled integers, Date:
@@ -21,19 +21,17 @@ const DefaultZoneBlockRows = 65536
 // generated comparison code sees). String columns with a dictionary
 // populate MinI/MaxI with per-block min/max codes: codes preserve the
 // string order, so the same integer block test applies to the code
-// thresholds the code generator derives from the dictionary (the build is
-// deterministic, so codegen-time and build-time codes agree whenever both
-// the map and the dictionary are fresh). Float64 columns populate MinF/MaxF,
-// ignoring NaNs: a NaN row can never satisfy a comparison predicate, so
-// excluding it from the statistics keeps pruning conservative. An
-// all-NaN block gets the empty range [+Inf, -Inf], which no predicate
-// matches — correctly prunable.
+// thresholds the code generator derives from the dictionary (both
+// describe a sealed column, so codegen-time and build-time codes agree).
+// Float64 columns populate MinF/MaxF, ignoring NaNs: a NaN row can never
+// satisfy a comparison predicate, so excluding it from the statistics
+// keeps pruning conservative. An all-NaN block gets the empty range
+// [+Inf, -Inf], which no predicate matches — correctly prunable.
 type ZoneMap struct {
 	// BlockRows is the block size the map was built with.
 	BlockRows int
-	// Rows is the number of rows covered at build time. A zone map is
-	// only valid while the column still has exactly Rows rows; appending
-	// invalidates it (Column.Zone returns nil for stale maps).
+	// Rows is the number of rows covered: the whole column, which the
+	// build seals.
 	Rows int
 
 	MinI, MaxI []int64
@@ -49,18 +47,16 @@ func (zm *ZoneMap) Blocks() int {
 }
 
 // BuildZoneMap computes per-block min/max statistics with the given block
-// size (<= 0 selects DefaultZoneBlockRows). A String column is covered
-// through its dictionary codes when a fresh dictionary exists (build
-// dictionaries before zone maps); without one it has no orderable
-// fixed-width representation, so building clears any stale map and
-// records nothing.
+// size (<= 0 selects DefaultZoneBlockRows) and seals the column: later
+// appends panic. A String column is covered through its dictionary codes
+// when a dictionary exists (build dictionaries before zone maps); without
+// one it has no orderable fixed-width representation and records nothing.
+// Rebuilding (with another block size) is allowed.
 func (c *Column) BuildZoneMap(blockRows int) {
-	c.zone = nil
-	var dict *Dict
-	if c.Kind == String {
-		if dict = c.Dict(); dict == nil {
-			return
-		}
+	c.sealed = true
+	dict := c.dict
+	if c.Kind == String && dict == nil {
+		return
 	}
 	if blockRows <= 0 {
 		blockRows = DefaultZoneBlockRows
@@ -122,16 +118,9 @@ func (c *Column) BuildZoneMap(blockRows int) {
 	c.zone = zm
 }
 
-// Zone returns the column's zone map, or nil when none was built, the
-// column is a String column, or rows were appended since the build (a
-// stale map is never handed out, so pruning stays conservative without
-// per-append bookkeeping).
-func (c *Column) Zone() *ZoneMap {
-	if c.zone == nil || c.zone.Rows != c.rows {
-		return nil
-	}
-	return c.zone
-}
+// Zone returns the column's zone map, or nil when none was built or the
+// column is a String column without a dictionary.
+func (c *Column) Zone() *ZoneMap { return c.zone }
 
 // BuildZoneMaps builds (or rebuilds) zone maps for every fixed-width
 // column of the table. blockRows <= 0 selects DefaultZoneBlockRows.

@@ -72,25 +72,6 @@ func TestZoneMapFloatNaN(t *testing.T) {
 	}
 }
 
-func TestZoneMapStaleAfterAppend(t *testing.T) {
-	c := NewColumn("a", Int64)
-	for i := 0; i < 10; i++ {
-		c.AppendInt64(int64(i))
-	}
-	c.BuildZoneMap(4)
-	if c.Zone() == nil {
-		t.Fatal("fresh map not returned")
-	}
-	c.AppendInt64(999)
-	if c.Zone() != nil {
-		t.Error("stale zone map handed out after append")
-	}
-	c.BuildZoneMap(4)
-	if zm := c.Zone(); zm == nil || zm.MaxI[2] != 999 {
-		t.Error("rebuild did not cover appended row")
-	}
-}
-
 func TestReserve(t *testing.T) {
 	c := NewColumn("a", Int64)
 	c.AppendInt64(7)

@@ -49,10 +49,7 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 	st := rc.state + uint64(p.StateOff)
 	buckets := rc.ld64(st)
 	mask := rc.ld64(st + 8)
-	var fBase uint64
-	if p.Filter {
-		fBase = rc.ld64(st + 16)
-	}
+	fBase := rc.ld64(st + 16)
 
 	// firstOnly: semi/anti probes need only match existence; compiled code
 	// stops at the first hash/key match too (no residual by Compile check).
@@ -67,12 +64,10 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 	for _, k := range sel {
 		h := hv[k]
 		slot := h & mask
-		if p.Filter {
-			fw := rc.ld16(fBase + slot*2)
-			tag := uint64(1) << ((h >> 48) & 15)
-			if fw&tag == 0 {
-				continue
-			}
+		fw := rc.ld16(fBase + slot*2)
+		tag := uint64(1) << ((h >> 48) & 15)
+		if fw&tag == 0 {
+			continue
 		}
 		e := rc.ld64(buckets + slot*8)
 		for e != 0 {

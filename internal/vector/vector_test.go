@@ -74,10 +74,6 @@ func TestVectorDifferential22(t *testing.T) {
 			MorselSize: 512, CacheBytes: 64 << 20}},
 		{"hybrid-no-vector", exec.Options{Workers: 4, Mode: exec.ModeAdaptive, Cost: exec.Native(),
 			NoVector: true, MorselSize: 512, CacheBytes: 64 << 20}},
-		{"vector-serial-no-filter", exec.Options{Workers: 4, Mode: exec.ModeVector, Cost: exec.Native(),
-			SerialFinalize: true, NoJoinFilter: true}},
-		{"vector-no-dict", exec.Options{Workers: 4, Mode: exec.ModeVector, Cost: exec.Native(),
-			NoDict: true}},
 	}
 	want := make(map[int][]string)
 	var vectorMorsels int64
