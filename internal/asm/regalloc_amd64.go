@@ -46,9 +46,9 @@ const noUse = math.MaxInt32
 type regAlloc struct {
 	c *compiler
 
-	loc   []int16   // value ID → phys location, -1 when not in a register
-	who   [32]int   // phys location → value ID, -1 when free
-	dirty [32]bool  // phys location holds a value newer than its slot
+	loc   []int16  // value ID → phys location, -1 when not in a register
+	who   [32]int  // phys location → value ID, -1 when free
+	dirty [32]bool // phys location holds a value newer than its slot
 
 	// Per-block use positions in a flat CSR layout, rebuilt each block
 	// with zero allocations: value id's uses (instruction index in the

@@ -32,10 +32,10 @@ func TestSpillAtExternCall(t *testing.T) {
 	f := m.NewFunc("spillcall", ir.I64, ir.I64)
 	b := ir.NewBuilder(f)
 	a, x := f.Params[0], f.Params[1]
-	v1 := b.Add(a, x)            // slot 2
-	v2 := b.Mul(a, x)            // slot 3
-	v3 := b.Xor(a, x)            // slot 4
-	b.Call("probe", ir.Void)     // no args: values reach it only via slots
+	v1 := b.Add(a, x)        // slot 2
+	v2 := b.Mul(a, x)        // slot 3
+	v3 := b.Xor(a, x)        // slot 4
+	b.Call("probe", ir.Void) // no args: values reach it only via slots
 	b.Ret(b.Add(b.Add(v1, v2), v3))
 
 	const av, xv = 1000003, 77
@@ -80,8 +80,8 @@ func TestSpillAtTrap(t *testing.T) {
 	f := m.NewFunc("spilltrap", ir.I64, ir.I64, ir.I64)
 	b := ir.NewBuilder(f)
 	a, x, d := f.Params[0], f.Params[1], f.Params[2]
-	v1 := b.Add(a, x) // slot 3
-	v2 := b.Mul(a, x) // slot 4
+	v1 := b.Add(a, x)  // slot 3
+	v2 := b.Mul(a, x)  // slot 4
 	q := b.SDiv(v1, d) // slot 5; d == 0 traps here
 	b.Ret(b.Add(q, v2))
 
@@ -119,8 +119,8 @@ func TestSpillAtFault(t *testing.T) {
 	f := m.NewFunc("spillfault", ir.I64, ir.I64, ir.I64)
 	b := ir.NewBuilder(f)
 	a, x, addr := f.Params[0], f.Params[1], f.Params[2]
-	v1 := b.Add(a, x)        // slot 3
-	v2 := b.Xor(a, x)        // slot 4
+	v1 := b.Add(a, x)         // slot 3
+	v2 := b.Xor(a, x)         // slot 4
 	l := b.Load(ir.I64, addr) // slot 5; address 0 faults
 	b.Ret(b.Add(b.Add(v1, v2), l))
 

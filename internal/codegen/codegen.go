@@ -73,15 +73,19 @@ type Pipeline struct {
 	Fn    *ir.Function
 	Label string
 
-	// Source: exactly one of Table / AggSource is set. The engine derives
-	// the morsel count from it at pipeline start.
-	Table     *storage.Table
-	AggSource int // agg id, -1 if table source
+	// Source: exactly one of Table / AggSource / JoinSource is set. The
+	// engine derives the morsel count from it at pipeline start.
+	Table      *storage.Table
+	AggSource  int // agg id, -1 if not an aggregation source
+	JoinSource int // build-side join id whose emitted tuples are the source, else -1
 
-	// Sink finalization: ids are -1 when not applicable.
+	// Sink finalization: ids are -1 when not applicable. SinkMark is the
+	// build-side join whose matches the pipeline counts; the engine emits
+	// its tuples once the pipeline drains.
 	SinkJoin int
 	SinkAgg  int
 	SinkOut  int
+	SinkMark int
 
 	// BuildOf is the join whose hash table this pipeline builds (set iff
 	// SinkJoin >= 0). The engine reads its cardinality estimate at
@@ -111,6 +115,9 @@ type JoinDesc struct {
 	TupleSize int
 	StateOff  int
 	NumKeys   int
+	// Marks is set for a build-side join (plan.JoinKind.BuildSide): its
+	// tuples store every build column and end in the 8-byte mark.
+	Marks *rt.MarkLayout
 }
 
 // AggDesc mirrors the aggregation layout.
@@ -466,6 +473,12 @@ func (g *cgen) pipeline(n plan.Node, sk sink) {
 		case *plan.Join:
 			jd := g.newJoinDesc(x)
 			g.pipeline(x.Build, &buildSink{join: x, desc: jd})
+			if x.Kind.BuildSide() {
+				// Three pipelines: build, count matches, scan the table.
+				g.pipeline(x.Probe, &markSink{join: x, desc: jd})
+				g.emitJoinScanPipeline(jd, x, ops, sk)
+				return
+			}
 			ops = append([]pipeOp{&probeOp{join: x, desc: jd}}, ops...)
 			cur = x.Probe
 		case *plan.GroupBy:
@@ -494,7 +507,8 @@ type joinMeta struct {
 	id   int
 	desc *JoinDesc
 	// fields lists the build-schema columns stored in the tuple (payload
-	// columns plus residual references), in offset order.
+	// columns plus residual references; every column of a build-side
+	// join), in offset order.
 	fields []jfield
 	byIdx  map[int]jfield
 }
@@ -511,6 +525,11 @@ func (g *cgen) newJoinDesc(j *plan.Join) *joinMeta {
 	need := map[int]bool{}
 	for _, idx := range j.PayloadIdx {
 		need[idx] = true
+	}
+	if j.Kind.BuildSide() {
+		for idx := range bs {
+			need[idx] = true
+		}
 	}
 	if j.Residual != nil {
 		np := len(j.Probe.Schema())
@@ -533,6 +552,19 @@ func (g *cgen) newJoinDesc(j *plan.Join) *joinMeta {
 	}
 	d := JoinDesc{TupleSize: off, StateOff: g.stateOff, NumKeys: len(j.BuildKeys)}
 	g.stateOff += rt.JoinStateBytes
+	if j.Kind.BuildSide() {
+		keep := rt.KeepAll
+		switch j.Kind {
+		case plan.RightSemi:
+			keep = rt.KeepMatched
+		case plan.RightAnti:
+			keep = rt.KeepUnmatched
+		}
+		d.Marks = &rt.MarkLayout{Off: off, LocalOff: g.localOff, IndexStateOff: g.stateOff, Keep: keep}
+		d.TupleSize += 8
+		g.localOff += 8
+		g.stateOff += 8
+	}
 	g.q.Joins = append(g.q.Joins, d)
 	m.id = len(g.q.Joins) - 1
 	m.desc = &g.q.Joins[m.id]

@@ -215,8 +215,8 @@ func (g *cgen) addPipeline(f *ir.Function, label string, table *storage.Table,
 	aggSrc int, sk sink) {
 	pl := &Pipeline{
 		ID: len(g.q.Pipelines), Fn: f, Label: label,
-		Table: table, AggSource: aggSrc,
-		SinkJoin: -1, SinkAgg: -1, SinkOut: -1,
+		Table: table, AggSource: aggSrc, JoinSource: -1,
+		SinkJoin: -1, SinkAgg: -1, SinkOut: -1, SinkMark: -1,
 		DictRewrites: g.pipeRewrites,
 	}
 	sk.annotate(pl)
@@ -243,7 +243,7 @@ func (g *cgen) emitScanPipeline(s *plan.Scan, ops []pipeOp, sk sink, label strin
 	g.addPipeline(f, label, s.Table, -1, sk)
 	pl := g.q.Pipelines[len(g.q.Pipelines)-1]
 	pl.Prune = g.extractPrune(s)
-	pl.Vec = g.buildVecSpec(s, nil, nil, ops, sk)
+	pl.Vec = g.buildVecSpec(g.scanVecSource(s), ops, sk)
 }
 
 func (g *cgen) scanResolver(p *pgen, s *plan.Scan, i *ir.Value) resolver {
@@ -302,7 +302,44 @@ func (g *cgen) emitPipeline(_ *storage.Table, am *aggMeta, gb *plan.GroupBy,
 		return g.groupResolver(p, am, gb, e)
 	}, ops, sk)
 	g.addPipeline(f, label, nil, am.id, sk)
-	g.q.Pipelines[len(g.q.Pipelines)-1].Vec = g.buildVecSpec(nil, am, gb, ops, sk)
+	src := &VecSpec{AggSrc: &VecAggSrc{AggID: am.id, IndexStateOff: desc.IndexStateOff,
+		GB: gb, KeyOffs: am.keyOffs, SlotOffs: am.slotOffs}}
+	g.q.Pipelines[len(g.q.Pipelines)-1].Vec = g.buildVecSpec(src, ops, sk)
+}
+
+// emitJoinScanPipeline generates the last pipeline of a build-side join:
+// a scan over the dense index of the build tuples the join emits, which
+// the engine publishes at the mark layout's state slot once the probe has
+// drained. Its schema is the build schema, then RightCount's match count,
+// read from the mark where the engine left each tuple's total.
+func (g *cgen) emitJoinScanPipeline(jm *joinMeta, j *plan.Join, ops []pipeOp, sk sink) {
+	const label = "join scan"
+	mk := jm.desc.Marks
+	nb := len(j.Build.Schema())
+	f := g.emitWorker(label, func(p *pgen, i *ir.Value) resolver {
+		b := p.b
+		idxBase := b.Load(ir.I64, b.GEP(p.state, nil, 0, int64(mk.IndexStateOff)))
+		e := b.Load(ir.I64, b.GEP(idxBase, i, 8, 0))
+		return func(c int) expr.Val {
+			if c == nb {
+				return expr.Val{X: b.Load(ir.I64, b.GEP(e, nil, 0, int64(mk.Off)))}
+			}
+			fld := jm.byIdx[c]
+			return p.loadAt(e, fld.off, fld.t)
+		}
+	}, ops, sk)
+	g.addPipeline(f, label, nil, -1, sk)
+	pl := g.q.Pipelines[len(g.q.Pipelines)-1]
+	pl.JoinSource = jm.id
+	src := &VecJoinSrc{IndexStateOff: mk.IndexStateOff, CountOff: -1}
+	for c := 0; c < nb; c++ {
+		fld := jm.byIdx[c]
+		src.Fields = append(src.Fields, VecField{SrcIdx: c, Off: fld.off, T: fld.t})
+	}
+	if j.Kind == plan.RightCount {
+		src.CountOff = mk.Off
+	}
+	pl.Vec = g.buildVecSpec(&VecSpec{JoinSrc: src}, ops, sk)
 }
 
 // groupResolver resolves the GroupBy output schema against a group entry.
@@ -577,6 +614,17 @@ func (op *probeOp) apply(p *pgen, res resolver, down func(resolver)) {
 	case plan.Anti:
 		// A match rejects the tuple.
 		b.Br(p.cont)
+		b.SetBlock(exitW)
+		down(res)
+	case plan.RightSemi, plan.RightAnti, plan.RightCount:
+		// Count the match on the build tuple, in this worker's own array,
+		// and walk on: every candidate is a possible match of its own.
+		mk := op.desc.desc.Marks
+		counts := b.Load(ir.I64, b.GEP(p.local, nil, 0, int64(mk.LocalOff)))
+		ord := b.Load(ir.I64, b.GEP(e, nil, 0, int64(mk.Off)))
+		slotAddr := b.GEP(counts, ord, 8, 0)
+		b.Store(slotAddr, b.Add(b.Load(ir.I64, slotAddr), b.ConstI64(1)))
+		b.Br(advance)
 		b.SetBlock(exitW)
 		down(res)
 	case plan.OuterCount:

@@ -41,6 +41,22 @@ func (s *buildSink) emit(p *pgen, res resolver) {
 	}
 }
 
+// markSink ends the probe pipeline of a build-side join: the probe walks
+// every chain to its end, evaluates the residual for every candidate and
+// counts each match against the build tuple (probeOp's mark case). Nothing
+// flows downstream; the join's rows come out of the pipeline that scans the
+// table afterwards.
+type markSink struct {
+	join *plan.Join
+	desc *joinMeta
+}
+
+func (s *markSink) annotate(pl *Pipeline) { pl.SinkMark = s.desc.id }
+
+func (s *markSink) emit(p *pgen, res resolver) {
+	(&probeOp{join: s.join, desc: s.desc}).apply(p, res, func(resolver) {})
+}
+
 // aggSink is the group-by update path: find-or-insert in the worker-local
 // aggregation hash table, then update the aggregate slots — all in
 // generated code except the insert-and-grow slow path (§IV-E: runtime

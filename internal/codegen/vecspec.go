@@ -15,17 +15,19 @@ import (
 // (hash values, stored addresses, trap conditions), because a query may
 // switch engines between morsels and the breakers merge whatever both wrote.
 type VecSpec struct {
-	// Source: exactly one of Scan / AggSrc is set, mirroring
-	// Pipeline.Table / Pipeline.AggSource.
-	Scan   *VecScan
-	AggSrc *VecAggSrc
+	// Source: exactly one of Scan / AggSrc / JoinSrc is set, mirroring
+	// Pipeline.Table / Pipeline.AggSource / Pipeline.JoinSource.
+	Scan    *VecScan
+	AggSrc  *VecAggSrc
+	JoinSrc *VecJoinSrc
 
 	Ops []VecOp
 
-	// Sink: exactly one of Build / Agg / Out is set.
+	// Sink: exactly one of Build / Agg / Out / Mark is set.
 	Build *VecBuild
 	Agg   *VecAgg
 	Out   *VecOut
+	Mark  *VecMark
 
 	// HashDense marks pipelines dominated by hash-table traffic (a probe
 	// operator or a grouped aggregation sink): the workloads where batching
@@ -73,6 +75,24 @@ type VecAggSrc struct {
 	GB            *plan.GroupBy
 	KeyOffs       []int
 	SlotOffs      [][]int
+}
+
+// VecJoinSrc is the source of a build-side join's last pipeline: a scan
+// over the dense index of emitted build tuples published at IndexStateOff.
+// Fields are the stored build columns in schema order; CountOff is the
+// offset of RightCount's match count, -1 for the other kinds.
+type VecJoinSrc struct {
+	IndexStateOff int
+	Fields        []VecField
+	CountOff      int
+}
+
+// VecMark is the sink of a build-side join's probe pipeline: the probe of
+// Probe, walking every candidate, then one count increment per match in
+// the worker's array (the mark layout of the join's JoinDesc).
+type VecMark struct {
+	Probe  *VecProbe
+	Layout rt.MarkLayout
 }
 
 // VecOp is a streaming operator: exactly one field is set.
@@ -135,41 +155,36 @@ type VecOut struct {
 	Cols    []OutCol
 }
 
-// buildVecSpec derives the vectorized view of the pipeline just emitted.
-// Exactly one of scan / (am, gb) is set, matching emitScanPipeline and
-// emitPipeline. It runs unconditionally on every codegen pass so segment
-// and literal registration stays deterministic whether or not the engine
-// ever installs a vectorized kernel.
-func (g *cgen) buildVecSpec(scan *plan.Scan, am *aggMeta, gb *plan.GroupBy,
-	ops []pipeOp, sk sink) *VecSpec {
+// scanVecSource is the vectorized view of a table-scan source.
+func (g *cgen) scanVecSource(scan *plan.Scan) *VecSpec {
+	vs := &VecScan{Table: scan.Table}
+	for _, name := range scan.Cols {
+		c := scan.Table.MustCol(name)
+		vc := VecCol{Col: c, Kind: c.Kind, Base: g.tableBase(c)}
+		if c.Kind == storage.String {
+			vc.Heap = g.heapBase[c]
+		}
+		vs.Cols = append(vs.Cols, vc)
+	}
+	return &VecSpec{Scan: vs}
+}
 
-	sp := &VecSpec{ParamBase: g.paramBase}
+// buildVecSpec derives the vectorized view of the pipeline just emitted
+// from sp, which holds its source. It runs unconditionally on every codegen
+// pass so segment and literal registration stays deterministic whether or
+// not the engine ever installs a vectorized kernel.
+func (g *cgen) buildVecSpec(sp *VecSpec, ops []pipeOp, sk sink) *VecSpec {
+	sp.ParamBase = g.paramBase
 
 	// dicts tracks, per column of the current schema, the dictionary codegen
 	// would see through its dictResolver chain — the aggSink hash rewrite is
 	// the one dictionary decision that changes shared state, so it must be
-	// replayed from identical inputs. nil for an aggregation source.
+	// replayed from identical inputs. nil for a hash-table source.
 	var dicts []*storage.Dict
-	if scan != nil {
-		vs := &VecScan{Table: scan.Table}
-		for _, name := range scan.Cols {
-			c := scan.Table.MustCol(name)
-			vc := VecCol{Col: c, Kind: c.Kind, Base: g.tableBase(c)}
-			if c.Kind == storage.String {
-				vc.Heap = g.heapBase[c]
-			}
-			vs.Cols = append(vs.Cols, vc)
-		}
-		sp.Scan = vs
-		dicts = make([]*storage.Dict, len(scan.Cols))
-		for j, name := range scan.Cols {
-			dicts[j] = scan.Table.MustCol(name).Dict()
-		}
-	} else {
-		desc := &g.q.Aggs[am.id]
-		sp.AggSrc = &VecAggSrc{
-			AggID: am.id, IndexStateOff: desc.IndexStateOff,
-			GB: gb, KeyOffs: am.keyOffs, SlotOffs: am.slotOffs,
+	if sp.Scan != nil {
+		dicts = make([]*storage.Dict, len(sp.Scan.Cols))
+		for j, c := range sp.Scan.Cols {
+			dicts[j] = c.Col.Dict()
 		}
 	}
 
@@ -189,22 +204,12 @@ func (g *cgen) buildVecSpec(scan *plan.Scan, am *aggMeta, gb *plan.GroupBy,
 				dicts = nd
 			}
 		case *probeOp:
-			j := x.join
-			np := len(j.Probe.Schema())
-			vp := &VecProbe{
-				Join: j, JoinID: x.desc.id,
-				StateOff: x.desc.desc.StateOff,
-				NP:       np,
-			}
-			for _, f := range x.desc.fields {
-				vp.Fields = append(vp.Fields, VecField{SrcIdx: f.srcIdx, Off: f.off, T: f.t})
-			}
-			sp.Ops = append(sp.Ops, VecOp{Probe: vp})
+			sp.Ops = append(sp.Ops, VecOp{Probe: vecProbe(x.join, x.desc)})
 			sp.HashDense = true
 			if dicts != nil {
 				// Probe-side columns keep their dictionaries; build-side
 				// payload (and the outer count) come from raw tuple bytes.
-				nd := make([]*storage.Dict, len(j.Schema()))
+				nd := make([]*storage.Dict, len(x.join.Schema()))
 				copy(nd, dicts)
 				dicts = nd
 			}
@@ -247,10 +252,23 @@ func (g *cgen) buildVecSpec(scan *plan.Scan, am *aggMeta, gb *plan.GroupBy,
 	case *outSink:
 		d := &g.q.Outs[s.id]
 		sp.Out = &VecOut{OutID: s.id, RowSize: d.RowSize, Cols: d.Cols}
+	case *markSink:
+		sp.Mark = &VecMark{Probe: vecProbe(s.join, s.desc), Layout: *s.desc.desc.Marks}
+		sp.HashDense = true
 	}
 
 	g.internSpecLits(sp)
 	return sp
+}
+
+// vecProbe is the vectorized view of a probe against join jm.
+func vecProbe(j *plan.Join, jm *joinMeta) *VecProbe {
+	vp := &VecProbe{Join: j, JoinID: jm.id, StateOff: jm.desc.StateOff,
+		NP: len(j.Probe.Schema())}
+	for _, f := range jm.fields {
+		vp.Fields = append(vp.Fields, VecField{SrcIdx: f.srcIdx, Off: f.off, T: f.t})
+	}
+	return vp
 }
 
 // internSpecLits interns every string literal reachable from the spec's
@@ -269,6 +287,12 @@ func (g *cgen) internSpecLits(sp *VecSpec) {
 			}
 		})
 	}
+	internProbe := func(p *VecProbe) {
+		for _, e := range p.Join.ProbeKeys {
+			intern(e)
+		}
+		intern(p.Join.Residual)
+	}
 	for _, op := range sp.Ops {
 		switch {
 		case op.Filter != nil:
@@ -278,10 +302,7 @@ func (g *cgen) internSpecLits(sp *VecSpec) {
 				intern(e)
 			}
 		case op.Probe != nil:
-			for _, e := range op.Probe.Join.ProbeKeys {
-				intern(e)
-			}
-			intern(op.Probe.Join.Residual)
+			internProbe(op.Probe)
 		}
 	}
 	switch {
@@ -296,6 +317,8 @@ func (g *cgen) internSpecLits(sp *VecSpec) {
 		for _, a := range sp.Agg.GB.Aggs {
 			intern(a.Arg)
 		}
+	case sp.Mark != nil:
+		internProbe(sp.Mark.Probe)
 	}
 }
 

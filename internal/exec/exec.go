@@ -284,7 +284,10 @@ type Stats struct {
 	Compilations int     // adaptive compilations launched: at pipeline starts and in the background
 	RegFileBytes int     // largest register file of the pipelines' bytecode programs
 	FusedOps     int     // macro-ops fused across the pipelines' bytecode programs (§IV-F)
-	Finalizes    int     // pipeline breakers finalized
+	Finalizes    int     // pipeline breakers finalized, build-side join emits included
+	// BuildRows is the number of join build tuples finalized: what the
+	// query's hash joins materialized and linked.
+	BuildRows int64
 	// Replans counts mid-query restarts on a reoptimized join order;
 	// EstCardErr is the worst misestimate factor max(est/obs, obs/est)
 	// observed at any join-build breaker (0 = no estimated joins ran).

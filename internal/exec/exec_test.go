@@ -103,13 +103,20 @@ func typesOf(schema []plan.ColDef) []expr.Type {
 // checkPlan runs the plan on every engine and compares against volcano.
 func checkPlan(t *testing.T, name string, build func() plan.Node) {
 	t.Helper()
+	checkPlanOn(t, name, build, testEngines())
+}
+
+// checkPlanOn runs the plan on the given engines and compares against
+// volcano.
+func checkPlanOn(t *testing.T, name string, build func() plan.Node, engines map[string]*Engine) {
+	t.Helper()
 	ref := build()
 	want, err := volcano.Run(ref)
 	if err != nil {
 		t.Fatalf("%s: volcano: %v", name, err)
 	}
 	wantC := canon(want, typesOf(ref.Schema()))
-	for ename, e := range testEngines() {
+	for ename, e := range engines {
 		res, err := e.RunPlan(build(), name)
 		if err != nil {
 			t.Errorf("%s [%s]: %v", name, ename, err)

@@ -45,7 +45,12 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:8]) }
 // options (register strategy, fusion, window size), by v4's argument: they
 // are Options.VM of the engine that owns the cache, and never change. The
 // header is now the version and the pipeline count.
-const fingerprintVersion = 5
+//
+// v6 added the build-side joins: each pipeline's join-scan source and mark
+// sink ids, and each join's emit rule. RightSemi and RightAnti over the same
+// inputs generate identical IR and differ only in the tuples the engine
+// emits, so without the rule they would share one entry.
+const fingerprintVersion = 6
 
 // fingerprintOf hashes a code-generated query.
 func fingerprintOf(cq *codegen.Query) Fingerprint {
@@ -63,6 +68,15 @@ func fingerprintOf(cq *codegen.Query) Fingerprint {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(pl.SinkJoin)))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(pl.SinkAgg)))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(pl.SinkOut)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(pl.JoinSource)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(pl.SinkMark)))
+	}
+	for _, jd := range cq.Joins {
+		rule := byte(0xff) // a probe-side join
+		if jd.Marks != nil {
+			rule = byte(jd.Marks.Keep)
+		}
+		buf = append(buf, rule)
 	}
 	h.Write(buf)
 	// Literal and pattern contents do not change the generated code (they

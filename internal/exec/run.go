@@ -231,7 +231,11 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	// Runtime state per the code generator's layout.
 	qs := rt.NewQueryState(mem, e.opts.Workers, cq.StateBytes, cq.LocalBytes)
 	for _, jd := range cq.Joins {
-		qs.AddJoin(jd.TupleSize, jd.StateOff)
+		if jd.Marks != nil {
+			qs.AddMarkJoin(jd.TupleSize, jd.StateOff, *jd.Marks)
+		} else {
+			qs.AddJoin(jd.TupleSize, jd.StateOff)
+		}
 	}
 	for _, ad := range cq.Aggs {
 		qs.AddAgg(ad.EntrySize, ad.Keys, ad.Aggs, ad.LocalOff, ad.Scalar)
@@ -663,6 +667,7 @@ func (qr *queryRun) runPipeline(id int) {
 		t0 := time.Now()
 		parts := ht.Finalize(qr.qs.StateAddr, qr.breakerParts(), qr.pfor)
 		qr.noteFinalize(pl, time.Since(t0), t0, parts, int64(ht.Count))
+		qr.stats.BuildRows += int64(ht.Count)
 		// The breaker is the natural observation point of adaptive join
 		// ordering: the build ran to completion, so its hash-table count
 		// is the relation's true filtered cardinality (replan.go).
@@ -675,6 +680,14 @@ func (qr *queryRun) runPipeline(id int) {
 		d := qr.cq.Aggs[pl.SinkAgg]
 		qr.mem.Store64(qr.qs.StateAddr+rt.Addr(d.IndexStateOff), set.IndexAddr)
 		qr.noteFinalize(pl, time.Since(t0), t0, parts, int64(set.Groups))
+	}
+	if pl.SinkMark >= 0 {
+		// The probe of a build-side join has drained (and checkFailed above
+		// saw no cancel): sum the workers' counts and publish the tuples the
+		// join emits for the pipeline that scans them.
+		t0 := time.Now()
+		n := qr.qs.Joins[pl.SinkMark].Emit(qr.qs.StateAddr)
+		qr.noteFinalize(pl, time.Since(t0), t0, 1, int64(n))
 	}
 	// A cancel that landed during finalize left the breaker half-built;
 	// unwind before any later pipeline can read it.
@@ -864,8 +877,11 @@ func (j *pforJob) RunSlot(int) bool {
 // sourceTotal returns the number of source tuples of a pipeline — always
 // known when the pipeline starts (§III-A).
 func (qr *queryRun) sourceTotal(pl *codegen.Pipeline) int64 {
-	if pl.Table != nil {
+	switch {
+	case pl.Table != nil:
 		return int64(pl.Table.Rows())
+	case pl.JoinSource >= 0:
+		return int64(qr.qs.Joins[pl.JoinSource].Marks.Emitted)
 	}
 	return int64(qr.qs.Aggs[pl.AggSource].Groups)
 }

@@ -38,7 +38,12 @@ func stressPlan() plan.Node {
 // pool, and the cache are free of data races; correctness is checked
 // against a bytecode-only reference.
 func TestModeSwitchStress(t *testing.T) {
-	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
+	modeSwitchStress(t, stressPlan)
+}
+
+// modeSwitchStress is TestModeSwitchStress over the plan build returns.
+func modeSwitchStress(t *testing.T, build func() plan.Node) {
+	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(build(), "ref")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +95,7 @@ func TestModeSwitchStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				res, err := e.RunPlan(stressPlan(), "stress")
+				res, err := e.RunPlan(build(), "stress")
 				if err != nil {
 					errs <- err
 					return

@@ -1,6 +1,6 @@
 // Package plan defines the physical query plans all engines execute: scans
-// with pushed-down filters, hash joins (inner, semi, anti, and the
-// outer-count variant), hash aggregation, projection, filter, and a
+// with pushed-down filters, hash joins (inner, semi, anti, the outer-count
+// variant, and the build-side semi, anti and count joins), hash aggregation, projection, filter, and a
 // sort/limit root. Plans are built programmatically (the TPC-H queries in
 // internal/tpch construct them directly; the small SQL front end lowers
 // into them), already in physical form — join order and access paths are
@@ -149,23 +149,42 @@ type JoinKind uint8
 // extended with the number of matches — the form the decorrelated Q13
 // needs; combined with zero-count filters it also expresses left-outer
 // aggregation.
+//
+// The build-side kinds return build rows instead: RightSemi the build rows
+// with at least one match, RightAnti those with none, and RightCount every
+// build row extended with its number of matches. They exist so that a plan
+// can hash the smaller input whichever side its result comes from: the
+// probe only counts matches per build row, and a scan of the table emits
+// the rows afterwards.
 const (
 	Inner JoinKind = iota
 	Semi
 	Anti
 	OuterCount
+	RightSemi
+	RightAnti
+	RightCount
 )
 
 func (k JoinKind) String() string {
-	return [...]string{"inner", "semi", "anti", "outercount"}[k]
+	return [...]string{"inner", "semi", "anti", "outercount",
+		"rightsemi", "rightanti", "rightcount"}[k]
 }
+
+// BuildSide reports whether the join returns build-side rows.
+func (k JoinKind) BuildSide() bool { return k >= RightSemi }
+
+// Counts reports whether the join appends a match-count column.
+func (k JoinKind) Counts() bool { return k == OuterCount || k == RightCount }
 
 // Join is a hash join. Keys must be integer-representable (int, date,
 // char, decimal — TPC-H joins exclusively on integer keys). Payload names
 // the build columns carried into the output (for Inner joins).
 //
 // The output schema is: probe schema, then (Inner only) the named build
-// payload columns, then (OuterCount only) the match-count column.
+// payload columns, then (OuterCount only) the match-count column. A
+// build-side kind outputs the build schema instead, then (RightCount only)
+// the match-count column.
 type Join struct {
 	Kind       JoinKind
 	Build      Node
@@ -178,7 +197,7 @@ type Join struct {
 	// the combined schema [probe cols ++ ALL build cols]; build columns
 	// are addressed at probe-schema-len + build index.
 	Residual expr.Expr
-	// CountName names the OuterCount output column.
+	// CountName names the match-count column of OuterCount and RightCount.
 	CountName string
 	// Est is the optimizer's estimated build-side cardinality (rows
 	// entering the hash table), or 0 when no estimate exists (hand-built
@@ -205,6 +224,16 @@ func NewJoin(kind JoinKind, build, probe Node, buildKeys, probeKeys []expr.Expr,
 	j := &Join{Kind: kind, Build: build, Probe: probe,
 		BuildKeys: buildKeys, ProbeKeys: probeKeys, Payload: payload,
 		CountName: "match_count"}
+	if kind.BuildSide() {
+		if len(payload) != 0 {
+			panic("plan: build-side joins carry no payload")
+		}
+		j.schema = append(j.schema, build.Schema()...)
+		if kind == RightCount {
+			j.schema = append(j.schema, ColDef{Name: j.CountName, T: expr.TInt})
+		}
+		return j
+	}
 	j.schema = append(j.schema, probe.Schema()...)
 	switch kind {
 	case Inner:
@@ -236,10 +265,10 @@ func (j *Join) WithResidual(e expr.Expr) *Join {
 	return j
 }
 
-// Named renames the OuterCount column.
+// Named renames the match-count column of an OuterCount or RightCount join.
 func (j *Join) Named(count string) *Join {
-	if j.Kind != OuterCount {
-		panic("plan: Named applies to outer-count joins")
+	if !j.Kind.Counts() {
+		panic("plan: Named applies to outer-count and right-count joins")
 	}
 	j.CountName = count
 	// Rebuild the last schema column.

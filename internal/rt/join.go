@@ -37,6 +37,12 @@ type JoinHT struct {
 
 	buckets []byte
 	filter  []byte
+
+	// Marks is the match-count state of a build-side join (nil for every
+	// other kind); locals are the worker-local arenas its count arrays are
+	// published in.
+	Marks  *Marks
+	locals []Addr
 }
 
 // JoinStateBytes is the per-join slot size in the shared state arena:
@@ -130,9 +136,13 @@ func (h *JoinHT) publishState(stateAddr Addr) {
 
 // Finalize builds the table with up to parts hash-range partitions
 // scheduled through pfor, publishes it, and returns the partition count
-// it actually used (1 when the table is too small to benefit).
+// it actually used (1 when the table is too small to benefit). A
+// build-side join's tuples are also numbered for its probe (Marks).
 func (h *JoinHT) Finalize(stateAddr Addr, parts int, pfor ParallelFor) int {
 	nb := h.prepare()
+	if h.Marks != nil {
+		defer h.number()
+	}
 	if nb == 0 {
 		h.publishState(stateAddr)
 		return 1

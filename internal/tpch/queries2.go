@@ -19,10 +19,10 @@ func Q12(cat *storage.Catalog) plan.Query {
 			expr.Lt(col(ls, "l_shipdate"), col(ls, "l_commitdate")),
 			expr.Ge(col(ls, "l_receiptdate"), date("1994-01-01")),
 			expr.Lt(col(ls, "l_receiptdate"), date("1995-01-01"))))
-		j := plan.NewJoin(plan.Inner, o, l,
-			[]expr.Expr{col(o.Schema(), "o_orderkey")},
+		j := plan.NewJoin(plan.Inner, l, o,
 			[]expr.Expr{col(ls, "l_orderkey")},
-			[]string{"o_orderpriority"})
+			[]expr.Expr{col(o.Schema(), "o_orderkey")},
+			[]string{"l_shipmode"})
 		js := j.Schema()
 		isHigh := expr.In(col(js, "o_orderpriority"),
 			expr.Str("1-URGENT"), expr.Str("2-HIGH"))
@@ -40,16 +40,17 @@ func Q12(cat *storage.Catalog) plan.Query {
 	})
 }
 
-// Q13: customer distribution — the outer-count join (customers with zero
-// orders must appear).
+// Q13: customer distribution — a count join over the customers (customers
+// with zero orders must appear), built on the customers and probed by the
+// orders.
 func Q13(cat *storage.Catalog) plan.Query {
 	return plan.SingleStage("Q13", func() plan.Node {
 		o := plan.NewScan(cat.Table("orders"), "o_orderkey", "o_custkey", "o_comment")
 		o.Where(expr.NotLike(col(o.Schema(), "o_comment"), "%special%requests%"))
 		c := plan.NewScan(cat.Table("customer"), "c_custkey")
-		j := plan.NewJoin(plan.OuterCount, o, c,
-			[]expr.Expr{col(o.Schema(), "o_custkey")},
-			[]expr.Expr{col(c.Schema(), "c_custkey")}, nil).Named("c_count")
+		j := plan.NewJoin(plan.RightCount, c, o,
+			[]expr.Expr{col(c.Schema(), "c_custkey")},
+			[]expr.Expr{col(o.Schema(), "o_custkey")}, nil).Named("c_count")
 		js := j.Schema()
 		g := plan.NewGroupBy(j,
 			[]expr.Expr{col(js, "c_count")}, []string{"c_count"},
@@ -69,10 +70,10 @@ func Q14(cat *storage.Catalog) plan.Query {
 		l.Where(expr.And(
 			expr.Ge(col(l.Schema(), "l_shipdate"), date("1995-09-01")),
 			expr.Lt(col(l.Schema(), "l_shipdate"), date("1995-10-01"))))
-		j := plan.NewJoin(plan.Inner, p, l,
-			[]expr.Expr{col(p.Schema(), "p_partkey")},
+		j := plan.NewJoin(plan.Inner, l, p,
 			[]expr.Expr{col(l.Schema(), "l_partkey")},
-			[]string{"p_type"})
+			[]expr.Expr{col(p.Schema(), "p_partkey")},
+			[]string{"l_extendedprice", "l_discount"})
 		js := j.Schema()
 		vol := discPrice(js)
 		promo := expr.Case([]expr.When{{
@@ -229,10 +230,10 @@ func Q18(cat *storage.Catalog) plan.Query {
 			[]expr.Expr{col(bigF.Schema(), "bo_orderkey")},
 			[]expr.Expr{col(o.Schema(), "o_orderkey")},
 			[]string{"bo_qty"})
-		j2 := plan.NewJoin(plan.Inner, c, j1,
-			[]expr.Expr{col(c.Schema(), "c_custkey")},
+		j2 := plan.NewJoin(plan.Inner, j1, c,
 			[]expr.Expr{col(j1.Schema(), "o_custkey")},
-			[]string{"c_name"})
+			[]expr.Expr{col(c.Schema(), "c_custkey")},
+			[]string{"o_orderkey", "o_custkey", "o_orderdate", "o_totalprice", "bo_qty"})
 		js := j2.Schema()
 		pr := plan.NewProject(j2,
 			[]expr.Expr{col(js, "c_name"), col(js, "o_custkey"), col(js, "o_orderkey"),
@@ -315,10 +316,10 @@ func Q20(cat *storage.Catalog) plan.Query {
 			j1 := plan.NewJoin(plan.Semi, p, ps,
 				[]expr.Expr{col(p.Schema(), "p_partkey")},
 				[]expr.Expr{col(ps.Schema(), "ps_partkey")}, nil)
-			j2 := plan.NewJoin(plan.Inner, sold, j1,
-				[]expr.Expr{col(sold.Schema(), "sq_partkey"), col(sold.Schema(), "sq_suppkey")},
+			j2 := plan.NewJoin(plan.Inner, j1, sold,
 				[]expr.Expr{col(j1.Schema(), "ps_partkey"), col(j1.Schema(), "ps_suppkey")},
-				[]string{"sq_qty"})
+				[]expr.Expr{col(sold.Schema(), "sq_partkey"), col(sold.Schema(), "sq_suppkey")},
+				[]string{"ps_suppkey", "ps_availqty"})
 			js := j2.Schema()
 			f := plan.NewFilter(j2, expr.Gt(
 				expr.ToFloat(col(js, "ps_availqty")),
@@ -344,7 +345,9 @@ func Q20(cat *storage.Catalog) plan.Query {
 }
 
 // Q21: suppliers who kept orders waiting. EXISTS/NOT EXISTS become
-// semi/anti joins with inequality residuals.
+// build-side semi/anti joins with inequality residuals: the late lines of
+// the nation's suppliers are few, so they are hashed, and the orders and
+// the other two lineitem scans probe them.
 func Q21(cat *storage.Catalog) plan.Query {
 	return plan.SingleStage("Q21", func() plan.Node {
 		n := plan.NewScan(cat.Table("nation"), "n_nationkey", "n_name")
@@ -369,27 +372,24 @@ func Q21(cat *storage.Catalog) plan.Query {
 			[]expr.Expr{col(l1.Schema(), "l_suppkey")},
 			[]string{"s_name"})
 		// Order must be F.
-		j2 := plan.NewJoin(plan.Semi, o, j1,
-			[]expr.Expr{col(o.Schema(), "o_orderkey")},
-			[]expr.Expr{col(j1.Schema(), "l_orderkey")}, nil)
-		// EXISTS another supplier's line in the same order.
-		j3 := plan.NewJoin(plan.Semi, l2, j2,
-			[]expr.Expr{col(l2.Schema(), "l_orderkey")},
-			[]expr.Expr{col(j2.Schema(), "l_orderkey")}, nil)
-		comb3 := j3.CombinedSchema()
-		np3 := len(j2.Schema())
-		j3.WithResidual(expr.Ne(
-			expr.Col(plan.ColIdx(comb3[np3:], "l_suppkey")+np3, expr.TInt),
-			col(j3.Probe.Schema(), "l_suppkey")))
+		j2 := plan.NewJoin(plan.RightSemi, j1, o,
+			[]expr.Expr{col(j1.Schema(), "l_orderkey")},
+			[]expr.Expr{col(o.Schema(), "o_orderkey")}, nil)
+		// EXISTS another supplier's line in the same order. The residual is over
+		// [probe (l2) ++ build (j2)].
+		j3 := plan.NewJoin(plan.RightSemi, j2, l2,
+			[]expr.Expr{col(j2.Schema(), "l_orderkey")},
+			[]expr.Expr{col(l2.Schema(), "l_orderkey")}, nil)
+		np3 := len(l2.Schema())
+		j3.WithResidual(expr.Ne(col(l2.Schema(), "l_suppkey"),
+			expr.Col(plan.ColIdx(j2.Schema(), "l_suppkey")+np3, expr.TInt)))
 		// NOT EXISTS another supplier's LATE line in the same order.
-		j4 := plan.NewJoin(plan.Anti, l3, j3,
-			[]expr.Expr{col(l3.Schema(), "l_orderkey")},
-			[]expr.Expr{col(j3.Schema(), "l_orderkey")}, nil)
-		comb4 := j4.CombinedSchema()
-		np4 := len(j3.Schema())
-		j4.WithResidual(expr.Ne(
-			expr.Col(plan.ColIdx(comb4[np4:], "l_suppkey")+np4, expr.TInt),
-			col(j4.Probe.Schema(), "l_suppkey")))
+		j4 := plan.NewJoin(plan.RightAnti, j3, l3,
+			[]expr.Expr{col(j3.Schema(), "l_orderkey")},
+			[]expr.Expr{col(l3.Schema(), "l_orderkey")}, nil)
+		np4 := len(l3.Schema())
+		j4.WithResidual(expr.Ne(col(l3.Schema(), "l_suppkey"),
+			expr.Col(plan.ColIdx(j3.Schema(), "l_suppkey")+np4, expr.TInt)))
 		js := j4.Schema()
 		g := plan.NewGroupBy(j4,
 			[]expr.Expr{col(js, "s_name")}, []string{"s_name"},
@@ -427,9 +427,9 @@ func Q22(cat *storage.Catalog) plan.Query {
 				expr.In(cntry(cs), codes...),
 				expr.Gt(expr.ToFloat(col(cs, "c_acctbal")), expr.Float(avg))))
 			o := plan.NewScan(cat.Table("orders"), "o_custkey")
-			j := plan.NewJoin(plan.Anti, o, c,
-				[]expr.Expr{col(o.Schema(), "o_custkey")},
-				[]expr.Expr{col(cs, "c_custkey")}, nil)
+			j := plan.NewJoin(plan.RightAnti, c, o,
+				[]expr.Expr{col(cs, "c_custkey")},
+				[]expr.Expr{col(o.Schema(), "o_custkey")}, nil)
 			js := j.Schema()
 			g := plan.NewGroupBy(j,
 				[]expr.Expr{cntry(js)}, []string{"cntrycode"},

@@ -206,3 +206,56 @@ func TestQ1Positional(t *testing.T) {
 		t.Errorf("Q1 groups = %d, want 4", len(res.Rows))
 	}
 }
+
+// TestTPCHBuildsSmallerInput holds the plans to the rule the paper's HyPer
+// plans follow: every hash join builds its smaller input. Each join's build
+// and probe children run through Volcano at SF 0.01; a build input of more
+// than 100 rows and more than twice its probe input fails, and so does a
+// total over all joins above 40 000 build rows.
+func TestTPCHBuildsSmallerInput(t *testing.T) {
+	count := func(n plan.Node) int {
+		rows, err := volcano.Run(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rows)
+	}
+	total := 0
+	for qn := 1; qn <= 22; qn++ {
+		q := Query(testCat, qn)
+		prior := make(map[string]*storage.Table)
+		for _, st := range q.Stages {
+			node := st.Build(prior)
+			var walk func(n plan.Node)
+			walk = func(n plan.Node) {
+				if j, ok := n.(*plan.Join); ok {
+					b, p := count(j.Build), count(j.Probe)
+					total += b
+					t.Logf("Q%d %s: %v join builds %d rows, probes %d", qn, st.Name, j.Kind, b, p)
+					if b > 100 && b > 2*p {
+						t.Errorf("Q%d %s: %v join builds %d rows against %d probe rows",
+							qn, st.Name, j.Kind, b, p)
+					}
+				}
+				for _, c := range n.Children() {
+					walk(c)
+				}
+			}
+			walk(node)
+			rows, err := volcano.Run(node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := &exec.Result{Rows: rows}
+			for _, c := range node.Schema() {
+				res.Cols = append(res.Cols, c.Name)
+				res.Types = append(res.Types, c.T)
+			}
+			prior[st.Name] = res.ToTable(st.Name)
+		}
+	}
+	t.Logf("build rows over the 22 queries: %d", total)
+	if total > 40000 {
+		t.Errorf("the 22 queries build %d rows, want at most 40000", total)
+	}
+}

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"aqe/internal/codegen"
 	"aqe/internal/plan"
 )
 
@@ -12,48 +13,29 @@ type pairBuf struct {
 	e []uint64
 }
 
-// probe walks the shared join hash table for every live lane and returns
-// the downstream frame. The walk replays the compiled probe protocol:
-// Bloom tag test (when enabled) before touching the bucket array, hash
-// compare, key compares, residual over [probe ++ build], with matches
-// visited in (probe lane asc, chain order) — the compiled tiers' tuple
-// order per worker.
-func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
+// walk collects the (lane, entry) pairs of every hash and key match of
+// the live lanes against the shared join hash table, replaying the compiled
+// probe protocol: Bloom tag test before touching the bucket array, hash
+// compare, key compares, with matches visited in (probe lane asc, chain
+// order) — the compiled tiers' tuple order per worker. firstOnly stops each
+// lane at its first match, as compiled semi and anti probes do.
+func (rc *runCtx) walk(pi *probeInfo, fr *frame, firstOnly bool) ([]int32, []uint64) {
 	p := pi.p
 	j := p.Join
 	sel := fr.sel
-	n := fr.n
 
 	var kbuf [8]*col
 	keyCols := kbuf[:0]
 	for _, ke := range j.ProbeKeys {
 		keyCols = append(keyCols, rc.eval(ke, fr, sel))
 	}
-
-	// Hash: the generated code's integer mixer and combiner (join keys are
-	// integers by plan construction).
-	hv := rc.newCol().u64s(n)
-	for i, kc := range keyCols {
-		ki := kc.i
-		if i == 0 {
-			for _, k := range sel {
-				hv[k] = mixInt(uint64(ki[k]))
-			}
-		} else {
-			for _, k := range sel {
-				hv[k] = (hv[k] ^ mixInt(uint64(ki[k]))) * hashM1
-			}
-		}
-	}
+	// Join keys are integers by plan construction.
+	hv := rc.hashLanes(keyCols, sel, fr.n)
 
 	st := rc.state + uint64(p.StateOff)
 	buckets := rc.ld64(st)
 	mask := rc.ld64(st + 8)
 	fBase := rc.ld64(st + 16)
-
-	// firstOnly: semi/anti probes need only match existence; compiled code
-	// stops at the first hash/key match too (no residual by Compile check).
-	firstOnly := j.Kind == plan.Semi || j.Kind == plan.Anti
 
 	for len(rc.pairBufs) < pi.idx+1 {
 		rc.pairBufs = append(rc.pairBufs, pairBuf{})
@@ -91,6 +73,47 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 		}
 	}
 	pb.k, pb.e = pk, pe
+	return pk, pe
+}
+
+// matchPairs evaluates the residual over [probe ++ build] for every pair
+// and returns the dense selection of the pairs that pass, with each pair's
+// source row.
+func (rc *runCtx) matchPairs(pi *probeInfo, fr *frame, pk []int32, pe []uint64) ([]int32, []int64) {
+	p := pi.p
+	npairs := len(pk)
+	pairSel := rc.identity(npairs)
+	pairRows := rc.newCol().ints(npairs)
+	for q := 0; q < npairs; q++ {
+		pairRows[q] = fr.rows[pk[q]]
+	}
+	if p.Join.Residual != nil && npairs > 0 {
+		rfr := rc.newFrame(p.NP + pi.buildW)
+		rfr.n = npairs
+		rfr.sel = pairSel
+		rfr.rows = pairRows
+		rfr.parent = fr
+		rfr.pk = pk
+		rfr.pe = pe
+		rfr.probe = pi
+		rfr.outView = false
+		c := rc.eval(p.Join.Residual, rfr, pairSel)
+		pairSel = rc.narrow(pairSel, c)
+	}
+	return pairSel, pairRows
+}
+
+// probe walks the shared join hash table for every live lane and returns
+// the downstream frame.
+func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
+	p := pi.p
+	j := p.Join
+	sel := fr.sel
+	n := fr.n
+
+	// Semi/anti probes need only match existence; compiled code stops at
+	// the first hash/key match too (no residual by Compile check).
+	pk, pe := rc.walk(pi, fr, j.Kind == plan.Semi || j.Kind == plan.Anti)
 
 	switch j.Kind {
 	case plan.Semi:
@@ -112,25 +135,7 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 	}
 
 	// Inner / OuterCount: dense pair frame, residual filtering, rebase.
-	npairs := len(pk)
-	pairSel := rc.identity(npairs)
-	pairRows := rc.newCol().ints(npairs)
-	for q := 0; q < npairs; q++ {
-		pairRows[q] = fr.rows[pk[q]]
-	}
-	if j.Residual != nil && npairs > 0 {
-		rfr := rc.newFrame(p.NP + pi.buildW)
-		rfr.n = npairs
-		rfr.sel = pairSel
-		rfr.rows = pairRows
-		rfr.parent = fr
-		rfr.pk = pk
-		rfr.pe = pe
-		rfr.probe = pi
-		rfr.outView = false
-		c := rc.eval(j.Residual, rfr, pairSel)
-		pairSel = rc.narrow(pairSel, c)
-	}
+	pairSel, pairRows := rc.matchPairs(pi, fr, pk, pe)
 
 	if j.Kind == plan.OuterCount {
 		// Every probe tuple flows downstream with its (residual-filtered)
@@ -154,7 +159,7 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 	}
 
 	ofr := rc.newFrame(p.NP + len(j.PayloadIdx))
-	ofr.n = npairs
+	ofr.n = len(pk)
 	ofr.sel = pairSel
 	ofr.rows = pairRows
 	ofr.parent = fr
@@ -163,4 +168,18 @@ func (rc *runCtx) probe(pi *probeInfo, fr *frame) *frame {
 	ofr.probe = pi
 	ofr.outView = true
 	return ofr
+}
+
+// markSink is the probe of a build-side join: every hash and key match
+// whose residual passes adds one to its build tuple's count in this
+// worker's array, exactly like the compiled mark probe.
+func (rc *runCtx) markSink(pi *probeInfo, m *codegen.VecMark, fr *frame) {
+	pk, pe := rc.walk(pi, fr, false)
+	pairSel, _ := rc.matchPairs(pi, fr, pk, pe)
+	counts := rc.ld64(rc.local + uint64(m.Layout.LocalOff))
+	off := uint64(m.Layout.Off)
+	for _, q := range pairSel {
+		a := counts + rc.ld64(pe[q]+off)*8
+		rc.st64(a, rc.ld64(a)+1)
+	}
 }

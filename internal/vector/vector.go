@@ -64,6 +64,7 @@ func mixInt(k uint64) uint64 {
 type Kernel struct {
 	spec   *codegen.VecSpec
 	probes []*probeInfo // parallel to spec.Ops; nil for non-probe ops
+	mark   *probeInfo   // the probe of a Mark sink
 }
 
 // probeInfo precomputes per-probe lookup structures.
@@ -90,8 +91,7 @@ func Compile(spec *codegen.VecSpec) (*Kernel, error) {
 		if op.Probe == nil {
 			continue
 		}
-		p := op.Probe
-		j := p.Join
+		j := op.Probe.Join
 		if (j.Kind == plan.Semi || j.Kind == plan.Anti) && j.Residual != nil {
 			// Compiled semi/anti probes stop at the first hash/key match and
 			// never evaluate the residual for later chain candidates; a
@@ -100,43 +100,63 @@ func Compile(spec *codegen.VecSpec) (*Kernel, error) {
 			// stay on the compiled tiers.
 			return nil, fmt.Errorf("vector: %v join with residual", j.Kind)
 		}
-		for _, ke := range j.ProbeKeys {
-			if ke.Type().Kind == expr.KString {
-				return nil, fmt.Errorf("vector: string join key")
-			}
-		}
-		pi := &probeInfo{
-			p: p, idx: i, buildW: len(j.Build.Schema()),
-			byIdx: make(map[int]codegen.VecField, len(p.Fields)),
-		}
-		for _, f := range p.Fields {
-			pi.byIdx[f.SrcIdx] = f
-		}
-		if j.Kind == plan.Inner {
-			for _, src := range j.PayloadIdx {
-				f, ok := pi.byIdx[src]
-				if !ok {
-					return nil, fmt.Errorf("vector: payload references unsaved build column %d", src)
-				}
-				pi.payload = append(pi.payload, f)
-			}
-		}
-		if j.Residual != nil {
-			var missing bool
-			collectColRefs(j.Residual, func(idx int) {
-				if idx >= p.NP {
-					if _, ok := pi.byIdx[idx-p.NP]; !ok {
-						missing = true
-					}
-				}
-			})
-			if missing {
-				return nil, fmt.Errorf("vector: residual references unsaved build column")
-			}
+		pi, err := newProbeInfo(op.Probe, i)
+		if err != nil {
+			return nil, err
 		}
 		k.probes[i] = pi
 	}
+	if spec.Mark != nil {
+		// A mark probe evaluates the residual for every candidate, as the
+		// compiled one does, so a residual is no obstacle here.
+		pi, err := newProbeInfo(spec.Mark.Probe, len(spec.Ops))
+		if err != nil {
+			return nil, err
+		}
+		k.mark = pi
+	}
 	return k, nil
+}
+
+// newProbeInfo validates a probe for the kernels and precomputes its
+// lookup structures; idx selects its pair buffer.
+func newProbeInfo(p *codegen.VecProbe, idx int) (*probeInfo, error) {
+	j := p.Join
+	for _, ke := range j.ProbeKeys {
+		if ke.Type().Kind == expr.KString {
+			return nil, fmt.Errorf("vector: string join key")
+		}
+	}
+	pi := &probeInfo{
+		p: p, idx: idx, buildW: len(j.Build.Schema()),
+		byIdx: make(map[int]codegen.VecField, len(p.Fields)),
+	}
+	for _, f := range p.Fields {
+		pi.byIdx[f.SrcIdx] = f
+	}
+	if j.Kind == plan.Inner {
+		for _, src := range j.PayloadIdx {
+			f, ok := pi.byIdx[src]
+			if !ok {
+				return nil, fmt.Errorf("vector: payload references unsaved build column %d", src)
+			}
+			pi.payload = append(pi.payload, f)
+		}
+	}
+	if j.Residual != nil {
+		var missing bool
+		collectColRefs(j.Residual, func(idx int) {
+			if idx >= p.NP {
+				if _, ok := pi.byIdx[idx-p.NP]; !ok {
+					missing = true
+				}
+			}
+		})
+		if missing {
+			return nil, fmt.Errorf("vector: residual references unsaved build column")
+		}
+	}
+	return pi, nil
 }
 
 // collectColRefs invokes fn for every column reference in e.
@@ -250,6 +270,8 @@ func (k *Kernel) runBatch(rc *runCtx, lo int64, n int) {
 		rc.aggSink(k.spec.Agg, fr)
 	case k.spec.Out != nil:
 		rc.outSink(k.spec.Out, fr)
+	case k.spec.Mark != nil:
+		rc.markSink(k.mark, k.spec.Mark, fr)
 	}
 }
 
@@ -503,8 +525,9 @@ func (rc *runCtx) gather(fr *frame, pc *col) *col {
 	return c
 }
 
-// loadFieldCol loads a stored tuple field for every live lane of a pair
-// frame (typed loads at entry+off, the vector form of compiled loadAt).
+// loadFieldCol loads a stored tuple field for every live lane of a frame
+// whose lane k's tuple is at fr.pe[k] — a pair frame or a join scan's
+// batch (typed loads at entry+off, the vector form of compiled loadAt).
 func (rc *runCtx) loadFieldCol(fr *frame, f codegen.VecField) *col {
 	c := rc.newCol()
 	n := fr.n
@@ -536,9 +559,15 @@ func (rc *runCtx) loadFieldCol(fr *frame, f codegen.VecField) *col {
 func (rc *runCtx) sourceFrame(lo int64, n int) *frame {
 	sp := rc.kern.spec
 	var width int
-	if sp.Scan != nil {
+	switch {
+	case sp.Scan != nil:
 		width = len(sp.Scan.Cols)
-	} else {
+	case sp.JoinSrc != nil:
+		width = len(sp.JoinSrc.Fields)
+		if sp.JoinSrc.CountOff >= 0 {
+			width++
+		}
+	default:
 		gb := sp.AggSrc.GB
 		width = len(gb.Keys) + len(gb.Aggs)
 	}
@@ -558,10 +587,42 @@ func (rc *runCtx) sourceFrame(lo int64, n int) *frame {
 // cannot trap, so eager full-width materialization is safe and keeps the
 // inner loops branch-free).
 func (k *Kernel) sourceCol(rc *runCtx, fr *frame, j int) *col {
-	if k.spec.Scan != nil {
+	switch {
+	case k.spec.Scan != nil:
 		return rc.scanCol(&k.spec.Scan.Cols[j], fr)
+	case k.spec.JoinSrc != nil:
+		return rc.joinCol(k.spec.JoinSrc, fr, j)
 	}
 	return rc.groupCol(k.spec.AggSrc, fr, j)
+}
+
+// entries returns the batch's entry addresses from the dense index
+// published at the state slot indexOff (cached on the frame).
+func (rc *runCtx) entries(fr *frame, indexOff int) []uint64 {
+	if fr.pe == nil {
+		ua, _ := rc.newCol().strs(fr.n)
+		idxBase := rc.ld64(rc.state + uint64(indexOff))
+		for k := range ua {
+			ua[k] = rc.ld64(idxBase + uint64(fr.lo+int64(k))*8)
+		}
+		fr.pe = ua
+	}
+	return fr.pe
+}
+
+// joinCol decodes column j of a build-side join's scan: a stored build
+// column, or RightCount's match count from the mark.
+func (rc *runCtx) joinCol(src *codegen.VecJoinSrc, fr *frame, j int) *col {
+	ents := rc.entries(fr, src.IndexStateOff)
+	if j == len(src.Fields) {
+		c := rc.newCol()
+		iv := c.ints(fr.n)
+		for k, e := range ents {
+			iv[k] = int64(rc.ld64(e + uint64(src.CountOff)))
+		}
+		return c
+	}
+	return rc.loadFieldCol(fr, src.Fields[j])
 }
 
 // scanCol decodes one storage column for rows [lo, lo+n): the unboxed
@@ -609,17 +670,7 @@ func (rc *runCtx) scanCol(vc *codegen.VecCol, fr *frame) *col {
 // (in particular Avg's single float division by pow10(scale)).
 func (rc *runCtx) groupCol(src *codegen.VecAggSrc, fr *frame, j int) *col {
 	n := fr.n
-	// Entry addresses for the batch (cached on first column request).
-	if fr.pe == nil {
-		ec := rc.newCol()
-		ua, _ := ec.strs(n)
-		idxBase := rc.ld64(rc.state + uint64(src.IndexStateOff))
-		for k := 0; k < n; k++ {
-			ua[k] = rc.ld64(idxBase + uint64(fr.lo+int64(k))*8)
-		}
-		fr.pe = ua
-	}
-	ents := fr.pe
+	ents := rc.entries(fr, src.IndexStateOff)
 	gb := src.GB
 	nk := len(gb.Keys)
 	c := rc.newCol()

@@ -49,6 +49,9 @@ func build(n plan.Node) iter {
 	case *plan.Project:
 		return &projectIter{in: build(x.Input), exprs: x.Exprs}
 	case *plan.Join:
+		if x.Kind.BuildSide() {
+			return &markIter{j: x, buildIn: build(x.Build), probeIn: build(x.Probe)}
+		}
 		return &joinIter{j: x, buildIn: build(x.Build), probeIn: build(x.Probe)}
 	case *plan.GroupBy:
 		return &groupIter{g: x, in: build(x.Input)}
@@ -173,13 +176,13 @@ func (j *joinIter) open() {
 	}
 }
 
-// residualOK evaluates the residual over [probe ++ build].
-func (j *joinIter) residualOK(probe, build []expr.Datum) bool {
-	if j.j.Residual == nil {
+// residualOK evaluates the join's residual over [probe ++ build].
+func residualOK(j *plan.Join, probe, build []expr.Datum) bool {
+	if j.Residual == nil {
 		return true
 	}
 	combined := append(append([]expr.Datum{}, probe...), build...)
-	return expr.Eval(j.j.Residual, combined).Bool()
+	return expr.Eval(j.Residual, combined).Bool()
 }
 
 func (j *joinIter) next() ([]expr.Datum, bool) {
@@ -201,7 +204,7 @@ func (j *joinIter) next() ([]expr.Datum, bool) {
 		cands := j.ht[keyOf(j.j.ProbeKeys, probe)]
 		var matched [][]expr.Datum
 		for _, b := range cands {
-			if j.residualOK(probe, b) {
+			if residualOK(j.j, probe, b) {
 				matched = append(matched, b)
 			}
 		}
@@ -224,6 +227,67 @@ func (j *joinIter) next() ([]expr.Datum, bool) {
 			return out, true
 		}
 	}
+}
+
+// markIter is a build-side join (RightSemi, RightAnti, RightCount): it
+// counts the residual-passing matches of every build row over the whole
+// probe input, then emits build rows in build order — the matched ones, the
+// unmatched ones, or every one extended with its count.
+type markIter struct {
+	j       *plan.Join
+	buildIn iter
+	probeIn iter
+
+	rows   [][]expr.Datum
+	counts []int64
+	pos    int
+}
+
+func (m *markIter) open() {
+	m.buildIn.open()
+	m.probeIn.open()
+	ht := make(map[joinKey][]int)
+	for {
+		row, ok := m.buildIn.next()
+		if !ok {
+			break
+		}
+		k := keyOf(m.j.BuildKeys, row)
+		ht[k] = append(ht[k], len(m.rows))
+		m.rows = append(m.rows, row)
+	}
+	m.counts = make([]int64, len(m.rows))
+	for {
+		probe, ok := m.probeIn.next()
+		if !ok {
+			break
+		}
+		for _, i := range ht[keyOf(m.j.ProbeKeys, probe)] {
+			if residualOK(m.j, probe, m.rows[i]) {
+				m.counts[i]++
+			}
+		}
+	}
+}
+
+func (m *markIter) next() ([]expr.Datum, bool) {
+	for m.pos < len(m.rows) {
+		row, n := m.rows[m.pos], m.counts[m.pos]
+		m.pos++
+		switch m.j.Kind {
+		case plan.RightSemi:
+			if n > 0 {
+				return row, true
+			}
+		case plan.RightAnti:
+			if n == 0 {
+				return row, true
+			}
+		case plan.RightCount:
+			return append(append([]expr.Datum{}, row...), expr.Datum{I: n}), true
+		}
+	}
+	return nil, false
 }
 
 type groupState struct {
