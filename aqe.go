@@ -10,8 +10,9 @@
 // following the paper's Fig. 5/7 machinery: low latency for small inputs,
 // full throughput for large ones, without up-front cost decisions. A
 // pipeline whose level cannot run stays where it is; the paper's
-// unoptimized and optimized compiled tiers are its static baselines
-// (ModeUnoptimized, ModeOptimized), never chosen adaptively.
+// unoptimized and optimized compiled tiers are the static baselines
+// ModeNative and ModeOptimized, machine code from the same back end, and
+// optimized code is never chosen adaptively.
 //
 // Quick start:
 //
@@ -45,16 +46,18 @@ type Mode = exec.Mode
 // other pipeline — and every pipeline under PaperCosts — starts in the
 // bytecode interpreter and is compiled in the background when the
 // extrapolated remaining work justifies it. The other modes fix the tier
-// up front (the paper's static baselines, and the only modes that run
-// the unoptimized and optimized closure tiers).
+// up front (the paper's static baselines).
 const (
-	ModeBytecode    = exec.ModeBytecode
-	ModeUnoptimized = exec.ModeUnoptimized
-	ModeOptimized   = exec.ModeOptimized
-	ModeAdaptive    = exec.ModeAdaptive
+	ModeBytecode = exec.ModeBytecode
+	// ModeOptimized runs the IR pass pipeline on every pipeline, then
+	// assembles it like ModeNative — the paper's optimized baseline, and
+	// the only mode that runs optimized code.
+	ModeOptimized = exec.ModeOptimized
+	ModeAdaptive  = exec.ModeAdaptive
 	// ModeNative pre-assembles every pipeline to machine code via the
-	// copy-and-patch template JIT (tier 6); a pipeline stays in bytecode
-	// on platforms without a backend or where assembly fails.
+	// copy-and-patch template JIT — the paper's unoptimized baseline; a
+	// pipeline stays in bytecode on platforms without a backend or where
+	// assembly fails, and so does one under ModeOptimized.
 	ModeNative = exec.ModeNative
 	// ModeVector pins every kernel-compilable pipeline to the vectorized
 	// batch engine; a pipeline stays in bytecode for shapes the kernel

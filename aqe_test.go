@@ -51,7 +51,7 @@ func TestPublicAPIModes(t *testing.T) {
 	const q = `SELECT sum(l_extendedprice * l_discount) AS rev FROM lineitem
 		WHERE l_discount BETWEEN 0.05 AND 0.07`
 	var want int64
-	for i, m := range []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeNative} {
+	for i, m := range []Mode{ModeBytecode, ModeOptimized, ModeAdaptive, ModeNative} {
 		db := Open(Options{Workers: 2, Mode: m, Cost: NativeCosts()})
 		db.LoadTPCH(0.003)
 		res, err := db.ExecSQL(q)

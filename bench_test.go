@@ -37,7 +37,7 @@ func runQuery(b *testing.B, qn int, mode exec.Mode, workers int) {
 // each execution mode (compile + execute end to end).
 func BenchmarkFig2(b *testing.B) {
 	for _, m := range []exec.Mode{exec.ModeIRInterp, exec.ModeBytecode,
-		exec.ModeUnoptimized, exec.ModeOptimized} {
+		exec.ModeNative, exec.ModeOptimized} {
 		b.Run(m.String(), func(b *testing.B) { runQuery(b, 1, m, 1) })
 	}
 }
@@ -80,7 +80,7 @@ func BenchmarkFig6Compile(b *testing.B) {
 // BenchmarkFig13 samples the SF-sweep experiment: all four modes on a
 // representative query mix at the bench scale.
 func BenchmarkFig13(b *testing.B) {
-	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeUnoptimized,
+	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeNative,
 		exec.ModeOptimized, exec.ModeAdaptive} {
 		b.Run(m.String(), func(b *testing.B) {
 			e := exec.New(exec.Options{Workers: 4, Mode: m, Cost: exec.Native()})
@@ -150,7 +150,7 @@ func BenchmarkTable2(b *testing.B) {
 		}
 	})
 	b.Run("vector-Monet", func(b *testing.B) { runQuery(b, 1, exec.ModeVector, 1) })
-	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeUnoptimized, exec.ModeOptimized} {
+	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeNative, exec.ModeOptimized} {
 		b.Run(m.String(), func(b *testing.B) { runQuery(b, 1, m, 1) })
 	}
 }

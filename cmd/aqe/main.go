@@ -28,7 +28,7 @@ import (
 
 var (
 	sf      = flag.Float64("sf", 0.01, "TPC-H scale factor")
-	mode    = flag.String("mode", "adaptive", "bytecode|unoptimized|optimized|native|vector|adaptive")
+	mode    = flag.String("mode", "adaptive", "bytecode|native|optimized|vector|adaptive")
 	wrk     = flag.Int("workers", 4, "per-query worker slots")
 	maxq    = flag.Int("maxq", 8, "max concurrently executing queries (admission cap)")
 	timeout = flag.Duration("timeout", 0, "per-statement deadline (0 = none)")
@@ -48,9 +48,9 @@ type job struct {
 func main() {
 	flag.Parse()
 	m := map[string]aqe.Mode{
-		"bytecode": aqe.ModeBytecode, "unoptimized": aqe.ModeUnoptimized,
-		"optimized": aqe.ModeOptimized, "adaptive": aqe.ModeAdaptive,
-		"native": aqe.ModeNative, "vector": aqe.ModeVector,
+		"bytecode": aqe.ModeBytecode, "optimized": aqe.ModeOptimized,
+		"adaptive": aqe.ModeAdaptive, "native": aqe.ModeNative,
+		"vector": aqe.ModeVector,
 	}[*mode]
 	db := aqe.Open(aqe.Options{Workers: *wrk, Mode: m, MaxConcurrent: *maxq})
 	sess := db.NewSession("")

@@ -133,7 +133,7 @@ func fig2() {
 	}{
 		{"LLVM IR", exec.ModeIRInterp, exec.Native()},
 		{"bytecode", exec.ModeBytecode, exec.Native()},
-		{"unoptimized", exec.ModeUnoptimized, exec.Paper()},
+		{"unoptimized", exec.ModeNative, exec.Paper()},
 		{"optimized", exec.ModeOptimized, exec.Paper()},
 	}
 	for _, m := range modes {
@@ -157,15 +157,15 @@ func fig2() {
 
 func fig6() {
 	cat := catalog(0.01)
-	fmt.Printf("%-10s %8s %10s %10s %12s %12s %12s\n",
-		"query", "instrs", "bc[ms]", "unopt[ms]", "opt[ms]", "unoptLLVM", "optLLVM")
+	fmt.Printf("%-10s %8s %10s %10s %12s %12s %12s %9s\n",
+		"query", "instrs", "bc[ms]", "unopt[ms]", "opt[ms]", "unoptLLVM", "optLLVM", "fallbacks")
 	model := exec.Paper()
 	report := func(name string, node plan.Node) {
-		mem := rt.NewMemory()
-		cqInstrs, bc, unopt, opt := measureCompile(node, mem, name)
-		fmt.Printf("%-10s %8d %10.3f %10.3f %12.3f %12.2f %12.2f\n",
-			name, cqInstrs, ms(bc), ms(unopt), ms(opt),
-			ms(model.UnoptTime(cqInstrs)), ms(model.OptTime(cqInstrs)))
+		cq := mustCompile(node, rt.NewMemory(), name)
+		instrs, ct := cq.Module.NumInstrs(), measureCompile(cq)
+		fmt.Printf("%-10s %8d %10.3f %10.3f %12.3f %12.2f %12.2f %9d\n",
+			name, instrs, ms(ct.bc), ms(ct.unopt), ms(ct.opt),
+			ms(model.NativeTime(instrs)), ms(model.OptTime(instrs)), ct.fallbacks)
 	}
 	for qn := 1; qn <= 22; qn++ {
 		q := tpch.Query(cat, qn)
@@ -181,37 +181,45 @@ func fig6() {
 	}
 }
 
-// measureCompile code-generates a plan and times the three translators.
-func measureCompile(node plan.Node, mem *rt.Memory, name string) (int, time.Duration, time.Duration, time.Duration) {
-	cq := mustCompile(node, mem, name)
-	instrs := cq.Module.NumInstrs()
-	var bc, unopt, opt time.Duration
+// compileTimes is what measureCompile reports for one query.
+type compileTimes struct {
+	bc, unopt, opt time.Duration
+	// fallbacks counts machine-code compilations that failed — an op
+	// outside the templates, or no native backend — where the engine runs
+	// bytecode instead; a failed compilation adds no time.
+	fallbacks int
+}
+
+// measureCompile times the three translators on every pipeline of cq.
+func measureCompile(cq *codegen.Query) compileTimes {
+	var ct compileTimes
 	for _, pl := range cq.Pipelines {
 		t0 := time.Now()
 		prog, err := vm.Translate(pl.Fn, vm.Options{})
 		if err != nil {
 			panic(err)
 		}
-		bc += time.Since(t0)
-		t0 = time.Now()
-		if _, err := jit.Compile(pl.Fn, jit.Unoptimized, prog); err != nil {
-			panic(err)
+		ct.bc += time.Since(t0)
+		for _, tier := range []struct {
+			level jit.Level
+			sum   *time.Duration
+		}{{jit.Unoptimized, &ct.unopt}, {jit.Optimized, &ct.opt}} {
+			t0 = time.Now()
+			if _, err := jit.Compile(pl.Fn, tier.level, prog); err != nil {
+				ct.fallbacks++
+				continue
+			}
+			*tier.sum += time.Since(t0)
 		}
-		unopt += time.Since(t0)
-		t0 = time.Now()
-		if _, err := jit.Compile(pl.Fn, jit.Optimized, prog); err != nil {
-			panic(err)
-		}
-		opt += time.Since(t0)
 	}
-	return instrs, bc, unopt, opt
+	return ct
 }
 
 // ---- Fig. 13: SF sweep, geometric mean over all 22 queries ----
 
 func fig13() {
 	sfs := []float64{0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30}
-	modes := []exec.Mode{exec.ModeBytecode, exec.ModeUnoptimized,
+	modes := []exec.Mode{exec.ModeBytecode, exec.ModeNative,
 		exec.ModeOptimized, exec.ModeAdaptive}
 	fmt.Printf("geometric mean over all 22 TPC-H queries, %d workers, paper cost model\n", *workers)
 	fmt.Printf("%-8s %12s %12s %12s %12s\n", "SF", "bytecode", "unoptimized", "optimized", "adaptive")
@@ -243,7 +251,7 @@ func fig13() {
 func fig14() {
 	cat := catalog(*sfFlag)
 	fmt.Printf("TPC-H Q11 at SF %.2f, 4 workers (paper: SF 1)\n\n", *sfFlag)
-	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeUnoptimized, exec.ModeAdaptive} {
+	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeNative, exec.ModeAdaptive} {
 		e := exec.New(exec.Options{Workers: 4, Mode: m, Cost: exec.Paper(),
 			Trace: true, MorselSize: 1024})
 		t0 := time.Now()
@@ -262,16 +270,15 @@ func fig14() {
 
 func fig15() {
 	st := synth.Table(10000)
-	fmt.Printf("%-8s %9s %12s %12s %12s %14s %14s\n",
-		"aggs", "instrs", "bc[ms]", "unopt[ms]", "opt[ms]", "unoptLLVM[ms]", "optLLVM[ms]")
+	fmt.Printf("%-8s %9s %12s %12s %12s %14s %14s %9s\n",
+		"aggs", "instrs", "bc[ms]", "unopt[ms]", "opt[ms]", "unoptLLVM[ms]", "optLLVM[ms]", "fallbacks")
 	model := exec.Paper()
 	for _, n := range []int{10, 50, 100, 200, 400, 800, 1200, 1900} {
-		node := synth.WideAggPlan(st, n)
-		mem := rt.NewMemory()
-		instrs, bc, unopt, opt := measureCompile(node, mem, fmt.Sprintf("wide%d", n))
-		fmt.Printf("%-8d %9d %12.2f %12.2f %12.2f %14.1f %14.1f\n",
-			n, instrs, ms(bc), ms(unopt), ms(opt),
-			ms(model.UnoptTime(instrs)), ms(model.OptTime(instrs)))
+		cq := mustCompile(synth.WideAggPlan(st, n), rt.NewMemory(), fmt.Sprintf("wide%d", n))
+		instrs, ct := cq.Module.NumInstrs(), measureCompile(cq)
+		fmt.Printf("%-8d %9d %12.2f %12.2f %12.2f %14.1f %14.1f %9d\n",
+			n, instrs, ms(ct.bc), ms(ct.unopt), ms(ct.opt),
+			ms(model.NativeTime(instrs)), ms(model.OptTime(instrs)), ct.fallbacks)
 	}
 	fmt.Println("(optLLVM models the paper's super-linear optimized compilation; bytecode stays linear)")
 }
@@ -281,11 +288,11 @@ func fig15() {
 func table1() {
 	cat := catalog(*sfFlag)
 	fmt.Printf("TPC-H planning/compilation times [ms] at SF %.2f\n", *sfFlag)
-	fmt.Printf("%-6s %8s %8s %8s %8s %10s %10s\n",
-		"query", "plan", "cdg.", "bc.", "unopt.", "opt.", "instrs")
+	fmt.Printf("%-6s %8s %8s %8s %8s %10s %10s %9s\n",
+		"query", "plan", "cdg.", "bc.", "unopt.", "opt.", "instrs", "fallbacks")
 	type row struct {
 		plan, cdg, bc, unopt, opt float64
-		instrs                    int
+		instrs, fallbacks         int
 	}
 	var maxRow row
 	for qn := 1; qn <= 22; qn++ {
@@ -297,25 +304,15 @@ func table1() {
 		t0 = time.Now()
 		cq := mustCompile(node, mem, q.Name)
 		cdgT := time.Since(t0)
-		instrs := cq.Module.NumInstrs()
-		var bc, unopt, opt time.Duration
-		for _, pl := range cq.Pipelines {
-			t0 = time.Now()
-			prog, _ := vm.Translate(pl.Fn, vm.Options{})
-			bc += time.Since(t0)
-			t0 = time.Now()
-			jit.Compile(pl.Fn, jit.Unoptimized, prog)
-			unopt += time.Since(t0)
-			t0 = time.Now()
-			jit.Compile(pl.Fn, jit.Optimized, prog)
-			opt += time.Since(t0)
-		}
+		instrs, ct := cq.Module.NumInstrs(), measureCompile(cq)
 		model := exec.Paper()
-		r := row{ms(planT), ms(cdgT), ms(bc),
-			ms(unopt + model.UnoptTime(instrs)), ms(opt + model.OptTime(instrs)), instrs}
+		r := row{ms(planT), ms(cdgT), ms(ct.bc),
+			ms(ct.unopt + model.NativeTime(instrs)), ms(ct.opt + model.OptTime(instrs)),
+			instrs, ct.fallbacks}
+		maxRow.fallbacks += r.fallbacks
 		if qn <= 5 {
-			fmt.Printf("%-6s %8.3f %8.3f %8.3f %8.1f %10.1f %10d\n",
-				fmt.Sprintf("Q%d", qn), r.plan, r.cdg, r.bc, r.unopt, r.opt, r.instrs)
+			fmt.Printf("%-6s %8.3f %8.3f %8.3f %8.1f %10.1f %10d %9d\n",
+				fmt.Sprintf("Q%d", qn), r.plan, r.cdg, r.bc, r.unopt, r.opt, r.instrs, r.fallbacks)
 		}
 		if r.plan > maxRow.plan {
 			maxRow.plan = r.plan
@@ -333,9 +330,9 @@ func table1() {
 			maxRow.opt = r.opt
 		}
 	}
-	fmt.Printf("%-6s %8.3f %8.3f %8.3f %8.1f %10.1f\n",
-		"max", maxRow.plan, maxRow.cdg, maxRow.bc, maxRow.unopt, maxRow.opt)
-	fmt.Println("(unopt./opt. include the paper-calibrated LLVM latency model)")
+	fmt.Printf("%-6s %8.3f %8.3f %8.3f %8.1f %10.1f %10s %9d\n",
+		"max", maxRow.plan, maxRow.cdg, maxRow.bc, maxRow.unopt, maxRow.opt, "", maxRow.fallbacks)
+	fmt.Println("(unopt./opt. include the paper-calibrated LLVM latency model; the max row's fallbacks sum all 22 queries)")
 }
 
 // ---- Table II: execution times per engine ----
@@ -364,7 +361,7 @@ func table2() {
 			record(eng, d)
 		}
 		for _, w := range []int{1, *workers} {
-			for _, mode := range []exec.Mode{exec.ModeBytecode, exec.ModeUnoptimized, exec.ModeOptimized} {
+			for _, mode := range []exec.Mode{exec.ModeBytecode, exec.ModeNative, exec.ModeOptimized} {
 				e := exec.New(exec.Options{Workers: w, Mode: mode, Cost: native})
 				res, err := e.Run(tpch.Query(cat, qn))
 				d := math.NaN()
@@ -393,9 +390,9 @@ func table2() {
 	}
 	fmt.Printf("%-6s %9.1f %9.1f | %9.1f %9.1f %9.1f | %9.1f %9.1f %9.1f\n", "geo.m.",
 		geoMean(geo["pg"]), geoMean(geo["monet"]),
-		geoMean(geo["bytecode.1"]), geoMean(geo["unoptimized.1"]), geoMean(geo["optimized.1"]),
+		geoMean(geo["bytecode.1"]), geoMean(geo["native.1"]), geoMean(geo["optimized.1"]),
 		geoMean(geo[fmt.Sprintf("bytecode.%d", *workers)]),
-		geoMean(geo[fmt.Sprintf("unoptimized.%d", *workers)]),
+		geoMean(geo[fmt.Sprintf("native.%d", *workers)]),
 		geoMean(geo[fmt.Sprintf("optimized.%d", *workers)]))
 }
 

@@ -19,7 +19,7 @@ import (
 var (
 	qn     = flag.Int("q", 11, "TPC-H query number (1-22); 0 with -opt traces the synthetic misestimated star query")
 	sf     = flag.Float64("sf", 0.1, "scale factor")
-	mode   = flag.String("mode", "adaptive", "bytecode|unoptimized|optimized|native|vector|adaptive")
+	mode   = flag.String("mode", "adaptive", "bytecode|native|optimized|vector|adaptive")
 	wrk    = flag.Int("workers", 4, "worker threads")
 	useOpt = flag.Bool("opt", false, "run the cost-based join order with adaptive replanning (queries with a logical form: 3, 5, 10)")
 	thresh = flag.Float64("replanthresh", 0, "misestimate factor that triggers a mid-query replan (0 = engine default; <=1 forces a replan check at every breaker)")
@@ -28,9 +28,9 @@ var (
 func main() {
 	flag.Parse()
 	m := map[string]exec.Mode{
-		"bytecode": exec.ModeBytecode, "unoptimized": exec.ModeUnoptimized,
-		"optimized": exec.ModeOptimized, "adaptive": exec.ModeAdaptive,
-		"native": exec.ModeNative, "vector": exec.ModeVector,
+		"bytecode": exec.ModeBytecode, "optimized": exec.ModeOptimized,
+		"adaptive": exec.ModeAdaptive, "native": exec.ModeNative,
+		"vector": exec.ModeVector,
 	}[*mode]
 	cat := tpch.Gen(*sf)
 	eng := exec.New(exec.Options{Workers: *wrk, Mode: m, Cost: exec.Paper(),

@@ -48,7 +48,7 @@ func main() {
 	fmt.Printf("interactive metadata workload: %d queries x %d rounds (LLVM-scale compile costs)\n",
 		len(metadataQueries), rounds)
 	paper := aqe.PaperCosts()
-	for _, m := range []aqe.Mode{aqe.ModeOptimized, aqe.ModeUnoptimized,
+	for _, m := range []aqe.Mode{aqe.ModeOptimized, aqe.ModeNative,
 		aqe.ModeBytecode, aqe.ModeAdaptive} {
 		d := run(m, paper, rounds)
 		fmt.Printf("  %-12v %8.1f ms total (%5.2f ms/query)\n",

@@ -5,7 +5,7 @@
 // or immediate); compilation is a single linear pass that stitches the
 // templates together, patches branch displacements, and publishes the
 // bytes in mmap'd executable memory — no optimization passes, so
-// assemble latency stays below even the unoptimized closure backend.
+// assemble latency stays at or below bytecode translation.
 // A TPDE-style single-pass register allocator (regalloc_amd64.go) keeps
 // SSA values live in machine registers across the stitched templates
 // within a block, spilling to register-file slots only under pressure

@@ -74,9 +74,9 @@ type compiler struct {
 	keyBuf                     []byte // reusable side-exit dedup key scratch
 }
 
-// Compile lowers an IR function to executable amd64 machine code. Like
-// the unoptimized closure backend it mutates f in place (critical-edge
-// splitting only); callers that need the original intact pass a clone.
+// Compile lowers an IR function to executable amd64 machine code. It
+// mutates f in place (critical-edge splitting only); callers that need
+// the original intact pass a clone.
 // Functions using an op the templates do not cover return an error
 // wrapping ErrUnsupported and the engine leaves the pipeline where it is.
 func Compile(f *ir.Function) (*Code, error) {

@@ -100,7 +100,7 @@ func (c *Code) SizeBytes() int { return c.mem.size }
 func (c *Code) NumSlots() int { return c.numSlots }
 
 // Run executes the function against ctx with the same calling convention
-// as the interpreters and closure tiers: args become the leading register
+// as the interpreters: args become the leading register
 // slots, the result is the returned bit pattern, rt traps unwind via
 // rt.Throw. The driver loops re-entering the code after servicing each
 // extern-call exit.

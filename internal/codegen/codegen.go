@@ -186,7 +186,7 @@ func Compile(root plan.Node, mem *rt.Memory, name string) (*Query, error) {
 	// The literal and parameter segments register first and unconditionally
 	// (even for plans without literals or parameters) so segment numbering
 	// — and therefore every embedded base address — is identical across
-	// all plans, which cached closures and kernels rely on. Each is
+	// all plans, which cached programs, code and kernels rely on. Each is
 	// published at its exact size once its contents are known: literals at
 	// the end of codegen, parameter slots here and again by BindParams.
 	g.litBase = mem.AddSegment(nil)
@@ -339,7 +339,7 @@ func (g *cgen) collectParams(root plan.Node) {
 
 // genParam emits the typed load of parameter idx from its slot in the
 // parameter segment. The loads are address-indirect like every other
-// segment access, so fingerprint-cached closures and kernels read the
+// segment access, so fingerprint-cached code and kernels read the
 // current execution's bindings.
 func (g *cgen) genParam(b *ir.Builder, idx int, t expr.Type) expr.Val {
 	base := b.ConstI64(int64(g.paramBase))

@@ -8,7 +8,7 @@ import (
 )
 
 // VecSpec describes one pipeline in engine-neutral terms so the vectorized
-// backend can compile batch kernels against exactly the state the closure
+// backend can compile batch kernels against exactly the state the compiled
 // tiers use: the same join hash tables, aggregation tables, output buffers,
 // stored-tuple layouts and literal addresses. Codegen builds it alongside
 // the IR worker function; both views of the pipeline must agree bit for bit
@@ -46,7 +46,7 @@ type VecSpec struct {
 	// ParamBase is the base address of the query's parameter segment
 	// (Query.ParamBase). Kernels evaluate expr.Param by loading the slot
 	// through the run's segment table, so a fingerprint-cached kernel
-	// reads the current execution's bindings exactly like cached closures.
+	// reads the current execution's bindings exactly like cached code.
 	ParamBase uint64
 }
 

@@ -12,12 +12,11 @@ import (
 // buildSideKinds are the joins whose hash table holds the side they return.
 var buildSideKinds = []plan.JoinKind{plan.RightSemi, plan.RightAnti, plan.RightCount}
 
-// buildSideEngines adds the two static modes testEngines leaves out: every
-// pipeline assembled to native code, and every pipeline run as batch
-// kernels (the mark probe and the join scan are both kernel shapes).
+// buildSideEngines adds the static mode testEngines leaves out: every
+// pipeline run as batch kernels (the mark probe and the join scan are both
+// kernel shapes).
 func buildSideEngines() map[string]*Engine {
 	engs := testEngines()
-	engs["native-w2"] = New(Options{Workers: 2, Mode: ModeNative, Cost: Native()})
 	engs["vector-w3"] = New(Options{Workers: 3, Mode: ModeVector, MorselSize: 64})
 	return engs
 }

@@ -18,7 +18,7 @@ import (
 //
 // Entries are evicted in LRU order once the byte budget is exceeded. The
 // budget tracks an estimate of the retained footprint (bytecode
-// instructions, constant pools, machine code or closure graphs); a variant
+// instructions, constant pools, machine code); a variant
 // made after its entry was inserted (a pipeline translated at its start, a
 // background compilation finishing after its query) still grows the entry,
 // which may in turn evict colder ones.
@@ -152,7 +152,7 @@ func (c *planCache) addCompiled(fp Fingerprint, pipe int, comp *jit.Compiled) {
 
 // vecKernelBytes is the footprint estimate of a cached vectorized kernel:
 // the spec's expression trees and lookup maps are small compared to
-// bytecode programs or closure graphs.
+// bytecode programs or machine code.
 const vecKernelBytes = 2048
 
 // addVector attaches a vectorized kernel to a cached pipeline.

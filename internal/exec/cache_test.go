@@ -2,9 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"aqe/internal/asm"
 	"aqe/internal/expr"
 	"aqe/internal/jit"
 	"aqe/internal/plan"
@@ -66,7 +68,7 @@ func TestPlanCacheLRUAndBudget(t *testing.T) {
 }
 
 func TestPlanCacheCompiledGrowthEvicts(t *testing.T) {
-	// Attaching compiled closures grows an entry past the budget and must
+	// Attaching compiled code grows an entry past the budget and must
 	// evict colder entries rather than blow the cap.
 	small := mkProg("p", 4)
 	per := int64(small.SizeBytes() * 2)
@@ -75,8 +77,7 @@ func TestPlanCacheCompiledGrowthEvicts(t *testing.T) {
 	put(c, a, mkProg("p", 4), mkProg("p", 4))
 	put(c, b, mkProg("p", 4), mkProg("p", 4))
 
-	comp := &jit.Compiled{}
-	comp.Stats.Closures = 1000 // ≈ 80 KB, far over budget
+	comp := &jit.Compiled{Name: strings.Repeat("x", 80<<10)} // ≈ 80 KB, far over budget
 	c.addCompiled(b, 0, comp)
 	st := c.stats()
 	if st.Evictions == 0 {
@@ -176,7 +177,7 @@ func TestEngineMemoBelievedOnce(t *testing.T) {
 }
 
 func TestEngineCacheHitIdenticalResults(t *testing.T) {
-	for _, mode := range []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp} {
+	for _, mode := range []Mode{ModeBytecode, ModeNative, ModeOptimized, ModeAdaptive, ModeIRInterp} {
 		e := New(Options{Workers: 2, Mode: mode, Cost: Native(),
 			CacheBytes: 8 << 20})
 		build := repeatPlan(40000)
@@ -212,8 +213,12 @@ func TestEngineCacheHitIdenticalResults(t *testing.T) {
 func TestEngineCacheSkipsSimulatedCompile(t *testing.T) {
 	// With a simulated 30 ms compile latency, the cold optimized run must
 	// pay it and the warm run must not — the measurable latency drop the
-	// cache exists for.
-	cost := &CostModel{UnoptBase: 30 * time.Millisecond, OptBase: 30 * time.Millisecond,
+	// cache exists for. Without a native backend nothing compiles, so
+	// nothing is waited for.
+	if !asm.Supported() {
+		t.Skip("no native backend on this platform")
+	}
+	cost := &CostModel{NativeBase: 30 * time.Millisecond, OptBase: 30 * time.Millisecond,
 		Simulate: true}
 	e := New(Options{Workers: 2, Mode: ModeOptimized, Cost: cost, CacheBytes: 8 << 20})
 	build := repeatPlan(60000)

@@ -33,7 +33,7 @@ func TestConcurrentDifferential(t *testing.T) {
 		want[qn] = checksum(res)
 	}
 
-	modes := []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp}
+	modes := []Mode{ModeBytecode, ModeNative, ModeOptimized, ModeAdaptive, ModeIRInterp}
 	for _, mode := range modes {
 		e := New(Options{Workers: 2, PoolWorkers: 4, MaxConcurrent: 4,
 			Mode: mode, Cost: Native(), MorselSize: 512, CacheBytes: 64 << 20})

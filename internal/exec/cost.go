@@ -12,30 +12,28 @@ import "time"
 // speedups are measured per mode (§V-D: bytecode is 3.6x slower than
 // unoptimized and 5.0x slower than optimized machine code).
 //
-// Our Go closure backends are orders of magnitude faster than LLVM, which
+// Our template JIT assembles orders of magnitude faster than LLVM, which
 // would flatten the latency/throughput tradeoff the paper studies; the
 // Paper() model restores LLVM-scale costs as wall-clock latency (the
 // compile still really runs). Native() models the measured costs of the
 // levels the adaptive controller chooses among for real-latency
 // experiments. DESIGN.md documents the substitution.
 //
-// The closure tiers are the paper's static baselines and never a
-// controller candidate (Mode.levels), so the model carries only their
-// compile latencies, which a static mode imposes under Simulate.
+// Both machine-code levels run the same back end. The Native* terms price
+// native code, the paper's unoptimized tier and the adaptive controller's
+// compiled candidate; the Opt* terms price optimized code, a static
+// baseline only (Mode.levels), which a static mode imposes under Simulate.
 type CostModel struct {
-	UnoptBase     time.Duration
-	UnoptPerInstr time.Duration
-	OptBase       time.Duration
-	OptPerInstr   time.Duration
+	OptBase     time.Duration
+	OptPerInstr time.Duration
 	// OptCubic adds the super-linear term: seconds per cubed instruction
 	// of the function being compiled. Fig. 15's optimized curve stays
 	// near-linear below ~5k instructions (consistent with Fig. 6) and then
 	// explodes; a cubic term reproduces that knee (§V-E).
 	OptCubic float64
 
-	// NativeBase/NativePerInstr model the copy-and-patch assemble latency
-	// of the native tier: template stitching is a single linear pass, so
-	// it sits well below even unoptimized closure compilation.
+	// NativeBase/NativePerInstr model the latency of compiling the IR to
+	// machine code without optimization passes.
 	NativeBase     time.Duration
 	NativePerInstr time.Duration
 
@@ -61,25 +59,23 @@ type CostModel struct {
 // unoptimized ≈ 6 ms and optimized ≈ 42 ms for TPC-H Q1's ~2000
 // instructions (Table I), near-linear growth over 300..19000 instructions
 // (Fig. 6), and an explosive quadratic term for optimized compilation that
-// reaches ~4 s at 10k instructions in a single function (Fig. 15).
+// reaches ~4 s at 10k instructions in a single function (Fig. 15). Native
+// code pays LLVM's unoptimized latency, so the adaptive ladder's compiled
+// step is the paper's bytecode → unoptimized step.
 func Paper() *CostModel {
 	return &CostModel{
-		UnoptBase:     500 * time.Microsecond,
-		UnoptPerInstr: 2750 * time.Nanosecond,
-		OptBase:       2 * time.Millisecond,
-		OptPerInstr:   18 * time.Microsecond,
-		OptCubic:      3.5e-12, // ~3.5 s extra at 10k instructions in one function
-		// Copy-and-patch sits between the bytecode translator (~free) and
-		// fast instruction selection on the latency axis (Xu & Kjolstad
-		// 2021 report ~two orders below LLVM -O0) while approaching
-		// optimized machine code on the throughput axis.
-		NativeBase:     300 * time.Microsecond,
-		NativePerInstr: 1 * time.Microsecond,
-		SpeedupNative:  5.5,
+		OptBase:        2 * time.Millisecond,
+		OptPerInstr:    18 * time.Microsecond,
+		OptCubic:       3.5e-12, // ~3.5 s extra at 10k instructions in one function
+		NativeBase:     500 * time.Microsecond,
+		NativePerInstr: 2750 * time.Nanosecond,
+		// Throughput stays this back end's own: native code runs 4–9x
+		// faster than bytecode here (EXPERIMENTS.md Fig. 2, Table II).
+		SpeedupNative: 5.5,
 		// In the LLVM-latency regime the vectorized engine's draw is that it
-		// needs no compilation at all: installed instantly, faster than any
-		// closure tier on hash-dense pipelines (VectorWise-style batching),
-		// merely competitive with optimized code on compute-dense ones.
+		// needs no compilation at all: installed instantly, faster than
+		// machine code on hash-dense pipelines (VectorWise-style batching),
+		// merely competitive with it on compute-dense ones.
 		SpeedupVecHash:    6.0,
 		SpeedupVecCompute: 2.5,
 		Simulate:          true,
@@ -88,16 +84,15 @@ func Paper() *CostModel {
 
 // Native returns a model of the in-process native back end and vectorized
 // engine with no simulated latency (rough fits; the controller only needs
-// the order of magnitude). It sets nothing for the closure tiers: with
-// Simulate off a static mode compiles them at their real cost, and the
-// controller never considers them.
+// the order of magnitude). It sets nothing for optimized code: with
+// Simulate off ModeOptimized compiles at its real cost, and the controller
+// never considers it.
 func Native() *CostModel {
 	return &CostModel{
 		// Measured on the register-allocating template JIT (PR 8,
 		// EXPERIMENTS.md compile-latency table): ~0.35 µs per instruction
 		// plus a small fixed cost for the allocator's per-function arrays,
-		// landing at or below the bytecode translator and well below the
-		// closure backends.
+		// landing at or below the bytecode translator.
 		NativeBase:     25 * time.Microsecond,
 		NativePerInstr: 350 * time.Nanosecond,
 		// Measured native-over-bytecode spans 2.2x (hash-bound Q10,
@@ -107,9 +102,9 @@ func Native() *CostModel {
 		SpeedupNative: 3.0,
 		// Measured on this substrate (EXPERIMENTS.md hybrid table): batched
 		// probe/group walks beat the per-tuple compiled walk markedly on
-		// hash-dense pipelines, while compute-dense pipelines land near the
-		// optimized closures (typed Go loops vs fused bytecode) — below
-		// native, so the controller keeps those compiled.
+		// hash-dense pipelines, while compute-dense pipelines gain little
+		// over fused bytecode (typed Go loops) — below native, so the
+		// controller keeps those compiled.
 		SpeedupVecHash:    3.5,
 		SpeedupVecCompute: 1.2,
 		Simulate:          false,
@@ -124,8 +119,6 @@ func Native() *CostModel {
 // has anything to compile.
 func (m *CostModel) CompileTime(l Level, instrs, largestFn int) time.Duration {
 	switch l {
-	case LevelUnoptimized:
-		return m.UnoptBase + time.Duration(instrs)*m.UnoptPerInstr
 	case LevelOptimized:
 		d := m.OptBase + time.Duration(instrs)*m.OptPerInstr
 		if m.OptCubic > 0 {
@@ -139,18 +132,13 @@ func (m *CostModel) CompileTime(l Level, instrs, largestFn int) time.Duration {
 	return 0
 }
 
-// UnoptTime predicts the unoptimized compile time of a function with the
-// given instruction count.
-func (m *CostModel) UnoptTime(instrs int) time.Duration {
-	return m.CompileTime(LevelUnoptimized, instrs, instrs)
-}
-
 // OptTime predicts the optimized compile time.
 func (m *CostModel) OptTime(instrs int) time.Duration {
 	return m.CompileTime(LevelOptimized, instrs, instrs)
 }
 
-// NativeTime predicts the copy-and-patch assemble time.
+// NativeTime predicts the compile time of native (unoptimized) code for a
+// function with the given instruction count.
 func (m *CostModel) NativeTime(instrs int) time.Duration {
 	return m.CompileTime(LevelNative, instrs, instrs)
 }

@@ -7,12 +7,12 @@ import (
 )
 
 func TestCostModelMonotonicity(t *testing.T) {
-	// The closure tiers' compile times are the paper's (Paper() only: they
-	// are what a simulated static mode waits for).
+	// Optimized compile times are the paper's (Paper() only: they are what
+	// a simulated ModeOptimized waits for), above the unoptimized ones.
 	m := Paper()
 	prev := time.Duration(0)
 	for _, n := range []int{100, 1000, 10000, 100000} {
-		u := m.UnoptTime(n)
+		u := m.NativeTime(n)
 		o := m.OptTime(n)
 		if u <= 0 || o <= 0 {
 			t.Fatalf("non-positive compile time at %d instrs", n)
@@ -47,7 +47,7 @@ func TestPaperModelCalibration(t *testing.T) {
 	m := Paper()
 	// Table I anchor: ~2000 instructions compile in roughly 6 ms
 	// unoptimized and ~42 ms optimized.
-	u := m.UnoptTime(2000)
+	u := m.NativeTime(2000)
 	if u < 4*time.Millisecond || u > 9*time.Millisecond {
 		t.Errorf("unopt(2000) = %v, want ~6ms", u)
 	}
@@ -105,7 +105,7 @@ func TestChooseTieBreaking(t *testing.T) {
 		{maskOf(LevelVector), LevelVector},
 	} {
 		if got := even.choose(LevelBytecode, tc.allowed, 1000, true, 1e6, 1e8, 4); got != tc.want {
-			t.Errorf("all candidates equally fast, allowed %05b: chose %v, want %v", tc.allowed, got, tc.want)
+			t.Errorf("all candidates equally fast, allowed %04b: chose %v, want %v", tc.allowed, got, tc.want)
 		}
 	}
 }

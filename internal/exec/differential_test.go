@@ -28,16 +28,16 @@ func checksum(res *Result) string {
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
-// TestCrossTierDifferential22 runs all 22 TPC-H queries under all six
-// execution modes and asserts identical result checksums, then runs each
-// query a second time on the same engine to prove that a cache-served
-// execution — shared bytecode, pre-installed compiled tiers (including
-// tier-6 machine code) — returns byte-identical results. On platforms
-// without a native backend, ModeNative exercises the silent per-pipeline
-// fallback to bytecode instead.
+// TestCrossTierDifferential22 runs all 22 TPC-H queries under every
+// execution mode but the vectorized one and asserts identical result
+// checksums, then runs each query a second time on the same engine to
+// prove that a cache-served execution — shared bytecode, pre-installed
+// machine code — returns byte-identical results. On platforms without a
+// native backend, ModeNative and ModeOptimized exercise the silent
+// per-pipeline fallback to bytecode instead.
 func TestCrossTierDifferential22(t *testing.T) {
 	cat := diffCat()
-	modes := []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp, ModeNative}
+	modes := []Mode{ModeBytecode, ModeNative, ModeOptimized, ModeAdaptive, ModeIRInterp}
 	want := make(map[int]string)
 
 	for _, mode := range modes {

@@ -17,10 +17,10 @@
 // native machine code or the vectorized engine, and a level that fails to
 // compile or to deliver its predicted rate is disabled for the run, which
 // leaves the pipeline where it was; without a native back end (arm64) the
-// ladder is bytecode → vectorized. The paper's unoptimized and optimized
-// closure tiers are its static baselines (ModeUnoptimized, ModeOptimized)
-// and no other mode runs them: an engine compiles to at most one level
-// (Mode.levels).
+// ladder is bytecode → vectorized. The paper's optimized machine code —
+// the same back end after the IR pass pipeline — is its static baseline
+// (ModeOptimized) and no other mode runs it: an engine compiles to at most
+// one level (Mode.levels).
 package exec
 
 import (
@@ -43,17 +43,18 @@ import (
 // Mode selects how a query executes.
 type Mode int
 
-// Execution modes (§V compares the three static modes against adaptive).
+// Execution modes (§V compares the static modes against adaptive).
 // ModeIRInterp directly interprets the SSA graph — the paper's "LLVM IR"
 // interpreter baseline of Fig. 2, far slower than the bytecode VM.
-// ModeNative statically pins every pipeline to the copy-and-patch
-// machine-code tier (a pipeline stays in bytecode when the platform or the
-// function is unsupported). ModeVector statically pins every pipeline to
-// the morsel-driven vectorized engine (a pipeline stays in bytecode when
-// it has no vector plan).
+// ModeNative statically pins every pipeline to machine code assembled from
+// the IR as code generation emitted it — the paper's unoptimized baseline;
+// ModeOptimized does the same after the IR pass pipeline. Both leave a
+// pipeline in bytecode when the platform or the function is unsupported.
+// ModeVector statically pins every pipeline to the morsel-driven
+// vectorized engine (a pipeline stays in bytecode when it has no vector
+// plan).
 const (
 	ModeBytecode Mode = iota
-	ModeUnoptimized
 	ModeOptimized
 	ModeAdaptive
 	ModeIRInterp
@@ -66,8 +67,6 @@ const (
 // decides per pipeline, when the pipeline starts (queryRun.start).
 func (m Mode) level() Level {
 	switch m {
-	case ModeUnoptimized:
-		return LevelUnoptimized
 	case ModeOptimized:
 		return LevelOptimized
 	case ModeNative:
@@ -81,7 +80,7 @@ func (m Mode) level() Level {
 // levels returns the levels an engine in mode m may run a pipeline at:
 // bytecode, and above it native code and the vectorized engine for the
 // adaptive mode, or the static mode's own level. So an engine compiles to
-// at most one level, and the closure tiers are the static baselines only.
+// at most one level, and optimized code is a static baseline only.
 func (m Mode) levels() levelMask {
 	if m == ModeAdaptive {
 		return maskOf(LevelBytecode, LevelNative, LevelVector)
@@ -90,7 +89,7 @@ func (m Mode) levels() levelMask {
 }
 
 func (m Mode) String() string {
-	return [...]string{"bytecode", "unoptimized", "optimized", "adaptive", "ir-interp", "native", "vector"}[m]
+	return [...]string{"bytecode", "optimized", "adaptive", "ir-interp", "native", "vector"}[m]
 }
 
 // Options configures an Engine.
@@ -136,9 +135,9 @@ type Options struct {
 	// cache; 0 disables caching (every query translates and compiles from
 	// scratch, the paper's experiment setup).
 	CacheBytes int64
-	// NoNative disables the native machine-code level on every handle of
-	// this engine: the adaptive controller never proposes it and
-	// ModeNative runs bytecode.
+	// NoNative disables both machine-code levels on every handle of this
+	// engine: the adaptive controller never proposes native code, and
+	// ModeNative and ModeOptimized run bytecode.
 	NoNative bool
 	// NoVector disables the vectorized engine on every handle of this
 	// engine: no kernel is staged, the adaptive controller never proposes
@@ -214,7 +213,7 @@ func New(opts Options) *Engine {
 	}
 	e.disabled = allLevels &^ opts.Mode.levels()
 	if !asm.Supported() || opts.NoNative {
-		e.disabled |= maskOf(LevelNative)
+		e.disabled |= machineCode
 	}
 	if opts.NoVector {
 		e.disabled |= maskOf(LevelVector)
@@ -294,14 +293,15 @@ type Stats struct {
 	Replans    int
 	EstCardErr float64
 
-	// Native-tier counters: assemblies that produced machine code,
-	// morsels dispatched to native code, and per-pipeline fallbacks out of
-	// the native level, at most one per pipeline and run: when the level
-	// was asked for and is disabled (platform, NoNative) or failed to
-	// assemble (unsupported op, exec-memory failure), the pipeline stays
-	// at the level it is at — bytecode for ModeNative and at an adaptive
-	// pipeline's start; when the controller demoted it for delivering
-	// under half its predicted rate, it goes back to the level it had left.
+	// Machine-code counters, for both native levels: assemblies that
+	// produced machine code, morsels dispatched to machine code, and
+	// per-pipeline fallbacks out of a machine-code level, at most one per
+	// pipeline and run: when the level was asked for and is disabled
+	// (platform, NoNative) or failed to assemble (unsupported op,
+	// exec-memory failure), the pipeline stays at the level it is at —
+	// bytecode for ModeNative, ModeOptimized and at an adaptive pipeline's
+	// start; when the controller demoted native code for delivering under
+	// half its predicted rate, it goes back to the level it had left.
 	NativeCompiles  int64
 	NativeMorsels   int64
 	NativeFallbacks int64

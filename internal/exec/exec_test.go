@@ -58,7 +58,7 @@ func testEngines() map[string]*Engine {
 	return map[string]*Engine{
 		"bytecode-w1": New(Options{Workers: 1, Mode: ModeBytecode}),
 		"bytecode-w3": New(Options{Workers: 3, Mode: ModeBytecode}),
-		"unopt-w2":    New(Options{Workers: 2, Mode: ModeUnoptimized, Cost: native}),
+		"native-w2":   New(Options{Workers: 2, Mode: ModeNative, Cost: native}),
 		"opt-w2":      New(Options{Workers: 2, Mode: ModeOptimized, Cost: native}),
 		"adaptive-w3": New(Options{Workers: 3, Mode: ModeAdaptive, Cost: native, MorselSize: 64}),
 		"nofusion-w1": New(Options{Workers: 1, Mode: ModeBytecode,
@@ -358,7 +358,7 @@ func TestOverflowPropagates(t *testing.T) {
 	if _, err := volcano.Run(build()); err == nil {
 		t.Fatal("volcano: expected overflow")
 	}
-	for _, mode := range []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized} {
+	for _, mode := range []Mode{ModeBytecode, ModeNative, ModeOptimized} {
 		e := New(Options{Workers: 2, Mode: mode, Cost: Native()})
 		if _, err := e.RunPlan(build(), "overflow"); err == nil {
 			t.Errorf("%v: expected overflow error", mode)

@@ -15,16 +15,17 @@ import (
 // Level is the execution tier of a worker function.
 type Level int32
 
-// Execution tiers, ordered by throughput (Fig. 3). The two closure tiers
-// are the paper's static baselines (ModeUnoptimized, ModeOptimized) and no
-// other mode runs them. LevelNative is the copy-and-patch machine-code tier
-// (tier 6), available only where asm.Supported() holds. LevelVector is not
-// a compilation tier but a different engine: the morsel-driven vectorized
-// backend, whose kernel needs no compilation. To the controller it is one
-// more level of the ladder — the candidate whose compile time is zero.
+// Execution tiers. LevelNative and LevelOptimized are machine code from
+// the copy-and-patch template JIT (internal/asm), available only where
+// asm.Supported() holds: LevelNative assembles the IR as code generation
+// emitted it, LevelOptimized assembles it after the IR pass pipeline and
+// is the paper's static optimized baseline (ModeOptimized) — no other mode
+// runs it. LevelVector is not a compilation tier but a different engine:
+// the morsel-driven vectorized backend, whose kernel needs no compilation.
+// To the controller it is one more level of the ladder — the candidate
+// whose compile time is zero.
 const (
 	LevelBytecode Level = iota
-	LevelUnoptimized
 	LevelOptimized
 	LevelNative
 	LevelVector
@@ -35,8 +36,6 @@ func (l Level) String() string {
 	switch l {
 	case LevelBytecode:
 		return "bytecode"
-	case LevelUnoptimized:
-		return "unoptimized"
 	case LevelNative:
 		return "native"
 	case LevelVector:
@@ -46,9 +45,19 @@ func (l Level) String() string {
 	}
 }
 
+// machineCode is the set of levels whose variant the template JIT
+// assembles: both fail to compile together (platform, NoNative) and are
+// counted together (Stats.NativeCompiles, NativeMorsels, NativeFallbacks).
+const machineCode = levelMask(1<<LevelOptimized | 1<<LevelNative)
+
 // jit returns the compiler tier that produces level l's variant; l must be
-// one of the three compiled levels.
-func (l Level) jit() jit.Level { return jit.Level(l - LevelUnoptimized) }
+// one of the machine-code levels.
+func (l Level) jit() jit.Level {
+	if l == LevelOptimized {
+		return jit.Optimized
+	}
+	return jit.Unoptimized
+}
 
 // levelMask is a set of levels, one bit each.
 type levelMask uint32
@@ -69,13 +78,13 @@ func (m levelMask) has(l Level) bool { return m&(1<<l) != 0 }
 func (m levelMask) above(l Level) levelMask { return m &^ (1<<(l+1) - 1) }
 
 // variants is every executable form of one worker function: the bytecode
-// program, the compiled artifact of the engine's one compiled level
-// (machine code, or closures under a static closure mode; Mode.levels) and
-// the vectorized kernel, each nil until some run made it. The plan cache
-// stores one per pipeline and a Handle is created from one, so a warm run
-// starts with everything an earlier run produced. All of it is immutable,
-// address-indirect (bases re-registered per run resolve through the run's
-// segment table) and safe to share between in-flight queries.
+// program, the machine code of the engine's one compiled level
+// (Mode.levels) and the vectorized kernel, each nil until some run made
+// it. The plan cache stores one per pipeline and a Handle is created from
+// one, so a warm run starts with everything an earlier run produced. All
+// of it is immutable, address-indirect (bases re-registered per run
+// resolve through the run's segment table) and safe to share between
+// in-flight queries.
 type variants struct {
 	prog     *vm.Program
 	compiled *jit.Compiled

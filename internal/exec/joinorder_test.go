@@ -20,7 +20,7 @@ var joinOrderQueries = []int{3, 5, 10}
 // results under every execution mode.
 func TestJoinOrderInvariance(t *testing.T) {
 	cat := diffCat()
-	modes := []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp}
+	modes := []Mode{ModeBytecode, ModeNative, ModeOptimized, ModeAdaptive, ModeIRInterp}
 	want := make(map[int]string)
 	for _, mode := range modes {
 		e := New(Options{Workers: 4, Mode: mode, Cost: Native(), MorselSize: 512})
@@ -79,7 +79,7 @@ func TestJoinOrderInvariance(t *testing.T) {
 func TestJoinOrderInvarianceForcedReplan(t *testing.T) {
 	cat := diffCat()
 	ctx := context.Background()
-	modes := []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp}
+	modes := []Mode{ModeBytecode, ModeNative, ModeOptimized, ModeAdaptive, ModeIRInterp}
 	want := make(map[int]string)
 	for _, qn := range joinOrderQueries {
 		base := New(Options{Workers: 4, Mode: ModeBytecode, Cost: Native(), MorselSize: 512})

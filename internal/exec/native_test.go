@@ -82,22 +82,21 @@ func TestNativeGracefulDegradation(t *testing.T) {
 	}
 }
 
-// TestAdaptiveNeverRunsClosures: the closure tiers are the static
-// baselines only. The adaptive seed holds both closure levels on every
-// handle under either cost model, so neither the start rule nor the
-// controller — here free to climb, with native assembly costing nothing —
-// ever installs one.
-func TestAdaptiveNeverRunsClosures(t *testing.T) {
-	closures := maskOf(LevelUnoptimized, LevelOptimized)
+// TestAdaptiveNeverRunsOptimized: optimized code is a static baseline
+// only. The adaptive seed holds LevelOptimized on every handle under
+// either cost model, so neither the start rule nor the controller — here
+// free to climb, with every compilation costing nothing — ever installs it.
+func TestAdaptiveNeverRunsOptimized(t *testing.T) {
 	for name, cost := range map[string]*CostModel{"paper": Paper(), "native": Native()} {
 		cost.NativeBase, cost.NativePerInstr = 0, 0
+		cost.OptBase, cost.OptPerInstr, cost.OptCubic = 0, 0, 0
 		e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, MorselSize: 32})
-		if e.disabled&closures != closures {
-			t.Errorf("%s: adaptive seed %05b leaves a closure level enabled", name, e.disabled)
+		if !e.disabled.has(LevelOptimized) {
+			t.Errorf("%s: adaptive seed %04b leaves LevelOptimized enabled", name, e.disabled)
 		}
 		var installed atomic.Int32
 		e.morselHook = func(_ int, h *Handle, _ int) {
-			if l := h.Level(); closures.has(l) {
+			if l := h.Level(); l == LevelOptimized {
 				installed.Store(int32(l))
 			}
 		}
@@ -109,7 +108,7 @@ func TestAdaptiveNeverRunsClosures(t *testing.T) {
 			t.Errorf("%s: a pipeline ran at %v", name, l)
 		}
 		for i, l := range res.Stats.FinalLevels {
-			if closures.has(l) {
+			if l == LevelOptimized {
 				t.Errorf("%s: pipeline %d finished at %v", name, i, l)
 			}
 		}
@@ -225,13 +224,14 @@ func semiResidualPlan() plan.Node {
 // seed (mode, options, platform), the per-pipeline seed (no kernel for the
 // shape) and the run-time bit a failed compilation sets. In every row a
 // pipeline whose target level is disabled must finish in bytecode, a
-// native level given up must be counted once per pipeline, and the rows
-// must be those of ModeBytecode.
+// machine-code level given up must be counted once per pipeline, and the
+// rows must be those of ModeBytecode. Both machine-code levels — native
+// and optimized code — fall back the same way.
 func TestDisabledLevels(t *testing.T) {
-	native, vec := maskOf(LevelNative), maskOf(LevelVector)
+	native, opt, vec := maskOf(LevelNative), maskOf(LevelOptimized), maskOf(LevelVector)
 	platform := levelMask(0)
 	if !asm.Supported() {
-		platform = native
+		platform = machineCode
 	}
 	for _, tc := range []struct {
 		name      string
@@ -244,16 +244,22 @@ func TestDisabledLevels(t *testing.T) {
 		some      levelMask // disabled on some handles but not all
 	}{
 		{name: "NoNative", opts: Options{Mode: ModeNative, NoNative: true}, plan: stressPlan,
-			seed: native, every: native},
+			seed: machineCode, every: native},
+		{name: "NoNative ModeOptimized", opts: Options{Mode: ModeOptimized, NoNative: true}, plan: stressPlan,
+			seed: machineCode, every: opt},
 		{name: "NoVector", opts: Options{Mode: ModeVector, NoVector: true}, plan: stressPlan,
 			seed: vec, every: vec},
 		{name: "alloc failure", opts: Options{Mode: ModeNative}, plan: stressPlan, allocFail: true,
 			every: native},
+		{name: "alloc failure ModeOptimized", opts: Options{Mode: ModeOptimized}, plan: stressPlan, allocFail: true,
+			every: opt},
 		{name: "vector-ineligible shape", opts: Options{Mode: ModeVector}, plan: semiResidualPlan,
 			some: vec},
 		{name: "ModeIRInterp", opts: Options{Mode: ModeIRInterp}, plan: stressPlan},
 		{name: "unsupported platform", opts: Options{Mode: ModeNative}, plan: stressPlan,
 			skip: asm.Supported(), every: native},
+		{name: "unsupported platform ModeOptimized", opts: Options{Mode: ModeOptimized}, plan: stressPlan,
+			skip: asm.Supported(), every: opt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.skip {
@@ -267,7 +273,7 @@ func TestDisabledLevels(t *testing.T) {
 			e := New(tc.opts)
 			ruled := platform | allLevels&^tc.opts.Mode.levels()
 			if e.disabled != tc.seed|ruled {
-				t.Errorf("engine seed %05b, want %05b", e.disabled, tc.seed|ruled)
+				t.Errorf("engine seed %04b, want %04b", e.disabled, tc.seed|ruled)
 			}
 			var mu sync.Mutex
 			handles := map[int]*Handle{}
@@ -294,28 +300,28 @@ func TestDisabledLevels(t *testing.T) {
 				want := target
 				if m.has(target) {
 					want = LevelBytecode
-					if target == LevelNative {
+					if machineCode.has(target) {
 						fallbacks++
 					}
 				}
 				if st.FinalLevels[i] != want {
-					t.Errorf("pipeline %d: disabled %05b, finished at %v, want %v", i, m, st.FinalLevels[i], want)
+					t.Errorf("pipeline %d: disabled %04b, finished at %v, want %v", i, m, st.FinalLevels[i], want)
 				}
 			}
 			if len(handles) != len(st.FinalLevels) {
 				t.Fatalf("saw %d of %d pipelines run", len(handles), len(st.FinalLevels))
 			}
 			if want := (tc.every | tc.seed) &^ ruled; intersection&^ruled != want {
-				t.Errorf("disabled on every handle: %05b, want %05b", intersection&^ruled, want)
+				t.Errorf("disabled on every handle: %04b, want %04b", intersection&^ruled, want)
 			}
 			if got := (union &^ intersection); got != tc.some {
-				t.Errorf("disabled on some handles only: %05b, want %05b", got, tc.some)
+				t.Errorf("disabled on some handles only: %04b, want %04b", got, tc.some)
 			}
 			if st.NativeFallbacks != fallbacks {
 				t.Errorf("NativeFallbacks = %d, want %d", st.NativeFallbacks, fallbacks)
 			}
-			if intersection.has(LevelNative) && st.NativeMorsels != 0 {
-				t.Errorf("%d native morsels with the level disabled everywhere", st.NativeMorsels)
+			if intersection&machineCode == machineCode && st.NativeMorsels != 0 {
+				t.Errorf("%d machine-code morsels with both levels disabled everywhere", st.NativeMorsels)
 			}
 			if intersection.has(LevelVector) && st.VectorMorsels != 0 {
 				t.Errorf("%d vector morsels with the engine disabled everywhere", st.VectorMorsels)
@@ -399,11 +405,11 @@ func TestNativeDemotion(t *testing.T) {
 				t.Errorf("pipeline %d: %d demotion events, want exactly one", p, n)
 			}
 			// Native takes the vectorized engine along where the model
-			// ranks it below — under this model, always — and the closure
-			// tiers were never the adaptive mode's, so the pipeline stays
+			// ranks it below — under this model, always — and optimized
+			// code was never the adaptive mode's, so the pipeline stays
 			// at the level whose rate was measured.
 			if m := handles[p].Disabled(); m != allLevels.above(LevelBytecode) {
-				t.Errorf("pipeline %d: demoted, yet its handle has only %05b disabled", p, m)
+				t.Errorf("pipeline %d: demoted, yet its handle has only %04b disabled", p, m)
 			}
 			if l := res.Stats.FinalLevels[p]; l != LevelBytecode {
 				t.Errorf("pipeline %d: finished at %v after its demotion", p, l)

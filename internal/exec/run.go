@@ -192,7 +192,7 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	// level before execution starts, single-threaded; for the compiled
 	// ones this is the up-front compilation of the whole module (§II-A),
 	// the latency the adaptive mode exists to avoid. A pipeline whose
-	// level is disabled or fails to assemble runs bytecode (giveUp). A
+	// level is disabled or fails to compile runs bytecode (giveUp). A
 	// cache hit skips both the compilation and its simulated latency: the
 	// artifact exists, so there is nothing to wait for.
 	if target := e.opts.Mode.level(); target > LevelBytecode {
@@ -205,9 +205,6 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 					compiledAny = compiledAny || fresh
 					h.Install(target)
 					continue
-				}
-				if target != LevelNative {
-					return nil, err
 				}
 			}
 			qr.giveUp(h, target)
@@ -292,14 +289,13 @@ func (qr *queryRun) noteProgram(p *vm.Program) {
 // disabled from the start (mode, platform, options, no kernel for the
 // shape) or its compilation failed — so it is disabled for the rest of the
 // run and the pipeline stays at the level it is at, which for a static
-// mode and at an adaptive pipeline's start is bytecode. Only native
+// mode and at an adaptive pipeline's start is bytecode. Only machine-code
 // assembly fails at run time, for a reason of the function's or the
-// host's (an op outside the templates, no executable memory); a closure
-// compilation fails only on a bug, and fails the query. A native level
-// given up counts once in NativeFallbacks.
+// host's (an op outside the templates, no executable memory). A
+// machine-code level given up counts once in NativeFallbacks.
 func (qr *queryRun) giveUp(h *Handle, l Level) {
 	h.Disable(maskOf(l))
-	if l == LevelNative {
+	if machineCode.has(l) {
 		qr.nativeFallbacks.Add(1)
 	}
 }
@@ -317,9 +313,7 @@ func (qr *queryRun) compile(i int, l Level) (fresh bool, err error) {
 		return false, err
 	}
 	h.Stage(c)
-	if l == LevelNative {
-		qr.nativeCompiles.Add(1)
-	}
+	qr.nativeCompiles.Add(1)
 	if qr.eng.cache != nil {
 		qr.eng.cache.addCompiled(qr.fp, i, c)
 	}
@@ -948,7 +942,7 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 		j.out.Publish(slot)
 	}
 	j.pr.report(slot, end-begin, d)
-	if lvl == LevelNative {
+	if machineCode.has(lvl) {
 		qr.nativeMorsels.Add(1)
 	}
 	if lvl == LevelVector {
@@ -1100,10 +1094,10 @@ func (qr *queryRun) switchLevel(pl *codegen.Pipeline, h *Handle, pr *progress, t
 }
 
 // noteSwitch records a level switch in the trace; pl is nil for a static
-// mode's whole module. The kind says which family the switch touched — the
-// vectorized engine, native code, or closures only — and Level where the
-// pipeline landed: an EvNative or EvEngine event whose Level is a
-// different one is a demotion (aqetrace renders it as such).
+// mode's whole module. The kind says which family the switch touched —
+// the vectorized engine, native code, or optimized code only — and Level
+// where the pipeline landed: an EvNative or EvEngine event whose Level is
+// a different one is a demotion (aqetrace renders it as such).
 func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, from, to Level, start, end time.Time) {
 	ev := Event{Kind: EvCompile, Pipeline: -1, Worker: -1, Level: to,
 		Start: qr.trace.Since(start), End: qr.trace.Since(end)}

@@ -64,7 +64,7 @@ func TestZoneMapDifferential22(t *testing.T) {
 		rows, types := runStagesVolcano(t, tpch.Query(cat, qn))
 		want[qn] = canonFloat(rows, types, floatFmt)
 	}
-	modes := []Mode{ModeBytecode, ModeUnoptimized, ModeOptimized, ModeAdaptive, ModeIRInterp}
+	modes := []Mode{ModeBytecode, ModeNative, ModeOptimized, ModeAdaptive, ModeIRInterp}
 	var pruned int64
 	for _, mode := range modes {
 		e := New(Options{Workers: 4, Mode: mode, Cost: Native(), MorselSize: 256})

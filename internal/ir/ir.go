@@ -1,7 +1,7 @@
 // Package ir implements a typed SSA intermediate representation modeled on
 // LLVM IR. It is the language the query code generator targets, and the
-// input of both the bytecode translator (internal/vm) and the closure
-// compiler (internal/jit).
+// input of both the bytecode translator (internal/vm) and the native
+// backend (internal/asm).
 //
 // The representation intentionally mirrors the subset of LLVM IR that a
 // query compiler emits: integer and floating point arithmetic,

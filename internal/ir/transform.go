@@ -3,7 +3,7 @@ package ir
 // SplitCriticalEdges splits every critical edge (an edge from a block with
 // multiple successors to a block with multiple predecessors) that targets a
 // block containing φ-nodes, by inserting an empty forwarding block. Both
-// the bytecode translator and the closure compiler lower φ-nodes to
+// the bytecode translator and the native backend lower φ-nodes to
 // register moves at the end of the predecessor; on a critical edge such
 // moves would also execute when the branch takes its other target, so the
 // edge must be split first. Returns the number of edges split. Idempotent.

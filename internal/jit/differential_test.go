@@ -5,8 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"aqe/internal/asm"
 	"aqe/internal/ir"
 	"aqe/internal/ir/interp"
+	"aqe/internal/ir/passes"
 	"aqe/internal/rt"
 	"aqe/internal/vm"
 )
@@ -23,7 +25,7 @@ import (
 // Every execution engine must produce identical results, memory effects
 // and traps for these functions; the differential tests below compare the
 // IR interpreter, the bytecode VM under every allocation strategy, and
-// both JIT tiers.
+// both JIT tiers where the platform has a native backend.
 func genFunc(rng *rand.Rand, nbody int) *ir.Function {
 	m := ir.NewModule("diff")
 	f := m.NewFunc("f", ir.I64, ir.I64, ir.I64)
@@ -138,7 +140,7 @@ func engines(t *testing.T) []engine {
 			return p.Run(ctx, args), nil
 		}
 	}
-	return []engine{
+	engs := []engine{
 		{"ir-interp", func(f *ir.Function, ctx *rt.Ctx, args []uint64) (uint64, error) {
 			return interp.Run(f, ctx, args), nil
 		}},
@@ -146,20 +148,28 @@ func engines(t *testing.T) []engine {
 		{"vm-noreuse", mkVM(vm.Options{Strategy: vm.NoReuse})},
 		{"vm-window", mkVM(vm.Options{Strategy: vm.Window, WindowSize: 2})},
 		{"vm-nofusion", mkVM(vm.Options{NoFusion: true})},
-		{"jit-unopt", func(f *ir.Function, ctx *rt.Ctx, args []uint64) (uint64, error) {
-			c, err := Compile(f, Unoptimized, nil)
+	}
+	if !asm.Supported() {
+		return engs
+	}
+	mkJIT := func(level Level) func(f *ir.Function, ctx *rt.Ctx, args []uint64) (uint64, error) {
+		return func(f *ir.Function, ctx *rt.Ctx, args []uint64) (uint64, error) {
+			c, err := Compile(f, level, nil)
 			if err != nil {
 				return 0, err
 			}
 			return c.Run(ctx, args), nil
-		}},
-		{"jit-opt", func(f *ir.Function, ctx *rt.Ctx, args []uint64) (uint64, error) {
-			c, err := Compile(f, Optimized, nil)
-			if err != nil {
-				return 0, err
-			}
-			return c.Run(ctx, args), nil
-		}},
+		}
+	}
+	return append(engs, engine{"jit-unopt", mkJIT(Unoptimized)}, engine{"jit-opt", mkJIT(Optimized)})
+}
+
+// needNative skips a test that runs compiled code on a platform without a
+// native backend, where Compile always fails with asm.ErrUnsupported.
+func needNative(t *testing.T) {
+	t.Helper()
+	if !asm.Supported() {
+		t.Skip("no native backend on this platform")
 	}
 }
 
@@ -227,6 +237,7 @@ func TestDifferentialQuick(t *testing.T) {
 }
 
 func TestJITLoopSum(t *testing.T) {
+	needNative(t)
 	m := ir.NewModule("t")
 	f := m.NewFunc("loopsum", ir.I64)
 	b := ir.NewBuilder(f)
@@ -265,6 +276,7 @@ func TestJITLoopSum(t *testing.T) {
 }
 
 func TestJITTrapSemantics(t *testing.T) {
+	needNative(t)
 	m := ir.NewModule("t")
 	f := m.NewFunc("div", ir.I64, ir.I64)
 	b := ir.NewBuilder(f)
@@ -289,6 +301,7 @@ func TestJITTrapSemantics(t *testing.T) {
 }
 
 func TestOptimizedTierRunsPasses(t *testing.T) {
+	needNative(t)
 	m := ir.NewModule("t")
 	f := m.NewFunc("redundant", ir.I64)
 	b := ir.NewBuilder(f)
@@ -311,6 +324,7 @@ func TestOptimizedTierRunsPasses(t *testing.T) {
 }
 
 func TestCompileStats(t *testing.T) {
+	needNative(t)
 	rng := rand.New(rand.NewSource(7))
 	f := genFunc(rng, 40)
 	unopt, err := Compile(f.Clone(), Unoptimized, nil)
@@ -321,10 +335,22 @@ func TestCompileStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unopt.Stats.Closures == 0 || opt.Stats.Closures == 0 {
-		t.Error("closure counts missing")
-	}
 	if unopt.Level != Unoptimized || opt.Level != Optimized {
 		t.Error("level not recorded")
+	}
+	if unopt.Stats.IRInstrs == 0 || opt.Stats.IRInstrs == 0 {
+		t.Error("instruction counts missing")
+	}
+	if unopt.Stats.Passes != (passes.Stats{}) {
+		t.Errorf("unoptimized tier ran passes: %+v", unopt.Stats.Passes)
+	}
+	if opt.Stats.Passes.Rounds == 0 {
+		t.Error("optimized tier ran no passes")
+	}
+	// The passes removed instructions, and the optimized tier assembled
+	// what they left.
+	if opt.Stats.Passes.DCE+opt.Stats.Passes.CSE == 0 || opt.Stats.IRInstrs >= unopt.Stats.IRInstrs {
+		t.Errorf("optimized IR has %d instructions, plain %d, after %+v",
+			opt.Stats.IRInstrs, unopt.Stats.IRInstrs, opt.Stats.Passes)
 	}
 }

@@ -74,7 +74,10 @@ func BenchmarkTierVM(b *testing.B) {
 
 func BenchmarkTierUnopt(b *testing.B) {
 	f := buildSumColFn()
-	c, _ := Compile(f, Unoptimized, nil)
+	c, err := Compile(f, Unoptimized, nil)
+	if err != nil {
+		b.Skip(err)
+	}
 	ctx, base := mkCtx()
 	args := []uint64{base, 100000}
 	b.ResetTimer()
@@ -85,7 +88,10 @@ func BenchmarkTierUnopt(b *testing.B) {
 
 func BenchmarkTierOpt(b *testing.B) {
 	f := buildSumColFn()
-	c, _ := Compile(f, Optimized, nil)
+	c, err := Compile(f, Optimized, nil)
+	if err != nil {
+		b.Skip(err)
+	}
 	ctx, base := mkCtx()
 	args := []uint64{base, 100000}
 	b.ResetTimer()

@@ -1,7 +1,7 @@
 // Package rt is the runtime that generated query code executes against: a
 // segmented 64-bit address space backed by Go byte slices, the extern
-// function call ABI shared by the bytecode interpreter and the closure
-// compiler, and the query data structures (hash tables, output buffers,
+// function call ABI shared by the bytecode interpreter and native code,
+// and the query data structures (hash tables, output buffers,
 // string operations) reachable from generated code.
 //
 // Generated code addresses memory with 64-bit addresses of the form
@@ -136,7 +136,7 @@ func (m *Memory) Bytes(addr Addr, n int) []byte {
 }
 
 // The typed accessors below are used by runtime code (hash tables, output
-// decoding); the interpreter and compiled closures inline the equivalent
+// decoding); the interpreter and native code inline the equivalent
 // operations for speed.
 
 func (m *Memory) Load8(a Addr) uint64 { return uint64(m.Seg(a)[0]) }
@@ -165,7 +165,7 @@ func (m *Memory) StoreF64(a Addr, v float64) { m.Store64(a, math.Float64bits(v))
 
 // Trap is the error raised by generated code for runtime faults the SQL
 // semantics define (arithmetic overflow, division by zero). It is thrown as
-// a panic from deep inside the interpreter or compiled closures and
+// a panic from deep inside the interpreter (native code exits to Go first) and
 // recovered at the engine's dispatch boundary.
 type Trap struct {
 	Code TrapCode

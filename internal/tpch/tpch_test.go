@@ -130,6 +130,8 @@ func TestAll22QueriesAgainstOracle(t *testing.T) {
 	engines := map[string]*exec.Engine{
 		"bytecode-w1": exec.New(exec.Options{Workers: 1, Mode: exec.ModeBytecode}),
 		"bytecode-w3": exec.New(exec.Options{Workers: 3, Mode: exec.ModeBytecode}),
+		"native-w2": exec.New(exec.Options{Workers: 2, Mode: exec.ModeNative,
+			Cost: exec.Native()}),
 		"opt-w2": exec.New(exec.Options{Workers: 2, Mode: exec.ModeOptimized,
 			Cost: exec.Native()}),
 		"adaptive-w2": exec.New(exec.Options{Workers: 2, Mode: exec.ModeAdaptive,

@@ -1,5 +1,5 @@
 // Package vector is the morsel-driven vectorized execution engine: the
-// third engine family next to the closure/native tiers (internal/exec's
+// third engine family next to the compiled tiers (internal/exec's
 // compiled pipelines) and the Volcano iterator baseline. It consumes the
 // same pipeline decomposition, morsel ranges, hash tables, aggregation
 // states and output buffers as the compiled tiers — a kernel is just
@@ -401,7 +401,7 @@ func (rc *runCtx) narrow(sel []int32, c *col) []int32 {
 // ---- address-space access ----
 
 // seg returns the byte slice at addr through the live segment table — one
-// atomic load per access, exactly like a compiled closure's loads. A
+// atomic load per access, exactly like compiled code's loads. A
 // snapshot would go stale mid-batch: hash-table growth both appends new
 // segments and replaces a bucket segment's backing bytes (SetSegment).
 func (rc *runCtx) seg(a uint64) []byte {
@@ -628,7 +628,7 @@ func (rc *runCtx) joinCol(src *codegen.VecJoinSrc, fr *frame, j int) *col {
 // scanCol decodes one storage column for rows [lo, lo+n): the unboxed
 // typed scan kernels. Column bytes are read through the registered base
 // address, not the *storage.Column — a cached kernel must resolve to the
-// current run's data exactly like cached compiled closures do.
+// current run's data exactly like cached compiled code does.
 func (rc *runCtx) scanCol(vc *codegen.VecCol, fr *frame) *col {
 	c := rc.newCol()
 	n := fr.n

@@ -9,6 +9,7 @@ import (
 	"aqe/internal/asm"
 	"aqe/internal/ir"
 	"aqe/internal/ir/interp"
+	"aqe/internal/jit"
 	"aqe/internal/rt"
 	"aqe/internal/vm"
 )
@@ -191,22 +192,25 @@ func FuzzTranslate(f *testing.F) {
 			}
 		}
 		if asm.Supported() {
-			// The native backend must agree with the oracle bit for bit.
-			// Clone: asm.Compile splits critical edges in place.
-			code, err := asm.Compile(fn.Clone())
-			if err != nil {
-				t.Fatalf("native compile: %v", err)
-			}
-			mem := rt.NewMemory()
-			scratch := make([]byte, 32*8)
-			base := mem.AddSegment(scratch)
-			ctx := &rt.Ctx{Mem: mem}
-			res := code.Run(ctx, []uint64{args[0], args[1], base})
-			if res != wantRes {
-				t.Errorf("native: result %#x, want %#x", res, wantRes)
-			}
-			if !bytes.Equal(scratch, wantMem) {
-				t.Errorf("native: memory image diverges")
+			// Both machine-code tiers must agree with the oracle bit for
+			// bit: the function as built, and after the optimizing passes.
+			// Clone: the unoptimized tier splits critical edges in place.
+			for _, level := range []jit.Level{jit.Unoptimized, jit.Optimized} {
+				c, err := jit.Compile(fn.Clone(), level, nil)
+				if err != nil {
+					t.Fatalf("%v compile: %v", level, err)
+				}
+				mem := rt.NewMemory()
+				scratch := make([]byte, 32*8)
+				base := mem.AddSegment(scratch)
+				ctx := &rt.Ctx{Mem: mem}
+				res := c.Run(ctx, []uint64{args[0], args[1], base})
+				if res != wantRes {
+					t.Errorf("%v: result %#x, want %#x", level, res, wantRes)
+				}
+				if !bytes.Equal(scratch, wantMem) {
+					t.Errorf("%v: memory image diverges", level)
+				}
 			}
 		}
 	})

@@ -14,7 +14,7 @@ import (
 // ends, and release registers when ranges end (handled inside allocate).
 //
 // Translate may split critical edges of f (an idempotent, semantics-
-// preserving transformation shared with the closure compiler). The
+// preserving transformation shared with the native backend). The
 // control-flow facts of the split function are computed once: the verifier
 // checks f against them and liveness reads them.
 func Translate(f *ir.Function, opts Options) (*Program, error) {
