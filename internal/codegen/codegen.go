@@ -114,7 +114,10 @@ type Pipeline struct {
 type JoinDesc struct {
 	TupleSize int
 	StateOff  int
-	NumKeys   int
+	// WinOff is the offset in each worker-local block of the bump window
+	// the build sink allocates tuples from (rt.WindowBytes).
+	WinOff  int
+	NumKeys int
 	// Marks is set for a build-side join (plan.JoinKind.BuildSide): its
 	// tuples store every build column and end in the 8-byte mark.
 	Marks *rt.MarkLayout
@@ -133,7 +136,10 @@ type AggDesc struct {
 // OutDesc describes an output row buffer.
 type OutDesc struct {
 	RowSize int
-	Cols    []OutCol
+	// WinOff is the offset in each worker-local block of the bump window
+	// the output sink allocates rows from (rt.WindowBytes).
+	WinOff int
+	Cols   []OutCol
 }
 
 // OutCol is one column of an output row.
@@ -428,7 +434,8 @@ func valWidth(t expr.Type) int {
 }
 
 func (g *cgen) newOut(schema []plan.ColDef) int {
-	d := OutDesc{}
+	d := OutDesc{WinOff: g.localOff}
+	g.localOff += rt.WindowBytes
 	for _, c := range schema {
 		d.Cols = append(d.Cols, OutCol{Name: c.Name, T: c.T, Off: d.RowSize})
 		d.RowSize += valWidth(c.T)
@@ -550,8 +557,9 @@ func (g *cgen) newJoinDesc(j *plan.Join) *joinMeta {
 		m.byIdx[idx] = fld
 		off += valWidth(bs[idx].T)
 	}
-	d := JoinDesc{TupleSize: off, StateOff: g.stateOff, NumKeys: len(j.BuildKeys)}
+	d := JoinDesc{TupleSize: off, StateOff: g.stateOff, WinOff: g.localOff, NumKeys: len(j.BuildKeys)}
 	g.stateOff += rt.JoinStateBytes
+	g.localOff += rt.WindowBytes
 	if j.Kind.BuildSide() {
 		keep := rt.KeepAll
 		switch j.Kind {

@@ -7,7 +7,8 @@ import (
 )
 
 // buildSink materializes build-side tuples of a hash join into the join's
-// arenas through ht_alloc (layout: [hash][next][keys...][fields...]).
+// arenas (layout: [hash][next][keys...][fields...]), each bumped from the
+// worker's window (bumpAlloc; ht_alloc when a chunk is full).
 type buildSink struct {
 	join *plan.Join
 	desc *joinMeta
@@ -30,7 +31,7 @@ func (s *buildSink) emit(p *pgen, res resolver) {
 		keyVals[i] = p.gen(k, res)
 	}
 	h := p.hashKeys(keyVals, keyTypes)
-	t := b.Call("ht_alloc", ir.I64, b.ConstI64(int64(s.desc.id)))
+	t := p.bumpAlloc(s.desc.desc.WinOff, s.desc.desc.TupleSize, "ht_alloc", s.desc.id)
 	b.Store(b.GEP(t, nil, 0, 0), h)
 	for i, kv := range keyVals {
 		b.Store(b.GEP(t, nil, 0, int64(16+8*i)), kv.X)
@@ -268,7 +269,8 @@ func (s *aggSink) accumulate(p *pgen, res resolver, entry *ir.Value, off int, ar
 	b.Store(b.GEP(entry, nil, 0, int64(off)), nv)
 }
 
-// outSink materializes result rows.
+// outSink materializes result rows, each bumped from the worker's window
+// (bumpAlloc; out_alloc when a chunk is full).
 type outSink struct {
 	id     int
 	schema []plan.ColDef
@@ -277,13 +279,39 @@ type outSink struct {
 func (s *outSink) annotate(pl *Pipeline) { pl.SinkOut = s.id }
 
 func (s *outSink) emit(p *pgen, res resolver) {
-	b := p.b
 	d := &p.g.q.Outs[s.id]
-	row := b.Call("out_alloc", ir.I64, b.ConstI64(int64(s.id)))
+	row := p.bumpAlloc(d.WinOff, d.RowSize, "out_alloc", s.id)
 	for j, col := range d.Cols {
 		v := res(j)
 		p.storeAt(row, col.Off, v, col.T)
 	}
+}
+
+// bumpAlloc emits the allocation of a size-byte record from the bump
+// window [next][end] at winOff in the worker's local block (rt.Arena): if
+// next+size ≤ end, store next+size back and use next; otherwise call the
+// runtime's refill extern slow(id), which starts a new chunk, resets the
+// window and returns the chunk's first record. The refill runs once per
+// arena chunk, not once per record, and every tier runs the same code.
+func (p *pgen) bumpAlloc(winOff, size int, slow string, id int) *ir.Value {
+	b, f := p.b, p.f
+	nextAddr := b.GEP(p.local, nil, 0, int64(winOff))
+	next := b.Load(ir.I64, nextAddr)
+	end := b.Load(ir.I64, b.GEP(p.local, nil, 0, int64(winOff+8)))
+	bumped := b.Add(next, b.ConstI64(int64(size)))
+	fast, refill, done := f.NewBlock(), f.NewBlock(), f.NewBlock()
+	b.CondBr(b.ICmp(ir.ULe, bumped, end), fast, refill)
+	b.SetBlock(fast)
+	b.Store(nextAddr, bumped)
+	b.Br(done)
+	b.SetBlock(refill)
+	fresh := b.Call(slow, ir.I64, b.ConstI64(int64(id)))
+	b.Br(done)
+	b.SetBlock(done)
+	rec := b.Phi(ir.I64)
+	ir.AddIncoming(rec, next, fast)
+	ir.AddIncoming(rec, fresh, refill)
+	return rec
 }
 
 // emitQueryStart generates the queryStart function (Fig. 4): it launches

@@ -178,46 +178,53 @@ func (rs *RowSet) appendTo(cols []*storage.Column) {
 }
 
 // sort orders the result by keys (keeping only the first limit rows when
-// limit >= 0) without moving or boxing a record: every key is evaluated
-// once per row — a plain column reference straight from the record, any
-// other expression over a scratch boxed row — and a permutation is
-// stable-sorted over the key table. A trap raised by a key expression is
-// returned as the error.
+// limit >= 0) without moving or boxing a record: every key is normalized
+// once per row into a machine word (sink.Keys) — a plain column reference
+// straight from the record's slot, any other expression evaluated over a
+// scratch boxed row — and a permutation is stable-sorted over the words.
+// A trap raised by a key expression is returned as the error.
 func (rs *RowSet) sort(keys []plan.SortKey, limit int) error {
 	n := rs.n
 	ks := sink.NewKeys(keys, n)
-	pos := make([]uint64, 0, n)
-	direct := make([]int, len(keys)) // the key's column, or -1 for an expression
-	var scratch []expr.Datum
+	offs := make([]int, len(keys)) // the key column's slot, or -1 for an expression
+	var exprs []int
 	for j, k := range keys {
-		direct[j] = -1
+		offs[j] = -1
 		if cr, ok := k.E.(*expr.ColRef); ok {
-			direct[j] = cr.Idx
-		} else if scratch == nil {
-			scratch = make([]expr.Datum, len(rs.Types))
+			offs[j] = rs.offs[cr.Idx]
+		} else {
+			exprs = append(exprs, j)
 		}
 	}
-	err := rt.CatchTrap(func() {
-		for si, span := range rs.spans {
-			for off := 0; off < len(span); off += rs.rowSize {
-				rec := span[off:][:rs.rowSize]
-				for c := range scratch {
-					scratch[c] = rs.datum(rec, c)
-				}
-				kr := ks.Row(len(pos))
-				for j, k := range keys {
-					if c := direct[j]; c >= 0 {
-						kr[j] = rs.datum(rec, c)
-					} else {
-						kr[j] = expr.Eval(k.E, scratch)
-					}
-				}
-				pos = append(pos, uint64(si)<<32|uint64(off))
-			}
+	pos := make([]uint64, 0, n)
+	i := 0
+	for si, span := range rs.spans {
+		i = ks.PutRecords(i, span, rs.rowSize, offs, rs.mem.Bytes)
+		for off := 0; off < len(span); off += rs.rowSize {
+			pos = append(pos, uint64(si)<<32|uint64(off))
 		}
-	})
-	if err != nil {
-		return err
+	}
+	if len(exprs) > 0 {
+		scratch := make([]expr.Datum, len(rs.Types))
+		err := rt.CatchTrap(func() {
+			i := 0
+			rs.Each(func(w Rows) error {
+				for r, n := 0, w.Len(); r < n; r++ {
+					rec := w.Rec(r)
+					for c := range scratch {
+						scratch[c] = rs.datum(rec, c)
+					}
+					for _, j := range exprs {
+						ks.PutDatum(i, j, expr.Eval(keys[j].E, scratch))
+					}
+					i++
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			return err
+		}
 	}
 	var order []int32
 	if limit >= 0 {

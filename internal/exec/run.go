@@ -229,16 +229,16 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	qs := rt.NewQueryState(mem, e.opts.Workers, cq.StateBytes, cq.LocalBytes)
 	for _, jd := range cq.Joins {
 		if jd.Marks != nil {
-			qs.AddMarkJoin(jd.TupleSize, jd.StateOff, *jd.Marks)
+			qs.AddMarkJoin(jd.TupleSize, jd.StateOff, jd.WinOff, *jd.Marks)
 		} else {
-			qs.AddJoin(jd.TupleSize, jd.StateOff)
+			qs.AddJoin(jd.TupleSize, jd.StateOff, jd.WinOff)
 		}
 	}
 	for _, ad := range cq.Aggs {
 		qs.AddAgg(ad.EntrySize, ad.Keys, ad.Aggs, ad.LocalOff, ad.Scalar)
 	}
 	for _, od := range cq.Outs {
-		qs.AddOut(od.RowSize)
+		qs.AddOut(od.RowSize, od.WinOff)
 	}
 	for _, p := range cq.Patterns {
 		qs.AddPattern(p)

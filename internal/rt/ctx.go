@@ -89,6 +89,9 @@ func (r *Registry) Register(name string, fn Func) {
 	r.funcs[name] = fn
 }
 
+// Func returns the extern registered under name, or nil.
+func (r *Registry) Func(name string) Func { return r.funcs[name] }
+
 // Bind resolves a module's extern declaration list into a call table.
 // A missing extern is an immediate error: the alternative is a nil-call
 // panic at an arbitrary point mid-query.

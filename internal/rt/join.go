@@ -2,9 +2,11 @@ package rt
 
 // JoinHT is the chaining hash table used by hash joins, built in the two
 // phases of morsel-driven joins: the build pipeline materializes tuples
-// into per-worker arenas through generated code (layout: [hash u64]
-// [next u64] [payload...]), then Finalize sizes the bucket array, links
-// the chains and sets the Bloom filter between pipelines. Probing happens
+// (layout: [hash u64] [next u64] [payload...]) into per-worker arenas
+// through generated code, which bumps each tuple from the worker's window
+// (Arena) and calls ht_alloc only when a chunk is full; then Finalize
+// sizes the bucket array, links the chains and sets the Bloom filter
+// between pipelines. Probing happens
 // entirely in generated code: it tests the filter word, reads the bucket
 // head and walks the chain with plain loads, exactly like HyPer's
 // generated probe code.
@@ -59,20 +61,32 @@ const minParallelBreaker = 4096
 // finalization guarantees the fn invocations touch disjoint memory.
 type ParallelFor func(n int, fn func(p int))
 
-// NewJoinHT creates a join hash table with one arena per worker.
+// NewJoinHT creates a join hash table with one arena per worker, each with
+// a private window: tuples come only from Alloc.
 func NewJoinHT(mem *Memory, workers, tupleSize, stateOff int) *JoinHT {
-	h := &JoinHT{mem: mem, TupleSize: tupleSize, StateOff: stateOff}
-	for i := 0; i < workers; i++ {
-		h.arenas = append(h.arenas, NewArena(mem))
+	arenas := make([]*Arena, workers)
+	for i := range arenas {
+		arenas[i] = NewArena(mem)
 	}
-	return h
+	return newJoinHT(mem, tupleSize, stateOff, arenas)
+}
+
+func newJoinHT(mem *Memory, tupleSize, stateOff int, arenas []*Arena) *JoinHT {
+	return &JoinHT{mem: mem, TupleSize: tupleSize, StateOff: stateOff, arenas: arenas}
 }
 
 // Alloc returns space for one build tuple on worker w's arena. Generated
-// code stores the hash at offset 0 and the payload from offset 16; offset
-// 8 (the chain link) is filled by finalization.
+// code bumps the same arena's window inline and stores the hash at offset
+// 0 and the payload from offset 16; offset 8 (the chain link) is filled by
+// finalization.
 func (h *JoinHT) Alloc(w int) Addr {
 	return h.arenas[w].Alloc(h.TupleSize)
+}
+
+// Refill returns the first tuple of a fresh chunk on worker w's arena
+// (ht_alloc: generated code found its window full).
+func (h *JoinHT) Refill(w int) Addr {
+	return h.arenas[w].Refill(h.TupleSize)
 }
 
 // prepare counts the materialized tuples and sizes the bucket array (and

@@ -45,8 +45,8 @@ type MarkLayout struct {
 
 // AddMarkJoin registers the hash table of a build-side join and returns its
 // id; it lives in Joins like every join's table.
-func (q *QueryState) AddMarkJoin(tupleSize, stateOff int, l MarkLayout) int {
-	id := q.AddJoin(tupleSize, stateOff)
+func (q *QueryState) AddMarkJoin(tupleSize, stateOff, winOff int, l MarkLayout) int {
+	id := q.AddJoin(tupleSize, stateOff, winOff)
 	h := q.Joins[id]
 	h.Marks = &Marks{MarkLayout: l}
 	h.locals = q.Locals

@@ -3,10 +3,12 @@ package rt
 import "sync/atomic"
 
 // OutSet is the per-pipeline set of per-worker output buffers. The final
-// pipeline of a query materializes result rows through out_alloc: each row
-// is a fixed-width record in the worker's arena, and those records are the
-// query result — readers (exec.RowSet) consume them in place. Row order
-// across workers is unspecified, matching SQL semantics for queries
+// pipeline of a query materializes result rows into them: each row is a
+// fixed-width record bump-allocated from the worker's arena — inline in
+// generated code, from the window in the worker's local block, with
+// out_alloc (Refill) called only when a chunk is full — and those records
+// are the query result: readers (exec.RowSet) consume them in place. Row
+// order across workers is unspecified, matching SQL semantics for queries
 // without ORDER BY.
 //
 // A worker makes its finished records visible by publishing a watermark
@@ -22,11 +24,10 @@ type OutSet struct {
 }
 
 // outBuf is one worker's arena and its published watermark. The arena
-// side (arena, rows) belongs to the worker; pubChunks and pubRows are the
-// reader's view, written only by Publish.
+// belongs to the worker; pubChunks and pubRows are the reader's view,
+// written only by Publish.
 type outBuf struct {
 	arena *Arena
-	rows  int
 
 	// pubChunks is a prefix of arena.chunks sharing its backing array: the
 	// arena only ever appends, so the published elements are immutable.
@@ -36,35 +37,46 @@ type outBuf struct {
 	pubRows   atomic.Int64
 }
 
-// NewOutSet creates an output set with one buffer per worker.
+// NewOutSet creates an output set with one buffer per worker, each with a
+// private window: rows come only from Alloc.
 func NewOutSet(mem *Memory, workers, rowSize int) *OutSet {
+	arenas := make([]*Arena, workers)
+	for i := range arenas {
+		arenas[i] = NewArena(mem)
+	}
+	return newOutSet(mem, rowSize, arenas)
+}
+
+func newOutSet(mem *Memory, rowSize int, arenas []*Arena) *OutSet {
 	s := &OutSet{mem: mem, RowSize: rowSize, ready: make(chan struct{}, 1)}
-	for i := 0; i < workers; i++ {
-		s.bufs = append(s.bufs, &outBuf{arena: NewArena(mem)})
+	for _, a := range arenas {
+		s.bufs = append(s.bufs, &outBuf{arena: a})
 	}
 	return s
 }
 
 // Alloc returns the address of a fresh row for worker w.
-func (s *OutSet) Alloc(w int) Addr {
-	b := s.bufs[w]
-	b.rows++
-	return b.arena.Alloc(s.RowSize)
-}
+func (s *OutSet) Alloc(w int) Addr { return s.bufs[w].arena.Alloc(s.RowSize) }
 
-// Publish makes every row worker w has allocated so far visible to
-// readers. The engine calls it on the worker's goroutine after a morsel
-// retires — never mid-morsel, when the newest row may be half written.
+// Refill returns the first row of a fresh chunk for worker w (out_alloc:
+// generated code found its window full).
+func (s *OutSet) Refill(w int) Addr { return s.bufs[w].arena.Refill(s.RowSize) }
+
+// Publish makes every row worker w has allocated so far — through its
+// window or Alloc — visible to readers: the count comes from the window. The engine calls it on the
+// worker's goroutine after a morsel retires — never mid-morsel, when the
+// newest row may be half written.
 func (s *OutSet) Publish(w int) {
 	b := s.bufs[w]
-	if int64(b.rows) == b.pubRows.Load() {
+	rows := int64(b.arena.Bytes() / s.RowSize)
+	if rows == b.pubRows.Load() {
 		return
 	}
 	if p := b.pubChunks.Load(); p == nil || len(*p) != len(b.arena.chunks) {
 		chunks := b.arena.chunks[:len(b.arena.chunks):len(b.arena.chunks)]
 		b.pubChunks.Store(&chunks)
 	}
-	b.pubRows.Store(int64(b.rows))
+	b.pubRows.Store(rows)
 	select {
 	case s.ready <- struct{}{}:
 	default:

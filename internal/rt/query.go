@@ -1,6 +1,9 @@
 package rt
 
-import "bytes"
+import (
+	"bytes"
+	"unsafe"
+)
 
 // QueryState is the per-query runtime state reachable from extern calls:
 // the address space, the hash tables and output buffers of every pipeline,
@@ -8,15 +11,18 @@ import "bytes"
 // the code generator defined.
 //
 // The shared state arena holds, per hash join, the published bucket base
-// and mask; each worker-local arena holds, per aggregation, the worker's
-// bucket base, mask and (for scalar aggregation) singleton entry address.
-// Generated code reads these with plain loads.
+// and mask; each worker-local block holds, per aggregation, the worker's
+// bucket base, mask and (for scalar aggregation) singleton entry address,
+// and per output buffer and join build the worker's bump window
+// (WindowBytes). Generated code reads and writes these with plain loads
+// and stores.
 type QueryState struct {
 	Mem     *Memory
 	Workers int
 
 	// StateAddr is the shared state arena; Locals are the per-worker
-	// arenas, both sized by the code generator.
+	// blocks, both sized by the code generator. The blocks sit in one
+	// segment, each on cache lines of its own (localAlign).
 	StateAddr Addr
 	Locals    []Addr
 
@@ -30,25 +36,43 @@ type QueryState struct {
 	Eng any
 }
 
-// NewQueryState allocates the shared and per-worker arenas.
+// localAlign is the stride granule and alignment of the worker-local
+// blocks: two cache lines, so no two workers' blocks share a line (nor an
+// adjacent-line prefetch pair). Every row a worker emits writes its
+// window, and a line shared with another worker's window would bounce
+// between their cores on every row.
+const localAlign = 128
+
+// NewQueryState allocates the shared state arena and the per-worker local
+// blocks: one segment, a stride of localBytes rounded up to localAlign,
+// the first block localAlign-aligned in host memory.
 func NewQueryState(mem *Memory, workers, stateBytes, localBytes int) *QueryState {
 	q := &QueryState{Mem: mem, Workers: workers}
-	if stateBytes < 8 {
-		stateBytes = 8
-	}
-	if localBytes < 8 {
-		localBytes = 8
-	}
-	q.StateAddr = mem.Alloc(stateBytes)
+	q.StateAddr = mem.Alloc(max(stateBytes, 8))
+	stride := (max(localBytes, 8) + localAlign - 1) &^ (localAlign - 1)
+	seg := make([]byte, workers*stride+localAlign)
+	skip := -uintptr(unsafe.Pointer(&seg[0])) & (localAlign - 1)
+	base := mem.AddSegment(seg) + Addr(skip)
 	for i := 0; i < workers; i++ {
-		q.Locals = append(q.Locals, mem.Alloc(localBytes))
+		q.Locals = append(q.Locals, base+Addr(i*stride))
 	}
 	return q
 }
 
-// AddJoin registers a join hash table and returns its id.
-func (q *QueryState) AddJoin(tupleSize, stateOff int) int {
-	q.Joins = append(q.Joins, NewJoinHT(q.Mem, q.Workers, tupleSize, stateOff))
+// arenasAt returns one arena per worker whose window is at winOff in that
+// worker's local block.
+func (q *QueryState) arenasAt(winOff int) []*Arena {
+	arenas := make([]*Arena, q.Workers)
+	for w, local := range q.Locals {
+		arenas[w] = newArenaAt(q.Mem, local+Addr(winOff))
+	}
+	return arenas
+}
+
+// AddJoin registers a join hash table whose build tuples are bumped from
+// the window at winOff in each worker's local block, and returns its id.
+func (q *QueryState) AddJoin(tupleSize, stateOff, winOff int) int {
+	q.Joins = append(q.Joins, newJoinHT(q.Mem, tupleSize, stateOff, q.arenasAt(winOff)))
 	return len(q.Joins) - 1
 }
 
@@ -60,9 +84,10 @@ func (q *QueryState) AddAgg(entrySize int, keys []KeyField, aggs []AggField,
 	return len(q.Aggs) - 1
 }
 
-// AddOut registers an output buffer set and returns its id.
-func (q *QueryState) AddOut(rowSize int) int {
-	q.Outs = append(q.Outs, NewOutSet(q.Mem, q.Workers, rowSize))
+// AddOut registers an output buffer set whose rows are bumped from the
+// window at winOff in each worker's local block, and returns its id.
+func (q *QueryState) AddOut(rowSize, winOff int) int {
+	q.Outs = append(q.Outs, newOutSet(q.Mem, rowSize, q.arenasAt(winOff)))
 	return len(q.Outs) - 1
 }
 
@@ -79,14 +104,16 @@ func state(ctx *Ctx) *QueryState { return ctx.Query.(*QueryState) }
 // call. Engine-level externs (pipeline scheduling, finalization) are
 // registered separately by the engine.
 func RegisterBuiltins(r *Registry) {
+	// ht_alloc and out_alloc are the slow path of the generated bump:
+	// the worker's window is full, so start a new chunk.
 	r.Register("ht_alloc", func(ctx *Ctx, args []uint64) uint64 {
-		return state(ctx).Joins[args[0]].Alloc(ctx.Worker)
+		return state(ctx).Joins[args[0]].Refill(ctx.Worker)
 	})
 	r.Register("agg_insert", func(ctx *Ctx, args []uint64) uint64 {
 		return state(ctx).Aggs[args[0]].Insert(ctx.Worker, args[1])
 	})
 	r.Register("out_alloc", func(ctx *Ctx, args []uint64) uint64 {
-		return state(ctx).Outs[args[0]].Alloc(ctx.Worker)
+		return state(ctx).Outs[args[0]].Refill(ctx.Worker)
 	})
 	r.Register("str_eq", func(ctx *Ctx, args []uint64) uint64 {
 		if args[1] != args[3] {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMemorySegments(t *testing.T) {
@@ -290,19 +291,21 @@ func TestOutSet(t *testing.T) {
 	}
 }
 
-// TestOutSetWatermark: a reader polling Spans while a writer allocates
-// sees only whole published records, every record exactly once, across
-// chunk boundaries — the contract result streaming rests on. Meaningful
-// under -race: the reader touches arena memory the writer is extending.
+// TestOutSetWatermark: a reader polling Spans while a writer allocates —
+// mostly through the window as generated code bumps it, every third row
+// through Alloc — sees only whole published records, every record exactly
+// once, across chunk boundaries: the contract result streaming rests on.
+// Meaningful under -race: the reader touches arena memory the writer is
+// extending.
 func TestOutSetWatermark(t *testing.T) {
 	const rowSize, total, morsel = 24, 40000, 700 // the growing chunks, then 3 of 256 KiB
 	m := NewMemory()
-	s := NewOutSet(m, 1, rowSize)
+	q, s := windowOutSet(m, 1, rowSize)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
-			addr := s.Alloc(0)
+			addr := allocRow(q, s, 0, i)
 			m.Store64(addr, uint64(i))
 			m.Store64(addr+8, ^uint64(i))
 			m.Store64(addr+16, uint64(i)*3)
@@ -342,24 +345,25 @@ func TestOutSetWatermark(t *testing.T) {
 // TestOutSetGrowth: while arena chunks grow from 4 KiB to 256 KiB, a
 // reader locates records from their index alone — for a row size that does
 // not divide any chunk (72 B) and one larger than the first chunks (5000 B
-// gets a chunk of its own until chunks reach 8 KiB). Two writers publish
-// at odd morsel boundaries while the reader polls both; every record must
-// be read once, whole and in order, and the chunk count must be the one
-// the index arithmetic predicts. Meaningful under -race.
+// gets a chunk of its own until chunks reach 8 KiB). Two writers, mixing
+// the generated bump with Alloc like TestOutSetWatermark, publish at odd
+// morsel boundaries while the reader polls both; every record must be read
+// once, whole and in order, and the chunk count must be the one the index
+// arithmetic predicts. Meaningful under -race.
 func TestOutSetGrowth(t *testing.T) {
 	for _, rowSize := range []int{72, 5000} {
 		t.Run(fmt.Sprint(rowSize), func(t *testing.T) {
 			const workers, morsel = 2, 37
 			total := (1<<20)/rowSize + 7 // past the growing chunks into full ones
 			m := NewMemory()
-			s := NewOutSet(m, workers, rowSize)
+			q, s := windowOutSet(m, workers, rowSize)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < total; i++ {
-						addr := s.Alloc(w)
+						addr := allocRow(q, s, w, i)
 						m.Store64(addr, uint64(i))
 						m.Store64(addr+Addr(rowSize)-8, ^uint64(i))
 						if (i+1)%morsel == 0 || i == total-1 {
@@ -406,6 +410,156 @@ func TestOutSetGrowth(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// genBump allocates size bytes from the window at win the way generated
+// code does (codegen's bumpAlloc): load next and end, add, compare
+// unsigned, store next back — or call refill, the out_alloc / ht_alloc
+// extern, when the record does not fit.
+func genBump(m *Memory, win Addr, size int, refill func() Addr) Addr {
+	next, end := m.Load64(win), m.Load64(win+8)
+	if next+uint64(size) <= end {
+		m.Store64(win, next+uint64(size))
+		return next
+	}
+	return refill()
+}
+
+// winOff is where the window tests place the bump windows in a local
+// block: past a slot of something else.
+const winOff = 24
+
+// windowOutSet returns an output set registered the way the engine
+// registers one: its windows in the workers' local blocks.
+func windowOutSet(m *Memory, workers, rowSize int) (*QueryState, *OutSet) {
+	q := NewQueryState(m, workers, 8, winOff+WindowBytes)
+	return q, q.Outs[q.AddOut(rowSize, winOff)]
+}
+
+// allocRow allocates row i of worker w: every third through Alloc, the
+// rest through the generated bump.
+func allocRow(q *QueryState, s *OutSet, w, i int) Addr {
+	if i%3 == 2 {
+		return s.Alloc(w)
+	}
+	return genBump(q.Mem, q.Locals[w]+winOff, s.RowSize, func() Addr { return s.Refill(w) })
+}
+
+// TestArenaWindow: records allocated by randomly interleaving the
+// generated bump (Store64 into the window) with Alloc are exactly the
+// records every reader sees, in allocation order — Bytes, EachChunk, Each,
+// and an output set's Publish and Spans — across chunk boundaries, for a
+// record larger than the largest chunk, and for no records at all. The
+// refill extern runs once per chunk and never otherwise.
+func TestArenaWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, size := range []int{24, 72, 5000, maxChunkSize + 8} {
+		for _, n := range []int{0, 1, 3, 171, 5000} {
+			if size*n > 4<<20 {
+				continue
+			}
+			t.Run(fmt.Sprintf("size%d/n%d", size, n), func(t *testing.T) {
+				m := NewMemory()
+				q := NewQueryState(m, 2, 8, winOff+2*WindowBytes)
+				s := q.Outs[q.AddOut(size, winOff)]
+				h := q.Joins[q.AddJoin(size, 0, winOff+WindowBytes)]
+				refills := 0
+				for i := 0; i < n; i++ {
+					var out, tup Addr
+					if rng.Intn(4) == 0 {
+						out, tup = s.Alloc(1), h.Alloc(1)
+					} else {
+						out = genBump(m, q.Locals[1]+winOff, size, func() Addr { refills++; return s.Refill(1) })
+						tup = genBump(m, q.Locals[1]+winOff+WindowBytes, size, func() Addr { refills++; return h.Refill(1) })
+					}
+					for _, a := range []Addr{out, tup} {
+						m.Store64(a, uint64(i))
+						m.Store64(a+Addr(size)-8, ^uint64(i))
+					}
+				}
+				// The chunks n records fill, from the index arithmetic alone.
+				chunks := 0
+				if n > 0 {
+					last, _ := s.locate(n - 1)
+					chunks = last + 1
+				}
+				for _, a := range []*Arena{s.bufs[1].arena, h.arenas[1]} {
+					if len(a.chunks) != chunks {
+						t.Errorf("%d chunks, %d records of %d B fill %d", len(a.chunks), n, size, chunks)
+					}
+				}
+				if refills > 2*chunks {
+					t.Errorf("%d refills for 2×%d chunks", refills, chunks)
+				}
+				// check walks records in a reader's view and counts them.
+				var got int
+				check := func(what string) func([]byte) {
+					return func(recs []byte) {
+						if len(recs)%size != 0 {
+							t.Fatalf("%s: %d bytes is not whole records", what, len(recs))
+						}
+						for ; len(recs) > 0; recs = recs[size:] {
+							v := binary.LittleEndian.Uint64(recs)
+							if v != uint64(got) || binary.LittleEndian.Uint64(recs[size-8:]) != ^v {
+								t.Fatalf("%s: record %d reads as %d", what, got, v)
+							}
+							got++
+						}
+					}
+				}
+				s.Publish(0)
+				s.Publish(1)
+				if next := s.Spans(0, 0, check("Spans, idle worker")); next != 0 || got != 0 {
+					t.Errorf("idle worker published %d records", next)
+				}
+				if next := s.Spans(1, 0, check("Spans")); next != n || got != n {
+					t.Errorf("Spans: next %d, read %d records, want %d", next, got, n)
+				}
+				for _, a := range []*Arena{s.bufs[1].arena, h.arenas[1]} {
+					if a.Bytes() != n*size {
+						t.Errorf("Bytes = %d, want %d", a.Bytes(), n*size)
+					}
+					got = 0
+					a.EachChunk(func(_ Addr, data []byte) { check("EachChunk")(data) })
+					if got != n {
+						t.Errorf("EachChunk read %d records, want %d", got, n)
+					}
+				}
+				got = 0
+				h.Tuples(func(a Addr) { check("Tuples")(m.Bytes(a, size)) })
+				if got != n {
+					t.Errorf("Tuples visited %d records, want %d", got, n)
+				}
+				if h.prepare(); h.Count != n {
+					t.Errorf("join counts %d tuples, want %d", h.Count, n)
+				}
+			})
+		}
+	}
+}
+
+// TestLocalBlocksOwnLines: the per-worker local blocks, where generated
+// code bumps its windows on every row, never share a 64-byte cache line in
+// host memory, whatever the block size and worker count.
+func TestLocalBlocksOwnLines(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, local := range []int{0, 8, 40, 64, 100, 129, 300} {
+			m := NewMemory()
+			q := NewQueryState(m, workers, 8, local)
+			owner := map[uintptr]int{}
+			for w, base := range q.Locals {
+				blk := m.Bytes(base, max(local, 1))
+				first := uintptr(unsafe.Pointer(&blk[0])) / 64
+				last := uintptr(unsafe.Pointer(&blk[len(blk)-1])) / 64
+				for line := first; line <= last; line++ {
+					if o, ok := owner[line]; ok {
+						t.Fatalf("workers %d, %d B blocks: workers %d and %d share a cache line", workers, local, o, w)
+					}
+					owner[line] = w
+				}
+			}
+		}
 	}
 }
 

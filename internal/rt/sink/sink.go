@@ -2,9 +2,11 @@
 // ordering, the bounded top-k heap, and datum comparison. The volcano
 // iterator engine orders decoded [][]expr.Datum rows (SortRows, TopK);
 // the compiled and vectorized engines' root ORDER BY orders a permutation
-// over raw output records (Keys, SortPerm, TopKPerm). Both must order
-// identically (the differential net compares engines row for row), so the
-// comparator and heap live here exactly once.
+// over raw output records by normalized machine-word keys (Keys,
+// SortPerm, TopKPerm). Both must order identically (the differential net
+// compares engines row for row), so the order is defined here once —
+// CompareDatum — with the normalized keys built to reproduce it, and the
+// bounded heap is shared.
 package sink
 
 import (
@@ -38,11 +40,22 @@ func CmpRows(a, b []expr.Datum, keys []plan.SortKey) int {
 	return 0
 }
 
-// CompareDatum orders two datums of the same type, returning -1/0/1.
+// CompareDatum orders two datums of the same type, returning -1/0/1. It
+// is a total order: floats order NaN after +Inf and equal to NaN (and -0
+// equal to +0).
 func CompareDatum(a, b expr.Datum, t expr.Type) int {
 	switch t.Kind {
 	case expr.KFloat:
+		an, bn := a.F != a.F, b.F != b.F
 		switch {
+		case an || bn:
+			if an && bn {
+				return 0
+			}
+			if an {
+				return 1
+			}
+			return -1
 		case a.F < b.F:
 			return -1
 		case a.F > b.F:

@@ -6,10 +6,11 @@ import (
 )
 
 // TopK returns the first k rows of the stable sort of rows by keys
-// without sorting the full input (see TopKPerm): ties keep input order
-// and the result is exactly SortRows followed by truncation. The input
-// slice is reordered only on the degenerate k >= len(rows) path (which
-// falls back to a full sort in place).
+// without sorting the full input: each key is evaluated once per row and
+// compared with CompareDatum through the bounded heap TopKPerm also uses,
+// so ties keep input order and the result is exactly SortRows followed by
+// truncation. The input slice is reordered only on the degenerate
+// k >= len(rows) path (which falls back to a full sort in place).
 func TopK(rows [][]expr.Datum, keys []plan.SortKey, k int) [][]expr.Datum {
 	if k <= 0 {
 		return nil
@@ -18,14 +19,24 @@ func TopK(rows [][]expr.Datum, keys []plan.SortKey, k int) [][]expr.Datum {
 		SortRows(rows, keys)
 		return rows
 	}
-	ks := NewKeys(keys, len(rows))
+	nk := len(keys)
+	vals := make([]expr.Datum, len(rows)*nk)
 	for i, row := range rows {
-		kr := ks.Row(i)
 		for j, key := range keys {
-			kr[j] = expr.Eval(key.E, row)
+			vals[i*nk+j] = expr.Eval(key.E, row)
 		}
 	}
-	perm := TopKPerm(ks, len(rows), k)
+	perm := topK(len(rows), k, func(a, b int) int {
+		for j, key := range keys {
+			if c := CompareDatum(vals[a*nk+j], vals[b*nk+j], key.E.Type()); c != 0 {
+				if key.Desc {
+					c = -c
+				}
+				return c
+			}
+		}
+		return 0
+	})
 	out := make([][]expr.Datum, len(perm))
 	for i, p := range perm {
 		out[i] = rows[p]

@@ -46,8 +46,8 @@ func (rc *runCtx) storeTyped(base, off uint64, t expr.Type, c *col, k int32) {
 }
 
 // buildSink materializes build-side join tuples ([hash][next][keys...]
-// [fields...]) into the shared join arenas — the same layout the compiled
-// buildSink stores and both engines' probes walk.
+// [fields...]) into the worker's join arena — the same layout and the same
+// bump window the compiled buildSink uses, and both engines' probes walk.
 func (rc *runCtx) buildSink(b *codegen.VecBuild, fr *frame) {
 	sel := fr.sel
 	var kbuf [8]*col
@@ -236,7 +236,8 @@ func (rc *runCtx) accumulate(addr uint64, c *col, arg expr.Expr, k int32) {
 }
 
 // outSink materializes result rows into the worker's output buffer with the
-// compiled storeAt layout.
+// compiled storeAt layout, bumping the same window generated code bumps
+// (rt.Arena.Alloc), so morsels of either engine append to the same chunks.
 func (rc *runCtx) outSink(o *codegen.VecOut, fr *frame) {
 	sel := fr.sel
 	var cbuf [16]*col
