@@ -82,9 +82,9 @@ func NativeCosts() *CostModel { return exec.Native() }
 // Options configures a DB: how queries run (mode, cost model, workers,
 // trace), what is cached, and how concurrent queries share the engine.
 // Parallel breaker finalization, Bloom-filtered probes, zone-map pruning
-// and string dictionaries are not settings — they are always on; their
-// off switches exist in internal/exec only, as the reference side of the
-// differential tests.
+// and string dictionaries are not settings: they are always on, and no
+// off switch exists. The differential tests compare every mode against
+// the Volcano interpreter instead.
 type Options struct {
 	// Workers is the number of worker threads (default 4).
 	Workers int
@@ -153,9 +153,6 @@ func Open(opts Options) *DB {
 		TenantWeights:          opts.TenantWeights,
 		PoolWorkers:            opts.PoolWorkers,
 		MorselCap:              opts.MorselCap}
-	if eopts.Mode == 0 && opts.Cost == nil {
-		eopts.Mode = ModeAdaptive
-	}
 	if eopts.Cost == nil {
 		eopts.Cost = exec.Native()
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"aqe/internal/exec"
 )
 
 func TestPublicAPI(t *testing.T) {
@@ -63,6 +65,32 @@ func TestPublicAPIModes(t *testing.T) {
 		} else if res.Rows[0][0].I != want {
 			t.Errorf("%v: revenue %d, want %d", m, res.Rows[0][0].I, want)
 		}
+	}
+}
+
+// TestOpenMode: the mode a DB is opened with is the mode its engine runs.
+// ModeBytecode finishes every pipeline in bytecode (it once collided with
+// the zero Mode and ran adaptive), and the zero Options run adaptive.
+func TestOpenMode(t *testing.T) {
+	db := Open(Options{Workers: 2, Mode: ModeBytecode})
+	if m := db.Engine().Options().Mode; m != ModeBytecode {
+		t.Fatalf("Open(ModeBytecode) runs %v", m)
+	}
+	db.LoadTPCH(0.003)
+	res, err := db.Exec(db.TPCHQuery(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stats.FinalLevels) == 0 {
+		t.Fatal("no pipeline levels reported")
+	}
+	for i, l := range res.Stats.FinalLevels {
+		if l != exec.LevelBytecode {
+			t.Errorf("pipeline %d finished at %v under ModeBytecode", i, l)
+		}
+	}
+	if m := Open(Options{}).Engine().Options().Mode; m != ModeAdaptive {
+		t.Errorf("Open(Options{}) runs %v, want adaptive", m)
 	}
 }
 

@@ -398,7 +398,7 @@ func TestExternCalls(t *testing.T) {
 	funcs2 := func(*rt.Memory) []rt.Func {
 		return []rt.Func{func(_ *rt.Ctx, args []uint64) uint64 {
 			if args[0] == 7 {
-				rt.Throw(rt.TrapUser)
+				rt.Throw(rt.TrapOverflow)
 			}
 			return args[0]
 		}}

@@ -105,7 +105,7 @@ func (c *Code) NumSlots() int { return c.numSlots }
 // rt.Throw. The driver loops re-entering the code after servicing each
 // extern-call exit.
 func (c *Code) Run(ctx *rt.Ctx, args []uint64) uint64 {
-	regs := ctx.PushRegs(c.numSlots)
+	regs := ctx.Regs(c.numSlots)
 	n := c.numParams
 	if n > len(args) {
 		n = len(args)
@@ -122,15 +122,14 @@ func (c *Code) Run(ctx *rt.Ctx, args []uint64) uint64 {
 		case exitRet:
 			ret := nc.c
 			putNC(nc)
-			ctx.PopRegs()
 			return ret
 		case exitCall:
 			fn := ctx.Funcs[nc.a]
 			argc := int(nc.b)
 			copy(ctx.Args[:argc], nc.args[:argc])
 			res := fn(ctx, ctx.Args[:argc])
-			// The extern may have added segments or re-entered generated
-			// code on this ctx; re-snapshot before resuming.
+			// The extern may have added segments; re-snapshot before
+			// resuming.
 			nc.refresh(ctx.Mem)
 			if nc.c != 0 {
 				regs[nc.c-1] = res
@@ -138,8 +137,6 @@ func (c *Code) Run(ctx *rt.Ctx, args []uint64) uint64 {
 		case exitTrap:
 			code := rt.TrapCode(nc.a)
 			putNC(nc)
-			// Like the VM, a trap unwinds without PopRegs; the engine's
-			// CatchTrap boundary resets the register stack.
 			rt.Throw(code)
 		default: // exitFault
 			addr := nc.a

@@ -20,8 +20,8 @@ import (
 // rather than hiding a stale-slot bug.
 
 // TestSpillAtExternCall: three values are defined and held dirty in
-// registers, then an extern runs. The extern observes the innermost
-// register frame and must see all three in their canonical slots (the
+// registers, then an extern runs. The extern observes the context's
+// register file and must see all three in their canonical slots (the
 // compiler flushes before the call exit because Go code may read or
 // write any slot).
 func TestSpillAtExternCall(t *testing.T) {
@@ -49,7 +49,7 @@ func TestSpillAtExternCall(t *testing.T) {
 	funcs := make([]rt.Func, 1)
 	funcs[m.ExternIndex("probe")] = func(c *rt.Ctx, _ []uint64) uint64 {
 		probed = true
-		regs := c.CurRegs()
+		regs := c.Regs(code.NumSlots())
 		for slot := 2; slot <= 4; slot++ {
 			if regs[slot] != want[slot] {
 				t.Errorf("at extern call, slot %d = %#x, want %#x", slot, regs[slot], want[slot])
@@ -69,9 +69,8 @@ func TestSpillAtExternCall(t *testing.T) {
 
 // TestSpillAtTrap: a division traps on a runtime zero while two unrelated
 // values are live and dirty in registers. The trap's side exit must store
-// them to their slots before unwinding to Go; the test inspects the frame
-// the trap left behind (trap unwinding does not pop it — the engine's
-// CatchTrap boundary resets the stack, mirroring the VM).
+// them to their slots before unwinding to Go; the test inspects the
+// register file the trap left behind.
 func TestSpillAtTrap(t *testing.T) {
 	if !asm.Supported() {
 		t.Skip("no native backend on this platform")
@@ -95,17 +94,13 @@ func TestSpillAtTrap(t *testing.T) {
 	if trapErr == nil {
 		t.Fatal("division by zero did not trap")
 	}
-	regs := ctx.CurRegs()
-	if regs == nil {
-		t.Fatal("no live register frame after trap")
-	}
+	regs := ctx.Regs(code.NumSlots())
 	if regs[3] != av+xv {
 		t.Errorf("at trap, slot 3 = %#x, want %#x", regs[3], uint64(av+xv))
 	}
 	if regs[4] != av*xv {
 		t.Errorf("at trap, slot 4 = %#x, want %#x", regs[4], uint64(av*xv))
 	}
-	ctx.ResetRegs()
 }
 
 // TestSpillAtFault is TestSpillAtTrap for the memory-fault exit: an
@@ -142,17 +137,13 @@ func TestSpillAtFault(t *testing.T) {
 		}()
 		code.Run(ctx, []uint64{av, xv, 0})
 	}()
-	regs := ctx.CurRegs()
-	if regs == nil {
-		t.Fatal("no live register frame after fault")
-	}
+	regs := ctx.Regs(code.NumSlots())
 	if regs[3] != av+xv {
 		t.Errorf("at fault, slot 3 = %#x, want %#x", regs[3], uint64(av+xv))
 	}
 	if regs[4] != av^xv {
 		t.Errorf("at fault, slot 4 = %#x, want %#x", regs[4], uint64(av^xv))
 	}
-	ctx.ResetRegs()
 }
 
 // TestRegisterPressure holds more integer values live than the GPR pool

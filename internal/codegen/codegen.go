@@ -1,10 +1,11 @@
 // Package codegen translates physical plans into IR, reproducing the code
 // structure of the paper's Fig. 4: the plan is decomposed into pipelines,
-// each pipeline becomes one worker function worker(state, local, begin,
-// end) processing a morsel of its source, and queryStart becomes a
-// function that invokes the pipelines in dependency order through engine
-// externs. queryStart is always interpreted ("it never pays off to compile
-// it"); the worker functions are what adaptive execution compiles.
+// and each pipeline becomes one worker function worker(state, local, begin,
+// end) processing a morsel of its source. The module holds the worker
+// functions only; they are what adaptive execution compiles. The paper's
+// queryStart, which launches the pipelines in dependency order, is the
+// order of Query.Pipelines: the engine runs that list from Go, which keeps
+// the paper's "it never pays off to compile it" by never generating it.
 package codegen
 
 import (
@@ -21,9 +22,17 @@ import (
 
 // Query is a fully code-generated query, ready for the execution engine.
 type Query struct {
-	Module     *ir.Module
+	// Module holds one worker function per pipeline.
+	Module *ir.Module
+	// QueryStart is the paper's queryStart as IR, in a module of its own:
+	// no engine path translates or runs it.
+	//
+	// Deprecated: the pipelines run in Pipelines order. The next change to
+	// the benchmark module deletes QueryStart, together with CompileOpts.
 	QueryStart *ir.Function
-	Pipelines  []*Pipeline
+	// Pipelines are in dependency order: a pipeline reads only the
+	// breakers of pipelines before it.
+	Pipelines []*Pipeline
 
 	StateBytes int
 	LocalBytes int
@@ -218,11 +227,12 @@ func Compile(root plan.Node, mem *rt.Memory, name string) (*Query, error) {
 		outID := g.newOut(root.Schema())
 		g.q.Output = g.q.Outs[outID]
 		g.pipeline(root, &outSink{id: outID, schema: root.Schema()})
-		g.emitQueryStart()
 	}()
 	if err != nil {
 		return nil, err
 	}
+	g.q.QueryStart = queryStart(name, g.q.Pipelines)
+	g.q.StateBytes, g.q.LocalBytes = g.stateOff, g.localOff
 	mem.SetSegment(g.litBase, g.q.Literals)
 	for _, f := range g.mod.Funcs {
 		if verr := f.Verify(); verr != nil {

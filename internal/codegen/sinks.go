@@ -314,24 +314,16 @@ func (p *pgen) bumpAlloc(winOff, size int, slow string, id int) *ir.Value {
 	return rec
 }
 
-// emitQueryStart generates the queryStart function (Fig. 4): it launches
-// every pipeline in dependency order through the engine's pipeline_run
-// extern, which schedules morsels across workers and finalizes the
-// pipeline's sink. queryStart itself is always interpreted.
-func (g *cgen) emitQueryStart() {
-	f := g.mod.NewFunc("queryStart", ir.I64, ir.I64, ir.I64, ir.I64)
+// queryStart builds the paper's queryStart function (Fig. 4) in a module
+// of its own: one pipeline_run call per pipeline, in dependency order. The
+// engine runs that list from Go (exec's queryRun.execute) and never builds
+// this; it is kept for Query.QueryStart only.
+func queryStart(name string, pipelines []*Pipeline) *ir.Function {
+	f := ir.NewModule(name).NewFunc("queryStart", ir.I64, ir.I64, ir.I64, ir.I64)
 	b := ir.NewBuilder(f)
-	for _, pl := range g.q.Pipelines {
+	for _, pl := range pipelines {
 		b.Call("pipeline_run", ir.Void, b.ConstI64(int64(pl.ID)))
 	}
 	b.RetVoid()
-	g.q.QueryStart = f
-	g.q.StateBytes = g.stateOff
-	g.q.LocalBytes = g.localOff
-	if g.q.StateBytes == 0 {
-		g.q.StateBytes = 8
-	}
-	if g.q.LocalBytes == 0 {
-		g.q.LocalBytes = 8
-	}
+	return f
 }

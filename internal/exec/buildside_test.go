@@ -246,7 +246,7 @@ func TestBuildRowsMatchesVolcano(t *testing.T) {
 			}
 		}
 		walk(node)
-		res, err := New(Options{Workers: 2}).RunPlan(node, "buildrows")
+		res, err := New(Options{Workers: 2, Mode: ModeBytecode}).RunPlan(node, "buildrows")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestFingerprintBuildSideKinds(t *testing.T) {
 	}
 	// Both kinds through one cached engine: each must miss cold and return
 	// its own rows.
-	e := New(Options{Workers: 2, CacheBytes: 1 << 20})
+	e := New(Options{Workers: 2, Mode: ModeBytecode, CacheBytes: 1 << 20})
 	for _, kind := range []plan.JoinKind{plan.RightSemi, plan.RightAnti} {
 		want, err := volcano.Run(c.build(kind, true))
 		if err != nil {

@@ -10,15 +10,15 @@ import (
 )
 
 // planCache is the engine-level compilation cache: it maps plan
-// fingerprints to the translated queryStart and to every variant any run
-// made of each pipeline — its bytecode, its vectorized kernel and its
-// compiled variant of the engine's one compiled level — so a repeated query
-// skips translation and starts executing in the best level reached by any
-// earlier execution instead of re-climbing from bytecode.
+// fingerprints to every variant any run made of each pipeline — its
+// bytecode, its vectorized kernel and its compiled variant of the engine's
+// one compiled level — so a repeated query skips translation and starts
+// executing in the best level reached by any earlier execution instead of
+// re-climbing from bytecode.
 //
 // Entries are evicted in LRU order once the byte budget is exceeded. The
-// budget tracks an estimate of the retained footprint (bytecode
-// instructions, constant pools, machine code); a variant
+// budget tracks an estimate of the retained footprint (the entry itself,
+// bytecode instructions, constant pools, machine code); a variant
 // made after its entry was inserted (a pipeline translated at its start, a
 // background compilation finishing after its query) still grows the entry,
 // which may in turn evict colder ones.
@@ -35,10 +35,9 @@ type planCache struct {
 // cachedPlan is one cache entry. Entries are mutated only under the cache
 // mutex; lookups hand out immutable snapshots.
 type cachedPlan struct {
-	fp         Fingerprint
-	queryStart *vm.Program
-	pipes      []cachedPipe
-	bytes      int64
+	fp    Fingerprint
+	pipes []cachedPipe
+	bytes int64
 }
 
 // cachedPipe holds the artifacts of one pipeline — the variants a warm
@@ -86,17 +85,21 @@ func (c *planCache) lookup(fp Fingerprint) *cachedPlan {
 	c.hits++
 	c.lru.MoveToFront(el)
 	ent := el.Value.(*cachedPlan)
-	snap := &cachedPlan{fp: ent.fp, queryStart: ent.queryStart, bytes: ent.bytes}
+	snap := &cachedPlan{fp: ent.fp, bytes: ent.bytes}
 	snap.pipes = append([]cachedPipe(nil), ent.pipes...)
 	return snap
 }
 
+// planEntryBytes is the footprint estimate of an entry before any variant
+// is attached: the entry, its pipeline slots, its list element and index
+// slot.
+const planEntryBytes = 256
+
 // insert adds the entry of a plan with pipes pipelines, none of which has
 // a variant yet. A concurrent duplicate insert keeps the existing entry
 // (its variants may already be attached).
-func (c *planCache) insert(fp Fingerprint, queryStart *vm.Program, pipes int) {
-	ent := &cachedPlan{fp: fp, queryStart: queryStart, pipes: make([]cachedPipe, pipes),
-		bytes: int64(queryStart.SizeBytes())}
+func (c *planCache) insert(fp Fingerprint, pipes int) {
+	ent := &cachedPlan{fp: fp, pipes: make([]cachedPipe, pipes), bytes: planEntryBytes}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.idx[fp]; ok {

@@ -19,20 +19,20 @@ func mkProg(name string, insts int) *vm.Program {
 }
 
 // put inserts a one-pipeline plan whose pipeline has bytecode prog.
-func put(c *planCache, fp Fingerprint, queryStart, prog *vm.Program) {
-	c.insert(fp, queryStart, 1)
+func put(c *planCache, fp Fingerprint, prog *vm.Program) {
+	c.insert(fp, 1)
 	c.addProgram(fp, 0, prog)
 }
 
 func TestPlanCacheLRUAndBudget(t *testing.T) {
 	one := mkProg("p", 10) // SizeBytes ≈ 64+1+240
-	entryBytes := int64(one.SizeBytes() * 2)
-	// Budget fits three entries (queryStart + one pipeline each).
+	entryBytes := planEntryBytes + int64(one.SizeBytes())
+	// Budget fits three entries (the entry + one pipeline each).
 	c := newPlanCache(3 * entryBytes)
 	fp := func(i byte) Fingerprint { return Fingerprint{i} }
 
 	for i := byte(1); i <= 3; i++ {
-		put(c, fp(i), mkProg("p", 10), mkProg("p", 10))
+		put(c, fp(i), mkProg("p", 10))
 	}
 	st := c.stats()
 	if st.Entries != 3 || st.Evictions != 0 {
@@ -47,7 +47,7 @@ func TestPlanCacheLRUAndBudget(t *testing.T) {
 	if c.lookup(fp(1)) == nil {
 		t.Fatal("expected hit on entry 1")
 	}
-	put(c, fp(4), mkProg("p", 10), mkProg("p", 10))
+	put(c, fp(4), mkProg("p", 10))
 	st = c.stats()
 	if st.Entries != 3 || st.Evictions != 1 {
 		t.Fatalf("after overflow insert: %+v", st)
@@ -71,11 +71,11 @@ func TestPlanCacheCompiledGrowthEvicts(t *testing.T) {
 	// Attaching compiled code grows an entry past the budget and must
 	// evict colder entries rather than blow the cap.
 	small := mkProg("p", 4)
-	per := int64(small.SizeBytes() * 2)
+	per := planEntryBytes + int64(small.SizeBytes())
 	c := newPlanCache(2*per + 64)
 	a, b := Fingerprint{1}, Fingerprint{2}
-	put(c, a, mkProg("p", 4), mkProg("p", 4))
-	put(c, b, mkProg("p", 4), mkProg("p", 4))
+	put(c, a, mkProg("p", 4))
+	put(c, b, mkProg("p", 4))
 
 	comp := &jit.Compiled{Name: strings.Repeat("x", 80<<10)} // ≈ 80 KB, far over budget
 	c.addCompiled(b, 0, comp)
@@ -93,7 +93,7 @@ func TestPlanCacheSnapshotIsolation(t *testing.T) {
 	// (the engine reads the snapshot outside the cache lock).
 	c := newPlanCache(1 << 20)
 	fp := Fingerprint{7}
-	put(c, fp, mkProg("qs", 2), mkProg("p", 2))
+	put(c, fp, mkProg("p", 2))
 	snap := c.lookup(fp)
 	c.addCompiled(fp, 0, &jit.Compiled{})
 	if snap.pipes[0].compiled != nil {

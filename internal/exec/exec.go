@@ -1,5 +1,8 @@
 // Package exec is the paper's primary contribution: the adaptive execution
-// framework (§III). One rule decides the level a pipeline's first morsel
+// framework (§III). The coordinator runs a query's pipelines one after
+// another in Go, in the order codegen emitted them — the paper's
+// queryStart — and stops at the first that fails; a failure travels back
+// as an error, never as a panic. One rule decides the level a pipeline's first morsel
 // runs at (queryRun.start): what an earlier execution left in the plan
 // cache, else — where there is a native back end (amd64) and compile
 // latency is real, not simulated — machine code assembled on the spot when
@@ -44,6 +47,7 @@ import (
 type Mode int
 
 // Execution modes (§V compares the static modes against adaptive).
+// ModeAdaptive, the paper's contribution, is the zero Mode.
 // ModeIRInterp directly interprets the SSA graph — the paper's "LLVM IR"
 // interpreter baseline of Fig. 2, far slower than the bytecode VM.
 // ModeNative statically pins every pipeline to machine code assembled from
@@ -54,9 +58,9 @@ type Mode int
 // vectorized engine (a pipeline stays in bytecode when it has no vector
 // plan).
 const (
-	ModeBytecode Mode = iota
+	ModeAdaptive Mode = iota
+	ModeBytecode
 	ModeOptimized
-	ModeAdaptive
 	ModeIRInterp
 	ModeNative
 	ModeVector
@@ -89,7 +93,7 @@ func (m Mode) levels() levelMask {
 }
 
 func (m Mode) String() string {
-	return [...]string{"bytecode", "optimized", "adaptive", "ir-interp", "native", "vector"}[m]
+	return [...]string{"adaptive", "bytecode", "optimized", "ir-interp", "native", "vector"}[m]
 }
 
 // Options configures an Engine.
@@ -219,11 +223,6 @@ func New(opts Options) *Engine {
 		e.disabled |= maskOf(LevelVector)
 	}
 	rt.RegisterBuiltins(e.reg)
-	e.reg.Register("pipeline_run", func(ctx *rt.Ctx, args []uint64) uint64 {
-		qr := ctx.Query.(*rt.QueryState).Eng.(*queryRun)
-		qr.runPipeline(int(args[0]))
-		return 0
-	})
 	return e
 }
 
@@ -247,16 +246,16 @@ func (e *Engine) SchedStats() sched.Stats { return e.sched.AdmissionStats() }
 // query's).
 type Stats struct {
 	Codegen time.Duration // plan -> IR
-	// Translate is IR -> bytecode: queryStart, and the pipelines this run
-	// translated — all of them up front in a static mode; in the adaptive
-	// mode each one that starts in bytecode, at its start.
+	// Translate is IR -> bytecode: the pipelines this run translated — all
+	// of them up front in a static mode; in the adaptive mode each one that
+	// starts in bytecode, at its start.
 	Translate time.Duration
 	// Compile is the compilation the query waited for: a static mode's
 	// up-front compilation, and in the adaptive mode the coordinator's
 	// assembly of pipelines at their start — never the controller's
 	// background compilations, which run beside the morsels.
 	Compile   time.Duration
-	Exec      time.Duration // queryStart + pipelines, less start-of-pipeline assembly (Compile) and translation (Translate)
+	Exec      time.Duration // the pipelines, less start-of-pipeline assembly (Compile) and translation (Translate)
 	Finalize  time.Duration // pipeline-breaker wall time (within Exec)
 	PruneTime time.Duration // zone-map mask construction (within Exec)
 	Sort      time.Duration // root ORDER BY over the output records (after Exec)
@@ -277,7 +276,7 @@ type Stats struct {
 	Queued    bool
 	Cancelled bool
 
-	Instrs       int // IR instructions in the module
+	Instrs       int // IR instructions in the module: the pipelines' worker functions
 	Pipelines    int
 	FinalLevels  []Level // per pipeline, the tier that finished it
 	Compilations int     // adaptive compilations launched: at pipeline starts and in the background

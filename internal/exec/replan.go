@@ -5,7 +5,6 @@ import (
 
 	"aqe/internal/codegen"
 	"aqe/internal/plan"
-	"aqe/internal/rt"
 )
 
 // Replanner is the feedback interface of mid-query reoptimization,
@@ -40,8 +39,8 @@ type reoptState struct {
 	remaining int
 }
 
-// replanSignal is the error that unwinds a query when the orderer splices
-// in a new plan; RunPlanReplan catches it and restarts on Node.
+// replanSignal is the error that stops a query when the orderer splices
+// in a new plan; RunPlanOpts restarts on node when execute returns it.
 type replanSignal struct{ node plan.Node }
 
 func (r *replanSignal) Error() string { return "exec: mid-query replan requested" }
@@ -65,9 +64,10 @@ func cardErr(est, obs int64) float64 {
 // observeBuild runs after a join hash table finalizes: it compares the
 // observed build cardinality against the plan's estimate, feeds the
 // observation to the Replanner, and — past the threshold, within the
-// replan budget — discards the current execution and restarts on the
-// revised plan. The left-deep plans the optimizer emits make the
-// observation exact: every build side is a single filtered base relation.
+// replan budget — returns the signal that discards the current execution
+// and restarts it on the revised plan. The left-deep plans the optimizer
+// emits make the observation exact: every build side is a single filtered
+// base relation.
 //
 // Replan protocol (DESIGN.md): state *discarded* at the breaker is every
 // hash table built so far (the new order needs different build sides, and
@@ -75,10 +75,10 @@ func cardErr(est, obs int64) float64 {
 // identical); state *kept* is the set of observed true cardinalities,
 // which re-enter the orderer as exact overrides, plus all admission and
 // statistics context of the query.
-func (qr *queryRun) observeBuild(pl *codegen.Pipeline, observed int64) {
+func (qr *queryRun) observeBuild(pl *codegen.Pipeline, observed int64) error {
 	j := pl.BuildOf
 	if j == nil || j.Est <= 0 || qr.cancelled.Load() {
-		return
+		return nil
 	}
 	ratio := cardErr(j.Est, observed)
 	if ratio > qr.stats.EstCardErr {
@@ -86,15 +86,15 @@ func (qr *queryRun) observeBuild(pl *codegen.Pipeline, observed int64) {
 	}
 	ro := qr.reopt
 	if ro == nil {
-		return
+		return nil
 	}
 	ro.rp.Observe(j, observed)
 	if ratio < ro.threshold || ro.remaining <= 0 {
-		return
+		return nil
 	}
 	newRoot, changed := ro.rp.Replan()
 	if !changed {
-		return
+		return nil
 	}
 	// A restart discards the attempt's output, which is only sound while
 	// none of it has left the engine. Replans fire at join-build breakers
@@ -109,9 +109,8 @@ func (qr *queryRun) observeBuild(pl *codegen.Pipeline, observed int64) {
 		qr.trace.Add(Event{Kind: EvReplan, Pipeline: pl.ID, Label: pl.Label,
 			Worker: -1, Start: now, End: now, Tuples: observed})
 	}
-	qr.fail(&replanSignal{node: newRoot})
 	// Park stray background compiles of the abandoned attempt without
 	// recording a cancellation: the query is restarting, not dying.
 	qr.cancelled.Store(true)
-	panic(&rt.Trap{Code: rt.TrapUser})
+	return &replanSignal{node: newRoot}
 }

@@ -29,10 +29,8 @@ type queryRun struct {
 	// pool grants its morsel workers by the tenant's fair-share weight.
 	tenant string
 
-	handles    []*Handle
-	queryStart *vm.Program
-	ctxs       []*rt.Ctx // per worker slot
-	coord      *rt.Ctx
+	handles []*Handle
+	ctxs    []*rt.Ctx // per worker slot
 
 	// vecMemo is the cache's engine memo as this run found it, per pipeline
 	// (all false on a miss): start reads it, runPipeline renews it.
@@ -105,24 +103,29 @@ func (qr *queryRun) cancel(cause error) {
 	}
 }
 
-// cancelCause returns the recorded cancellation cause.
-func (qr *queryRun) cancelCause() error {
+// err returns what stops the query: the failure a worker recorded (a trap),
+// else the cancellation cause, else nil.
+func (qr *queryRun) err() error {
 	qr.failMu.Lock()
 	defer qr.failMu.Unlock()
-	if qr.cancelErr != nil {
+	switch {
+	case qr.failed != nil:
+		return qr.failed
+	case !qr.cancelled.Load():
+		return nil
+	case qr.cancelErr != nil:
 		return qr.cancelErr
 	}
 	return context.Canceled
 }
 
-// newQueryRun binds externs, translates queryStart (or adopts the cached
-// translation on a fingerprint hit), creates each pipeline's handle with
-// the variants the cache holds for it, translates the pipelines up front
-// and compiles them for a static mode, and builds the runtime state the
-// code generator's descriptors require. The adaptive mode translates a
-// pipeline only if it is to run in bytecode (start). The trace (nil unless
-// tracing) is created by the caller so its origin covers the admission
-// wait.
+// newQueryRun binds externs, creates each pipeline's handle with the
+// variants the plan cache holds for it (a fingerprint miss inserts the
+// plan's entry), translates the pipelines up front and compiles them for a
+// static mode, and builds the runtime state the code generator's
+// descriptors require. The adaptive mode translates a pipeline only if it
+// is to run in bytecode (start). The trace (nil unless tracing) is created
+// by the caller so its origin covers the admission wait.
 func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Memory, st *Stats, tr *Trace) (*queryRun, error) {
 	qr := &queryRun{eng: e, cq: cq, mem: mem, stats: st, trace: tr,
 		result: newRowSet(mem, cq), taken: make([]int, e.opts.Workers), limit: -1}
@@ -141,20 +144,12 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 		// translation work: Stats.Translate stays zero so warm executions
 		// (every prepared-statement EXECUTE after the first) report none.
 		st.CacheHit = true
-		qr.queryStart = ent.queryStart
 		pipes = ent.pipes
 	} else {
-		tTr := time.Now()
-		qsProg, err := vm.Translate(cq.QueryStart, e.opts.VM)
-		if err != nil {
-			return nil, err
-		}
-		qr.queryStart = qsProg
 		pipes = make([]cachedPipe, len(cq.Pipelines))
 		if e.cache != nil {
-			e.cache.insert(qr.fp, qsProg, len(pipes))
+			e.cache.insert(qr.fp, len(pipes))
 		}
-		st.Translate += time.Since(tTr)
 	}
 	for i, pl := range cq.Pipelines {
 		v := pipes[i].variants
@@ -243,7 +238,6 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	for _, p := range cq.Patterns {
 		qs.AddPattern(p)
 	}
-	qs.Eng = qr
 	qr.qs = qs
 
 	names := make([]string, len(cq.Module.Externs))
@@ -257,7 +251,6 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	for w := 0; w < e.opts.Workers; w++ {
 		qr.ctxs = append(qr.ctxs, &rt.Ctx{Mem: mem, Funcs: funcs, Worker: w, Query: qs})
 	}
-	qr.coord = &rt.Ctx{Mem: mem, Funcs: funcs, Worker: 0, Query: qs}
 	return qr, nil
 }
 
@@ -367,24 +360,17 @@ func maxFnInstrs(cq *codegen.Query) int {
 	return max
 }
 
-// execute interprets queryStart, which triggers the pipelines through the
-// pipeline_run extern; the final pipeline leaves the result rows in the
-// output set's arenas.
+// execute is the paper's queryStart (Fig. 4): it runs the pipelines in
+// dependency order, which is the order codegen emitted them in, and stops
+// at the first that fails. The final pipeline leaves the result rows in
+// the output set's arenas.
 func (qr *queryRun) execute() error {
-	args := []uint64{qr.qs.StateAddr, qr.qs.Locals[0], 0, 0}
-	err := rt.CatchTrap(func() {
-		qr.queryStart.Run(qr.coord, args)
-	})
-	qr.coord.ResetRegs()
-	// A recorded failure wins over the trap that unwound queryStart: the
-	// trap is only the unwind vehicle (worker traps re-panic themselves;
-	// cancellation unwinds with a TrapUser whose cause is in failed).
-	qr.failMu.Lock()
-	if qr.failed != nil {
-		err = qr.failed
+	for id := range qr.cq.Pipelines {
+		if err := qr.runPipeline(id); err != nil {
+			return err
+		}
 	}
-	qr.failMu.Unlock()
-	return err
+	return nil
 }
 
 func (qr *queryRun) fail(err error) {
@@ -614,9 +600,10 @@ func minI64(a, b int64) int64 {
 }
 
 // runPipeline executes one pipeline across all workers and finalizes its
-// sink. It runs on the coordinator goroutine, called from the interpreted
-// queryStart through the pipeline_run extern.
-func (qr *queryRun) runPipeline(id int) {
+// sink, on the coordinator goroutine. It returns what stops the query — a
+// trap, the cancellation cause, a replan signal — and then no later
+// pipeline may run.
+func (qr *queryRun) runPipeline(id int) error {
 	pl := qr.cq.Pipelines[id]
 	h := qr.handles[id]
 	if qr.trace != nil && pl.DictRewrites > 0 {
@@ -631,7 +618,9 @@ func (qr *queryRun) runPipeline(id int) {
 		if len(pl.Prune) > 0 {
 			qr.applyZoneMaps(pl, pr, total)
 		}
-		qr.start(pl, h, pr)
+		if err := qr.start(pl, h, pr); err != nil {
+			return err
+		}
 		// The engine's shared pool executes the morsels; this coordinator
 		// blocks until the pipeline drains. Under concurrent load the pool
 		// interleaves this pipeline's morsels with every other in-flight
@@ -642,7 +631,9 @@ func (qr *queryRun) runPipeline(id int) {
 			qr.eng.sched.RunTenant(j, qr.tenant)
 		}
 	}
-	qr.checkFailed()
+	if err := qr.err(); err != nil {
+		return err
+	}
 	// The engine memo for the next warm run: the pipeline ended vectorized
 	// and was promoted there in this run, against a rate measured in this
 	// run. A run that started there on the memo's word has no baseline and
@@ -653,9 +644,25 @@ func (qr *queryRun) runPipeline(id int) {
 	if pr != nil && qr.eng.cache != nil && qr.eng.opts.Mode == ModeAdaptive {
 		qr.eng.cache.noteEngine(qr.fp, id, h.Level() == LevelVector && pr.promoted())
 	}
-	// Finalize the sink between pipelines. The breaker work (join chain
-	// linking, aggregation merge) is hash-range partitioned across the
-	// worker pool.
+	// An aggregate's Combine can overflow while the breaker finalizes, on
+	// this goroutine or on a pool worker (pfor re-throws it here): the trap
+	// is the query's error.
+	var replan error
+	if trap := rt.CatchTrap(func() { replan = qr.finalize(pl) }); trap != nil {
+		qr.fail(trap)
+	}
+	if replan != nil {
+		return replan
+	}
+	// A cancel that landed during finalize left the breaker half-built;
+	// stop before any later pipeline can read it.
+	return qr.err()
+}
+
+// finalize does pipeline pl's breaker work between pipelines. Join chain
+// linking and aggregation merge are hash-range partitioned across the
+// worker pool. It returns a replan signal when a join build calls for one.
+func (qr *queryRun) finalize(pl *codegen.Pipeline) error {
 	if pl.SinkJoin >= 0 {
 		ht := qr.qs.Joins[pl.SinkJoin]
 		t0 := time.Now()
@@ -665,7 +672,7 @@ func (qr *queryRun) runPipeline(id int) {
 		// The breaker is the natural observation point of adaptive join
 		// ordering: the build ran to completion, so its hash-table count
 		// is the relation's true filtered cardinality (replan.go).
-		qr.observeBuild(pl, int64(ht.Count))
+		return qr.observeBuild(pl, int64(ht.Count))
 	}
 	if pl.SinkAgg >= 0 {
 		set := qr.qs.Aggs[pl.SinkAgg]
@@ -676,16 +683,14 @@ func (qr *queryRun) runPipeline(id int) {
 		qr.noteFinalize(pl, time.Since(t0), t0, parts, int64(set.Groups))
 	}
 	if pl.SinkMark >= 0 {
-		// The probe of a build-side join has drained (and checkFailed above
-		// saw no cancel): sum the workers' counts and publish the tuples the
+		// The probe of a build-side join has drained (and runPipeline saw
+		// no cancel): sum the workers' counts and publish the tuples the
 		// join emits for the pipeline that scans them.
 		t0 := time.Now()
 		n := qr.qs.Joins[pl.SinkMark].Emit(qr.qs.StateAddr)
 		qr.noteFinalize(pl, time.Since(t0), t0, 1, int64(n))
 	}
-	// A cancel that landed during finalize left the breaker half-built;
-	// unwind before any later pipeline can read it.
-	qr.checkFailed()
+	return nil
 }
 
 // start decides the level an adaptive pipeline's first morsel runs at. It
@@ -705,22 +710,23 @@ func (qr *queryRun) runPipeline(id int) {
 // Under a model that simulates compile latency (Paper()) compilation is the
 // expensive thing the paper says it is and must be earned from a measured
 // rate, so nothing is compiled here. A pipeline left in bytecode is
-// translated here, before its first morsel.
+// translated here, before its first morsel; a failed translation is the
+// query's error.
 //
 // A level entered here has no baseline rate, so the controller does not
 // verify it: a pipeline started at a level that is wrong for it stays there
 // for this run. For the engine that is one run, because an unverified run
 // does not renew the memo (runPipeline); native code is started in every
 // time (ROADMAP direction 1 replaces both with measured per-level rates).
-func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) {
+func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) error {
 	if qr.eng.opts.Mode != ModeAdaptive {
-		return
+		return nil
 	}
 	off := h.Disabled()
 	for l := LevelVector; l > LevelBytecode; l-- {
 		if h.Has(l) && !off.has(l) && (l != LevelVector || qr.vecMemo[pl.ID]) {
 			h.Install(l)
-			return
+			return nil
 		}
 	}
 	if !off.has(LevelNative) && !qr.eng.opts.Cost.Simulate && pr.work > qr.eng.opts.MorselSize {
@@ -733,32 +739,11 @@ func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) {
 			if qr.trace != nil {
 				qr.noteSwitch(pl, LevelBytecode, LevelNative, t0, time.Now())
 			}
-			return
+			return nil
 		}
 		qr.giveUp(h, LevelNative)
 	}
-	if err := qr.bytecode(pl.ID); err != nil {
-		qr.fail(err)
-		qr.checkFailed()
-	}
-}
-
-// checkFailed unwinds the interpreted queryStart if the query failed or
-// was cancelled; execute() reports qr.failed as the query error.
-func (qr *queryRun) checkFailed() {
-	if qr.cancelled.Load() {
-		qr.fail(qr.cancelCause())
-	}
-	qr.failMu.Lock()
-	failed := qr.failed
-	qr.failMu.Unlock()
-	if failed != nil {
-		// Unwind the interpreted queryStart; execute() reports qr.failed.
-		if t, ok := failed.(*rt.Trap); ok {
-			panic(t)
-		}
-		panic(&rt.Trap{Code: rt.TrapUser})
-	}
+	return qr.bytecode(pl.ID)
 }
 
 // applyZoneMaps builds the prune mask for a scan pipeline from the
@@ -817,8 +802,8 @@ func (qr *queryRun) breakerParts() int {
 // per scheduler grant, so breaker finalization interleaves fairly with
 // other queries' morsels and observes cancellation between partitions. A
 // Trap thrown by a task (aggregate Combine can overflow) is caught on the
-// pool worker and re-thrown on the caller, so breaker traps surface
-// exactly like traps of a one-partition finalize on the coordinator.
+// pool worker and re-thrown on the caller, so it reaches runPipeline's trap
+// boundary exactly like the trap of a one-partition finalize.
 func (qr *queryRun) pfor(n int, fn func(p int)) {
 	workers := qr.eng.opts.Workers
 	if workers > n {
@@ -933,7 +918,6 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 	d := time.Since(t0)
 	j.pr.executing.Add(-1)
 	if err != nil {
-		ctx.ResetRegs()
 		qr.fail(err)
 		j.pr.abort()
 		return false

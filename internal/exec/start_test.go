@@ -102,9 +102,6 @@ func TestStartRule(t *testing.T) {
 			}
 			want := fmt.Sprint(canon(ref.Rows, ref.Types))
 			live := tc.live && asm.Supported()
-			if tc.opts.Mode == 0 {
-				tc.opts.Mode = ModeAdaptive
-			}
 			tc.opts.Workers, tc.opts.MorselSize, tc.opts.Trace = 2, morsel, true
 			e := New(tc.opts)
 			runs := 1

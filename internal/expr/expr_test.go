@@ -209,7 +209,6 @@ func runOutcome(t *testing.T, f *ir.Function, ctx *rt.Ctx, rowAddr rt.Addr, opt 
 	})
 	if err != nil {
 		o.trapped = true
-		ctx.ResetRegs()
 	}
 	return o
 }

@@ -291,7 +291,6 @@ func TestJITTrapSemantics(t *testing.T) {
 			t.Errorf("%v: div = %d", level, got)
 		}
 		err = rt.CatchTrap(func() {
-			ctx.ResetRegs()
 			c.Run(ctx, []uint64{84, 0})
 		})
 		if trap, ok := err.(*rt.Trap); !ok || trap.Code != rt.TrapDivZero {

@@ -12,9 +12,7 @@ const MaxCallArgs = 16
 // Func is the uniform ABI of runtime functions callable from generated
 // code: arguments and result travel as raw 64-bit register values
 // (float64 values as their IEEE bit patterns, addresses as rt.Addr).
-// The args slice aliases the context's staging buffer: an extern that
-// re-enters generated code (e.g. the pipeline scheduler) must copy the
-// values it needs before doing so.
+// The args slice aliases the context's staging buffer.
 type Func func(ctx *Ctx, args []uint64) uint64
 
 // Ctx is the per-worker execution context threaded through generated code.
@@ -35,44 +33,20 @@ type Ctx struct {
 	// Local points at engine-owned per-worker state.
 	Local any
 
-	regStack [][]uint64
-	depth    int
+	regs []uint64
 }
 
-// PushRegs returns a register file of n slots for a new interpretation
-// frame, reusing per-depth buffers. Frames nest when an extern re-enters
-// generated code (queryStart calls the scheduler, which may run worker
-// functions on the calling context); each depth owns its buffer, so outer
-// frames stay intact. Callers must pair with PopRegs.
-func (c *Ctx) PushRegs(n int) []uint64 {
-	if c.depth == len(c.regStack) {
-		c.regStack = append(c.regStack, nil)
+// Regs returns the context's register file, n slots long. There is one
+// file per context, grown when n exceeds it and reused otherwise: no extern
+// re-enters generated code, so one function runs on a context at a time.
+// The contents are whatever the last run left — after a trap or a fault,
+// the slots its side exit stored.
+func (c *Ctx) Regs(n int) []uint64 {
+	if cap(c.regs) < n {
+		c.regs = make([]uint64, n)
 	}
-	buf := c.regStack[c.depth]
-	if cap(buf) < n {
-		buf = make([]uint64, n)
-		c.regStack[c.depth] = buf
-	}
-	c.depth++
-	return buf[:n]
+	return c.regs[:n]
 }
-
-// PopRegs releases the innermost frame.
-func (c *Ctx) PopRegs() { c.depth-- }
-
-// CurRegs returns the innermost live register frame (nil when none).
-// Tests use it to inspect canonical slot state after a trap or fault
-// unwound a frame without popping it.
-func (c *Ctx) CurRegs() []uint64 {
-	if c.depth == 0 {
-		return nil
-	}
-	return c.regStack[c.depth-1]
-}
-
-// ResetRegs discards all frames; used when a trap unwinds past Push/Pop
-// pairing.
-func (c *Ctx) ResetRegs() { c.depth = 0 }
 
 // Registry maps extern names to their Go implementations. The engine
 // registers the full runtime surface once; modules bind against it by name

@@ -166,7 +166,8 @@ func (m *Memory) StoreF64(a Addr, v float64) { m.Store64(a, math.Float64bits(v))
 // Trap is the error raised by generated code for runtime faults the SQL
 // semantics define (arithmetic overflow, division by zero). It is thrown as
 // a panic from deep inside the interpreter (native code exits to Go first) and
-// recovered at the engine's dispatch boundary.
+// recovered at the engine's boundaries: a morsel's dispatch and a breaker's
+// finalize.
 type Trap struct {
 	Code TrapCode
 }
@@ -178,7 +179,6 @@ type TrapCode int
 const (
 	TrapOverflow TrapCode = iota + 1
 	TrapDivZero
-	TrapUser
 )
 
 func (t *Trap) Error() string {

@@ -30,10 +30,6 @@ type QueryState struct {
 	Aggs     []*AggSet
 	Outs     []*OutSet
 	Patterns []*LikePattern
-
-	// Eng lets the engine hang scheduler state off the query state so
-	// engine-level externs (pipeline scheduling) can reach it.
-	Eng any
 }
 
 // localAlign is the stride granule and alignment of the worker-local

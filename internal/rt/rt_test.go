@@ -799,22 +799,32 @@ func TestBuiltins(t *testing.T) {
 	}
 }
 
-func TestPushPopRegs(t *testing.T) {
+// TestRegs: a context has one register file. A request that fits reuses
+// it, contents included (a trap's side exit leaves its slots there); a
+// larger one grows it, and the grown file is what later requests reuse.
+func TestRegs(t *testing.T) {
 	ctx := &Ctx{}
-	a := ctx.PushRegs(4)
+	a := ctx.Regs(4)
+	if len(a) != 4 {
+		t.Fatalf("len = %d, want 4", len(a))
+	}
 	a[0] = 42
-	b := ctx.PushRegs(8)
-	b[0] = 7
-	if a[0] != 42 {
-		t.Error("outer frame clobbered by nested frame")
+	if b := ctx.Regs(2); &b[0] != &a[0] || len(b) != 2 {
+		t.Error("a smaller request did not reuse the file")
 	}
-	ctx.PopRegs()
-	ctx.PopRegs()
-	c := ctx.PushRegs(4)
-	if &c[0] != &a[0] {
-		t.Error("frame buffer not reused")
+	if c := ctx.Regs(4); &c[0] != &a[0] || c[0] != 42 {
+		t.Error("the file was not reused as the last run left it")
 	}
-	ctx.ResetRegs()
+	g := ctx.Regs(64)
+	if len(g) != 64 {
+		t.Fatalf("grown len = %d, want 64", len(g))
+	}
+	if &g[0] == &a[0] {
+		t.Error("a larger request did not grow the file")
+	}
+	if h := ctx.Regs(8); &h[0] != &g[0] {
+		t.Error("the grown file is not the one reused")
+	}
 }
 
 // TestAggSetMergeWithGrowth is the regression test for a real bug: when

@@ -18,7 +18,7 @@ import (
 // Runtime faults (overflow, division by zero) are raised as rt.Trap panics
 // and recovered at the engine's dispatch boundary.
 func (p *Program) Run(ctx *rt.Ctx, args []uint64) uint64 {
-	regs := ctx.PushRegs(p.NumRegs)
+	regs := ctx.Regs(p.NumRegs)
 	copy(regs, p.ConstPool)
 	copy(regs[p.ParamBase:], args)
 	mem := ctx.Mem
@@ -314,18 +314,14 @@ func (p *Program) Run(ctx *rt.Ctx, args []uint64) uint64 {
 		case OpArg:
 			ctx.Args[in.A] = regs[in.B]
 		case OpCall:
-			// A callee that re-enters generated code runs in its own
-			// register frame (Ctx.PushRegs), so regs stays valid.
 			r := ctx.Funcs[in.Lit](ctx, ctx.Args[:in.B])
 			if in.A >= 0 {
 				regs[in.A] = r
 			}
 
 		case OpRet:
-			ctx.PopRegs()
 			return regs[in.A]
 		case OpRetVoid:
-			ctx.PopRegs()
 			return 0
 
 		default:

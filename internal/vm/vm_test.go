@@ -174,7 +174,6 @@ func TestOverflowFusion(t *testing.T) {
 		t.Errorf("mulchk(6,7) = %d", got)
 	}
 	err = rt.CatchTrap(func() {
-		ctx.ResetRegs()
 		p.Run(ctx, []uint64{uint64(1 << 62), 4})
 	})
 	if trap, ok := err.(*rt.Trap); !ok || trap.Code != rt.TrapOverflow {
@@ -194,7 +193,6 @@ func TestOverflowUnfused(t *testing.T) {
 			t.Errorf("unfused mulchk(6,7) = %d", got)
 		}
 		err = rt.CatchTrap(func() {
-			ctx.ResetRegs()
 			p.Run(ctx, []uint64{1 << 40, 1 << 40})
 		})
 		if err == nil {
@@ -217,7 +215,6 @@ func TestDivByZeroTrap(t *testing.T) {
 		t.Errorf("div(84,2) = %d", got)
 	}
 	err = rt.CatchTrap(func() {
-		ctx.ResetRegs()
 		p.Run(ctx, []uint64{84, 0})
 	})
 	if trap, ok := err.(*rt.Trap); !ok || trap.Code != rt.TrapDivZero {
@@ -322,7 +319,6 @@ func TestNarrowLoadsAndStores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx.ResetRegs()
 		if got := p.Run(ctx, []uint64{baseAddr}); got != want {
 			t.Errorf("strategy %v: narrow = %#x, want %#x", opts.Strategy, got, want)
 		}
