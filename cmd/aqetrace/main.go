@@ -167,7 +167,7 @@ func main() {
 			first = false
 		}
 		if ev.Level != exec.LevelNative {
-			fmt.Printf("  %s: demoted out of native back to %s (underperformed prediction)\n",
+			fmt.Printf("  %s: demoted out of native back to %s (slower than the level it left)\n",
 				scopeOf(ev), ev.Level)
 			continue
 		}
@@ -190,7 +190,7 @@ func main() {
 			fmt.Printf("  %s: switched to the vectorized engine at %.3f ms\n",
 				scopeOf(ev), ev.Start.Seconds()*1e3)
 		} else {
-			fmt.Printf("  %s: demoted back to the %s tier at %.3f ms (underperformed prediction)\n",
+			fmt.Printf("  %s: demoted back to the %s tier at %.3f ms (slower than the level it left)\n",
 				scopeOf(ev), ev.Level, ev.Start.Seconds()*1e3)
 		}
 	}

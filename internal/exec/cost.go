@@ -55,59 +55,61 @@ type CostModel struct {
 	Simulate bool
 }
 
+// The throughput priors are one set for both models: since both price the
+// same back end, they differ only in compile latency and Simulate. They
+// are rough fits of this substrate (the controller only needs the order of
+// magnitude) and only ever extrapolate; verify holds a level the
+// controller promoted to the rate measured at the level it left, never to
+// these numbers.
+const (
+	// Measured native-over-bytecode spans 2.2x (hash-bound Q10, hashwalk)
+	// to 9x (float-dense aggregation).
+	speedupNative = 3.0
+	// Measured on this substrate (EXPERIMENTS.md hybrid table): batched
+	// probe/group walks beat the per-tuple compiled walk markedly on
+	// hash-dense pipelines, while compute-dense pipelines gain little over
+	// fused bytecode (typed Go loops) — below native, so the controller
+	// keeps those compiled.
+	speedupVecHash    = 3.5
+	speedupVecCompute = 1.2
+)
+
 // Paper returns the cost model calibrated to the paper's measurements:
 // unoptimized ≈ 6 ms and optimized ≈ 42 ms for TPC-H Q1's ~2000
 // instructions (Table I), near-linear growth over 300..19000 instructions
-// (Fig. 6), and an explosive quadratic term for optimized compilation that
-// reaches ~4 s at 10k instructions in a single function (Fig. 15). Native
-// code pays LLVM's unoptimized latency, so the adaptive ladder's compiled
-// step is the paper's bytecode → unoptimized step.
+// (Fig. 6), and a cubic term for optimized compilation that adds ~3.5 s at
+// 10k instructions in a single function (Fig. 15). Native code pays LLVM's
+// unoptimized latency, so the adaptive ladder's compiled step is the
+// paper's bytecode → unoptimized step.
 func Paper() *CostModel {
 	return &CostModel{
-		OptBase:        2 * time.Millisecond,
-		OptPerInstr:    18 * time.Microsecond,
-		OptCubic:       3.5e-12, // ~3.5 s extra at 10k instructions in one function
-		NativeBase:     500 * time.Microsecond,
-		NativePerInstr: 2750 * time.Nanosecond,
-		// Throughput stays this back end's own: native code runs 4–9x
-		// faster than bytecode here (EXPERIMENTS.md Fig. 2, Table II).
-		SpeedupNative: 5.5,
-		// In the LLVM-latency regime the vectorized engine's draw is that it
-		// needs no compilation at all: installed instantly, faster than
-		// machine code on hash-dense pipelines (VectorWise-style batching),
-		// merely competitive with it on compute-dense ones.
-		SpeedupVecHash:    6.0,
-		SpeedupVecCompute: 2.5,
+		OptBase:           2 * time.Millisecond,
+		OptPerInstr:       18 * time.Microsecond,
+		OptCubic:          3.5e-12, // ~3.5 s extra at 10k instructions in one function
+		NativeBase:        500 * time.Microsecond,
+		NativePerInstr:    2750 * time.Nanosecond,
+		SpeedupNative:     speedupNative,
+		SpeedupVecHash:    speedupVecHash,
+		SpeedupVecCompute: speedupVecCompute,
 		Simulate:          true,
 	}
 }
 
 // Native returns a model of the in-process native back end and vectorized
-// engine with no simulated latency (rough fits; the controller only needs
-// the order of magnitude). It sets nothing for optimized code: with
-// Simulate off ModeOptimized compiles at its real cost, and the controller
-// never considers it.
+// engine with no simulated latency. It sets nothing for optimized code:
+// with Simulate off ModeOptimized compiles at its real cost, and the
+// controller never considers it.
 func Native() *CostModel {
 	return &CostModel{
 		// Measured on the register-allocating template JIT (PR 8,
 		// EXPERIMENTS.md compile-latency table): ~0.35 µs per instruction
 		// plus a small fixed cost for the allocator's per-function arrays,
 		// landing at or below the bytecode translator.
-		NativeBase:     25 * time.Microsecond,
-		NativePerInstr: 350 * time.Nanosecond,
-		// Measured native-over-bytecode spans 2.2x (hash-bound Q10,
-		// hashwalk) to 9x (float-dense aggregation); 3.0 is a deliberately
-		// conservative prediction so the demotion controller (which demotes
-		// below 0.5x of prediction) tolerates the memory-bound low end.
-		SpeedupNative: 3.0,
-		// Measured on this substrate (EXPERIMENTS.md hybrid table): batched
-		// probe/group walks beat the per-tuple compiled walk markedly on
-		// hash-dense pipelines, while compute-dense pipelines gain little
-		// over fused bytecode (typed Go loops) — below native, so the
-		// controller keeps those compiled.
-		SpeedupVecHash:    3.5,
-		SpeedupVecCompute: 1.2,
-		Simulate:          false,
+		NativeBase:        25 * time.Microsecond,
+		NativePerInstr:    350 * time.Nanosecond,
+		SpeedupNative:     speedupNative,
+		SpeedupVecHash:    speedupVecHash,
+		SpeedupVecCompute: speedupVecCompute,
 	}
 }
 

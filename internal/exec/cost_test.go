@@ -43,6 +43,19 @@ func TestCostModelMonotonicity(t *testing.T) {
 	}
 }
 
+// TestModelsShareThroughputPriors: both models price the same back end, so
+// they differ in compile latency and Simulate only, never in a speedup.
+func TestModelsShareThroughputPriors(t *testing.T) {
+	p, n := Paper(), Native()
+	for l := LevelBytecode; l < numLevels; l++ {
+		for _, hd := range []bool{false, true} {
+			if a, b := p.Speedup(l, hd), n.Speedup(l, hd); a != b {
+				t.Errorf("%v (hash-dense %v): Paper() %g, Native() %g", l, hd, a, b)
+			}
+		}
+	}
+}
+
 func TestPaperModelCalibration(t *testing.T) {
 	m := Paper()
 	// Table I anchor: ~2000 instructions compile in roughly 6 ms

@@ -18,12 +18,12 @@
 // variant (Fig. 5) — no work is lost because all levels execute identical
 // semantics over the same runtime state (§IV-E). The ladder is bytecode →
 // native machine code or the vectorized engine, and a level that fails to
-// compile or to deliver its predicted rate is disabled for the run, which
-// leaves the pipeline where it was; without a native back end (arm64) the
-// ladder is bytecode → vectorized. The paper's optimized machine code —
-// the same back end after the IR pass pipeline — is its static baseline
-// (ModeOptimized) and no other mode runs it: an engine compiles to at most
-// one level (Mode.levels).
+// compile, or runs slower than the level the controller moved the pipeline
+// from, is disabled for the run, which leaves the pipeline where it was;
+// without a native back end (arm64) the ladder is bytecode → vectorized.
+// The paper's optimized machine code — the same back end after the IR
+// pass pipeline — is its static baseline (ModeOptimized) and no other mode
+// runs it: an engine compiles to at most one level (Mode.levels).
 package exec
 
 import (
@@ -177,6 +177,10 @@ type Engine struct {
 	// morsel on the worker goroutine; the mode-switch stress test uses it
 	// to force tier changes at every morsel boundary.
 	morselHook func(pipeline int, h *Handle, worker int)
+	// dispatchHook, when set (tests only), runs inside the timed window of
+	// every dispatched morsel, right after the dispatch, with the level the
+	// morsel ran at: a stall there is measured as that level's own cost.
+	dispatchHook func(l Level)
 }
 
 // compileWorkers sizes the background compile pool: how many compilations
@@ -299,8 +303,8 @@ type Stats struct {
 	// (platform, NoNative) or failed to assemble (unsupported op,
 	// exec-memory failure), the pipeline stays at the level it is at —
 	// bytecode for ModeNative, ModeOptimized and at an adaptive pipeline's
-	// start; when the controller demoted native code for delivering under
-	// half its predicted rate, it goes back to the level it had left.
+	// start; when the controller demoted native code for running slower
+	// than the rate measured at the level it had left, it goes back there.
 	NativeCompiles  int64
 	NativeMorsels   int64
 	NativeFallbacks int64

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"aqe/internal/asm"
 	"aqe/internal/expr"
 	"aqe/internal/plan"
+	"aqe/internal/storage"
 )
 
 // TestNativeStaticMode runs the stress plan in ModeNative and checks the
@@ -331,16 +333,16 @@ func TestDisabledLevels(t *testing.T) {
 }
 
 // TestNativeDemotion: the controller must demote a pipeline out of native
-// code when its measured morsel rate falls far short of what the cost
-// model predicted at promotion time. Only a level the controller climbed to
-// has such a prediction, and with real latencies pipelines start native
-// (start), so this runs the climb policy: Simulate, with every latency zero.
-// An absurd SpeedupNative makes any
-// real pipeline underperform its prediction, so promotion is always
-// followed by demotion: the pipeline goes back to the level it left, the
-// native level — and the vectorized engine where the model ranks it below
-// — is disabled on its handle, NativeFallbacks ticks, and the trace holds
-// exactly one demotion event for it.
+// code when its settled morsel rate falls below the rate measured at the
+// level it left. Only a level the controller climbed to has such a rate,
+// and with real latencies pipelines start native (start), so this runs the
+// climb policy: Simulate, with every latency zero. A stall inside the timed
+// dispatch of every native morsel makes native code measurably slower than
+// bytecode, so promotion is always followed by demotion: the pipeline goes
+// back to the level it left, native code alone is disabled on its handle,
+// NativeFallbacks ticks, and the trace holds exactly one native demotion
+// event for it. The controller may then climb to the vectorized kernel,
+// which it holds to the measured rate in turn.
 func TestNativeDemotion(t *testing.T) {
 	if !asm.Supported() {
 		t.Skip("no native backend; the controller never proposes tier 6 here")
@@ -354,14 +356,18 @@ func TestNativeDemotion(t *testing.T) {
 	cost := Native()
 	cost.NativeBase, cost.NativePerInstr = 0, 0
 	cost.Simulate = true
-	// Native code cannot possibly be 1e9x faster than bytecode: the
-	// measured rate lands below verifyMargin of the prediction as soon as
-	// the warmup evaluations pass.
-	cost.SpeedupNative = 1e9
 	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost, MorselSize: 32, Trace: true})
-	// Slow the morsel stream slightly so pipelines are still draining when
-	// the background install + warmup evaluations complete; retry in case
-	// a short pipeline still wins the race.
+	// A 32-tuple morsel runs in microseconds at any level: stalled, a
+	// native morsel is measured far below bytecode.
+	e.dispatchHook = func(l Level) {
+		if l == LevelNative {
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	// Slow the morsel stream slightly, outside the timed window, so
+	// pipelines are still draining when the background install + warmup
+	// evaluations complete; retry in case a short pipeline still wins the
+	// race.
 	var mu sync.Mutex
 	var handles map[int]*Handle
 	e.morselHook = func(pipeline int, h *Handle, _ int) {
@@ -384,18 +390,21 @@ func TestNativeDemotion(t *testing.T) {
 		if res.Stats.NativeFallbacks == 0 {
 			continue
 		}
-		// Bytecode is the only level these pipelines can have left: with
-		// every compile free, native's modeled speedup beats the rest from
-		// the first evaluation on. An EvNative event whose level is not
-		// native is a demotion.
-		demotions := map[int]int{}
+		// From the vectorized engine there is no level up, so native code
+		// is always entered from bytecode. An EvNative event whose level is
+		// not native is a demotion out of native code; an EvEngine event
+		// whose level is not vectorized, one out of the kernel.
+		demotions, vecDemoted := map[int]int{}, map[int]bool{}
 		for _, ev := range res.Trace.Events() {
-			if ev.Kind == EvNative && ev.Level != LevelNative {
+			switch {
+			case ev.Kind == EvNative && ev.Level != LevelNative:
 				demotions[ev.Pipeline]++
 				if ev.Level != LevelBytecode {
 					t.Errorf("pipeline %d: demotion landed at %v, want the level it left (bytecode)",
 						ev.Pipeline, ev.Level)
 				}
+			case ev.Kind == EvEngine && ev.Level != LevelVector:
+				vecDemoted[ev.Pipeline] = true
 			}
 		}
 		total := 0
@@ -404,14 +413,17 @@ func TestNativeDemotion(t *testing.T) {
 			if n != 1 {
 				t.Errorf("pipeline %d: %d demotion events, want exactly one", p, n)
 			}
-			// Native takes the vectorized engine along where the model
-			// ranks it below — under this model, always — and optimized
-			// code was never the adaptive mode's, so the pipeline stays
-			// at the level whose rate was measured.
-			if m := handles[p].Disabled(); m != allLevels.above(LevelBytecode) {
-				t.Errorf("pipeline %d: demoted, yet its handle has only %04b disabled", p, m)
+			// The demotion disables native code only; optimized code was
+			// never the adaptive mode's, and the kernel goes only if it was
+			// demoted on its own measurement.
+			want := maskOf(LevelOptimized, LevelNative)
+			if vecDemoted[p] {
+				want |= maskOf(LevelVector)
 			}
-			if l := res.Stats.FinalLevels[p]; l != LevelBytecode {
+			if m := handles[p].Disabled(); m != want {
+				t.Errorf("pipeline %d: demoted, handle has %04b disabled, want %04b", p, m, want)
+			}
+			if l := res.Stats.FinalLevels[p]; l == LevelNative {
 				t.Errorf("pipeline %d: finished at %v after its demotion", p, l)
 			}
 		}
@@ -424,4 +436,109 @@ func TestNativeDemotion(t *testing.T) {
 		t.Skip("controller never promoted to native on this machine; nothing to verify")
 	}
 	t.Errorf("native installed %d times but the controller never demoted", promoted)
+}
+
+// TestVerifyKeepsFasterNative: verify compares measured with measured. A
+// compute-dense pipeline whose native code runs several times faster than
+// bytecode stays native even when the model promised far more: with
+// SpeedupNative at 1e9, a level held to a modeled prediction is demoted in
+// every run.
+func TestVerifyKeepsFasterNative(t *testing.T) {
+	if !asm.Supported() {
+		t.Skip("no native backend; the controller never proposes tier 6 here")
+	}
+	cost := Native()
+	cost.NativeBase, cost.NativePerInstr = 0, 0
+	cost.Simulate = true
+	cost.SpeedupNative = 1e9
+	if outcomes := keepNative(t, cost, nil); outcomes != nil {
+		t.Errorf("native code faster than bytecode was demoted in every run: %v", outcomes)
+	}
+}
+
+// TestVerifyDecidesOnce: verify compares a promoted level with the level
+// it left once, at the verifyWarmup evaluation. Native morsels are stalled
+// (20 ms inside the timed dispatch, several times a native morsel's run
+// time) only from the seventh on, after the check has kept native code, so
+// a rule that re-checked every later morsel would demote native code in
+// every run.
+func TestVerifyDecidesOnce(t *testing.T) {
+	if !asm.Supported() {
+		t.Skip("no native backend; the controller never proposes tier 6 here")
+	}
+	cost := Native()
+	cost.NativeBase, cost.NativePerInstr = 0, 0
+	cost.Simulate = true
+	var native atomic.Int64
+	stall := func(l Level) {
+		if l == LevelNative && native.Add(1) > 6 {
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	if outcomes := keepNative(t, cost, func(e *Engine) { native.Store(0); e.dispatchHook = stall }); outcomes != nil {
+		t.Errorf("native code stalled only after its check was demoted in every run: %v", outcomes)
+	}
+}
+
+// keepNative runs computePlan up to five times under cost, with setup
+// applied to each fresh engine. It returns nil once a run climbs to native
+// code and finishes there without a fallback, else every run's outcome.
+// verify reads each worker's latest morsel, so morsels are large — a
+// native one runs for milliseconds — both for dispatch overhead not to
+// decide the comparison and for a host stall of a few milliseconds not to
+// push one below bytecode on its own; a longer stall still can, so one
+// clean run of five is enough.
+func keepNative(t *testing.T, cost *CostModel, setup func(*Engine)) []string {
+	t.Helper()
+	p, sum, n := computePlan()
+	var outcomes []string
+	for attempt := 0; attempt < 5; attempt++ {
+		e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, MorselSize: 1 << 17, MorselCap: 1 << 17})
+		if setup != nil {
+			setup(e)
+		}
+		runtime.GC() // building the plan's table left garbage; collect it before timing
+		res, err := e.RunPlan(p, "keep")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0]; got[0].F != sum || got[1].I != n {
+			t.Fatalf("SUM %v, COUNT %d; want %v, %d", got[0].F, got[1].I, sum, n)
+		}
+		st := res.Stats
+		if st.NativeCompiles != 1 || st.NativeMorsels == 0 {
+			t.Fatalf("%d native compiles, %d native morsels: the scan never climbed to native",
+				st.NativeCompiles, st.NativeMorsels)
+		}
+		if st.NativeFallbacks == 0 && st.FinalLevels[0] == LevelNative {
+			return nil
+		}
+		outcomes = append(outcomes, fmt.Sprintf("%d fallbacks, finished at %v", st.NativeFallbacks, st.FinalLevels[0]))
+	}
+	return outcomes
+}
+
+// computePlan is one compute-dense scan pipeline over 2^21 rows — float
+// arithmetic into a scalar SUM, no probe and no grouping — where native
+// code runs several times faster than bytecode. It returns the SUM and
+// COUNT the plan must produce: every term is a multiple of 1/64 far below
+// 2^53, so the sum is exact in any order.
+func computePlan() (plan.Node, float64, int64) {
+	col := storage.NewColumn("x", storage.Float64)
+	sum, n := 0.0, int64(0)
+	for i := 0; i < 1<<21; i++ {
+		x := float64(i%1000) / 8
+		col.AppendFloat64(x)
+		if x > 2 {
+			sum += x*x + x*1.5 - x/4
+			n++
+		}
+	}
+	s := plan.NewScan(storage.NewTable("compute", col), "x")
+	x := plan.C(s.Schema(), "x")
+	s.Where(expr.Gt(x, expr.Float(2)))
+	return plan.NewGroupBy(s, nil, nil, []plan.AggExpr{
+		{Func: plan.Sum, Arg: expr.Sub(expr.Add(expr.Mul(x, x), expr.Mul(x, expr.Float(1.5))), expr.Div(x, expr.Float(4))), Name: "s"},
+		{Func: plan.CountStar, Name: "n"},
+	}), sum, n
 }

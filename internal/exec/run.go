@@ -458,8 +458,8 @@ type progress struct {
 	// Verification baseline, set when the controller promotes the
 	// pipeline: the measured rate (float64 bits; 0 = no baseline) and the
 	// level just before the switch, and how many controller evaluations
-	// have run since. One of each is enough: a pipeline is at one level at
-	// a time (verify).
+	// with a rate sample have run since. One of each is enough: a pipeline
+	// is at one level at a time (verify).
 	preRate atomic.Uint64
 	preLvl  atomic.Int32
 	evals   atomic.Int32
@@ -560,10 +560,12 @@ func (pr *progress) claim() (int64, int64, bool) {
 // abort drains all remaining morsels (on failure).
 func (pr *progress) abort() { pr.cursor.Store(pr.total) }
 
-// report records a finished morsel and the worker's local rate.
-func (pr *progress) report(w int, tuples int64, d time.Duration) {
+// report records a finished morsel and, when it ran at the pipeline's
+// current level, the worker's local rate: a morsel in flight across a
+// switch measured the level just left, not the one the samples are for.
+func (pr *progress) report(w int, tuples int64, d time.Duration, current bool) {
 	pr.done.Add(tuples)
-	if d > 0 {
+	if d > 0 && current {
 		rate := float64(tuples) / d.Seconds()
 		pr.rates[w].Store(math.Float64bits(rate))
 	}
@@ -644,9 +646,8 @@ func (qr *queryRun) runPipeline(id int) error {
 	if pr != nil && qr.eng.cache != nil && qr.eng.opts.Mode == ModeAdaptive {
 		qr.eng.cache.noteEngine(qr.fp, id, h.Level() == LevelVector && pr.promoted())
 	}
-	// An aggregate's Combine can overflow while the breaker finalizes, on
-	// this goroutine or on a pool worker (pfor re-throws it here): the trap
-	// is the query's error.
+	// An aggregate's Combine can overflow while the breaker finalizes, on a
+	// pool worker (pfor re-throws it here): the trap is the query's error.
 	var replan error
 	if trap := rt.CatchTrap(func() { replan = qr.finalize(pl) }); trap != nil {
 		qr.fail(trap)
@@ -797,28 +798,15 @@ func (qr *queryRun) breakerParts() int {
 	return parts
 }
 
-// pfor is the rt.ParallelFor executor backing partitioned finalization: it
+// pfor is the rt.ParallelFor executor backing breaker finalization: it
 // spreads fn(0..n-1) over the engine's shared worker pool, one partition
-// per scheduler grant, so breaker finalization interleaves fairly with
-// other queries' morsels and observes cancellation between partitions. A
-// Trap thrown by a task (aggregate Combine can overflow) is caught on the
-// pool worker and re-thrown on the caller, so it reaches runPipeline's trap
-// boundary exactly like the trap of a one-partition finalize.
+// per scheduler grant — a one-partition finalize included — so breaker
+// finalization interleaves fairly with other queries' morsels and observes
+// cancellation between partitions. A Trap thrown by a task (aggregate
+// Combine can overflow) is caught on the pool worker and re-thrown on the
+// caller, so it reaches runPipeline's trap boundary.
 func (qr *queryRun) pfor(n int, fn func(p int)) {
-	workers := qr.eng.opts.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for p := 0; p < n; p++ {
-			if qr.cancelled.Load() {
-				return
-			}
-			fn(p)
-		}
-		return
-	}
-	j := &pforJob{qr: qr, n: n, slots: workers, fn: fn}
+	j := &pforJob{qr: qr, n: n, slots: min(qr.eng.opts.Workers, n), fn: fn}
 	qr.eng.sched.RunTenant(j, qr.tenant)
 	if t := j.trapped.Load(); t != nil {
 		panic(t)
@@ -915,6 +903,9 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 	j.pr.executing.Add(1)
 	t0 := time.Now()
 	err := rt.CatchTrap(func() { j.h.Dispatch(ctx, args) })
+	if qr.eng.dispatchHook != nil {
+		qr.eng.dispatchHook(lvl)
+	}
 	d := time.Since(t0)
 	j.pr.executing.Add(-1)
 	if err != nil {
@@ -925,7 +916,7 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 	if j.out != nil {
 		j.out.Publish(slot)
 	}
-	j.pr.report(slot, end-begin, d)
+	j.pr.report(slot, end-begin, d, lvl == j.h.Level())
 	if machineCode.has(lvl) {
 		qr.nativeMorsels.Add(1)
 	}
@@ -1000,60 +991,42 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 
 func hashDense(pl *codegen.Pipeline) bool { return pl.Vec != nil && pl.Vec.HashDense }
 
-// verifyMargin is the fraction of its predicted rate a level must
-// deliver; verifyWarmup is the number of controller evaluations (one per
-// finished morsel) after a switch before the check engages, so the
-// comparison sees settled rate samples, not the first morsel's cold code.
-const (
-	verifyMargin = 0.5
-	verifyWarmup = 3
-)
+// verifyWarmup is the controller evaluation (one per finished morsel
+// with a rate sample of the new level) after a switch at which verify
+// makes its one comparison, so it sees settled rate samples, not the
+// first morsel's cold code.
+const verifyWarmup = 3
 
 // verify is promote-then-verify (§III-C's run-time misprediction), and
-// the only place a demotion is decided: it checks the level cur against
-// the rate the cost model promised when the controller switched to it.
-// The rate measured just before the switch, scaled by the modeled speedup
-// ratio, is the prediction; a level delivering under verifyMargin of it is
-// a misprediction — native code bouncing into Go on every tuple, batching
-// that evaluates lanes compiled code would have skipped. The level is
-// then disabled for this pipeline (native takes the levels the model ranks
-// below it along) and the handle goes back to the level it left, whose
-// rate was measured, not modeled. Going back costs
-// nothing: the variant is still on the handle, in-flight morsels finish
-// where they are against the same runtime state (§IV-E). Reports whether
-// it demoted. Runs under the evaluation gate.
+// the only place a demotion is decided: it holds the level cur to the rate
+// measured at the level the controller promoted the pipeline from, not to
+// anything the cost model predicted. A level that settles below that rate
+// is a misprediction — native code bouncing into Go on every tuple,
+// batching that evaluates lanes compiled code would have skipped. The
+// level is then disabled for this pipeline and the handle goes back to the
+// level it left. Going back costs nothing: the variant is still on the
+// handle, in-flight morsels finish where they are against the same
+// runtime state (§IV-E). The controller may still climb to another level,
+// which is held to the measured rate in turn. The comparison is made once
+// per switch: a level kept at verifyWarmup stays kept. Checked after every
+// later morsel, a level as fast as the one it left would be demoted by the
+// first dip of its per-morsel rate, and the level a pipeline ends at would
+// follow timing noise. Reports whether it demoted. Runs under the
+// evaluation gate.
 func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress, cur Level) bool {
 	bits := pr.preRate.Load()
 	if bits == 0 {
 		return false // static mode, or level entered by start: no baseline
 	}
-	if pr.evals.Add(1) < verifyWarmup {
-		return false
-	}
 	r0 := pr.avgRate()
-	if r0 <= 0 {
+	if r0 <= 0 || pr.evals.Add(1) != verifyWarmup || r0 >= math.Float64frombits(bits) {
 		return false
 	}
-	m, prev, hd := qr.eng.opts.Cost, Level(pr.preLvl.Load()), hashDense(pl)
-	predicted := math.Float64frombits(bits) / m.Speedup(prev, hd) * m.Speedup(cur, hd)
-	if r0 >= predicted*verifyMargin {
-		return false
-	}
-	off := maskOf(cur)
 	if cur == LevelNative {
-		// Native is the model's best claim for compiled code, and it did
-		// not hold for this pipeline; the vectorized engine, where the
-		// model ranks it below native (unless the pipeline is hash-dense),
-		// is predicted to do worse still, and goes with it. Without this
-		// the controller would climb straight back from the measured level
-		// into it.
-		if m.Speedup(LevelVector, hd) < m.Speedup(cur, hd) {
-			off |= maskOf(LevelVector)
-		}
 		qr.nativeFallbacks.Add(1)
 	}
-	h.Disable(off)
-	qr.switchLevel(pl, h, pr, prev, 0, time.Now())
+	h.Disable(maskOf(cur))
+	qr.switchLevel(pl, h, pr, Level(pr.preLvl.Load()), 0, time.Now())
 	return true
 }
 

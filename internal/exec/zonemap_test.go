@@ -374,7 +374,7 @@ func TestPruneProgressAccounting(t *testing.T) {
 						return
 					}
 				}
-				pr.report(w, end-begin, time.Microsecond)
+				pr.report(w, end-begin, time.Microsecond, true)
 				mu.Lock()
 				executed += end - begin
 				mu.Unlock()

@@ -316,8 +316,9 @@ func (s *AggSet) Finalize(parts int, pfor ParallelFor) int {
 	if parts == 1 {
 		// One partition degenerates to the serial merge, which is strictly
 		// cheaper: it merges into worker 0's live table instead of
-		// re-linking every entry into a fresh one.
-		s.mergeSerial()
+		// re-linking every entry into a fresh one. It still runs through
+		// pfor, like every partition, so the engine schedules it.
+		pfor(1, func(int) { s.mergeSerial() })
 		return 1
 	}
 	// A fresh bucket array sized up front: no mid-merge growth, so the

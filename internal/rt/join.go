@@ -167,15 +167,11 @@ func (h *JoinHT) Finalize(stateAddr Addr, parts int, pfor ParallelFor) int {
 	if parts < 1 || h.Count < minParallelBreaker {
 		parts = 1
 	}
-	if parts == 1 {
-		h.linkRange(0, uint64(nb))
-	} else {
-		pfor(parts, func(p int) {
-			lo := uint64(p) * uint64(nb) / uint64(parts)
-			hi := uint64(p+1) * uint64(nb) / uint64(parts)
-			h.linkRange(lo, hi)
-		})
-	}
+	pfor(parts, func(p int) {
+		lo := uint64(p) * uint64(nb) / uint64(parts)
+		hi := uint64(p+1) * uint64(nb) / uint64(parts)
+		h.linkRange(lo, hi)
+	})
 	h.publishState(stateAddr)
 	return parts
 }

@@ -116,7 +116,7 @@ func TestJoinHT(t *testing.T) {
 		m.Store64(tup, uint64(i%8)) // hash with many collisions
 		m.Store64(tup+16, uint64(i))
 	}
-	h.Finalize(stateAddr, 1, nil)
+	h.Finalize(stateAddr, 1, goroutinePfor(1))
 	if h.Count != 100 {
 		t.Fatalf("Count = %d", h.Count)
 	}
@@ -145,7 +145,7 @@ func TestJoinHTEmpty(t *testing.T) {
 	m := NewMemory()
 	stateAddr := m.Alloc(JoinStateBytes)
 	h := NewJoinHT(m, 1, 24, 0)
-	h.Finalize(stateAddr, 1, nil)
+	h.Finalize(stateAddr, 1, goroutinePfor(1))
 	buckets := m.Load64(stateAddr)
 	mask := m.Load64(stateAddr + 8)
 	if got := m.Load64(buckets + (12345&mask)*8); got != 0 {
@@ -192,7 +192,7 @@ func TestAggSetGroupBy(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		update(i/10%2, uint64(i%10), uint64(i))
 	}
-	set.Finalize(1, nil)
+	set.Finalize(1, goroutinePfor(1))
 	if set.Groups != 10 {
 		t.Fatalf("Groups = %d, want 10", set.Groups)
 	}
@@ -235,7 +235,7 @@ func TestAggSetScalar(t *testing.T) {
 			}
 		}
 	}
-	set.Finalize(1, nil)
+	set.Finalize(1, goroutinePfor(1))
 	if set.Groups != 1 {
 		t.Fatalf("Groups = %d", set.Groups)
 	}
@@ -853,7 +853,7 @@ func TestAggSetMergeWithGrowth(t *testing.T) {
 			m.Store64(e+24, 1)
 		}
 	}
-	set.Finalize(1, nil)
+	set.Finalize(1, goroutinePfor(1))
 	if set.Groups != workers*perWorker {
 		t.Fatalf("Groups = %d, want %d", set.Groups, workers*perWorker)
 	}
