@@ -6,9 +6,9 @@
 // translated in linear time into register-machine bytecode, and executed
 // morsel-wise across workers. The engine monitors per-pipeline progress
 // and — in the default adaptive mode — switches hot pipelines mid-flight
-// to native machine code (amd64) or to the vectorized engine, exactly
-// following the paper's Fig. 5/7 machinery: low latency for small inputs,
-// full throughput for large ones, without up-front cost decisions. A
+// from bytecode to native machine code (amd64), exactly following the
+// paper's Fig. 5/7 machinery: low latency for small inputs, full
+// throughput for large ones, without up-front cost decisions. A
 // pipeline whose level cannot run stays where it is; the paper's
 // unoptimized and optimized compiled tiers are the static baselines
 // ModeNative and ModeOptimized, machine code from the same back end, and
@@ -59,11 +59,11 @@ const (
 	// pipeline stays in bytecode on platforms without a backend or where
 	// assembly fails, and so does one under ModeOptimized.
 	ModeNative = exec.ModeNative
-	// ModeVector pins every kernel-compilable pipeline to the vectorized
-	// batch engine; a pipeline stays in bytecode for shapes the kernel
-	// format cannot express.
-	ModeVector = exec.ModeVector
 )
+
+// ParseMode returns the mode a name such as "adaptive" or "native" (what
+// Mode.String prints) stands for, or an error that lists the valid names.
+func ParseMode(name string) (Mode, error) { return exec.ParseMode(name) }
 
 // CostModel predicts compile times for the adaptive controller; see
 // PaperCosts and NativeCosts.
@@ -75,8 +75,8 @@ type CostModel = exec.CostModel
 func PaperCosts() *CostModel { return exec.Paper() }
 
 // NativeCosts returns the measured model of the in-process native back
-// end and vectorized engine, the levels the adaptive controller chooses
-// among, with no simulated latency.
+// end, the level the adaptive controller climbs to from bytecode, with no
+// simulated latency.
 func NativeCosts() *CostModel { return exec.Native() }
 
 // Options configures a DB: how queries run (mode, cost model, workers,

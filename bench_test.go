@@ -149,7 +149,6 @@ func BenchmarkTable2(b *testing.B) {
 			}
 		}
 	})
-	b.Run("vector-Monet", func(b *testing.B) { runQuery(b, 1, exec.ModeVector, 1) })
 	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeNative, exec.ModeOptimized} {
 		b.Run(m.String(), func(b *testing.B) { runQuery(b, 1, m, 1) })
 	}

@@ -28,7 +28,7 @@ import (
 
 var (
 	sf      = flag.Float64("sf", 0.01, "TPC-H scale factor")
-	mode    = flag.String("mode", "adaptive", "bytecode|native|optimized|vector|adaptive")
+	mode    = flag.String("mode", "adaptive", "adaptive|bytecode|native|optimized|ir-interp")
 	wrk     = flag.Int("workers", 4, "per-query worker slots")
 	maxq    = flag.Int("maxq", 8, "max concurrently executing queries (admission cap)")
 	timeout = flag.Duration("timeout", 0, "per-statement deadline (0 = none)")
@@ -47,11 +47,11 @@ type job struct {
 
 func main() {
 	flag.Parse()
-	m := map[string]aqe.Mode{
-		"bytecode": aqe.ModeBytecode, "optimized": aqe.ModeOptimized,
-		"adaptive": aqe.ModeAdaptive, "native": aqe.ModeNative,
-		"vector": aqe.ModeVector,
-	}[*mode]
+	m, err := aqe.ParseMode(*mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "aqe:", err)
+		os.Exit(2)
+	}
 	db := aqe.Open(aqe.Options{Workers: *wrk, Mode: m, MaxConcurrent: *maxq})
 	sess := db.NewSession("")
 	fmt.Printf("loading TPC-H at SF %g...\n", *sf)
@@ -200,10 +200,6 @@ func show(res *aqe.Result, err error) {
 	fmt.Print(aqe.FormatRows(res, 25))
 	fmt.Printf("(%d rows; codegen %v, exec %v, tiers %v)\n",
 		len(res.Rows), res.Stats.Codegen, res.Stats.Exec, res.Stats.FinalLevels)
-	if res.Stats.VectorMorsels > 0 || res.Stats.EngineSwitches > 0 {
-		fmt.Printf("(engine: %d vectorized morsel(s), %d engine switch(es))\n",
-			res.Stats.VectorMorsels, res.Stats.EngineSwitches)
-	}
 	if res.Stats.Queued {
 		fmt.Printf("(queued %v at the admission gate)\n", res.Stats.WaitTime)
 	}

@@ -250,9 +250,9 @@ func fig13() {
 
 func fig14() {
 	cat := catalog(*sfFlag)
-	fmt.Printf("TPC-H Q11 at SF %.2f, 4 workers (paper: SF 1)\n\n", *sfFlag)
+	fmt.Printf("TPC-H Q11 at SF %.2f, %d workers (paper: SF 1)\n\n", *sfFlag, *workers)
 	for _, m := range []exec.Mode{exec.ModeBytecode, exec.ModeNative, exec.ModeAdaptive} {
-		e := exec.New(exec.Options{Workers: 4, Mode: m, Cost: exec.Paper(),
+		e := exec.New(exec.Options{Workers: *workers, Mode: m, Cost: exec.Paper(),
 			Trace: true, MorselSize: 1024})
 		t0 := time.Now()
 		res, err := e.Run(tpch.Query(cat, 11))
@@ -339,27 +339,24 @@ func table1() {
 
 func table2() {
 	cat := catalog(*sfFlag)
-	fmt.Printf("TPC-H execution times [ms] at SF %.2f (PG=Volcano stand-in, Monet=column-at-a-time stand-in)\n", *sfFlag)
-	fmt.Printf("%-6s %9s %9s | %9s %9s %9s | %9s %9s %9s\n",
-		"query", "PG", "Monet", "bc.1", "unopt.1", "opt.1",
+	fmt.Printf("TPC-H execution times [ms] at SF %.2f (PG=Volcano stand-in)\n", *sfFlag)
+	fmt.Printf("%-6s %9s | %9s %9s %9s | %9s %9s %9s\n",
+		"query", "PG", "bc.1", "unopt.1", "opt.1",
 		fmt.Sprintf("bc.%d", *workers), fmt.Sprintf("unopt.%d", *workers),
 		fmt.Sprintf("opt.%d", *workers))
 	native := exec.Native()
 	geo := make(map[string][]float64)
 	record := func(k string, v float64) { geo[k] = append(geo[k], v) }
 	for qn := 1; qn <= 22; qn++ {
-		var cells []float64
-		// Baselines run the staged plans directly.
-		for _, eng := range []string{"pg", "monet"} {
-			t0 := time.Now()
-			err := runBaseline(cat, qn, eng)
-			d := ms(time.Since(t0))
-			if err != nil {
-				d = math.NaN()
-			}
-			cells = append(cells, d)
-			record(eng, d)
+		// The baseline runs the staged plans directly.
+		t0 := time.Now()
+		err := runVolcano(cat, qn)
+		pg := ms(time.Since(t0))
+		if err != nil {
+			pg = math.NaN()
 		}
+		cells := []float64{pg}
+		record("pg", pg)
 		for _, w := range []int{1, *workers} {
 			for _, mode := range []exec.Mode{exec.ModeBytecode, exec.ModeNative, exec.ModeOptimized} {
 				e := exec.New(exec.Options{Workers: w, Mode: mode, Cost: native})
@@ -373,9 +370,9 @@ func table2() {
 			}
 		}
 		if qn <= 5 {
-			fmt.Printf("%-6s %9.1f %9.1f | %9.1f %9.1f %9.1f | %9.1f %9.1f %9.1f\n",
+			fmt.Printf("%-6s %9.1f | %9.1f %9.1f %9.1f | %9.1f %9.1f %9.1f\n",
 				fmt.Sprintf("Q%d", qn), cells[0], cells[1], cells[2], cells[3],
-				cells[4], cells[5], cells[6], cells[7])
+				cells[4], cells[5], cells[6])
 		}
 	}
 	geoMean := func(vs []float64) float64 {
@@ -388,24 +385,17 @@ func table2() {
 		}
 		return math.Exp(s / float64(n))
 	}
-	fmt.Printf("%-6s %9.1f %9.1f | %9.1f %9.1f %9.1f | %9.1f %9.1f %9.1f\n", "geo.m.",
-		geoMean(geo["pg"]), geoMean(geo["monet"]),
+	fmt.Printf("%-6s %9.1f | %9.1f %9.1f %9.1f | %9.1f %9.1f %9.1f\n", "geo.m.",
+		geoMean(geo["pg"]),
 		geoMean(geo["bytecode.1"]), geoMean(geo["native.1"]), geoMean(geo["optimized.1"]),
 		geoMean(geo[fmt.Sprintf("bytecode.%d", *workers)]),
 		geoMean(geo[fmt.Sprintf("native.%d", *workers)]),
 		geoMean(geo[fmt.Sprintf("optimized.%d", *workers)]))
 }
 
-// runBaseline executes a staged query on a baseline engine: "pg" is the
-// tuple-at-a-time Volcano interpreter; "monet" is the morselized
-// vectorized engine pinned single-worker (ModeVector), the
-// column-at-a-time stand-in.
-func runBaseline(cat *storage.Catalog, qn int, eng string) error {
-	if eng == "monet" {
-		e := exec.New(exec.Options{Workers: 1, Mode: exec.ModeVector, Cost: exec.Native()})
-		_, err := e.Run(tpch.Query(cat, qn))
-		return err
-	}
+// runVolcano executes a staged query on the tuple-at-a-time Volcano
+// interpreter, the PG stand-in.
+func runVolcano(cat *storage.Catalog, qn int) error {
 	q := tpch.Query(cat, qn)
 	prior := map[string]*storage.Table{}
 	for i, stg := range q.Stages {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -53,6 +54,10 @@ func TestExperiments(t *testing.T) {
 			}
 			if strings.Contains(out, "error:") || strings.Contains(out, "ERR(") {
 				t.Fatalf("experiment reported a query error:\n%s", out)
+			}
+			// Fig. 14 is read beside Fig. 13, so it runs at -workers too.
+			if want := fmt.Sprintf(", %d workers ", *workers); ex.name == "fig14" && !strings.Contains(body, want) {
+				t.Fatalf("fig14 header does not show %q:\n%s", want, body)
 			}
 		})
 	}

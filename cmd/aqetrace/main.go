@@ -19,7 +19,7 @@ import (
 var (
 	qn     = flag.Int("q", 11, "TPC-H query number (1-22); 0 with -opt traces the synthetic misestimated star query")
 	sf     = flag.Float64("sf", 0.1, "scale factor")
-	mode   = flag.String("mode", "adaptive", "bytecode|native|optimized|vector|adaptive")
+	mode   = flag.String("mode", "adaptive", "adaptive|bytecode|native|optimized|ir-interp")
 	wrk    = flag.Int("workers", 4, "worker threads")
 	useOpt = flag.Bool("opt", false, "run the cost-based join order with adaptive replanning (queries with a logical form: 3, 5, 10)")
 	thresh = flag.Float64("replanthresh", 0, "misestimate factor that triggers a mid-query replan (0 = engine default; <=1 forces a replan check at every breaker)")
@@ -27,11 +27,10 @@ var (
 
 func main() {
 	flag.Parse()
-	m := map[string]exec.Mode{
-		"bytecode": exec.ModeBytecode, "optimized": exec.ModeOptimized,
-		"adaptive": exec.ModeAdaptive, "native": exec.ModeNative,
-		"vector": exec.ModeVector,
-	}[*mode]
+	m, err := exec.ParseMode(*mode)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cat := tpch.Gen(*sf)
 	eng := exec.New(exec.Options{Workers: *wrk, Mode: m, Cost: exec.Paper(),
 		Trace: true, MorselSize: 1024, ReplanThreshold: *thresh})
@@ -173,26 +172,6 @@ func main() {
 		}
 		fmt.Printf("  %s: machine code assembled in %.3f ms\n",
 			scopeOf(ev), (ev.End-ev.Start).Seconds()*1e3)
-	}
-
-	// Engine switches ('E' on the compile lane above: a promotion into the
-	// vectorized engine; 'e': a demotion back to the level the pipeline left).
-	first = true
-	for _, ev := range merged.Events() {
-		if ev.Kind != exec.EvEngine {
-			continue
-		}
-		if first {
-			fmt.Println("\nengine switches:")
-			first = false
-		}
-		if ev.Level == exec.LevelVector {
-			fmt.Printf("  %s: switched to the vectorized engine at %.3f ms\n",
-				scopeOf(ev), ev.Start.Seconds()*1e3)
-		} else {
-			fmt.Printf("  %s: demoted back to the %s tier at %.3f ms (slower than the level it left)\n",
-				scopeOf(ev), ev.Level, ev.Start.Seconds()*1e3)
-		}
 	}
 
 	// Pipeline-breaker finalizations ('F' on the compile lane above).

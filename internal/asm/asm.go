@@ -26,8 +26,7 @@
 //
 // The architecture seam is the build tag: amd64 on linux/darwin gets the
 // real backend, every other GOARCH/GOOS compiles the stub whose Compile
-// returns ErrUnsupported, and the engine leaves each pipeline in bytecode
-// (or, adaptively, climbs to the vectorized engine instead).
+// returns ErrUnsupported, and the engine leaves each pipeline in bytecode.
 package asm
 
 import (

@@ -55,7 +55,7 @@ type Query struct {
 	// bytes appended after the slot array), installed per execution by
 	// BindParams. Parameter values live only in the segment — never in
 	// the IR — so executions that differ only in bindings share a module,
-	// a fingerprint, compiled tiers and vectorized kernels.
+	// a fingerprint and compiled tiers.
 	Params    []expr.Type
 	ParamBase uint64
 
@@ -112,11 +112,16 @@ type Pipeline struct {
 	// this pipeline rewritten to dictionary-code operations.
 	DictRewrites int
 
-	// Vec is the engine-neutral description of this pipeline for the
-	// vectorized backend; always built, so segment and literal registration
-	// is identical whether or not a vectorized kernel is ever installed.
+	// Vec is always nil.
+	//
+	// Deprecated: the vectorized engine it described was removed.
 	Vec *VecSpec
 }
+
+// VecSpec is empty and never built.
+//
+// Deprecated: the vectorized engine it described was removed.
+type VecSpec struct{}
 
 // JoinDesc mirrors the layout the generated code assumed for a join hash
 // table; the engine materializes a matching rt.JoinHT.
@@ -201,7 +206,7 @@ func Compile(root plan.Node, mem *rt.Memory, name string) (*Query, error) {
 	// The literal and parameter segments register first and unconditionally
 	// (even for plans without literals or parameters) so segment numbering
 	// — and therefore every embedded base address — is identical across
-	// all plans, which cached programs, code and kernels rely on. Each is
+	// all plans, which cached programs and code rely on. Each is
 	// published at its exact size once its contents are known: literals at
 	// the end of codegen, parameter slots here and again by BindParams.
 	g.litBase = mem.AddSegment(nil)
@@ -353,9 +358,51 @@ func (g *cgen) collectParams(root plan.Node) {
 	visit(root)
 }
 
+// walkExpr invokes fn on e and every subexpression (including InList
+// constants), in no particular order. nil expressions are skipped.
+func walkExpr(e expr.Expr, fn func(expr.Expr)) {
+	if e == nil {
+		return
+	}
+	fn(e)
+	switch x := e.(type) {
+	case *expr.Arith:
+		walkExpr(x.L, fn)
+		walkExpr(x.R, fn)
+	case *expr.Cmp:
+		walkExpr(x.L, fn)
+		walkExpr(x.R, fn)
+	case *expr.Logic:
+		for _, a := range x.Args {
+			walkExpr(a, fn)
+		}
+	case *expr.NotExpr:
+		walkExpr(x.Arg, fn)
+	case *expr.LikeExpr:
+		walkExpr(x.Arg, fn)
+	case *expr.InList:
+		walkExpr(x.Arg, fn)
+		for _, c := range x.List {
+			walkExpr(c, fn)
+		}
+	case *expr.CaseExpr:
+		for _, w := range x.Whens {
+			walkExpr(w.Cond, fn)
+			walkExpr(w.Then, fn)
+		}
+		walkExpr(x.Else, fn)
+	case *expr.YearExpr:
+		walkExpr(x.Arg, fn)
+	case *expr.SubstrExpr:
+		walkExpr(x.Arg, fn)
+	case *expr.CastExpr:
+		walkExpr(x.Arg, fn)
+	}
+}
+
 // genParam emits the typed load of parameter idx from its slot in the
 // parameter segment. The loads are address-indirect like every other
-// segment access, so fingerprint-cached code and kernels read the
+// segment access, so fingerprint-cached programs and code read the
 // current execution's bindings.
 func (g *cgen) genParam(b *ir.Builder, idx int, t expr.Type) expr.Val {
 	base := b.ConstI64(int64(g.paramBase))

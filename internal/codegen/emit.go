@@ -241,9 +241,7 @@ func (g *cgen) emitScanPipeline(s *plan.Scan, ops []pipeOp, sk sink, label strin
 		return g.scanResolver(p, s, i)
 	}, ops, sk)
 	g.addPipeline(f, label, s.Table, -1, sk)
-	pl := g.q.Pipelines[len(g.q.Pipelines)-1]
-	pl.Prune = g.extractPrune(s)
-	pl.Vec = g.buildVecSpec(g.scanVecSource(s), ops, sk)
+	g.q.Pipelines[len(g.q.Pipelines)-1].Prune = g.extractPrune(s)
 }
 
 func (g *cgen) scanResolver(p *pgen, s *plan.Scan, i *ir.Value) resolver {
@@ -302,9 +300,6 @@ func (g *cgen) emitPipeline(_ *storage.Table, am *aggMeta, gb *plan.GroupBy,
 		return g.groupResolver(p, am, gb, e)
 	}, ops, sk)
 	g.addPipeline(f, label, nil, am.id, sk)
-	src := &VecSpec{AggSrc: &VecAggSrc{AggID: am.id, IndexStateOff: desc.IndexStateOff,
-		GB: gb, KeyOffs: am.keyOffs, SlotOffs: am.slotOffs}}
-	g.q.Pipelines[len(g.q.Pipelines)-1].Vec = g.buildVecSpec(src, ops, sk)
 }
 
 // emitJoinScanPipeline generates the last pipeline of a build-side join:
@@ -329,17 +324,7 @@ func (g *cgen) emitJoinScanPipeline(jm *joinMeta, j *plan.Join, ops []pipeOp, sk
 		}
 	}, ops, sk)
 	g.addPipeline(f, label, nil, -1, sk)
-	pl := g.q.Pipelines[len(g.q.Pipelines)-1]
-	pl.JoinSource = jm.id
-	src := &VecJoinSrc{IndexStateOff: mk.IndexStateOff, CountOff: -1}
-	for c := 0; c < nb; c++ {
-		fld := jm.byIdx[c]
-		src.Fields = append(src.Fields, VecField{SrcIdx: c, Off: fld.off, T: fld.t})
-	}
-	if j.Kind == plan.RightCount {
-		src.CountOff = mk.Off
-	}
-	pl.Vec = g.buildVecSpec(&VecSpec{JoinSrc: src}, ops, sk)
+	g.q.Pipelines[len(g.q.Pipelines)-1].JoinSource = jm.id
 }
 
 // groupResolver resolves the GroupBy output schema against a group entry.

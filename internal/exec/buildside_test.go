@@ -12,15 +12,6 @@ import (
 // buildSideKinds are the joins whose hash table holds the side they return.
 var buildSideKinds = []plan.JoinKind{plan.RightSemi, plan.RightAnti, plan.RightCount}
 
-// buildSideEngines adds the static mode testEngines leaves out: every
-// pipeline run as batch kernels (the mark probe and the join scan are both
-// kernel shapes).
-func buildSideEngines() map[string]*Engine {
-	engs := testEngines()
-	engs["vector-w3"] = New(Options{Workers: 3, Mode: ModeVector, MorselSize: 64})
-	return engs
-}
-
 // hotT is a build table whose key 7 occurs on several rows; every other
 // key is unique.
 var hotT = func() *storage.Table {
@@ -107,7 +98,7 @@ var buildSideCases = []buildSideCase{
 // TestBuildSideJoins runs every build-side kind, with and without a
 // residual, over each case on every mode against Volcano.
 func TestBuildSideJoins(t *testing.T) {
-	engs := buildSideEngines()
+	engs := testEngines()
 	for _, c := range buildSideCases {
 		for _, kind := range buildSideKinds {
 			for _, residual := range []bool{false, true} {
@@ -131,7 +122,7 @@ func TestBuildSideJoinDownstream(t *testing.T) {
 		return plan.NewGroupBy(f, []expr.Expr{plan.C(js, "n")}, []string{"n"},
 			[]plan.AggExpr{{Func: plan.CountStar, Name: "k"},
 				{Func: plan.Sum, Arg: plan.C(js, "o_total"), Name: "s"}})
-	}, buildSideEngines())
+	}, testEngines())
 }
 
 // q21Tables are a lineitem-like table (order, supplier, late flag) and an
@@ -204,24 +195,13 @@ func TestQ21ShapedChain(t *testing.T) {
 	if len(rows) < 5 {
 		t.Fatalf("chain returns %d groups; the tables no longer exercise it", len(rows))
 	}
-	checkPlanOn(t, "q21-chain", q21Chain, buildSideEngines())
-	// Mark probes evaluate every candidate's residual, so they are kernel
-	// shapes, residual or not: every pipeline runs vectorized.
-	res, err := New(Options{Workers: 2, Mode: ModeVector}).RunPlan(q21Chain(), "q21-vector")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range res.Stats.FinalLevels {
-		if l != LevelVector {
-			t.Errorf("pipeline %d finished at %v, want the vectorized engine", i, l)
-		}
-	}
+	checkPlan(t, "q21-chain", q21Chain)
 }
 
 // TestModeSwitchStressBuildSide flips every pipeline of the Q21-shaped
 // chain between the levels at every morsel (TestModeSwitchStress's hook):
-// the workers' count arrays are written by native code, bytecode and batch
-// kernels alike within one probe pipeline.
+// the workers' count arrays are written by native code and bytecode alike
+// within one probe pipeline.
 func TestModeSwitchStressBuildSide(t *testing.T) {
 	modeSwitchStress(t, q21Chain)
 }

@@ -5,16 +5,15 @@ import (
 	"sync"
 
 	"aqe/internal/jit"
-	"aqe/internal/vector"
 	"aqe/internal/vm"
 )
 
 // planCache is the engine-level compilation cache: it maps plan
 // fingerprints to every variant any run made of each pipeline — its
-// bytecode, its vectorized kernel and its compiled variant of the engine's
-// one compiled level — so a repeated query skips translation and starts
-// executing in the best level reached by any earlier execution instead of
-// re-climbing from bytecode.
+// bytecode and its compiled variant of the engine's one compiled level —
+// so a repeated query skips translation and starts executing in the best
+// level reached by any earlier execution instead of re-climbing from
+// bytecode.
 //
 // Entries are evicted in LRU order once the byte budget is exceeded. The
 // budget tracks an estimate of the retained footprint (the entry itself,
@@ -32,25 +31,13 @@ type planCache struct {
 	hits, misses, evictions int64
 }
 
-// cachedPlan is one cache entry. Entries are mutated only under the cache
-// mutex; lookups hand out immutable snapshots.
+// cachedPlan is one cache entry: per pipeline, the variants a warm run's
+// Handle starts with. Entries are mutated only under the cache mutex;
+// lookups hand out immutable snapshots.
 type cachedPlan struct {
 	fp    Fingerprint
-	pipes []cachedPipe
+	pipes []variants
 	bytes int64
-}
-
-// cachedPipe holds the artifacts of one pipeline — the variants a warm
-// run's Handle starts with — and the engine memo.
-type cachedPipe struct {
-	variants
-	// vecBest records whether the most recent execution promoted this
-	// pipeline to the vectorized engine and finished it there; a warm
-	// adaptive run then starts there directly instead of re-discovering the
-	// engine choice from morsel rates (the engine analogue of starting in
-	// the best compiled tier reached earlier). That run cannot verify the
-	// level, so it clears the memo: it is believed once (runPipeline).
-	vecBest bool
 }
 
 // CacheStats is a snapshot of the compilation-cache counters.
@@ -86,7 +73,7 @@ func (c *planCache) lookup(fp Fingerprint) *cachedPlan {
 	c.lru.MoveToFront(el)
 	ent := el.Value.(*cachedPlan)
 	snap := &cachedPlan{fp: ent.fp, bytes: ent.bytes}
-	snap.pipes = append([]cachedPipe(nil), ent.pipes...)
+	snap.pipes = append([]variants(nil), ent.pipes...)
 	return snap
 }
 
@@ -99,7 +86,7 @@ const planEntryBytes = 256
 // a variant yet. A concurrent duplicate insert keeps the existing entry
 // (its variants may already be attached).
 func (c *planCache) insert(fp Fingerprint, pipes int) {
-	ent := &cachedPlan{fp: fp, pipes: make([]cachedPipe, pipes), bytes: planEntryBytes}
+	ent := &cachedPlan{fp: fp, pipes: make([]variants, pipes), bytes: planEntryBytes}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.idx[fp]; ok {
@@ -113,7 +100,7 @@ func (c *planCache) insert(fp Fingerprint, pipes int) {
 // attach updates pipeline pipe of the entry for fp under the mutex and
 // charges the bytes set reports adding. It is a no-op if the entry was
 // evicted.
-func (c *planCache) attach(fp Fingerprint, pipe int, set func(*cachedPipe) int64) {
+func (c *planCache) attach(fp Fingerprint, pipe int, set func(*variants) int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.idx[fp]
@@ -133,7 +120,7 @@ func (c *planCache) attach(fp Fingerprint, pipe int, set func(*cachedPipe) int64
 // addProgram attaches a pipeline's bytecode program. Like every add, the
 // first variant of a kind wins; later ones are equivalent.
 func (c *planCache) addProgram(fp Fingerprint, pipe int, p *vm.Program) {
-	c.attach(fp, pipe, func(cp *cachedPipe) int64 {
+	c.attach(fp, pipe, func(cp *variants) int64 {
 		if cp.prog != nil {
 			return 0
 		}
@@ -144,38 +131,12 @@ func (c *planCache) addProgram(fp Fingerprint, pipe int, p *vm.Program) {
 
 // addCompiled attaches a compiled variant to a cached pipeline.
 func (c *planCache) addCompiled(fp Fingerprint, pipe int, comp *jit.Compiled) {
-	c.attach(fp, pipe, func(cp *cachedPipe) int64 {
+	c.attach(fp, pipe, func(cp *variants) int64 {
 		if cp.compiled != nil {
 			return 0
 		}
 		cp.compiled = comp
 		return int64(comp.SizeBytes())
-	})
-}
-
-// vecKernelBytes is the footprint estimate of a cached vectorized kernel:
-// the spec's expression trees and lookup maps are small compared to
-// bytecode programs or machine code.
-const vecKernelBytes = 2048
-
-// addVector attaches a vectorized kernel to a cached pipeline.
-func (c *planCache) addVector(fp Fingerprint, pipe int, k *vector.Kernel) {
-	c.attach(fp, pipe, func(cp *cachedPipe) int64 {
-		if cp.vec != nil {
-			return 0
-		}
-		cp.vec = k
-		return vecKernelBytes
-	})
-}
-
-// noteEngine records whether the most recent execution of pipeline `pipe`
-// earned the vectorized engine (promoted to it and finished in it). Last
-// writer wins: the memo tracks the current preference, not history.
-func (c *planCache) noteEngine(fp Fingerprint, pipe int, vec bool) {
-	c.attach(fp, pipe, func(cp *cachedPipe) int64 {
-		cp.vecBest = vec
-		return 0
 	})
 }
 

@@ -41,38 +41,19 @@ type CostModel struct {
 	// bytecode.
 	SpeedupNative float64
 
-	// SpeedupVecHash/SpeedupVecCompute are the vectorized engine's modeled
-	// throughput ratios relative to bytecode, split by pipeline character:
-	// hash-dense pipelines (probes, grouped aggregation) batch their
-	// hash-table walks and overlap cache misses, where the engine wins big;
-	// compute-dense pipelines only save interpretation overhead compiled
-	// code already eliminates. Speedup picks the estimate by the pipeline's
-	// VecSpec.HashDense flag.
-	SpeedupVecHash    float64
-	SpeedupVecCompute float64
-
 	// Simulate imposes the modeled times on actual compilations.
 	Simulate bool
 }
 
-// The throughput priors are one set for both models: since both price the
-// same back end, they differ only in compile latency and Simulate. They
-// are rough fits of this substrate (the controller only needs the order of
-// magnitude) and only ever extrapolate; verify holds a level the
+// speedupNative is the throughput prior both models share: since both
+// price the same back end, they differ only in compile latency and
+// Simulate. It is a rough fit of this substrate — measured
+// native-over-bytecode spans 2.2x (hash-bound Q10, hashwalk) to 9x
+// (float-dense aggregation), and the controller only needs the order of
+// magnitude — and it only ever extrapolates; verify holds a level the
 // controller promoted to the rate measured at the level it left, never to
-// these numbers.
-const (
-	// Measured native-over-bytecode spans 2.2x (hash-bound Q10, hashwalk)
-	// to 9x (float-dense aggregation).
-	speedupNative = 3.0
-	// Measured on this substrate (EXPERIMENTS.md hybrid table): batched
-	// probe/group walks beat the per-tuple compiled walk markedly on
-	// hash-dense pipelines, while compute-dense pipelines gain little over
-	// fused bytecode (typed Go loops) — below native, so the controller
-	// keeps those compiled.
-	speedupVecHash    = 3.5
-	speedupVecCompute = 1.2
-)
+// this number.
+const speedupNative = 3.0
 
 // Paper returns the cost model calibrated to the paper's measurements:
 // unoptimized ≈ 6 ms and optimized ≈ 42 ms for TPC-H Q1's ~2000
@@ -83,42 +64,37 @@ const (
 // paper's bytecode → unoptimized step.
 func Paper() *CostModel {
 	return &CostModel{
-		OptBase:           2 * time.Millisecond,
-		OptPerInstr:       18 * time.Microsecond,
-		OptCubic:          3.5e-12, // ~3.5 s extra at 10k instructions in one function
-		NativeBase:        500 * time.Microsecond,
-		NativePerInstr:    2750 * time.Nanosecond,
-		SpeedupNative:     speedupNative,
-		SpeedupVecHash:    speedupVecHash,
-		SpeedupVecCompute: speedupVecCompute,
-		Simulate:          true,
+		OptBase:        2 * time.Millisecond,
+		OptPerInstr:    18 * time.Microsecond,
+		OptCubic:       3.5e-12, // ~3.5 s extra at 10k instructions in one function
+		NativeBase:     500 * time.Microsecond,
+		NativePerInstr: 2750 * time.Nanosecond,
+		SpeedupNative:  speedupNative,
+		Simulate:       true,
 	}
 }
 
-// Native returns a model of the in-process native back end and vectorized
-// engine with no simulated latency. It sets nothing for optimized code:
-// with Simulate off ModeOptimized compiles at its real cost, and the
-// controller never considers it.
+// Native returns a model of the in-process native back end with no
+// simulated latency. It sets nothing for optimized code: with Simulate off
+// ModeOptimized compiles at its real cost, and the controller never
+// considers it.
 func Native() *CostModel {
 	return &CostModel{
 		// Measured on the register-allocating template JIT (PR 8,
 		// EXPERIMENTS.md compile-latency table): ~0.35 µs per instruction
 		// plus a small fixed cost for the allocator's per-function arrays,
 		// landing at or below the bytecode translator.
-		NativeBase:        25 * time.Microsecond,
-		NativePerInstr:    350 * time.Nanosecond,
-		SpeedupNative:     speedupNative,
-		SpeedupVecHash:    speedupVecHash,
-		SpeedupVecCompute: speedupVecCompute,
+		NativeBase:     25 * time.Microsecond,
+		NativePerInstr: 350 * time.Nanosecond,
+		SpeedupNative:  speedupNative,
 	}
 }
 
 // CompileTime predicts the time to compile instrs instructions to level l,
 // the largest single function among them having largestFn (for one
 // function, the same number). Optimized compilation is linear in the
-// total and super-linear in the largest function. Bytecode is always
-// there and a vectorized kernel is staged with its pipeline, so neither
-// has anything to compile.
+// total and super-linear in the largest function. Bytecode has nothing to
+// compile.
 func (m *CostModel) CompileTime(l Level, instrs, largestFn int) time.Duration {
 	switch l {
 	case LevelOptimized:
@@ -146,17 +122,10 @@ func (m *CostModel) NativeTime(instrs int) time.Duration {
 }
 
 // Speedup returns the modeled throughput of a level of the adaptive ladder
-// relative to bytecode. hashDense is the pipeline's VecSpec.HashDense flag,
-// which picks the vectorized engine's estimate; native code ignores it.
-func (m *CostModel) Speedup(l Level, hashDense bool) float64 {
-	switch l {
-	case LevelNative:
+// relative to bytecode.
+func (m *CostModel) Speedup(l Level) float64 {
+	if l == LevelNative {
 		return m.SpeedupNative
-	case LevelVector:
-		if hashDense {
-			return m.SpeedupVecHash
-		}
-		return m.SpeedupVecCompute
 	}
 	return 1
 }
@@ -167,15 +136,15 @@ func (m *CostModel) Speedup(l Level, hashDense bool) float64 {
 // rate per worker at level cur, n the tuples left, w the workers the
 // pipeline holds. Staying wins ties, and among candidates the lower level
 // does (strict <, ascending order): a switch must pay for itself.
-func (m *CostModel) choose(cur Level, allowed levelMask, instrs int, hashDense bool, r0, n, w float64) Level {
-	curSpeed := m.Speedup(cur, hashDense)
+func (m *CostModel) choose(cur Level, allowed levelMask, instrs int, r0, n, w float64) Level {
+	curSpeed := m.Speedup(cur)
 	best, bestT := cur, n/r0/w
 	for l := cur + 1; l < numLevels; l++ {
 		if !allowed.has(l) {
 			continue
 		}
 		c := m.CompileTime(l, instrs, instrs).Seconds()
-		r := r0 / curSpeed * m.Speedup(l, hashDense)
+		r := r0 / curSpeed * m.Speedup(l)
 		// While one thread compiles, the remaining w-1 continue at r0.
 		rem := n - (w-1)*r0*c
 		if rem < 0 {

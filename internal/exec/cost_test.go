@@ -34,10 +34,10 @@ func TestCostModelMonotonicity(t *testing.T) {
 				prev = d
 			}
 		}
-		if m.Speedup(LevelNative, false) <= m.Speedup(LevelBytecode, false) {
+		if m.Speedup(LevelNative) <= m.Speedup(LevelBytecode) {
 			t.Error("native code not modeled faster than bytecode")
 		}
-		if m.Speedup(LevelBytecode, false) != 1 {
+		if m.Speedup(LevelBytecode) != 1 {
 			t.Error("bytecode speedup must be 1")
 		}
 	}
@@ -48,10 +48,8 @@ func TestCostModelMonotonicity(t *testing.T) {
 func TestModelsShareThroughputPriors(t *testing.T) {
 	p, n := Paper(), Native()
 	for l := LevelBytecode; l < numLevels; l++ {
-		for _, hd := range []bool{false, true} {
-			if a, b := p.Speedup(l, hd), n.Speedup(l, hd); a != b {
-				t.Errorf("%v (hash-dense %v): Paper() %g, Native() %g", l, hd, a, b)
-			}
+		if a, b := p.Speedup(l), n.Speedup(l); a != b {
+			t.Errorf("%v: Paper() %g, Native() %g", l, a, b)
 		}
 	}
 }
@@ -79,7 +77,7 @@ func TestPaperModelCalibration(t *testing.T) {
 func TestExtrapolationChoosesStay(t *testing.T) {
 	m := Paper()
 	decide := func(n float64, instrs int) Level {
-		return m.choose(LevelBytecode, maskOf(LevelNative), instrs, false, 1e6, n, 4)
+		return m.choose(LevelBytecode, maskOf(LevelNative), instrs, 1e6, n, 4)
 	}
 	if got := decide(1000, 500); got != LevelBytecode {
 		t.Errorf("tiny remainder chose %v", got)
@@ -100,26 +98,17 @@ func TestExtrapolationChoosesStay(t *testing.T) {
 }
 
 // TestChooseTieBreaking pins the order of the comparison: strict <, so
-// staying wins a tie with every candidate, and candidates in ascending
-// level order with the vectorized engine last, so the lowest level wins a
-// tie among candidates.
+// staying wins a tie with a candidate that is no faster, and a faster one
+// wins.
 func TestChooseTieBreaking(t *testing.T) {
 	all := ModeAdaptive.levels().above(LevelBytecode)
-	flat := &CostModel{SpeedupNative: 1, SpeedupVecHash: 1, SpeedupVecCompute: 1}
-	if got := flat.choose(LevelBytecode, all, 1000, true, 1e6, 1e8, 4); got != LevelBytecode {
+	flat := &CostModel{SpeedupNative: 1}
+	if got := flat.choose(LevelBytecode, all, 1000, 1e6, 1e8, 4); got != LevelBytecode {
 		t.Errorf("no level is faster, yet chose %v over staying", got)
 	}
-	even := &CostModel{SpeedupNative: 2, SpeedupVecHash: 2, SpeedupVecCompute: 2}
-	for _, tc := range []struct {
-		allowed levelMask
-		want    Level
-	}{
-		{all, LevelNative},
-		{maskOf(LevelVector), LevelVector},
-	} {
-		if got := even.choose(LevelBytecode, tc.allowed, 1000, true, 1e6, 1e8, 4); got != tc.want {
-			t.Errorf("all candidates equally fast, allowed %04b: chose %v, want %v", tc.allowed, got, tc.want)
-		}
+	even := &CostModel{SpeedupNative: 2}
+	if got := even.choose(LevelBytecode, all, 1000, 1e6, 1e8, 4); got != LevelNative {
+		t.Errorf("native code twice as fast at no compile cost: chose %v", got)
 	}
 }
 

@@ -29,10 +29,10 @@ func checksum(res *Result) string {
 }
 
 // TestCrossTierDifferential22 runs all 22 TPC-H queries under every
-// execution mode but the vectorized one and asserts identical result
-// checksums, then runs each query a second time on the same engine to
-// prove that a cache-served execution — shared bytecode, pre-installed
-// machine code — returns byte-identical results. On platforms without a
+// execution mode and asserts identical result checksums, then runs each
+// query a second time on the same engine to prove that a cache-served
+// execution — shared bytecode, pre-installed machine code — returns
+// byte-identical results. On platforms without a
 // native backend, ModeNative and ModeOptimized exercise the silent
 // per-pipeline fallback to bytecode instead.
 func TestCrossTierDifferential22(t *testing.T) {

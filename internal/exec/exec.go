@@ -16,11 +16,11 @@
 // the pipeline's handle allows (Fig. 7), and switches pipelines mid-flight
 // by storing a new level into the function handle, which holds every
 // variant (Fig. 5) — no work is lost because all levels execute identical
-// semantics over the same runtime state (§IV-E). The ladder is bytecode →
-// native machine code or the vectorized engine, and a level that fails to
-// compile, or runs slower than the level the controller moved the pipeline
-// from, is disabled for the run, which leaves the pipeline where it was;
-// without a native back end (arm64) the ladder is bytecode → vectorized.
+// semantics over the same runtime state (§IV-E). The ladder is the paper's,
+// bytecode → native machine code, and a level that fails to compile, or
+// runs slower than the level the controller moved the pipeline from, is
+// disabled for the run, which leaves the pipeline where it was; without a
+// native back end (arm64) every pipeline stays in bytecode.
 // The paper's optimized machine code — the same back end after the IR
 // pass pipeline — is its static baseline (ModeOptimized) and no other mode
 // runs it: an engine compiles to at most one level (Mode.levels).
@@ -30,6 +30,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -54,17 +55,18 @@ type Mode int
 // the IR as code generation emitted it — the paper's unoptimized baseline;
 // ModeOptimized does the same after the IR pass pipeline. Both leave a
 // pipeline in bytecode when the platform or the function is unsupported.
-// ModeVector statically pins every pipeline to the morsel-driven
-// vectorized engine (a pipeline stays in bytecode when it has no vector
-// plan).
 const (
 	ModeAdaptive Mode = iota
 	ModeBytecode
 	ModeOptimized
 	ModeIRInterp
 	ModeNative
-	ModeVector
 )
+
+// ModeVector runs every pipeline in bytecode.
+//
+// Deprecated: the vectorized engine it pinned was removed.
+const ModeVector = ModeBytecode
 
 // level returns the level a static mode puts every pipeline at before
 // execution starts. The interpreters stay at bytecode; the adaptive mode
@@ -75,25 +77,36 @@ func (m Mode) level() Level {
 		return LevelOptimized
 	case ModeNative:
 		return LevelNative
-	case ModeVector:
-		return LevelVector
 	}
 	return LevelBytecode
 }
 
 // levels returns the levels an engine in mode m may run a pipeline at:
-// bytecode, and above it native code and the vectorized engine for the
-// adaptive mode, or the static mode's own level. So an engine compiles to
-// at most one level, and optimized code is a static baseline only.
+// bytecode, and above it native code for the adaptive mode, or the static
+// mode's own level. So an engine compiles to at most one level, and
+// optimized code is a static baseline only.
 func (m Mode) levels() levelMask {
 	if m == ModeAdaptive {
-		return maskOf(LevelBytecode, LevelNative, LevelVector)
+		return maskOf(LevelBytecode, LevelNative)
 	}
 	return maskOf(LevelBytecode, m.level())
 }
 
-func (m Mode) String() string {
-	return [...]string{"adaptive", "bytecode", "optimized", "ir-interp", "native", "vector"}[m]
+// modeNames are the modes' names, by value: what String prints and
+// ParseMode reads.
+var modeNames = [...]string{"adaptive", "bytecode", "optimized", "ir-interp", "native"}
+
+func (m Mode) String() string { return modeNames[m] }
+
+// ParseMode returns the mode whose String is name; any other name is an
+// error that lists the valid ones.
+func ParseMode(name string) (Mode, error) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (valid: %s)", name, strings.Join(modeNames[:], ", "))
 }
 
 // Options configures an Engine.
@@ -143,10 +156,6 @@ type Options struct {
 	// engine: the adaptive controller never proposes native code, and
 	// ModeNative and ModeOptimized run bytecode.
 	NoNative bool
-	// NoVector disables the vectorized engine on every handle of this
-	// engine: no kernel is staged, the adaptive controller never proposes
-	// it and ModeVector runs bytecode.
-	NoVector bool
 	// ReplanThreshold is the misestimate factor max(est/obs, obs/est) of
 	// an observed build-side cardinality past which a query running with
 	// a Replanner reoptimizes its join order mid-flight (default 8).
@@ -222,9 +231,6 @@ func New(opts Options) *Engine {
 	e.disabled = allLevels &^ opts.Mode.levels()
 	if !asm.Supported() || opts.NoNative {
 		e.disabled |= machineCode
-	}
-	if opts.NoVector {
-		e.disabled |= maskOf(LevelVector)
 	}
 	rt.RegisterBuiltins(e.reg)
 	return e
@@ -309,12 +315,10 @@ type Stats struct {
 	NativeMorsels   int64
 	NativeFallbacks int64
 
-	// Vectorized-engine counters: morsels dispatched to the vectorized
-	// engine, and engine switches the controller performed mid-pipeline
-	// (promotions into the vectorized engine plus demotions back to the
-	// compiled tiers).
-	VectorMorsels  int64
-	EngineSwitches int64
+	// VectorMorsels and EngineSwitches are always 0.
+	//
+	// Deprecated: the vectorized engine they counted was removed.
+	VectorMorsels, EngineSwitches int64
 
 	// Zone-map pruning: blocks/tuples skipped without dispatching, and
 	// the total source tuples of scans that carried a prune descriptor
@@ -583,7 +587,7 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		st.DictHits = cq.DictHits
 		// Install the parameter bindings into this attempt's parameter
 		// segment. Codegen (and thus binding) reruns on every execution;
-		// only translate/compile/kernels are served from the cache, so a
+		// only translate/compile are served from the cache, so a
 		// cached plan still reads fresh values through the segment table.
 		if len(cq.Params) > 0 || len(opts.Params) > 0 {
 			if err := cq.BindParams(opts.Params); err != nil {
@@ -628,8 +632,6 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		st.NativeCompiles += qr.nativeCompiles.Load()
 		st.NativeMorsels += qr.nativeMorsels.Load()
 		st.NativeFallbacks += qr.nativeFallbacks.Load()
-		st.VectorMorsels += qr.vectorMorsels.Load()
-		st.EngineSwitches += qr.engineSwitches.Load()
 		if err == nil {
 			break
 		}

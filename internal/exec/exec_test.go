@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -364,6 +365,117 @@ func TestOverflowPropagates(t *testing.T) {
 			t.Errorf("%v: expected overflow error", mode)
 		} else if trap, ok := err.(*rt.Trap); !ok || trap.Code != rt.TrapOverflow {
 			t.Errorf("%v: got %v", mode, err)
+		}
+	}
+}
+
+// TestDivZeroBehindFilter: a division by zero behind a filter traps in no
+// engine when the filter removes the zero rows — the expression is
+// evaluated on the tuples that pass, no others — and traps in every engine
+// when it does not.
+func TestDivZeroBehindFilter(t *testing.T) {
+	a := storage.NewColumn("a", storage.Int64)
+	b := storage.NewColumn("b", storage.Int64)
+	for i := 0; i < 1000; i++ {
+		a.AppendInt64(int64(i))
+		b.AppendInt64(int64(i % 5)) // zeros at every i%5==0
+	}
+	tbl := storage.NewTable("dz", a, b)
+	build := func(filtered bool) func() plan.Node {
+		return func() plan.Node {
+			s := plan.NewScan(tbl, "a", "b")
+			sch := s.Schema()
+			if filtered {
+				s.Where(expr.Gt(plan.C(sch, "b"), expr.Int(0)))
+			}
+			return plan.NewGroupBy(s, nil, nil, []plan.AggExpr{{Func: plan.Sum,
+				Arg: expr.Div(plan.C(sch, "a"), plan.C(sch, "b")), Name: "q"}})
+		}
+	}
+	checkPlan(t, "dz-filtered", build(true))
+	for name, e := range testEngines() {
+		var trap *rt.Trap
+		if _, err := e.RunPlan(build(false)(), "dz-unfiltered"); !errors.As(err, &trap) || trap.Code != rt.TrapDivZero {
+			t.Errorf("%s: unfiltered division by zero: %v, want the division-by-zero trap", name, err)
+		}
+	}
+}
+
+// TestJoinShapes runs each probe-side join kind against Volcano over a
+// fact table whose keys miss the dimension at both ends: inner with and
+// without a residual over the build payload, semi, anti, and outer-count
+// with its count column summed.
+func TestJoinShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dk := storage.NewColumn("b", storage.Int64)
+	dv := storage.NewColumn("d", storage.Decimal)
+	for i := 0; i < 300; i++ {
+		dk.AppendInt64(int64(rng.Intn(50)))
+		dv.AppendInt64(int64(rng.Intn(100000) - 20000))
+	}
+	dim := storage.NewTable("dim", dk, dv)
+	fk := storage.NewColumn("fk", storage.Int64)
+	fv := storage.NewColumn("fv", storage.Decimal)
+	for i := 0; i < 5000; i++ {
+		fk.AppendInt64(int64(rng.Intn(80) - 10))
+		fv.AppendInt64(int64(rng.Intn(10000)))
+	}
+	fact := storage.NewTable("fact", fk, fv)
+	for _, tc := range []struct {
+		name     string
+		kind     plan.JoinKind
+		residual bool
+	}{
+		{"inner", plan.Inner, false},
+		{"inner-residual", plan.Inner, true},
+		{"semi", plan.Semi, false},
+		{"anti", plan.Anti, false},
+		{"outer-count", plan.OuterCount, false},
+	} {
+		checkPlan(t, "join-"+tc.name, func() plan.Node {
+			d := plan.NewScan(dim, "b", "d")
+			f := plan.NewScan(fact, "fk", "fv")
+			var payload []string
+			if tc.kind == plan.Inner {
+				payload = []string{"d"}
+			}
+			j := plan.NewJoin(tc.kind, d, f,
+				[]expr.Expr{plan.C(d.Schema(), "b")},
+				[]expr.Expr{plan.C(f.Schema(), "fk")}, payload)
+			if tc.residual {
+				j.WithResidual(expr.Gt(plan.C(j.Schema(), "d"), expr.Dec(0, 2)))
+			}
+			jsch := j.Schema()
+			aggs := []plan.AggExpr{{Func: plan.CountStar, Name: "n"},
+				{Func: plan.Sum, Arg: plan.C(jsch, "fv"), Name: "sv"}}
+			if tc.kind == plan.OuterCount {
+				aggs = append(aggs, plan.AggExpr{Func: plan.Sum,
+					Arg: plan.C(jsch, "match_count"), Name: "mc"})
+			}
+			return plan.NewGroupBy(j, nil, nil, aggs)
+		})
+	}
+}
+
+// TestParseMode: every mode's name parses back to the mode, and a name no
+// mode prints — the removed "vector", a misspelling — is an error that
+// lists the valid names.
+func TestParseMode(t *testing.T) {
+	for m := range modeNames {
+		if got, err := ParseMode(Mode(m).String()); err != nil || got != Mode(m) {
+			t.Errorf("ParseMode(%q) = %v, %v", Mode(m), got, err)
+		}
+	}
+	for _, name := range []string{"vector", "natve", ""} {
+		_, err := ParseMode(name)
+		if err == nil {
+			t.Errorf("ParseMode(%q) succeeded", name)
+			continue
+		}
+		for _, valid := range modeNames {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("ParseMode(%q): %q does not list %q", name, err, valid)
+			}
 		}
 	}
 }

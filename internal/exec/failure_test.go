@@ -36,7 +36,7 @@ func TestFinalizeTrapIsQueryError(t *testing.T) {
 		})
 	}
 	for _, workers := range []int{2, 1} {
-		for _, mode := range []Mode{ModeBytecode, ModeNative, ModeVector, ModeAdaptive} {
+		for _, mode := range []Mode{ModeBytecode, ModeNative, ModeAdaptive} {
 			name := mode.String()
 			if workers == 1 {
 				name += "/workers=1"

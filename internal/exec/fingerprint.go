@@ -30,10 +30,10 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:8]) }
 // never are — they live in the run's parameter segment, outside the
 // module — so every binding of one statement shares a single cache entry,
 // while a change of parameter type or arity re-keys it. Fixed literals
-// and LIKE patterns keep hashing by content as in v2: their values are
-// baked into cached vector-kernel specs (IN-list strings, compiled
-// patterns), so slot-hashing them would alias plans whose cached kernels
-// compute different results.
+// and LIKE patterns keep hashing by content as in v2. Nothing cached bakes
+// their values in any more — compiled code addresses literals indirectly
+// and the patterns are registered per run — so hashing their slots instead
+// is open (ROADMAP direction 6).
 //
 // v4 dropped the three header bytes that carried engine switches
 // (NoNative, NoVector, the native back-end selector). A cache belongs to

@@ -8,7 +8,6 @@ import (
 	"aqe/internal/ir/interp"
 	"aqe/internal/jit"
 	"aqe/internal/rt"
-	"aqe/internal/vector"
 	"aqe/internal/vm"
 )
 
@@ -20,15 +19,11 @@ type Level int32
 // asm.Supported() holds: LevelNative assembles the IR as code generation
 // emitted it, LevelOptimized assembles it after the IR pass pipeline and
 // is the paper's static optimized baseline (ModeOptimized) — no other mode
-// runs it. LevelVector is not a compilation tier but a different engine:
-// the morsel-driven vectorized backend, whose kernel needs no compilation.
-// To the controller it is one more level of the ladder — the candidate
-// whose compile time is zero.
+// runs it.
 const (
 	LevelBytecode Level = iota
 	LevelOptimized
 	LevelNative
-	LevelVector
 	numLevels
 )
 
@@ -38,8 +33,6 @@ func (l Level) String() string {
 		return "bytecode"
 	case LevelNative:
 		return "native"
-	case LevelVector:
-		return "vectorized"
 	default:
 		return "optimized"
 	}
@@ -78,9 +71,8 @@ func (m levelMask) has(l Level) bool { return m&(1<<l) != 0 }
 func (m levelMask) above(l Level) levelMask { return m &^ (1<<(l+1) - 1) }
 
 // variants is every executable form of one worker function: the bytecode
-// program, the machine code of the engine's one compiled level
-// (Mode.levels) and the vectorized kernel, each nil until some run made
-// it. The plan cache stores one per pipeline and a Handle is created from
+// program and the machine code of the engine's one compiled level
+// (Mode.levels), each nil until some run made it. The plan cache stores one per pipeline and a Handle is created from
 // one, so a warm run starts with everything an earlier run produced. All
 // of it is immutable, address-indirect (bases re-registered per run
 // resolve through the run's segment table) and safe to share between
@@ -88,7 +80,6 @@ func (m levelMask) above(l Level) levelMask { return m &^ (1<<(l+1) - 1) }
 type variants struct {
 	prog     *vm.Program
 	compiled *jit.Compiled
-	vec      *vector.Kernel
 }
 
 // Handle is the paper's function handle (Fig. 5): it stores every variant
@@ -113,14 +104,12 @@ type Handle struct {
 	progErr  error
 
 	compiled  atomic.Pointer[jit.Compiled] // the one compiled level; nil until staged
-	vec       *vector.Kernel               // nil when the pipeline has no kernel
 	level     atomic.Int32
 	compiling atomic.Bool
 
 	// disabled is the set of levels this pipeline may not run at. It is
 	// seeded at creation (the levels outside the mode's set, no backend on
-	// the platform, NoNative / NoVector, no kernel for the pipeline's
-	// shape) and grows at run time: a failed compilation or a demotion
+	// the platform, NoNative) and grows at run time: a failed compilation or a demotion
 	// disables the level for the rest of the run. Nothing is ever
 	// re-enabled.
 	disabled atomic.Uint32
@@ -131,14 +120,11 @@ type Handle struct {
 // asked for and v has none. The Handle itself carries only the per-run
 // dispatch state: level, in-flight compile flag, disabled levels.
 func newHandle(fn *ir.Function, v variants, disabled levelMask, opts vm.Options) *Handle {
-	h := &Handle{Fn: fn, Instrs: fn.NumInstrs(), vmOpts: opts, vec: v.vec}
+	h := &Handle{Fn: fn, Instrs: fn.NumInstrs(), vmOpts: opts}
 	if v.prog != nil {
 		h.progOnce.Do(func() { h.prog = v.prog })
 	}
 	h.compiled.Store(v.compiled)
-	if v.vec == nil {
-		disabled |= maskOf(LevelVector)
-	}
 	h.disabled.Store(uint32(disabled))
 	return h
 }
@@ -185,11 +171,8 @@ func (h *Handle) Disable(m levelMask) {
 // Has reports whether level l's variant is on the handle, ready to
 // install. Bytecode always is: it is translated on first use.
 func (h *Handle) Has(l Level) bool {
-	switch l {
-	case LevelBytecode:
+	if l == LevelBytecode {
 		return true
-	case LevelVector:
-		return h.vec != nil
 	}
 	c := h.compiled.Load()
 	return c != nil && c.Level == l.jit()
@@ -213,19 +196,16 @@ func (h *Handle) Dispatch(ctx *rt.Ctx, args []uint64) {
 		interp.Run(h.Fn, ctx, args)
 		return
 	}
-	switch l := h.Level(); l {
-	case LevelBytecode:
-		// The coordinator translates a pipeline before it leaves it in
-		// bytecode and fails the query if that fails (queryRun.bytecode),
-		// so only a switch made outside the controller translates here.
-		p, _, err := h.bytecode()
-		if err != nil {
-			panic(err)
-		}
-		p.Run(ctx, args)
-	case LevelVector:
-		h.vec.Run(ctx, args)
-	default:
+	if h.Level() != LevelBytecode {
 		h.compiled.Load().Run(ctx, args)
+		return
 	}
+	// The coordinator translates a pipeline before it leaves it in bytecode
+	// and fails the query if that fails (queryRun.bytecode), so only a
+	// switch made outside the controller translates here.
+	p, _, err := h.bytecode()
+	if err != nil {
+		panic(err)
+	}
+	p.Run(ctx, args)
 }

@@ -80,7 +80,7 @@ func TestNativeStartTranslatesNothing(t *testing.T) {
 func TestFailedNativeStartTranslates(t *testing.T) {
 	asm.SetAllocFailure(true)
 	defer asm.SetAllocFailure(false)
-	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: Native(), MorselSize: 64, NoVector: true})
+	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: Native(), MorselSize: 64})
 	res, handles := runLazy(t, e, stressPlan)
 	for p, h := range handles {
 		if h.prog == nil {

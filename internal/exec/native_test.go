@@ -209,28 +209,16 @@ func TestNoNativeNeverDispatchesNative(t *testing.T) {
 	}
 }
 
-// semiResidualPlan has one pipeline the vectorized engine rejects — a semi
-// join probe with a residual — behind one it accepts (the build).
-func semiResidualPlan() plan.Node {
-	o := plan.NewScan(ordersT, "o_cust", "o_total")
-	c := plan.NewScan(custT, "c_id", "c_bal")
-	j := plan.NewJoin(plan.Semi, o, c,
-		[]expr.Expr{plan.C(o.Schema(), "o_cust")},
-		[]expr.Expr{plan.C(c.Schema(), "c_id")}, nil)
-	comb := j.CombinedSchema()
-	return j.WithResidual(expr.Gt(plan.C(comb, "o_total"), plan.C(comb, "c_bal")))
-}
-
 // TestDisabledLevels drives every source of the disabled-levels mask
 // through a static mode, where what happens is deterministic: the engine's
-// seed (mode, options, platform), the per-pipeline seed (no kernel for the
-// shape) and the run-time bit a failed compilation sets. In every row a
-// pipeline whose target level is disabled must finish in bytecode, a
-// machine-code level given up must be counted once per pipeline, and the
-// rows must be those of ModeBytecode. Both machine-code levels — native
-// and optimized code — fall back the same way.
+// seed (mode, options, platform) and the run-time bit a failed compilation
+// sets. In every row a pipeline whose target level is disabled must finish
+// in bytecode, a machine-code level given up must be counted once per
+// pipeline, and the rows must be those of ModeBytecode. Both machine-code
+// levels — native and optimized code — fall back the same way. The
+// deprecated ModeVector is ModeBytecode: every pipeline runs bytecode.
 func TestDisabledLevels(t *testing.T) {
-	native, opt, vec := maskOf(LevelNative), maskOf(LevelOptimized), maskOf(LevelVector)
+	native, opt := maskOf(LevelNative), maskOf(LevelOptimized)
 	platform := levelMask(0)
 	if !asm.Supported() {
 		platform = machineCode
@@ -243,20 +231,16 @@ func TestDisabledLevels(t *testing.T) {
 		skip      bool
 		seed      levelMask // the engine's seed, beyond the mode's and the platform's
 		every     levelMask // disabled on every handle when the run ends, beyond the seed
-		some      levelMask // disabled on some handles but not all
 	}{
 		{name: "NoNative", opts: Options{Mode: ModeNative, NoNative: true}, plan: stressPlan,
 			seed: machineCode, every: native},
 		{name: "NoNative ModeOptimized", opts: Options{Mode: ModeOptimized, NoNative: true}, plan: stressPlan,
 			seed: machineCode, every: opt},
-		{name: "NoVector", opts: Options{Mode: ModeVector, NoVector: true}, plan: stressPlan,
-			seed: vec, every: vec},
 		{name: "alloc failure", opts: Options{Mode: ModeNative}, plan: stressPlan, allocFail: true,
 			every: native},
 		{name: "alloc failure ModeOptimized", opts: Options{Mode: ModeOptimized}, plan: stressPlan, allocFail: true,
 			every: opt},
-		{name: "vector-ineligible shape", opts: Options{Mode: ModeVector}, plan: semiResidualPlan,
-			some: vec},
+		{name: "ModeVector", opts: Options{Mode: ModeVector}, plan: stressPlan},
 		{name: "ModeIRInterp", opts: Options{Mode: ModeIRInterp}, plan: stressPlan},
 		{name: "unsupported platform", opts: Options{Mode: ModeNative}, plan: stressPlan,
 			skip: asm.Supported(), every: native},
@@ -316,17 +300,14 @@ func TestDisabledLevels(t *testing.T) {
 			if want := (tc.every | tc.seed) &^ ruled; intersection&^ruled != want {
 				t.Errorf("disabled on every handle: %04b, want %04b", intersection&^ruled, want)
 			}
-			if got := (union &^ intersection); got != tc.some {
-				t.Errorf("disabled on some handles only: %04b, want %04b", got, tc.some)
+			if got := union &^ intersection; got != 0 {
+				t.Errorf("disabled on some handles only: %04b, want none", got)
 			}
 			if st.NativeFallbacks != fallbacks {
 				t.Errorf("NativeFallbacks = %d, want %d", st.NativeFallbacks, fallbacks)
 			}
 			if intersection&machineCode == machineCode && st.NativeMorsels != 0 {
 				t.Errorf("%d machine-code morsels with both levels disabled everywhere", st.NativeMorsels)
-			}
-			if intersection.has(LevelVector) && st.VectorMorsels != 0 {
-				t.Errorf("%d vector morsels with the engine disabled everywhere", st.VectorMorsels)
 			}
 		})
 	}
@@ -341,8 +322,7 @@ func TestDisabledLevels(t *testing.T) {
 // bytecode, so promotion is always followed by demotion: the pipeline goes
 // back to the level it left, native code alone is disabled on its handle,
 // NativeFallbacks ticks, and the trace holds exactly one native demotion
-// event for it. The controller may then climb to the vectorized kernel,
-// which it holds to the measured rate in turn.
+// event for it.
 func TestNativeDemotion(t *testing.T) {
 	if !asm.Supported() {
 		t.Skip("no native backend; the controller never proposes tier 6 here")
@@ -390,21 +370,16 @@ func TestNativeDemotion(t *testing.T) {
 		if res.Stats.NativeFallbacks == 0 {
 			continue
 		}
-		// From the vectorized engine there is no level up, so native code
-		// is always entered from bytecode. An EvNative event whose level is
-		// not native is a demotion out of native code; an EvEngine event
-		// whose level is not vectorized, one out of the kernel.
-		demotions, vecDemoted := map[int]int{}, map[int]bool{}
+		// Native code is always entered from bytecode. An EvNative event
+		// whose level is not native is a demotion out of native code.
+		demotions := map[int]int{}
 		for _, ev := range res.Trace.Events() {
-			switch {
-			case ev.Kind == EvNative && ev.Level != LevelNative:
+			if ev.Kind == EvNative && ev.Level != LevelNative {
 				demotions[ev.Pipeline]++
 				if ev.Level != LevelBytecode {
 					t.Errorf("pipeline %d: demotion landed at %v, want the level it left (bytecode)",
 						ev.Pipeline, ev.Level)
 				}
-			case ev.Kind == EvEngine && ev.Level != LevelVector:
-				vecDemoted[ev.Pipeline] = true
 			}
 		}
 		total := 0
@@ -413,14 +388,9 @@ func TestNativeDemotion(t *testing.T) {
 			if n != 1 {
 				t.Errorf("pipeline %d: %d demotion events, want exactly one", p, n)
 			}
-			// The demotion disables native code only; optimized code was
-			// never the adaptive mode's, and the kernel goes only if it was
-			// demoted on its own measurement.
-			want := maskOf(LevelOptimized, LevelNative)
-			if vecDemoted[p] {
-				want |= maskOf(LevelVector)
-			}
-			if m := handles[p].Disabled(); m != want {
+			// The demotion disables native code; optimized code was never
+			// the adaptive mode's.
+			if m, want := handles[p].Disabled(), maskOf(LevelOptimized, LevelNative); m != want {
 				t.Errorf("pipeline %d: demoted, handle has %04b disabled, want %04b", p, m, want)
 			}
 			if l := res.Stats.FinalLevels[p]; l == LevelNative {
@@ -480,14 +450,64 @@ func TestVerifyDecidesOnce(t *testing.T) {
 	}
 }
 
+// TestVerifyHoldsOneStall: verify reads the rate of every morsel that ran
+// at the level since the switch, not each worker's latest one. Bytecode
+// morsels stall 3 ms each and native ones not at all, except the one the
+// check follows, which stalls 5 ms: slower than a bytecode morsel on its
+// own, faster than bytecode over the morsels since the switch. One worker
+// runs the morsels in claim order, so this holds at any -cpu.
+func TestVerifyHoldsOneStall(t *testing.T) {
+	if !asm.Supported() {
+		t.Skip("no native backend; the controller never proposes tier 6 here")
+	}
+	cost := Native()
+	cost.NativeBase, cost.NativePerInstr = 0, 0
+	cost.Simulate = true
+	const morsel = 2048
+	v := storage.NewColumn("v", storage.Int64)
+	for i := 0; i < 32*morsel; i++ {
+		v.AppendInt64(int64(i % 97))
+	}
+	tbl := storage.NewTable("stall", v)
+	var outcomes []string
+	for attempt := 0; attempt < 3; attempt++ {
+		e := New(Options{Workers: 1, Mode: ModeAdaptive, Cost: cost, MorselSize: morsel, MorselCap: morsel})
+		var native atomic.Int64
+		e.dispatchHook = func(l Level) {
+			switch {
+			case l == LevelBytecode:
+				time.Sleep(3 * time.Millisecond)
+			case native.Add(1) == verifyWarmup:
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		s := plan.NewScan(tbl, "v")
+		res, err := e.RunPlan(plan.NewGroupBy(s, nil, nil, []plan.AggExpr{
+			{Func: plan.Sum, Arg: plan.C(s.Schema(), "v"), Name: "s"},
+		}), "stall")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.NativeCompiles != 1 || native.Load() < verifyWarmup {
+			t.Fatalf("%d native compiles, %d native morsels: the scan never climbed to native",
+				st.NativeCompiles, native.Load())
+		}
+		if st.NativeFallbacks == 0 && st.FinalLevels[0] == LevelNative {
+			return
+		}
+		outcomes = append(outcomes, fmt.Sprintf("%d fallbacks, finished at %v", st.NativeFallbacks, st.FinalLevels[0]))
+	}
+	t.Errorf("one stalled native morsel demoted native code in every run: %v", outcomes)
+}
+
 // keepNative runs computePlan up to five times under cost, with setup
 // applied to each fresh engine. It returns nil once a run climbs to native
 // code and finishes there without a fallback, else every run's outcome.
-// verify reads each worker's latest morsel, so morsels are large — a
-// native one runs for milliseconds — both for dispatch overhead not to
-// decide the comparison and for a host stall of a few milliseconds not to
-// push one below bytecode on its own; a longer stall still can, so one
-// clean run of five is enough.
+// Morsels are large — a native one runs for milliseconds — for dispatch
+// overhead not to decide the comparison, and for a host stall of a few
+// milliseconds not to push the rate below bytecode; a longer stall still
+// can, so one clean run of five is enough.
 func keepNative(t *testing.T, cost *CostModel, setup func(*Engine)) []string {
 	t.Helper()
 	p, sum, n := computePlan()

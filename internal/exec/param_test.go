@@ -43,8 +43,6 @@ func TestParamBindingsShareOnePlan(t *testing.T) {
 			CacheBytes: 8 << 20, MorselSize: 256},
 		"optimized": {Workers: 2, Mode: ModeOptimized, Cost: native,
 			CacheBytes: 8 << 20},
-		"vector": {Workers: 2, Mode: ModeVector, Cost: native,
-			CacheBytes: 8 << 20, MorselSize: 256},
 	}
 	for name, o := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -95,10 +93,7 @@ func TestParamBindingsShareOnePlan(t *testing.T) {
 // the adaptive engine has settled on a tier for the parameterized plan,
 // a fresh binding starts there directly — cache hit, no translation, no
 // compilation launched, and every pipeline finishing at or above the best
-// compiled level on its handle (native where there is a back end). It
-// does not compare with the previous run's final levels: the vectorized
-// memo is believed once (runPipeline), so a vectorized finish may be
-// followed by a native one.
+// compiled level on its handle (native where there is a back end).
 func TestParamWarmStartsInMemoizedTier(t *testing.T) {
 	ctx := context.Background()
 	e := New(Options{Workers: 3, Mode: ModeAdaptive, Cost: Native(),

@@ -12,7 +12,6 @@ import (
 	"aqe/internal/codegen"
 	"aqe/internal/jit"
 	"aqe/internal/rt"
-	"aqe/internal/vector"
 	"aqe/internal/vm"
 )
 
@@ -31,10 +30,6 @@ type queryRun struct {
 
 	handles []*Handle
 	ctxs    []*rt.Ctx // per worker slot
-
-	// vecMemo is the cache's engine memo as this run found it, per pipeline
-	// (all false on a miss): start reads it, runPipeline renews it.
-	vecMemo []bool
 
 	trace *Trace
 
@@ -76,12 +71,6 @@ type queryRun struct {
 	nativeCompiles  atomic.Int64
 	nativeMorsels   atomic.Int64
 	nativeFallbacks atomic.Int64
-
-	// Engine-selection counters (same snapshot argument as above):
-	// morsels dispatched to the vectorized engine and controller engine
-	// switches (vectorized installs plus demotions back).
-	vectorMorsels  atomic.Int64
-	engineSwitches atomic.Int64
 }
 
 // cancel requests cooperative termination: workers stop claiming morsels,
@@ -138,7 +127,7 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 			ent = nil // fingerprint collision paranoia: treat as a miss
 		}
 	}
-	var pipes []cachedPipe
+	var pipes []variants
 	if ent != nil {
 		// Adopting the cached translation is a few map lookups, not
 		// translation work: Stats.Translate stays zero so warm executions
@@ -146,34 +135,18 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 		st.CacheHit = true
 		pipes = ent.pipes
 	} else {
-		pipes = make([]cachedPipe, len(cq.Pipelines))
+		pipes = make([]variants, len(cq.Pipelines))
 		if e.cache != nil {
 			e.cache.insert(qr.fp, len(pipes))
 		}
 	}
 	for i, pl := range cq.Pipelines {
-		v := pipes[i].variants
-		// Stage the pipeline's vectorized kernel with it (adopting the cached
-		// one on a fingerprint hit). Kernel construction is cheap — no code
-		// generation, just shape validation and lookup tables — so it runs
-		// up-front; installing it is a decision of the mode or the adaptive
-		// controller. A shape the engine cannot execute with bit-identical
-		// semantics yields no kernel, which disables the level on the handle.
-		if v.vec == nil && !e.disabled.has(LevelVector) {
-			if k, kerr := vector.Compile(pl.Vec); kerr == nil {
-				v.vec = k
-				if e.cache != nil {
-					e.cache.addVector(qr.fp, i, k)
-				}
-			}
-		}
-		h := newHandle(pl.Fn, v, e.disabled, e.opts.VM)
+		h := newHandle(pl.Fn, pipes[i], e.disabled, e.opts.VM)
 		h.UseIRInterp = e.opts.Mode == ModeIRInterp
-		if v.prog != nil {
-			qr.noteProgram(v.prog)
+		if p := pipes[i].prog; p != nil {
+			qr.noteProgram(p)
 		}
 		qr.handles = append(qr.handles, h)
-		qr.vecMemo = append(qr.vecMemo, pipes[i].vecBest)
 	}
 	if e.opts.Mode != ModeAdaptive {
 		for i := range qr.handles {
@@ -279,10 +252,10 @@ func (qr *queryRun) noteProgram(p *vm.Program) {
 }
 
 // giveUp is the one fallback rule: level l will not run for handle h —
-// disabled from the start (mode, platform, options, no kernel for the
-// shape) or its compilation failed — so it is disabled for the rest of the
-// run and the pipeline stays at the level it is at, which for a static
-// mode and at an adaptive pipeline's start is bytecode. Only machine-code
+// disabled from the start (mode, platform, options) or its compilation
+// failed — so it is disabled for the rest of the run and the pipeline stays
+// at the level it is at, which for a static mode and at an adaptive
+// pipeline's start is bytecode. Only machine-code
 // assembly fails at run time, for a reason of the function's or the
 // host's (an op outside the templates, no executable memory). A
 // machine-code level given up counts once in NativeFallbacks.
@@ -435,8 +408,8 @@ func (qr *queryRun) streamPipeline(j *pipelineJob) {
 }
 
 // progress tracks one pipeline run: the work-claiming cursor with
-// dynamically growing morsels, per-worker processing rates, and the
-// single-evaluator gate of the controller (§III-C).
+// dynamically growing morsels, the processing rate at the current level,
+// and the single-evaluator gate of the controller (§III-C).
 type progress struct {
 	total   int64
 	work    int64 // total minus zone-map-pruned tuples
@@ -452,7 +425,10 @@ type progress struct {
 	pruned    []bool
 	blockRows int64
 
-	rates    []atomic.Uint64 // per worker slot: float64 bits, tuples/sec
+	// The tuples and busy nanoseconds of the morsels that ran at the
+	// pipeline's current level since it was entered (rate).
+	tuples   atomic.Int64
+	busy     atomic.Int64
 	evalGate atomic.Bool
 
 	// Verification baseline, set when the controller promotes the
@@ -471,15 +447,10 @@ type progress struct {
 	executing atomic.Int32
 }
 
-// promoted reports whether the controller moved the pipeline to its level
-// during this run and holds it to a baseline measured in this run (verify).
-func (pr *progress) promoted() bool { return pr.preRate.Load() != 0 }
-
-func newProgress(total int64, workers int, o Options) *progress {
+func newProgress(total int64, o Options) *progress {
 	return &progress{
 		total: total, work: total, started: time.Now(),
 		base: o.MorselSize, cap: o.MorselCap,
-		rates: make([]atomic.Uint64, workers),
 	}
 }
 
@@ -561,37 +532,33 @@ func (pr *progress) claim() (int64, int64, bool) {
 func (pr *progress) abort() { pr.cursor.Store(pr.total) }
 
 // report records a finished morsel and, when it ran at the pipeline's
-// current level, the worker's local rate: a morsel in flight across a
-// switch measured the level just left, not the one the samples are for.
-func (pr *progress) report(w int, tuples int64, d time.Duration, current bool) {
+// current level, adds it to that level's sample: a morsel in flight across
+// a switch measured the level just left, not the one the sample is for.
+func (pr *progress) report(tuples int64, d time.Duration, current bool) {
 	pr.done.Add(tuples)
 	if d > 0 && current {
-		rate := float64(tuples) / d.Seconds()
-		pr.rates[w].Store(math.Float64bits(rate))
+		pr.tuples.Add(tuples)
+		pr.busy.Add(int64(d))
 	}
 }
 
-// avgRate averages the workers' most recent rates (Fig. 7's r0).
-func (pr *progress) avgRate() float64 {
-	sum, n := 0.0, 0
-	for i := range pr.rates {
-		if bits := pr.rates[i].Load(); bits != 0 {
-			sum += math.Float64frombits(bits)
-			n++
-		}
-	}
-	if n == 0 {
+// rate is Fig. 7's r0: the tuples per second of one worker at the current
+// level, over every morsel that ran there since the pipeline entered it,
+// so one stalled morsel weighs as much as its share of the busy time; 0
+// before the first such morsel.
+func (pr *progress) rate() float64 {
+	busy := pr.busy.Load()
+	if busy <= 0 {
 		return 0
 	}
-	return sum / float64(n)
+	return float64(pr.tuples.Load()) / time.Duration(busy).Seconds()
 }
 
-// resetRates clears the samples after a mode switch so the next
+// resetRate clears the sample after a mode switch so the next
 // extrapolation measures the new tier (§III-C).
-func (pr *progress) resetRates() {
-	for i := range pr.rates {
-		pr.rates[i].Store(0)
-	}
+func (pr *progress) resetRate() {
+	pr.tuples.Store(0)
+	pr.busy.Store(0)
 }
 
 func minI64(a, b int64) int64 {
@@ -616,7 +583,7 @@ func (qr *queryRun) runPipeline(id int) error {
 	total := qr.sourceTotal(pl)
 	var pr *progress
 	if total > 0 && !qr.cancelled.Load() {
-		pr = newProgress(total, qr.eng.opts.Workers, qr.eng.opts)
+		pr = newProgress(total, qr.eng.opts)
 		if len(pl.Prune) > 0 {
 			qr.applyZoneMaps(pl, pr, total)
 		}
@@ -635,16 +602,6 @@ func (qr *queryRun) runPipeline(id int) error {
 	}
 	if err := qr.err(); err != nil {
 		return err
-	}
-	// The engine memo for the next warm run: the pipeline ended vectorized
-	// and was promoted there in this run, against a rate measured in this
-	// run. A run that started there on the memo's word has no baseline and
-	// was not verified, so it does not renew the memo: the next run starts
-	// below and promotes again, or does not. A run that ends vectorized on
-	// one stalled baseline sample therefore costs the run after it, not
-	// every run from then on.
-	if pr != nil && qr.eng.cache != nil && qr.eng.opts.Mode == ModeAdaptive {
-		qr.eng.cache.noteEngine(qr.fp, id, h.Level() == LevelVector && pr.promoted())
 	}
 	// An aggregate's Combine can overflow while the breaker finalizes, on a
 	// pool worker (pfor re-throws it here): the trap is the query's error.
@@ -699,12 +656,11 @@ func (qr *queryRun) finalize(pl *codegen.Pipeline) error {
 // scheduler, when the work left is known and this goroutine has nothing
 // else to do.
 //
-// What an earlier execution left on the handle comes first: the best
-// compiled variant, or the vectorized kernel when the cache's memo says the
-// last run earned it. Otherwise the pipeline is assembled to native code
-// right here — on this substrate that costs what translating it to bytecode
-// would, and a pipeline started in native code is never translated —
-// unless it fits in one initial morsel: it would end before the
+// What an earlier execution left on the handle comes first: its native
+// code. Otherwise the pipeline is assembled to native code right here — on
+// this substrate that costs what translating it to bytecode would, and a
+// pipeline started in native code is never translated — unless it fits in
+// one initial morsel: it would end before the
 // controller's first look, and assembling it costs more than interpreting
 // it. A failed assembly disables the level and leaves the pipeline to the
 // controller at bytecode, as on a platform without a native back end.
@@ -714,23 +670,22 @@ func (qr *queryRun) finalize(pl *codegen.Pipeline) error {
 // translated here, before its first morsel; a failed translation is the
 // query's error.
 //
-// A level entered here has no baseline rate, so the controller does not
-// verify it: a pipeline started at a level that is wrong for it stays there
-// for this run. For the engine that is one run, because an unverified run
-// does not renew the memo (runPipeline); native code is started in every
-// time (ROADMAP direction 1 replaces both with measured per-level rates).
+// Native code entered here has no baseline rate, so the controller does not
+// verify it: a pipeline it is wrong for stays there for this run, and is
+// started there every time (ROADMAP direction 1 replaces this with measured
+// per-level rates).
 func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) error {
 	if qr.eng.opts.Mode != ModeAdaptive {
 		return nil
 	}
-	off := h.Disabled()
-	for l := LevelVector; l > LevelBytecode; l-- {
-		if h.Has(l) && !off.has(l) && (l != LevelVector || qr.vecMemo[pl.ID]) {
-			h.Install(l)
-			return nil
-		}
+	if h.Disabled().has(LevelNative) {
+		return qr.bytecode(pl.ID)
 	}
-	if !off.has(LevelNative) && !qr.eng.opts.Cost.Simulate && pr.work > qr.eng.opts.MorselSize {
+	if h.Has(LevelNative) {
+		h.Install(LevelNative)
+		return nil
+	}
+	if !qr.eng.opts.Cost.Simulate && pr.work > qr.eng.opts.MorselSize {
 		t0 := time.Now()
 		qr.stats.Compilations++
 		_, err := qr.compile(pl.ID, LevelNative)
@@ -916,12 +871,9 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 	if j.out != nil {
 		j.out.Publish(slot)
 	}
-	j.pr.report(slot, end-begin, d, lvl == j.h.Level())
+	j.pr.report(end-begin, d, lvl == j.h.Level())
 	if machineCode.has(lvl) {
 		qr.nativeMorsels.Add(1)
-	}
-	if lvl == LevelVector {
-		qr.vectorMorsels.Add(1)
 	}
 	if qr.trace != nil {
 		qr.trace.Add(Event{Kind: EvMorsel, Pipeline: j.pl.ID, Label: j.pl.Label,
@@ -939,10 +891,10 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 
 // evaluate implements Fig. 7: extrapolate the remaining pipeline duration
 // under each level the handle allows and move the pipeline when a faster
-// one wins — at once if its variant is on the handle (the vectorized
-// kernel always is), else through a background compilation. Only one
-// worker evaluates at a time, the first evaluation is delayed by 1 ms, and
-// an in-flight compilation suppresses further evaluation.
+// one wins — at once if its variant is on the handle, else through a
+// background compilation. Only one worker evaluates at a time, the first
+// evaluation is delayed by 1 ms, and an in-flight compilation suppresses
+// further evaluation.
 func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if !pr.evalGate.CompareAndSwap(false, true) {
 		return
@@ -962,7 +914,7 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if time.Since(pr.started) < time.Millisecond {
 		return
 	}
-	r0 := pr.avgRate()
+	r0 := pr.rate()
 	if r0 <= 0 {
 		return
 	}
@@ -978,7 +930,7 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if w < 1 {
 		w = 1
 	}
-	best := qr.eng.opts.Cost.choose(cur, allowed, h.Instrs, hashDense(pl), r0, n, w)
+	best := qr.eng.opts.Cost.choose(cur, allowed, h.Instrs, r0, n, w)
 	switch {
 	case best == cur:
 	case h.Has(best):
@@ -988,8 +940,6 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 		qr.eng.pool.submit(func() { qr.compileTask(pl, h, pr, best) })
 	}
 }
-
-func hashDense(pl *codegen.Pipeline) bool { return pl.Vec != nil && pl.Vec.HashDense }
 
 // verifyWarmup is the controller evaluation (one per finished morsel
 // with a rate sample of the new level) after a switch at which verify
@@ -1001,24 +951,21 @@ const verifyWarmup = 3
 // the only place a demotion is decided: it holds the level cur to the rate
 // measured at the level the controller promoted the pipeline from, not to
 // anything the cost model predicted. A level that settles below that rate
-// is a misprediction — native code bouncing into Go on every tuple,
-// batching that evaluates lanes compiled code would have skipped. The
+// is a misprediction — native code bouncing into Go on every tuple. The
 // level is then disabled for this pipeline and the handle goes back to the
 // level it left. Going back costs nothing: the variant is still on the
 // handle, in-flight morsels finish where they are against the same
-// runtime state (§IV-E). The controller may still climb to another level,
-// which is held to the measured rate in turn. The comparison is made once
-// per switch: a level kept at verifyWarmup stays kept. Checked after every
-// later morsel, a level as fast as the one it left would be demoted by the
-// first dip of its per-morsel rate, and the level a pipeline ends at would
-// follow timing noise. Reports whether it demoted. Runs under the
+// runtime state (§IV-E). The comparison is made once per switch: a level
+// kept at verifyWarmup stays kept. Checked after every later morsel, a
+// level as fast as the one it left would be demoted by the first dip of
+// its rate, and the level a pipeline ends at would follow timing noise. Reports whether it demoted. Runs under the
 // evaluation gate.
 func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress, cur Level) bool {
 	bits := pr.preRate.Load()
 	if bits == 0 {
 		return false // static mode, or level entered by start: no baseline
 	}
-	r0 := pr.avgRate()
+	r0 := pr.rate()
 	if r0 <= 0 || pr.evals.Add(1) != verifyWarmup || r0 >= math.Float64frombits(bits) {
 		return false
 	}
@@ -1040,28 +987,22 @@ func (qr *queryRun) switchLevel(pl *codegen.Pipeline, h *Handle, pr *progress, t
 	pr.preLvl.Store(int32(from))
 	pr.evals.Store(0)
 	h.Install(to)
-	if from == LevelVector || to == LevelVector {
-		qr.engineSwitches.Add(1)
-	}
-	// The samples measured the level just left (§III-C).
-	pr.resetRates()
+	// The sample measured the level just left (§III-C).
+	pr.resetRate()
 	if qr.trace != nil {
 		qr.noteSwitch(pl, from, to, start, time.Now())
 	}
 }
 
 // noteSwitch records a level switch in the trace; pl is nil for a static
-// mode's whole module. The kind says which family the switch touched —
-// the vectorized engine, native code, or optimized code only — and Level
-// where the pipeline landed: an EvNative or EvEngine event whose Level is
-// a different one is a demotion (aqetrace renders it as such).
+// mode's whole module. The kind says whether the switch touched native
+// code or optimized code only, and Level where the pipeline landed: an
+// EvNative event whose Level is a different one is a demotion (aqetrace
+// renders it as such).
 func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, from, to Level, start, end time.Time) {
 	ev := Event{Kind: EvCompile, Pipeline: -1, Worker: -1, Level: to,
 		Start: qr.trace.Since(start), End: qr.trace.Since(end)}
-	switch {
-	case from == LevelVector || to == LevelVector:
-		ev.Kind = EvEngine
-	case from == LevelNative || to == LevelNative:
+	if from == LevelNative || to == LevelNative {
 		ev.Kind = EvNative
 	}
 	if pl != nil {
@@ -1089,6 +1030,6 @@ func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress, l
 		h.AbortCompile()
 		return
 	}
-	// The rate samples still measure the level l is about to replace.
-	qr.switchLevel(pl, h, pr, l, pr.avgRate(), t0)
+	// The rate still measures the level l is about to replace.
+	qr.switchLevel(pl, h, pr, l, pr.rate(), t0)
 }

@@ -61,7 +61,7 @@ func TestOversizeLiteralsAndParams(t *testing.T) {
 		t.Fatalf("volcano counted %d rows: the table is not what the test means", ref[0][0].I)
 	}
 	native := Native()
-	for _, mode := range []Mode{ModeBytecode, ModeOptimized, ModeNative, ModeVector, ModeAdaptive} {
+	for _, mode := range []Mode{ModeBytecode, ModeOptimized, ModeNative, ModeAdaptive} {
 		e := New(Options{Workers: 2, Mode: mode, Cost: native, MorselSize: 256})
 		lit, err := e.RunPlan(build(expr.Str(mid)), "literal")
 		if err != nil {

@@ -68,8 +68,7 @@ func prunedToOneMorselPlan() plan.Node {
 // a pipeline with more work than one initial morsel is assembled by the
 // coordinator before its first morsel and never runs bytecode, and a
 // pipeline of one morsel or less (after zone-map pruning) is not assembled;
-// everywhere else every pipeline starts in bytecode, or, on a warm run, in
-// the vectorized kernel when the engine memo says so. Rows are those of
+// everywhere else every pipeline starts in bytecode. Rows are those of
 // ModeBytecode throughout.
 func TestStartRule(t *testing.T) {
 	const morsel = 64
@@ -109,7 +108,6 @@ func TestStartRule(t *testing.T) {
 			if tc.opts.CacheBytes > 0 {
 				runs = 2 // the second finds the first's code on its handles
 			}
-			var before []Level // the previous run's FinalLevels
 			for run := 0; run < runs; run++ {
 				res, err := e.RunPlan(tc.plan(), tc.name)
 				if err != nil {
@@ -130,17 +128,9 @@ func TestStartRule(t *testing.T) {
 					}
 					switch {
 					case !live || !big:
-						// A warm run starts in the kernel when the run before
-						// promoted the pipeline there and ended in it (the
-						// engine memo); that run started in bytecode, so
-						// nothing else ends there.
-						want := LevelBytecode
-						if run > 0 && before[p] == LevelVector {
-							want = LevelVector
-						}
-						if pt.first != want || pt.starts != 0 {
-							t.Errorf("pipeline %d (work %d): first morsel at %v after %d start assemblies, want %v and none",
-								p, pt.work, pt.first, pt.starts, want)
+						if pt.first != LevelBytecode || pt.starts != 0 {
+							t.Errorf("pipeline %d (work %d): first morsel at %v after %d start assemblies, want bytecode and none",
+								p, pt.work, pt.first, pt.starts)
 						}
 					case run == 0:
 						assembled++
@@ -158,7 +148,6 @@ func TestStartRule(t *testing.T) {
 				if gated != tc.gated {
 					t.Fatalf("%d pipelines exceed one morsel, the row expects %d", gated, tc.gated)
 				}
-				before = st.FinalLevels
 				if !live {
 					if tc.opts.Cost.Simulate {
 						continue // the controller may compile later, on a measured rate
@@ -168,9 +157,8 @@ func TestStartRule(t *testing.T) {
 					}
 					continue
 				}
-				// From native the only way up is the vectorized kernel, which
-				// is never compiled: every compilation is a start assembly,
-				// and its time is booked as compilation.
+				// From native there is no way up: every compilation is a start
+				// assembly, and its time is booked as compilation.
 				if st.NativeCompiles != assembled || int64(st.Compilations) != assembled || st.NativeFallbacks != 0 {
 					t.Errorf("run %d: %d native compiles, %d compilations, %d fallbacks; want %d, %d, 0",
 						run, st.NativeCompiles, st.Compilations, st.NativeFallbacks, assembled, assembled)

@@ -23,7 +23,6 @@ const (
 	EvCancel      // cancellation observed (instantaneous)
 	EvReplan      // mid-query reoptimization at a breaker (Tuples = observed build card)
 	EvNative      // native (tier-6) install — or, when Level != LevelNative, a demotion back to the level left
-	EvEngine      // engine switch: vectorized install (Level == LevelVector) or demotion back to the level left
 )
 
 // Event is one entry of an execution trace (the data behind Fig. 14).
@@ -105,7 +104,7 @@ func (tr *Trace) Gantt(width int) string {
 			maxWorker = ev.Worker
 		}
 		switch ev.Kind {
-		case EvCompile, EvFinalize, EvPrune, EvDictRewrite, EvAdmit, EvCancel, EvReplan, EvNative, EvEngine:
+		case EvCompile, EvFinalize, EvPrune, EvDictRewrite, EvAdmit, EvCancel, EvReplan, EvNative:
 			hasCompile = true
 		}
 	}
@@ -164,12 +163,6 @@ func (tr *Trace) Gantt(width int) string {
 			ch = 'N'
 			if ev.Level != LevelNative {
 				ch = 'V' // demotion out of native
-			}
-		case EvEngine:
-			lane = maxWorker + 1
-			ch = 'E'
-			if ev.Level != LevelVector {
-				ch = 'e' // demotion back to the level left
 			}
 		case EvPhase:
 			ch = '='

@@ -65,17 +65,15 @@ func countAllocs(e *Engine) (out, ht *atomic.Int64) {
 	return out, ht
 }
 
-// flipEveryMorsel makes e walk every pipeline through bytecode, native
-// code and the vectorized engine, one level per morsel (as
-// modeSwitchStress does), so one query's rows and tuples come from every
-// engine into the same arenas.
+// flipEveryMorsel makes e flip every pipeline between bytecode and native
+// code at every morsel (as modeSwitchStress does), so one query's rows and
+// tuples come from both tiers into the same arenas.
 func flipEveryMorsel(e *Engine) {
-	ladder := []Level{LevelBytecode, LevelNative, LevelVector}
 	var flips atomic.Int64
 	e.morselHook = func(_ int, h *Handle, _ int) {
-		l := ladder[flips.Add(1)%int64(len(ladder))]
-		if l == LevelNative && !asm.Supported() || l == LevelVector && !h.Has(l) {
-			l = LevelBytecode
+		l := LevelBytecode
+		if flips.Add(1)%2 == 1 && asm.Supported() {
+			l = LevelNative
 		}
 		if !h.Has(l) {
 			c, err := jit.Compile(h.Fn, l.jit(), nil)
@@ -92,7 +90,7 @@ func flipEveryMorsel(e *Engine) {
 // tuples from the worker's window and calls out_alloc / ht_alloc only to
 // refill it, so a 120 000-row result and a 60 000-tuple build make at most
 // one call per arena chunk — under bytecode, native code, and adaptive
-// execution switching engines every morsel — and still return Volcano's
+// execution switching tiers every morsel — and still return Volcano's
 // rows.
 func TestAllocCallsPerChunk(t *testing.T) {
 	const workers = 2

@@ -345,7 +345,7 @@ func TestPruneProgressAccounting(t *testing.T) {
 			prunedTuples += int64(end - b*blockRows)
 		}
 	}
-	pr := newProgress(total, 4, opts)
+	pr := newProgress(total, opts)
 	pr.setPruneMask(&pruneMask{blockRows: blockRows, pruned: pruned,
 		prunedTuples: prunedTuples})
 
@@ -357,7 +357,7 @@ func TestPruneProgressAccounting(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
 				begin, end, ok := pr.claim()
@@ -374,12 +374,12 @@ func TestPruneProgressAccounting(t *testing.T) {
 						return
 					}
 				}
-				pr.report(w, end-begin, time.Microsecond, true)
+				pr.report(end-begin, time.Microsecond, true)
 				mu.Lock()
 				executed += end - begin
 				mu.Unlock()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if executed != pr.work {
@@ -394,7 +394,7 @@ func TestPruneProgressAccounting(t *testing.T) {
 	if pr.total-pr.done.Load() != prunedTuples {
 		t.Errorf("done = %d, want %d (executed only)", pr.done.Load(), pr.work)
 	}
-	if pr.avgRate() <= 0 {
+	if pr.rate() <= 0 {
 		t.Error("no rate samples despite executed morsels")
 	}
 }
@@ -402,7 +402,7 @@ func TestPruneProgressAccounting(t *testing.T) {
 // TestMorselGrowthOptions pins the growth schedule: size doubles every
 // morselGrowEvery claims and clamps at MorselCap.
 func TestMorselGrowthOptions(t *testing.T) {
-	pr := newProgress(1<<40, 1, Options{MorselSize: 16, MorselCap: 64})
+	pr := newProgress(1<<40, Options{MorselSize: 16, MorselCap: 64})
 	for i := 0; i < 4*morselGrowEvery; i++ {
 		want := int64(16) << min(i/morselGrowEvery, 2)
 		begin, end, ok := pr.claim()

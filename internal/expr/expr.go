@@ -94,7 +94,7 @@ func (c *Const) Type() Type { return c.T }
 // a Const, its value is not part of the expression tree: generated code
 // loads it from the query's parameter segment at execution time, so plans
 // that differ only in parameter values share IR — and therefore share a
-// plan-cache fingerprint, compiled tiers and vectorized kernels.
+// plan-cache fingerprint and compiled tiers.
 type Param struct {
 	Idx int
 	T   Type

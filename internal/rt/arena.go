@@ -39,10 +39,10 @@ const WindowBytes = 16
 // in that worker's local block at an offset the code generator assigned,
 // and the generated sink bumps it inline: a record costs a few
 // instructions, and only a full window calls out (out_alloc / ht_alloc →
-// Refill). Alloc, the vectorized sinks' path, reads and writes the same
-// window, so every engine that runs a pipeline's morsels appends to the
-// same chunks. Other arenas (aggregation entries) keep the window inside
-// the Arena value. Everything that reads the arena's extent (Bytes, Each,
+// Refill). Alloc, the Go-side path, reads and writes the same window, so
+// every tier that runs a pipeline's morsels appends to the same chunks.
+// Other arenas (aggregation entries) keep the window inside the Arena
+// value. Everything that reads the arena's extent (Bytes, Each,
 // EachChunk, OutSet.Publish) reads the current chunk's from the window;
 // they only read, so partitioned finalization may call them concurrently.
 type Arena struct {

@@ -1,7 +1,7 @@
 // Package sink holds the result-side machinery every engine shares: row
 // ordering, the bounded top-k heap, and datum comparison. The volcano
 // iterator engine orders decoded [][]expr.Datum rows (SortRows, TopK);
-// the compiled and vectorized engines' root ORDER BY orders a permutation
+// the compiled engine's root ORDER BY orders a permutation
 // over raw output records by normalized machine-word keys (Keys,
 // SortPerm, TopKPerm). Both must order identically (the differential net
 // compares engines row for row), so the order is defined here once —

@@ -13,7 +13,7 @@ import (
 // predicates into integer comparisons against them.
 //
 // The raw (offset, length) vector and heap stay untouched: output
-// decoding and the Volcano/vector baselines read the original bytes, so
+// decoding and the Volcano baseline read the original bytes, so
 // dictionary-accelerated plans are bit-identical to raw ones.
 type Dict struct {
 	// Values are the distinct strings in ascending order; the code of a
