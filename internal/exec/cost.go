@@ -15,14 +15,15 @@ import "time"
 // Our template JIT assembles orders of magnitude faster than LLVM, which
 // would flatten the latency/throughput tradeoff the paper studies; the
 // Paper() model restores LLVM-scale costs as wall-clock latency (the
-// compile still really runs). Native() models the measured costs of the
-// levels the adaptive controller chooses among for real-latency
+// compile still really runs). Native() models the measured cost of native
+// code, the adaptive controller's one compiled candidate, for real-latency
 // experiments. DESIGN.md documents the substitution.
 //
-// Both machine-code levels run the same back end. The Native* terms price
-// native code, the paper's unoptimized tier and the adaptive controller's
-// compiled candidate; the Opt* terms price optimized code, a static
-// baseline only (Mode.levels), which a static mode imposes under Simulate.
+// Both flavours of machine code run the same back end. The Native* terms
+// price native code, the paper's unoptimized tier and the adaptive
+// controller's one compiled candidate; the Opt* terms price optimized
+// code, a static baseline only (ModeOptimized), which that mode imposes
+// under Simulate.
 type CostModel struct {
 	OptBase     time.Duration
 	OptPerInstr time.Duration
@@ -90,69 +91,42 @@ func Native() *CostModel {
 	}
 }
 
-// CompileTime predicts the time to compile instrs instructions to level l,
-// the largest single function among them having largestFn (for one
-// function, the same number). Optimized compilation is linear in the
-// total and super-linear in the largest function. Bytecode has nothing to
-// compile.
-func (m *CostModel) CompileTime(l Level, instrs, largestFn int) time.Duration {
-	switch l {
-	case LevelOptimized:
-		d := m.OptBase + time.Duration(instrs)*m.OptPerInstr
-		if m.OptCubic > 0 {
-			n := float64(largestFn)
-			d += time.Duration(m.OptCubic * n * n * n * float64(time.Second))
-		}
-		return d
-	case LevelNative:
+// compileTime predicts the time to compile instrs instructions to machine
+// code, optimized or not, the largest single function among them having
+// largestFn (for one function, the same number). Optimized compilation is
+// linear in the total and super-linear in the largest function.
+func (m *CostModel) compileTime(optimized bool, instrs, largestFn int) time.Duration {
+	if !optimized {
 		return m.NativeBase + time.Duration(instrs)*m.NativePerInstr
 	}
-	return 0
+	d := m.OptBase + time.Duration(instrs)*m.OptPerInstr
+	if m.OptCubic > 0 {
+		n := float64(largestFn)
+		d += time.Duration(m.OptCubic * n * n * n * float64(time.Second))
+	}
+	return d
 }
 
 // OptTime predicts the optimized compile time.
 func (m *CostModel) OptTime(instrs int) time.Duration {
-	return m.CompileTime(LevelOptimized, instrs, instrs)
+	return m.compileTime(true, instrs, instrs)
 }
 
 // NativeTime predicts the compile time of native (unoptimized) code for a
 // function with the given instruction count.
 func (m *CostModel) NativeTime(instrs int) time.Duration {
-	return m.CompileTime(LevelNative, instrs, instrs)
+	return m.compileTime(false, instrs, instrs)
 }
 
-// Speedup returns the modeled throughput of a level of the adaptive ladder
-// relative to bytecode.
-func (m *CostModel) Speedup(l Level) float64 {
-	if l == LevelNative {
-		return m.SpeedupNative
-	}
-	return 1
-}
-
-// choose is the Fig. 7 decision: extrapolate the remaining duration of the
-// pipeline under the current level and under every allowed level above it,
-// and return the level with the shortest one. r0 is the measured tuple
-// rate per worker at level cur, n the tuples left, w the workers the
-// pipeline holds. Staying wins ties, and among candidates the lower level
-// does (strict <, ascending order): a switch must pay for itself.
-func (m *CostModel) choose(cur Level, allowed levelMask, instrs int, r0, n, w float64) Level {
-	curSpeed := m.Speedup(cur)
-	best, bestT := cur, n/r0/w
-	for l := cur + 1; l < numLevels; l++ {
-		if !allowed.has(l) {
-			continue
-		}
-		c := m.CompileTime(l, instrs, instrs).Seconds()
-		r := r0 / curSpeed * m.Speedup(l)
-		// While one thread compiles, the remaining w-1 continue at r0.
-		rem := n - (w-1)*r0*c
-		if rem < 0 {
-			rem = 0
-		}
-		if t := c + rem/r/w; t < bestT {
-			best, bestT = l, t
-		}
-	}
-	return best
+// promote is the Fig. 7 decision for a pipeline in bytecode: extrapolate
+// its remaining duration in bytecode and in native code, compilation
+// included, and report whether native code is shorter. r0 is the measured
+// tuple rate per worker in bytecode, n the tuples left, w the workers the
+// pipeline holds. Staying wins ties (strict <): a switch must pay for
+// itself.
+func (m *CostModel) promote(instrs int, r0, n, w float64) bool {
+	c := m.NativeTime(instrs).Seconds()
+	// While one thread compiles, the remaining w-1 continue at r0.
+	rem := max(n-(w-1)*r0*c, 0)
+	return c+rem/(r0*m.SpeedupNative)/w < n/r0/w
 }

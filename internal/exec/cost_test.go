@@ -34,11 +34,8 @@ func TestCostModelMonotonicity(t *testing.T) {
 				prev = d
 			}
 		}
-		if m.Speedup(LevelNative) <= m.Speedup(LevelBytecode) {
+		if m.SpeedupNative <= 1 {
 			t.Error("native code not modeled faster than bytecode")
-		}
-		if m.Speedup(LevelBytecode) != 1 {
-			t.Error("bytecode speedup must be 1")
 		}
 	}
 }
@@ -46,11 +43,8 @@ func TestCostModelMonotonicity(t *testing.T) {
 // TestModelsShareThroughputPriors: both models price the same back end, so
 // they differ in compile latency and Simulate only, never in a speedup.
 func TestModelsShareThroughputPriors(t *testing.T) {
-	p, n := Paper(), Native()
-	for l := LevelBytecode; l < numLevels; l++ {
-		if a, b := p.Speedup(l), n.Speedup(l); a != b {
-			t.Errorf("%v: Paper() %g, Native() %g", l, a, b)
-		}
+	if p, n := Paper().SpeedupNative, Native().SpeedupNative; p != n {
+		t.Errorf("SpeedupNative: Paper() %g, Native() %g", p, n)
 	}
 }
 
@@ -76,39 +70,47 @@ func TestPaperModelCalibration(t *testing.T) {
 // at the boundary: with almost no work left, compiling never pays off.
 func TestExtrapolationChoosesStay(t *testing.T) {
 	m := Paper()
-	decide := func(n float64, instrs int) Level {
-		return m.choose(LevelBytecode, maskOf(LevelNative), instrs, 1e6, n, 4)
+	decide := func(n float64) bool { return m.promote(500, 1e6, n, 4) }
+	if decide(1000) {
+		t.Error("tiny remainder promoted to native code")
 	}
-	if got := decide(1000, 500); got != LevelBytecode {
-		t.Errorf("tiny remainder chose %v", got)
+	if !decide(5e8) {
+		t.Error("huge remainder stayed in bytecode")
 	}
-	if got := decide(5e8, 500); got == LevelBytecode {
-		t.Errorf("huge remainder stayed in bytecode")
-	}
-	// Monotonicity: more remaining work never moves the decision toward a
-	// cheaper tier.
-	prev := LevelBytecode
+	// Monotonicity: once more remaining work promotes, still more does.
+	promoted := false
 	for _, n := range []float64{1e3, 1e5, 1e6, 1e7, 1e8, 1e9} {
-		l := decide(n, 500)
-		if l < prev {
+		p := decide(n)
+		if promoted && !p {
 			t.Errorf("decision regressed at n=%g", n)
 		}
-		prev = l
+		promoted = p
 	}
 }
 
-// TestChooseTieBreaking pins the order of the comparison: strict <, so
-// staying wins a tie with a candidate that is no faster, and a faster one
-// wins.
+// TestChooseTieBreaking pins the comparison and its arithmetic: strict <,
+// so staying wins a tie with native code that is no faster, a faster one
+// wins, and while one worker compiles the other w-1 keep running bytecode.
 func TestChooseTieBreaking(t *testing.T) {
-	all := ModeAdaptive.levels().above(LevelBytecode)
 	flat := &CostModel{SpeedupNative: 1}
-	if got := flat.choose(LevelBytecode, all, 1000, 1e6, 1e8, 4); got != LevelBytecode {
-		t.Errorf("no level is faster, yet chose %v over staying", got)
+	if flat.promote(1000, 1e6, 1e8, 4) {
+		t.Error("native code is no faster, yet promoted over staying")
 	}
 	even := &CostModel{SpeedupNative: 2}
-	if got := even.choose(LevelBytecode, all, 1000, 1e6, 1e8, 4); got != LevelNative {
-		t.Errorf("native code twice as fast at no compile cost: chose %v", got)
+	if !even.promote(1000, 1e6, 1e8, 4) {
+		t.Error("native code twice as fast at no compile cost: stayed")
+	}
+	// A 1 s compile, 4 workers at 1e6 tuples/s, native code 3x: staying
+	// takes n/4e6 s; promoting takes 1 + (n-3e6)/1.2e7 s, because the w-1
+	// workers that are not compiling finish 3e6 tuples meanwhile. The
+	// break-even is n = 4.5e6. Counting all w workers as running would
+	// promote below it; counting none, only above 6e6.
+	slow := &CostModel{NativeBase: time.Second, SpeedupNative: 3}
+	if slow.promote(0, 1e6, 4.4e6, 4) {
+		t.Error("promoted 0.1e6 tuples below the break-even")
+	}
+	if !slow.promote(0, 1e6, 5e6, 4) {
+		t.Error("stayed 0.5e6 tuples above the break-even")
 	}
 }
 
@@ -117,12 +119,12 @@ func TestGanttRendering(t *testing.T) {
 	base := tr.Origin()
 	tr.Add(Event{Kind: EvMorsel, Pipeline: 0, Label: "scan x", Worker: 0,
 		Start: 0, End: 10 * time.Millisecond})
-	tr.Add(Event{Kind: EvCompile, Pipeline: 0, Worker: -1,
+	tr.Add(Event{Kind: EvNative, Pipeline: 0, Worker: -1, Level: LevelNative,
 		Start: 2 * time.Millisecond, End: 5 * time.Millisecond})
 	tr.Add(Event{Kind: EvMorsel, Pipeline: 1, Label: "probe y", Worker: 1,
 		Start: 4 * time.Millisecond, End: 9 * time.Millisecond})
 	g := tr.Gantt(50)
-	for _, want := range []string{"w0", "w1", "cc", "scan x", "probe y", "C"} {
+	for _, want := range []string{"w0", "w1", "cc", "scan x", "probe y", "N"} {
 		if !strings.Contains(g, want) {
 			t.Errorf("gantt missing %q:\n%s", want, g)
 		}

@@ -86,21 +86,24 @@ func TestCrossTierDifferential22(t *testing.T) {
 func TestBreakerConfigDifferential22(t *testing.T) {
 	cat := diffCat()
 	configs := []struct {
-		name string
-		opts Options
+		name     string
+		opts     Options
+		noNative bool // rule native code out on every handle (Engine.nativeOff)
 	}{
-		{"baseline", Options{Workers: 4, Mode: ModeOptimized, Cost: Native()}},
-		{"bytecode-filter", Options{Workers: 4, Mode: ModeBytecode}},
-		{"native", Options{Workers: 4, Mode: ModeNative, Cost: Native()}},
-		{"native-disabled", Options{Workers: 4, Mode: ModeNative, Cost: Native(),
-			NoNative: true}},
+		{"baseline", Options{Workers: 4, Mode: ModeOptimized, Cost: Native()}, false},
+		{"bytecode-filter", Options{Workers: 4, Mode: ModeBytecode}, false},
+		{"native", Options{Workers: 4, Mode: ModeNative, Cost: Native()}, false},
+		{"native-disabled", Options{Workers: 4, Mode: ModeNative, Cost: Native()}, true},
 		{"adaptive-no-native", Options{Workers: 4, Mode: ModeAdaptive, Cost: Native(),
-			NoNative: true, MorselSize: 512, CacheBytes: 64 << 20}},
+			MorselSize: 512, CacheBytes: 64 << 20}, true},
 	}
 	want := make(map[int]string)
 	rewrites := 0
 	for _, cfg := range configs {
 		e := New(cfg.opts)
+		if cfg.noNative {
+			e.nativeOff = true
+		}
 		for qn := 1; qn <= 22; qn++ {
 			res, err := e.Run(tpch.Query(cat, qn))
 			if err != nil {

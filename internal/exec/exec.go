@@ -10,20 +10,20 @@
 // what translating would; else bytecode, the paper's start, which is what
 // Paper() and every platform without a native back end get. A pipeline is
 // translated to bytecode only then, at its start, so one that starts in
-// machine code is never translated (the static modes translate every
-// pipeline up front). From there the engine tracks per-pipeline progress
-// at morsel boundaries, extrapolates the remaining duration of every level
-// the pipeline's handle allows (Fig. 7), and switches pipelines mid-flight
-// by storing a new level into the function handle, which holds every
-// variant (Fig. 5) — no work is lost because all levels execute identical
-// semantics over the same runtime state (§IV-E). The ladder is the paper's,
-// bytecode → native machine code, and a level that fails to compile, or
-// runs slower than the level the controller moved the pipeline from, is
-// disabled for the run, which leaves the pipeline where it was; without a
-// native back end (arm64) every pipeline stays in bytecode.
-// The paper's optimized machine code — the same back end after the IR
-// pass pipeline — is its static baseline (ModeOptimized) and no other mode
-// runs it: an engine compiles to at most one level (Mode.levels).
+// machine code is never translated (a static compiled mode likewise
+// translates only the pipelines it could not compile). From there the
+// engine tracks per-pipeline progress at morsel boundaries, extrapolates
+// the remaining duration in bytecode and in native code (Fig. 7), and
+// switches pipelines mid-flight by storing a new level into the function
+// handle, which holds every variant (Fig. 5) — no work is lost because
+// both levels execute identical semantics over the same runtime state
+// (§IV-E). The ladder is the paper's, bytecode → native machine code, and
+// native code that fails to compile, or runs slower than the bytecode the
+// controller moved the pipeline from, is ruled out for the run, which
+// leaves the pipeline in bytecode; without a native back end (arm64) every
+// pipeline stays there. The paper's optimized machine code — the same back
+// end after the IR pass pipeline — is its static baseline: ModeOptimized
+// runs it at LevelNative, and no other mode assembles it (Engine.tier).
 package exec
 
 import (
@@ -37,6 +37,7 @@ import (
 	"aqe/internal/asm"
 	"aqe/internal/codegen"
 	"aqe/internal/expr"
+	"aqe/internal/jit"
 	"aqe/internal/plan"
 	"aqe/internal/rt"
 	"aqe/internal/sched"
@@ -69,27 +70,14 @@ const (
 const ModeVector = ModeBytecode
 
 // level returns the level a static mode puts every pipeline at before
-// execution starts. The interpreters stay at bytecode; the adaptive mode
-// decides per pipeline, when the pipeline starts (queryRun.start).
+// execution starts: native for both compiled modes, bytecode for the
+// interpreters. The adaptive mode decides per pipeline, when the pipeline
+// starts (queryRun.start).
 func (m Mode) level() Level {
-	switch m {
-	case ModeOptimized:
-		return LevelOptimized
-	case ModeNative:
+	if m == ModeNative || m == ModeOptimized {
 		return LevelNative
 	}
 	return LevelBytecode
-}
-
-// levels returns the levels an engine in mode m may run a pipeline at:
-// bytecode, and above it native code for the adaptive mode, or the static
-// mode's own level. So an engine compiles to at most one level, and
-// optimized code is a static baseline only.
-func (m Mode) levels() levelMask {
-	if m == ModeAdaptive {
-		return maskOf(LevelBytecode, LevelNative)
-	}
-	return maskOf(LevelBytecode, m.level())
 }
 
 // modeNames are the modes' names, by value: what String prints and
@@ -152,10 +140,6 @@ type Options struct {
 	// cache; 0 disables caching (every query translates and compiles from
 	// scratch, the paper's experiment setup).
 	CacheBytes int64
-	// NoNative disables both machine-code levels on every handle of this
-	// engine: the adaptive controller never proposes native code, and
-	// ModeNative and ModeOptimized run bytecode.
-	NoNative bool
 	// ReplanThreshold is the misestimate factor max(est/obs, obs/est) of
 	// an observed build-side cardinality past which a query running with
 	// a Replanner reoptimizes its join order mid-flight (default 8).
@@ -177,10 +161,14 @@ type Engine struct {
 	pool  *compilePool     // shared background compile service
 	sched *sched.Scheduler // admission gate + shared morsel worker pool
 
-	// disabled seeds the disabled-levels mask of every Handle: what the
-	// mode, the platform and the options rule out for the life of the
-	// engine.
-	disabled levelMask
+	// nativeOff seeds every Handle's: native code is ruled out for the
+	// life of the engine, by the mode (ModeBytecode, ModeIRInterp) or the
+	// platform (no native back end). Tests set it after New to run an
+	// engine without native code on any platform.
+	nativeOff bool
+	// tier is the flavour of machine code the engine assembles:
+	// jit.Optimized for ModeOptimized, jit.Unoptimized for every other mode.
+	tier jit.Level
 
 	// morselHook, when set (tests only), runs after every dispatched
 	// morsel on the worker goroutine; the mode-switch stress test uses it
@@ -228,9 +216,9 @@ func New(opts Options) *Engine {
 	if opts.CacheBytes > 0 {
 		e.cache = newPlanCache(opts.CacheBytes)
 	}
-	e.disabled = allLevels &^ opts.Mode.levels()
-	if !asm.Supported() || opts.NoNative {
-		e.disabled |= machineCode
+	e.nativeOff = opts.Mode == ModeBytecode || opts.Mode == ModeIRInterp || !asm.Supported()
+	if opts.Mode == ModeOptimized {
+		e.tier = jit.Optimized
 	}
 	rt.RegisterBuiltins(e.reg)
 	return e
@@ -256,9 +244,9 @@ func (e *Engine) SchedStats() sched.Stats { return e.sched.AdmissionStats() }
 // query's).
 type Stats struct {
 	Codegen time.Duration // plan -> IR
-	// Translate is IR -> bytecode: the pipelines this run translated — all
-	// of them up front in a static mode; in the adaptive mode each one that
-	// starts in bytecode, at its start.
+	// Translate is IR -> bytecode: the pipelines this run translated — in a
+	// static mode, up front, each one that is to run bytecode; in the
+	// adaptive mode each one that starts in bytecode, at its start.
 	Translate time.Duration
 	// Compile is the compilation the query waited for: a static mode's
 	// up-front compilation, and in the adaptive mode the coordinator's
@@ -302,15 +290,13 @@ type Stats struct {
 	Replans    int
 	EstCardErr float64
 
-	// Machine-code counters, for both native levels: assemblies that
-	// produced machine code, morsels dispatched to machine code, and
-	// per-pipeline fallbacks out of a machine-code level, at most one per
-	// pipeline and run: when the level was asked for and is disabled
-	// (platform, NoNative) or failed to assemble (unsupported op,
-	// exec-memory failure), the pipeline stays at the level it is at —
-	// bytecode for ModeNative, ModeOptimized and at an adaptive pipeline's
-	// start; when the controller demoted native code for running slower
-	// than the rate measured at the level it had left, it goes back there.
+	// Machine-code counters, for either flavour: assemblies that produced
+	// machine code, morsels dispatched to machine code, and per-pipeline
+	// fallbacks out of native code, at most one per pipeline and run: when
+	// native code was asked for and is ruled out (no back end) or failed
+	// to assemble (unsupported op, exec-memory failure), the pipeline stays
+	// in bytecode; when the controller demoted native code for running
+	// slower than the rate measured in bytecode, it goes back there.
 	NativeCompiles  int64
 	NativeMorsels   int64
 	NativeFallbacks int64
@@ -626,9 +612,9 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		tExec, compile0, translate0 := time.Now(), st.Compile, st.Translate
 		err = qr.execute()
 		st.Exec += time.Since(tExec) - (st.Compile - compile0) - (st.Translate - translate0)
-		// Fold the run's tier-6 counters (atomics: a background compile can
-		// tick them until the moment of this snapshot). Accumulates across
-		// replan attempts like the duration fields above.
+		// Fold the run's machine-code counters (atomics: a background
+		// compile can tick them until the moment of this snapshot).
+		// Accumulates across replan attempts like the duration fields above.
 		st.NativeCompiles += qr.nativeCompiles.Load()
 		st.NativeMorsels += qr.nativeMorsels.Load()
 		st.NativeFallbacks += qr.nativeFallbacks.Load()

@@ -37,9 +37,9 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:8]) }
 //
 // v4 dropped the three header bytes that carried engine switches
 // (NoNative, NoVector, the native back-end selector). A cache belongs to
-// one engine, whose options never change, and each Handle's
-// disabled-levels mask decides which cached variants a run may install —
-// so the key has no such runs to keep apart.
+// one engine, whose options never change, and each Handle's nativeOff
+// flag decides whether a run may install cached machine code — so the key
+// has no such runs to keep apart.
 //
 // v5 dropped the six header bytes that carried the bytecode translator's
 // options (register strategy, fusion, window size), by v4's argument: they

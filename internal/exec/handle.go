@@ -14,69 +14,31 @@ import (
 // Level is the execution tier of a worker function.
 type Level int32
 
-// Execution tiers. LevelNative and LevelOptimized are machine code from
-// the copy-and-patch template JIT (internal/asm), available only where
-// asm.Supported() holds: LevelNative assembles the IR as code generation
-// emitted it, LevelOptimized assembles it after the IR pass pipeline and
-// is the paper's static optimized baseline (ModeOptimized) — no other mode
-// runs it.
+// Execution tiers: the adaptive ladder, bytecode → native machine code.
+// LevelNative is machine code from the copy-and-patch template JIT
+// (internal/asm), available only where asm.Supported() holds. Which
+// flavour of machine code is the engine's (Engine.tier): the IR as code
+// generation emitted it, or — for ModeOptimized only, the paper's static
+// optimized baseline — the IR after the pass pipeline.
 const (
 	LevelBytecode Level = iota
-	LevelOptimized
 	LevelNative
-	numLevels
 )
 
 func (l Level) String() string {
-	switch l {
-	case LevelBytecode:
-		return "bytecode"
-	case LevelNative:
+	if l == LevelNative {
 		return "native"
-	default:
-		return "optimized"
 	}
+	return "bytecode"
 }
-
-// machineCode is the set of levels whose variant the template JIT
-// assembles: both fail to compile together (platform, NoNative) and are
-// counted together (Stats.NativeCompiles, NativeMorsels, NativeFallbacks).
-const machineCode = levelMask(1<<LevelOptimized | 1<<LevelNative)
-
-// jit returns the compiler tier that produces level l's variant; l must be
-// one of the machine-code levels.
-func (l Level) jit() jit.Level {
-	if l == LevelOptimized {
-		return jit.Optimized
-	}
-	return jit.Unoptimized
-}
-
-// levelMask is a set of levels, one bit each.
-type levelMask uint32
-
-const allLevels levelMask = 1<<numLevels - 1
-
-func maskOf(ls ...Level) levelMask {
-	var m levelMask
-	for _, l := range ls {
-		m |= 1 << l
-	}
-	return m
-}
-
-func (m levelMask) has(l Level) bool { return m&(1<<l) != 0 }
-
-// above returns the members of m higher than l.
-func (m levelMask) above(l Level) levelMask { return m &^ (1<<(l+1) - 1) }
 
 // variants is every executable form of one worker function: the bytecode
-// program and the machine code of the engine's one compiled level
-// (Mode.levels), each nil until some run made it. The plan cache stores one per pipeline and a Handle is created from
-// one, so a warm run starts with everything an earlier run produced. All
-// of it is immutable, address-indirect (bases re-registered per run
-// resolve through the run's segment table) and safe to share between
-// in-flight queries.
+// program and the engine's machine code (Engine.tier), each nil until
+// some run made it. The plan cache stores one per pipeline and a Handle is
+// created from one, so a warm run starts with everything an earlier run
+// produced. All of it is immutable, address-indirect (bases re-registered
+// per run resolve through the run's segment table) and safe to share
+// between in-flight queries.
 type variants struct {
 	prog     *vm.Program
 	compiled *jit.Compiled
@@ -103,29 +65,28 @@ type Handle struct {
 	prog     *vm.Program
 	progErr  error
 
-	compiled  atomic.Pointer[jit.Compiled] // the one compiled level; nil until staged
+	compiled  atomic.Pointer[jit.Compiled] // the machine code; nil until staged
 	level     atomic.Int32
 	compiling atomic.Bool
 
-	// disabled is the set of levels this pipeline may not run at. It is
-	// seeded at creation (the levels outside the mode's set, no backend on
-	// the platform, NoNative) and grows at run time: a failed compilation or a demotion
-	// disables the level for the rest of the run. Nothing is ever
-	// re-enabled.
-	disabled atomic.Uint32
+	// nativeOff rules native code out for this pipeline. It is seeded at
+	// creation (Engine.nativeOff) and set at run time by a failed
+	// compilation or a demotion, for the rest of the run; nothing ever
+	// clears it.
+	nativeOff atomic.Bool
 }
 
 // newHandle wraps the variants of one worker function — none yet, or what
 // the plan cache handed out — and translates Fn under opts if bytecode is
 // asked for and v has none. The Handle itself carries only the per-run
-// dispatch state: level, in-flight compile flag, disabled levels.
-func newHandle(fn *ir.Function, v variants, disabled levelMask, opts vm.Options) *Handle {
+// dispatch state: level, in-flight compile flag, native ruled out.
+func newHandle(fn *ir.Function, v variants, nativeOff bool, opts vm.Options) *Handle {
 	h := &Handle{Fn: fn, Instrs: fn.NumInstrs(), vmOpts: opts}
 	if v.prog != nil {
 		h.progOnce.Do(func() { h.prog = v.prog })
 	}
 	h.compiled.Store(v.compiled)
-	h.disabled.Store(uint32(disabled))
+	h.nativeOff.Store(nativeOff)
 	return h
 }
 
@@ -154,28 +115,16 @@ func (h *Handle) BeginCompile() bool {
 // AbortCompile clears the in-flight flag after a failed compilation.
 func (h *Handle) AbortCompile() { h.compiling.Store(false) }
 
-// Disabled returns the levels this pipeline may not run at.
-func (h *Handle) Disabled() levelMask { return levelMask(h.disabled.Load()) }
+// NativeOff reports whether native code is ruled out for this pipeline.
+func (h *Handle) NativeOff() bool { return h.nativeOff.Load() }
 
-// Disable removes the levels in m from the pipeline's choices for the rest
-// of the run.
-func (h *Handle) Disable(m levelMask) {
-	for {
-		old := h.disabled.Load()
-		if h.disabled.CompareAndSwap(old, old|uint32(m)) {
-			return
-		}
-	}
-}
+// DisableNative rules native code out for the rest of the run.
+func (h *Handle) DisableNative() { h.nativeOff.Store(true) }
 
 // Has reports whether level l's variant is on the handle, ready to
 // install. Bytecode always is: it is translated on first use.
 func (h *Handle) Has(l Level) bool {
-	if l == LevelBytecode {
-		return true
-	}
-	c := h.compiled.Load()
-	return c != nil && c.Level == l.jit()
+	return l == LevelBytecode || h.compiled.Load() != nil
 }
 
 // Stage puts a compiled variant on the handle without installing it.

@@ -10,6 +10,7 @@ import (
 
 	"aqe/internal/asm"
 	"aqe/internal/expr"
+	"aqe/internal/jit"
 	"aqe/internal/plan"
 	"aqe/internal/storage"
 )
@@ -85,41 +86,57 @@ func TestNativeGracefulDegradation(t *testing.T) {
 }
 
 // TestAdaptiveNeverRunsOptimized: optimized code is a static baseline
-// only. The adaptive seed holds LevelOptimized on every handle under
-// either cost model, so neither the start rule nor the controller — here
-// free to climb, with every compilation costing nothing — ever installs it.
+// only, the flavour of machine code a ModeOptimized engine assembles
+// (Engine.tier). Every variant an adaptive engine stages — under either
+// cost model, free to climb with every compilation costing nothing — and
+// every one a ModeNative engine stages is unoptimized; every one a
+// ModeOptimized engine stages is optimized.
 func TestAdaptiveNeverRunsOptimized(t *testing.T) {
-	for name, cost := range map[string]*CostModel{"paper": Paper(), "native": Native()} {
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		cost *CostModel
+		want jit.Level
+	}{
+		{"adaptive paper", ModeAdaptive, Paper(), jit.Unoptimized},
+		{"adaptive native", ModeAdaptive, Native(), jit.Unoptimized},
+		{"ModeNative", ModeNative, Native(), jit.Unoptimized},
+		{"ModeOptimized", ModeOptimized, Native(), jit.Optimized},
+	} {
+		cost := tc.cost
 		cost.NativeBase, cost.NativePerInstr = 0, 0
 		cost.OptBase, cost.OptPerInstr, cost.OptCubic = 0, 0, 0
-		e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, MorselSize: 32})
-		if !e.disabled.has(LevelOptimized) {
-			t.Errorf("%s: adaptive seed %04b leaves LevelOptimized enabled", name, e.disabled)
+		e := New(Options{Workers: 2, Mode: tc.mode, Cost: cost, MorselSize: 32})
+		var mu sync.Mutex
+		handles := map[int]*Handle{}
+		e.morselHook = func(pipeline int, h *Handle, _ int) {
+			mu.Lock()
+			handles[pipeline] = h
+			mu.Unlock()
 		}
-		var installed atomic.Int32
-		e.morselHook = func(_ int, h *Handle, _ int) {
-			if l := h.Level(); l == LevelOptimized {
-				installed.Store(int32(l))
-			}
-		}
-		res, err := e.RunPlan(stressPlan(), name)
-		if err != nil {
+		if _, err := e.RunPlan(stressPlan(), tc.name); err != nil {
 			t.Fatal(err)
 		}
-		if l := Level(installed.Load()); l != LevelBytecode {
-			t.Errorf("%s: a pipeline ran at %v", name, l)
-		}
-		for i, l := range res.Stats.FinalLevels {
-			if l == LevelOptimized {
-				t.Errorf("%s: pipeline %d finished at %v", name, i, l)
+		staged := 0
+		for p, h := range handles {
+			if c := h.compiled.Load(); c != nil {
+				staged++
+				if c.Level != tc.want {
+					t.Errorf("%s: pipeline %d staged %v machine code, want %v", tc.name, p, c.Level, tc.want)
+				}
 			}
+		}
+		// Without simulated latency pipelines are assembled before their
+		// first morsel: by the start rule, or up front.
+		if asm.Supported() && !cost.Simulate && staged == 0 {
+			t.Errorf("%s: no pipeline staged machine code", tc.name)
 		}
 	}
 }
 
 // TestNativeAdaptiveDegradation: the start rule assembles every pipeline of
 // more than one morsel, assembly fails for want of executable memory, and
-// the pipeline starts in bytecode with the level disabled on its handle, so
+// the pipeline starts in bytecode with native code ruled out on its handle, so
 // the controller climbs what is left — exactly one fallback per such
 // pipeline, none for the pipeline the rule leaves alone.
 func TestNativeAdaptiveDegradation(t *testing.T) {
@@ -156,8 +173,8 @@ func TestNativeAdaptiveDegradation(t *testing.T) {
 		if tried {
 			gated++
 		}
-		if off := handles[p].Disabled().has(LevelNative); off != tried {
-			t.Errorf("pipeline %d (work %d): native disabled = %v, want %v", p, pt.work, off, tried)
+		if off := handles[p].NativeOff(); off != tried {
+			t.Errorf("pipeline %d (work %d): native ruled out = %v, want %v", p, pt.work, off, tried)
 		}
 		if pt.first != LevelBytecode || pt.starts != 0 {
 			t.Errorf("pipeline %d: first morsel at %v, %d native installs; want a bytecode start", p, pt.first, pt.starts)
@@ -172,10 +189,11 @@ func TestNativeAdaptiveDegradation(t *testing.T) {
 	}
 }
 
-// TestNoNativeNeverDispatchesNative: a NoNative engine never runs a morsel
-// in native code, cold or warm. The plan fingerprint no longer tells such
-// an engine apart — its cache is its own, and the disabled-levels mask of
-// every handle keeps the level out of the controller's choices.
+// TestNoNativeNeverDispatchesNative: an engine with native code ruled out
+// (Engine.nativeOff) never runs a morsel in native code, cold or warm. The
+// plan fingerprint does not tell such an engine apart — its cache is its
+// own, and every handle's nativeOff keeps native code out of the
+// controller's reach.
 func TestNoNativeNeverDispatchesNative(t *testing.T) {
 	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
 	if err != nil {
@@ -185,11 +203,12 @@ func TestNoNativeNeverDispatchesNative(t *testing.T) {
 
 	cost := Native()
 	cost.NativeBase, cost.NativePerInstr = 0, 0
-	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost, NoNative: true,
+	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost,
 		MorselSize: 32, CacheBytes: 1 << 20})
+	e.nativeOff = true
 	e.morselHook = func(_ int, h *Handle, _ int) {
 		if h.Level() == LevelNative {
-			t.Error("a handle of a NoNative engine is at the native level")
+			t.Error("a handle of a native-off engine is at the native level")
 		}
 	}
 	for run := 0; run < 4; run++ {
@@ -209,57 +228,46 @@ func TestNoNativeNeverDispatchesNative(t *testing.T) {
 	}
 }
 
-// TestDisabledLevels drives every source of the disabled-levels mask
-// through a static mode, where what happens is deterministic: the engine's
-// seed (mode, options, platform) and the run-time bit a failed compilation
-// sets. In every row a pipeline whose target level is disabled must finish
-// in bytecode, a machine-code level given up must be counted once per
-// pipeline, and the rows must be those of ModeBytecode. Both machine-code
-// levels — native and optimized code — fall back the same way. The
+// TestDisabledLevels drives every source of a handle's nativeOff through
+// a static mode, where what happens is deterministic: the engine's seed
+// (the mode, the platform, or a test) and the run-time flag a failed
+// compilation sets. In every row every handle ends with native code ruled
+// out, every pipeline finishes in bytecode, a compiled mode counts one
+// fallback per pipeline, and the rows are those of ModeBytecode. Both
+// compiled modes — native and optimized code — fall back the same way. The
 // deprecated ModeVector is ModeBytecode: every pipeline runs bytecode.
 func TestDisabledLevels(t *testing.T) {
-	native, opt := maskOf(LevelNative), maskOf(LevelOptimized)
-	platform := levelMask(0)
-	if !asm.Supported() {
-		platform = machineCode
-	}
 	for _, tc := range []struct {
 		name      string
-		opts      Options
-		plan      func() plan.Node
+		mode      Mode
+		noNative  bool // set Engine.nativeOff after New
 		allocFail bool
 		skip      bool
-		seed      levelMask // the engine's seed, beyond the mode's and the platform's
-		every     levelMask // disabled on every handle when the run ends, beyond the seed
 	}{
-		{name: "NoNative", opts: Options{Mode: ModeNative, NoNative: true}, plan: stressPlan,
-			seed: machineCode, every: native},
-		{name: "NoNative ModeOptimized", opts: Options{Mode: ModeOptimized, NoNative: true}, plan: stressPlan,
-			seed: machineCode, every: opt},
-		{name: "alloc failure", opts: Options{Mode: ModeNative}, plan: stressPlan, allocFail: true,
-			every: native},
-		{name: "alloc failure ModeOptimized", opts: Options{Mode: ModeOptimized}, plan: stressPlan, allocFail: true,
-			every: opt},
-		{name: "ModeVector", opts: Options{Mode: ModeVector}, plan: stressPlan},
-		{name: "ModeIRInterp", opts: Options{Mode: ModeIRInterp}, plan: stressPlan},
-		{name: "unsupported platform", opts: Options{Mode: ModeNative}, plan: stressPlan,
-			skip: asm.Supported(), every: native},
-		{name: "unsupported platform ModeOptimized", opts: Options{Mode: ModeOptimized}, plan: stressPlan,
-			skip: asm.Supported(), every: opt},
+		{name: "NoNative", mode: ModeNative, noNative: true},
+		{name: "NoNative ModeOptimized", mode: ModeOptimized, noNative: true},
+		{name: "alloc failure", mode: ModeNative, allocFail: true},
+		{name: "alloc failure ModeOptimized", mode: ModeOptimized, allocFail: true},
+		{name: "ModeVector", mode: ModeVector},
+		{name: "ModeIRInterp", mode: ModeIRInterp},
+		{name: "unsupported platform", mode: ModeNative, skip: asm.Supported()},
+		{name: "unsupported platform ModeOptimized", mode: ModeOptimized, skip: asm.Supported()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.skip {
 				t.Skip("this platform has a native backend")
 			}
-			ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(tc.plan(), "ref")
+			ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.opts.Workers, tc.opts.Cost = 2, Native()
-			e := New(tc.opts)
-			ruled := platform | allLevels&^tc.opts.Mode.levels()
-			if e.disabled != tc.seed|ruled {
-				t.Errorf("engine seed %04b, want %04b", e.disabled, tc.seed|ruled)
+			e := New(Options{Workers: 2, Mode: tc.mode, Cost: Native()})
+			compiled := tc.mode.level() == LevelNative
+			if seed := !compiled || !asm.Supported(); e.nativeOff != seed {
+				t.Errorf("engine seed nativeOff = %v, want %v", e.nativeOff, seed)
+			}
+			if tc.noNative {
+				e.nativeOff = true
 			}
 			var mu sync.Mutex
 			handles := map[int]*Handle{}
@@ -270,46 +278,87 @@ func TestDisabledLevels(t *testing.T) {
 			}
 			asm.SetAllocFailure(tc.allocFail)
 			defer asm.SetAllocFailure(false)
-			res, err := e.RunPlan(tc.plan(), tc.name)
+			res, err := e.RunPlan(stressPlan(), tc.name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(canon(res.Rows, res.Types)) != fmt.Sprint(canon(ref.Rows, ref.Types)) {
 				t.Error("rows differ from ModeBytecode")
 			}
-			st, target := res.Stats, tc.opts.Mode.level()
-			var union levelMask
-			intersection, fallbacks := allLevels, int64(0)
-			for i, h := range handles {
-				m := h.Disabled()
-				union, intersection = union|m, intersection&m
-				want := target
-				if m.has(target) {
-					want = LevelBytecode
-					if machineCode.has(target) {
-						fallbacks++
-					}
-				}
-				if st.FinalLevels[i] != want {
-					t.Errorf("pipeline %d: disabled %04b, finished at %v, want %v", i, m, st.FinalLevels[i], want)
-				}
-			}
+			st := res.Stats
 			if len(handles) != len(st.FinalLevels) {
 				t.Fatalf("saw %d of %d pipelines run", len(handles), len(st.FinalLevels))
 			}
-			if want := (tc.every | tc.seed) &^ ruled; intersection&^ruled != want {
-				t.Errorf("disabled on every handle: %04b, want %04b", intersection&^ruled, want)
+			for i, h := range handles {
+				if !h.NativeOff() {
+					t.Errorf("pipeline %d: native code not ruled out", i)
+				}
+				if st.FinalLevels[i] != LevelBytecode {
+					t.Errorf("pipeline %d: finished at %v, want bytecode", i, st.FinalLevels[i])
+				}
 			}
-			if got := union &^ intersection; got != 0 {
-				t.Errorf("disabled on some handles only: %04b, want none", got)
+			fallbacks := int64(0)
+			if compiled {
+				fallbacks = int64(len(handles))
 			}
 			if st.NativeFallbacks != fallbacks {
 				t.Errorf("NativeFallbacks = %d, want %d", st.NativeFallbacks, fallbacks)
 			}
-			if intersection&machineCode == machineCode && st.NativeMorsels != 0 {
-				t.Errorf("%d machine-code morsels with both levels disabled everywhere", st.NativeMorsels)
+			if st.NativeMorsels != 0 {
+				t.Errorf("%d machine-code morsels with native code ruled out everywhere", st.NativeMorsels)
 			}
 		})
+	}
+}
+
+// TestStaticNativeTranslatesNothing: a static compiled mode translates only
+// the pipelines it runs in bytecode, and traces its module install only if
+// some pipeline runs native code. A cold ModeNative run whose pipelines
+// all assemble books no translation and no fused ops, and leaves no
+// bytecode program on any handle; a run with native code ruled out traces
+// no EvNative event.
+func TestStaticNativeTranslatesNothing(t *testing.T) {
+	run := func(nativeOff bool) (*Result, map[int]*Handle) {
+		e := New(Options{Workers: 2, Mode: ModeNative, Cost: Native(), Trace: true})
+		if nativeOff {
+			e.nativeOff = true
+		}
+		var mu sync.Mutex
+		handles := map[int]*Handle{}
+		e.morselHook = func(pipeline int, h *Handle, _ int) {
+			mu.Lock()
+			handles[pipeline] = h
+			mu.Unlock()
+		}
+		res, err := e.RunPlan(stressPlan(), "static")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, handles
+	}
+	if asm.Supported() {
+		res, handles := run(false)
+		st := res.Stats
+		if st.Translate != 0 || st.FusedOps != 0 || st.RegFileBytes != 0 {
+			t.Errorf("Translate %v, FusedOps %d, RegFileBytes %d; want none", st.Translate, st.FusedOps, st.RegFileBytes)
+		}
+		for p, h := range handles {
+			if h.prog != nil {
+				t.Errorf("pipeline %d: holds a bytecode program it never ran", p)
+			}
+			if st.FinalLevels[p] != LevelNative {
+				t.Errorf("pipeline %d: finished at %v", p, st.FinalLevels[p])
+			}
+		}
+	}
+	res, _ := run(true)
+	for _, ev := range res.Trace.Events() {
+		if ev.Kind == EvNative {
+			t.Errorf("native install traced at %v..%v with native code ruled out", ev.Start, ev.End)
+		}
+	}
+	if res.Stats.Translate == 0 {
+		t.Error("pipelines ran bytecode without a translation booked")
 	}
 }
 
@@ -320,7 +369,7 @@ func TestDisabledLevels(t *testing.T) {
 // climb policy: Simulate, with every latency zero. A stall inside the timed
 // dispatch of every native morsel makes native code measurably slower than
 // bytecode, so promotion is always followed by demotion: the pipeline goes
-// back to the level it left, native code alone is disabled on its handle,
+// back to bytecode, native code is ruled out on its handle,
 // NativeFallbacks ticks, and the trace holds exactly one native demotion
 // event for it.
 func TestNativeDemotion(t *testing.T) {
@@ -388,10 +437,8 @@ func TestNativeDemotion(t *testing.T) {
 			if n != 1 {
 				t.Errorf("pipeline %d: %d demotion events, want exactly one", p, n)
 			}
-			// The demotion disables native code; optimized code was never
-			// the adaptive mode's.
-			if m, want := handles[p].Disabled(), maskOf(LevelOptimized, LevelNative); m != want {
-				t.Errorf("pipeline %d: demoted, handle has %04b disabled, want %04b", p, m, want)
+			if !handles[p].NativeOff() {
+				t.Errorf("pipeline %d: demoted, but native code is not ruled out", p)
 			}
 			if l := res.Stats.FinalLevels[p]; l == LevelNative {
 				t.Errorf("pipeline %d: finished at %v after its demotion", p, l)

@@ -64,10 +64,10 @@ type queryRun struct {
 	failed    error
 	cancelErr error
 
-	// Tier-6 counters, folded into Stats when the run finishes. They are
-	// atomics on the run (not fields of Stats) because a background compile
-	// can outlive the query: a late fallback may tick after the engine
-	// snapshots Stats, and must not race with that copy.
+	// Machine-code counters, folded into Stats when the run finishes. They
+	// are atomics on the run (not fields of Stats) because a background
+	// compile can outlive the query: a late fallback may tick after the
+	// engine snapshots Stats, and must not race with that copy.
 	nativeCompiles  atomic.Int64
 	nativeMorsels   atomic.Int64
 	nativeFallbacks atomic.Int64
@@ -110,11 +110,12 @@ func (qr *queryRun) err() error {
 
 // newQueryRun binds externs, creates each pipeline's handle with the
 // variants the plan cache holds for it (a fingerprint miss inserts the
-// plan's entry), translates the pipelines up front and compiles them for a
-// static mode, and builds the runtime state the code generator's
-// descriptors require. The adaptive mode translates a pipeline only if it
-// is to run in bytecode (start). The trace (nil unless tracing) is created
-// by the caller so its origin covers the admission wait.
+// plan's entry), compiles the pipelines up front for a static compiled mode
+// and translates those a static mode runs in bytecode, and builds the
+// runtime state the code generator's descriptors require. The adaptive mode
+// translates a pipeline only if it is to run in bytecode (start). The trace
+// (nil unless tracing) is created by the caller so its origin covers the
+// admission wait.
 func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Memory, st *Stats, tr *Trace) (*queryRun, error) {
 	qr := &queryRun{eng: e, cq: cq, mem: mem, stats: st, trace: tr,
 		result: newRowSet(mem, cq), taken: make([]int, e.opts.Workers), limit: -1}
@@ -141,55 +142,58 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 		}
 	}
 	for i, pl := range cq.Pipelines {
-		h := newHandle(pl.Fn, pipes[i], e.disabled, e.opts.VM)
+		h := newHandle(pl.Fn, pipes[i], e.nativeOff, e.opts.VM)
 		h.UseIRInterp = e.opts.Mode == ModeIRInterp
 		if p := pipes[i].prog; p != nil {
 			qr.noteProgram(p)
 		}
 		qr.handles = append(qr.handles, h)
 	}
-	if e.opts.Mode != ModeAdaptive {
-		for i := range qr.handles {
-			if err := qr.bytecode(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// The static modes above bytecode put every pipeline at the mode's
-	// level before execution starts, single-threaded; for the compiled
-	// ones this is the up-front compilation of the whole module (§II-A),
-	// the latency the adaptive mode exists to avoid. A pipeline whose
-	// level is disabled or fails to compile runs bytecode (giveUp). A
-	// cache hit skips both the compilation and its simulated latency: the
-	// artifact exists, so there is nothing to wait for.
-	if target := e.opts.Mode.level(); target > LevelBytecode {
+	// The static compiled modes put every pipeline in native code before
+	// execution starts, single-threaded: the up-front compilation of the
+	// whole module (§II-A), the latency the adaptive mode exists to avoid.
+	// A pipeline whose native code is ruled out or fails to compile runs
+	// bytecode (giveUp). A cache hit skips both the compilation and its
+	// simulated latency: the artifact exists, so there is nothing to wait
+	// for.
+	if e.opts.Mode.level() == LevelNative {
 		tC := time.Now()
-		compiledAny := false
+		compiledAny, installed := false, false
 		for i, h := range qr.handles {
-			if !h.Disabled().has(target) {
-				fresh, err := qr.compile(i, target)
+			if !h.NativeOff() {
+				fresh, err := qr.compile(i)
 				if err == nil {
-					compiledAny = compiledAny || fresh
-					h.Install(target)
+					compiledAny, installed = compiledAny || fresh, true
+					h.Install(LevelNative)
 					continue
 				}
 			}
-			qr.giveUp(h, target)
+			qr.giveUp(h)
 		}
 		// Adopting cached variants costs nothing; only fresh compilation
 		// counts, so warm runs report zero compile time.
 		if compiledAny {
 			if e.opts.Cost.Simulate {
-				d := e.opts.Cost.CompileTime(target, st.Instrs, maxFnInstrs(cq))
+				d := e.opts.Cost.compileTime(e.tier == jit.Optimized, st.Instrs, maxFnInstrs(cq))
 				if !sleepCtx(ctx, d) {
 					return nil, context.Cause(ctx)
 				}
 			}
 			st.Compile += time.Since(tC)
 		}
-		if qr.trace != nil {
-			qr.noteSwitch(nil, LevelBytecode, target, qr.trace.Origin(), time.Now())
+		if installed && qr.trace != nil {
+			qr.noteSwitch(nil, LevelNative, qr.trace.Origin(), time.Now())
+		}
+	}
+	// A static mode translates, up front, only what it runs in bytecode.
+	if e.opts.Mode != ModeAdaptive {
+		for i, h := range qr.handles {
+			if h.Level() != LevelBytecode {
+				continue
+			}
+			if err := qr.bytecode(i); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -251,30 +255,27 @@ func (qr *queryRun) noteProgram(p *vm.Program) {
 	qr.stats.FusedOps += p.Fused
 }
 
-// giveUp is the one fallback rule: level l will not run for handle h —
-// disabled from the start (mode, platform, options) or its compilation
-// failed — so it is disabled for the rest of the run and the pipeline stays
-// at the level it is at, which for a static mode and at an adaptive
-// pipeline's start is bytecode. Only machine-code
-// assembly fails at run time, for a reason of the function's or the
-// host's (an op outside the templates, no executable memory). A
-// machine-code level given up counts once in NativeFallbacks.
-func (qr *queryRun) giveUp(h *Handle, l Level) {
-	h.Disable(maskOf(l))
-	if machineCode.has(l) {
-		qr.nativeFallbacks.Add(1)
-	}
+// giveUp is the one fallback rule: native code will not run for handle h —
+// ruled out from the start (mode, platform) or its compilation failed — so
+// it is ruled out for the rest of the run and the pipeline stays in
+// bytecode. Only assembly fails at run time, for a reason of the
+// function's or the host's (an op outside the templates, no executable
+// memory). Each pipeline given up counts once in NativeFallbacks.
+func (qr *queryRun) giveUp(h *Handle) {
+	h.DisableNative()
+	qr.nativeFallbacks.Add(1)
 }
 
-// compile puts level l's variant on pipeline i's handle unless it is there
-// already (cached, or compiled earlier in this run), and reports whether a
-// compilation ran; what it produced is also published to the cache.
-func (qr *queryRun) compile(i int, l Level) (fresh bool, err error) {
+// compile puts the engine's machine code (Engine.tier) on pipeline i's
+// handle unless it is there already (cached, or compiled earlier in this
+// run), and reports whether a compilation ran; what it produced is also
+// published to the cache.
+func (qr *queryRun) compile(i int) (fresh bool, err error) {
 	h := qr.handles[i]
-	if h.Has(l) {
+	if h.Has(LevelNative) {
 		return false, nil
 	}
-	c, err := jit.Compile(h.Fn, l.jit(), nil)
+	c, err := jit.Compile(h.Fn, qr.eng.tier, nil)
 	if err != nil {
 		return false, err
 	}
@@ -432,12 +433,10 @@ type progress struct {
 	evalGate atomic.Bool
 
 	// Verification baseline, set when the controller promotes the
-	// pipeline: the measured rate (float64 bits; 0 = no baseline) and the
-	// level just before the switch, and how many controller evaluations
-	// with a rate sample have run since. One of each is enough: a pipeline
-	// is at one level at a time (verify).
+	// pipeline to native code: the rate measured in bytecode (float64
+	// bits; 0 = no baseline), and how many controller evaluations with a
+	// rate sample have run since (verify).
 	preRate atomic.Uint64
-	preLvl  atomic.Int32
 	evals   atomic.Int32
 
 	// executing counts pool workers currently inside a morsel of this
@@ -662,8 +661,8 @@ func (qr *queryRun) finalize(pl *codegen.Pipeline) error {
 // pipeline started in native code is never translated — unless it fits in
 // one initial morsel: it would end before the
 // controller's first look, and assembling it costs more than interpreting
-// it. A failed assembly disables the level and leaves the pipeline to the
-// controller at bytecode, as on a platform without a native back end.
+// it. A failed assembly rules native code out and leaves the pipeline to
+// the controller at bytecode, as on a platform without a native back end.
 // Under a model that simulates compile latency (Paper()) compilation is the
 // expensive thing the paper says it is and must be earned from a measured
 // rate, so nothing is compiled here. A pipeline left in bytecode is
@@ -678,7 +677,7 @@ func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) error {
 	if qr.eng.opts.Mode != ModeAdaptive {
 		return nil
 	}
-	if h.Disabled().has(LevelNative) {
+	if h.NativeOff() {
 		return qr.bytecode(pl.ID)
 	}
 	if h.Has(LevelNative) {
@@ -688,16 +687,16 @@ func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) error {
 	if !qr.eng.opts.Cost.Simulate && pr.work > qr.eng.opts.MorselSize {
 		t0 := time.Now()
 		qr.stats.Compilations++
-		_, err := qr.compile(pl.ID, LevelNative)
+		_, err := qr.compile(pl.ID)
 		qr.stats.Compile += time.Since(t0)
 		if err == nil {
 			h.Install(LevelNative)
 			if qr.trace != nil {
-				qr.noteSwitch(pl, LevelBytecode, LevelNative, t0, time.Now())
+				qr.noteSwitch(pl, LevelNative, t0, time.Now())
 			}
 			return nil
 		}
-		qr.giveUp(h, LevelNative)
+		qr.giveUp(h)
 	}
 	return qr.bytecode(pl.ID)
 }
@@ -872,7 +871,7 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 		j.out.Publish(slot)
 	}
 	j.pr.report(end-begin, d, lvl == j.h.Level())
-	if machineCode.has(lvl) {
+	if lvl == LevelNative {
 		qr.nativeMorsels.Add(1)
 	}
 	if qr.trace != nil {
@@ -889,12 +888,12 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 	return true
 }
 
-// evaluate implements Fig. 7: extrapolate the remaining pipeline duration
-// under each level the handle allows and move the pipeline when a faster
-// one wins — at once if its variant is on the handle, else through a
-// background compilation. Only one worker evaluates at a time, the first
-// evaluation is delayed by 1 ms, and an in-flight compilation suppresses
-// further evaluation.
+// evaluate implements Fig. 7: extrapolate the remaining duration of a
+// pipeline in bytecode and in native code and promote it when native code
+// wins — at once if the code is on the handle, else through a background
+// compilation. Only one worker evaluates at a time, the first evaluation
+// is delayed by 1 ms, and an in-flight compilation suppresses further
+// evaluation.
 func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if !pr.evalGate.CompareAndSwap(false, true) {
 		return
@@ -903,12 +902,7 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if h.Compiling() {
 		return
 	}
-	cur := h.Level()
-	if qr.verify(pl, h, pr, cur) {
-		return
-	}
-	allowed := (allLevels &^ h.Disabled()).above(cur)
-	if allowed == 0 {
+	if qr.verify(pl, h, pr) || h.Level() == LevelNative || h.NativeOff() {
 		return
 	}
 	if time.Since(pr.started) < time.Millisecond {
@@ -930,14 +924,15 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if w < 1 {
 		w = 1
 	}
-	best := qr.eng.opts.Cost.choose(cur, allowed, h.Instrs, r0, n, w)
+	if !qr.eng.opts.Cost.promote(h.Instrs, r0, n, w) {
+		return
+	}
 	switch {
-	case best == cur:
-	case h.Has(best):
-		qr.switchLevel(pl, h, pr, best, r0, time.Now())
+	case h.Has(LevelNative):
+		qr.switchLevel(pl, h, pr, LevelNative, r0, time.Now())
 	case h.BeginCompile():
 		qr.stats.Compilations++
-		qr.eng.pool.submit(func() { qr.compileTask(pl, h, pr, best) })
+		qr.eng.pool.submit(func() { qr.compileTask(pl, h, pr) })
 	}
 }
 
@@ -948,19 +943,19 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 const verifyWarmup = 3
 
 // verify is promote-then-verify (§III-C's run-time misprediction), and
-// the only place a demotion is decided: it holds the level cur to the rate
-// measured at the level the controller promoted the pipeline from, not to
-// anything the cost model predicted. A level that settles below that rate
-// is a misprediction — native code bouncing into Go on every tuple. The
-// level is then disabled for this pipeline and the handle goes back to the
-// level it left. Going back costs nothing: the variant is still on the
-// handle, in-flight morsels finish where they are against the same
-// runtime state (§IV-E). The comparison is made once per switch: a level
-// kept at verifyWarmup stays kept. Checked after every later morsel, a
-// level as fast as the one it left would be demoted by the first dip of
-// its rate, and the level a pipeline ends at would follow timing noise. Reports whether it demoted. Runs under the
-// evaluation gate.
-func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress, cur Level) bool {
+// the only place a demotion is decided: it holds native code to the rate
+// measured in bytecode before the controller promoted the pipeline, not to
+// anything the cost model predicted. Native code that settles below that
+// rate is a misprediction — native code bouncing into Go on every tuple.
+// It is then ruled out for this pipeline and the handle goes back to
+// bytecode. Going back costs nothing: the program is still on the handle,
+// in-flight morsels finish where they are against the same runtime state
+// (§IV-E). The comparison is made once per switch: native code kept at
+// verifyWarmup stays kept. Checked after every later morsel, native code
+// as fast as bytecode would be demoted by the first dip of its rate, and
+// the level a pipeline ends at would follow timing noise. Reports whether
+// it demoted. Runs under the evaluation gate.
+func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress) bool {
 	bits := pr.preRate.Load()
 	if bits == 0 {
 		return false // static mode, or level entered by start: no baseline
@@ -969,42 +964,34 @@ func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress, cur Le
 	if r0 <= 0 || pr.evals.Add(1) != verifyWarmup || r0 >= math.Float64frombits(bits) {
 		return false
 	}
-	if cur == LevelNative {
-		qr.nativeFallbacks.Add(1)
-	}
-	h.Disable(maskOf(cur))
-	qr.switchLevel(pl, h, pr, Level(pr.preLvl.Load()), 0, time.Now())
+	qr.nativeFallbacks.Add(1)
+	h.DisableNative()
+	qr.switchLevel(pl, h, pr, LevelBytecode, 0, time.Now())
 	return true
 }
 
 // switchLevel moves a running pipeline to level to, whose variant is on
 // the handle, on behalf of the controller. rate is the rate measured at
 // the level being left. A promotion keeps it as the baseline verify holds
-// the new level to; a demotion (rate 0) leaves no baseline.
+// native code to; a demotion (rate 0) leaves no baseline.
 func (qr *queryRun) switchLevel(pl *codegen.Pipeline, h *Handle, pr *progress, to Level, rate float64, start time.Time) {
-	from := h.Level()
 	pr.preRate.Store(math.Float64bits(rate))
-	pr.preLvl.Store(int32(from))
 	pr.evals.Store(0)
 	h.Install(to)
 	// The sample measured the level just left (§III-C).
 	pr.resetRate()
 	if qr.trace != nil {
-		qr.noteSwitch(pl, from, to, start, time.Now())
+		qr.noteSwitch(pl, to, start, time.Now())
 	}
 }
 
-// noteSwitch records a level switch in the trace; pl is nil for a static
-// mode's whole module. The kind says whether the switch touched native
-// code or optimized code only, and Level where the pipeline landed: an
-// EvNative event whose Level is a different one is a demotion (aqetrace
-// renders it as such).
-func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, from, to Level, start, end time.Time) {
-	ev := Event{Kind: EvCompile, Pipeline: -1, Worker: -1, Level: to,
+// noteSwitch records a switch into or out of native code in the trace; pl
+// is nil for a static mode's whole module. Level is where the pipeline
+// landed: an EvNative event at bytecode is a demotion (aqetrace renders it
+// as such).
+func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, to Level, start, end time.Time) {
+	ev := Event{Kind: EvNative, Pipeline: -1, Worker: -1, Level: to,
 		Start: qr.trace.Since(start), End: qr.trace.Since(end)}
-	if from == LevelNative || to == LevelNative {
-		ev.Kind = EvNative
-	}
 	if pl != nil {
 		ev.Pipeline, ev.Label = pl.ID, pl.Label
 	}
@@ -1013,23 +1000,23 @@ func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, from, to Level, start, end 
 
 // compileTask runs on a shared compile-pool worker: it (optionally) sleeps
 // the modeled compile latency, really compiles the function and switches
-// the pipeline over — or, if level l will not compile, disables it and
-// leaves the pipeline at its current level (giveUp).
-func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress, l Level) {
+// the pipeline to native code — or, if it will not compile, rules native
+// code out and leaves the pipeline in bytecode (giveUp).
+func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if qr.cancelled.Load() {
 		h.AbortCompile()
 		return
 	}
 	t0 := time.Now()
-	if m := qr.eng.opts.Cost; m.Simulate && !qr.sleepUnlessCancelled(m.CompileTime(l, h.Instrs, h.Instrs)) {
+	if m := qr.eng.opts.Cost; m.Simulate && !qr.sleepUnlessCancelled(m.NativeTime(h.Instrs)) {
 		h.AbortCompile()
 		return
 	}
-	if _, err := qr.compile(pl.ID, l); err != nil {
-		qr.giveUp(h, l)
+	if _, err := qr.compile(pl.ID); err != nil {
+		qr.giveUp(h)
 		h.AbortCompile()
 		return
 	}
-	// The rate still measures the level l is about to replace.
-	qr.switchLevel(pl, h, pr, l, pr.rate(), t0)
+	// The rate still measures the bytecode native code is about to replace.
+	qr.switchLevel(pl, h, pr, LevelNative, pr.rate(), t0)
 }

@@ -76,18 +76,19 @@ func TestStartRule(t *testing.T) {
 	simulated.Simulate = true
 	simulated.NativeBase, simulated.NativePerInstr = 0, 0
 	for _, tc := range []struct {
-		name  string
-		opts  Options
-		plan  func() plan.Node
-		live  bool // the rule applies (given a native back end)
-		gated int  // pipelines with more work than one morsel
-		skip  bool
+		name     string
+		opts     Options
+		noNative bool // rule native code out on every handle (Engine.nativeOff)
+		plan     func() plan.Node
+		live     bool // the rule applies (given a native back end)
+		gated    int  // pipelines with more work than one morsel
+		skip     bool
 	}{
 		{name: "cache off", opts: Options{Cost: Native()}, plan: stressPlan, live: true, gated: 2},
 		{name: "cache on", opts: Options{Cost: Native(), CacheBytes: 8 << 20}, plan: stressPlan, live: true, gated: 2},
 		{name: "pruned to one morsel", opts: Options{Cost: Native()}, plan: prunedToOneMorselPlan, live: true},
 		{name: "Simulate", opts: Options{Cost: simulated}, plan: stressPlan, gated: 2},
-		{name: "NoNative", opts: Options{Cost: Native(), NoNative: true}, plan: stressPlan, gated: 2},
+		{name: "NoNative", opts: Options{Cost: Native()}, noNative: true, plan: stressPlan, gated: 2},
 		{name: "ModeIRInterp", opts: Options{Cost: Native(), Mode: ModeIRInterp}, plan: stressPlan, gated: 2},
 		{name: "unsupported platform", opts: Options{Cost: Native()}, plan: stressPlan, gated: 2,
 			skip: asm.Supported()},
@@ -104,6 +105,9 @@ func TestStartRule(t *testing.T) {
 			live := tc.live && asm.Supported()
 			tc.opts.Workers, tc.opts.MorselSize, tc.opts.Trace = 2, morsel, true
 			e := New(tc.opts)
+			if tc.noNative {
+				e.nativeOff = true
+			}
 			runs := 1
 			if tc.opts.CacheBytes > 0 {
 				runs = 2 // the second finds the first's code on its handles

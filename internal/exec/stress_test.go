@@ -71,7 +71,7 @@ func modeSwitchStress(t *testing.T, build func() plan.Node) {
 			nativeFlips.Add(1)
 		}
 		if !h.Has(l) {
-			c, err := jit.Compile(h.Fn, l.jit(), nil)
+			c, err := jit.Compile(h.Fn, jit.Unoptimized, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -79,7 +79,7 @@ func modeSwitchStress(t *testing.T, build func() plan.Node) {
 		}
 		h.Install(l)
 		if n%101 == 0 {
-			h.Disable(maskOf(LevelNative))
+			h.DisableNative()
 		}
 	}
 

@@ -13,16 +13,15 @@ type EventKind uint8
 
 // Event kinds.
 const (
-	EvMorsel EventKind = iota
-	EvCompile
-	EvPhase       // planning / codegen / up-front compilation
+	EvMorsel EventKind = iota // one morsel's dispatch, on its worker lane
+
 	EvFinalize    // pipeline-breaker finalization (join link / agg merge)
 	EvPrune       // zone-map mask construction (Tuples/Parts = pruned tuples/blocks)
 	EvDictRewrite // dictionary-code rewrites baked into a pipeline (Tuples = rewrite count)
 	EvAdmit       // admission-queue wait (Start..End = queued interval)
 	EvCancel      // cancellation observed (instantaneous)
 	EvReplan      // mid-query reoptimization at a breaker (Tuples = observed build card)
-	EvNative      // native (tier-6) install — or, when Level != LevelNative, a demotion back to the level left
+	EvNative      // native-code install — or, when Level is LevelBytecode, a demotion back to bytecode
 )
 
 // Event is one entry of an execution trace (the data behind Fig. 14).
@@ -87,7 +86,8 @@ func (tr *Trace) Events() []Event {
 
 // Gantt renders the trace as an ASCII chart in the style of Fig. 14: one
 // lane per worker (plus a compile lane), time left to right, each morsel
-// drawn with a letter identifying its pipeline and compilations with 'C'.
+// drawn with a letter identifying its pipeline and native-code installs
+// with 'N'.
 func (tr *Trace) Gantt(width int) string {
 	evs := tr.Events()
 	if len(evs) == 0 {
@@ -104,7 +104,7 @@ func (tr *Trace) Gantt(width int) string {
 			maxWorker = ev.Worker
 		}
 		switch ev.Kind {
-		case EvCompile, EvFinalize, EvPrune, EvDictRewrite, EvAdmit, EvCancel, EvReplan, EvNative:
+		case EvFinalize, EvPrune, EvDictRewrite, EvAdmit, EvCancel, EvReplan, EvNative:
 			hasCompile = true
 		}
 	}
@@ -137,9 +137,6 @@ func (tr *Trace) Gantt(width int) string {
 		lane := ev.Worker
 		ch := letter(ev.Pipeline)
 		switch ev.Kind {
-		case EvCompile:
-			lane = maxWorker + 1
-			ch = 'C'
 		case EvFinalize:
 			lane = maxWorker + 1
 			ch = 'F'
@@ -164,8 +161,6 @@ func (tr *Trace) Gantt(width int) string {
 			if ev.Level != LevelNative {
 				ch = 'V' // demotion out of native
 			}
-		case EvPhase:
-			ch = '='
 		}
 		if lane < 0 {
 			lane = maxWorker + 1

@@ -76,7 +76,7 @@ func flipEveryMorsel(e *Engine) {
 			l = LevelNative
 		}
 		if !h.Has(l) {
-			c, err := jit.Compile(h.Fn, l.jit(), nil)
+			c, err := jit.Compile(h.Fn, jit.Unoptimized, nil)
 			if err != nil {
 				panic(err)
 			}
