@@ -144,11 +144,7 @@ func fig2() {
 			continue
 		}
 		st := res.Stats
-		compile := st.Translate + st.Compile
-		if m.mode == exec.ModeIRInterp {
-			compile = 0 // no translation step at all
-		}
-		fmt.Printf("%-14s %14.2f %14.2f\n", m.name, ms(compile), ms(st.Exec))
+		fmt.Printf("%-14s %14.2f %14.2f\n", m.name, ms(st.Translate+st.Compile), ms(st.Exec))
 	}
 	fmt.Println("(unoptimized/optimized compile includes the paper-calibrated LLVM latency model)")
 }

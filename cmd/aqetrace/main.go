@@ -146,16 +146,7 @@ func main() {
 			ev.Pipeline, ev.Label, ev.Tuples, ev.Start.Seconds()*1e3)
 	}
 
-	scopeOf := func(ev exec.Event) string {
-		if ev.Pipeline < 0 {
-			return "whole module (static mode)"
-		}
-		return fmt.Sprintf("pipeline %d (%s)", ev.Pipeline, ev.Label)
-	}
-
-	// Native (tier-6) installs ('N' on the compile lane above) and
-	// controller demotions out of native ('V': an EvNative whose installed
-	// level is not native records the level the pipeline went back to).
+	// Native (tier-6) installs ('N' on the compile lane above).
 	first = true
 	for _, ev := range merged.Events() {
 		if ev.Kind != exec.EvNative {
@@ -165,13 +156,12 @@ func main() {
 			fmt.Println("\nnative-code installs:")
 			first = false
 		}
-		if ev.Level != exec.LevelNative {
-			fmt.Printf("  %s: demoted out of native back to %s (slower than the level it left)\n",
-				scopeOf(ev), ev.Level)
-			continue
+		scope := "whole module (static mode)"
+		if ev.Pipeline >= 0 {
+			scope = fmt.Sprintf("pipeline %d (%s)", ev.Pipeline, ev.Label)
 		}
 		fmt.Printf("  %s: machine code assembled in %.3f ms\n",
-			scopeOf(ev), (ev.End-ev.Start).Seconds()*1e3)
+			scope, (ev.End-ev.Start).Seconds()*1e3)
 	}
 
 	// Pipeline-breaker finalizations ('F' on the compile lane above).

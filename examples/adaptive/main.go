@@ -41,7 +41,7 @@ func main() {
 				stg.Name, pi, lvl, res.Stats.Compilations)
 		}
 	}
-	fmt.Println("\nexecution trace (a/b/c… = pipelines, C = background compilation):")
+	fmt.Println("\nexecution trace (a/b/c… = pipelines, N = native-code install):")
 	fmt.Print(merged.Gantt(100))
 	_ = aqe.ModeAdaptive
 }

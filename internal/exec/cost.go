@@ -51,9 +51,8 @@ type CostModel struct {
 // Simulate. It is a rough fit of this substrate — measured
 // native-over-bytecode spans 2.2x (hash-bound Q10, hashwalk) to 9x
 // (float-dense aggregation), and the controller only needs the order of
-// magnitude — and it only ever extrapolates; verify holds a level the
-// controller promoted to the rate measured at the level it left, never to
-// this number.
+// magnitude. It only ever extrapolates the choice to promote, which is
+// final: no measured rate is ever held against it.
 const speedupNative = 3.0
 
 // Paper returns the cost model calibrated to the paper's measurements:

@@ -18,10 +18,10 @@
 // handle, which holds every variant (Fig. 5) — no work is lost because
 // both levels execute identical semantics over the same runtime state
 // (§IV-E). The ladder is the paper's, bytecode → native machine code, and
-// native code that fails to compile, or runs slower than the bytecode the
-// controller moved the pipeline from, is ruled out for the run, which
-// leaves the pipeline in bytecode; without a native back end (arm64) every
-// pipeline stays there. The paper's optimized machine code — the same back
+// it is climbed only: a promotion to native code is final. Native code
+// that fails to compile is ruled out for the run, which leaves the
+// pipeline in bytecode; without a native back end (arm64) every pipeline
+// stays there. The paper's optimized machine code — the same back
 // end after the IR pass pipeline — is its static baseline: ModeOptimized
 // runs it at LevelNative, and no other mode assembles it (Engine.tier).
 package exec
@@ -174,10 +174,6 @@ type Engine struct {
 	// morsel on the worker goroutine; the mode-switch stress test uses it
 	// to force tier changes at every morsel boundary.
 	morselHook func(pipeline int, h *Handle, worker int)
-	// dispatchHook, when set (tests only), runs inside the timed window of
-	// every dispatched morsel, right after the dispatch, with the level the
-	// morsel ran at: a stall there is measured as that level's own cost.
-	dispatchHook func(l Level)
 }
 
 // compileWorkers sizes the background compile pool: how many compilations
@@ -240,8 +236,10 @@ func (e *Engine) CacheStats() CacheStats {
 // queries were admitted, how many had to queue, and the accumulated wait.
 func (e *Engine) SchedStats() sched.Stats { return e.sched.AdmissionStats() }
 
-// Stats describes one executed stage (the last stage's stats are the
-// query's).
+// Stats describes one executed query. Of a multi-stage query, durations
+// and counts are summed over its stages and FinalLevels lists every
+// stage's pipelines in stage order; what describes the result (Rows,
+// Fingerprint) is the final stage's (Stats.add).
 type Stats struct {
 	Codegen time.Duration // plan -> IR
 	// Translate is IR -> bytecode: the pipelines this run translated — in a
@@ -292,11 +290,10 @@ type Stats struct {
 
 	// Machine-code counters, for either flavour: assemblies that produced
 	// machine code, morsels dispatched to machine code, and per-pipeline
-	// fallbacks out of native code, at most one per pipeline and run: when
-	// native code was asked for and is ruled out (no back end) or failed
-	// to assemble (unsupported op, exec-memory failure), the pipeline stays
-	// in bytecode; when the controller demoted native code for running
-	// slower than the rate measured in bytecode, it goes back there.
+	// fallbacks, at most one per pipeline and run: native code was asked
+	// for and is ruled out (no back end) or failed to assemble (unsupported
+	// op, exec-memory failure), so the pipeline stays in bytecode. A
+	// pipeline that runs native code never leaves it.
 	NativeCompiles  int64
 	NativeMorsels   int64
 	NativeFallbacks int64
@@ -412,11 +409,13 @@ func (e *Engine) RunCtx(ctx context.Context, q plan.Query) (*Result, error) {
 // the tables later stages scan. Multi-stage plan queries carry no
 // prepared-statement parameters, so opts.Params must be nil. Under
 // Options.Trace the returned Trace holds every stage's events on the first
-// stage's time axis (Fig. 14's Q11); Stats are the final stage's.
+// stage's time axis (Fig. 14's Q11), and Stats cover every stage
+// (Stats.add).
 func (e *Engine) RunCtxOpts(ctx context.Context, q plan.Query, opts RunOpts) (*Result, error) {
 	prior := make(map[string]*storage.Table)
 	var last *Result
 	var trace *Trace
+	sum := Stats{CacheHit: true} // a query is served from the cache when every stage is
 	for i, st := range q.Stages {
 		node := st.Build(prior)
 		stage := opts
@@ -424,6 +423,10 @@ func (e *Engine) RunCtxOpts(ctx context.Context, q plan.Query, opts RunOpts) (*R
 			stage.Emit, stage.unboxed = nil, true
 		}
 		res, err := e.RunPlanOpts(ctx, node, fmt.Sprintf("%s/%s", q.Name, st.Name), stage)
+		if res != nil {
+			sum.add(res.Stats)
+			res.Stats = sum
+		}
 		if err != nil {
 			return res, fmt.Errorf("%s stage %q: %w", q.Name, st.Name, err)
 		}
@@ -439,6 +442,49 @@ func (e *Engine) RunCtxOpts(ctx context.Context, q plan.Query, opts RunOpts) (*R
 		last = res
 	}
 	return last, nil
+}
+
+// add folds the stats of the next stage of a query into s: durations and
+// counts sum, FinalLevels appends, flags and worst-case figures combine,
+// and the fields that describe the result or the engine are the later
+// stage's.
+func (s *Stats) add(o Stats) {
+	s.Codegen += o.Codegen
+	s.Translate += o.Translate
+	s.Compile += o.Compile
+	s.Exec += o.Exec
+	s.Finalize += o.Finalize
+	s.PruneTime += o.PruneTime
+	s.Sort += o.Sort
+	s.Emit += o.Emit
+	s.WaitTime += o.WaitTime
+	s.Total += o.Total
+	s.Rows = o.Rows
+	s.Queued = s.Queued || o.Queued
+	s.Cancelled = o.Cancelled
+	s.Instrs += o.Instrs
+	s.Pipelines += o.Pipelines
+	s.FinalLevels = append(s.FinalLevels, o.FinalLevels...)
+	s.Compilations += o.Compilations
+	s.RegFileBytes = max(s.RegFileBytes, o.RegFileBytes)
+	s.FusedOps += o.FusedOps
+	s.Finalizes += o.Finalizes
+	s.BuildRows += o.BuildRows
+	s.Replans += o.Replans
+	s.EstCardErr = max(s.EstCardErr, o.EstCardErr)
+	s.NativeCompiles += o.NativeCompiles
+	s.NativeMorsels += o.NativeMorsels
+	s.NativeFallbacks += o.NativeFallbacks
+	s.BlocksPruned += o.BlocksPruned
+	s.TuplesPruned += o.TuplesPruned
+	s.PrunableTuples += o.PrunableTuples
+	s.DictRewrites += o.DictRewrites
+	s.DictHits += o.DictHits
+	s.StringBlocksPruned += o.StringBlocksPruned
+	s.Fingerprint = o.Fingerprint
+	s.CacheHit = s.CacheHit && o.CacheHit
+	s.Cache = o.Cache
+	s.Tenant = o.Tenant
 }
 
 // RunPlan code-generates and executes a single plan.

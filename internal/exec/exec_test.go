@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"aqe/internal/plan"
 	"aqe/internal/rt"
 	"aqe/internal/storage"
+	"aqe/internal/tpch"
 	"aqe/internal/vm"
 	"aqe/internal/volcano"
 )
@@ -537,6 +539,49 @@ func TestMultiStageQuery(t *testing.T) {
 		if row[1].I != mx {
 			t.Errorf("row total %d, want %d", row[1].I, mx)
 		}
+	}
+}
+
+// TestMultiStageStatsCoverEveryStage: the Stats of a multi-stage query
+// cover every stage. Q20 runs twice under ModeNative, whole and stage by
+// stage: FinalLevels lists every stage's pipelines, the counts are the
+// stages' sums, and Rows and Fingerprint are the final stage's.
+func TestMultiStageStatsCoverEveryStage(t *testing.T) {
+	cat := diffCat()
+	q := tpch.Query(cat, 20)
+	if len(q.Stages) < 2 {
+		t.Fatalf("Q20 has %d stages; the test needs a multi-stage query", len(q.Stages))
+	}
+	e := New(Options{Workers: 2, Mode: ModeNative, Cost: Native()})
+	res, err := e.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pipelines int
+	var compiles int64
+	var last Stats
+	prior := map[string]*storage.Table{}
+	for _, st := range q.Stages {
+		r, err := e.RunPlanOpts(context.Background(), st.Build(prior), q.Name+"/"+st.Name, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipelines += r.Stats.Pipelines
+		compiles += r.Stats.NativeCompiles
+		last = r.Stats
+		prior[st.Name] = r.ToTable(st.Name)
+	}
+	got := res.Stats
+	if len(got.FinalLevels) != pipelines || got.Pipelines != pipelines {
+		t.Errorf("FinalLevels has %d entries and Pipelines reads %d; the stages have %d pipelines",
+			len(got.FinalLevels), got.Pipelines, pipelines)
+	}
+	if got.NativeCompiles != compiles {
+		t.Errorf("NativeCompiles %d, the stages' sum is %d", got.NativeCompiles, compiles)
+	}
+	if got.Rows != last.Rows || got.Fingerprint != last.Fingerprint {
+		t.Errorf("Rows %d, Fingerprint %s; the final stage's are %d, %s",
+			got.Rows, got.Fingerprint, last.Rows, last.Fingerprint)
 	}
 }
 

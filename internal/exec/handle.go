@@ -47,8 +47,7 @@ type variants struct {
 // Handle is the paper's function handle (Fig. 5): it stores every variant
 // of a worker function and dispatches each morsel to the installed one.
 // Changing the execution mode is a single atomic store of the level; all
-// workers pick up the new variant at their next morsel, and a variant that
-// was left stays on the handle, so going back costs the same one store.
+// workers pick up the new variant at their next morsel.
 type Handle struct {
 	Fn     *ir.Function
 	Instrs int
@@ -71,8 +70,7 @@ type Handle struct {
 
 	// nativeOff rules native code out for this pipeline. It is seeded at
 	// creation (Engine.nativeOff) and set at run time by a failed
-	// compilation or a demotion, for the rest of the run; nothing ever
-	// clears it.
+	// compilation, for the rest of the run; nothing ever clears it.
 	nativeOff atomic.Bool
 }
 

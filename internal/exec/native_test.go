@@ -2,17 +2,12 @@ package exec
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"aqe/internal/asm"
-	"aqe/internal/expr"
 	"aqe/internal/jit"
-	"aqe/internal/plan"
-	"aqe/internal/storage"
+	"aqe/internal/tpch"
 )
 
 // TestNativeStaticMode runs the stress plan in ModeNative and checks the
@@ -362,250 +357,65 @@ func TestStaticNativeTranslatesNothing(t *testing.T) {
 	}
 }
 
-// TestNativeDemotion: the controller must demote a pipeline out of native
-// code when its settled morsel rate falls below the rate measured at the
-// level it left. Only a level the controller climbed to has such a rate,
-// and with real latencies pipelines start native (start), so this runs the
-// climb policy: Simulate, with every latency zero. A stall inside the timed
-// dispatch of every native morsel makes native code measurably slower than
-// bytecode, so promotion is always followed by demotion: the pipeline goes
-// back to bytecode, native code is ruled out on its handle,
-// NativeFallbacks ticks, and the trace holds exactly one native demotion
-// event for it.
-func TestNativeDemotion(t *testing.T) {
-	if !asm.Supported() {
-		t.Skip("no native backend; the controller never proposes tier 6 here")
-	}
-	ref, err := New(Options{Workers: 1, Mode: ModeBytecode}).RunPlan(stressPlan(), "ref")
+// TestIRInterpTranslatesNothing: ModeIRInterp interprets the IR of every
+// pipeline and runs no bytecode, so it translates nothing: a cold run books
+// no translation, no fused ops and no register file.
+func TestIRInterpTranslatesNothing(t *testing.T) {
+	res, err := New(Options{Workers: 2, Mode: ModeIRInterp}).RunPlan(stressPlan(), "interp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprint(canon(ref.Rows, ref.Types))
-
-	cost := Native()
-	cost.NativeBase, cost.NativePerInstr = 0, 0
-	cost.Simulate = true
-	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost, MorselSize: 32, Trace: true})
-	// A 32-tuple morsel runs in microseconds at any level: stalled, a
-	// native morsel is measured far below bytecode.
-	e.dispatchHook = func(l Level) {
-		if l == LevelNative {
-			time.Sleep(200 * time.Microsecond)
-		}
-	}
-	// Slow the morsel stream slightly, outside the timed window, so
-	// pipelines are still draining when the background install + warmup
-	// evaluations complete; retry in case a short pipeline still wins the
-	// race.
-	var mu sync.Mutex
-	var handles map[int]*Handle
-	e.morselHook = func(pipeline int, h *Handle, _ int) {
-		mu.Lock()
-		handles[pipeline] = h
-		mu.Unlock()
-		time.Sleep(200 * time.Microsecond)
-	}
-	promoted := int64(0)
-	for attempt := 0; attempt < 25; attempt++ {
-		handles = map[int]*Handle{}
-		res, err := e.RunPlan(stressPlan(), "demote")
-		if err != nil {
-			t.Fatalf("adaptive query failed: %v", err)
-		}
-		if got := fmt.Sprint(canon(res.Rows, res.Types)); got != want {
-			t.Fatal("result diverged across promotion and demotion")
-		}
-		promoted += res.Stats.NativeCompiles
-		if res.Stats.NativeFallbacks == 0 {
-			continue
-		}
-		// Native code is always entered from bytecode. An EvNative event
-		// whose level is not native is a demotion out of native code.
-		demotions := map[int]int{}
-		for _, ev := range res.Trace.Events() {
-			if ev.Kind == EvNative && ev.Level != LevelNative {
-				demotions[ev.Pipeline]++
-				if ev.Level != LevelBytecode {
-					t.Errorf("pipeline %d: demotion landed at %v, want the level it left (bytecode)",
-						ev.Pipeline, ev.Level)
-				}
-			}
-		}
-		total := 0
-		for p, n := range demotions {
-			total += n
-			if n != 1 {
-				t.Errorf("pipeline %d: %d demotion events, want exactly one", p, n)
-			}
-			if !handles[p].NativeOff() {
-				t.Errorf("pipeline %d: demoted, but native code is not ruled out", p)
-			}
-			if l := res.Stats.FinalLevels[p]; l == LevelNative {
-				t.Errorf("pipeline %d: finished at %v after its demotion", p, l)
-			}
-		}
-		if int64(total) != res.Stats.NativeFallbacks {
-			t.Errorf("%d demotion events for %d fallbacks", total, res.Stats.NativeFallbacks)
-		}
-		return
-	}
-	if promoted == 0 {
-		t.Skip("controller never promoted to native on this machine; nothing to verify")
-	}
-	t.Errorf("native installed %d times but the controller never demoted", promoted)
-}
-
-// TestVerifyKeepsFasterNative: verify compares measured with measured. A
-// compute-dense pipeline whose native code runs several times faster than
-// bytecode stays native even when the model promised far more: with
-// SpeedupNative at 1e9, a level held to a modeled prediction is demoted in
-// every run.
-func TestVerifyKeepsFasterNative(t *testing.T) {
-	if !asm.Supported() {
-		t.Skip("no native backend; the controller never proposes tier 6 here")
-	}
-	cost := Native()
-	cost.NativeBase, cost.NativePerInstr = 0, 0
-	cost.Simulate = true
-	cost.SpeedupNative = 1e9
-	if outcomes := keepNative(t, cost, nil); outcomes != nil {
-		t.Errorf("native code faster than bytecode was demoted in every run: %v", outcomes)
+	if st := res.Stats; st.Translate != 0 || st.FusedOps != 0 || st.RegFileBytes != 0 {
+		t.Errorf("Translate %v, FusedOps %d, RegFileBytes %d; want none", st.Translate, st.FusedOps, st.RegFileBytes)
 	}
 }
 
-// TestVerifyDecidesOnce: verify compares a promoted level with the level
-// it left once, at the verifyWarmup evaluation. Native morsels are stalled
-// (20 ms inside the timed dispatch, several times a native morsel's run
-// time) only from the seventh on, after the check has kept native code, so
-// a rule that re-checked every later morsel would demote native code in
-// every run.
-func TestVerifyDecidesOnce(t *testing.T) {
+// TestPromotionIsFinal: a pipeline the controller promotes to native code
+// stays there, as in the paper's controller. The 22 queries run under the
+// climb policy — Simulate with every latency zero, so no pipeline starts
+// native and each one the controller evaluates climbs through promote —
+// and once a handle is seen at native after a morsel, it is never seen at
+// bytecode after a later one. The level is read under the lock that orders
+// the observations, so a bytecode reading is a move back, never a reading
+// made before the promotion. No pipeline falls back.
+func TestPromotionIsFinal(t *testing.T) {
 	if !asm.Supported() {
-		t.Skip("no native backend; the controller never proposes tier 6 here")
+		t.Skip("no native back end: the controller never promotes")
 	}
+	cat := tpch.Gen(0.01)
 	cost := Native()
 	cost.NativeBase, cost.NativePerInstr = 0, 0
 	cost.Simulate = true
-	var native atomic.Int64
-	stall := func(l Level) {
-		if l == LevelNative && native.Add(1) > 6 {
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	if outcomes := keepNative(t, cost, func(e *Engine) { native.Store(0); e.dispatchHook = stall }); outcomes != nil {
-		t.Errorf("native code stalled only after its check was demoted in every run: %v", outcomes)
-	}
-}
-
-// TestVerifyHoldsOneStall: verify reads the rate of every morsel that ran
-// at the level since the switch, not each worker's latest one. Bytecode
-// morsels stall 3 ms each and native ones not at all, except the one the
-// check follows, which stalls 5 ms: slower than a bytecode morsel on its
-// own, faster than bytecode over the morsels since the switch. One worker
-// runs the morsels in claim order, so this holds at any -cpu.
-func TestVerifyHoldsOneStall(t *testing.T) {
-	if !asm.Supported() {
-		t.Skip("no native backend; the controller never proposes tier 6 here")
-	}
-	cost := Native()
-	cost.NativeBase, cost.NativePerInstr = 0, 0
-	cost.Simulate = true
-	const morsel = 2048
-	v := storage.NewColumn("v", storage.Int64)
-	for i := 0; i < 32*morsel; i++ {
-		v.AppendInt64(int64(i % 97))
-	}
-	tbl := storage.NewTable("stall", v)
-	var outcomes []string
-	for attempt := 0; attempt < 3; attempt++ {
-		e := New(Options{Workers: 1, Mode: ModeAdaptive, Cost: cost, MorselSize: morsel, MorselCap: morsel})
-		var native atomic.Int64
-		e.dispatchHook = func(l Level) {
+	for _, w := range []int{1, 2} {
+		e := New(Options{Workers: w, Cost: cost})
+		var mu sync.Mutex
+		native := map[*Handle]bool{}
+		var query int
+		e.morselHook = func(pipeline int, h *Handle, _ int) {
+			mu.Lock()
+			defer mu.Unlock()
 			switch {
-			case l == LevelBytecode:
-				time.Sleep(3 * time.Millisecond)
-			case native.Add(1) == verifyWarmup:
-				time.Sleep(5 * time.Millisecond)
+			case h.Level() == LevelNative:
+				native[h] = true
+			case native[h]:
+				t.Errorf("workers %d: Q%d pipeline %d left native code", w, query, pipeline)
+				native[h] = false // one report per move back
 			}
 		}
-		s := plan.NewScan(tbl, "v")
-		res, err := e.RunPlan(plan.NewGroupBy(s, nil, nil, []plan.AggExpr{
-			{Func: plan.Sum, Arg: plan.C(s.Schema(), "v"), Name: "s"},
-		}), "stall")
-		if err != nil {
-			t.Fatal(err)
+		for qn := 1; qn <= 22; qn++ {
+			mu.Lock()
+			query = qn
+			mu.Unlock()
+			res, err := e.Run(tpch.Query(cat, qn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := res.Stats.NativeFallbacks; n != 0 {
+				t.Errorf("workers %d: Q%d: %d native fallbacks", w, qn, n)
+			}
 		}
-		st := res.Stats
-		if st.NativeCompiles != 1 || native.Load() < verifyWarmup {
-			t.Fatalf("%d native compiles, %d native morsels: the scan never climbed to native",
-				st.NativeCompiles, native.Load())
-		}
-		if st.NativeFallbacks == 0 && st.FinalLevels[0] == LevelNative {
-			return
-		}
-		outcomes = append(outcomes, fmt.Sprintf("%d fallbacks, finished at %v", st.NativeFallbacks, st.FinalLevels[0]))
-	}
-	t.Errorf("one stalled native morsel demoted native code in every run: %v", outcomes)
-}
-
-// keepNative runs computePlan up to five times under cost, with setup
-// applied to each fresh engine. It returns nil once a run climbs to native
-// code and finishes there without a fallback, else every run's outcome.
-// Morsels are large — a native one runs for milliseconds — for dispatch
-// overhead not to decide the comparison, and for a host stall of a few
-// milliseconds not to push the rate below bytecode; a longer stall still
-// can, so one clean run of five is enough.
-func keepNative(t *testing.T, cost *CostModel, setup func(*Engine)) []string {
-	t.Helper()
-	p, sum, n := computePlan()
-	var outcomes []string
-	for attempt := 0; attempt < 5; attempt++ {
-		e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, MorselSize: 1 << 17, MorselCap: 1 << 17})
-		if setup != nil {
-			setup(e)
-		}
-		runtime.GC() // building the plan's table left garbage; collect it before timing
-		res, err := e.RunPlan(p, "keep")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Rows[0]; got[0].F != sum || got[1].I != n {
-			t.Fatalf("SUM %v, COUNT %d; want %v, %d", got[0].F, got[1].I, sum, n)
-		}
-		st := res.Stats
-		if st.NativeCompiles != 1 || st.NativeMorsels == 0 {
-			t.Fatalf("%d native compiles, %d native morsels: the scan never climbed to native",
-				st.NativeCompiles, st.NativeMorsels)
-		}
-		if st.NativeFallbacks == 0 && st.FinalLevels[0] == LevelNative {
-			return nil
-		}
-		outcomes = append(outcomes, fmt.Sprintf("%d fallbacks, finished at %v", st.NativeFallbacks, st.FinalLevels[0]))
-	}
-	return outcomes
-}
-
-// computePlan is one compute-dense scan pipeline over 2^21 rows — float
-// arithmetic into a scalar SUM, no probe and no grouping — where native
-// code runs several times faster than bytecode. It returns the SUM and
-// COUNT the plan must produce: every term is a multiple of 1/64 far below
-// 2^53, so the sum is exact in any order.
-func computePlan() (plan.Node, float64, int64) {
-	col := storage.NewColumn("x", storage.Float64)
-	sum, n := 0.0, int64(0)
-	for i := 0; i < 1<<21; i++ {
-		x := float64(i%1000) / 8
-		col.AppendFloat64(x)
-		if x > 2 {
-			sum += x*x + x*1.5 - x/4
-			n++
+		if len(native) == 0 {
+			t.Errorf("workers %d: no pipeline was promoted to native code", w)
 		}
 	}
-	s := plan.NewScan(storage.NewTable("compute", col), "x")
-	x := plan.C(s.Schema(), "x")
-	s.Where(expr.Gt(x, expr.Float(2)))
-	return plan.NewGroupBy(s, nil, nil, []plan.AggExpr{
-		{Func: plan.Sum, Arg: expr.Sub(expr.Add(expr.Mul(x, x), expr.Mul(x, expr.Float(1.5))), expr.Div(x, expr.Float(4))), Name: "s"},
-		{Func: plan.CountStar, Name: "n"},
-	}), sum, n
 }

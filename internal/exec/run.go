@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -111,7 +110,8 @@ func (qr *queryRun) err() error {
 // newQueryRun binds externs, creates each pipeline's handle with the
 // variants the plan cache holds for it (a fingerprint miss inserts the
 // plan's entry), compiles the pipelines up front for a static compiled mode
-// and translates those a static mode runs in bytecode, and builds the
+// and translates those a static mode runs in bytecode (none for
+// ModeIRInterp, which interprets the IR), and builds the
 // runtime state the code generator's descriptors require. The adaptive mode
 // translates a pipeline only if it is to run in bytecode (start). The trace
 // (nil unless tracing) is created by the caller so its origin covers the
@@ -182,11 +182,12 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 			st.Compile += time.Since(tC)
 		}
 		if installed && qr.trace != nil {
-			qr.noteSwitch(nil, LevelNative, qr.trace.Origin(), time.Now())
+			qr.noteSwitch(nil, qr.trace.Origin(), time.Now())
 		}
 	}
-	// A static mode translates, up front, only what it runs in bytecode.
-	if e.opts.Mode != ModeAdaptive {
+	// A static mode translates, up front, only what it runs in bytecode;
+	// the IR interpreter runs none.
+	if m := e.opts.Mode; m != ModeAdaptive && m != ModeIRInterp {
 		for i, h := range qr.handles {
 			if h.Level() != LevelBytecode {
 				continue
@@ -426,18 +427,10 @@ type progress struct {
 	pruned    []bool
 	blockRows int64
 
-	// The tuples and busy nanoseconds of the morsels that ran at the
-	// pipeline's current level since it was entered (rate).
+	// The tuples and busy nanoseconds of every morsel reported (rate).
 	tuples   atomic.Int64
 	busy     atomic.Int64
 	evalGate atomic.Bool
-
-	// Verification baseline, set when the controller promotes the
-	// pipeline to native code: the rate measured in bytecode (float64
-	// bits; 0 = no baseline), and how many controller evaluations with a
-	// rate sample have run since (verify).
-	preRate atomic.Uint64
-	evals   atomic.Int32
 
 	// executing counts pool workers currently inside a morsel of this
 	// pipeline — the query's *granted* parallelism. Under concurrent load
@@ -530,34 +523,26 @@ func (pr *progress) claim() (int64, int64, bool) {
 // abort drains all remaining morsels (on failure).
 func (pr *progress) abort() { pr.cursor.Store(pr.total) }
 
-// report records a finished morsel and, when it ran at the pipeline's
-// current level, adds it to that level's sample: a morsel in flight across
-// a switch measured the level just left, not the one the sample is for.
-func (pr *progress) report(tuples int64, d time.Duration, current bool) {
+// report records a finished morsel and adds it to the rate sample.
+func (pr *progress) report(tuples int64, d time.Duration) {
 	pr.done.Add(tuples)
-	if d > 0 && current {
+	if d > 0 {
 		pr.tuples.Add(tuples)
 		pr.busy.Add(int64(d))
 	}
 }
 
-// rate is Fig. 7's r0: the tuples per second of one worker at the current
-// level, over every morsel that ran there since the pipeline entered it,
-// so one stalled morsel weighs as much as its share of the busy time; 0
-// before the first such morsel.
+// rate is Fig. 7's r0: the tuples per second of one worker in bytecode,
+// over every morsel reported so far, so one stalled morsel weighs as much
+// as its share of the busy time; 0 before the first morsel. The controller
+// reads it only while the pipeline is in bytecode, and a pipeline never
+// leaves native code, so every morsel it covers ran in bytecode.
 func (pr *progress) rate() float64 {
 	busy := pr.busy.Load()
 	if busy <= 0 {
 		return 0
 	}
 	return float64(pr.tuples.Load()) / time.Duration(busy).Seconds()
-}
-
-// resetRate clears the sample after a mode switch so the next
-// extrapolation measures the new tier (§III-C).
-func (pr *progress) resetRate() {
-	pr.tuples.Store(0)
-	pr.busy.Store(0)
 }
 
 func minI64(a, b int64) int64 {
@@ -669,10 +654,8 @@ func (qr *queryRun) finalize(pl *codegen.Pipeline) error {
 // translated here, before its first morsel; a failed translation is the
 // query's error.
 //
-// Native code entered here has no baseline rate, so the controller does not
-// verify it: a pipeline it is wrong for stays there for this run, and is
-// started there every time (ROADMAP direction 1 replaces this with measured
-// per-level rates).
+// Native code entered here is final, like every promotion: a pipeline it is
+// wrong for stays there for this run, and is started there every time.
 func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) error {
 	if qr.eng.opts.Mode != ModeAdaptive {
 		return nil
@@ -692,7 +675,7 @@ func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) error {
 		if err == nil {
 			h.Install(LevelNative)
 			if qr.trace != nil {
-				qr.noteSwitch(pl, LevelNative, t0, time.Now())
+				qr.noteSwitch(pl, t0, time.Now())
 			}
 			return nil
 		}
@@ -857,9 +840,6 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 	j.pr.executing.Add(1)
 	t0 := time.Now()
 	err := rt.CatchTrap(func() { j.h.Dispatch(ctx, args) })
-	if qr.eng.dispatchHook != nil {
-		qr.eng.dispatchHook(lvl)
-	}
 	d := time.Since(t0)
 	j.pr.executing.Add(-1)
 	if err != nil {
@@ -870,7 +850,7 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 	if j.out != nil {
 		j.out.Publish(slot)
 	}
-	j.pr.report(end-begin, d, lvl == j.h.Level())
+	j.pr.report(end-begin, d)
 	if lvl == LevelNative {
 		qr.nativeMorsels.Add(1)
 	}
@@ -902,7 +882,7 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if h.Compiling() {
 		return
 	}
-	if qr.verify(pl, h, pr) || h.Level() == LevelNative || h.NativeOff() {
+	if h.Level() == LevelNative || h.NativeOff() {
 		return
 	}
 	if time.Since(pr.started) < time.Millisecond {
@@ -929,68 +909,27 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	}
 	switch {
 	case h.Has(LevelNative):
-		qr.switchLevel(pl, h, pr, LevelNative, r0, time.Now())
+		qr.switchLevel(pl, h, time.Now())
 	case h.BeginCompile():
 		qr.stats.Compilations++
-		qr.eng.pool.submit(func() { qr.compileTask(pl, h, pr) })
+		qr.eng.pool.submit(func() { qr.compileTask(pl, h) })
 	}
 }
 
-// verifyWarmup is the controller evaluation (one per finished morsel
-// with a rate sample of the new level) after a switch at which verify
-// makes its one comparison, so it sees settled rate samples, not the
-// first morsel's cold code.
-const verifyWarmup = 3
-
-// verify is promote-then-verify (§III-C's run-time misprediction), and
-// the only place a demotion is decided: it holds native code to the rate
-// measured in bytecode before the controller promoted the pipeline, not to
-// anything the cost model predicted. Native code that settles below that
-// rate is a misprediction — native code bouncing into Go on every tuple.
-// It is then ruled out for this pipeline and the handle goes back to
-// bytecode. Going back costs nothing: the program is still on the handle,
-// in-flight morsels finish where they are against the same runtime state
-// (§IV-E). The comparison is made once per switch: native code kept at
-// verifyWarmup stays kept. Checked after every later morsel, native code
-// as fast as bytecode would be demoted by the first dip of its rate, and
-// the level a pipeline ends at would follow timing noise. Reports whether
-// it demoted. Runs under the evaluation gate.
-func (qr *queryRun) verify(pl *codegen.Pipeline, h *Handle, pr *progress) bool {
-	bits := pr.preRate.Load()
-	if bits == 0 {
-		return false // static mode, or level entered by start: no baseline
-	}
-	r0 := pr.rate()
-	if r0 <= 0 || pr.evals.Add(1) != verifyWarmup || r0 >= math.Float64frombits(bits) {
-		return false
-	}
-	qr.nativeFallbacks.Add(1)
-	h.DisableNative()
-	qr.switchLevel(pl, h, pr, LevelBytecode, 0, time.Now())
-	return true
-}
-
-// switchLevel moves a running pipeline to level to, whose variant is on
-// the handle, on behalf of the controller. rate is the rate measured at
-// the level being left. A promotion keeps it as the baseline verify holds
-// native code to; a demotion (rate 0) leaves no baseline.
-func (qr *queryRun) switchLevel(pl *codegen.Pipeline, h *Handle, pr *progress, to Level, rate float64, start time.Time) {
-	pr.preRate.Store(math.Float64bits(rate))
-	pr.evals.Store(0)
-	h.Install(to)
-	// The sample measured the level just left (§III-C).
-	pr.resetRate()
+// switchLevel promotes a running pipeline to the native code on its
+// handle, on behalf of the controller. The promotion is final, as in the
+// paper's controller (§III-C): nothing moves the pipeline back.
+func (qr *queryRun) switchLevel(pl *codegen.Pipeline, h *Handle, start time.Time) {
+	h.Install(LevelNative)
 	if qr.trace != nil {
-		qr.noteSwitch(pl, to, start, time.Now())
+		qr.noteSwitch(pl, start, time.Now())
 	}
 }
 
-// noteSwitch records a switch into or out of native code in the trace; pl
-// is nil for a static mode's whole module. Level is where the pipeline
-// landed: an EvNative event at bytecode is a demotion (aqetrace renders it
-// as such).
-func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, to Level, start, end time.Time) {
-	ev := Event{Kind: EvNative, Pipeline: -1, Worker: -1, Level: to,
+// noteSwitch records an install of native code in the trace; pl is nil for
+// a static mode's whole module.
+func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, start, end time.Time) {
+	ev := Event{Kind: EvNative, Pipeline: -1, Worker: -1, Level: LevelNative,
 		Start: qr.trace.Since(start), End: qr.trace.Since(end)}
 	if pl != nil {
 		ev.Pipeline, ev.Label = pl.ID, pl.Label
@@ -1002,7 +941,7 @@ func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, to Level, start, end time.T
 // the modeled compile latency, really compiles the function and switches
 // the pipeline to native code — or, if it will not compile, rules native
 // code out and leaves the pipeline in bytecode (giveUp).
-func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress) {
+func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle) {
 	if qr.cancelled.Load() {
 		h.AbortCompile()
 		return
@@ -1017,6 +956,5 @@ func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle, pr *progress) {
 		h.AbortCompile()
 		return
 	}
-	// The rate still measures the bytecode native code is about to replace.
-	qr.switchLevel(pl, h, pr, LevelNative, pr.rate(), t0)
+	qr.switchLevel(pl, h, t0)
 }

@@ -21,7 +21,7 @@ const (
 	EvAdmit       // admission-queue wait (Start..End = queued interval)
 	EvCancel      // cancellation observed (instantaneous)
 	EvReplan      // mid-query reoptimization at a breaker (Tuples = observed build card)
-	EvNative      // native-code install — or, when Level is LevelBytecode, a demotion back to bytecode
+	EvNative      // native-code install: final, a pipeline never leaves native code
 )
 
 // Event is one entry of an execution trace (the data behind Fig. 14).
@@ -158,9 +158,6 @@ func (tr *Trace) Gantt(width int) string {
 		case EvNative:
 			lane = maxWorker + 1
 			ch = 'N'
-			if ev.Level != LevelNative {
-				ch = 'V' // demotion out of native
-			}
 		}
 		if lane < 0 {
 			lane = maxWorker + 1

@@ -374,7 +374,7 @@ func TestPruneProgressAccounting(t *testing.T) {
 						return
 					}
 				}
-				pr.report(end-begin, time.Microsecond, true)
+				pr.report(end-begin, time.Microsecond)
 				mu.Lock()
 				executed += end - begin
 				mu.Unlock()
