@@ -44,8 +44,8 @@ type Mode = exec.Mode
 // real compile latencies (NativeCosts) and a native back end, a pipeline
 // longer than one morsel is assembled to machine code as it starts; every
 // other pipeline — and every pipeline under PaperCosts — starts in the
-// bytecode interpreter and is compiled in the background when the
-// extrapolated remaining work justifies it. The other modes fix the tier
+// bytecode interpreter and is compiled, by one of its workers while the
+// others run on, when the extrapolated remaining work justifies it. The other modes fix the tier
 // up front (the paper's static baselines).
 const (
 	ModeBytecode = exec.ModeBytecode

@@ -1,7 +1,8 @@
 // adaptive visualizes the paper's Fig. 14: the per-morsel execution trace
 // of TPC-H Q11, showing all workers starting in the bytecode interpreter,
 // the controller deciding to compile the two expensive partsupp pipelines
-// in the background, and every worker switching tiers at the next morsel.
+// on one worker while the others run on, and every worker switching tiers
+// at the next morsel.
 package main
 
 import (

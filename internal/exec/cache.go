@@ -18,9 +18,9 @@ import (
 // Entries are evicted in LRU order once the byte budget is exceeded. The
 // budget tracks an estimate of the retained footprint (the entry itself,
 // bytecode instructions, constant pools, machine code); a variant
-// made after its entry was inserted (a pipeline translated at its start, a
-// background compilation finishing after its query) still grows the entry,
-// which may in turn evict colder ones.
+// made after its entry was inserted (a pipeline translated at its start or
+// compiled by the controller) still grows the entry, which may in turn
+// evict colder ones.
 type planCache struct {
 	mu     sync.Mutex
 	budget int64

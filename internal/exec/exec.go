@@ -158,7 +158,6 @@ type Engine struct {
 	opts  Options
 	reg   *rt.Registry
 	cache *planCache       // nil when CacheBytes == 0
-	pool  *compilePool     // shared background compile service
 	sched *sched.Scheduler // admission gate + shared morsel worker pool
 
 	// nativeOff seeds every Handle's: native code is ruled out for the
@@ -175,10 +174,6 @@ type Engine struct {
 	// to force tier changes at every morsel boundary.
 	morselHook func(pipeline int, h *Handle, worker int)
 }
-
-// compileWorkers sizes the background compile pool: how many compilations
-// may run at once across all queries of an engine.
-const compileWorkers = 2
 
 // New creates an engine.
 func New(opts Options) *Engine {
@@ -204,7 +199,6 @@ func New(opts Options) *Engine {
 		opts.MaxConcurrent = 8
 	}
 	e := &Engine{opts: opts, reg: rt.NewRegistry(),
-		pool: newCompilePool(compileWorkers),
 		sched: sched.New(sched.Options{PoolWorkers: opts.PoolWorkers,
 			MaxQueries:   opts.MaxConcurrent,
 			MaxPerTenant: opts.MaxConcurrentPerTenant,
@@ -249,7 +243,8 @@ type Stats struct {
 	// Compile is the compilation the query waited for: a static mode's
 	// up-front compilation, and in the adaptive mode the coordinator's
 	// assembly of pipelines at their start — never the controller's
-	// background compilations, which run beside the morsels.
+	// compilations, which hold one of the pipeline's workers while the
+	// others run morsels, and so lie within Exec.
 	Compile   time.Duration
 	Exec      time.Duration // the pipelines, less start-of-pipeline assembly (Compile) and translation (Translate)
 	Finalize  time.Duration // pipeline-breaker wall time (within Exec)
@@ -275,7 +270,7 @@ type Stats struct {
 	Instrs       int // IR instructions in the module: the pipelines' worker functions
 	Pipelines    int
 	FinalLevels  []Level // per pipeline, the tier that finished it
-	Compilations int     // adaptive compilations launched: at pipeline starts and in the background
+	Compilations int     // adaptive compilations launched: at pipeline starts and by the controller
 	RegFileBytes int     // largest register file of the pipelines' bytecode programs
 	FusedOps     int     // macro-ops fused across the pipelines' bytecode programs (§IV-F)
 	Finalizes    int     // pipeline breakers finalized, build-side join emits included
@@ -658,9 +653,8 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		tExec, compile0, translate0 := time.Now(), st.Compile, st.Translate
 		err = qr.execute()
 		st.Exec += time.Since(tExec) - (st.Compile - compile0) - (st.Translate - translate0)
-		// Fold the run's machine-code counters (atomics: a background
-		// compile can tick them until the moment of this snapshot).
-		// Accumulates across replan attempts like the duration fields above.
+		// Fold the run's machine-code counters. Accumulates across replan
+		// attempts like the duration fields above.
 		st.NativeCompiles += qr.nativeCompiles.Load()
 		st.NativeMorsels += qr.nativeMorsels.Load()
 		st.NativeFallbacks += qr.nativeFallbacks.Load()

@@ -64,9 +64,8 @@ type Handle struct {
 	prog     *vm.Program
 	progErr  error
 
-	compiled  atomic.Pointer[jit.Compiled] // the machine code; nil until staged
-	level     atomic.Int32
-	compiling atomic.Bool
+	compiled atomic.Pointer[jit.Compiled] // the machine code; nil until staged
+	level    atomic.Int32
 
 	// nativeOff rules native code out for this pipeline. It is seeded at
 	// creation (Engine.nativeOff) and set at run time by a failed
@@ -77,7 +76,7 @@ type Handle struct {
 // newHandle wraps the variants of one worker function — none yet, or what
 // the plan cache handed out — and translates Fn under opts if bytecode is
 // asked for and v has none. The Handle itself carries only the per-run
-// dispatch state: level, in-flight compile flag, native ruled out.
+// dispatch state: level, native ruled out.
 func newHandle(fn *ir.Function, v variants, nativeOff bool, opts vm.Options) *Handle {
 	h := &Handle{Fn: fn, Instrs: fn.NumInstrs(), vmOpts: opts}
 	if v.prog != nil {
@@ -101,18 +100,6 @@ func (h *Handle) bytecode() (p *vm.Program, fresh bool, err error) {
 // Level returns the currently installed tier.
 func (h *Handle) Level() Level { return Level(h.level.Load()) }
 
-// Compiling reports whether a background compilation is in flight.
-func (h *Handle) Compiling() bool { return h.compiling.Load() }
-
-// BeginCompile marks a compilation in flight; returns false if one
-// already is.
-func (h *Handle) BeginCompile() bool {
-	return h.compiling.CompareAndSwap(false, true)
-}
-
-// AbortCompile clears the in-flight flag after a failed compilation.
-func (h *Handle) AbortCompile() { h.compiling.Store(false) }
-
 // NativeOff reports whether native code is ruled out for this pipeline.
 func (h *Handle) NativeOff() bool { return h.nativeOff.Load() }
 
@@ -130,11 +117,9 @@ func (h *Handle) Stage(c *jit.Compiled) { h.compiled.Store(c) }
 
 // Install switches the pipeline's remaining morsels to level l, whose
 // variant must be on the handle (§III-B: "Once set, all remaining morsels
-// will be processed using the new variant").
-func (h *Handle) Install(l Level) {
-	h.level.Store(int32(l))
-	h.compiling.Store(false)
-}
+// will be processed using the new variant"): one atomic store, which every
+// worker reads before its next morsel.
+func (h *Handle) Install(l Level) { h.level.Store(int32(l)) }
 
 // Dispatch runs one morsel with the installed variant — the paper's
 // per-morsel dispatch code (Fig. 5).

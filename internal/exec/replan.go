@@ -109,8 +109,5 @@ func (qr *queryRun) observeBuild(pl *codegen.Pipeline, observed int64) error {
 		qr.trace.Add(Event{Kind: EvReplan, Pipeline: pl.ID, Label: pl.Label,
 			Worker: -1, Start: now, End: now, Tuples: observed})
 	}
-	// Park stray background compiles of the abandoned attempt without
-	// recording a cancellation: the query is restarting, not dying.
-	qr.cancelled.Store(true)
 	return &replanSignal{node: newRoot}
 }

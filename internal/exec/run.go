@@ -64,17 +64,17 @@ type queryRun struct {
 	cancelErr error
 
 	// Machine-code counters, folded into Stats when the run finishes. They
-	// are atomics on the run (not fields of Stats) because a background
-	// compile can outlive the query: a late fallback may tick after the
-	// engine snapshots Stats, and must not race with that copy.
+	// are atomics on the run (not fields of Stats) because workers tick
+	// them concurrently: every native morsel, and the controller's compiles
+	// and fallbacks, count on the pool worker that ran them.
 	nativeCompiles  atomic.Int64
 	nativeMorsels   atomic.Int64
 	nativeFallbacks atomic.Int64
 }
 
 // cancel requests cooperative termination: workers stop claiming morsels,
-// finalize stops claiming partitions, and in-flight background compiles
-// abandon their slot. Idempotent; the first cause wins.
+// finalize stops claiming partitions, and a worker sleeping out a modeled
+// compile latency stops. Idempotent; the first cause wins.
 func (qr *queryRun) cancel(cause error) {
 	if cause == nil {
 		cause = context.Canceled
@@ -159,16 +159,9 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 	if e.opts.Mode.level() == LevelNative {
 		tC := time.Now()
 		compiledAny, installed := false, false
-		for i, h := range qr.handles {
-			if !h.NativeOff() {
-				fresh, err := qr.compile(i)
-				if err == nil {
-					compiledAny, installed = compiledAny || fresh, true
-					h.Install(LevelNative)
-					continue
-				}
-			}
-			qr.giveUp(h)
+		for i := range qr.handles {
+			fresh, ok := qr.installNative(i)
+			compiledAny, installed = compiledAny || fresh, installed || ok
 		}
 		// Adopting cached variants costs nothing; only fresh compilation
 		// counts, so warm runs report zero compile time.
@@ -267,35 +260,40 @@ func (qr *queryRun) giveUp(h *Handle) {
 	qr.nativeFallbacks.Add(1)
 }
 
-// compile puts the engine's machine code (Engine.tier) on pipeline i's
-// handle unless it is there already (cached, or compiled earlier in this
-// run), and reports whether a compilation ran; what it produced is also
-// published to the cache.
-func (qr *queryRun) compile(i int) (fresh bool, err error) {
+// installNative is the one compile path — a static mode's up-front loop,
+// start and the controller all take it. It puts the engine's machine code
+// (Engine.tier) on pipeline i's handle unless it is there already (cached,
+// or compiled earlier in this run), publishes what it compiled to the
+// cache, and installs it. Native code that is ruled out or will not
+// compile is given up (giveUp), leaving the pipeline in bytecode. It
+// reports whether a compilation ran and whether native code is installed.
+func (qr *queryRun) installNative(i int) (fresh, ok bool) {
 	h := qr.handles[i]
-	if h.Has(LevelNative) {
-		return false, nil
+	if h.NativeOff() {
+		qr.giveUp(h)
+		return false, false
 	}
-	c, err := jit.Compile(h.Fn, qr.eng.tier, nil)
-	if err != nil {
-		return false, err
+	if !h.Has(LevelNative) {
+		c, err := jit.Compile(h.Fn, qr.eng.tier, nil)
+		if err != nil {
+			qr.giveUp(h)
+			return false, false
+		}
+		h.Stage(c)
+		qr.nativeCompiles.Add(1)
+		if qr.eng.cache != nil {
+			qr.eng.cache.addCompiled(qr.fp, i, c)
+		}
+		fresh = true
 	}
-	h.Stage(c)
-	qr.nativeCompiles.Add(1)
-	if qr.eng.cache != nil {
-		qr.eng.cache.addCompiled(qr.fp, i, c)
-	}
-	return true, nil
+	h.Install(LevelNative)
+	return fresh, true
 }
 
 // sleepCtx sleeps d unless ctx is cancelled first; it reports whether the
 // full duration elapsed. Simulated compile latencies can reach hundreds of
 // milliseconds, so a deadline must be able to interrupt them.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if ctx == nil || ctx.Done() == nil {
-		time.Sleep(d)
-		return true
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -306,23 +304,19 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// sleepUnlessCancelled is the background-compile variant of sleepCtx: it
-// polls the query's cancellation flag so a cancelled query frees its
-// compile-pool slot within a few milliseconds.
-func (qr *queryRun) sleepUnlessCancelled(d time.Duration) bool {
+// sleepCompile is the controller's variant of sleepCtx: the worker that
+// launched a compilation sleeps its modeled latency d in poll steps, so
+// that a cancel, or a trap another worker records, frees it — and with it
+// the pipeline — within one step. It reports whether d elapsed.
+func (qr *queryRun) sleepCompile(d time.Duration) bool {
 	const step = 2 * time.Millisecond
-	for d > 0 {
-		if qr.cancelled.Load() {
+	for ; d > 0; d -= step {
+		if qr.err() != nil {
 			return false
 		}
-		s := d
-		if s > step {
-			s = step
-		}
-		time.Sleep(s)
-		d -= s
+		time.Sleep(min(d, step))
 	}
-	return !qr.cancelled.Load()
+	return qr.err() == nil
 }
 
 func maxFnInstrs(cq *codegen.Query) int {
@@ -670,16 +664,14 @@ func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) error {
 	if !qr.eng.opts.Cost.Simulate && pr.work > qr.eng.opts.MorselSize {
 		t0 := time.Now()
 		qr.stats.Compilations++
-		_, err := qr.compile(pl.ID)
+		_, ok := qr.installNative(pl.ID)
 		qr.stats.Compile += time.Since(t0)
-		if err == nil {
-			h.Install(LevelNative)
+		if ok {
 			if qr.trace != nil {
 				qr.noteSwitch(pl, t0, time.Now())
 			}
 			return nil
 		}
-		qr.giveUp(h)
 	}
 	return qr.bytecode(pl.ID)
 }
@@ -793,8 +785,9 @@ func (qr *queryRun) sourceTotal(pl *codegen.Pipeline) int64 {
 // pipelineJob adapts one pipeline run to the scheduler: each RunSlot call
 // claims and executes exactly one morsel in an exclusively leased worker
 // slot (Fig. 5's dispatch code), records progress, and — in adaptive
-// mode — runs the controller. Returning after every morsel is what gives
-// the scheduler its morsel-granular fairness and cancellation.
+// mode — runs the controller, which may compile in that slot. Returning
+// after every morsel is what gives the scheduler its morsel-granular
+// fairness and cancellation.
 type pipelineJob struct {
 	qr   *queryRun
 	pl   *codegen.Pipeline
@@ -869,19 +862,14 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 }
 
 // evaluate implements Fig. 7: extrapolate the remaining duration of a
-// pipeline in bytecode and in native code and promote it when native code
-// wins — at once if the code is on the handle, else through a background
-// compilation. Only one worker evaluates at a time, the first evaluation
-// is delayed by 1 ms, and an in-flight compilation suppresses further
-// evaluation.
+// pipeline in bytecode and in native code and, when native code wins,
+// compile it on this worker and promote the pipeline. Only one worker
+// evaluates at a time, and the first evaluation is delayed by 1 ms.
 func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if !pr.evalGate.CompareAndSwap(false, true) {
 		return
 	}
 	defer pr.evalGate.Store(false)
-	if h.Compiling() {
-		return
-	}
 	if h.Level() == LevelNative || h.NativeOff() {
 		return
 	}
@@ -904,25 +892,22 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	if w < 1 {
 		w = 1
 	}
-	if !qr.eng.opts.Cost.promote(h.Instrs, r0, n, w) {
+	m := qr.eng.opts.Cost
+	if !m.promote(h.Instrs, r0, n, w) {
 		return
 	}
-	switch {
-	case h.Has(LevelNative):
-		qr.switchLevel(pl, h, time.Now())
-	case h.BeginCompile():
-		qr.stats.Compilations++
-		qr.eng.pool.submit(func() { qr.compileTask(pl, h) })
+	// This worker is the thread of Fig. 7 that compiles: it keeps its slot
+	// lease, one of the query's grants on its tenant, so the other w-1
+	// slots run on at r0, and the gate it holds keeps every other worker
+	// from evaluating until the compile is done. The promotion is final, as
+	// in the paper's controller (§III-C): nothing moves the pipeline back.
+	qr.stats.Compilations++
+	t0 := time.Now()
+	if m.Simulate && !qr.sleepCompile(m.NativeTime(h.Instrs)) {
+		return
 	}
-}
-
-// switchLevel promotes a running pipeline to the native code on its
-// handle, on behalf of the controller. The promotion is final, as in the
-// paper's controller (§III-C): nothing moves the pipeline back.
-func (qr *queryRun) switchLevel(pl *codegen.Pipeline, h *Handle, start time.Time) {
-	h.Install(LevelNative)
-	if qr.trace != nil {
-		qr.noteSwitch(pl, start, time.Now())
+	if _, ok := qr.installNative(pl.ID); ok && qr.trace != nil {
+		qr.noteSwitch(pl, t0, time.Now())
 	}
 }
 
@@ -935,26 +920,4 @@ func (qr *queryRun) noteSwitch(pl *codegen.Pipeline, start, end time.Time) {
 		ev.Pipeline, ev.Label = pl.ID, pl.Label
 	}
 	qr.trace.Add(ev)
-}
-
-// compileTask runs on a shared compile-pool worker: it (optionally) sleeps
-// the modeled compile latency, really compiles the function and switches
-// the pipeline to native code — or, if it will not compile, rules native
-// code out and leaves the pipeline in bytecode (giveUp).
-func (qr *queryRun) compileTask(pl *codegen.Pipeline, h *Handle) {
-	if qr.cancelled.Load() {
-		h.AbortCompile()
-		return
-	}
-	t0 := time.Now()
-	if m := qr.eng.opts.Cost; m.Simulate && !qr.sleepUnlessCancelled(m.NativeTime(h.Instrs)) {
-		h.AbortCompile()
-		return
-	}
-	if _, err := qr.compile(pl.ID); err != nil {
-		qr.giveUp(h)
-		h.AbortCompile()
-		return
-	}
-	qr.switchLevel(pl, h, t0)
 }

@@ -32,11 +32,11 @@ func stressPlan() plan.Node {
 
 // TestModeSwitchStress forces a tier switch at every morsel boundary on
 // every worker — far more violent than the controller ever is — while the
-// adaptive controller and the shared compile pool run concurrently, and
+// adaptive controller evaluates and compiles on the same workers, and
 // while three other goroutines execute the same query through the shared
-// cache. Run under -race this verifies that handle swapping, the compile
-// pool, and the cache are free of data races; correctness is checked
-// against a bytecode-only reference.
+// cache. Run under -race this verifies that handle swapping, the
+// controller's compiles, and the cache are free of data races; correctness
+// is checked against a bytecode-only reference.
 func TestModeSwitchStress(t *testing.T) {
 	modeSwitchStress(t, stressPlan)
 }
@@ -56,10 +56,10 @@ func modeSwitchStress(t *testing.T, build func() plan.Node) {
 
 	// The hook walks every handle through the adaptive ladder, one level
 	// per morsel: it stages what is missing and installs it, whatever the
-	// controller and the compile pool are doing to the same handle at that
-	// moment. Where there is no native backend bytecode stands in, so the
-	// flip cadence is the same everywhere. Flipping a pipeline between
-	// native code and bytecode mid-query is the tier-equivalence claim.
+	// controller is doing to the same handle at that moment. Where there is
+	// no native backend bytecode stands in, so the flip cadence is the same
+	// everywhere. Flipping a pipeline between native code and bytecode
+	// mid-query is the tier-equivalence claim.
 	// Every so often it also disables native code, so the controller's
 	// choices shrink under it while it evaluates.
 	var flips, nativeFlips atomic.Int64
@@ -116,35 +116,5 @@ func modeSwitchStress(t *testing.T, build func() plan.Node) {
 	}
 	if st := e.CacheStats(); st.Hits == 0 {
 		t.Errorf("concurrent repeats never hit the cache: %+v", st)
-	}
-}
-
-// TestSharedCompilePoolBounded hammers the pool with more jobs than the
-// concurrency bound and asserts the bound holds and every job runs.
-func TestSharedCompilePoolBounded(t *testing.T) {
-	p := newCompilePool(3)
-	var running, peak, done atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 200; i++ {
-		wg.Add(1)
-		p.submit(func() {
-			defer wg.Done()
-			n := running.Add(1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
-				}
-			}
-			running.Add(-1)
-			done.Add(1)
-		})
-	}
-	wg.Wait()
-	if done.Load() != 200 {
-		t.Fatalf("ran %d jobs, want 200", done.Load())
-	}
-	if peak.Load() > 3 {
-		t.Fatalf("concurrency peak %d exceeds bound 3", peak.Load())
 	}
 }

@@ -29,7 +29,7 @@ type Event struct {
 	Kind     EventKind
 	Pipeline int
 	Label    string
-	Worker   int // worker lane; -1 for background compilation
+	Worker   int // worker lane; -1 for an event of the whole pipeline or query
 	Level    Level
 	Start    time.Duration // since query start
 	End      time.Duration

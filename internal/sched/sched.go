@@ -12,12 +12,13 @@
 // leases one of the job's slots, executes exactly one unit of work (a
 // morsel, or one breaker-finalize partition), releases the slot, and
 // re-picks. Fairness is therefore morsel-granular: a short query never
-// waits behind a long scan for more than one morsel per worker.
+// waits behind a long scan for more than one morsel per worker — or, when
+// the adaptive controller compiles a pipeline in the slot its morsel ran
+// in, for that compilation, which holds the slot like any unit of work.
 //
-// Workers are ephemeral, like the engine's compile pool: a Run spawns
-// workers while fewer than the cap are alive, and a worker exits when no
-// job has a runnable slot. An idle engine holds no goroutines and needs
-// no Close.
+// Workers are ephemeral: a Run spawns workers while fewer than the cap are
+// alive, and a worker exits when no job has a runnable slot. An idle
+// engine holds no goroutines and needs no Close.
 package sched
 
 import (
