@@ -65,8 +65,8 @@ const (
 // Mode.String prints) stands for, or an error that lists the valid names.
 func ParseMode(name string) (Mode, error) { return exec.ParseMode(name) }
 
-// CostModel predicts compile times for the adaptive controller; see
-// PaperCosts and NativeCosts.
+// CostModel predicts compile times for the adaptive controller. It has
+// nothing to tune: pick PaperCosts or NativeCosts.
 type CostModel = exec.CostModel
 
 // PaperCosts returns the compile-cost model calibrated to the paper's
@@ -100,7 +100,7 @@ type Options struct {
 	// best previously compiled tier. 0 selects the default (64 MiB);
 	// negative disables caching.
 	CacheBytes int64
-	// MaxConcurrent caps the number of queries executing at once; excess
+	// MaxConcurrent caps the number of queries running at once; excess
 	// arrivals wait in a FIFO admission queue (Stats.Queued/WaitTime).
 	// Default 8.
 	MaxConcurrent int

@@ -30,7 +30,7 @@ var (
 	sf      = flag.Float64("sf", 0.01, "TPC-H scale factor")
 	mode    = flag.String("mode", "adaptive", "adaptive|bytecode|native|optimized|ir-interp")
 	wrk     = flag.Int("workers", 4, "per-query worker slots")
-	maxq    = flag.Int("maxq", 8, "max concurrently executing queries (admission cap)")
+	maxq    = flag.Int("maxq", 8, "max concurrently running queries (admission cap)")
 	timeout = flag.Duration("timeout", 0, "per-statement deadline (0 = none)")
 )
 

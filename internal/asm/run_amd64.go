@@ -52,7 +52,7 @@ func init() {
 
 // refresh (re-)snapshots the segment table. Called at entry and after
 // every extern call — the only points at which new segments can become
-// visible to the executing worker (the table itself is copy-on-write).
+// visible to the running worker (the table itself is copy-on-write).
 func (nc *nativeCtx) refresh(mem *rt.Memory) {
 	segs := mem.Segs()
 	nc.goSegs = segs

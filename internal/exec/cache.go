@@ -11,7 +11,7 @@ import (
 // planCache is the engine-level compilation cache: it maps plan
 // fingerprints to every variant any run made of each pipeline — its
 // bytecode and its compiled variant of the engine's one compiled level —
-// so a repeated query skips translation and starts executing in the best
+// so a repeated query skips translation and starts running in the best
 // level reached by any earlier execution instead of re-climbing from
 // bytecode.
 //

@@ -159,8 +159,8 @@ func TestEngineCacheSkipsSimulatedCompile(t *testing.T) {
 	if !asm.Supported() {
 		t.Skip("no native backend on this platform")
 	}
-	cost := &CostModel{NativeBase: 30 * time.Millisecond, OptBase: 30 * time.Millisecond,
-		Simulate: true}
+	cost := &CostModel{nativeBase: 30 * time.Millisecond, optBase: 30 * time.Millisecond,
+		simulate: true}
 	e := New(Options{Workers: 2, Mode: ModeOptimized, Cost: cost, CacheBytes: 8 << 20})
 	build := repeatPlan(60000)
 	cold, err := e.RunPlan(build(), "sim")

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -119,7 +120,7 @@ func TestTrapDuringCompile(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	e := New(Options{Workers: 2, PoolWorkers: 2, MorselSize: 8, MorselCap: 8,
-		Cost: &CostModel{NativeBase: latency, SpeedupNative: speedupNative, Simulate: true}})
+		Cost: &CostModel{nativeBase: latency, simulate: true}})
 	// A compile is in flight when a goroutine sleeps out its latency.
 	var compiling atomic.Bool
 	e.morselHook = func(int, *Handle, int) {
@@ -143,6 +144,46 @@ func TestTrapDuringCompile(t *testing.T) {
 	}
 	if took > latency/4 {
 		t.Errorf("the trap took %v to end the query; the modeled latency is %v", took, latency)
+	}
+	for deadline := time.Now().Add(latency / 4); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the query, %d after it", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCancelDuringStaticCompile: a static compiled query cancelled while it
+// sleeps out its modeled up-front compile ends within a poll step of the
+// cancel, not after the latency — a static mode's compile sleeps through
+// sleepCompile, like the controller's — reports itself cancelled and leaves
+// no goroutine behind.
+func TestCancelDuringStaticCompile(t *testing.T) {
+	if !asm.Supported() {
+		t.Skip("no native back end: a static compiled mode compiles nothing")
+	}
+	const latency = 2 * time.Second
+	s := plan.NewScan(grantT(), "v")
+	p := plan.NewGroupBy(s, nil, nil, []plan.AggExpr{
+		{Func: plan.Sum, Arg: plan.C(s.Schema(), "v"), Name: "s"},
+	})
+	before := runtime.NumGoroutine()
+	e := New(Options{Workers: 2, PoolWorkers: 2, Mode: ModeOptimized,
+		Cost: &CostModel{optBase: latency, simulate: true}})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	res, err := e.RunPlanCtx(ctx, p, "static")
+	took := time.Since(t0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want the deadline", err)
+	}
+	t.Logf("the cancel ended the query after %v", took)
+	if res == nil || !res.Stats.Cancelled {
+		t.Error("the cancelled query's Stats.Cancelled is not set")
+	}
+	if took > latency/4 {
+		t.Errorf("the cancel took %v to end the query; the modeled latency is %v", took, latency)
 	}
 	for deadline := time.Now().Add(latency / 4); runtime.NumGoroutine() > before; {
 		if time.Now().After(deadline) {

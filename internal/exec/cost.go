@@ -2,12 +2,12 @@ package exec
 
 import "time"
 
-// CostModel predicts compilation times and speedups for the controller's
-// extrapolation (Fig. 7) and — when Simulate is set — imposes the modeled
-// compile latency on compilation tasks.
+// CostModel predicts compilation times for the controller's extrapolation
+// (Fig. 7) and — under the Paper() model — imposes the modeled compile
+// latency on compilations. It has nothing to tune: pick Paper() or Native().
 //
-// The paper determines both empirically: compile time is near-linear in
-// the function's instruction count (Fig. 6), with optimized compilation
+// The paper determines its inputs empirically: compile time is near-linear
+// in the function's instruction count (Fig. 6), with optimized compilation
 // growing super-linearly for very large functions (§V-E, Fig. 15), and
 // speedups are measured per mode (§V-D: bytecode is 3.6x slower than
 // unoptimized and 5.0x slower than optimized machine code).
@@ -19,40 +19,36 @@ import "time"
 // code, the adaptive controller's one compiled candidate, for real-latency
 // experiments. DESIGN.md documents the substitution.
 //
-// Both flavours of machine code run the same back end. The Native* terms
+// Both flavours of machine code run the same back end. The native* terms
 // price native code, the paper's unoptimized tier and the adaptive
-// controller's one compiled candidate; the Opt* terms price optimized
+// controller's one compiled candidate; the opt* terms price optimized
 // code, a static baseline only (ModeOptimized), which that mode imposes
-// under Simulate.
+// under Paper(). Both models share one throughput prior, speedupNative.
 type CostModel struct {
-	OptBase     time.Duration
-	OptPerInstr time.Duration
-	// OptCubic adds the super-linear term: seconds per cubed instruction
+	optBase     time.Duration
+	optPerInstr time.Duration
+	// optCubic adds the super-linear term: seconds per cubed instruction
 	// of the function being compiled. Fig. 15's optimized curve stays
 	// near-linear below ~5k instructions (consistent with Fig. 6) and then
 	// explodes; a cubic term reproduces that knee (§V-E).
-	OptCubic float64
+	optCubic float64
 
-	// NativeBase/NativePerInstr model the latency of compiling the IR to
+	// nativeBase/nativePerInstr model the latency of compiling the IR to
 	// machine code without optimization passes.
-	NativeBase     time.Duration
-	NativePerInstr time.Duration
+	nativeBase     time.Duration
+	nativePerInstr time.Duration
 
-	// SpeedupNative is native code's throughput ratio relative to
-	// bytecode.
-	SpeedupNative float64
-
-	// Simulate imposes the modeled times on actual compilations.
-	Simulate bool
+	// simulate imposes the modeled times on actual compilations.
+	simulate bool
 }
 
-// speedupNative is the throughput prior both models share: since both
-// price the same back end, they differ only in compile latency and
-// Simulate. It is a rough fit of this substrate — measured
-// native-over-bytecode spans 2.2x (hash-bound Q10, hashwalk) to 9x
-// (float-dense aggregation), and the controller only needs the order of
-// magnitude. It only ever extrapolates the choice to promote, which is
-// final: no measured rate is ever held against it.
+// speedupNative is native code's throughput ratio relative to bytecode,
+// the prior both models share: since both price the same back end, they
+// differ only in compile latency and simulate. It is a rough fit of this
+// substrate — measured native-over-bytecode spans 2.2x (hash-bound Q10,
+// hashwalk) to 9x (float-dense aggregation), and the controller only needs
+// the order of magnitude. It only ever extrapolates the choice to promote,
+// which is final: no measured rate is ever held against it.
 const speedupNative = 3.0
 
 // Paper returns the cost model calibrated to the paper's measurements:
@@ -64,18 +60,17 @@ const speedupNative = 3.0
 // paper's bytecode → unoptimized step.
 func Paper() *CostModel {
 	return &CostModel{
-		OptBase:        2 * time.Millisecond,
-		OptPerInstr:    18 * time.Microsecond,
-		OptCubic:       3.5e-12, // ~3.5 s extra at 10k instructions in one function
-		NativeBase:     500 * time.Microsecond,
-		NativePerInstr: 2750 * time.Nanosecond,
-		SpeedupNative:  speedupNative,
-		Simulate:       true,
+		optBase:        2 * time.Millisecond,
+		optPerInstr:    18 * time.Microsecond,
+		optCubic:       3.5e-12, // ~3.5 s extra at 10k instructions in one function
+		nativeBase:     500 * time.Microsecond,
+		nativePerInstr: 2750 * time.Nanosecond,
+		simulate:       true,
 	}
 }
 
 // Native returns a model of the in-process native back end with no
-// simulated latency. It sets nothing for optimized code: with Simulate off
+// simulated latency. It sets nothing for optimized code: with simulate off
 // ModeOptimized compiles at its real cost, and the controller never
 // considers it.
 func Native() *CostModel {
@@ -84,9 +79,8 @@ func Native() *CostModel {
 		// EXPERIMENTS.md compile-latency table): ~0.35 µs per instruction
 		// plus a small fixed cost for the allocator's per-function arrays,
 		// landing at or below the bytecode translator.
-		NativeBase:     25 * time.Microsecond,
-		NativePerInstr: 350 * time.Nanosecond,
-		SpeedupNative:  speedupNative,
+		nativeBase:     25 * time.Microsecond,
+		nativePerInstr: 350 * time.Nanosecond,
 	}
 }
 
@@ -96,12 +90,12 @@ func Native() *CostModel {
 // linear in the total and super-linear in the largest function.
 func (m *CostModel) compileTime(optimized bool, instrs, largestFn int) time.Duration {
 	if !optimized {
-		return m.NativeBase + time.Duration(instrs)*m.NativePerInstr
+		return m.nativeBase + time.Duration(instrs)*m.nativePerInstr
 	}
-	d := m.OptBase + time.Duration(instrs)*m.OptPerInstr
-	if m.OptCubic > 0 {
+	d := m.optBase + time.Duration(instrs)*m.optPerInstr
+	if m.optCubic > 0 {
 		n := float64(largestFn)
-		d += time.Duration(m.OptCubic * n * n * n * float64(time.Second))
+		d += time.Duration(m.optCubic * n * n * n * float64(time.Second))
 	}
 	return d
 }
@@ -120,12 +114,13 @@ func (m *CostModel) NativeTime(instrs int) time.Duration {
 // promote is the Fig. 7 decision for a pipeline in bytecode: extrapolate
 // its remaining duration in bytecode and in native code, compilation
 // included, and report whether native code is shorter. r0 is the measured
-// tuple rate per worker in bytecode, n the tuples left, w the workers the
-// pipeline holds. Staying wins ties (strict <): a switch must pay for
-// itself.
+// tuple rate per worker in bytecode, n the tuples left, w the query's
+// grant (queryRun.grant): the workers its phases can hold. Native code
+// runs speedupNative times faster. Staying wins ties (strict <): a switch
+// must pay for itself.
 func (m *CostModel) promote(instrs int, r0, n, w float64) bool {
 	c := m.NativeTime(instrs).Seconds()
 	// While one thread compiles, the remaining w-1 continue at r0.
 	rem := max(n-(w-1)*r0*c, 0)
-	return c+rem/(r0*m.SpeedupNative)/w < n/r0/w
+	return c+rem/(r0*speedupNative)/w < n/r0/w
 }

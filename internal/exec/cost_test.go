@@ -34,17 +34,9 @@ func TestCostModelMonotonicity(t *testing.T) {
 				prev = d
 			}
 		}
-		if m.SpeedupNative <= 1 {
-			t.Error("native code not modeled faster than bytecode")
-		}
 	}
-}
-
-// TestModelsShareThroughputPriors: both models price the same back end, so
-// they differ in compile latency and Simulate only, never in a speedup.
-func TestModelsShareThroughputPriors(t *testing.T) {
-	if p, n := Paper().SpeedupNative, Native().SpeedupNative; p != n {
-		t.Errorf("SpeedupNative: Paper() %g, Native() %g", p, n)
+	if speedupNative <= 1 {
+		t.Error("native code not modeled faster than bytecode")
 	}
 }
 
@@ -89,23 +81,28 @@ func TestExtrapolationChoosesStay(t *testing.T) {
 }
 
 // TestChooseTieBreaking pins the comparison and its arithmetic: strict <,
-// so staying wins a tie with native code that is no faster, a faster one
-// wins, and while one worker compiles the other w-1 keep running bytecode.
+// so staying wins a tie, and while one worker compiles the other w-1 keep
+// running bytecode.
 func TestChooseTieBreaking(t *testing.T) {
-	flat := &CostModel{SpeedupNative: 1}
-	if flat.promote(1000, 1e6, 1e8, 4) {
-		t.Error("native code is no faster, yet promoted over staying")
+	// A 2 s compile, one worker at 1e6 tuples/s, 3e6 tuples left: staying
+	// takes exactly 3 s, and so does promoting, 2 s compiling plus 3e6
+	// tuples at 3e6 tuples/s. A tie stays.
+	tie := &CostModel{nativeBase: 2 * time.Second}
+	if speedupNative != 3 {
+		t.Fatalf("speedupNative %g: the tie below is computed for 3", speedupNative)
 	}
-	even := &CostModel{SpeedupNative: 2}
-	if !even.promote(1000, 1e6, 1e8, 4) {
-		t.Error("native code twice as fast at no compile cost: stayed")
+	if tie.promote(0, 1e6, 3e6, 1) {
+		t.Error("promoted on a tie with staying")
+	}
+	if !tie.promote(0, 1e6, 3.1e6, 1) {
+		t.Error("stayed 0.1e6 tuples above the tie")
 	}
 	// A 1 s compile, 4 workers at 1e6 tuples/s, native code 3x: staying
 	// takes n/4e6 s; promoting takes 1 + (n-3e6)/1.2e7 s, because the w-1
 	// workers that are not compiling finish 3e6 tuples meanwhile. The
 	// break-even is n = 4.5e6. Counting all w workers as running would
 	// promote below it; counting none, only above 6e6.
-	slow := &CostModel{NativeBase: time.Second, SpeedupNative: 3}
+	slow := &CostModel{nativeBase: time.Second}
 	if slow.promote(0, 1e6, 4.4e6, 4) {
 		t.Error("promoted 0.1e6 tuples below the break-even")
 	}

@@ -132,7 +132,7 @@ func TestWarmAdaptiveStartsCompiled(t *testing.T) {
 	cat := diffCat()
 	// Zero-latency model so the controller compiles even on small data.
 	cost := Native()
-	cost.NativeBase, cost.NativePerInstr = 0, 0
+	cost.nativeBase, cost.nativePerInstr = 0, 0
 	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost,
 		MorselSize: 128, CacheBytes: 64 << 20})
 	q := tpch.Query(cat, 1)

@@ -622,11 +622,8 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 			}
 		}
 
-		qr, err = e.newQueryRun(ctx, cq, mem, &st, tr)
+		qr, err = e.newQueryRun(cq, mem, &st, tr)
 		if err != nil {
-			if ctx.Err() != nil {
-				return cancelled(err)
-			}
 			return nil, err
 		}
 		qr.tenant = opts.Tenant
@@ -641,15 +638,16 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 			}
 		}
 		// The cancellation watcher flips the query's atomic flag the
-		// moment ctx dies; every claim loop and finalize partition polls
-		// it, and stop() keeps the watcher from outliving the query.
+		// moment ctx dies; every claim loop, finalize partition and
+		// modeled compile latency (sleepCompile) polls it, and stop()
+		// keeps the watcher from outliving the query.
 		if ctx.Done() != nil {
 			stop := context.AfterFunc(ctx, func() { qr.cancel(context.Cause(ctx)) })
 			defer stop()
 		}
-		// What start spent assembling or translating pipelines lies inside
-		// execute's wall time but is compilation or translation, and is
-		// booked there only.
+		// What a static mode's up-front work and start spent assembling or
+		// translating pipelines lies inside execute's wall time but is
+		// compilation or translation, and is booked there only.
 		tExec, compile0, translate0 := time.Now(), st.Compile, st.Translate
 		err = qr.execute()
 		st.Exec += time.Since(tExec) - (st.Compile - compile0) - (st.Translate - translate0)

@@ -589,7 +589,7 @@ func TestAdaptiveCompiles(t *testing.T) {
 	// With a zero-latency cost model and large data, adaptive execution
 	// should decide to compile at least one pipeline.
 	cost := Native()
-	cost.NativeBase, cost.NativePerInstr = 0, 0
+	cost.nativeBase, cost.nativePerInstr = 0, 0
 	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: cost, MorselSize: 256})
 	s := plan.NewScan(ordersT, "o_total")
 	g := plan.NewGroupBy(s, nil, nil, []plan.AggExpr{

@@ -134,7 +134,7 @@ func TestNothingRunsAfterFailedPipeline(t *testing.T) {
 				t.Fatalf("plan shape changed: %d pipelines", len(cq.Pipelines))
 			}
 			tr := NewTrace()
-			qr, err := e.newQueryRun(context.Background(), cq, mem, &Stats{}, tr)
+			qr, err := e.newQueryRun(cq, mem, &Stats{}, tr)
 			if err != nil {
 				t.Fatal(err)
 			}

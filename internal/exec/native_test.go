@@ -99,8 +99,8 @@ func TestAdaptiveNeverRunsOptimized(t *testing.T) {
 		{"ModeOptimized", ModeOptimized, Native(), jit.Optimized},
 	} {
 		cost := tc.cost
-		cost.NativeBase, cost.NativePerInstr = 0, 0
-		cost.OptBase, cost.OptPerInstr, cost.OptCubic = 0, 0, 0
+		cost.nativeBase, cost.nativePerInstr = 0, 0
+		cost.optBase, cost.optPerInstr, cost.optCubic = 0, 0, 0
 		e := New(Options{Workers: 2, Mode: tc.mode, Cost: cost, MorselSize: 32})
 		var mu sync.Mutex
 		handles := map[int]*Handle{}
@@ -123,7 +123,7 @@ func TestAdaptiveNeverRunsOptimized(t *testing.T) {
 		}
 		// Without simulated latency pipelines are assembled before their
 		// first morsel: by the start rule, or up front.
-		if asm.Supported() && !cost.Simulate && staged == 0 {
+		if asm.Supported() && !cost.simulate && staged == 0 {
 			t.Errorf("%s: no pipeline staged machine code", tc.name)
 		}
 	}
@@ -197,7 +197,7 @@ func TestNoNativeNeverDispatchesNative(t *testing.T) {
 	want := fmt.Sprint(canon(ref.Rows, ref.Types))
 
 	cost := Native()
-	cost.NativeBase, cost.NativePerInstr = 0, 0
+	cost.nativeBase, cost.nativePerInstr = 0, 0
 	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost,
 		MorselSize: 32, CacheBytes: 1 << 20})
 	e.nativeOff = true
@@ -372,7 +372,7 @@ func TestIRInterpTranslatesNothing(t *testing.T) {
 
 // TestPromotionIsFinal: a pipeline the controller promotes to native code
 // stays there, as in the paper's controller. The 22 queries run under the
-// climb policy — Simulate with every latency zero, so no pipeline starts
+// climb policy — simulate with every latency zero, so no pipeline starts
 // native and each one the controller evaluates climbs through promote —
 // and once a handle is seen at native after a morsel, it is never seen at
 // bytecode after a later one. The level is read under the lock that orders
@@ -384,8 +384,8 @@ func TestPromotionIsFinal(t *testing.T) {
 	}
 	cat := tpch.Gen(0.01)
 	cost := Native()
-	cost.NativeBase, cost.NativePerInstr = 0, 0
-	cost.Simulate = true
+	cost.nativeBase, cost.nativePerInstr = 0, 0
+	cost.simulate = true
 	for _, w := range []int{1, 2} {
 		e := New(Options{Workers: w, Cost: cost})
 		var mu sync.Mutex

@@ -14,7 +14,7 @@ import (
 	"aqe/internal/vm"
 )
 
-// queryRun is the runtime state of one executing plan.
+// queryRun is the runtime state of one plan's execution.
 type queryRun struct {
 	eng   *Engine
 	cq    *codegen.Query
@@ -109,14 +109,12 @@ func (qr *queryRun) err() error {
 
 // newQueryRun binds externs, creates each pipeline's handle with the
 // variants the plan cache holds for it (a fingerprint miss inserts the
-// plan's entry), compiles the pipelines up front for a static compiled mode
-// and translates those a static mode runs in bytecode (none for
-// ModeIRInterp, which interprets the IR), and builds the
-// runtime state the code generator's descriptors require. The adaptive mode
-// translates a pipeline only if it is to run in bytecode (start). The trace
-// (nil unless tracing) is created by the caller so its origin covers the
-// admission wait.
-func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Memory, st *Stats, tr *Trace) (*queryRun, error) {
+// plan's entry), and builds the runtime state the code generator's
+// descriptors require. It compiles and translates nothing: a static mode
+// does both at the start of execute, the adaptive mode per pipeline
+// (start). The trace (nil unless tracing) is created by the caller so its
+// origin covers the admission wait.
+func (e *Engine) newQueryRun(cq *codegen.Query, mem *rt.Memory, st *Stats, tr *Trace) (*queryRun, error) {
 	qr := &queryRun{eng: e, cq: cq, mem: mem, stats: st, trace: tr,
 		result: newRowSet(mem, cq), taken: make([]int, e.opts.Workers), limit: -1}
 	qr.fp = fingerprintOf(cq)
@@ -148,47 +146,6 @@ func (e *Engine) newQueryRun(ctx context.Context, cq *codegen.Query, mem *rt.Mem
 			qr.noteProgram(p)
 		}
 		qr.handles = append(qr.handles, h)
-	}
-	// The static compiled modes put every pipeline in native code before
-	// execution starts, single-threaded: the up-front compilation of the
-	// whole module (§II-A), the latency the adaptive mode exists to avoid.
-	// A pipeline whose native code is ruled out or fails to compile runs
-	// bytecode (giveUp). A cache hit skips both the compilation and its
-	// simulated latency: the artifact exists, so there is nothing to wait
-	// for.
-	if e.opts.Mode.level() == LevelNative {
-		tC := time.Now()
-		compiledAny, installed := false, false
-		for i := range qr.handles {
-			fresh, ok := qr.installNative(i)
-			compiledAny, installed = compiledAny || fresh, installed || ok
-		}
-		// Adopting cached variants costs nothing; only fresh compilation
-		// counts, so warm runs report zero compile time.
-		if compiledAny {
-			if e.opts.Cost.Simulate {
-				d := e.opts.Cost.compileTime(e.tier == jit.Optimized, st.Instrs, maxFnInstrs(cq))
-				if !sleepCtx(ctx, d) {
-					return nil, context.Cause(ctx)
-				}
-			}
-			st.Compile += time.Since(tC)
-		}
-		if installed && qr.trace != nil {
-			qr.noteSwitch(nil, qr.trace.Origin(), time.Now())
-		}
-	}
-	// A static mode translates, up front, only what it runs in bytecode;
-	// the IR interpreter runs none.
-	if m := e.opts.Mode; m != ModeAdaptive && m != ModeIRInterp {
-		for i, h := range qr.handles {
-			if h.Level() != LevelBytecode {
-				continue
-			}
-			if err := qr.bytecode(i); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	// Runtime state per the code generator's layout.
@@ -290,33 +247,22 @@ func (qr *queryRun) installNative(i int) (fresh, ok bool) {
 	return fresh, true
 }
 
-// sleepCtx sleeps d unless ctx is cancelled first; it reports whether the
-// full duration elapsed. Simulated compile latencies can reach hundreds of
-// milliseconds, so a deadline must be able to interrupt them.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// sleepCompile is the controller's variant of sleepCtx: the worker that
-// launched a compilation sleeps its modeled latency d in poll steps, so
-// that a cancel, or a trap another worker records, frees it — and with it
-// the pipeline — within one step. It reports whether d elapsed.
+// sleepCompile models every simulated compilation, the controller's and a
+// static mode's: the goroutine that compiles sleeps its modeled latency d
+// in poll steps, so that a cancel, or a trap another worker records, frees
+// it — and with it the pipeline or the query — within one step. It reports
+// whether d elapsed. The steps sleep toward one deadline, so the oversleep
+// of each step does not add up over a multi-second compile.
 func (qr *queryRun) sleepCompile(d time.Duration) bool {
 	const step = 2 * time.Millisecond
-	for ; d > 0; d -= step {
-		if qr.err() != nil {
-			return false
+	for end := time.Now().Add(d); qr.err() == nil; {
+		left := time.Until(end)
+		if left <= 0 {
+			return true
 		}
-		time.Sleep(min(d, step))
+		time.Sleep(min(left, step))
 	}
-	return qr.err() == nil
+	return false
 }
 
 func maxFnInstrs(cq *codegen.Query) int {
@@ -332,10 +278,60 @@ func maxFnInstrs(cq *codegen.Query) int {
 // execute is the paper's queryStart (Fig. 4): it runs the pipelines in
 // dependency order, which is the order codegen emitted them in, and stops
 // at the first that fails. The final pipeline leaves the result rows in
-// the output set's arenas.
+// the output set's arenas. A static mode first compiles and translates the
+// whole module (prepareStatic), under the caller's cancel watcher.
 func (qr *queryRun) execute() error {
+	if err := qr.prepareStatic(); err != nil {
+		return err
+	}
 	for id := range qr.cq.Pipelines {
 		if err := qr.runPipeline(id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// prepareStatic prepares a static mode's pipelines before any runs. The
+// compiled modes put every pipeline in native code, single-threaded: the
+// up-front compilation of the whole module (§II-A), the latency the
+// adaptive mode exists to avoid. A pipeline whose native code is ruled out
+// or fails to compile runs bytecode (giveUp). A cache hit skips both the
+// compilation and its simulated latency: the artifact exists, so there is
+// nothing to wait for. Then a static mode translates, up front, only what
+// it runs in bytecode; the IR interpreter runs none.
+func (qr *queryRun) prepareStatic() error {
+	e := qr.eng
+	if e.opts.Mode.level() == LevelNative {
+		tC := time.Now()
+		compiledAny, installed := false, false
+		for i := range qr.handles {
+			fresh, ok := qr.installNative(i)
+			compiledAny, installed = compiledAny || fresh, installed || ok
+		}
+		// Adopting cached variants costs nothing; only fresh compilation
+		// counts, so warm runs report zero compile time.
+		if compiledAny {
+			if m := e.opts.Cost; m.simulate {
+				d := m.compileTime(e.tier == jit.Optimized, qr.stats.Instrs, maxFnInstrs(qr.cq))
+				if !qr.sleepCompile(d) {
+					return qr.err()
+				}
+			}
+			qr.stats.Compile += time.Since(tC)
+		}
+		if installed && qr.trace != nil {
+			qr.noteSwitch(nil, qr.trace.Origin(), time.Now())
+		}
+	}
+	if m := e.opts.Mode; m == ModeAdaptive || m == ModeIRInterp {
+		return nil
+	}
+	for i, h := range qr.handles {
+		if h.Level() != LevelBytecode {
+			continue
+		}
+		if err := qr.bytecode(i); err != nil {
 			return err
 		}
 	}
@@ -410,7 +406,6 @@ type progress struct {
 	total   int64
 	work    int64 // total minus zone-map-pruned tuples
 	cursor  atomic.Int64
-	done    atomic.Int64
 	claims  atomic.Int64
 	base    int64
 	cap     int64
@@ -421,16 +416,11 @@ type progress struct {
 	pruned    []bool
 	blockRows int64
 
-	// The tuples and busy nanoseconds of every morsel reported (rate).
-	tuples   atomic.Int64
+	// The tuples and busy nanoseconds of every morsel reported: the work
+	// done and the rate.
+	done     atomic.Int64
 	busy     atomic.Int64
 	evalGate atomic.Bool
-
-	// executing counts pool workers currently inside a morsel of this
-	// pipeline — the query's *granted* parallelism. Under concurrent load
-	// a query holds only a fraction of the machine, so the controller's
-	// extrapolation must use this, not the configured worker count.
-	executing atomic.Int32
 }
 
 func newProgress(total int64, o Options) *progress {
@@ -520,10 +510,7 @@ func (pr *progress) abort() { pr.cursor.Store(pr.total) }
 // report records a finished morsel and adds it to the rate sample.
 func (pr *progress) report(tuples int64, d time.Duration) {
 	pr.done.Add(tuples)
-	if d > 0 {
-		pr.tuples.Add(tuples)
-		pr.busy.Add(int64(d))
-	}
+	pr.busy.Add(int64(d))
 }
 
 // rate is Fig. 7's r0: the tuples per second of one worker in bytecode,
@@ -536,7 +523,7 @@ func (pr *progress) rate() float64 {
 	if busy <= 0 {
 		return 0
 	}
-	return float64(pr.tuples.Load()) / time.Duration(busy).Seconds()
+	return float64(pr.done.Load()) / time.Duration(busy).Seconds()
 }
 
 func minI64(a, b int64) int64 {
@@ -602,7 +589,7 @@ func (qr *queryRun) finalize(pl *codegen.Pipeline) error {
 	if pl.SinkJoin >= 0 {
 		ht := qr.qs.Joins[pl.SinkJoin]
 		t0 := time.Now()
-		parts := ht.Finalize(qr.qs.StateAddr, qr.breakerParts(), qr.pfor)
+		parts := ht.Finalize(qr.qs.StateAddr, qr.grant(), qr.pfor)
 		qr.noteFinalize(pl, time.Since(t0), t0, parts, int64(ht.Count))
 		qr.stats.BuildRows += int64(ht.Count)
 		// The breaker is the natural observation point of adaptive join
@@ -613,7 +600,7 @@ func (qr *queryRun) finalize(pl *codegen.Pipeline) error {
 	if pl.SinkAgg >= 0 {
 		set := qr.qs.Aggs[pl.SinkAgg]
 		t0 := time.Now()
-		parts := set.Finalize(qr.breakerParts(), qr.pfor)
+		parts := set.Finalize(qr.grant(), qr.pfor)
 		d := qr.cq.Aggs[pl.SinkAgg]
 		qr.mem.Store64(qr.qs.StateAddr+rt.Addr(d.IndexStateOff), set.IndexAddr)
 		qr.noteFinalize(pl, time.Since(t0), t0, parts, int64(set.Groups))
@@ -661,7 +648,7 @@ func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) error {
 		h.Install(LevelNative)
 		return nil
 	}
-	if !qr.eng.opts.Cost.Simulate && pr.work > qr.eng.opts.MorselSize {
+	if !qr.eng.opts.Cost.simulate && pr.work > qr.eng.opts.MorselSize {
 		t0 := time.Now()
 		qr.stats.Compilations++
 		_, ok := qr.installNative(pl.ID)
@@ -711,12 +698,13 @@ func (qr *queryRun) noteFinalize(pl *codegen.Pipeline, d time.Duration, t0 time.
 	}
 }
 
-// breakerParts returns the partition count for parallel finalization:
-// Options.Workers capped by the CPUs actually available and the shared
-// pool. Every partition re-scans all build arenas (that is what makes the
-// writes disjoint), so partitions beyond real parallelism are pure extra
-// scan work.
-func (qr *queryRun) breakerParts() int {
+// grant is the parallelism the query's phases can hold: Options.Workers
+// capped by the CPUs actually available and the shared pool. It is the
+// partition count of a breaker finalize — every partition re-scans all
+// build arenas (that is what makes the writes disjoint), so partitions
+// beyond real parallelism are pure extra scan work — and the controller's
+// w (Fig. 7).
+func (qr *queryRun) grant() int {
 	parts := qr.eng.opts.Workers
 	if n := runtime.GOMAXPROCS(0); parts > n {
 		parts = n
@@ -830,11 +818,9 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 	args := j.args[slot]
 	args[2], args[3] = uint64(begin), uint64(end)
 	lvl := j.h.Level()
-	j.pr.executing.Add(1)
 	t0 := time.Now()
 	err := rt.CatchTrap(func() { j.h.Dispatch(ctx, args) })
 	d := time.Since(t0)
-	j.pr.executing.Add(-1)
 	if err != nil {
 		qr.fail(err)
 		j.pr.abort()
@@ -882,18 +868,13 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	}
 	// Remaining work excludes zone-map-pruned tuples: they are never
 	// dispatched, so extrapolating over them would overstate the payoff
-	// of compiling (§III-C). The parallelism term is the *granted* worker
-	// count — under concurrent load the scheduler may lease this query
-	// only a fraction of the machine, and extrapolating over workers it
-	// does not hold would understate every mode's remaining duration
-	// equally but overstate the compile thread's opportunity cost.
+	// of compiling (§III-C). w is the query's grant, the workers its
+	// pipeline runs on; under concurrent queries the pool may lease it
+	// fewer, which only the Paper() model, whose controller compiles,
+	// would misprice, and nothing runs such a mix (DESIGN.md).
 	n := float64(pr.work - pr.done.Load())
-	w := float64(pr.executing.Load())
-	if w < 1 {
-		w = 1
-	}
 	m := qr.eng.opts.Cost
-	if !m.promote(h.Instrs, r0, n, w) {
+	if !m.promote(h.Instrs, r0, n, float64(qr.grant())) {
 		return
 	}
 	// This worker is the thread of Fig. 7 that compiles: it keeps its slot
@@ -903,7 +884,7 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	// in the paper's controller (§III-C): nothing moves the pipeline back.
 	qr.stats.Compilations++
 	t0 := time.Now()
-	if m.Simulate && !qr.sleepCompile(m.NativeTime(h.Instrs)) {
+	if m.simulate && !qr.sleepCompile(m.NativeTime(h.Instrs)) {
 		return
 	}
 	if _, ok := qr.installNative(pl.ID); ok && qr.trace != nil {

@@ -73,8 +73,8 @@ func prunedToOneMorselPlan() plan.Node {
 func TestStartRule(t *testing.T) {
 	const morsel = 64
 	simulated := Native()
-	simulated.Simulate = true
-	simulated.NativeBase, simulated.NativePerInstr = 0, 0
+	simulated.simulate = true
+	simulated.nativeBase, simulated.nativePerInstr = 0, 0
 	for _, tc := range []struct {
 		name     string
 		opts     Options
@@ -153,7 +153,7 @@ func TestStartRule(t *testing.T) {
 					t.Fatalf("%d pipelines exceed one morsel, the row expects %d", gated, tc.gated)
 				}
 				if !live {
-					if tc.opts.Cost.Simulate {
+					if tc.opts.Cost.simulate {
 						continue // the controller may compile later, on a measured rate
 					}
 					if st.NativeCompiles != 0 || st.NativeMorsels != 0 {

@@ -50,7 +50,7 @@ func modeSwitchStress(t *testing.T, build func() plan.Node) {
 	want := fmt.Sprint(canon(ref.Rows, ref.Types))
 
 	cost := Native()
-	cost.NativeBase, cost.NativePerInstr = 0, 0
+	cost.nativeBase, cost.nativePerInstr = 0, 0
 	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost,
 		MorselSize: 32, CacheBytes: 1 << 20})
 

@@ -3,7 +3,7 @@ package ir
 // Clone returns a deep copy of the function inside the same module. The
 // optimizing compiler runs destructive passes on a clone because the
 // original function stays live: under adaptive execution the bytecode
-// interpreter keeps executing the unoptimized form while the optimized
+// interpreter keeps running the unoptimized form while the optimized
 // compilation proceeds on a background thread (§III-B).
 //
 // The clone is appended to no module function list; it shares the module

@@ -7,7 +7,7 @@
 //
 // Passes mutate the function destructively; under adaptive execution the
 // engine runs them on an ir.Function.Clone, never on the function the
-// interpreter is still executing.
+// interpreter is still running.
 package passes
 
 import (

@@ -35,7 +35,7 @@ type Addr = uint64
 // Memory is a per-query address space: a table of segments. Reads are
 // lock-free; segment additions (table registration at setup, hash-table
 // growth and arena chunk allocation mid-pipeline) copy the segment table
-// and publish it atomically, so concurrently executing workers always see
+// and publish it atomically, so concurrently running workers always see
 // a consistent table. A worker can only hold an address into a segment
 // that was published before the address was handed to it, which makes the
 // copy-on-write scheme race-free.
@@ -124,7 +124,7 @@ func (m *Memory) Segments() int { return len(*m.table.Load()) }
 // across an arbitrary amount of work; they just won't observe segments
 // added afterwards. The native tier pins this snapshot while machine code
 // runs and re-snapshots after every extern call (the only points where new
-// segments can be published to the executing worker).
+// segments can be published to the running worker).
 func (m *Memory) Segs() [][]byte { return *m.table.Load() }
 
 // Bytes returns exactly n bytes at addr.

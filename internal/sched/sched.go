@@ -41,7 +41,7 @@ type Runner interface {
 
 // Options configures a Scheduler.
 type Options struct {
-	// PoolWorkers caps concurrently executing pool workers.
+	// PoolWorkers caps concurrently running pool workers.
 	PoolWorkers int
 	// MaxQueries caps concurrently admitted queries; arrivals beyond the
 	// cap wait in FIFO order.

@@ -23,7 +23,7 @@ type binConn struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	sess *aqe.Session
-	busy atomic.Bool // a request is executing (drain waits for it)
+	busy atomic.Bool // a request is running (drain waits for it)
 	enc  []byte      // the pending Rows frame, reused across results
 }
 
