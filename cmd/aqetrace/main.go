@@ -56,7 +56,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := eng.RunPlanReplan(context.Background(), prep.Root, lg.Name, prep)
+		res, err := eng.RunPlanOpts(context.Background(), prep.Root, lg.Name, exec.RunOpts{Replan: prep})
 		if err != nil {
 			log.Fatal(err)
 		}

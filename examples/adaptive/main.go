@@ -38,7 +38,7 @@ func main() {
 			merged.Merge(res.Trace)
 		}
 		for pi, lvl := range res.Stats.FinalLevels {
-			fmt.Printf("stage %-8s pipeline %d finished in tier %v (compilations launched: %d)\n",
+			fmt.Printf("stage %-8s pipeline %d finished in tier %v (machine-code compilations: %d)\n",
 				stg.Name, pi, lvl, res.Stats.Compilations)
 		}
 	}

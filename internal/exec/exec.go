@@ -14,8 +14,8 @@
 // translates only the pipelines it could not compile). From there the
 // engine tracks per-pipeline progress at morsel boundaries, extrapolates
 // the remaining duration in bytecode and in native code (Fig. 7), and
-// switches pipelines mid-flight by storing a new level into the function
-// handle, which holds every variant (Fig. 5) — no work is lost because
+// switches pipelines mid-flight by storing machine code into the function
+// handle (Fig. 5), whose code is its level — no work is lost because
 // both levels execute identical semantics over the same runtime state
 // (§IV-E). The ladder is the paper's, bytecode → native machine code, and
 // it is climbed only: a promotion to native code is final. Native code
@@ -270,7 +270,7 @@ type Stats struct {
 	Instrs       int // IR instructions in the module: the pipelines' worker functions
 	Pipelines    int
 	FinalLevels  []Level // per pipeline, the tier that finished it
-	Compilations int     // adaptive compilations launched: at pipeline starts and by the controller
+	Compilations int     // machine-code assemblies, in every mode: up front, at pipeline starts and by the controller
 	RegFileBytes int     // largest register file of the pipelines' bytecode programs
 	FusedOps     int     // macro-ops fused across the pipelines' bytecode programs (§IV-F)
 	Finalizes    int     // pipeline breakers finalized, build-side join emits included
@@ -283,13 +283,12 @@ type Stats struct {
 	Replans    int
 	EstCardErr float64
 
-	// Machine-code counters, for either flavour: assemblies that produced
-	// machine code, morsels dispatched to machine code, and per-pipeline
-	// fallbacks, at most one per pipeline and run: native code was asked
-	// for and is ruled out (no back end) or failed to assemble (unsupported
-	// op, exec-memory failure), so the pipeline stays in bytecode. A
-	// pipeline that runs native code never leaves it.
-	NativeCompiles  int64
+	// Machine-code counters, for either flavour: morsels dispatched to
+	// machine code, and per-pipeline fallbacks, at most one per pipeline
+	// and run: native code was asked for and is ruled out (no back end) or
+	// failed to assemble (unsupported op, exec-memory failure), so the
+	// pipeline stays in bytecode. A pipeline that runs native code never
+	// leaves it.
 	NativeMorsels   int64
 	NativeFallbacks int64
 
@@ -467,7 +466,6 @@ func (s *Stats) add(o Stats) {
 	s.BuildRows += o.BuildRows
 	s.Replans += o.Replans
 	s.EstCardErr = max(s.EstCardErr, o.EstCardErr)
-	s.NativeCompiles += o.NativeCompiles
 	s.NativeMorsels += o.NativeMorsels
 	s.NativeFallbacks += o.NativeFallbacks
 	s.BlocksPruned += o.BlocksPruned
@@ -495,16 +493,7 @@ func (e *Engine) RunPlan(node plan.Node, name string) (*Result, error) {
 // and the returned Result carries the stats (Cancelled, WaitTime) but no
 // rows.
 func (e *Engine) RunPlanCtx(ctx context.Context, node plan.Node, name string) (*Result, error) {
-	return e.RunPlanReplan(ctx, node, name, nil)
-}
-
-// RunPlanReplan is RunPlanCtx with mid-query reoptimization: after every
-// join-build breaker the engine reports the observed cardinality to rp
-// and, past the misestimate threshold, restarts the query on the revised
-// plan rp returns (hash tables rebuilt from base tables; observations and
-// the admission slot kept). A nil rp runs the plan as given.
-func (e *Engine) RunPlanReplan(ctx context.Context, node plan.Node, name string, rp Replanner) (*Result, error) {
-	return e.RunPlanOpts(ctx, node, name, RunOpts{Replan: rp})
+	return e.RunPlanOpts(ctx, node, name, RunOpts{})
 }
 
 // RunOpts carries the per-execution inputs of RunPlanOpts that are not
@@ -519,7 +508,11 @@ type RunOpts struct {
 	// parameters, by index ($1 = Params[0]). Required exactly when the
 	// plan contains expr.Param nodes; counts and types must match.
 	Params []*expr.Const
-	// Replan enables mid-query reoptimization (see RunPlanReplan).
+	// Replan enables mid-query reoptimization: after every join-build
+	// breaker the engine reports the observed cardinality to Replan and,
+	// past the misestimate threshold, restarts the query on the revised
+	// plan it returns (hash tables rebuilt from base tables; observations
+	// and the admission slot kept). Nil runs the plan as given.
 	Replan Replanner
 	// Emit, when set, consumes the result rows in place of Result.Rows:
 	// the engine calls it on the calling goroutine with consecutive
@@ -653,7 +646,6 @@ func (e *Engine) RunPlanOpts(ctx context.Context, node plan.Node, name string, o
 		st.Exec += time.Since(tExec) - (st.Compile - compile0) - (st.Translate - translate0)
 		// Fold the run's machine-code counters. Accumulates across replan
 		// attempts like the duration fields above.
-		st.NativeCompiles += qr.nativeCompiles.Load()
 		st.NativeMorsels += qr.nativeMorsels.Load()
 		st.NativeFallbacks += qr.nativeFallbacks.Load()
 		if err == nil {

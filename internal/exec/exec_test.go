@@ -558,7 +558,7 @@ func TestMultiStageStatsCoverEveryStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pipelines int
-	var compiles int64
+	var compiles int
 	var last Stats
 	prior := map[string]*storage.Table{}
 	for _, st := range q.Stages {
@@ -567,7 +567,7 @@ func TestMultiStageStatsCoverEveryStage(t *testing.T) {
 			t.Fatal(err)
 		}
 		pipelines += r.Stats.Pipelines
-		compiles += r.Stats.NativeCompiles
+		compiles += r.Stats.Compilations
 		last = r.Stats
 		prior[st.Name] = r.ToTable(st.Name)
 	}
@@ -576,8 +576,8 @@ func TestMultiStageStatsCoverEveryStage(t *testing.T) {
 		t.Errorf("FinalLevels has %d entries and Pipelines reads %d; the stages have %d pipelines",
 			len(got.FinalLevels), got.Pipelines, pipelines)
 	}
-	if got.NativeCompiles != compiles {
-		t.Errorf("NativeCompiles %d, the stages' sum is %d", got.NativeCompiles, compiles)
+	if got.Compilations != compiles {
+		t.Errorf("Compilations %d, the stages' sum is %d", got.Compilations, compiles)
 	}
 	if got.Rows != last.Rows || got.Fingerprint != last.Fingerprint {
 		t.Errorf("Rows %d, Fingerprint %s; the final stage's are %d, %s",

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"aqe/internal/ir"
@@ -44,10 +43,11 @@ type variants struct {
 	compiled *jit.Compiled
 }
 
-// Handle is the paper's function handle (Fig. 5): it stores every variant
-// of a worker function and dispatches each morsel to the installed one.
-// Changing the execution mode is a single atomic store of the level; all
-// workers pick up the new variant at their next morsel.
+// Handle is the paper's function handle (Fig. 5): it holds the variants of
+// a worker function and dispatches each morsel to the installed one. The
+// machine code on the handle is its level: nil runs bytecode, and
+// installing native code is one atomic store, which every worker reads
+// before its next morsel.
 type Handle struct {
 	Fn     *ir.Function
 	Instrs int
@@ -55,17 +55,13 @@ type Handle struct {
 	// UseIRInterp forces direct SSA interpretation (ModeIRInterp).
 	UseIRInterp bool
 
-	// The bytecode program is what the handle was created with, or else
-	// the translation of Fn made the first time it is asked for
-	// (bytecode). Dispatching at LevelBytecode asks, so a handle at that
-	// level always has one.
-	vmOpts   vm.Options
-	progOnce sync.Once
-	prog     *vm.Program
-	progErr  error
+	// prog is the bytecode program: the plan cache's, or the one the
+	// coordinator translated before the pipeline's first morsel
+	// (queryRun.bytecode). A pipeline reaches a bytecode morsel only after
+	// that, so prog is set whenever native is nil at a dispatch.
+	prog *vm.Program
 
-	compiled atomic.Pointer[jit.Compiled] // the machine code; nil until staged
-	level    atomic.Int32
+	native atomic.Pointer[jit.Compiled] // the installed machine code; nil runs bytecode
 
 	// nativeOff rules native code out for this pipeline. It is seeded at
 	// creation (Engine.nativeOff) and set at run time by a failed
@@ -74,31 +70,23 @@ type Handle struct {
 }
 
 // newHandle wraps the variants of one worker function — none yet, or what
-// the plan cache handed out — and translates Fn under opts if bytecode is
-// asked for and v has none. The Handle itself carries only the per-run
-// dispatch state: level, native ruled out.
-func newHandle(fn *ir.Function, v variants, nativeOff bool, opts vm.Options) *Handle {
-	h := &Handle{Fn: fn, Instrs: fn.NumInstrs(), vmOpts: opts}
-	if v.prog != nil {
-		h.progOnce.Do(func() { h.prog = v.prog })
-	}
-	h.compiled.Store(v.compiled)
+// the plan cache handed out — and installs the cache's machine code. An
+// engine with native code ruled out never compiles, so its cache holds
+// none.
+func newHandle(fn *ir.Function, v variants, nativeOff bool) *Handle {
+	h := &Handle{Fn: fn, Instrs: fn.NumInstrs(), prog: v.prog}
+	h.native.Store(v.compiled)
 	h.nativeOff.Store(nativeOff)
 	return h
 }
 
-// bytecode returns the bytecode program, translating Fn on the first call;
-// fresh reports whether this call translated it.
-func (h *Handle) bytecode() (p *vm.Program, fresh bool, err error) {
-	h.progOnce.Do(func() {
-		h.prog, h.progErr = vm.Translate(h.Fn, h.vmOpts)
-		fresh = true
-	})
-	return h.prog, fresh, h.progErr
-}
-
 // Level returns the currently installed tier.
-func (h *Handle) Level() Level { return Level(h.level.Load()) }
+func (h *Handle) Level() Level {
+	if h.native.Load() != nil {
+		return LevelNative
+	}
+	return LevelBytecode
+}
 
 // NativeOff reports whether native code is ruled out for this pipeline.
 func (h *Handle) NativeOff() bool { return h.nativeOff.Load() }
@@ -106,38 +94,17 @@ func (h *Handle) NativeOff() bool { return h.nativeOff.Load() }
 // DisableNative rules native code out for the rest of the run.
 func (h *Handle) DisableNative() { h.nativeOff.Store(true) }
 
-// Has reports whether level l's variant is on the handle, ready to
-// install. Bytecode always is: it is translated on first use.
-func (h *Handle) Has(l Level) bool {
-	return l == LevelBytecode || h.compiled.Load() != nil
-}
-
-// Stage puts a compiled variant on the handle without installing it.
-func (h *Handle) Stage(c *jit.Compiled) { h.compiled.Store(c) }
-
-// Install switches the pipeline's remaining morsels to level l, whose
-// variant must be on the handle (§III-B: "Once set, all remaining morsels
-// will be processed using the new variant"): one atomic store, which every
-// worker reads before its next morsel.
-func (h *Handle) Install(l Level) { h.level.Store(int32(l)) }
-
 // Dispatch runs one morsel with the installed variant — the paper's
-// per-morsel dispatch code (Fig. 5).
-func (h *Handle) Dispatch(ctx *rt.Ctx, args []uint64) {
+// per-morsel dispatch code (Fig. 5) — and returns the level it ran.
+func (h *Handle) Dispatch(ctx *rt.Ctx, args []uint64) Level {
 	if h.UseIRInterp {
 		interp.Run(h.Fn, ctx, args)
-		return
+		return LevelBytecode
 	}
-	if h.Level() != LevelBytecode {
-		h.compiled.Load().Run(ctx, args)
-		return
+	if c := h.native.Load(); c != nil {
+		c.Run(ctx, args)
+		return LevelNative
 	}
-	// The coordinator translates a pipeline before it leaves it in bytecode
-	// and fails the query if that fails (queryRun.bytecode), so only a
-	// switch made outside the controller translates here.
-	p, _, err := h.bytecode()
-	if err != nil {
-		panic(err)
-	}
-	p.Run(ctx, args)
+	h.prog.Run(ctx, args)
+	return LevelBytecode
 }

@@ -98,7 +98,7 @@ func TestJoinOrderInvarianceForcedReplan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := e.RunPlanReplan(ctx, prep.Root, "forced", prep)
+			res, err := e.RunPlanOpts(ctx, prep.Root, "forced", RunOpts{Replan: prep})
 			if err != nil {
 				t.Fatalf("%v Q%d forced replan: %v", mode, qn, err)
 			}
@@ -139,7 +139,7 @@ func TestMisestimateReplans(t *testing.T) {
 		t.Fatalf("initial order %v: expected the misestimated mdima built first", names)
 	}
 	e := New(Options{Workers: 4, Mode: ModeOptimized, Cost: Native(), MorselSize: 512})
-	res, err := e.RunPlanReplan(context.Background(), prep.Root, "misestimate", prep)
+	res, err := e.RunPlanOpts(context.Background(), prep.Root, "misestimate", RunOpts{Replan: prep})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,9 +60,9 @@ func TestNativeStartTranslatesNothing(t *testing.T) {
 	e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: Native(), MorselSize: 64})
 	res, handles := runLazy(t, e, join)
 	st := res.Stats
-	if st.NativeCompiles != int64(st.Pipelines) || len(handles) != st.Pipelines {
+	if st.Compilations != st.Pipelines || len(handles) != st.Pipelines {
 		t.Fatalf("%d start assemblies, %d of %d pipelines ran; want every pipeline started native",
-			st.NativeCompiles, len(handles), st.Pipelines)
+			st.Compilations, len(handles), st.Pipelines)
 	}
 	for p, h := range handles {
 		if h.prog != nil {

@@ -31,7 +31,7 @@ func TestNativeStaticMode(t *testing.T) {
 	}
 	st := res.Stats
 	if asm.Supported() {
-		if st.NativeCompiles == 0 {
+		if st.Compilations == 0 {
 			t.Errorf("no native compilations on a supported platform: %+v", st)
 		}
 		if st.NativeMorsels == 0 {
@@ -40,7 +40,7 @@ func TestNativeStaticMode(t *testing.T) {
 	} else if st.NativeFallbacks == 0 {
 		t.Errorf("unsupported platform recorded no fallbacks: %+v", st)
 	}
-	if st.NativeCompiles+st.NativeFallbacks == 0 {
+	if int64(st.Compilations)+st.NativeFallbacks == 0 {
 		t.Error("ModeNative neither compiled natively nor fell back")
 	}
 }
@@ -114,7 +114,7 @@ func TestAdaptiveNeverRunsOptimized(t *testing.T) {
 		}
 		staged := 0
 		for p, h := range handles {
-			if c := h.compiled.Load(); c != nil {
+			if c := h.native.Load(); c != nil {
 				staged++
 				if c.Level != tc.want {
 					t.Errorf("%s: pipeline %d staged %v machine code, want %v", tc.name, p, c.Level, tc.want)
@@ -179,8 +179,8 @@ func TestNativeAdaptiveDegradation(t *testing.T) {
 	if gated != 2 || st.NativeFallbacks != gated {
 		t.Errorf("%d fallbacks for %d pipelines of more than one morsel, want 2 and 2", st.NativeFallbacks, gated)
 	}
-	if st.NativeMorsels != 0 || st.NativeCompiles != 0 {
-		t.Errorf("%d native morsels, %d native compiles despite alloc failure", st.NativeMorsels, st.NativeCompiles)
+	if st.NativeMorsels != 0 || st.Compilations != 0 {
+		t.Errorf("%d native morsels, %d compilations despite alloc failure", st.NativeMorsels, st.Compilations)
 	}
 }
 
@@ -217,8 +217,8 @@ func TestNoNativeNeverDispatchesNative(t *testing.T) {
 		if res.Stats.CacheHit != (run > 0) {
 			t.Errorf("run %d: cache hit = %v", run, res.Stats.CacheHit)
 		}
-		if st := res.Stats; st.NativeMorsels != 0 || st.NativeCompiles != 0 {
-			t.Errorf("run %d: %d native morsels, %d native compiles", run, st.NativeMorsels, st.NativeCompiles)
+		if st := res.Stats; st.NativeMorsels != 0 || st.Compilations != 0 {
+			t.Errorf("run %d: %d native morsels, %d compilations", run, st.NativeMorsels, st.Compilations)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func TestParamWarmStartsInMemoizedTier(t *testing.T) {
 	native := 0
 	for i, lvl := range fresh.Stats.FinalLevels {
 		best := LevelBytecode
-		if h := handles[i]; h != nil && h.Has(LevelNative) {
+		if h := handles[i]; h != nil && h.Level() == LevelNative {
 			best = LevelNative
 			native++
 		}

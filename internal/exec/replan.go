@@ -32,7 +32,7 @@ const (
 )
 
 // reoptState is the per-query replan budget, shared across restart
-// attempts of one RunPlanReplan call.
+// attempts of one RunPlanOpts call.
 type reoptState struct {
 	rp        Replanner
 	threshold float64

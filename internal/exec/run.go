@@ -65,9 +65,8 @@ type queryRun struct {
 
 	// Machine-code counters, folded into Stats when the run finishes. They
 	// are atomics on the run (not fields of Stats) because workers tick
-	// them concurrently: every native morsel, and the controller's compiles
-	// and fallbacks, count on the pool worker that ran them.
-	nativeCompiles  atomic.Int64
+	// them concurrently: every native morsel, and the controller's
+	// fallbacks, count on the pool worker that ran them.
 	nativeMorsels   atomic.Int64
 	nativeFallbacks atomic.Int64
 }
@@ -140,7 +139,7 @@ func (e *Engine) newQueryRun(cq *codegen.Query, mem *rt.Memory, st *Stats, tr *T
 		}
 	}
 	for i, pl := range cq.Pipelines {
-		h := newHandle(pl.Fn, pipes[i], e.nativeOff, e.opts.VM)
+		h := newHandle(pl.Fn, pipes[i], e.nativeOff)
 		h.UseIRInterp = e.opts.Mode == ModeIRInterp
 		if p := pipes[i].prog; p != nil {
 			qr.noteProgram(p)
@@ -182,16 +181,24 @@ func (e *Engine) newQueryRun(cq *codegen.Query, mem *rt.Memory, st *Stats, tr *T
 	return qr, nil
 }
 
-// bytecode gives pipeline i its bytecode program unless its handle has one.
-// It runs on the coordinator, so the translation is the query's
-// Stats.Translate; the program is published to the plan cache like any
-// compiled variant, and counts in Stats.RegFileBytes and Stats.FusedOps.
+// bytecode gives pipeline i its bytecode program unless its handle has one:
+// the one translation there is. It runs on the coordinator before the
+// pipeline's job starts, so the translation is the query's Stats.Translate
+// and the program is on the handle before any morsel; a failed translation
+// is the query's error. The program is published to the plan cache like
+// any compiled variant, and counts in Stats.RegFileBytes and
+// Stats.FusedOps.
 func (qr *queryRun) bytecode(i int) error {
+	h := qr.handles[i]
+	if h.prog != nil {
+		return nil
+	}
 	t0 := time.Now()
-	p, fresh, err := qr.handles[i].bytecode()
-	if !fresh || err != nil {
+	p, err := vm.Translate(h.Fn, qr.eng.opts.VM)
+	if err != nil {
 		return err
 	}
+	h.prog = p
 	qr.stats.Translate += time.Since(t0)
 	qr.noteProgram(p)
 	if qr.eng.cache != nil {
@@ -218,33 +225,31 @@ func (qr *queryRun) giveUp(h *Handle) {
 }
 
 // installNative is the one compile path — a static mode's up-front loop,
-// start and the controller all take it. It puts the engine's machine code
-// (Engine.tier) on pipeline i's handle unless it is there already (cached,
-// or compiled earlier in this run), publishes what it compiled to the
-// cache, and installs it. Native code that is ruled out or will not
+// start and the controller all take it, for a pipeline still in bytecode.
+// It assembles the engine's machine code (Engine.tier) for pipeline i,
+// counts it in Stats.Compilations, publishes it to the cache and installs
+// it on the handle: one store. Native code that is ruled out or will not
 // compile is given up (giveUp), leaving the pipeline in bytecode. It
-// reports whether a compilation ran and whether native code is installed.
-func (qr *queryRun) installNative(i int) (fresh, ok bool) {
+// reports whether native code is installed. It runs on the coordinator or
+// on the one worker that holds the pipeline's evalGate, so the plain
+// counter is safe.
+func (qr *queryRun) installNative(i int) bool {
 	h := qr.handles[i]
 	if h.NativeOff() {
 		qr.giveUp(h)
-		return false, false
+		return false
 	}
-	if !h.Has(LevelNative) {
-		c, err := jit.Compile(h.Fn, qr.eng.tier, nil)
-		if err != nil {
-			qr.giveUp(h)
-			return false, false
-		}
-		h.Stage(c)
-		qr.nativeCompiles.Add(1)
-		if qr.eng.cache != nil {
-			qr.eng.cache.addCompiled(qr.fp, i, c)
-		}
-		fresh = true
+	c, err := jit.Compile(h.Fn, qr.eng.tier, nil)
+	if err != nil {
+		qr.giveUp(h)
+		return false
 	}
-	h.Install(LevelNative)
-	return fresh, true
+	qr.stats.Compilations++
+	if qr.eng.cache != nil {
+		qr.eng.cache.addCompiled(qr.fp, i, c)
+	}
+	h.native.Store(c)
+	return true
 }
 
 // sleepCompile models every simulated compilation, the controller's and a
@@ -305,9 +310,12 @@ func (qr *queryRun) prepareStatic() error {
 	if e.opts.Mode.level() == LevelNative {
 		tC := time.Now()
 		compiledAny, installed := false, false
-		for i := range qr.handles {
-			fresh, ok := qr.installNative(i)
-			compiledAny, installed = compiledAny || fresh, installed || ok
+		for i, h := range qr.handles {
+			// The plan cache's machine code is installed already (newHandle).
+			if h.Level() == LevelBytecode && qr.installNative(i) {
+				compiledAny = true
+			}
+			installed = installed || h.Level() == LevelNative
 		}
 		// Adopting cached variants costs nothing; only fresh compilation
 		// counts, so warm runs report zero compile time.
@@ -622,36 +630,28 @@ func (qr *queryRun) finalize(pl *codegen.Pipeline) error {
 // else to do.
 //
 // What an earlier execution left on the handle comes first: its native
-// code. Otherwise the pipeline is assembled to native code right here — on
-// this substrate that costs what translating it to bytecode would, and a
-// pipeline started in native code is never translated — unless it fits in
-// one initial morsel: it would end before the
-// controller's first look, and assembling it costs more than interpreting
-// it. A failed assembly rules native code out and leaves the pipeline to
-// the controller at bytecode, as on a platform without a native back end.
-// Under a model that simulates compile latency (Paper()) compilation is the
-// expensive thing the paper says it is and must be earned from a measured
-// rate, so nothing is compiled here. A pipeline left in bytecode is
-// translated here, before its first morsel; a failed translation is the
-// query's error.
+// code, installed when the handle was created. Otherwise the pipeline is
+// assembled to native code right here — on this substrate that costs what
+// translating it to bytecode would, and a pipeline started in native code
+// is never translated — unless it fits in one initial morsel: it would end
+// before the controller's first look, and assembling it costs more than
+// interpreting it. A failed assembly rules native code out and leaves the
+// pipeline to the controller at bytecode, as on a platform without a
+// native back end. Under a model that simulates compile latency (Paper())
+// compilation is the expensive thing the paper says it is and must be
+// earned from a measured rate, so nothing is compiled here. A pipeline
+// left in bytecode is translated here, before its first morsel; a failed
+// translation is the query's error.
 //
 // Native code entered here is final, like every promotion: a pipeline it is
 // wrong for stays there for this run, and is started there every time.
 func (qr *queryRun) start(pl *codegen.Pipeline, h *Handle, pr *progress) error {
-	if qr.eng.opts.Mode != ModeAdaptive {
+	if qr.eng.opts.Mode != ModeAdaptive || h.Level() == LevelNative {
 		return nil
 	}
-	if h.NativeOff() {
-		return qr.bytecode(pl.ID)
-	}
-	if h.Has(LevelNative) {
-		h.Install(LevelNative)
-		return nil
-	}
-	if !qr.eng.opts.Cost.simulate && pr.work > qr.eng.opts.MorselSize {
+	if !h.NativeOff() && !qr.eng.opts.Cost.simulate && pr.work > qr.eng.opts.MorselSize {
 		t0 := time.Now()
-		qr.stats.Compilations++
-		_, ok := qr.installNative(pl.ID)
+		ok := qr.installNative(pl.ID)
 		qr.stats.Compile += time.Since(t0)
 		if ok {
 			if qr.trace != nil {
@@ -804,7 +804,9 @@ func (j *pipelineJob) Slots() int { return len(j.args) }
 
 // RunSlot executes one morsel. The preemption point is the cancellation
 // check before the claim: a cancel lands within one in-flight morsel per
-// executor, never mid-pipeline-scan.
+// executor, never mid-pipeline-scan. The morsel counts, and is traced, at
+// the level Dispatch ran it; after a native morsel the controller has
+// nothing to decide, since a promotion is final.
 func (j *pipelineJob) RunSlot(slot int) bool {
 	qr := j.qr
 	if qr.cancelled.Load() {
@@ -817,9 +819,9 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 	ctx := qr.ctxs[slot]
 	args := j.args[slot]
 	args[2], args[3] = uint64(begin), uint64(end)
-	lvl := j.h.Level()
+	var lvl Level
 	t0 := time.Now()
-	err := rt.CatchTrap(func() { j.h.Dispatch(ctx, args) })
+	err := rt.CatchTrap(func() { lvl = j.h.Dispatch(ctx, args) })
 	d := time.Since(t0)
 	if err != nil {
 		qr.fail(err)
@@ -841,7 +843,7 @@ func (j *pipelineJob) RunSlot(slot int) bool {
 	if qr.eng.morselHook != nil {
 		qr.eng.morselHook(j.pl.ID, j.h, slot)
 	}
-	if qr.eng.opts.Mode == ModeAdaptive {
+	if lvl == LevelBytecode && qr.eng.opts.Mode == ModeAdaptive {
 		qr.evaluate(j.pl, j.h, j.pr)
 	}
 	return true
@@ -882,12 +884,11 @@ func (qr *queryRun) evaluate(pl *codegen.Pipeline, h *Handle, pr *progress) {
 	// slots run on at r0, and the gate it holds keeps every other worker
 	// from evaluating until the compile is done. The promotion is final, as
 	// in the paper's controller (§III-C): nothing moves the pipeline back.
-	qr.stats.Compilations++
 	t0 := time.Now()
 	if m.simulate && !qr.sleepCompile(m.NativeTime(h.Instrs)) {
 		return
 	}
-	if _, ok := qr.installNative(pl.ID); ok && qr.trace != nil {
+	if qr.installNative(pl.ID) && qr.trace != nil {
 		qr.noteSwitch(pl, t0, time.Now())
 	}
 }

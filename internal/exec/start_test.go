@@ -124,7 +124,7 @@ func TestStartRule(t *testing.T) {
 				if len(res.Trace.Events()) == 0 || st.CacheHit != (run > 0) {
 					t.Fatalf("run %d: %d trace events, cache hit %v", run, len(res.Trace.Events()), st.CacheHit)
 				}
-				gated, assembled := 0, int64(0)
+				gated, assembled := 0, 0
 				for p, pt := range pipeTraces(res.Trace) {
 					big := pt.work > morsel
 					if big {
@@ -156,16 +156,16 @@ func TestStartRule(t *testing.T) {
 					if tc.opts.Cost.simulate {
 						continue // the controller may compile later, on a measured rate
 					}
-					if st.NativeCompiles != 0 || st.NativeMorsels != 0 {
-						t.Errorf("%d native compiles, %d native morsels without the level", st.NativeCompiles, st.NativeMorsels)
+					if st.Compilations != 0 || st.NativeMorsels != 0 {
+						t.Errorf("%d compilations, %d native morsels without the level", st.Compilations, st.NativeMorsels)
 					}
 					continue
 				}
 				// From native there is no way up: every compilation is a start
 				// assembly, and its time is booked as compilation.
-				if st.NativeCompiles != assembled || int64(st.Compilations) != assembled || st.NativeFallbacks != 0 {
-					t.Errorf("run %d: %d native compiles, %d compilations, %d fallbacks; want %d, %d, 0",
-						run, st.NativeCompiles, st.Compilations, st.NativeFallbacks, assembled, assembled)
+				if st.Compilations != assembled || st.NativeFallbacks != 0 {
+					t.Errorf("run %d: %d compilations, %d fallbacks; want %d, 0",
+						run, st.Compilations, st.NativeFallbacks, assembled)
 				}
 				if (st.Compile > 0) != (assembled > 0) {
 					t.Errorf("run %d: Stats.Compile = %v with %d assemblies", run, st.Compile, assembled)
@@ -202,13 +202,13 @@ func TestExecMemoryReturns(t *testing.T) {
 	start := settle()
 	func() {
 		e := New(Options{Workers: 2, Mode: ModeAdaptive, Cost: Native(), MorselSize: 64})
-		var compiles int64
+		var compiles int
 		for i := 0; i < 8; i++ {
 			res, err := e.RunPlan(stressPlan(), "cold")
 			if err != nil {
 				t.Fatal(err)
 			}
-			compiles += res.Stats.NativeCompiles
+			compiles += res.Stats.Compilations
 		}
 		if compiles != 16 {
 			t.Fatalf("%d assemblies over 8 cold queries, want 2 each", compiles)

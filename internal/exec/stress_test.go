@@ -30,15 +30,57 @@ func stressPlan() plan.Node {
 		})
 }
 
-// TestModeSwitchStress forces a tier switch at every morsel boundary on
-// every worker — far more violent than the controller ever is — while the
-// adaptive controller evaluates and compiles on the same workers, and
-// while three other goroutines execute the same query through the shared
-// cache. Run under -race this verifies that handle swapping, the
-// controller's compiles, and the cache are free of data races; correctness
-// is checked against a bytecode-only reference.
+// TestModeSwitchStress flips every pipeline between bytecode and native
+// code at every morsel boundary on every worker (flipEveryMorsel) while the
+// adaptive controller evaluates and compiles on the same workers, and while
+// three other goroutines execute the same query through the shared cache.
+// Run under -race this verifies that handle swapping, the controller's
+// compiles, and the cache are free of data races; correctness is checked
+// against a bytecode-only reference.
 func TestModeSwitchStress(t *testing.T) {
 	modeSwitchStress(t, stressPlan)
+}
+
+// flipEveryMorsel returns an adaptive engine over o whose pipelines flip
+// between bytecode and native code at every morsel, whatever the
+// controller is doing to the same handle at that moment — far more violent
+// than the controller ever is — so one query's rows, tuples and aggregates
+// come from both tiers. The engine runs a zero-latency Paper() model, so
+// every pipeline starts in bytecode, translated by the coordinator, and
+// both variants exist. The hook keeps each handle's machine code itself
+// and demotes by storing nil: the only demotion there is. Where there is
+// no native back end bytecode stands in, so the flip cadence is the same
+// everywhere. Every so often it also rules native code out, so the
+// controller's choices shrink under it while it evaluates. It returns the
+// count of flips and of flips to native code.
+func flipEveryMorsel(o Options) (e *Engine, flips, native *atomic.Int64) {
+	cost := Paper()
+	cost.nativeBase, cost.nativePerInstr = 0, 0
+	o.Mode, o.Cost = ModeAdaptive, cost
+	e = New(o)
+	flips, native = new(atomic.Int64), new(atomic.Int64)
+	var code sync.Map // *Handle → *jit.Compiled
+	e.morselHook = func(_ int, h *Handle, _ int) {
+		n := flips.Add(1)
+		var c *jit.Compiled
+		if n%2 == 1 && asm.Supported() {
+			v, ok := code.Load(h)
+			if !ok {
+				fresh, err := jit.Compile(h.Fn, jit.Unoptimized, nil)
+				if err != nil {
+					panic(err)
+				}
+				v, _ = code.LoadOrStore(h, fresh)
+			}
+			c = v.(*jit.Compiled)
+			native.Add(1)
+		}
+		h.native.Store(c)
+		if n%101 == 0 {
+			h.DisableNative()
+		}
+	}
+	return e, flips, native
 }
 
 // modeSwitchStress is TestModeSwitchStress over the plan build returns.
@@ -48,40 +90,7 @@ func modeSwitchStress(t *testing.T, build func() plan.Node) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprint(canon(ref.Rows, ref.Types))
-
-	cost := Native()
-	cost.nativeBase, cost.nativePerInstr = 0, 0
-	e := New(Options{Workers: 4, Mode: ModeAdaptive, Cost: cost,
-		MorselSize: 32, CacheBytes: 1 << 20})
-
-	// The hook walks every handle through the adaptive ladder, one level
-	// per morsel: it stages what is missing and installs it, whatever the
-	// controller is doing to the same handle at that moment. Where there is
-	// no native backend bytecode stands in, so the flip cadence is the same
-	// everywhere. Flipping a pipeline between native code and bytecode
-	// mid-query is the tier-equivalence claim.
-	// Every so often it also disables native code, so the controller's
-	// choices shrink under it while it evaluates.
-	var flips, nativeFlips atomic.Int64
-	e.morselHook = func(pipeline int, h *Handle, worker int) {
-		n := flips.Add(1)
-		l := LevelBytecode
-		if n%2 == 1 && asm.Supported() {
-			l = LevelNative
-			nativeFlips.Add(1)
-		}
-		if !h.Has(l) {
-			c, err := jit.Compile(h.Fn, jit.Unoptimized, nil)
-			if err != nil {
-				panic(err)
-			}
-			h.Stage(c)
-		}
-		h.Install(l)
-		if n%101 == 0 {
-			h.DisableNative()
-		}
-	}
+	e, flips, nativeFlips := flipEveryMorsel(Options{Workers: 4, MorselSize: 32, CacheBytes: 1 << 20})
 
 	const parallel, rounds = 4, 3
 	var wg sync.WaitGroup

@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"aqe/internal/asm"
 	"aqe/internal/expr"
-	"aqe/internal/jit"
 	"aqe/internal/plan"
 	"aqe/internal/rt"
 	"aqe/internal/storage"
@@ -65,27 +63,6 @@ func countAllocs(e *Engine) (out, ht *atomic.Int64) {
 	return out, ht
 }
 
-// flipEveryMorsel makes e flip every pipeline between bytecode and native
-// code at every morsel (as modeSwitchStress does), so one query's rows and
-// tuples come from both tiers into the same arenas.
-func flipEveryMorsel(e *Engine) {
-	var flips atomic.Int64
-	e.morselHook = func(_ int, h *Handle, _ int) {
-		l := LevelBytecode
-		if flips.Add(1)%2 == 1 && asm.Supported() {
-			l = LevelNative
-		}
-		if !h.Has(l) {
-			c, err := jit.Compile(h.Fn, jit.Unoptimized, nil)
-			if err != nil {
-				panic(err)
-			}
-			h.Stage(c)
-		}
-		h.Install(l)
-	}
-}
-
 // TestAllocCallsPerChunk: generated code bumps output rows and build
 // tuples from the worker's window and calls out_alloc / ht_alloc only to
 // refill it, so a 120 000-row result and a 60 000-tuple build make at most
@@ -117,8 +94,7 @@ func TestAllocCallsPerChunk(t *testing.T) {
 		"bytecode": func() *Engine { return New(Options{Workers: workers, Mode: ModeBytecode}) },
 		"native":   func() *Engine { return New(Options{Workers: workers, Mode: ModeNative, Cost: Native()}) },
 		"adaptive-flip": func() *Engine {
-			e := New(Options{Workers: workers, Mode: ModeAdaptive, Cost: Native(), MorselSize: 1024, MorselCap: 1024})
-			flipEveryMorsel(e)
+			e, _, _ := flipEveryMorsel(Options{Workers: workers, MorselSize: 1024, MorselCap: 1024})
 			return e
 		},
 	}

@@ -16,7 +16,7 @@
 // the adaptive controller compiles a pipeline in the slot its morsel ran
 // in, for that compilation, which holds the slot like any unit of work.
 //
-// Workers are ephemeral: a Run spawns workers while fewer than the cap are
+// Workers are ephemeral: a RunTenant spawns workers while fewer than the cap are
 // alive, and a worker exits when no job has a runnable slot. An idle
 // engine holds no goroutines and needs no Close.
 package sched
@@ -86,7 +86,6 @@ type Scheduler struct {
 	jobs    []*job             // active jobs, picked weighted-fair-share
 	rr      int                // tie-break cursor into jobs
 	workers int                // live pool workers
-	tActive map[string]int     // pool workers currently leased, by tenant
 	vtime   map[string]float64 // cumulative weighted service, by tenant
 	poolMax int
 	weights map[string]int
@@ -117,7 +116,7 @@ type waiter struct {
 }
 
 // job tracks one Runner's pool state: free slot ids, active executors,
-// and the completion signal Run blocks on.
+// and the completion signal RunTenant blocks on.
 type job struct {
 	r        Runner
 	tenant   string
@@ -143,7 +142,6 @@ func New(o Options) *Scheduler {
 	}
 	return &Scheduler{poolMax: o.PoolWorkers, capacity: o.MaxQueries,
 		perTenant: o.MaxPerTenant, weights: weights,
-		tActive:  make(map[string]int),
 		vtime:    make(map[string]float64),
 		tRunning: make(map[string]int),
 		tenants:  make(map[string]*tenantCounters),
@@ -161,19 +159,14 @@ func (s *Scheduler) weightOf(tenant string) int {
 // PoolSize returns the worker-pool cap.
 func (s *Scheduler) PoolSize() int { return s.poolMax }
 
-// Admit blocks until the caller holds one of the MaxQueries execution
-// tickets (FIFO among waiters) or ctx is cancelled. It reports how long
-// the caller waited and whether it had to queue at all. On error the
-// caller holds no ticket and must not call Release.
-func (s *Scheduler) Admit(ctx context.Context) (wait time.Duration, queuedQ bool, err error) {
-	return s.AdmitTenant(ctx, "")
-}
-
-// AdmitTenant is Admit under a tenant identity: the ticket additionally
-// counts against the tenant's MaxPerTenant quota, and the wait (if any)
-// is charged to the tenant's admission counters. Admission stays FIFO
-// among waiters whose tenants have headroom; a capped tenant's waiters
-// are skipped without blocking younger waiters of other tenants.
+// AdmitTenant blocks until the caller holds one of the MaxQueries
+// execution tickets or ctx is cancelled. It reports how long the caller
+// waited and whether it had to queue at all. On error the caller holds no
+// ticket and must not call ReleaseTenant. The ticket also counts against
+// the tenant's MaxPerTenant quota ("" has none), and the wait (if any) is
+// charged to the tenant's admission counters. Admission is FIFO among
+// waiters whose tenants have headroom; a capped tenant's waiters are
+// skipped without blocking younger waiters of other tenants.
 func (s *Scheduler) AdmitTenant(ctx context.Context, tenant string) (wait time.Duration, queuedQ bool, err error) {
 	s.amu.Lock()
 	if s.canAdmitLocked(tenant) && !s.eligibleWaiterLocked() {
@@ -256,14 +249,11 @@ func (s *Scheduler) tcLocked(tenant string) *tenantCounters {
 	return tc
 }
 
-// Release returns a ticket. If an eligible query is waiting, its slot is
-// granted before the lock drops so admission order is preserved.
-func (s *Scheduler) Release() { s.ReleaseTenant("") }
-
 // ReleaseTenant returns a ticket held under a tenant identity and wakes
-// the oldest waiter (if any) whose tenant now has headroom. Unlike a
-// direct hand-over, the freed slot is re-counted through grantLocked so
-// per-tenant occupancy moves from the releasing tenant to the woken one.
+// the oldest waiter (if any) whose tenant now has headroom, granting it
+// before the lock drops so admission order is preserved. The freed slot
+// is re-counted through grantLocked, so per-tenant occupancy moves from
+// the releasing tenant to the woken one.
 func (s *Scheduler) ReleaseTenant(tenant string) {
 	s.amu.Lock()
 	s.running--
@@ -307,14 +297,12 @@ func (s *Scheduler) AdmissionStats() Stats {
 	return st
 }
 
-// Run schedules r over the pool and blocks until it is drained and every
-// executor has returned. Callers run on their own goroutine (a query's
-// coordinator); only r's slots execute on pool workers.
-func (s *Scheduler) Run(r Runner) { s.RunTenant(r, "") }
-
-// RunTenant is Run under a tenant identity: pool workers are shared by
-// weighted fair-share, so under contention the tenant's phases receive
-// workers in proportion to its configured weight.
+// RunTenant schedules r over the pool under a tenant identity and blocks
+// until it is drained and every executor has returned. Callers run on
+// their own goroutine (a query's coordinator); only r's slots execute on
+// pool workers. Pool workers are shared by weighted fair-share, so under
+// contention the tenant's phases receive workers in proportion to its
+// configured weight.
 func (s *Scheduler) RunTenant(r Runner, tenant string) { <-s.StartTenant(r, tenant) }
 
 // StartTenant is RunTenant without the wait: it schedules r and returns
@@ -388,7 +376,6 @@ func (s *Scheduler) worker() {
 		s.mu.Lock()
 		j.free = append(j.free, slot)
 		j.active--
-		s.tActive[j.tenant]--
 		if !more && !j.drained {
 			j.drained = true
 			s.removeLocked(j)
@@ -435,7 +422,6 @@ func (s *Scheduler) pickLocked() (*job, int) {
 	slot := best.free[len(best.free)-1]
 	best.free = best.free[:len(best.free)-1]
 	best.active++
-	s.tActive[best.tenant]++
 	s.vtime[best.tenant] += 1 / float64(best.weight)
 	return best, slot
 }

@@ -19,7 +19,7 @@ func TestAdmissionCap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := s.Admit(context.Background()); err != nil {
+			if _, _, err := s.AdmitTenant(context.Background(), ""); err != nil {
 				t.Error(err)
 				return
 			}
@@ -33,7 +33,7 @@ func TestAdmissionCap(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			cur.Add(-1)
 			total.Add(1)
-			s.Release()
+			s.ReleaseTenant("")
 		}()
 	}
 	wg.Wait()
@@ -55,7 +55,7 @@ func TestAdmissionCap(t *testing.T) {
 // TestAdmissionFIFO asserts waiters are granted in arrival order.
 func TestAdmissionFIFO(t *testing.T) {
 	s := New(Options{PoolWorkers: 1, MaxQueries: 1})
-	if _, _, err := s.Admit(context.Background()); err != nil {
+	if _, _, err := s.AdmitTenant(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
 	const n = 6
@@ -68,14 +68,14 @@ func TestAdmissionFIFO(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, _, err := s.Admit(context.Background()); err != nil {
+			if _, _, err := s.AdmitTenant(context.Background(), ""); err != nil {
 				t.Error(err)
 				return
 			}
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
-			s.Release()
+			s.ReleaseTenant("")
 		}(i)
 		deadline := time.Now().Add(2 * time.Second)
 		for s.AdmissionStats().Waiting != i+1 {
@@ -85,7 +85,7 @@ func TestAdmissionFIFO(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	s.Release() // hand the ticket down the queue
+	s.ReleaseTenant("") // hand the ticket down the queue
 	wg.Wait()
 	for i, got := range order {
 		if got != i {
@@ -98,7 +98,7 @@ func TestAdmissionFIFO(t *testing.T) {
 // queued flag, and an uncontended admit reports neither.
 func TestAdmissionWaitTime(t *testing.T) {
 	s := New(Options{PoolWorkers: 1, MaxQueries: 1})
-	wait, queued, err := s.Admit(context.Background())
+	wait, queued, err := s.AdmitTenant(context.Background(), "")
 	if err != nil || queued || wait != 0 {
 		t.Fatalf("uncontended admit: wait=%v queued=%v err=%v", wait, queued, err)
 	}
@@ -106,10 +106,10 @@ func TestAdmissionWaitTime(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		time.Sleep(hold)
-		s.Release()
+		s.ReleaseTenant("")
 		close(done)
 	}()
-	wait, queued, err = s.Admit(context.Background())
+	wait, queued, err = s.AdmitTenant(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,20 +123,20 @@ func TestAdmissionWaitTime(t *testing.T) {
 	if st := s.AdmissionStats(); st.WaitTime < hold/2 || st.Queued != 1 {
 		t.Errorf("stats: %+v", st)
 	}
-	s.Release()
+	s.ReleaseTenant("")
 }
 
 // TestAdmitCancelledWhileQueued asserts a context death in the queue
 // returns the cause, leaks no ticket, and keeps later waiters moving.
 func TestAdmitCancelledWhileQueued(t *testing.T) {
 	s := New(Options{PoolWorkers: 1, MaxQueries: 1})
-	if _, _, err := s.Admit(context.Background()); err != nil {
+	if _, _, err := s.AdmitTenant(context.Background(), ""); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := s.Admit(ctx)
+		_, _, err := s.AdmitTenant(ctx, "")
 		errc <- err
 	}()
 	for s.AdmissionStats().Waiting != 1 {
@@ -150,11 +150,11 @@ func TestAdmitCancelledWhileQueued(t *testing.T) {
 		t.Fatalf("cancelled waiter still queued: %+v", st)
 	}
 	// The ticket must still cycle: release and re-admit immediately.
-	s.Release()
-	if _, queued, err := s.Admit(context.Background()); err != nil || queued {
+	s.ReleaseTenant("")
+	if _, queued, err := s.AdmitTenant(context.Background(), ""); err != nil || queued {
 		t.Fatalf("admission broken after queue cancellation: queued=%v err=%v", queued, err)
 	}
-	s.Release()
+	s.ReleaseTenant("")
 }
 
 // TestCapOneSerializes asserts cap=1 reduces the engine to the paper's
@@ -167,7 +167,7 @@ func TestCapOneSerializes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := s.Admit(context.Background()); err != nil {
+			if _, _, err := s.AdmitTenant(context.Background(), ""); err != nil {
 				t.Error(err)
 				return
 			}
@@ -176,7 +176,7 @@ func TestCapOneSerializes(t *testing.T) {
 			}
 			time.Sleep(200 * time.Microsecond)
 			cur.Add(-1)
-			s.Release()
+			s.ReleaseTenant("")
 		}()
 	}
 	wg.Wait()
@@ -221,7 +221,7 @@ func (j *countJob) RunSlot(slot int) bool {
 func TestRunDrainsExactly(t *testing.T) {
 	s := New(Options{PoolWorkers: 4, MaxQueries: 8})
 	j := newCountJob(500, 3)
-	s.Run(j)
+	s.RunTenant(j, "")
 	if j.ran.Load() != 500 {
 		t.Errorf("ran %d units, want 500", j.ran.Load())
 	}
@@ -250,8 +250,8 @@ func TestRoundRobinFairness(t *testing.T) {
 	b.trace = mkTrace(1)
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); s.Run(a) }()
-	go func() { defer wg.Done(); s.Run(b) }()
+	go func() { defer wg.Done(); s.RunTenant(a, "") }()
+	go func() { defer wg.Done(); s.RunTenant(b, "") }()
 	wg.Wait()
 	if a.ran.Load() != 50 || b.ran.Load() != 50 {
 		t.Fatalf("ran %d/%d units", a.ran.Load(), b.ran.Load())
@@ -283,7 +283,7 @@ func TestRoundRobinFairness(t *testing.T) {
 func TestPoolIdlesToZero(t *testing.T) {
 	s := New(Options{PoolWorkers: 4, MaxQueries: 8})
 	for i := 0; i < 3; i++ {
-		s.Run(newCountJob(100, 4))
+		s.RunTenant(newCountJob(100, 4), "")
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
