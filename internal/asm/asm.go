@@ -8,9 +8,18 @@
 // assemble latency stays at or below bytecode translation.
 // A TPDE-style single-pass register allocator (regalloc_amd64.go) keeps
 // SSA values live in machine registers across the stitched templates
-// within a block, spilling to register-file slots only under pressure
+// within a block and along chains of blocks laid out on sole-predecessor
+// fall-through, spilling to register-file slots only under pressure
 // and flushing every live register to its canonical slot at each exit
-// point, so all other tiers stay bit-compatible.
+// point, so all other tiers stay bit-compatible. Every pool register
+// survives a memory access: a segment translation uses RAX, RCX and RDX
+// only. As LLVM's instruction selection does for the paper, the emitter
+// folds a single-use GEP into its access's address, reads a constant
+// base's segment header directly, translates a base accessed twice or
+// more in a chain once, into two frame slots that every extern call
+// invalidates, and lowers the §IV-F checked-arithmetic group to the op
+// plus JO. An access not provably inside its segment takes the full
+// translation of its exact address out of line, faulting as before.
 //
 // Generated code executes against the same state as every other tier: the
 // per-frame register file (one 8-byte slot per SSA value, pinned in R12),

@@ -60,13 +60,23 @@ type compiler struct {
 	f        *ir.Function
 	ra       *regAlloc
 	preds    [][]*ir.Block
-	slot     []int32 // value ID → register-file slot (-1 = none / constant)
-	uses     []int32 // value ID → operand use count
-	fused    []bool  // block ID → terminator consumes the flags of the last instr
-	selFuse  []bool  // value ID → ICmp whose flags feed the immediately following Select
-	blockL   []int   // block ID → label
-	scratch  int32   // cycle-breaking slot for φ-moves
+	slot     []int32     // value ID → register-file slot (-1 = none / constant)
+	uses     []int32     // value ID → operand use count
+	fused    []bool      // block ID → terminator consumes the flags of the last instr
+	ovf      []*ir.Value // block ID → value extract of the checked group ending it (ir.CheckedBranch)
+	selFuse  []bool      // value ID → ICmp whose flags feed the immediately following Select
+	order    []*ir.Block // emission layout (see layout)
+	inherit  []bool      // block ID → sole predecessor is the block laid out before it
+	blockL   []int       // block ID → label
+	scratch  int32       // cycle-breaking slot for φ-moves
 	numSlots int
+
+	// Memory accesses (see planAccesses).
+	fold   []bool       // value ID → GEP folded into the access that follows it
+	group  []int32      // access value ID → chain group, -1 = none
+	groups []chainGroup // in emission order
+	slow   []slowAccess // out-of-line full translations of fast accesses
+	cs     *census      // nil unless a test asked for one
 
 	trapOvfL, trapDivL, faultL int
 	sideExits                  []sideExit
@@ -79,16 +89,21 @@ type compiler struct {
 // the original intact pass a clone.
 // Functions using an op the templates do not cover return an error
 // wrapping ErrUnsupported and the engine leaves the pipeline where it is.
-func Compile(f *ir.Function) (*Code, error) {
+func Compile(f *ir.Function) (*Code, error) { return compile(f, nil) }
+
+// compile is Compile, counting its choices into cs when cs is not nil.
+func compile(f *ir.Function, cs *census) (*Code, error) {
 	f.SplitCriticalEdges()
-	c := &compiler{f: f, a: newAsmBuf(64 + f.NumInstrs()*48)}
+	c := &compiler{f: f, a: newAsmBuf(64 + f.NumInstrs()*48), cs: cs}
 	if err := c.assignSlots(); err != nil {
 		return nil, err
 	}
-	c.ra = newRegAlloc(c)
 	c.preds = f.Preds()
 	c.exitKeys = make(map[string]int)
 	c.analyze()
+	c.layout()
+	c.planAccesses()
+	c.ra = newRegAlloc(c)
 	c.trapOvfL = c.a.label()
 	c.trapDivL = c.a.label()
 	c.faultL = c.a.label()
@@ -96,7 +111,7 @@ func Compile(f *ir.Function) (*Code, error) {
 	for i := range f.Blocks {
 		c.blockL[i] = c.a.label()
 	}
-	for i, b := range f.Blocks {
+	for i, b := range c.order {
 		if err := c.emitBlock(i, b); err != nil {
 			return nil, err
 		}
@@ -144,9 +159,10 @@ func (c *compiler) assignSlots() error {
 // analyze counts operand uses and finds the flag-fusion opportunities:
 // per block, whether the terminator can consume the condition flags of
 // the block's last instruction directly (ICmp feeding CondBr with no
-// other use), and ICmp results consumed solely by the immediately
-// following Select, which then compiles to CMP+CMOVcc with no SETcc
-// materialization.
+// other use, or the checked-arithmetic group of §IV-F, whose op then
+// branches on OF with JO: no SETO, no pair in slots), and ICmp results
+// consumed solely by the immediately following Select, which then
+// compiles to CMP+CMOVcc with no SETcc materialization.
 func (c *compiler) analyze() {
 	c.uses = make([]int32, c.f.NumValues())
 	for _, b := range c.f.Blocks {
@@ -162,8 +178,12 @@ func (c *compiler) analyze() {
 		}
 	}
 	c.fused = make([]bool, len(c.f.Blocks))
+	c.ovf = make([]*ir.Value, len(c.f.Blocks))
 	c.selFuse = make([]bool, c.f.NumValues())
 	for _, b := range c.f.Blocks {
+		if _, result := ir.CheckedBranch(b, c.uses); result != nil {
+			c.ovf[b.ID] = result
+		}
 		t := b.Term
 		if t != nil && t.Op == ir.OpCondBr && len(b.Instrs) > 0 {
 			last := b.Instrs[len(b.Instrs)-1]
@@ -177,6 +197,225 @@ func (c *compiler) analyze() {
 			}
 		}
 	}
+}
+
+// layout orders the blocks for emission. It walks the function's block
+// order, and after each block places its continuation — the target of an
+// unconditional branch, or the no-overflow target of a checked group —
+// when that block has no other predecessor: the two then form a chain,
+// and the continuation inherits its predecessor's registers. Overflow
+// targets are laid out last, out of line, so they never break a chain.
+// The entry block stays first: the code is entered at offset 0.
+func (c *compiler) layout() {
+	n := len(c.f.Blocks)
+	outOfLine := make([]bool, n)
+	for _, b := range c.f.Blocks {
+		if c.ovf[b.ID] != nil {
+			if t := b.Term.Targets[0]; t != c.f.Blocks[0] {
+				outOfLine[t.ID] = true
+			}
+		}
+	}
+	placed := make([]bool, n)
+	c.order = make([]*ir.Block, 0, n)
+	chain := func(b *ir.Block) {
+		for b != nil && !placed[b.ID] {
+			placed[b.ID] = true
+			c.order = append(c.order, b)
+			var next *ir.Block
+			switch t := b.Term; {
+			case t == nil:
+			case t.Op == ir.OpBr:
+				next = t.Targets[0]
+			case c.ovf[b.ID] != nil:
+				next = t.Targets[1]
+			}
+			if next == nil || outOfLine[next.ID] || len(c.preds[next.ID]) != 1 {
+				break
+			}
+			b = next
+		}
+	}
+	for _, b := range c.f.Blocks {
+		if !outOfLine[b.ID] {
+			chain(b)
+		}
+	}
+	for _, b := range c.f.Blocks {
+		chain(b)
+	}
+	c.inherit = make([]bool, n)
+	for i := 1; i < n; i++ {
+		b := c.order[i]
+		ps := c.preds[b.ID]
+		c.inherit[b.ID] = len(ps) == 1 && ps[0] == c.order[i-1]
+	}
+}
+
+// chainGroup is the accesses of one chain, between two extern calls, off
+// one non-constant base at constant offsets. A group of two or more
+// translates its base once, at its first access, into two frame slots:
+// slot holds the host address of the base, slot+1 the bytes from there
+// to the segment's end (negative when the base is past it, or its
+// segment is not mapped). Every access of the group then checks its
+// offset against the second and addresses off the first.
+type chainGroup struct {
+	seg  int32 // chain segment: one per chain, and one more per extern call
+	n    int32 // accesses
+	slot int32 // -1 for a lone access, which translates in full
+	done bool  // the translation has been emitted
+}
+
+// planAccesses decides, before emission, how each load and store reaches
+// memory. A GEP whose only use is the access right after it folds into
+// that access's address. An access at a constant offset in [0, 2^31) off
+// a non-constant base joins the base's group of its chain segment (see
+// chainGroup). The chain is the layout's: the translation is valid from
+// the group's first access to the end of the chain, since each later
+// block is entered only from the one before it. An extern call ends the
+// segment, because it is the only point that refreshes the segment-table
+// snapshot, whose backing arrays the cached host addresses point into.
+// Groups of one segment use distinct slot pairs; later segments reuse
+// them, so the frame grows by the largest segment's needs only.
+func (c *compiler) planAccesses() {
+	nv := c.f.NumValues()
+	c.fold = make([]bool, nv)
+	c.group = make([]int32, nv)
+	last := make([]int32, 2*nv) // base ID → (segment+1 of its open group, group)
+	seg := int32(0)
+	for _, b := range c.order {
+		if !c.inherit[b.ID] {
+			seg++
+		}
+		for j, in := range b.Instrs {
+			c.group[in.ID] = -1
+			if in.Op == ir.OpCall {
+				seg++
+			}
+			if in.Op != ir.OpLoad && in.Op != ir.OpStore {
+				continue
+			}
+			if j > 0 && forwarded(in, b.Instrs[j-1]) {
+				continue
+			}
+			a := in.Args[0]
+			if a.IsInstr() && a.Op == ir.OpGEP && j > 0 && b.Instrs[j-1] == a && c.uses[a.ID] == 1 {
+				c.fold[a.ID] = true
+			}
+			base, idx, _, k := addrParts(a)
+			if base.IsConst() || idx != nil || !groupOffset(k, accessWidth(in)) {
+				continue
+			}
+			if last[2*base.ID] != seg+1 {
+				c.groups = append(c.groups, chainGroup{seg: seg, slot: -1})
+				last[2*base.ID], last[2*base.ID+1] = seg+1, int32(len(c.groups)-1)
+			}
+			g := last[2*base.ID+1]
+			c.groups[g].n++
+			c.group[in.ID] = g
+		}
+	}
+	cur, next, most := int32(-1), int32(0), int32(0)
+	for i := range c.groups {
+		g := &c.groups[i]
+		if g.n < 2 {
+			continue
+		}
+		if g.seg != cur {
+			cur, next = g.seg, 0
+		}
+		g.slot = int32(c.numSlots) + 2*next
+		next++
+		most = max(most, next)
+	}
+	c.numSlots += 2 * int(most)
+}
+
+// addrParts splits an access's address into base + idx*scale + k; idx is
+// nil when the address is base + k, as for any address not made by a
+// GEP (k = 0) or made by one with a constant index.
+func addrParts(a *ir.Value) (base, idx *ir.Value, scale, k uint64) {
+	if !a.IsInstr() || a.Op != ir.OpGEP {
+		return a, nil, 0, 0
+	}
+	base, idx, scale, k = a.Args[0], a.Args[1], a.Lit, a.Lit2
+	if scale == 0 {
+		return base, nil, 0, k
+	}
+	if idx.IsConst() {
+		return base, nil, 0, k + idx.Const*scale
+	}
+	return base, idx, scale, k
+}
+
+// groupOffset reports whether an access of w bytes at offset k from its
+// base can be checked against a group's remaining length with one
+// sign-extended 32-bit compare.
+func groupOffset(k uint64, w int32) bool { return k <= uint64(math.MaxInt32-w) }
+
+// accessWidth is the byte width a load or store moves.
+func accessWidth(in *ir.Value) int32 {
+	if in.Op == ir.OpLoad {
+		return int32(in.Type.Width())
+	}
+	return int32(in.Args[1].Type.Width())
+}
+
+// forwarded reports a load straight after a store to the same address
+// value with the same width, which reads the stored register instead of
+// memory.
+func forwarded(in, prev *ir.Value) bool {
+	return in.Op == ir.OpLoad && prev.Op == ir.OpStore &&
+		prev.Args[0] == in.Args[0] && int32(prev.Args[1].Type.Width()) == accessWidth(in)
+}
+
+// Access paths, as census counts them.
+const (
+	pathFull      = iota // full translation of the exact address, inline
+	pathConstSeg         // constant base: reads its segment's slice header
+	pathTranslate        // first access of a chain group: translates the base
+	pathCached           // later access of a chain group: reuses the translation
+	pathForwarded        // store-to-load forwarded: no memory access
+	numPaths
+)
+
+// census counts what one compilation chose: the path of every memory
+// access, and the checked ops that still materialize their flag with
+// SETO. Tests compile through it; Compile passes none.
+type census struct {
+	paths [numPaths]int
+	seto  int
+	path  map[int]int // access value ID → path
+}
+
+func (c *compiler) count(in *ir.Value, path int) {
+	if c.cs != nil {
+		c.cs.paths[path]++
+		c.cs.path[in.ID] = path
+	}
+}
+
+// slowAccess is the out-of-line fallback of a fast access: the full
+// translation of the access's exact address, the access itself, and a
+// jump back. The address is src (a register or a slot) plus k, or the
+// immediate k plus RCX when plusRCX is set, or the immediate k alone.
+type slowAccess struct {
+	label, back, fault int
+	acc                access
+	srcReg             int   // GPR holding the address source, or -1
+	srcSlot            int32 // else the source's slot, or -1 for none
+	plusRCX            bool
+	k                  uint64
+}
+
+// access is what an access moves: the load's destination or the stored
+// value, in reg (a GPR, or xmmBase+x), or the stored immediate imm when
+// reg < 0.
+type access struct {
+	load bool
+	w    int32
+	reg  int
+	imm  int32
 }
 
 // --- operand helpers -------------------------------------------------
@@ -433,12 +672,7 @@ func (c *compiler) emitBlock(i int, b *ir.Block) error {
 	// emits MOVs and jumps only), so cached clean values carry across — the
 	// extended-basic-block case. Everything else starts from canonical
 	// slots.
-	inherit := false
-	if i > 0 {
-		ps := c.preds[b.ID]
-		inherit = len(ps) == 1 && ps[0] == c.f.Blocks[i-1]
-	}
-	c.ra.begin(b, inherit)
+	c.ra.begin(b, c.inherit[b.ID])
 	for j, in := range b.Instrs {
 		if in.Op == ir.OpPhi {
 			if in.Type == ir.Pair {
@@ -455,8 +689,8 @@ func (c *compiler) emitBlock(i int, b *ir.Block) error {
 		}
 	}
 	var next *ir.Block
-	if i+1 < len(c.f.Blocks) {
-		next = c.f.Blocks[i+1]
+	if i+1 < len(c.order) {
+		next = c.order[i+1]
 	}
 	return c.emitTerm(b, next)
 }
@@ -477,62 +711,47 @@ func (c *compiler) emitCmp(x, y *ir.Value) {
 	}
 }
 
-// segTranslate expects a segmented address in RAX and emits the
-// translation sequence: bounds-check the segment index against RBX, load
-// the segment's data pointer into RDX and length into RSI from the table
-// at R15, extract the 48-bit offset into RDI, and bounds-check
-// offset+width against the length. Faults jump to faultL (the shared
-// stub or a dirty-spilling side exit) with the address still in RAX.
-// Clobbers RCX, RDX, RSI, RDI, R8.
+// segTranslate expects a segmented address in RAX and emits its full
+// translation: bounds-check the segment index against RBX, extract the
+// 48-bit offset, bounds-check offset+width against the segment's length
+// in the table at R15, and load the segment's data pointer. It leaves the
+// data pointer in RCX and offset+width in RDX, so the access is
+// [RCX+RDX-width] (transMem). Faults jump to faultL (the shared stub or a
+// dirty-spilling side exit) with the address still in RAX. Uses only
+// RAX, RCX and RDX: every pool register survives it.
 func (c *compiler) segTranslate(width int32, faultL int) {
 	c.a.movRegReg(rCX, rAX)
 	c.a.shiftImm(5, rCX, 48) // shr: segment index
 	c.a.aluRegReg(aluCmp, rCX, rBX)
 	c.a.jcc(ccAE, faultL)
-	c.a.leaRegMem(rCX, mem{base: rCX, index: rCX, scale: 2})          // ×3: slice headers are 24 bytes
-	c.a.movRegMem(rDX, mem{base: r15, index: rCX, scale: 8})          // data pointer
-	c.a.movRegMem(rSI, mem{base: r15, index: rCX, scale: 8, disp: 8}) // length
-	c.a.movRegReg(rDI, rAX)
-	c.a.shiftImm(4, rDI, 16) // shl
-	c.a.shiftImm(5, rDI, 16) // shr: 48-bit offset
-	c.a.leaRegMem(r8, memBD(rDI, width))
-	c.a.aluRegReg(aluCmp, r8, rSI)
+	c.a.leaRegMem(rCX, mem{base: rCX, index: rCX, scale: 2}) // ×3: slice headers are 24 bytes
+	c.a.movRegReg(rDX, rAX)
+	c.a.shiftImm(4, rDX, 16) // shl
+	c.a.shiftImm(5, rDX, 16) // shr: 48-bit offset
+	c.a.aluRegImm32(aluAdd, rDX, width)
+	c.a.aluRegMem(aluCmp, rDX, mem{base: r15, index: rCX, scale: 8, disp: 8}) // length
 	c.a.jcc(ccA, faultL)
+	c.a.movRegMem(rCX, mem{base: r15, index: rCX, scale: 8}) // data pointer
 }
 
+// transMem addresses the bytes segTranslate found.
+func transMem(width int32) mem { return mem{base: rCX, index: rDX, scale: 1, disp: -width} }
+
+// segHeader addresses field off (0 data pointer, 8 length) of constant
+// segment s's slice header in the snapshot at R15.
+func segHeader(s uint64, off int32) mem { return memBD(r15, int32(s)*24+off) }
+
 func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
+	if in.Op == ir.OpGEP && c.fold[in.ID] {
+		return nil // its access computes the address
+	}
+	if r := c.ovf[b.ID]; r != nil && (in == r || in == b.Term.Args[0]) {
+		return nil // the checked op defined the value; the flag is OF
+	}
 	c.ra.consume(in)
 	switch in.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor:
-		x := c.useAlloc(in.Args[0], rAX)
-		if v, ok := imm32(in.Args[1]); ok {
-			if in.Op == ir.OpMul {
-				dst := c.ra.defGPR(in)
-				c.a.imulRegRegImm32(dst, x, v)
-			} else {
-				dst := c.ra.defGPR(in)
-				if dst != x {
-					c.a.movRegReg(dst, x)
-				}
-				c.a.aluRegImm32(aluOpFor(in.Op), dst, v)
-			}
-		} else {
-			yr, ym, ymem := c.rhs(in.Args[1], rCX, x)
-			dst := c.ra.defGPR(in, yr)
-			if dst != x {
-				c.a.movRegReg(dst, x)
-			}
-			switch {
-			case in.Op == ir.OpMul && ymem:
-				c.a.imulRegMem(dst, ym)
-			case in.Op == ir.OpMul:
-				c.a.imulRegReg(dst, yr)
-			case ymem:
-				c.a.aluRegMem(aluOpFor(in.Op), dst, ym)
-			default:
-				c.a.aluRegReg(aluOpFor(in.Op), dst, yr)
-			}
-		}
+		c.emitALU(in.Op, in, in.Args[0], in.Args[1])
 
 	case ir.OpShl, ir.OpLShr, ir.OpAShr:
 		ext := map[ir.Op]int{ir.OpShl: 4, ir.OpLShr: 5, ir.OpAShr: 7}[in.Op]
@@ -671,6 +890,22 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 		c.a.movzxRegReg8(dst, rAX)
 
 	case ir.OpSAddOvf, ir.OpSSubOvf, ir.OpSMulOvf:
+		if r := c.ovf[b.ID]; r != nil && r.Args[0] == in {
+			// The group's value extract takes the result; the terminator
+			// branches on the OF the op leaves.
+			op := ir.OpAdd
+			switch in.Op {
+			case ir.OpSSubOvf:
+				op = ir.OpSub
+			case ir.OpSMulOvf:
+				op = ir.OpMul
+			}
+			c.emitALU(op, r, in.Args[0], in.Args[1])
+			return nil
+		}
+		if c.cs != nil {
+			c.cs.seto++
+		}
 		c.ldInto(rAX, in.Args[0])
 		y := c.use(in.Args[1], rCX)
 		switch in.Op {
@@ -741,92 +976,8 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 		dst := c.ra.defGPR(in)
 		c.a.cvttsd2si(dst, x) // CVTTSD2SI is exactly Go's int64(float64) on amd64
 
-	case ir.OpLoad:
-		w := int32(in.Type.Width())
-		if w == 0 {
-			return fmt.Errorf("asm: load of %v: %w", in.Type, ErrUnsupported)
-		}
-		// Store-to-load forwarding: a load straight after a store to the
-		// same address value with matching width must see exactly the
-		// stored bytes, so the memory access (and its fault check, which
-		// the store already passed) is replaced by a register move. The
-		// store itself still executes, keeping the memory image identical.
-		if prev != nil && prev.Op == ir.OpStore &&
-			prev.Args[0] == in.Args[0] && int32(prev.Args[1].Type.Width()) == w {
-			v := prev.Args[1]
-			if in.Type == ir.F64 {
-				src := c.useX(v, 0)
-				dst := c.defX(in)
-				if dst != src {
-					c.a.movsdRegReg(dst, src)
-				}
-				return nil
-			}
-			src := c.use(v, rAX)
-			dst := c.ra.defGPR(in)
-			switch w {
-			case 1:
-				c.a.movzxRegReg8(dst, src)
-			case 2:
-				c.a.movzxRegReg16(dst, src)
-			case 4:
-				c.a.movRegReg32(dst, src)
-			default:
-				if dst != src {
-					c.a.movRegReg(dst, src)
-				}
-			}
-			return nil
-		}
-		c.ldInto(rAX, in.Args[0])
-		c.ra.clobber(rSI, rDI, r8)
-		fl := c.trapLabel(c.faultL)
-		c.segTranslate(w, fl)
-		dm := mem{base: rDX, index: rDI, scale: 1}
-		if in.Type == ir.F64 {
-			dst := c.defX(in)
-			c.a.movsdLoad(dst, dm)
-			return nil
-		}
-		dst := c.ra.defGPR(in)
-		switch w {
-		case 1:
-			c.a.movzxRegMem8(dst, dm)
-		case 2:
-			c.a.movzxRegMem16(dst, dm)
-		case 4:
-			c.a.movRegMem32(dst, dm)
-		default:
-			c.a.movRegMem(dst, dm)
-		}
-
-	case ir.OpStore:
-		w := int32(in.Args[1].Type.Width())
-		if w == 0 {
-			return fmt.Errorf("asm: store of %v: %w", in.Args[1].Type, ErrUnsupported)
-		}
-		// The stored value must survive segTranslate; R9..R11 do.
-		vr := c.ra.regOf(in.Args[1])
-		if vr != r9 && vr != r10 && vr != r11 {
-			c.ra.clobber(r9)
-			c.ldInto(r9, in.Args[1])
-			vr = r9
-		}
-		c.ldInto(rAX, in.Args[0])
-		c.ra.clobber(rSI, rDI, r8)
-		fl := c.trapLabel(c.faultL)
-		c.segTranslate(w, fl)
-		dm := mem{base: rDX, index: rDI, scale: 1}
-		switch w {
-		case 1:
-			c.a.movMemReg8(dm, vr)
-		case 2:
-			c.a.movMemReg16(dm, vr)
-		case 4:
-			c.a.movMemReg32(dm, vr)
-		default:
-			c.a.movMemReg(dm, vr)
-		}
+	case ir.OpLoad, ir.OpStore:
+		return c.emitAccess(in, prev)
 
 	case ir.OpGEP:
 		x := c.useAlloc(in.Args[0], rAX)
@@ -919,6 +1070,322 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 	return nil
 }
 
+// emitAccess emits a load or a store along the path planAccesses chose;
+// loads and stores differ only in the direction of the final move.
+//
+//   - Constant base: a constant address, or a folded GEP off a constant
+//     base, knows its segment s, so it checks s against RBX and its offset
+//     against the length in s's slice header at [R15+24·s], and addresses
+//     off the header's data pointer.
+//   - Chain group: the group's first access translates the base into its
+//     two slots; every access compares its offset against the remaining
+//     length and addresses off the host address.
+//   - Otherwise, the full translation of the exact address, inline.
+//
+// A fast access that fails its check is not provably inside its segment:
+// it takes the full translation of its exact address out of line, which
+// faults with today's address, side exit and spill set, or performs the
+// access (a GEP may step into another segment) and jumps back.
+func (c *compiler) emitAccess(in, prev *ir.Value) error {
+	load := in.Op == ir.OpLoad
+	w := accessWidth(in)
+	if w == 0 {
+		ty := in.Type
+		if !load {
+			ty = in.Args[1].Type
+		}
+		return fmt.Errorf("asm: %v of %v: %w", in.Op, ty, ErrUnsupported)
+	}
+	if prev != nil && forwarded(in, prev) {
+		// Store-to-load forwarding: the load must see exactly the stored
+		// bytes, so the memory access (and its fault check, which the
+		// store already passed) is replaced by a register move. The store
+		// itself still executes, keeping the memory image identical.
+		c.count(in, pathForwarded)
+		c.forward(in, prev.Args[1], w)
+		return nil
+	}
+	addr := in.Args[0]
+	base, idx, scale, k := addrParts(addr)
+	folded := addr.IsInstr() && c.fold[addr.ID]
+	// src+srcK rebuilds the exact address off the fast path: the held GEP's
+	// base, or the address value itself when no GEP is folded into it.
+	src, srcK := addr, uint64(0)
+	if folded || addr == base {
+		src, srcK = base, k
+	}
+	var excl []int
+	if p := c.ra.regOf(src); p >= 0 && p < xmmBase {
+		excl = []int{p}
+	}
+	x := access{load: load, w: w}
+	if !load {
+		// Before the fault label: loading the value may take a register
+		// whose old occupant the label's dirty set would store.
+		x.reg, x.imm = c.storeSrc(in.Args[1], w, excl...)
+	}
+	fl := c.trapLabel(c.faultL)
+	if load && in.Type == ir.F64 {
+		x.reg = xmmBase + c.defX(in)
+	} else if load {
+		x.reg = c.ra.defGPR(in, excl...)
+	}
+	g := int32(-1)
+	if c.group[in.ID] >= 0 && c.groups[c.group[in.ID]].slot >= 0 {
+		g = c.group[in.ID]
+	}
+	switch {
+	case base.IsConst() && idx == nil && groupOffset((base.Const+k)&rt.OffMask, w):
+		a := base.Const + k
+		s, off := a>>rt.SegShift, int32(a&rt.OffMask)
+		slow := c.a.label()
+		c.a.aluRegImm32(aluCmp, rBX, int32(s))
+		c.a.jcc(ccBE, slow)
+		c.a.aluMemImm32(aluCmp, segHeader(s, 8), off+w)
+		c.a.jcc(ccB, slow) // length < offset+width
+		c.a.movRegMem(rDX, segHeader(s, 0))
+		c.move(x, memBD(rDX, off))
+		c.slowPath(slow, x, fl, nil, a, false)
+		c.count(in, pathConstSeg)
+
+	case base.IsConst() && idx != nil && folded:
+		s := base.Const >> rt.SegShift
+		c.offsetInto(idx, scale, base.Const&rt.OffMask+k)
+		slow := c.a.label()
+		c.a.aluRegImm32(aluCmp, rBX, int32(s))
+		c.a.jcc(ccBE, slow)
+		c.a.movRegMem(rDX, segHeader(s, 8))
+		c.a.aluRegImm32(aluSub, rDX, w)
+		c.a.jcc(ccB, slow) // length < width
+		c.a.aluRegReg(aluCmp, rCX, rDX)
+		c.a.jcc(ccA, slow) // offset > length-width, negative offsets included
+		c.a.movRegMem(rDX, segHeader(s, 0))
+		c.move(x, mem{base: rDX, index: rCX, scale: 1})
+		c.slowPath(slow, x, fl, nil, s<<rt.SegShift, true)
+		c.count(in, pathConstSeg)
+
+	case g >= 0:
+		gr := &c.groups[g]
+		if !gr.done {
+			gr.done = true
+			c.translateBase(base, gr.slot)
+			c.count(in, pathTranslate)
+		} else {
+			c.count(in, pathCached)
+		}
+		slow := c.a.label()
+		c.a.aluMemImm32(aluCmp, slotMem(int(gr.slot+1)), int32(k)+w)
+		c.a.jcc(ccL, slow) // remaining < offset+width, signed
+		c.a.movRegMem(rDX, slotMem(int(gr.slot)))
+		c.move(x, memBD(rDX, int32(k)))
+		c.slowPath(slow, x, fl, src, srcK, false)
+
+	default:
+		if folded {
+			c.addrInto(base, idx, scale, k)
+		} else {
+			c.ldInto(rAX, addr)
+		}
+		c.segTranslate(w, fl)
+		c.move(x, transMem(w))
+		c.count(in, pathFull)
+	}
+	return nil
+}
+
+// forward emits a forwarded load of w bytes: in takes the stored value v.
+func (c *compiler) forward(in, v *ir.Value, w int32) {
+	if in.Type == ir.F64 {
+		src := c.useX(v, 0)
+		dst := c.defX(in)
+		if dst != src {
+			c.a.movsdRegReg(dst, src)
+		}
+		return
+	}
+	src := c.use(v, rAX)
+	dst := c.ra.defGPR(in)
+	switch w {
+	case 1:
+		c.a.movzxRegReg8(dst, src)
+	case 2:
+		c.a.movzxRegReg16(dst, src)
+	case 4:
+		c.a.movRegReg32(dst, src)
+	default:
+		if dst != src {
+			c.a.movRegReg(dst, src)
+		}
+	}
+}
+
+// storeSrc returns where a store's value comes from: the pool register
+// (GPR or XMM) caching it, or, with reg -1, a sign-extended 32-bit
+// immediate for a qword store. Any other value is loaded into a pool
+// register, which keeps it if the block reads it again. Never a scratch
+// register: the store's translation uses all three.
+func (c *compiler) storeSrc(v *ir.Value, w int32, excl ...int) (reg int, imm int32) {
+	if v.IsConst() {
+		if iv, ok := imm32(v); ok && w == 8 {
+			return -1, iv
+		}
+		p := c.ra.alloc(gprPool, excl...)
+		c.a.movRegImm64(p, v.Const)
+		return p, 0
+	}
+	if p := c.ra.regOf(v); p >= 0 {
+		return p, 0
+	}
+	p := c.ra.alloc(gprPool, excl...)
+	c.a.movRegMem(p, slotMem(int(c.slot[v.ID])))
+	if c.ra.nextUse(v.ID) != noUse {
+		c.ra.mapTo(v, p, false)
+	}
+	return p, 0
+}
+
+// move emits the access's one memory move at m.
+func (c *compiler) move(x access, m mem) {
+	switch {
+	case x.load && x.reg >= xmmBase:
+		c.a.movsdLoad(x.reg-xmmBase, m)
+	case x.load && x.w == 1:
+		c.a.movzxRegMem8(x.reg, m)
+	case x.load && x.w == 2:
+		c.a.movzxRegMem16(x.reg, m)
+	case x.load && x.w == 4:
+		c.a.movRegMem32(x.reg, m)
+	case x.load:
+		c.a.movRegMem(x.reg, m)
+	case x.reg < 0:
+		c.a.movMemImm32(m, x.imm)
+	case x.reg >= xmmBase:
+		c.a.movsdStore(m, x.reg-xmmBase)
+	case x.w == 1:
+		c.a.movMemReg8(m, x.reg)
+	case x.w == 2:
+		c.a.movMemReg16(m, x.reg)
+	case x.w == 4:
+		c.a.movMemReg32(m, x.reg)
+	default:
+		c.a.movMemReg(m, x.reg)
+	}
+}
+
+// slowPath records the out-of-line full translation that the fast
+// access ending here branches to at label l, and binds the point it
+// jumps back to. The exact address is src+k (src in its register or slot
+// as it is now, after every allocation the access made), or the
+// immediate k, plus RCX when plusRCX.
+func (c *compiler) slowPath(l int, x access, fault int, src *ir.Value, k uint64, plusRCX bool) {
+	sa := slowAccess{label: l, back: c.a.label(), fault: fault, acc: x,
+		srcReg: -1, srcSlot: -1, plusRCX: plusRCX, k: k}
+	if src != nil {
+		if p := c.ra.regOf(src); p >= 0 {
+			sa.srcReg = p
+		} else {
+			sa.srcSlot = c.slot[src.ID]
+		}
+	}
+	c.a.bind(sa.back)
+	c.slow = append(c.slow, sa)
+}
+
+// translateBase translates the non-constant base into its group's slots:
+// the host address at slot, the bytes left in its segment from there at
+// slot+1. A base whose segment is not in the table leaves -1 remaining,
+// so every access of the group takes its slow path.
+func (c *compiler) translateBase(base *ir.Value, slot int32) {
+	c.ldInto(rAX, base)
+	c.a.movMemImm32(slotMem(int(slot+1)), -1)
+	done := c.a.label()
+	c.a.movRegReg(rCX, rAX)
+	c.a.shiftImm(5, rCX, 48) // shr: segment index
+	c.a.aluRegReg(aluCmp, rCX, rBX)
+	c.a.jcc(ccAE, done)
+	c.a.leaRegMem(rCX, mem{base: rCX, index: rCX, scale: 2})
+	c.a.shiftImm(4, rAX, 16) // shl
+	c.a.shiftImm(5, rAX, 16) // shr: 48-bit offset
+	c.a.movRegMem(rDX, mem{base: r15, index: rCX, scale: 8, disp: 8})
+	c.a.aluRegReg(aluSub, rDX, rAX)
+	c.a.movMemReg(slotMem(int(slot+1)), rDX)
+	c.a.movRegMem(rDX, mem{base: r15, index: rCX, scale: 8})
+	c.a.aluRegReg(aluAdd, rDX, rAX)
+	c.a.movMemReg(slotMem(int(slot)), rDX)
+	c.a.bind(done)
+}
+
+// offsetInto computes idx*scale + d into RCX (RDX is scratch).
+func (c *compiler) offsetInto(idx *ir.Value, scale, d uint64) {
+	ix := c.use(idx, rCX)
+	if sd := int64(d); sd >= math.MinInt32 && sd <= math.MaxInt32 {
+		switch scale {
+		case 1:
+			c.a.leaRegMem(rCX, memBD(ix, int32(sd)))
+			return
+		case 2, 4, 8:
+			c.a.leaRegMem(rCX, mem{base: -1, index: ix, scale: byte(scale), disp: int32(sd)})
+			return
+		}
+	}
+	if s := int64(scale); s >= math.MinInt32 && s <= math.MaxInt32 {
+		c.a.imulRegRegImm32(rCX, ix, int32(s))
+	} else {
+		c.a.movRegImm64(rDX, scale)
+		if ix != rCX {
+			c.a.movRegReg(rCX, ix)
+		}
+		c.a.imulRegReg(rCX, rDX)
+	}
+	c.addImm64(rCX, d)
+}
+
+// addrInto computes a folded GEP's address, base + idx*scale + k, into
+// RAX (RCX and RDX are scratch).
+func (c *compiler) addrInto(base, idx *ir.Value, scale, k uint64) {
+	if idx == nil {
+		c.ldInto(rAX, base)
+		c.addImm64(rAX, k)
+		return
+	}
+	c.offsetInto(idx, scale, k)
+	br := c.use(base, rAX)
+	c.a.leaRegMem(rAX, mem{base: br, index: rCX, scale: 1})
+}
+
+// emitALU emits def = x op y for an integer add, sub, mul, and, or or
+// xor, leaving the flags of the operation itself (OF for a checked op).
+func (c *compiler) emitALU(op ir.Op, def, x, y *ir.Value) {
+	xr := c.useAlloc(x, rAX)
+	if v, ok := imm32(y); ok {
+		dst := c.ra.defGPR(def)
+		if op == ir.OpMul {
+			c.a.imulRegRegImm32(dst, xr, v)
+			return
+		}
+		if dst != xr {
+			c.a.movRegReg(dst, xr)
+		}
+		c.a.aluRegImm32(aluOpFor(op), dst, v)
+		return
+	}
+	yr, ym, ymem := c.rhs(y, rCX, xr)
+	dst := c.ra.defGPR(def, yr)
+	if dst != xr {
+		c.a.movRegReg(dst, xr)
+	}
+	switch {
+	case op == ir.OpMul && ymem:
+		c.a.imulRegMem(dst, ym)
+	case op == ir.OpMul:
+		c.a.imulRegReg(dst, yr)
+	case ymem:
+		c.a.aluRegMem(aluOpFor(op), dst, ym)
+	default:
+		c.a.aluRegReg(aluOpFor(op), dst, yr)
+	}
+}
+
 func aluOpFor(op ir.Op) aluOp {
 	switch op {
 	case ir.OpAdd:
@@ -957,6 +1424,8 @@ func (c *compiler) emitTerm(b *ir.Block, next *ir.Block) error {
 			// flush and φ-moves below use only MOV encodings so they
 			// survive.
 			cc = predCC(b.Instrs[len(b.Instrs)-1].Pred)
+		} else if c.ovf[b.ID] != nil {
+			cc = ccO // set by the checked op, and as safe as a CMP's
 		} else {
 			// Fetch before the flush: endBlock may drop the mapping of a
 			// dead condition value, but the register contents survive.
@@ -1089,6 +1558,28 @@ func (c *compiler) emitStubs() {
 	c.a.movMemReg(memBD(r13, ncA), rAX)
 	c.a.movMemImm32(memBD(r13, ncExit), exitFault)
 	c.a.ret()
+	for _, sa := range c.slow {
+		c.a.bind(sa.label)
+		switch {
+		case sa.srcReg >= xmmBase:
+			c.a.movqRX(rAX, sa.srcReg-xmmBase)
+			c.addImm64(rAX, sa.k)
+		case sa.srcReg >= 0:
+			c.a.movRegReg(rAX, sa.srcReg)
+			c.addImm64(rAX, sa.k)
+		case sa.srcSlot >= 0:
+			c.a.movRegMem(rAX, slotMem(int(sa.srcSlot)))
+			c.addImm64(rAX, sa.k)
+		default:
+			c.a.movRegImm64(rAX, sa.k)
+			if sa.plusRCX {
+				c.a.aluRegReg(aluAdd, rAX, rCX)
+			}
+		}
+		c.segTranslate(sa.acc.w, sa.fault)
+		c.move(sa.acc, transMem(sa.acc.w))
+		c.a.jmp(sa.back)
+	}
 	// Side exits spill, then chain to the shared stubs above. The fault
 	// path's RAX (faulting address) is only read, never written, here.
 	for _, se := range c.sideExits {

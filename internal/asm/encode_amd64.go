@@ -46,8 +46,9 @@ const (
 )
 
 // mem is a memory operand [base + index*scale + disp]; index < 0 means no
-// index. R13 as base always takes a displacement byte (hardware quirk
-// shared with RBP), which the emitter handles.
+// index, and base < 0 no base ([index*scale + disp32], which LEA uses to
+// scale an index by itself). R13 as base always takes a displacement byte
+// (hardware quirk shared with RBP), which the emitter handles.
 type mem struct {
 	base  int
 	index int
@@ -150,6 +151,12 @@ func (a *asmBuf) rex8(reg, index, base int) {
 // modrmMem emits the ModRM/SIB/disp bytes for a reg, mem operand pair.
 func (a *asmBuf) modrmMem(reg int, m mem) {
 	regBits := byte(reg&7) << 3
+	if m.base < 0 {
+		// mod 00 with SIB base 101: no base register, always a disp32.
+		a.byte(regBits|4, scaleBits(m.scale)|byte(m.index&7)<<3|5)
+		a.u32(uint32(m.disp))
+		return
+	}
 	base := m.base & 7
 	needSIB := m.index >= 0 || base == 4 // RSP/R12 base requires SIB
 	// RBP/R13 base has no disp-less form.
@@ -164,15 +171,7 @@ func (a *asmBuf) modrmMem(reg int, m mem) {
 	}
 	if needSIB {
 		a.byte(mod | regBits | 4)
-		var ss byte
-		switch m.scale {
-		case 2:
-			ss = 1 << 6
-		case 4:
-			ss = 2 << 6
-		case 8:
-			ss = 3 << 6
-		}
+		ss := scaleBits(m.scale)
 		idx := byte(4) // none
 		if m.index >= 0 {
 			idx = byte(m.index & 7)
@@ -187,6 +186,20 @@ func (a *asmBuf) modrmMem(reg int, m mem) {
 	case 0x80:
 		a.u32(uint32(m.disp))
 	}
+}
+
+// scaleBits is the SIB byte's scale field for an index scale of 1, 2, 4
+// or 8.
+func scaleBits(scale byte) byte {
+	switch scale {
+	case 2:
+		return 1 << 6
+	case 4:
+		return 2 << 6
+	case 8:
+		return 3 << 6
+	}
+	return 0
 }
 
 func (a *asmBuf) modrmReg(reg, rm int) {
@@ -334,6 +347,22 @@ func (a *asmBuf) aluRegImm32(op aluOp, dst int, v int32) {
 	} else {
 		a.byte(0x81)
 		a.modrmReg(ext, dst)
+		a.u32(uint32(v))
+	}
+}
+
+// aluMemImm32 is the r/m, imm form on a qword in memory: e.g. cmp
+// qword [mem], imm (sign-extended).
+func (a *asmBuf) aluMemImm32(op aluOp, m mem, v int32) {
+	ext := int(op) >> 3
+	a.rex(true, -1, m.index, m.base)
+	if v >= -128 && v <= 127 {
+		a.byte(0x83)
+		a.modrmMem(ext, m)
+		a.byte(byte(v))
+	} else {
+		a.byte(0x81)
+		a.modrmMem(ext, m)
 		a.u32(uint32(v))
 	}
 }

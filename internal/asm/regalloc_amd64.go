@@ -24,15 +24,22 @@ import (
 // stub that stores the then-dirty set and only then enters the shared
 // exit-record stub, so the no-trap path pays nothing for the guarantee.
 //
+// Clean mappings survive a block boundary into a chain: the blocks laid
+// out along sole-predecessor fall-through (compiler.layout puts a
+// checked op's continuation, not its overflow target, after it). A
+// memory access is a template like any other: its translation uses only
+// RAX, RCX and RDX, so every pool register survives it. The chain also
+// scopes the reused segment translations of compiler.planAccesses, which
+// every extern call ends, and every exit leaves behind.
+//
 // Register classes share one numbering: 0..15 are GPRs, 16+x is XMMx.
 const xmmBase = 16
 
-// gprPool lists the allocatable GPRs in preference order. The first
-// three survive the segment-translation sequence, so memory-heavy blocks
-// keep their hottest values in them. Excluded: RAX/RCX/RDX (template
-// scratch), RSP, RBP (left holding a frame pointer so profiling and the
-// execution tracer can still walk the stack), R12/R13/R15/RBX (pinned),
-// R14 (Go's g).
+// gprPool lists the allocatable GPRs in preference order. Excluded:
+// RAX/RCX/RDX (template scratch, and all a segment translation touches),
+// RSP, RBP (left holding a frame pointer so profiling and the execution
+// tracer can still walk the stack), R12/R13/R15/RBX (pinned), R14 (Go's
+// g).
 var gprPool = []int{r9, r10, r11, rSI, rDI, r8}
 
 // xmmPool lists the allocatable XMM registers. X0/X1 stay template
@@ -67,8 +74,9 @@ type regAlloc struct {
 
 	// cur is the instruction being emitted: its arguments were already
 	// retired by consume but may still be fetched by the template, so they
-	// are never treated as dead.
-	cur *ir.Value
+	// are never treated as dead. held is the GEP folded into cur's address,
+	// whose arguments the access reads in its stead.
+	cur, held *ir.Value
 
 	// cross marks values read outside their defining block (including
 	// φ-arguments, which predecessors read from slots): these must be
@@ -138,7 +146,7 @@ func (ra *regAlloc) begin(b *ir.Block, inherit bool) {
 		ra.useCnt[id], ra.useHead[id] = 0, 0
 	}
 	ra.touched = ra.touched[:0]
-	ra.cur = nil
+	ra.cur, ra.held = nil, nil
 	// Pass 1: count uses per value so the flat buffer can be carved into
 	// per-value runs without any per-value allocation.
 	count := func(a *ir.Value) {
@@ -202,8 +210,18 @@ func (ra *regAlloc) begin(b *ir.Block, inherit bool) {
 // fetched, so eviction decisions see only future uses; in stays recorded
 // as the in-flight instruction until the next consume, keeping its
 // operands off the dead list while the template may still fetch them.
+// An access also retires, and holds, the arguments of the GEP folded into
+// its address, which emits nothing of its own.
 func (ra *regAlloc) consume(in *ir.Value) {
-	ra.cur = in
+	ra.cur, ra.held = in, nil
+	ra.retire(in)
+	if (in.Op == ir.OpLoad || in.Op == ir.OpStore) && ra.c.fold[in.Args[0].ID] {
+		ra.held = in.Args[0]
+		ra.retire(ra.held)
+	}
+}
+
+func (ra *regAlloc) retire(in *ir.Value) {
 	for _, a := range in.Args {
 		if !a.IsConst() && ra.useHead[a.ID] < ra.useCnt[a.ID] {
 			ra.useHead[a.ID]++
@@ -227,12 +245,15 @@ func (ra *regAlloc) isDead(id int) bool {
 	return !ra.cross[id] && ra.nextUse(id) == noUse && !ra.curArg(id)
 }
 
-// curArg reports whether id is an operand of the in-flight instruction:
-// consume already retired those uses, but the template may still fetch
-// them, so they are never dead.
+// curArg reports whether id is an operand of the in-flight instruction
+// or of the GEP it holds: consume already retired those uses, but the
+// template may still fetch them, so they are never dead.
 func (ra *regAlloc) curArg(id int) bool {
-	if ra.cur != nil {
-		for _, a := range ra.cur.Args {
+	for _, in := range [2]*ir.Value{ra.cur, ra.held} {
+		if in == nil {
+			continue
+		}
+		for _, a := range in.Args {
 			if !a.IsConst() && a.ID == id {
 				return true
 			}

@@ -121,9 +121,15 @@ func TestTrapDuringCompile(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := New(Options{Workers: 2, PoolWorkers: 2, MorselSize: 8, MorselCap: 8,
 		Cost: &CostModel{nativeBase: latency, simulate: true}})
-	// A compile is in flight when a goroutine sleeps out its latency.
+	// A compile is in flight when a goroutine sleeps out its latency. The
+	// query's end is timed from the last morsel it ran, next to the trap,
+	// not from its start: the build and probe before the trap take up to
+	// 0.5 s under -race, while a compile the trap failed to end would add
+	// its whole modeled latency after that morsel.
 	var compiling atomic.Bool
+	var lastMorsel atomic.Int64
 	e.morselHook = func(int, *Handle, int) {
+		lastMorsel.Store(time.Now().UnixNano())
 		if compiling.Load() {
 			return
 		}
@@ -132,9 +138,8 @@ func TestTrapDuringCompile(t *testing.T) {
 			compiling.Store(true)
 		}
 	}
-	t0 := time.Now()
 	_, err := e.RunPlan(p, "trap")
-	took := time.Since(t0)
+	took := time.Since(time.Unix(0, lastMorsel.Load()))
 	if trap := (*rt.Trap)(nil); !errors.As(err, &trap) || trap.Code != rt.TrapOverflow {
 		t.Fatalf("got %v, want the overflow trap", err)
 	}

@@ -75,7 +75,8 @@ type ovfGroup struct {
 //     branch folds into a compare-and-branch opcode;
 //   - the four-instruction overflow-check sequence (ovf-op, extractvalue 0,
 //     extractvalue 1, condbr) at the tail of a block folds into a single
-//     checked-arithmetic-and-branch opcode.
+//     checked-arithmetic-and-branch opcode; ir.CheckedBranch recognizes
+//     it, for the native back end too.
 func planFusion(f *ir.Function, opts Options) *fusion {
 	fu := &fusion{
 		hasSlot:    make([]bool, f.NumValues()),
@@ -94,7 +95,7 @@ func planFusion(f *ir.Function, opts Options) *fusion {
 	// Use accounting in one linear sweep, so each pattern check below is
 	// O(1) per candidate — the translation must remain linear even for the
 	// 160k-instruction machine-generated functions of §V-E.
-	useCount := make([]int, f.NumValues())
+	useCount := make([]int32, f.NumValues())
 	memAddrOnly := make([]bool, f.NumValues())
 	sameBlockUses := make([]bool, f.NumValues())
 	defBlock := make([]*ir.Block, f.NumValues())
@@ -140,60 +141,27 @@ func planFusion(f *ir.Function, opts Options) *fusion {
 				fu.count++
 			}
 		}
+		if op, result := ir.CheckedBranch(b, useCount); op != nil {
+			flag := b.Term.Args[0]
+			fu.hasSlot[op.ID] = false
+			fu.hasSlot[flag.ID] = false
+			fu.emit[op.ID] = false
+			fu.emit[result.ID] = false
+			fu.emit[flag.ID] = false
+			fu.fusedOvf[b.ID] = ovfGroup{op: op, result: result, flag: flag}
+			fu.count += 3
+			continue
+		}
 		term := b.Term
 		if term.Op != ir.OpCondBr {
 			continue
 		}
 		cond := term.Args[0]
-		if !cond.IsInstr() || cond.Block != b || useCount[cond.ID] != 1 {
-			continue
-		}
-		switch cond.Op {
-		case ir.OpICmp:
+		if cond.IsInstr() && cond.Op == ir.OpICmp && cond.Block == b && useCount[cond.ID] == 1 {
 			fu.hasSlot[cond.ID] = false
 			fu.emit[cond.ID] = false
 			fu.fusedCmpBr[b.ID] = cond
 			fu.count++
-		case ir.OpExtractValue:
-			if cond.Lit != 1 {
-				continue
-			}
-			pair := cond.Args[0]
-			if pair.Block != b || pair.Type != ir.Pair {
-				continue
-			}
-			switch pair.Op {
-			case ir.OpSAddOvf, ir.OpSSubOvf, ir.OpSMulOvf:
-			default:
-				continue
-			}
-			// The group must be the block's last three instructions — nothing
-			// may read the result before the fused op produces it — and the
-			// pair consumed only by its two extracts: the flag, and a value
-			// extract that receives the register.
-			n := len(b.Instrs)
-			if n < 3 || useCount[pair.ID] != 2 {
-				continue
-			}
-			var result *ir.Value
-			found := 0
-			for _, in := range b.Instrs[n-3:] {
-				if in == pair || in == cond {
-					found++
-				} else {
-					result = in
-				}
-			}
-			if found != 2 || result.Op != ir.OpExtractValue || result.Lit != 0 || result.Args[0] != pair {
-				continue
-			}
-			fu.hasSlot[pair.ID] = false
-			fu.hasSlot[cond.ID] = false
-			fu.emit[pair.ID] = false
-			fu.emit[result.ID] = false
-			fu.emit[cond.ID] = false
-			fu.fusedOvf[b.ID] = ovfGroup{op: pair, result: result, flag: cond}
-			fu.count += 3
 		}
 	}
 	return fu
