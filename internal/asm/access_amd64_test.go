@@ -10,6 +10,7 @@ import (
 
 	"aqe/internal/asm"
 	"aqe/internal/ir"
+	"aqe/internal/ir/interp"
 	"aqe/internal/rt"
 )
 
@@ -212,5 +213,68 @@ func TestCheckedBranch(t *testing.T) {
 				t.Errorf("%v: the fused group emits SETO", op)
 			}
 		}
+	}
+}
+
+// TestGroupBaseStaleSlot: a chain group whose first access goes through
+// an unfolded GEP (two uses: a load and a store, as in a counter bump)
+// off a block-local base, with every pool GPR taken. The base has no use
+// left after the GEP, so its register may be reclaimed without a store;
+// the translation must not read the base's never-written slot, which a
+// reused register file fills with an old, valid address.
+func TestGroupBaseStaleSlot(t *testing.T) {
+	m := ir.NewModule("t")
+	f := m.NewFunc("bump", ir.I64, ir.I64, ir.I64, ir.I64, ir.I64, ir.I64)
+	b := ir.NewBuilder(f)
+	ps := f.Params
+	var busy []*ir.Value
+	for i := 1; i <= 4; i++ {
+		busy = append(busy, b.Mul(ps[i], b.ConstI64(int64(2*i+1))))
+	}
+	base := b.Add(ps[0], ps[5])
+	addr := b.GEP(base, b.ConstI64(0), 0, 16)
+	v := b.Load(ir.I64, addr)
+	b.Store(addr, b.Add(v, b.ConstI64(1)))
+	sum := v
+	for _, x := range busy {
+		sum = b.Add(sum, x)
+	}
+	b.Ret(sum)
+	seed := make([]byte, 64)
+	for i := range seed {
+		seed[i] = byte(i*11 + 5)
+	}
+	run := func(native bool) (uint64, []byte) {
+		mem := rt.NewMemory()
+		seg := mem.AddSegment(append([]byte(nil), seed...))
+		ctx := &rt.Ctx{Mem: mem}
+		stale := ctx.Regs(256)
+		for i := range stale {
+			stale[i] = seg // a valid address, 24 bytes below the real base
+		}
+		args := []uint64{seg + 24, 1, 2, 3, 4, 0}
+		var res uint64
+		if native {
+			code, err := asm.Compile(f.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res = code.Run(ctx, args)
+		} else {
+			res = interp.Run(f, ctx, args)
+		}
+		return res, mem.Bytes(seg, len(seed))
+	}
+	wantRes, wantMem := run(false)
+	gotRes, gotMem := run(true)
+	if gotRes != wantRes || string(gotMem) != string(wantMem) {
+		t.Errorf("bump: native %#x, interp %#x; memory images equal: %v", gotRes, wantRes, string(gotMem) == string(wantMem))
+	}
+	_, cs, err := asm.CompileCensus(f.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Paths[2] != 1 || cs.Paths[3] != 1 {
+		t.Errorf("bump: paths %v, want one translation reused once", cs.Paths)
 	}
 }

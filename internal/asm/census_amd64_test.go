@@ -127,6 +127,7 @@ func TestCensusTPCH(t *testing.T) {
 	var total [4]int
 	var paths [len(asm.PathNames)]int
 	seto := 0
+	var sizes [4]int // groups of 2, 3, 4–7 and 8+ accesses
 	for qn := 1; qn <= 22; qn++ {
 		var shape [4]int // constant base, non-constant base at a constant offset, of those reusing a base in the block, other
 		var qp [len(asm.PathNames)]int
@@ -164,6 +165,16 @@ func TestCensusTPCH(t *testing.T) {
 				qp[i] += n
 			}
 			seto += cs.SETO
+			for _, n := range cs.Groups {
+				switch {
+				case n >= 8:
+					sizes[3]++
+				case n >= 4:
+					sizes[2]++
+				default:
+					sizes[n-2]++
+				}
+			}
 		}
 		n, m := 0, 0
 		for i := range qp {
@@ -186,5 +197,6 @@ func TestCensusTPCH(t *testing.T) {
 	for i, name := range asm.PathNames {
 		t.Logf("  %-9s %5d", name, paths[i])
 	}
+	t.Logf("  shared translations by group size: 2: %d, 3: %d, 4–7: %d, 8+: %d", sizes[0], sizes[1], sizes[2], sizes[3])
 	t.Logf("  checked ops with SETO: %d", seto)
 }

@@ -325,6 +325,9 @@ func (c *compiler) planAccesses() {
 			cur, next = g.seg, 0
 		}
 		g.slot = int32(c.numSlots) + 2*next
+		if c.cs != nil {
+			c.cs.groups = append(c.cs.groups, int(g.n))
+		}
 		next++
 		most = max(most, next)
 	}
@@ -380,12 +383,14 @@ const (
 )
 
 // census counts what one compilation chose: the path of every memory
-// access, and the checked ops that still materialize their flag with
-// SETO. Tests compile through it; Compile passes none.
+// access, the size of every shared translation's group, and the checked
+// ops that still materialize their flag with SETO. Tests compile through
+// it; Compile passes none.
 type census struct {
-	paths [numPaths]int
-	seto  int
-	path  map[int]int // access value ID → path
+	paths  [numPaths]int
+	groups []int // accesses of each group that translates its base once
+	seto   int
+	path   map[int]int // access value ID → path
 }
 
 func (c *compiler) count(in *ir.Value, path int) {
@@ -712,27 +717,39 @@ func (c *compiler) emitCmp(x, y *ir.Value) {
 }
 
 // segTranslate expects a segmented address in RAX and emits its full
-// translation: bounds-check the segment index against RBX, extract the
-// 48-bit offset, bounds-check offset+width against the segment's length
-// in the table at R15, and load the segment's data pointer. It leaves the
-// data pointer in RCX and offset+width in RDX, so the access is
-// [RCX+RDX-width] (transMem). Faults jump to faultL (the shared stub or a
-// dirty-spilling side exit) with the address still in RAX. Uses only
-// RAX, RCX and RDX: every pool register survives it.
+// translation: split it (segSplit), bounds-check offset+width against the
+// segment's length in the table at R15, and load the segment's data
+// pointer. It leaves the data pointer in RCX and offset+width in RDX, so
+// the access is [RCX+RDX-width] (transMem). Faults jump to faultL (the
+// shared stub or a dirty-spilling side exit) with the address still in
+// RAX. Uses only RAX, RCX and RDX: every pool register survives it.
 func (c *compiler) segTranslate(width int32, faultL int) {
+	c.segSplit(faultL)
+	c.a.aluRegImm32(aluAdd, rDX, width)
+	c.a.aluRegMem(aluCmp, rDX, segField(8)) // length
+	c.a.jcc(ccA, faultL)
+	c.a.movRegMem(rCX, segField(0)) // data pointer
+}
+
+// segSplit splits the segmented address in RAX, which it leaves intact:
+// the segment index, checked against the count in RBX (an unmapped
+// segment jumps to fail), becomes the index of its slice header in RCX
+// (segField addresses the header's fields), and the 48-bit offset goes to
+// RDX. The one place that knows the table's layout.
+func (c *compiler) segSplit(fail int) {
 	c.a.movRegReg(rCX, rAX)
 	c.a.shiftImm(5, rCX, 48) // shr: segment index
 	c.a.aluRegReg(aluCmp, rCX, rBX)
-	c.a.jcc(ccAE, faultL)
+	c.a.jcc(ccAE, fail)
 	c.a.leaRegMem(rCX, mem{base: rCX, index: rCX, scale: 2}) // ×3: slice headers are 24 bytes
 	c.a.movRegReg(rDX, rAX)
 	c.a.shiftImm(4, rDX, 16) // shl
 	c.a.shiftImm(5, rDX, 16) // shr: 48-bit offset
-	c.a.aluRegImm32(aluAdd, rDX, width)
-	c.a.aluRegMem(aluCmp, rDX, mem{base: r15, index: rCX, scale: 8, disp: 8}) // length
-	c.a.jcc(ccA, faultL)
-	c.a.movRegMem(rCX, mem{base: r15, index: rCX, scale: 8}) // data pointer
 }
+
+// segField addresses field off (0 data pointer, 8 length) of the slice
+// header segSplit indexed in RCX.
+func segField(off int32) mem { return mem{base: r15, index: rCX, scale: 8, disp: off} }
 
 // transMem addresses the bytes segTranslate found.
 func transMem(width int32) mem { return mem{base: rCX, index: rDX, scale: 1, disp: -width} }
@@ -1115,8 +1132,8 @@ func (c *compiler) emitAccess(in, prev *ir.Value) error {
 		src, srcK = base, k
 	}
 	var excl []int
-	if p := c.ra.regOf(src); p >= 0 && p < xmmBase {
-		excl = []int{p}
+	if p := c.ra.regOf(src); p >= 0 {
+		excl = []int{p} // an address is an i64, never in an XMM register
 	}
 	x := access{load: load, w: w}
 	if !load {
@@ -1168,7 +1185,7 @@ func (c *compiler) emitAccess(in, prev *ir.Value) error {
 		gr := &c.groups[g]
 		if !gr.done {
 			gr.done = true
-			c.translateBase(base, gr.slot)
+			c.translateBase(src, srcK-k, gr.slot)
 			c.count(in, pathTranslate)
 		} else {
 			c.count(in, pathCached)
@@ -1291,27 +1308,25 @@ func (c *compiler) slowPath(l int, x access, fault int, src *ir.Value, k uint64,
 	c.slow = append(c.slow, sa)
 }
 
-// translateBase translates the non-constant base into its group's slots:
+// translateBase translates a group's base, src+delta, into its slots:
 // the host address at slot, the bytes left in its segment from there at
-// slot+1. A base whose segment is not in the table leaves -1 remaining,
-// so every access of the group takes its slow path.
-func (c *compiler) translateBase(base *ir.Value, slot int32) {
-	c.ldInto(rAX, base)
+// slot+1. src is the access's own address operand, or the base of the GEP
+// folded into it, so it is live here; the base itself may not be (an
+// unfolded GEP was its last use). A base whose segment is not in the
+// table leaves -1 remaining, so every access of the group takes its slow
+// path.
+func (c *compiler) translateBase(src *ir.Value, delta uint64, slot int32) {
+	c.ldInto(rAX, src)
+	c.addImm64(rAX, delta)
 	c.a.movMemImm32(slotMem(int(slot+1)), -1)
 	done := c.a.label()
-	c.a.movRegReg(rCX, rAX)
-	c.a.shiftImm(5, rCX, 48) // shr: segment index
-	c.a.aluRegReg(aluCmp, rCX, rBX)
-	c.a.jcc(ccAE, done)
-	c.a.leaRegMem(rCX, mem{base: rCX, index: rCX, scale: 2})
-	c.a.shiftImm(4, rAX, 16) // shl
-	c.a.shiftImm(5, rAX, 16) // shr: 48-bit offset
-	c.a.movRegMem(rDX, mem{base: r15, index: rCX, scale: 8, disp: 8})
-	c.a.aluRegReg(aluSub, rDX, rAX)
-	c.a.movMemReg(slotMem(int(slot+1)), rDX)
-	c.a.movRegMem(rDX, mem{base: r15, index: rCX, scale: 8})
-	c.a.aluRegReg(aluAdd, rDX, rAX)
-	c.a.movMemReg(slotMem(int(slot)), rDX)
+	c.segSplit(done)
+	c.a.movRegMem(rAX, segField(8))
+	c.a.aluRegReg(aluSub, rAX, rDX)
+	c.a.movMemReg(slotMem(int(slot+1)), rAX)
+	c.a.movRegMem(rAX, segField(0))
+	c.a.aluRegReg(aluAdd, rAX, rDX)
+	c.a.movMemReg(slotMem(int(slot)), rAX)
 	c.a.bind(done)
 }
 
@@ -1561,9 +1576,6 @@ func (c *compiler) emitStubs() {
 	for _, sa := range c.slow {
 		c.a.bind(sa.label)
 		switch {
-		case sa.srcReg >= xmmBase:
-			c.a.movqRX(rAX, sa.srcReg-xmmBase)
-			c.addImm64(rAX, sa.k)
 		case sa.srcReg >= 0:
 			c.a.movRegReg(rAX, sa.srcReg)
 			c.addImm64(rAX, sa.k)

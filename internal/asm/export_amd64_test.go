@@ -16,16 +16,17 @@ var PathNames = [numPaths]string{
 
 // Census is what one compilation chose.
 type Census struct {
-	Paths [numPaths]int  // accesses per path
-	SETO  int            // checked ops that materialize their flag
-	Path  map[int]string // access value ID → path name
+	Paths  [numPaths]int  // accesses per path
+	Groups []int          // accesses of each group sharing one translation
+	SETO   int            // checked ops that materialize their flag
+	Path   map[int]string // access value ID → path name
 }
 
 // CompileCensus is Compile, also returning its census.
 func CompileCensus(f *ir.Function) (*Code, Census, error) {
 	cs := &census{path: make(map[int]int)}
 	code, err := compile(f, cs)
-	out := Census{Paths: cs.paths, SETO: cs.seto, Path: make(map[int]string, len(cs.path))}
+	out := Census{Paths: cs.paths, Groups: cs.groups, SETO: cs.seto, Path: make(map[int]string, len(cs.path))}
 	for id, p := range cs.path {
 		out.Path[id] = PathNames[p]
 	}
