@@ -8,121 +8,11 @@ import (
 	"aqe/internal/asm"
 	"aqe/internal/ir"
 	"aqe/internal/ir/interp"
+	"aqe/internal/ir/irtest"
 	"aqe/internal/ir/passes"
 	"aqe/internal/rt"
 	"aqe/internal/vm"
 )
-
-// genFunc builds a random but well-formed function:
-//
-//	f(p0, p1, base):
-//	  loop 7 times: a body of random arithmetic, comparisons, selects,
-//	  float round-trips and loads/stores against a scratch segment,
-//	  threading an accumulator through φ-nodes;
-//	  then an overflow-checked add of the accumulator (the fusable
-//	  pattern) returning a sentinel on overflow.
-//
-// Every execution engine must produce identical results, memory effects
-// and traps for these functions; the differential tests below compare the
-// IR interpreter, the bytecode VM under every allocation strategy, and
-// both JIT tiers where the platform has a native backend.
-func genFunc(rng *rand.Rand, nbody int) *ir.Function {
-	m := ir.NewModule("diff")
-	f := m.NewFunc("f", ir.I64, ir.I64, ir.I64)
-	b := ir.NewBuilder(f)
-	entry := b.B
-	head := f.NewBlock()
-	body := f.NewBlock()
-	exit := f.NewBlock()
-
-	zero := b.ConstI64(0)
-	one := b.ConstI64(1)
-	iters := b.ConstI64(int64(3 + rng.Intn(6)))
-	b.Br(head)
-
-	b.SetBlock(head)
-	i := b.Phi(ir.I64)
-	acc := b.Phi(ir.I64)
-	cond := b.ICmp(ir.SLt, i, iters)
-	b.CondBr(cond, body, exit)
-
-	b.SetBlock(body)
-	pool := []*ir.Value{f.Params[0], f.Params[1], i, acc,
-		b.ConstI64(rng.Int63()), b.ConstI64(int64(rng.Intn(97) - 48))}
-	pick := func() *ir.Value { return pool[rng.Intn(len(pool))] }
-	push := func(v *ir.Value) { pool = append(pool, v) }
-	base := f.Params[2]
-	addr := func() *ir.Value {
-		slot := b.And(pick(), b.ConstI64(31))
-		return b.GEP(base, slot, 8, 0)
-	}
-	for k := 0; k < nbody; k++ {
-		switch rng.Intn(14) {
-		case 0:
-			push(b.Add(pick(), pick()))
-		case 1:
-			push(b.Sub(pick(), pick()))
-		case 2:
-			push(b.Mul(pick(), pick()))
-		case 3:
-			push(b.Xor(pick(), pick()))
-		case 4:
-			push(b.And(pick(), pick()))
-		case 5:
-			push(b.Or(pick(), pick()))
-		case 6:
-			sh := b.And(pick(), b.ConstI64(63))
-			push(b.LShr(pick(), sh))
-		case 7:
-			c := b.ICmp(ir.Pred(rng.Intn(10)), pick(), pick())
-			push(b.Select(c, pick(), pick()))
-		case 8:
-			c := b.ICmp(ir.Pred(rng.Intn(6)), pick(), pick())
-			push(b.ZExt(c, ir.I64))
-		case 9:
-			// Unsigned division with a nonzero divisor.
-			d := b.Or(pick(), one)
-			push(b.UDiv(pick(), d))
-		case 10:
-			// Signed division with a small positive divisor.
-			d := b.Or(b.And(pick(), b.ConstI64(255)), one)
-			push(b.SDiv(pick(), d))
-		case 11:
-			b.Store(addr(), pick())
-		case 12:
-			push(b.Load(ir.I64, addr()))
-		case 13:
-			// Float round-trip.
-			x := b.SIToFP(b.And(pick(), b.ConstI64(0xFFFFF)))
-			y := b.SIToFP(b.Or(b.And(pick(), b.ConstI64(0xFF)), one))
-			push(b.FPToSI(b.FDiv(b.FAdd(x, y), y)))
-		}
-	}
-	// Fold the newest values into the accumulator.
-	acc2 := acc
-	for _, v := range pool[len(pool)-3:] {
-		acc2 = b.Xor(acc2, v)
-	}
-	i2 := b.Add(i, one)
-	b.Br(head)
-	ir.AddIncoming(i, zero, entry)
-	ir.AddIncoming(i, i2, body)
-	ir.AddIncoming(acc, f.Params[0], entry)
-	ir.AddIncoming(acc, acc2, body)
-
-	b.SetBlock(exit)
-	ovfB := f.NewBlock()
-	contB := f.NewBlock()
-	pair := b.SAddOvf(acc, f.Params[1])
-	v := b.ExtractValue(pair, 0)
-	fl := b.ExtractValue(pair, 1)
-	b.CondBr(fl, ovfB, contB)
-	b.SetBlock(ovfB)
-	b.Ret(b.ConstI64(0x0DEAD))
-	b.SetBlock(contB)
-	b.Ret(v)
-	return f
-}
 
 type engine struct {
 	name string
@@ -173,41 +63,24 @@ func needNative(t *testing.T) {
 	}
 }
 
-// runEngine executes one engine on a fresh memory image and returns the
-// result plus the final scratch segment contents.
-func runEngine(t *testing.T, e engine, f *ir.Function, args [2]uint64) (uint64, []byte) {
-	t.Helper()
-	mem := rt.NewMemory()
-	scratch := make([]byte, 32*8)
-	base := mem.AddSegment(scratch)
-	ctx := &rt.Ctx{Mem: mem}
-	res, err := e.run(f, ctx, []uint64{args[0], args[1], base})
-	if err != nil {
-		t.Fatalf("%s: %v", e.name, err)
-	}
-	return res, scratch
-}
-
+// TestDifferentialRandomPrograms runs generated programs (irtest.Func)
+// on every engine: each must match the IR interpreter in result, memory
+// image, trap and fault.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	engs := engines(t)
-	for seed := int64(0); seed < 60; seed++ {
+	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		f := genFunc(rng, 20+rng.Intn(40))
+		f := irtest.Func(rng, 20+rng.Intn(40))
 		if err := f.Verify(); err != nil {
 			t.Fatalf("seed %d: generated function invalid: %v", seed, err)
 		}
-		args := [2]uint64{rng.Uint64(), rng.Uint64()}
-		wantRes, wantMem := runEngine(t, engs[0], f, args)
+		p0, p1 := rng.Uint64(), rng.Uint64()
+		want := runEngine(t, engs[0], f, p0, p1)
 		for _, e := range engs[1:] {
 			// Clone per engine: translation may split critical edges and
 			// the optimizing tier must not see a pre-mutated function.
-			g := f.Clone()
-			res, mem := runEngine(t, e, g, args)
-			if res != wantRes {
-				t.Errorf("seed %d: %s result %#x, want %#x (ir-interp)", seed, e.name, res, wantRes)
-			}
-			if string(mem) != string(wantMem) {
-				t.Errorf("seed %d: %s memory image diverges", seed, e.name)
+			if d := irtest.Diff(runEngine(t, e, f.Clone(), p0, p1), want); d != "" {
+				t.Errorf("seed %d: %s: %s (ir-interp)", seed, e.name, d)
 			}
 		}
 	}
@@ -219,12 +92,11 @@ func TestDifferentialQuick(t *testing.T) {
 	engs := engines(t)
 	for seed := int64(100); seed < 104; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		f := genFunc(rng, 30)
+		f := irtest.Func(rng, 30)
 		check := func(a, b uint64) bool {
-			wantRes, wantMem := runEngine(t, engs[0], f, [2]uint64{a, b})
+			want := runEngine(t, engs[0], f, a, b)
 			for _, e := range engs[1:] {
-				res, mem := runEngine(t, e, f.Clone(), [2]uint64{a, b})
-				if res != wantRes || string(mem) != string(wantMem) {
+				if irtest.Diff(runEngine(t, e, f.Clone(), a, b), want) != "" {
 					return false
 				}
 			}
@@ -234,6 +106,18 @@ func TestDifferentialQuick(t *testing.T) {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
+}
+
+// runEngine runs one engine on irtest's fresh memory image.
+func runEngine(t *testing.T, e engine, f *ir.Function, p0, p1 uint64) irtest.Outcome {
+	t.Helper()
+	return irtest.Run(f, p0, p1, func(ctx *rt.Ctx, args []uint64) uint64 {
+		res, err := e.run(f, ctx, args)
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		return res
+	})
 }
 
 func TestJITLoopSum(t *testing.T) {
@@ -325,7 +209,7 @@ func TestOptimizedTierRunsPasses(t *testing.T) {
 func TestCompileStats(t *testing.T) {
 	needNative(t)
 	rng := rand.New(rand.NewSource(7))
-	f := genFunc(rng, 40)
+	f := irtest.Func(rng, 40)
 	unopt, err := Compile(f.Clone(), Unoptimized, nil)
 	if err != nil {
 		t.Fatal(err)
