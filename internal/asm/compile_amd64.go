@@ -94,7 +94,7 @@ func Compile(f *ir.Function) (*Code, error) { return compile(f, nil) }
 // compile is Compile, counting its choices into cs when cs is not nil.
 func compile(f *ir.Function, cs *census) (*Code, error) {
 	f.SplitCriticalEdges()
-	c := &compiler{f: f, a: newAsmBuf(64 + f.NumInstrs()*48), cs: cs}
+	c := &compiler{f: f, cs: cs}
 	if err := c.assignSlots(); err != nil {
 		return nil, err
 	}
@@ -103,6 +103,10 @@ func compile(f *ir.Function, cs *census) (*Code, error) {
 	c.analyze()
 	c.layout()
 	c.planAccesses()
+	// Every block has a label and ends in up to two jumps; every fast
+	// access adds two labels and a jump or two, and its fallback two more.
+	nb, na := len(f.Blocks), cap(c.slow)
+	c.a = newAsmBuf(64+f.NumInstrs()*48, 8+nb+2*na, 8+2*nb+4*na)
 	c.ra = newRegAlloc(c)
 	c.trapOvfL = c.a.label()
 	c.trapDivL = c.a.label()
@@ -280,9 +284,10 @@ type chainGroup struct {
 func (c *compiler) planAccesses() {
 	nv := c.f.NumValues()
 	c.fold = make([]bool, nv)
-	c.group = make([]int32, nv)
-	last := make([]int32, 2*nv) // base ID → (segment+1 of its open group, group)
-	seg := int32(0)
+	buf := make([]int32, 2*nv)
+	c.group = buf[:nv]
+	latest := buf[nv:] // base ID → its latest group + 1, open while in its segment
+	seg, accesses := int32(0), 0
 	for _, b := range c.order {
 		if !c.inherit[b.ID] {
 			seg++
@@ -298,6 +303,7 @@ func (c *compiler) planAccesses() {
 			if j > 0 && forwarded(in, b.Instrs[j-1]) {
 				continue
 			}
+			accesses++
 			a := in.Args[0]
 			if a.IsInstr() && a.Op == ir.OpGEP && j > 0 && b.Instrs[j-1] == a && c.uses[a.ID] == 1 {
 				c.fold[a.ID] = true
@@ -306,15 +312,17 @@ func (c *compiler) planAccesses() {
 			if base.IsConst() || idx != nil || !groupOffset(k, accessWidth(in)) {
 				continue
 			}
-			if last[2*base.ID] != seg+1 {
+			g := latest[base.ID] - 1
+			if g < 0 || c.groups[g].seg != seg {
 				c.groups = append(c.groups, chainGroup{seg: seg, slot: -1})
-				last[2*base.ID], last[2*base.ID+1] = seg+1, int32(len(c.groups)-1)
+				g = int32(len(c.groups) - 1)
+				latest[base.ID] = g + 1
 			}
-			g := last[2*base.ID+1]
 			c.groups[g].n++
 			c.group[in.ID] = g
 		}
 	}
+	c.slow = make([]slowAccess, 0, accesses)
 	cur, next, most := int32(-1), int32(0), int32(0)
 	for i := range c.groups {
 		g := &c.groups[i]
@@ -405,11 +413,11 @@ func (c *compiler) count(in *ir.Value, path int) {
 // jump back. The address is src (a register or a slot) plus k, or the
 // immediate k plus RCX when plusRCX is set, or the immediate k alone.
 type slowAccess struct {
-	label, back, fault int
-	acc                access
-	srcReg             int   // GPR holding the address source, or -1
+	label, back, fault int32
+	srcReg             int32 // GPR holding the address source, or -1
 	srcSlot            int32 // else the source's slot, or -1 for none
 	plusRCX            bool
+	acc                access
 	k                  uint64
 }
 
@@ -1295,16 +1303,16 @@ func (c *compiler) move(x access, m mem) {
 // as it is now, after every allocation the access made), or the
 // immediate k, plus RCX when plusRCX.
 func (c *compiler) slowPath(l int, x access, fault int, src *ir.Value, k uint64, plusRCX bool) {
-	sa := slowAccess{label: l, back: c.a.label(), fault: fault, acc: x,
+	sa := slowAccess{label: int32(l), back: int32(c.a.label()), fault: int32(fault), acc: x,
 		srcReg: -1, srcSlot: -1, plusRCX: plusRCX, k: k}
 	if src != nil {
 		if p := c.ra.regOf(src); p >= 0 {
-			sa.srcReg = p
+			sa.srcReg = int32(p)
 		} else {
 			sa.srcSlot = c.slot[src.ID]
 		}
 	}
-	c.a.bind(sa.back)
+	c.a.bind(int(sa.back))
 	c.slow = append(c.slow, sa)
 }
 
@@ -1574,10 +1582,10 @@ func (c *compiler) emitStubs() {
 	c.a.movMemImm32(memBD(r13, ncExit), exitFault)
 	c.a.ret()
 	for _, sa := range c.slow {
-		c.a.bind(sa.label)
+		c.a.bind(int(sa.label))
 		switch {
 		case sa.srcReg >= 0:
-			c.a.movRegReg(rAX, sa.srcReg)
+			c.a.movRegReg(rAX, int(sa.srcReg))
 			c.addImm64(rAX, sa.k)
 		case sa.srcSlot >= 0:
 			c.a.movRegMem(rAX, slotMem(int(sa.srcSlot)))
@@ -1588,9 +1596,9 @@ func (c *compiler) emitStubs() {
 				c.a.aluRegReg(aluAdd, rAX, rCX)
 			}
 		}
-		c.segTranslate(sa.acc.w, sa.fault)
+		c.segTranslate(sa.acc.w, int(sa.fault))
 		c.move(sa.acc, transMem(sa.acc.w))
-		c.a.jmp(sa.back)
+		c.a.jmp(int(sa.back))
 	}
 	// Side exits spill, then chain to the shared stubs above. The fault
 	// path's RAX (faulting address) is only read, never written, here.

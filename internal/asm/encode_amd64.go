@@ -62,8 +62,7 @@ func memBD(base int, disp int32) mem { return mem{base: base, index: -1, disp: d
 func slotMem(s int) mem { return memBD(r12, int32(s)*8) }
 
 type fixup struct {
-	at    int32 // offset of the rel32 field
-	label int
+	at, label int32 // offset of the rel32 field, label it points to
 }
 
 type asmBuf struct {
@@ -72,8 +71,10 @@ type asmBuf struct {
 	fixups []fixup
 }
 
-func newAsmBuf(sizeHint int) *asmBuf {
-	return &asmBuf{buf: make([]byte, 0, sizeHint)}
+// newAsmBuf returns a buffer sized for about size code bytes, labels
+// labels and fixups label references.
+func newAsmBuf(size, labels, fixups int) *asmBuf {
+	return &asmBuf{buf: make([]byte, 0, size), labels: make([]int32, 0, labels), fixups: make([]fixup, 0, fixups)}
 }
 
 func (a *asmBuf) pos() int32 { return int32(len(a.buf)) }
@@ -93,7 +94,7 @@ func (a *asmBuf) bind(l int) { a.labels[l] = a.pos() }
 
 // rel32 emits a 4-byte placeholder to be patched with (target - end).
 func (a *asmBuf) rel32(l int) {
-	a.fixups = append(a.fixups, fixup{at: a.pos(), label: l})
+	a.fixups = append(a.fixups, fixup{at: a.pos(), label: int32(l)})
 	a.u32(0)
 }
 
