@@ -44,7 +44,7 @@ func init() {
 		unsafe.Offsetof(nc.b) == ncB &&
 		unsafe.Offsetof(nc.c) == ncC &&
 		unsafe.Offsetof(nc.args) == ncArgs &&
-		unsafe.Sizeof(bs) == 24 // segment-table stride baked into segTranslate
+		unsafe.Sizeof(bs) == 24 // segment-table stride baked into segSplit and segHeader
 	if !ok {
 		panic("asm: nativeCtx layout drifted from the machine-code templates")
 	}
