@@ -731,7 +731,27 @@ func (c *compiler) emitCmp(x, y *ir.Value) {
 // the access is [RCX+RDX-width] (transMem). Faults jump to faultL (the
 // shared stub or a dirty-spilling side exit) with the address still in
 // RAX. Uses only RAX, RCX and RDX: every pool register survives it.
+// Every fast access's fallback emits one, so it is stamped from a
+// stencil encoded once per width.
 func (c *compiler) segTranslate(width int32, faultL int) {
+	if int(width) < len(segStencils) && segStencils[width].code != nil {
+		c.a.stamp(&segStencils[width], faultL)
+		return
+	}
+	c.encodeSegTranslate(width, faultL)
+}
+
+// segStencils holds segTranslate's encoding for each access width.
+var segStencils = func() (st [9]stencil) {
+	for _, w := range []int32{1, 2, 4, 8} {
+		c := &compiler{a: newAsmBuf(64, 1, 2)}
+		c.encodeSegTranslate(w, c.a.label())
+		st[w] = c.a.stencil()
+	}
+	return st
+}()
+
+func (c *compiler) encodeSegTranslate(width int32, faultL int) {
 	c.segSplit(faultL)
 	c.a.aluRegImm32(aluAdd, rDX, width)
 	c.a.aluRegMem(aluCmp, rDX, segField(8)) // length

@@ -92,6 +92,32 @@ func (a *asmBuf) label() int {
 
 func (a *asmBuf) bind(l int) { a.labels[l] = a.pos() }
 
+// stencil is a pre-encoded instruction sequence whose rel32 fields, at
+// offsets rel, all point at one label chosen when it is stamped.
+type stencil struct {
+	code []byte
+	rel  []int32
+}
+
+// stencil returns the buffer's bytes as a stencil; every label reference
+// in it becomes a hole.
+func (a *asmBuf) stencil() stencil {
+	st := stencil{code: a.buf}
+	for _, f := range a.fixups {
+		st.rel = append(st.rel, f.at)
+	}
+	return st
+}
+
+// stamp emits a copy of st with its holes pointing at label l.
+func (a *asmBuf) stamp(st *stencil, l int) {
+	at := a.pos()
+	a.buf = append(a.buf, st.code...)
+	for _, r := range st.rel {
+		a.fixups = append(a.fixups, fixup{at: at + r, label: int32(l)})
+	}
+}
+
 // rel32 emits a 4-byte placeholder to be patched with (target - end).
 func (a *asmBuf) rel32(l int) {
 	a.fixups = append(a.fixups, fixup{at: a.pos(), label: int32(l)})
