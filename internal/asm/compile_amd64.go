@@ -734,14 +734,11 @@ func (c *compiler) emitCmp(x, y *ir.Value) {
 // Every fast access's fallback emits one, so it is stamped from a
 // stencil encoded once per width.
 func (c *compiler) segTranslate(width int32, faultL int) {
-	if int(width) < len(segStencils) && segStencils[width].code != nil {
-		c.a.stamp(&segStencils[width], faultL)
-		return
-	}
-	c.encodeSegTranslate(width, faultL)
+	c.a.stamp(&segStencils[width], faultL)
 }
 
-// segStencils holds segTranslate's encoding for each access width.
+// segStencils holds segTranslate's encoding for each access width; an
+// access of any other width is unsupported (emitAccess).
 var segStencils = func() (st [9]stencil) {
 	for _, w := range []int32{1, 2, 4, 8} {
 		c := &compiler{a: newAsmBuf(64, 1, 2)}
@@ -1134,7 +1131,7 @@ func (c *compiler) emitInstr(in *ir.Value, b *ir.Block, prev *ir.Value) error {
 func (c *compiler) emitAccess(in, prev *ir.Value) error {
 	load := in.Op == ir.OpLoad
 	w := accessWidth(in)
-	if w == 0 {
+	if int(w) >= len(segStencils) || segStencils[w].code == nil {
 		ty := in.Type
 		if !load {
 			ty = in.Args[1].Type
