@@ -6,7 +6,6 @@ package irtest
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"aqe/internal/ir"
@@ -266,7 +265,11 @@ func Run(f *ir.Function, p0, p1 uint64, run func(ctx *rt.Ctx, args []uint64) uin
 	ctx.Funcs = funcs
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(runtime.Error); !ok && !strings.Contains(fmt.Sprint(r), "out-of-range memory access") {
+			// A bounds fault reads "index out of range" or "slice bounds
+			// out of range" from Go, "out-of-range memory access" from
+			// machine code.
+			msg := fmt.Sprint(r)
+			if !strings.Contains(msg, "out of range") && !strings.Contains(msg, "out-of-range memory access") {
 				panic(r)
 			}
 			o.Faulted = true
